@@ -33,8 +33,8 @@ from .dynamics import (
     constant_datum,
     evolve,
     gaussian_datum,
-    gp_energy,
-    sobolev_norm,
+    sobolev_report,
+    tail_warnings,
 )
 from .errors import ConfigurationError
 from .fock import (
@@ -308,6 +308,9 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
+_NORMS_COLUMNS = ("t", "l2", "energy", "h1", "h2", "h3", "h4", "tail_mass")
+
+
 def _stage_cached(outdir: Path, stage: str, key: str, outputs) -> bool:
     marker = outdir / f"{stage}.hash"
     if not marker.exists():
@@ -364,6 +367,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None) -> ReportBundle:
         norms_csv = outdir / "norms.csv"
         key = _hash_text(
             "evolve",
+            ",".join(_NORMS_COLUMNS),
             cfg.section_text("grid"),
             cfg.section_text("datum"),
             cfg.section_text("nonlinearity"),
@@ -376,15 +380,14 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None) -> ReportBundle:
         if not _stage_cached(outdir, "evolve", key, [norms_csv]):
             stride = cfg.get_int("snapshots", "stride", None)
             traj = evolve(psi0, nl, grid, snapshot_stride=stride)
+            rep = sobolev_report(traj, nl)
+            columns = [traj.times, [s.l2_norm for s in traj.states], rep.energy,
+                       *(rep.h_norms[n] for n in (1, 2, 3, 4)), rep.tail_mass]
             with open(norms_csv, "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["t", "l2", "energy", "h1", "h2", "h3", "h4"])
-                for t, state in zip(traj.times, traj.states):
-                    writer.writerow(
-                        [repr(float(t)), repr(state.l2_norm),
-                         repr(gp_energy(state, nl))]
-                        + [repr(sobolev_norm(state, n)) for n in (1, 2, 3, 4)]
-                    )
+                writer.writerow(_NORMS_COLUMNS)
+                for row in zip(*columns):
+                    writer.writerow([repr(float(x)) for x in row])
             if dump_fields:
                 for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
                     fieldio.write_field(
@@ -399,6 +402,8 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None) -> ReportBundle:
             "final_l2": float(rows[-1]["l2"]),
             "energy_drift": abs(e1 - e0) / max(abs(e0), 1e-300),
         }
+        flags.extend(tail_warnings([float(r["t"]) for r in rows],
+                                   [float(r["tail_mass"]) for r in rows]))
 
     if cfg.has("nsweep"):
         if sol is None:

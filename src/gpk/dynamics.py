@@ -14,11 +14,17 @@ Time stepping is Strang splitting between the exact free propagator
 (diagonal in frequency) and the exact pointwise nonlinear phase; the density
 spectrum is truncated by the 2/3 rule before the potential is formed, which
 keeps every substep unitary and keeps the energy functional variationally
-paired with the right-hand side.
+paired with the right-hand side.  The density |phi|^2 is real, so the
+potential uses rfftn/irfftn with a half-spectrum multiplier.  The tables
+that do not depend on dt (k^2, density and Sobolev multipliers, tail mask)
+are built once per grid geometry and nonlinearity, cached read-only and
+shared by the stepper and the diagnostics; `sobolev_report` takes one fftn
+of phi and one rfftn of |phi|^2 per snapshot.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -36,6 +42,8 @@ from .radial import RadialTransformTable, tabulate_interaction_transform
 from .rates import RateReport, degenerate_report, fit_rate
 
 _NORM_TOL = 1e-10
+_TAIL_BAND = 0.875  # spectral tail: any |k_i| >= band * k_max
+_TAIL_WARN = 1e-8  # tail mass above which Sobolev values may be aliased
 
 
 @dataclass(frozen=True)
@@ -84,24 +92,23 @@ class GridSpec:
         return [k] * self.dim
 
     def k_squared(self) -> np.ndarray:
-        ks = self.k_axes()
-        k2 = np.zeros(self.shape)
-        for axis, k in enumerate(ks):
-            shape = [1] * self.dim
-            shape[axis] = k.size
-            k2 = k2 + (k**2).reshape(shape)
-        return k2
+        return self._mesh(np.add, self.k_axes()[0] ** 2)
 
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask on per-axis frequency indices."""
         n = self.points_per_axis
         keep = np.abs(sfft.fftfreq(n, d=1.0 / n)) <= n / 3.0
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = n
-            mask = mask & keep.reshape(shape)
-        return mask
+        return self._mesh(np.logical_and, keep)
+
+    def _mesh(self, op, per_axis: np.ndarray) -> np.ndarray:
+        """Full-grid table op(t[i_1], ..., t[i_d]) of one per-axis table t."""
+        return functools.reduce(op, self._open_axes(per_axis))
+
+    def _open_axes(self, per_axis: np.ndarray) -> list[np.ndarray]:
+        """`per_axis` laid along each axis in turn, broadcastable to the grid."""
+        d = self.dim
+        return [per_axis.reshape([-1 if a == axis else 1 for a in range(d)])
+                for axis in range(d)]
 
 
 @dataclass(frozen=True)
@@ -226,7 +233,7 @@ class NonlinearitySpec:
     @staticmethod
     def modified(sol, N: int, grid: GridSpec, n_p: int = 512):
         """Tabulate uhat from a scattering solution for use on `grid`."""
-        p_max = math.sqrt(float(np.max(grid.k_squared()))) + 1e-9
+        p_max = math.sqrt(float(np.max(_k_squared(grid)))) + 1e-9
         table = tabulate_interaction_transform(sol, grid.dim, p_max, n_p)
         a0 = sol.a0
         if grid.dim == 3:
@@ -255,43 +262,149 @@ class Trajectory:
 
 
 class _Stepper:
-    """Precomputed Strang-splitting machinery for one (grid, nonlinearity)."""
+    """Strang-splitting machinery for one (grid, nonlinearity): the dt tables."""
 
     def __init__(self, grid: GridSpec, nl: NonlinearitySpec):
-        self.grid = grid
-        self.nl = nl
         self.workers = grid.fft_workers
-        k2 = grid.k_squared()
+        k2 = _k_squared(grid)
         if abs(grid.dt) * float(np.max(k2)) > grid.stability_budget:
             raise ConfigurationError(
                 f"|dt| * k_max^2 = {abs(grid.dt) * float(np.max(k2)):.3g} exceeds "
                 f"the stability budget {grid.stability_budget}"
             )
-        self.full_drift = np.exp(-1j * grid.dt * k2)
-        self.half_drift = np.exp(-0.5j * grid.dt * k2)
-        mask = grid.dealias_mask()
-        if nl.kind == "gp":
-            self.density_multiplier = nl.coupling * mask
-        else:
-            kabs = np.sqrt(k2)
-            self.density_multiplier = (
-                (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
-            )
-
-    def potential(self, values: np.ndarray) -> np.ndarray:
-        rho = np.abs(values) ** 2
-        rho_hat = sfft.fftn(rho, workers=self.workers)
-        return sfft.ifftn(
-            self.density_multiplier * rho_hat, workers=self.workers
-        ).real
+        self.full_drift = _unit_phase(-grid.dt * k2)
+        self.half_drift = _unit_phase(-0.5 * grid.dt * k2)
+        self.density_multiplier = _density_multiplier(grid, nl)
 
     def kick(self, values, dt):
-        return values * np.exp(-1j * dt * self.potential(values))
+        angle = _potential(values, self.density_multiplier, self.workers)
+        angle *= -dt
+        rot = _unit_phase(angle)
+        rot *= values
+        return rot
 
     def drift(self, values, phase):
-        return sfft.ifftn(
-            phase * sfft.fftn(values, workers=self.workers), workers=self.workers
-        )
+        spectrum = sfft.fftn(values, workers=self.workers)
+        spectrum *= phase
+        return sfft.ifftn(spectrum, workers=self.workers, overwrite_x=True)
+
+
+def _unit_phase(angle: np.ndarray) -> np.ndarray:
+    """exp(1j * angle) as cos + 1j sin, written straight into one complex array."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+# Spectral tables that do not depend on dt, built once per key and kept
+# read-only.  The oldest entry goes first once the cache is full, so a sweep
+# over many grids or N values keeps a bounded working set.
+_TABLES: dict = {}
+_TABLES_MAX = 16
+
+
+def _table(key: tuple, build, pin=None) -> np.ndarray:
+    """The cached table under `key`; `pin` holds an object whose id is in the key."""
+    entry = _TABLES.get(key)
+    if entry is None:
+        if len(_TABLES) >= _TABLES_MAX:
+            del _TABLES[next(iter(_TABLES))]
+        table = build()
+        table.setflags(write=False)
+        entry = _TABLES[key] = (table, pin)
+    return entry[0]
+
+
+def _k_squared(grid: GridSpec) -> np.ndarray:
+    return _table(("k2", grid.shape, grid.box_length), grid.k_squared)
+
+
+def _density_multiplier(grid: GridSpec, nl: NonlinearitySpec) -> np.ndarray:
+    """Dealiased density multiplier on the rfftn half spectrum (last axis halved).
+
+    It depends on |k_i| only, so the half spectrum carries all of it.
+    """
+
+    def build():
+        half = (..., slice(0, grid.points_per_axis // 2 + 1))
+        mask = grid.dealias_mask()[half]
+        if nl.kind == "gp":
+            return nl.coupling * mask
+        kabs = np.sqrt(_k_squared(grid)[half])
+        return (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
+
+    # the table has no hash; its id is safe in the key while the entry pins it
+    key = ("density", grid.shape, grid.box_length, nl.kind, nl.coupling, nl.N,
+           id(nl.uhat))
+    return _table(key, build, pin=nl.uhat)
+
+
+def _sobolev_multiplier(grid: GridSpec, n: int) -> np.ndarray:
+    """Sum over |alpha| <= n of prod_i k_i^(2 alpha_i)."""
+    if not 1 <= n <= 4:
+        raise DomainError("Sobolev order must be between 1 and 4")
+
+    def build():
+        # h[j]: complete homogeneous polynomial of degree j in the k_i^2,
+        # extended one axis at a time by h_j <- h_j + k_axis^2 h_(j-1)
+        h = [1.0] + [0.0] * n
+        for k2 in grid._open_axes(grid.k_axes()[0] ** 2):
+            for j in range(1, n + 1):
+                h[j] = h[j] + k2 * h[j - 1]
+        return sum(h)
+
+    return _table(("sobolev", grid.shape, grid.box_length, n), build)
+
+
+def _tail_mask(grid: GridSpec, band: float) -> np.ndarray:
+    """Modes with any |k_i| at or beyond `band` * k_max."""
+
+    def build():
+        n = grid.points_per_axis
+        outer = np.abs(sfft.fftfreq(n, d=1.0 / n)) >= band * (n // 2)
+        return grid._mesh(np.logical_or, outer)
+
+    return _table(("tail", grid.shape, band), build)
+
+
+def _density_spectrum(values: np.ndarray, workers: int) -> np.ndarray:
+    """rfftn of the real density |phi|^2."""
+    return sfft.rfftn(values.real**2 + values.imag**2, workers=workers)
+
+
+def _potential(values: np.ndarray, multiplier: np.ndarray, workers: int):
+    """Density potential W[phi] = irfftn(multiplier * rfftn(|phi|^2))."""
+    rho_hat = _density_spectrum(values, workers)
+    rho_hat *= multiplier
+    return sfft.irfftn(rho_hat, s=values.shape, workers=workers, overwrite_x=True)
+
+
+def _power(psi: WaveFunction) -> np.ndarray:
+    """|phi_hat|^2 on the full spectrum."""
+    phi_hat = sfft.fftn(psi.values, workers=psi.grid.fft_workers)
+    return phi_hat.real**2 + phi_hat.imag**2
+
+
+def _energy(grid, nl, power, rho_hat) -> float:
+    kinetic = float(np.sum(_k_squared(grid) * power))
+    dens = _density_multiplier(grid, nl) * (rho_hat.real**2 + rho_hat.imag**2)
+    # the half spectrum holds one mode of each +-k pair on the last axis,
+    # except on its zero and Nyquist planes, which pair with themselves
+    full = 2.0 * float(np.sum(dens)) - float(np.sum(dens[..., 0])) \
+        - float(np.sum(dens[..., -1]))
+    return (kinetic + 0.5 * full) * grid.cell / power.size
+
+
+def _sobolev(grid, n, power) -> float:
+    val = float(np.sum(_sobolev_multiplier(grid, n) * power))
+    return math.sqrt(val * grid.cell / power.size)
+
+
+def _tail_fraction(grid, band, power) -> float:
+    total = float(np.sum(power))
+    tail = float(np.sum(power, where=_tail_mask(grid, band)))
+    return tail / total if total > 0 else 0.0
 
 
 def evolve(
@@ -320,24 +433,24 @@ def evolve(
     stride = snapshot_stride or max(1, n_steps // 16 or 1)
 
     stepper = _Stepper(grid, nl)
-    vals = psi0.values.copy()
     times = [0.0]
-    states = [WaveFunction(values=vals.copy(), grid=grid)]
+    states = [WaveFunction(values=psi0.values.copy(), grid=grid)]
     if n_steps == 0:
         return Trajectory(np.array(times), states, grid.fft_workers)
 
     # drift-kick-drift with merged interior drifts: the running state between
     # snapshots carries an extra half drift (unitary, so the norm monitor is
-    # unaffected), undone only for snapshot copies
+    # unaffected), undone only for snapshot copies.  No substep writes to its
+    # input, so psi0 and the stored snapshots are never aliased by `vals`.
     cell = grid.cell
-    vals = stepper.drift(vals, stepper.half_drift)
+    vals = stepper.drift(psi0.values, stepper.half_drift)
     for step in range(1, n_steps + 1):
         vals = stepper.kick(vals, grid.dt)
         last_step = step == n_steps
         vals = stepper.drift(
             vals, stepper.half_drift if last_step else stepper.full_drift
         )
-        norm = math.sqrt(float(np.sum(np.abs(vals) ** 2)) * cell)
+        norm = math.sqrt(np.vdot(vals, vals).real * cell)
         if not math.isfinite(norm):
             raise NumericalBlowupError("non-finite field detected", times[-1])
         if abs(norm - 1.0) > _NORM_TOL:
@@ -350,19 +463,18 @@ def evolve(
                 else stepper.drift(vals, np.conj(stepper.half_drift))
             )
             times.append(step * grid.dt)
-            states.append(WaveFunction(values=snap_vals.copy(), grid=grid))
+            states.append(WaveFunction(values=snap_vals, grid=grid))
     return Trajectory(np.array(times), states, grid.fft_workers)
 
 
 def gp_rhs(psi: WaveFunction, nl: NonlinearitySpec) -> np.ndarray:
     """Right-hand side of i dphi/dt: -lap phi + W[phi] phi."""
-    grid = psi.grid
-    stepper = _Stepper(grid, nl)
-    lap = sfft.ifftn(
-        -grid.k_squared() * sfft.fftn(psi.values, workers=grid.fft_workers),
-        workers=grid.fft_workers,
-    )
-    return -lap + stepper.potential(psi.values) * psi.values
+    grid, workers = psi.grid, psi.grid.fft_workers
+    spectrum = sfft.fftn(psi.values, workers=workers)
+    spectrum *= _k_squared(grid)
+    minus_lap = sfft.ifftn(spectrum, workers=workers, overwrite_x=True)
+    potential = _potential(psi.values, _density_multiplier(grid, nl), workers)
+    return minus_lap + potential * psi.values
 
 
 def time_derivative(psi: WaveFunction, nl: NonlinearitySpec) -> np.ndarray:
@@ -372,67 +484,28 @@ def time_derivative(psi: WaveFunction, nl: NonlinearitySpec) -> np.ndarray:
 
 def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
     """Conserved energy: kinetic term plus the nonlinearity-matched interaction."""
-    grid = psi.grid
-    M = psi.values.size
-    phi_hat = sfft.fftn(psi.values, workers=grid.fft_workers)
-    kinetic = float(np.sum(grid.k_squared() * np.abs(phi_hat) ** 2)) * grid.cell / M
-    rho = np.abs(psi.values) ** 2
-    rho_hat = sfft.fftn(rho, workers=grid.fft_workers)
-    stepper = _Stepper(grid, nl)
-    interaction = (
-        0.5
-        * float(np.sum(stepper.density_multiplier * np.abs(rho_hat) ** 2))
-        * grid.cell
-        / M
-    )
-    return kinetic + interaction
+    rho_hat = _density_spectrum(psi.values, psi.grid.fft_workers)
+    return _energy(psi.grid, nl, _power(psi), rho_hat)
 
 
 def sobolev_norm(psi: WaveFunction, n: int) -> float:
     """Squared-sum Sobolev norm: sqrt of sum over |alpha| <= n of |d^alpha phi|_2^2."""
-    if not 1 <= n <= 4:
-        raise DomainError("Sobolev order must be between 1 and 4")
-    grid = psi.grid
-    mult = _sobolev_multiplier(grid, n)
-    phi_hat = sfft.fftn(psi.values, workers=grid.fft_workers)
-    val = float(np.sum(mult * np.abs(phi_hat) ** 2)) * grid.cell / psi.values.size
-    return math.sqrt(val)
+    return _sobolev(psi.grid, n, _power(psi))
 
 
-def _sobolev_multiplier(grid: GridSpec, n: int) -> np.ndarray:
-    ks = grid.k_axes()
-    axes_pow = []
-    for axis, k in enumerate(ks):
-        shape = [1] * grid.dim
-        shape[axis] = k.size
-        axes_pow.append([(k**(2 * a)).reshape(shape) for a in range(n + 1)])
-
-    mult = np.zeros(grid.shape)
-    def rec(axis, remaining, acc):
-        nonlocal mult
-        if axis == grid.dim:
-            mult = mult + acc
-            return
-        for a in range(remaining + 1):
-            rec(axis + 1, remaining - a, acc * axes_pow[axis][a])
-    rec(0, n, np.ones(grid.shape))
-    return mult
-
-
-def spectral_tail_mass(psi: WaveFunction, band: float = 0.875) -> float:
+def spectral_tail_mass(psi: WaveFunction, band: float = _TAIL_BAND) -> float:
     """Fraction of spectral mass with any |k_i| at or beyond `band` * k_max."""
-    grid = psi.grid
-    n = grid.points_per_axis
-    idx = np.abs(sfft.fftfreq(n, d=1.0 / n))
-    outer = idx >= band * (n // 2)
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = n
-        mask = mask | outer.reshape(shape)
-    phi_hat = np.abs(sfft.fftn(psi.values, workers=grid.fft_workers)) ** 2
-    total = float(np.sum(phi_hat))
-    return float(np.sum(phi_hat[mask])) / total if total > 0 else 0.0
+    return _tail_fraction(psi.grid, band, _power(psi))
+
+
+def tail_warnings(times, tail_mass) -> list:
+    """Aliasing warnings for the snapshots whose spectral tail mass is too large."""
+    return [
+        f"t = {t:g}: spectral tail mass {tail:.3e} above {_TAIL_WARN:g}; "
+        "Sobolev values may be aliased"
+        for t, tail in zip(times, tail_mass)
+        if tail > _TAIL_WARN
+    ]
 
 
 @dataclass(frozen=True)
@@ -440,31 +513,34 @@ class SobolevReport:
     times: np.ndarray
     h_norms: dict
     energy: np.ndarray
+    tail_mass: np.ndarray
     warnings: list
 
 
 def sobolev_report(
     traj: Trajectory, nl: NonlinearitySpec, orders=(1, 2, 3, 4)
 ) -> SobolevReport:
-    """Norm and energy trajectories with aliasing warnings attached."""
-    warnings = []
+    """Norm and energy trajectories with aliasing warnings attached.
+
+    Each snapshot costs one fftn of phi and one rfftn of |phi|^2; the tail
+    mass, the Sobolev norms and the energy all come from those two spectra.
+    """
     h_norms = {n: [] for n in orders}
-    energies = []
-    for t, state in zip(traj.times, traj.states):
-        tail = spectral_tail_mass(state)
-        if tail > 1e-8:
-            warnings.append(
-                f"t = {t:g}: spectral tail mass {tail:.3e} above 1e-8; "
-                "Sobolev values may be aliased"
-            )
+    energies, tails = [], []
+    for state in traj.states:
+        grid = state.grid
+        power = _power(state)
+        tails.append(_tail_fraction(grid, _TAIL_BAND, power))
         for n in orders:
-            h_norms[n].append(sobolev_norm(state, n))
-        energies.append(gp_energy(state, nl))
+            h_norms[n].append(_sobolev(grid, n, power))
+        rho_hat = _density_spectrum(state.values, grid.fft_workers)
+        energies.append(_energy(grid, nl, power, rho_hat))
     return SobolevReport(
         times=traj.times,
         h_norms={n: np.array(v) for n, v in h_norms.items()},
         energy=np.array(energies),
-        warnings=warnings,
+        tail_mass=np.array(tails),
+        warnings=tail_warnings(traj.times, tails),
     )
 
 

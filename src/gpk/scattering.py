@@ -9,7 +9,6 @@ least-squares fit of the outer 20% of the grid (the fit is canonical).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,8 +43,6 @@ class RadialPotential:
     breakpoints: tuple[float, ...] = ()
     samples_r: np.ndarray = field(default_factory=lambda: np.zeros(0))
     samples_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    l1_norm: float = 0.0
-    l3_weighted_norm: float = 0.0
     name: str = "custom"
 
     def __post_init__(self):
@@ -85,8 +82,6 @@ class RadialPotential:
             breakpoints=(radius,),
             samples_r=rs,
             samples_v=v(rs),
-            l1_norm=4 * math.pi * height * radius**3 / 3,
-            l3_weighted_norm=_l3_weighted(v, 2 * radius),
             name="square-well",
         )
         return pot
@@ -112,8 +107,6 @@ class RadialPotential:
             r_support=support,
             samples_r=rs,
             samples_v=v(rs),
-            l1_norm=amplitude * math.pi ** 1.5 * width**3,
-            l3_weighted_norm=_l3_weighted(v, support),
             name="gaussian",
         )
 
@@ -142,8 +135,6 @@ class RadialPotential:
             r_support=support,
             samples_r=r,
             samples_v=prof(r),
-            l1_norm=4 * math.pi * simpson(v * r**2, x=r),
-            l3_weighted_norm=_l3_weighted(prof, r[-1]),
             name="table",
         )
 
@@ -158,12 +149,6 @@ def _mass_support(v, guess: float) -> float:
         return 0.0
     idx = int(np.searchsorted(cum, (1.0 - _SUPPORT_MASS_CUT) * total))
     return float(r[min(idx, r.size - 1)])
-
-
-def _l3_weighted(v, r_max: float) -> float:
-    r = np.linspace(0.0, r_max, 4097)
-    w = 4 * math.pi * simpson(v(r) ** 3 * (1 + r**6) * r**2, x=r)
-    return float(w ** (1.0 / 3.0)) if w > 0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -295,3 +295,39 @@ def test_kernel_dump_round_trip(tmp_path, capsys):
     vals, dim, n, N, L = read_kernel(tmp_path / "kd" / "kernel_N2.bin")
     assert (dim, n, N, L) == (1, 32, 2, 16.0)
     assert np.array_equal(vals, vals.T)  # symmetric by construction
+
+
+def test_tail_warnings_come_from_norms_csv_on_cache_hits(tmp_path):
+    # a narrow datum on a coarse grid leaves spectral mass near k_max
+    text = """
+[grid]
+dim = 1
+length = 16.0
+points = 128
+dt = 1e-3
+t_final = 0.02
+
+[datum]
+family = gaussian
+sigma = 0.1
+
+[nonlinearity]
+kind = gp
+a0 = 0.1
+
+[output]
+directory = {outdir}
+"""
+    cfg = load_config(write_config(tmp_path, text))
+    fresh = run_pipeline(cfg)
+    norms = fresh.outdir / "norms.csv"
+    assert norms.read_text().splitlines()[0] == \
+        "t,l2,energy,h1,h2,h3,h4,tail_mass"
+    tail = [f for f in fresh.flags if "spectral tail mass" in f]
+    assert tail and tail[0].startswith("t = 0:")
+    stamp = norms.stat().st_mtime_ns
+    warm = run_pipeline(cfg)
+    assert norms.stat().st_mtime_ns == stamp  # the evolve stage was a hit
+    assert warm.flags == fresh.flags
+    report = json.loads((fresh.outdir / "report.json").read_text())
+    assert report["flags"] == fresh.flags

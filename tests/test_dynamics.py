@@ -1,13 +1,21 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from gpk.dynamics import (
     GridSpec,
     NonlinearitySpec,
+    Trajectory,
     WaveFunction,
+    _density_multiplier,
+    _k_squared,
+    _potential,
+    _sobolev_multiplier,
+    _tail_mask,
     compare_dynamics,
     constant_datum,
     evolve,
@@ -230,3 +238,120 @@ def test_nan_input_raises_blowup():
     psi = WaveFunction(values=vals, grid=grid)
     with pytest.raises(NumericalBlowupError):
         evolve(psi, NonlinearitySpec.free(), grid)
+
+
+def random_unit_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    vals /= math.sqrt(np.sum(np.abs(vals) ** 2) * grid.cell)
+    return WaveFunction(values=vals, grid=grid)
+
+
+def complex_fft_reference(psi, nl):
+    """Density potential and energy from full complex FFTs of |phi|^2."""
+    grid = psi.grid
+    k2 = grid.k_squared()
+    if nl.kind == "gp":
+        mult = nl.coupling * grid.dealias_mask()
+    else:
+        mult = (1 - 1 / nl.N) * nl.uhat(np.sqrt(k2) / nl.N) * grid.dealias_mask()
+    rho_hat = sfft.fftn(np.abs(psi.values) ** 2)
+    potential = sfft.ifftn(mult * rho_hat).real
+    M = psi.values.size
+    kinetic = np.sum(k2 * np.abs(sfft.fftn(psi.values)) ** 2) * grid.cell / M
+    interaction = 0.5 * np.sum(mult * np.abs(rho_hat) ** 2) * grid.cell / M
+    return potential, kinetic + interaction
+
+
+@pytest.mark.parametrize("kind", ["gp", "modified"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_real_fft_density_path_matches_complex_reference(square_sol, kind, dim, n):
+    grid = GridSpec(dim=dim, box_length=6.0, points_per_axis=n, dt=1e-3,
+                    t_final=0.0)
+    psi = random_unit_field(grid, seed=dim)
+    if kind == "gp":
+        nl = NonlinearitySpec.gp(a0=0.3)
+    else:
+        nl = NonlinearitySpec.modified(square_sol, N=4, grid=grid)
+    ref_potential, ref_energy = complex_fft_reference(psi, nl)
+    potential = _potential(psi.values, _density_multiplier(grid, nl), 1)
+    scale = max(1.0, float(np.max(np.abs(ref_potential))))
+    assert np.max(np.abs(potential - ref_potential)) <= 1e-14 * scale
+    assert abs(gp_energy(psi, nl) - ref_energy) <= 1e-14 * max(1.0, ref_energy)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 16)])
+def test_sobolev_multiplier_matches_multi_index_sum(dim, n):
+    grid = GridSpec(dim=dim, box_length=5.0, points_per_axis=n, dt=1e-3,
+                    t_final=0.0)
+    k = grid.k_axes()[0]
+    k2 = [(k**2).reshape([-1 if a == axis else 1 for a in range(dim)])
+          for axis in range(dim)]
+    for order in (1, 2, 3, 4):
+        ref = np.zeros(grid.shape)
+        for alpha in itertools.product(range(order + 1), repeat=dim):
+            if sum(alpha) <= order:
+                ref = ref + math.prod(x**a for x, a in zip(k2, alpha))
+        mult = _sobolev_multiplier(grid, order)
+        assert np.max(np.abs(mult - ref)) <= 1e-12 * float(np.max(ref))
+
+
+def test_sobolev_report_matches_per_state_diagnostics():
+    grid = GridSpec(dim=2, box_length=10.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.02)
+    nl = NonlinearitySpec.gp(a0=0.2)
+    traj = evolve(gaussian_datum(grid, sigma=0.8), nl, grid, snapshot_stride=10)
+    rough = random_unit_field(grid, seed=5)
+    traj = Trajectory(np.append(traj.times, 0.03), traj.states + [rough])
+    rep = sobolev_report(traj, nl)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    for i, state in enumerate(traj.states):
+        assert close(rep.energy[i], gp_energy(state, nl))
+        assert close(rep.tail_mass[i], spectral_tail_mass(state))
+        for n in (1, 2, 3, 4):
+            assert close(rep.h_norms[n][i], sobolev_norm(state, n))
+    assert len(rep.warnings) == 1 and rep.warnings[0].startswith("t = 0.03:")
+
+
+def test_evolve_never_writes_to_datum_or_snapshots():
+    grid = GridSpec(dim=2, box_length=10.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.03)
+    nl = NonlinearitySpec.gp(a0=0.2)
+    psi0 = gaussian_datum(grid, sigma=0.8)
+    original = psi0.values.copy()
+    psi0.values.setflags(write=False)  # an in-place write would raise
+    traj = evolve(psi0, nl, grid, snapshot_stride=10)
+    assert np.array_equal(psi0.values, original)
+    arrays = [psi0.values] + [s.values for s in traj.states]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+    # each snapshot still holds the state at its time, as a run that stops
+    # there computes it
+    for t, state in zip(traj.times, traj.states):
+        stop = replace(grid, t_final=float(t))
+        alone = evolve(psi0, nl, stop).states[-1]
+        assert np.max(np.abs(state.values - alone.values)) < 1e-12
+
+
+def test_cached_spectral_tables_are_read_only(square_sol):
+    grid = GridSpec(dim=3, box_length=8.0, points_per_axis=16, dt=1e-3,
+                    t_final=0.0)
+    modified = NonlinearitySpec.modified(square_sol, N=4, grid=grid)
+    tables = [
+        _k_squared(grid),
+        _density_multiplier(grid, NonlinearitySpec.gp(a0=0.1)),
+        _density_multiplier(grid, modified),
+        _sobolev_multiplier(grid, 3),
+        _tail_mask(grid, 0.875),
+    ]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+    # one build per key, a new one for another coupling
+    assert _k_squared(grid) is tables[0]
+    assert _density_multiplier(grid, modified) is tables[2]
+    other = _density_multiplier(grid, NonlinearitySpec.gp(a0=0.2))
+    assert np.allclose(other, 2 * tables[1])
