@@ -1,26 +1,28 @@
 """Experiment orchestration: config parsing, staged pipeline, reports.
 
 Configs are INI files with sections [potential], [grid], [datum],
-[nonlinearity], [snapshots], [nsweep], [kernels], [fock], [output].  Stages
-run in dependency order with content-hashed caching: each stage's hash covers
-the raw text of the sections it reads plus the hashes of its upstream
-artifacts, so editing a downstream section never reuses a stale upstream
-file, and editing an upstream section invalidates everything after it.
-
-All outputs are regenerated whole (CSV with RFC-4180 quoting, JSON with
-sorted keys); the pipeline itself is deterministic, randomness lives only in
-the property tests.
+[nonlinearity], [snapshots], [nsweep], [kernels], [fock], [output].  The
+pipeline is the stage table `STAGES`, driven by one loop in `run_pipeline`.
+A stage's key hashes the sections it reads (plus the bytes of a `file =`
+table) and the artifacts of the stages it needs, so an edit invalidates the
+stages that depend on it.  Config checks run on every invocation; numerical
+work runs only on a cache miss.  Summaries are read back from each stage's
+own artifacts and downstream stages read the profile from scattering.json,
+so artifacts do not depend on cache state.  Outputs are regenerated whole
+(CSV with RFC-4180 quoting, JSON with sorted keys) and are deterministic.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -49,12 +51,7 @@ from .fock import (
     toy_convergence_study,
     vacuum,
 )
-from .kernels import (
-    grad1_kkbar_hs_norm,
-    kernel_hs_norms,
-    zero_energy_cancellation_residual,
-)
-from .rates import RateReport
+from .kernels import kernel_bound_report
 from .scattering import (
     RadialPotential,
     ScatteringSolution,
@@ -90,42 +87,37 @@ class ExperimentConfig:
             return fallback
         return self.parser.get(section, key)
 
-    def get_float(self, section, key, fallback=None, required=False):
+    def _typed(self, section, key, fallback, required, convert, what):
         val = self.get(section, key, required=required)
         if val is None:
             return fallback
         try:
-            return float(val)
+            return convert(val)
         except ValueError as exc:
             raise ConfigurationError(
-                f"{self.path}: [{section}] {key} = {val!r} is not a number"
+                f"{self.path}: [{section}] {key} = {val!r} is not {what}"
             ) from exc
+
+    def get_float(self, section, key, fallback=None, required=False):
+        return self._typed(section, key, fallback, required, float, "a number")
 
     def get_int(self, section, key, fallback=None, required=False):
-        val = self.get(section, key, required=required)
-        if val is None:
-            return fallback
-        try:
-            return int(val)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{self.path}: [{section}] {key} = {val!r} is not an integer"
-            ) from exc
+        return self._typed(section, key, fallback, required, int, "an integer")
 
     def get_floats(self, section, key, fallback=None, required=False):
-        val = self.get(section, key, required=required)
-        if val is None:
-            return fallback
-        return [float(tok) for tok in val.replace(",", " ").split()]
+        return self._typed(section, key, fallback, required,
+                           lambda v: [float(t) for t in _tokens(v)], "numbers")
 
     def get_ints(self, section, key, fallback=None, required=False):
-        val = self.get(section, key, required=required)
-        if val is None:
-            return fallback
-        return [int(tok) for tok in val.replace(",", " ").split()]
+        return self._typed(section, key, fallback, required,
+                           lambda v: [int(t) for t in _tokens(v)], "integers")
 
     def section_text(self, section: str) -> str:
         return self.raw_sections.get(section, "")
+
+
+def _tokens(text: str) -> list:
+    return text.replace(",", " ").split()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -151,11 +143,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def potential_from_config(cfg: ExperimentConfig) -> RadialPotential:
-    family = cfg.get("potential", "family", fallback=None)
     file_key = cfg.get("potential", "file", fallback=None)
     if file_key:
-        table = np.loadtxt(file_key)
-        return RadialPotential.from_table(table[:, 0], table[:, 1])
+        return potential_from_file(file_key)
+    family = cfg.get("potential", "family", fallback=None)
     if family is None:
         raise ConfigurationError(
             f"{cfg.path}: [potential] needs 'family' or 'file'"
@@ -180,6 +171,12 @@ def potential_from_spec(
     if family in ("zero", "free"):
         return RadialPotential.zero()
     raise ConfigurationError(f"unknown potential family {family!r}")
+
+
+def potential_from_file(path) -> RadialPotential:
+    """V from a two-column (radius, value) table file."""
+    table = np.loadtxt(path)
+    return RadialPotential.from_table(table[:, 0], table[:, 1])
 
 
 def datum_from_config(cfg: ExperimentConfig, grid: GridSpec) -> WaveFunction:
@@ -212,10 +209,12 @@ def dump_solution_json(sol: ScatteringSolution, V: RadialPotential, path) -> dic
     cert = verify_w_bounds(sol)
     payload = {
         "a0_tail": sol.a0,
+        "a0_derivative": sol.a0_derivative,
         "a0_integral": a0_int,
         "ode_residual": sol.ode_residual,
         "tail_fit_error": sol.tail_fit_error,
         "r_support": V.r_support,
+        "potential": V.spec,
         "w_c1_hat": cert.c1_hat,
         "w_c2_hat": cert.c2_hat,
         "w_within_unit": cert.w_within_unit,
@@ -234,49 +233,54 @@ def dump_solution_json(sol: ScatteringSolution, V: RadialPotential, path) -> dic
 
 
 def load_solution_json(path):
-    """Rebuild (solution, potential) from a scattering artifact."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Rebuild (solution, potential) from a scattering artifact; V comes from
+    its stored spec, with its exact values and breakpoints."""
+    payload = _read_json(path)
+    if "potential" not in payload:
+        raise ConfigurationError(f"{path}: no potential spec; solve it again")
+    spec = dict(payload["potential"])
+    family = spec.pop("family")
+    if family == "table":
+        V = RadialPotential.from_table(spec["r"], spec["v"])
+    else:
+        V = potential_from_spec(family, **spec)
     prof = payload["profile"]
-    r = np.asarray(prof["r"])
-    v = np.asarray(prof["v"])
-    support = float(payload["r_support"])
-
-    def profile(x):
-        return np.where(x <= support, np.interp(x, r, v, right=0.0), 0.0)
-
-    V = RadialPotential(
-        profile=profile,
-        r_support=support,
-        samples_r=r,
-        samples_v=profile(r),
-        name="loaded",
-    )
-    f = np.asarray(prof["f"])
-    u = f * r
     sol = ScatteringSolution(
-        r_grid=r,
-        f=f,
+        r_grid=np.asarray(prof["r"]),
+        f=np.asarray(prof["f"]),
         w=np.asarray(prof["w"]),
         dw_dr=np.asarray(prof["dw_dr"]),
         a0=payload["a0_tail"],
-        a0_derivative=payload["a0_tail"],
+        a0_derivative=payload["a0_derivative"],
         ode_residual=payload["ode_residual"],
         tail_fit_error=payload["tail_fit_error"],
-        u=u,
-        u_prime=np.gradient(u, r),
         defect=np.asarray(prof["defect"]),
         potential=V,
     )
     return sol, V
 
 
-def write_scattering_csv(sol: ScatteringSolution, path) -> None:
+def _read_json(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read_csv(path) -> list:
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["r", "f", "w", "dw_dr"])
-        for r, f, w, dw in zip(sol.r_grid, sol.f, sol.w, sol.dw_dr):
-            writer.writerow([repr(r), repr(f), repr(w), repr(dw)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_scattering_csv(sol: ScatteringSolution, path) -> None:
+    _write_csv(path, ["r", "f", "w", "dw_dr"],
+               ([repr(r), repr(f), repr(w), repr(dw)]
+                for r, f, w, dw in zip(sol.r_grid, sol.f, sol.w, sol.dw_dr)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,170 +312,229 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
+# Layout version of the stage artifacts, part of every stage key: bump it
+# when a file's columns or fields change, so older artifacts are rebuilt.
+_ARTIFACT_LAYOUT = "2"
+
 _NORMS_COLUMNS = ("t", "l2", "energy", "h1", "h2", "h3", "h4", "tail_mass")
 
 
-def _stage_cached(outdir: Path, stage: str, key: str, outputs) -> bool:
-    marker = outdir / f"{stage}.hash"
-    if not marker.exists():
-        return False
-    if marker.read_text().strip() != key:
-        return False
-    return all(Path(p).exists() for p in outputs)
+def _section_key(cfg: ExperimentConfig, section: str) -> str:
+    """A section's text, plus the bytes of the table it names by `file =`."""
+    path = cfg.get(section, "file")
+    return cfg.section_text(section) + (_hash_file(Path(path)) if path else "")
 
 
-def _mark_stage(outdir: Path, stage: str, key: str) -> None:
-    (outdir / f"{stage}.hash").write_text(key + "\n")
+class _Inputs:
+    """Numerical inputs of the stages, each built on first use, so a run of
+    cache hits builds none.  The profile is always read back from
+    scattering.json: a stage sees the same V and f whether the scattering
+    stage ran now or in an earlier run."""
+
+    def __init__(self, cfg: ExperimentConfig, outdir: Path):
+        self.cfg = cfg
+        self.outdir = outdir
+
+    @functools.cached_property
+    def sol(self):
+        if not self.cfg.has("potential"):
+            return None
+        return load_solution_json(self.outdir / "scattering.json")[0]
+
+    @functools.cached_property
+    def grid(self) -> GridSpec:
+        return grid_from_config(self.cfg)
+
+    @functools.cached_property
+    def interaction(self) -> NonlinearitySpec:
+        """The modified nonlinearity at N = 1; evolve and nsweep share its uhat."""
+        return NonlinearitySpec.modified(self.sol, N=1, grid=self.grid)
 
 
-def run_pipeline(cfg: ExperimentConfig, outdir=None) -> ReportBundle:
-    """Execute the configured stages in dependency order with caching."""
+def _needs_potential(cfg: ExperimentConfig, what: str) -> None:
+    if not cfg.has("potential"):
+        raise ConfigurationError(f"{cfg.path}: {what} needs a [potential] stage")
+
+
+def _nonlinearity_kind(cfg: ExperimentConfig) -> str:
+    """The [nonlinearity] kind, checked along with the stage it needs."""
+    kind = (cfg.get("nonlinearity", "kind", fallback="gp") or "gp").lower()
+    if kind not in ("gp", "modified"):
+        raise ConfigurationError(f"{cfg.path}: unknown nonlinearity kind {kind!r}")
+    if kind == "modified":
+        _needs_potential(cfg, "modified nonlinearity")
+    return kind
+
+
+def _nonlinearity(inp: _Inputs) -> NonlinearitySpec:
+    cfg = inp.cfg
+    if _nonlinearity_kind(cfg) == "modified":
+        return replace(inp.interaction,
+                       N=cfg.get_int("nonlinearity", "n", required=True))
+    a0 = cfg.get_float("nonlinearity", "a0", None)
+    coupling = cfg.get_float("nonlinearity", "coupling", None)
+    if a0 is None and coupling is None and inp.sol is not None:
+        a0 = inp.sol.a0
+    if a0 is None and coupling is None:
+        return NonlinearitySpec.free()
+    return NonlinearitySpec.gp(a0=a0, coupling=coupling)
+
+
+def _run_scattering(inp: _Inputs, scattering_json, scattering_csv) -> None:
+    cfg = inp.cfg
+    V = potential_from_config(cfg)
+    r_max = cfg.get_float("potential", "rmax", max(5.0, 5 * V.r_support))
+    sol = solve_zero_energy(V, r_max, cfg.get_int("potential", "points", 4000))
+    dump_solution_json(sol, V, scattering_json)
+    write_scattering_csv(sol, scattering_csv)
+
+
+def _summarize_scattering(scattering_json, scattering_csv):
+    payload = _read_json(scattering_json)
+    summary = {k: payload[k] for k in
+               ("a0_tail", "a0_integral", "ode_residual", "tail_fit_error")}
+    return summary, (["degenerate scenario: zero scattering length"]
+                     if payload["a0_tail"] < 1e-12 else [])
+
+
+def _run_evolve(inp: _Inputs, norms_csv) -> None:
+    cfg = inp.cfg
+    nl = _nonlinearity(inp)
+    stride = cfg.get_int("snapshots", "stride", None)
+    traj = evolve(datum_from_config(cfg, inp.grid), nl, inp.grid,
+                  snapshot_stride=stride)
+    rep = sobolev_report(traj, nl)
+    columns = [traj.times, [s.l2_norm for s in traj.states], rep.energy,
+               *(rep.h_norms[n] for n in (1, 2, 3, 4)), rep.tail_mass]
+    _write_csv(norms_csv, _NORMS_COLUMNS,
+               ([repr(float(x)) for x in row] for row in zip(*columns)))
+    fields = (cfg.get("snapshots", "fields", fallback="no") or "no").lower()
+    if fields in ("yes", "true", "1"):
+        for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
+            fieldio.write_field(inp.outdir / f"field_{idx:04d}.bin", state,
+                                float(t))
+
+
+def _summarize_evolve(norms_csv):
+    rows = _read_csv(norms_csv)
+    e0, e1 = float(rows[0]["energy"]), float(rows[-1]["energy"])
+    summary = {"final_l2": float(rows[-1]["l2"]),
+               "energy_drift": abs(e1 - e0) / max(abs(e0), 1e-300)}
+    return summary, tail_warnings([float(r["t"]) for r in rows],
+                                  [float(r["tail_mass"]) for r in rows])
+
+
+def _run_nsweep(inp: _Inputs, rates_csv) -> None:
+    cfg = inp.cfg
+    N_list = cfg.get_ints("nsweep", "n_values", required=True)
+    t_star = cfg.get_float("nsweep", "t_star", required=True)
+    a0 = inp.sol.a0 if inp.grid.dim == 3 else None
+    rep = compare_dynamics(datum_from_config(cfg, inp.grid), a0,
+                           inp.interaction.uhat, N_list, t_star)
+    _write_csv(rates_csv, ["N", "l2_difference", "slope"],
+               ([int(n), repr(float(y)), repr(rep.slope)]
+                for n, y in zip(rep.x, rep.y)))
+
+
+def _summarize_nsweep(rates_csv):
+    rows = _read_csv(rates_csv)
+    summary = {"slope": float(rows[0]["slope"]) if rows else float("nan")}
+    if rows and all(float(r["l2_difference"]) < 1e-12 for r in rows):
+        return summary, ["degenerate scenario: comparison differences at round-off"]
+    return summary, []
+
+
+def _run_kernels(inp: _Inputs, bounds_csv) -> None:
+    cfg = inp.cfg
+    kgrid = GridSpec(dim=cfg.get_int("kernels", "dim", 3),
+                     box_length=cfg.get_float("kernels", "length", 12.0),
+                     points_per_axis=cfg.get_int("kernels", "points", 16),
+                     dt=1e-3, t_final=0.0)
+    phi = gaussian_datum(kgrid, sigma=cfg.get_float("kernels", "sigma", 1.0))
+    write_kernel_bounds_csv(bounds_csv, phi, inp.sol,
+                            cfg.get_ints("kernels", "n_values", required=True))
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage, declared as data."""
+
+    name: str
+    switch: tuple        # config sections that must all be present to run it
+    sections: tuple      # config sections hashed into its key
+    needs: tuple         # upstream stages it reads; their artifacts key it
+    outputs: tuple       # its files under the output directory
+    run: Callable        # run(inputs, *output paths), on a cache miss only
+    summarize: Callable  # (*output paths) -> (summary or None, flags)
+    check: Callable = lambda cfg: None  # config validation, every invocation
+
+
+STAGES = (
+    Stage("scattering", ("potential",), ("potential",), (),
+          ("scattering.json", "scattering.csv"),
+          _run_scattering, _summarize_scattering),
+    Stage("evolve", ("grid", "datum"),
+          ("grid", "datum", "nonlinearity", "snapshots"), ("scattering",),
+          ("norms.csv",), _run_evolve, _summarize_evolve, _nonlinearity_kind),
+    Stage("nsweep", ("nsweep",), ("grid", "datum", "nsweep"), ("scattering",),
+          ("rates.csv",), _run_nsweep, _summarize_nsweep,
+          lambda cfg: _needs_potential(cfg, "[nsweep]")),
+    Stage("kernels", ("kernels",), ("kernels",), ("scattering",),
+          ("kernel_bounds.csv",), _run_kernels, lambda path: (None, []),
+          lambda cfg: _needs_potential(cfg, "[kernels]")),
+    Stage("fock", ("fock",), ("fock",), (),
+          ("fock_report.json", "toy_convergence.csv"),
+          lambda inp, *paths: run_fock_stage(inp.cfg, *paths),
+          lambda fock_json, conv_csv: (_read_json(fock_json)["summary"], [])),
+)
+
+
+def _plan(cfg: ExperimentConfig, wanted) -> list:
+    """The configured stages among `wanted` (all if None) and their upstream."""
+    take = {s.name for s in STAGES} if wanted is None else set(wanted)
+    for stage in reversed(STAGES):
+        if stage.name in take:
+            take.update(stage.needs)
+    return [s for s in STAGES
+            if s.name in take and all(cfg.has(sec) for sec in s.switch)]
+
+
+def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundle:
+    """Run the configured stages among `stages` (all if None) and the
+    upstream stages they need, with caching; report.json lists the stages
+    this invocation ran, hit or miss, with their artifacts, summaries and
+    flags."""
     outdir = Path(outdir or cfg.get("output", "directory", fallback="out"))
+    plan = _plan(cfg, stages)
+    for stage in plan:
+        stage.check(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict = {}
-    summary: dict = {}
-    flags: list = []
-
-    scattering_json = outdir / "scattering.json"
-    scattering_csv = outdir / "scattering.csv"
-    sol = V = None
-    if cfg.has("potential"):
-        key = _hash_text("scattering", cfg.section_text("potential"))
-        outputs = [scattering_json, scattering_csv]
-        if not _stage_cached(outdir, "scattering", key, outputs):
-            V = potential_from_config(cfg)
-            r_max = cfg.get_float("potential", "rmax", max(5.0, 5 * V.r_support))
-            n_pts = cfg.get_int("potential", "points", 4000)
-            sol = solve_zero_energy(V, r_max, n_pts)
-            payload = dump_solution_json(sol, V, scattering_json)
-            write_scattering_csv(sol, scattering_csv)
-            _mark_stage(outdir, "scattering", key)
-        else:
-            sol, V = load_solution_json(scattering_json)
-            with open(scattering_json) as fh:
-                payload = json.load(fh)
-        artifacts["scattering"] = [str(scattering_json), str(scattering_csv)]
-        summary["scattering"] = {
-            k: payload[k]
-            for k in ("a0_tail", "a0_integral", "ode_residual", "tail_fit_error")
-        }
-        if sol.a0 < 1e-12:
-            flags.append("degenerate scenario: zero scattering length")
-
-    upstream = _hash_file(scattering_json) if scattering_json.exists() else ""
-
-    if cfg.has("grid") and cfg.has("datum"):
-        grid = grid_from_config(cfg)
-        psi0 = datum_from_config(cfg, grid)
-        nl = _nonlinearity_from_config(cfg, grid, sol)
-        norms_csv = outdir / "norms.csv"
+    inputs = _Inputs(cfg, outdir)
+    digests, artifacts, summary, flags = {}, {}, {}, []
+    for stage in plan:
+        paths = [outdir / name for name in stage.outputs]
         key = _hash_text(
-            "evolve",
-            ",".join(_NORMS_COLUMNS),
-            cfg.section_text("grid"),
-            cfg.section_text("datum"),
-            cfg.section_text("nonlinearity"),
-            cfg.section_text("snapshots"),
-            upstream,
+            stage.name, _ARTIFACT_LAYOUT,
+            *(_section_key(cfg, section) for section in stage.sections),
+            *(digests[name] for name in stage.needs if name in digests),
         )
-        dump_fields = (cfg.get("snapshots", "fields", fallback="no") or "no").lower() in (
-            "yes", "true", "1",
-        )
-        if not _stage_cached(outdir, "evolve", key, [norms_csv]):
-            stride = cfg.get_int("snapshots", "stride", None)
-            traj = evolve(psi0, nl, grid, snapshot_stride=stride)
-            rep = sobolev_report(traj, nl)
-            columns = [traj.times, [s.l2_norm for s in traj.states], rep.energy,
-                       *(rep.h_norms[n] for n in (1, 2, 3, 4)), rep.tail_mass]
-            with open(norms_csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(_NORMS_COLUMNS)
-                for row in zip(*columns):
-                    writer.writerow([repr(float(x)) for x in row])
-            if dump_fields:
-                for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-                    fieldio.write_field(
-                        outdir / f"field_{idx:04d}.bin", state, float(t)
-                    )
-            _mark_stage(outdir, "evolve", key)
-        artifacts["evolve"] = [str(norms_csv)]
-        with open(norms_csv) as fh:
-            rows = list(csv.DictReader(fh))
-        e0, e1 = float(rows[0]["energy"]), float(rows[-1]["energy"])
-        summary["evolve"] = {
-            "final_l2": float(rows[-1]["l2"]),
-            "energy_drift": abs(e1 - e0) / max(abs(e0), 1e-300),
-        }
-        flags.extend(tail_warnings([float(r["t"]) for r in rows],
-                                   [float(r["tail_mass"]) for r in rows]))
-
-    if cfg.has("nsweep"):
-        if sol is None:
-            raise ConfigurationError(
-                f"{cfg.path}: [nsweep] needs a [potential] stage"
-            )
-        grid = grid_from_config(cfg)
-        psi0 = datum_from_config(cfg, grid)
-        rates_csv = outdir / "rates.csv"
-        key = _hash_text(
-            "nsweep",
-            cfg.section_text("grid"),
-            cfg.section_text("datum"),
-            cfg.section_text("nsweep"),
-            upstream,
-        )
-        if not _stage_cached(outdir, "nsweep", key, [rates_csv]):
-            N_list = cfg.get_ints("nsweep", "n_values", required=True)
-            t_star = cfg.get_float("nsweep", "t_star", required=True)
-            nl_ref = NonlinearitySpec.modified(sol, N=N_list[0], grid=grid)
-            a0 = sol.a0 if grid.dim == 3 else None
-            rep = compare_dynamics(psi0, a0, nl_ref.uhat, N_list, t_star)
-            _write_rates_csv(rates_csv, rep)
-            _mark_stage(outdir, "nsweep", key)
-        artifacts["nsweep"] = [str(rates_csv)]
-        with open(rates_csv) as fh:
-            rows = list(csv.DictReader(fh))
-        summary["nsweep"] = {
-            "slope": float(rows[0]["slope"]) if rows else float("nan"),
-        }
-        if rows and all(float(r["l2_difference"]) < 1e-12 for r in rows):
-            flags.append("degenerate scenario: comparison differences at round-off")
-
-    if cfg.has("kernels"):
-        if sol is None:
-            raise ConfigurationError(
-                f"{cfg.path}: [kernels] needs a [potential] stage"
-            )
-        bounds_csv = outdir / "kernel_bounds.csv"
-        key = _hash_text("kernels", cfg.section_text("kernels"), upstream)
-        if not _stage_cached(outdir, "kernels", key, [bounds_csv]):
-            kdim = cfg.get_int("kernels", "dim", 3)
-            kn = cfg.get_int("kernels", "points", 16)
-            kL = cfg.get_float("kernels", "length", 12.0)
-            sigma = cfg.get_float("kernels", "sigma", 1.0)
-            N_list = cfg.get_ints("kernels", "n_values", required=True)
-            kgrid = GridSpec(dim=kdim, box_length=kL, points_per_axis=kn,
-                             dt=1e-3, t_final=0.0)
-            phi = gaussian_datum(kgrid, sigma=sigma)
-            write_kernel_bounds_csv(bounds_csv, phi, sol, V, N_list)
-            _mark_stage(outdir, "kernels", key)
-        artifacts["kernels"] = [str(bounds_csv)]
-
-    if cfg.has("fock"):
-        fock_json = outdir / "fock_report.json"
-        conv_csv = outdir / "toy_convergence.csv"
-        key = _hash_text("fock", cfg.section_text("fock"), upstream)
-        if not _stage_cached(outdir, "fock", key, [fock_json, conv_csv]):
-            run_fock_stage(cfg, fock_json, conv_csv)
-            _mark_stage(outdir, "fock", key)
-        artifacts["fock"] = [str(fock_json), str(conv_csv)]
-        with open(fock_json) as fh:
-            summary["fock"] = json.load(fh)["summary"]
+        marker = outdir / f"{stage.name}.hash"
+        if not (marker.exists() and marker.read_text().strip() == key
+                and all(p.exists() for p in paths)):
+            stage.run(inputs, *paths)
+            marker.write_text(key + "\n")
+        digests[stage.name] = _hash_text(*map(_hash_file, paths))
+        artifacts[stage.name] = [str(p) for p in paths]
+        stage_summary, stage_flags = stage.summarize(*paths)
+        if stage_summary is not None:
+            summary[stage.name] = stage_summary
+        flags.extend(stage_flags)
 
     report = outdir / "report.json"
     with open(report, "w") as fh:
         json.dump(
-            {"artifacts": artifacts, "summary": summary, "flags": flags},
+            {"stages": [s.name for s in plan], "artifacts": artifacts,
+             "summary": summary, "flags": flags},
             fh, sort_keys=True, indent=1,
         )
     artifacts["report"] = [str(report)]
@@ -479,49 +542,13 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None) -> ReportBundle:
                         flags=flags)
 
 
-def _nonlinearity_from_config(cfg, grid, sol):
-    kind = (cfg.get("nonlinearity", "kind", fallback="gp") or "gp").lower()
-    if kind == "gp":
-        a0 = cfg.get_float("nonlinearity", "a0", None)
-        coupling = cfg.get_float("nonlinearity", "coupling", None)
-        if a0 is None and coupling is None and sol is not None:
-            a0 = sol.a0
-        if a0 is None and coupling is None:
-            return NonlinearitySpec.free()
-        return NonlinearitySpec.gp(a0=a0, coupling=coupling)
-    if kind == "modified":
-        if sol is None:
-            raise ConfigurationError(
-                f"{cfg.path}: modified nonlinearity needs a [potential] stage"
-            )
-        N = cfg.get_int("nonlinearity", "n", required=True)
-        return NonlinearitySpec.modified(sol, N=N, grid=grid)
-    raise ConfigurationError(f"{cfg.path}: unknown nonlinearity kind {kind!r}")
-
-
-def _write_rates_csv(path, rep: RateReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "l2_difference", "slope"])
-        for n, y in zip(rep.x, rep.y):
-            writer.writerow([int(n), repr(float(y)), repr(rep.slope)])
-
-
-def write_kernel_bounds_csv(path, phi, sol, V, N_list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["N", "l2_k", "grad1_k_over_sqrtN", "grad1_kkbar", "sup_slice",
-             "cancellation_residual"]
-        )
-        for N in N_list:
-            l2k, l2g1, sup_slice = kernel_hs_norms(phi, sol, int(N))
-            kkbar = grad1_kkbar_hs_norm(phi, sol, int(N))
-            resid = zero_energy_cancellation_residual(sol, V, int(N))
-            writer.writerow(
-                [int(N), repr(l2k), repr(l2g1 / math.sqrt(N)), repr(kkbar),
-                 repr(sup_slice), repr(resid)]
-            )
+def write_kernel_bounds_csv(path, phi, sol, N_list) -> None:
+    _write_csv(path, ["N", "l2_k", "grad1_k_over_sqrtN", "grad1_kkbar",
+                      "sup_slice", "cancellation_residual"],
+               ([rep.N, repr(rep.l2_k), repr(rep.l2_grad1_k / math.sqrt(rep.N)),
+                 repr(rep.l2_grad1_kkbar), repr(rep.sup_x_l2_slice),
+                 repr(rep.cancellation_residual)]
+                for rep in kernel_bound_report(phi, sol, N_list)))
 
 
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
@@ -598,12 +625,10 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     }
     with open(fock_json, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
-    with open(conv_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "t", "trace_distance", "number_expectation"])
-        for n, dist, num in zip(rep.N_list, rep.trace_distances, numbers):
-            writer.writerow([int(n), repr(rep.t), repr(float(dist)),
-                             repr(float(num))])
+    _write_csv(conv_csv, ["N", "t", "trace_distance", "number_expectation"],
+               ([int(n), repr(rep.t), repr(float(dist)), repr(float(num))]
+                for n, dist, num in zip(rep.N_list, rep.trace_distances,
+                                        numbers)))
 
 
 def _parse_matrix(text: str, d: int):

@@ -1,6 +1,7 @@
 """Command line interface.
 
-Subcommands: run (full pipeline), scattering, evolve, kernels, fock, report.
+Subcommands: run (full pipeline), scattering, evolve (the evolve and nsweep
+stages), kernels, fock (the fock stage), report.
 Exit codes: 0 success, 2 configuration/domain error, 3 numerical-budget
 error, 4 invariant violation.
 """
@@ -12,12 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
     dump_solution_json,
     load_config,
     load_solution_json,
+    potential_from_file,
     potential_from_spec,
     run_pipeline,
     write_kernel_bounds_csv,
@@ -38,9 +38,7 @@ def _parse_potential_arg(spec: str) -> RadialPotential:
                 key, _, val = item.partition("=")
                 kwargs[key.strip()] = float(val)
         return potential_from_spec(name, **kwargs)
-    path = Path(spec)
-    table = np.loadtxt(path)
-    return RadialPotential.from_table(table[:, 0], table[:, 1])
+    return potential_from_file(spec)
 
 
 def _cmd_scattering(args) -> int:
@@ -60,20 +58,20 @@ def _cmd_scattering(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = load_config(args.config)
-    bundle = run_pipeline(cfg, outdir=args.out)
+    bundle = run_pipeline(load_config(args.config), outdir=args.out,
+                          stages=("evolve", "nsweep"))
     print(json.dumps(bundle.summary.get("evolve", {}), sort_keys=True))
     return 0
 
 
 def _cmd_kernels(args) -> int:
-    sol, V = load_solution_json(args.scattering)
+    sol, _ = load_solution_json(args.scattering)
     phi, _ = read_field(args.phi)
     n_list = [int(tok) for tok in args.N.replace(",", " ").split()]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "kernel_bounds.csv"
-    write_kernel_bounds_csv(path, phi, sol, V, n_list)
+    write_kernel_bounds_csv(path, phi, sol, n_list)
     if args.dump_kernels:
         from .fieldio import write_kernel
         from .kernels import build_kt
@@ -85,8 +83,8 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_fock(args) -> int:
-    cfg = load_config(args.scenario)
-    bundle = run_pipeline(cfg, outdir=args.out)
+    bundle = run_pipeline(load_config(args.scenario), outdir=args.out,
+                          stages=("fock",))
     print(json.dumps(bundle.summary.get("fock", {}), sort_keys=True))
     return 0
 

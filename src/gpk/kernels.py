@@ -175,7 +175,6 @@ class BogoliubovKernels:
     p: TwoPointKernel
     r: TwoPointKernel
     sh: TwoPointKernel
-    ch_minus_identity: TwoPointKernel
     series_terms_used: int
     truncation_error_bound: float
 
@@ -214,7 +213,6 @@ def hyperbolic_series(k: TwoPointKernel, tol: float = 1e-14) -> BogoliubovKernel
         p=p,
         r=r,
         sh=sh,
-        ch_minus_identity=p,
         series_terms_used=n,
         truncation_error_bound=tail,
     )
@@ -245,6 +243,7 @@ class KernelBoundReport:
     l2_grad1_kkbar: float
     sup_x_l2_slice: float
     pointwise_ratio_max: float
+    cancellation_residual: float
 
 
 def _profile_extension(sol: ScatteringSolution, sigma_max: float, step: float):
@@ -484,7 +483,8 @@ def kernel_bound_report(
     with_kkbar: bool = True,
 ) -> list[KernelBoundReport]:
     """Norm scaling report across N: the ratios |k|, |grad1 k|/sqrt(N),
-    |grad1 (k kbar)| and sup-slice are expected flat in N."""
+    |grad1 (k kbar)| and sup-slice are expected flat in N.  Each entry also
+    carries the zero-energy cancellation residual at its N."""
     if not len(N_list):
         raise DomainError("N_list must be non-empty")
     reports = []
@@ -503,6 +503,8 @@ def kernel_bound_report(
                 l2_grad1_kkbar=kkbar,
                 sup_x_l2_slice=sup_slice,
                 pointwise_ratio_max=ratio,
+                cancellation_residual=zero_energy_cancellation_residual(
+                    sol, sol.potential, int(N)),
             )
         )
     return reports

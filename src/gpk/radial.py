@@ -23,6 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import j0 as besselJ0, j1 as besselJ1
 
 from .errors import DomainError
+from .scattering import potential_pieces
 
 
 def _angular_kernel(z: np.ndarray, dim: int, ell: int) -> np.ndarray:
@@ -56,26 +57,18 @@ def radial_hat(
     p: np.ndarray,
     dim: int,
     ell: int = 0,
-    piece_edges: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Transform of the sampled radial profile g at the momenta p.
 
-    `piece_edges` lists interior sample indices where g jumps; the quadrature
-    is done piecewise so discontinuities do not degrade Simpson's rule.
+    One Simpson quadrature over all of r: a g that jumps is transformed
+    piece by piece by the caller (see `tabulate_interaction_transform`).
     """
     r = np.asarray(r, dtype=float)
     g = np.asarray(g, dtype=float)
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    meas = _measure(r, dim)
-    edges = [0, *sorted(piece_edges), r.size - 1]
-
-    out = np.zeros(p.size)
-    z = np.outer(p, r)
-    kern = _angular_kernel(z, dim, ell)
-    integrand = kern * (g * meas)[None, :]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out += simpson(integrand[:, lo : hi + 1], x=r[lo : hi + 1], axis=1)
-    return _PREFACTOR[dim] * out
+    kern = _angular_kernel(np.outer(p, r), dim, ell)
+    integrand = kern * (g * _measure(r, dim))[None, :]
+    return _PREFACTOR[dim] * simpson(integrand, x=r, axis=1)
 
 
 @dataclass(frozen=True)
@@ -103,19 +96,6 @@ class RadialTransformTable:
         return float(self.values[0])
 
 
-def tabulate_transform(
-    r: np.ndarray,
-    g: np.ndarray,
-    dim: int,
-    p_max: float,
-    n_p: int = 512,
-    piece_edges: tuple[int, ...] = (),
-) -> RadialTransformTable:
-    p = np.linspace(0.0, p_max, n_p)
-    vals = radial_hat(r, g, p, dim, ell=0, piece_edges=piece_edges)
-    return RadialTransformTable(p=p, values=vals, dim=dim)
-
-
 def tabulate_interaction_transform(sol, dim: int, p_max: float, n_p: int = 512):
     """Transform table of the pair product V(r) f(r) from a solved profile.
 
@@ -124,23 +104,9 @@ def tabulate_interaction_transform(sol, dim: int, p_max: float, n_p: int = 512):
     between potential breakpoints are transformed separately with one-sided
     edge samples, so jumps cost no quadrature order.
     """
-    V = sol.potential
     r = sol.r_grid
-    h = r[1] - r[0]
-    edges = [0]
-    for b in V.breakpoints:
-        j = int(round(b / h))
-        if 0 < j < r.size - 1:
-            edges.append(j)
-    edges.append(r.size - 1)
-
     p = np.linspace(0.0, p_max, n_p)
     vals = np.zeros(n_p)
-    eps = 1e-9 * h
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rr = r[lo : hi + 1]
-        vv = V(rr) * sol.f[lo : hi + 1]
-        vv[0] = float(V(np.array([rr[0] + eps]))[0]) * sol.f[lo]
-        vv[-1] = float(V(np.array([rr[-1] - eps]))[0]) * sol.f[hi]
-        vals += radial_hat(rr, vv, p, dim)
+    for lo, hi, v in potential_pieces(sol.potential, r):
+        vals += radial_hat(r[lo : hi + 1], v * sol.f[lo : hi + 1], p, dim)
     return RadialTransformTable(p=p, values=vals, dim=dim)

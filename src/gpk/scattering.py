@@ -35,7 +35,10 @@ class RadialPotential:
 
     `profile` evaluates V(r) pointwise; `breakpoints` lists radii where V is
     discontinuous (the solver aligns its grid with them).  `samples_r` and
-    `samples_v` cache a reference tabulation used for metadata and plotting.
+    `samples_v` are a reference tabulation, checked for sign and support.
+    `spec` names the constructor and its arguments (the family and its
+    parameters, or the radius/value table), so a stored spec rebuilds V
+    exactly.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -43,7 +46,7 @@ class RadialPotential:
     breakpoints: tuple[float, ...] = ()
     samples_r: np.ndarray = field(default_factory=lambda: np.zeros(0))
     samples_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    name: str = "custom"
+    spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.samples_v.size and np.min(self.samples_v) < 0:
@@ -63,7 +66,7 @@ class RadialPotential:
         return RadialPotential(
             profile=lambda r: np.zeros_like(r),
             r_support=0.0,
-            name="zero",
+            spec={"family": "zero"},
         )
 
     @staticmethod
@@ -76,15 +79,14 @@ class RadialPotential:
             return np.where(r < radius, height, 0.0)
 
         rs = np.linspace(0.0, 2 * radius, 257)
-        pot = RadialPotential(
+        return RadialPotential(
             profile=v,
             r_support=radius,
             breakpoints=(radius,),
             samples_r=rs,
             samples_v=v(rs),
-            name="square-well",
+            spec={"family": "square-well", "height": height, "radius": radius},
         )
-        return pot
 
     @staticmethod
     def gaussian(amplitude: float, width: float = 1.0) -> "RadialPotential":
@@ -107,7 +109,7 @@ class RadialPotential:
             r_support=support,
             samples_r=rs,
             samples_v=v(rs),
-            name="gaussian",
+            spec={"family": "gaussian", "amplitude": amplitude, "width": width},
         )
 
     @staticmethod
@@ -135,7 +137,7 @@ class RadialPotential:
             r_support=support,
             samples_r=r,
             samples_v=prof(r),
-            name="table",
+            spec={"family": "table", "r": r.tolist(), "v": v.tolist()},
         )
 
 
@@ -169,8 +171,6 @@ class ScatteringSolution:
     a0_derivative: float
     ode_residual: float
     tail_fit_error: float
-    u: np.ndarray
-    u_prime: np.ndarray
     defect: np.ndarray
     potential: RadialPotential
 
@@ -298,8 +298,6 @@ def solve_zero_energy(
         a0_derivative=float(a0_deriv),
         ode_residual=ode_residual,
         tail_fit_error=tail_fit_error,
-        u=u,
-        u_prime=up,
         defect=defect,
         potential=V,
     )
@@ -314,24 +312,24 @@ def scattering_length_integral(sol: ScatteringSolution, V: RadialPotential) -> f
     if sol.potential is not V:
         raise DomainError("solution was not produced from this potential")
     r, f = sol.r_grid, sol.f
+    total = sum(simpson(r[lo : hi + 1] ** 2 * v * f[lo : hi + 1], x=r[lo : hi + 1])
+                for lo, hi, v in potential_pieces(V, r))
+    return 0.5 * float(total)
+
+
+def potential_pieces(V: RadialPotential, r: np.ndarray):
+    """(lo, hi, V on r[lo:hi+1]) for each piece of the uniform grid r between
+    V's breakpoints.  The end samples are taken just inside the piece, so a
+    jump on a shared node is read from the piece's own side."""
     h = r[1] - r[0]
     eps = _ENDPOINT_INSET * h
-    edges = [0]
-    for b in V.breakpoints:
-        j = int(round(b / h))
-        if 0 < j < r.size - 1:
-            edges.append(j)
-    edges.append(r.size - 1)
-
-    total = 0.0
+    inner = [int(round(b / h)) for b in V.breakpoints]
+    edges = [0, *(j for j in inner if 0 < j < r.size - 1), r.size - 1]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        rr = r[lo : hi + 1].copy()
-        vv = V(rr)
-        # one-sided values at shared edge nodes
-        vv[0] = float(V(np.array([rr[0] + eps]))[0])
-        vv[-1] = float(V(np.array([rr[-1] - eps]))[0])
-        total += simpson(rr**2 * vv * f[lo : hi + 1], x=rr)
-    return 0.5 * float(total)
+        v = np.array(V(r[lo : hi + 1]))  # a copy: the ends are overwritten
+        v[0] = float(V(np.array([r[lo] + eps]))[0])
+        v[-1] = float(V(np.array([r[hi] - eps]))[0])
+        yield lo, hi, v
 
 
 def verify_w_bounds(sol: ScatteringSolution) -> BoundCertificate:

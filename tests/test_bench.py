@@ -86,8 +86,13 @@ def test_solution_json_round_trip(tmp_path):
     dump_solution_json(sol, V, path)
     sol2, V2 = load_solution_json(path)
     assert sol2.a0 == sol.a0
+    assert sol2.a0_derivative == sol.a0_derivative
     assert np.array_equal(sol2.w, sol.w)
     assert V2.r_support == pytest.approx(V.r_support, abs=1e-9)
+    # V is rebuilt exactly, jump included, not interpolated from samples
+    r = np.linspace(0.0, 2.0, 2001)
+    assert np.array_equal(V2(r), V(r))
+    assert V2.breakpoints == V.breakpoints
 
 
 def test_missing_config_file():
@@ -331,3 +336,119 @@ directory = {outdir}
     assert warm.flags == fresh.flags
     report = json.loads((fresh.outdir / "report.json").read_text())
     assert report["flags"] == fresh.flags
+
+
+def test_fresh_and_partial_warm_runs_give_identical_artifacts(tmp_path):
+    # the scattering stage is a cache hit on the rerun; evolve and nsweep
+    # must rebuild from the stored profile exactly what the fresh run wrote
+    cfg = load_config(write_config(tmp_path))
+    outdir = run_pipeline(cfg).outdir
+    names = ("norms.csv", "rates.csv", "report.json")
+    fresh = {name: (outdir / name).read_bytes() for name in names}
+    scatter_mtime = (outdir / "scattering.json").stat().st_mtime_ns
+    (outdir / "evolve.hash").unlink()
+    (outdir / "nsweep.hash").unlink()
+    run_pipeline(cfg)
+    assert (outdir / "scattering.json").stat().st_mtime_ns == scatter_mtime
+    for name in names:
+        assert (outdir / name).read_bytes() == fresh[name], name
+
+
+def test_edited_potential_table_rebuilds_scattering(tmp_path):
+    table = tmp_path / "well.txt"
+    table.write_text("0.0 8.0\n1.0 8.0\n1.1 0.0\n2.0 0.0\n")
+    text = f"""
+[potential]
+file = {table}
+rmax = 6.0
+points = 2000
+
+[output]
+directory = {{outdir}}
+"""
+    cfg = load_config(write_config(tmp_path, text))
+    first = run_pipeline(cfg).summary["scattering"]["a0_tail"]
+    table.write_text("0.0 4.0\n1.0 4.0\n1.1 0.0\n2.0 0.0\n")
+    second = run_pipeline(cfg).summary["scattering"]["a0_tail"]
+    assert second < first  # a lower well scatters less
+    # the stored table rebuilds the edited potential
+    sol, V = load_solution_json(tmp_path / "out" / "scattering.json")
+    assert V.spec == {"family": "table", "r": [0.0, 1.0, 1.1, 2.0],
+                      "v": [4.0, 4.0, 0.0, 0.0]}
+    assert sol.a0 == second
+
+
+def test_stage_keys_follow_real_dependencies(tmp_path):
+    text = BASE_CONFIG + """
+[fock]
+d = 2
+h = 0.0 -1.0 ; -1.0 0.2
+u = 1.0 1.0
+coupling = 0.5
+phi0 = 1.0 0.0
+t_final = 0.2
+n_values = 3 6 12
+"""
+    run_pipeline(load_config(write_config(tmp_path, text)))
+    outdir = tmp_path / "out"
+    fock_mtime = (outdir / "fock_report.json").stat().st_mtime_ns
+    rates_before = (outdir / "rates.csv").read_bytes()
+    edited = text.replace("height = 8.0", "height = 6.0")
+    run_pipeline(load_config(write_config(tmp_path, edited)))
+    # fock reads nothing from the scattering stage, nsweep does
+    assert (outdir / "fock_report.json").stat().st_mtime_ns == fock_mtime
+    assert (outdir / "rates.csv").read_bytes() != rates_before
+
+
+def test_subcommands_run_only_their_stages(tmp_path, capsys):
+    text = BASE_CONFIG + """
+[kernels]
+dim = 1
+points = 32
+length = 16.0
+n_values = 2 4
+
+[fock]
+d = 2
+h = 0.0 -1.0 ; -1.0 0.2
+u = 1.0 1.0
+coupling = 0.5
+phi0 = 1.0 0.0
+t_final = 0.2
+n_values = 3 6 12
+"""
+    cfg_path = write_config(tmp_path, text)
+    outdir = tmp_path / "out"
+    assert cli_main(["evolve", "--config", str(cfg_path)]) == 0
+    assert (outdir / "norms.csv").exists() and (outdir / "rates.csv").exists()
+    assert not (outdir / "kernel_bounds.csv").exists()
+    assert not (outdir / "fock_report.json").exists()
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["stages"] == ["scattering", "evolve", "nsweep"]
+
+    fock_out = tmp_path / "fock_out"
+    assert cli_main(["fock", "--scenario", str(cfg_path),
+                     "--out", str(fock_out)]) == 0
+    assert sorted(p.name for p in fock_out.iterdir()) == [
+        "fock.hash", "fock_report.json", "report.json", "toy_convergence.csv"]
+    capsys.readouterr()
+
+
+def test_missing_potential_is_an_error_on_a_warm_cache(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert cli_main(["run", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "scattering.json").exists()
+    head, _, rest = BASE_CONFIG.partition("[grid]")
+    no_potential = "[grid]" + rest.replace(
+        "[nsweep]\nn_values = 8 16 32 64\nt_star = 0.1\n", "")
+    assert "[potential]" not in no_potential and "[nsweep]" not in no_potential
+    cfg_path = write_config(tmp_path, no_potential)
+    assert cli_main(["evolve", "--config", str(cfg_path)]) == 2
+    assert "modified nonlinearity needs a [potential]" in capsys.readouterr().err
+
+
+def test_malformed_number_list_is_a_configuration_error(tmp_path):
+    text = BASE_CONFIG.replace("n_values = 8 16 32 64", "n_values = 8 x 32 64")
+    cfg = load_config(write_config(tmp_path, text))
+    with pytest.raises(ConfigurationError, match="n_values"):
+        run_pipeline(cfg)

@@ -13,6 +13,7 @@ from gpk.dynamics import (
     WaveFunction,
     _density_multiplier,
     _k_squared,
+    _mass,
     _potential,
     _sobolev_multiplier,
     _tail_mask,
@@ -355,3 +356,18 @@ def test_cached_spectral_tables_are_read_only(square_sol):
     assert _density_multiplier(grid, modified) is tables[2]
     other = _density_multiplier(grid, NonlinearitySpec.gp(a0=0.2))
     assert np.allclose(other, 2 * tables[1])
+
+
+def test_mass_reduction_matches_sum_of_squares():
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(16, 16, 16)) + 1j * rng.normal(size=(16, 16, 16))
+    x = rng.normal(size=(33,))
+    for values in (z, z[:, ::2, 1:], z.real, x):
+        ref = float(np.sum(np.abs(values) ** 2))
+        assert _mass(values) == pytest.approx(ref, rel=1e-14)
+    grid = GridSpec(dim=3, box_length=8.0, points_per_axis=16, dt=1e-3,
+                    t_final=0.0)
+    psi = WaveFunction(values=z, grid=grid)
+    assert psi.l2_norm == pytest.approx(math.sqrt(_mass(z) * grid.cell), rel=0)
+    other = WaveFunction(values=z * 0.5, grid=grid)
+    assert l2_distance(psi, other) == pytest.approx(0.5 * psi.l2_norm, rel=1e-14)
