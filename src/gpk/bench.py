@@ -175,6 +175,8 @@ def potential_from_spec(
 
 def potential_from_file(path) -> RadialPotential:
     """V from a two-column (radius, value) table file."""
+    if not Path(path).is_file():
+        raise ConfigurationError(f"potential table {path} does not exist")
     table = np.loadtxt(path)
     return RadialPotential.from_table(table[:, 0], table[:, 1])
 
@@ -314,7 +316,7 @@ def _hash_file(path: Path) -> str:
 
 # Layout version of the stage artifacts, part of every stage key: bump it
 # when a file's columns or fields change, so older artifacts are rebuilt.
-_ARTIFACT_LAYOUT = "2"
+_ARTIFACT_LAYOUT = "3"
 
 _NORMS_COLUMNS = ("t", "l2", "energy", "h1", "h2", "h3", "h4", "tail_mass")
 
@@ -380,21 +382,29 @@ def _nonlinearity(inp: _Inputs) -> NonlinearitySpec:
     return NonlinearitySpec.gp(a0=a0, coupling=coupling)
 
 
-def _run_scattering(inp: _Inputs, scattering_json, scattering_csv) -> None:
+def scattering_summary(payload: dict) -> dict:
+    """The scalars of a scattering artifact that a run reports."""
+    return {k: payload[k] for k in
+            ("a0_tail", "a0_integral", "ode_residual", "tail_fit_error")}
+
+
+def _run_scattering(inp: _Inputs, scattering_json, scattering_csv,
+                    summary_json) -> None:
     cfg = inp.cfg
     V = potential_from_config(cfg)
     r_max = cfg.get_float("potential", "rmax", max(5.0, 5 * V.r_support))
     sol = solve_zero_energy(V, r_max, cfg.get_int("potential", "points", 4000))
-    dump_solution_json(sol, V, scattering_json)
+    payload = dump_solution_json(sol, V, scattering_json)
     write_scattering_csv(sol, scattering_csv)
+    with open(summary_json, "w") as fh:
+        json.dump(scattering_summary(payload), fh, sort_keys=True)
 
 
-def _summarize_scattering(scattering_json, scattering_csv):
-    payload = _read_json(scattering_json)
-    summary = {k: payload[k] for k in
-               ("a0_tail", "a0_integral", "ode_residual", "tail_fit_error")}
+def _summarize_scattering(scattering_json, scattering_csv, summary_json):
+    # the small summary file, so a cache hit never parses the profile
+    summary = _read_json(summary_json)
     return summary, (["degenerate scenario: zero scattering length"]
-                     if payload["a0_tail"] < 1e-12 else [])
+                     if summary["a0_tail"] < 1e-12 else [])
 
 
 def _run_evolve(inp: _Inputs, norms_csv) -> None:
@@ -471,7 +481,7 @@ class Stage:
 
 STAGES = (
     Stage("scattering", ("potential",), ("potential",), (),
-          ("scattering.json", "scattering.csv"),
+          ("scattering.json", "scattering.csv", "scattering_summary.json"),
           _run_scattering, _summarize_scattering),
     Stage("evolve", ("grid", "datum"),
           ("grid", "datum", "nonlinearity", "snapshots"), ("scattering",),

@@ -9,6 +9,7 @@ error, 4 invariant violation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -20,10 +21,11 @@ from .bench import (
     potential_from_file,
     potential_from_spec,
     run_pipeline,
+    scattering_summary,
     write_kernel_bounds_csv,
     write_scattering_csv,
 )
-from .errors import GpkError
+from .errors import ConfigurationError, GpkError
 from .fieldio import read_field
 from .scattering import RadialPotential, solve_zero_energy
 
@@ -32,13 +34,32 @@ def _parse_potential_arg(spec: str) -> RadialPotential:
     """`square-well:height=8,radius=1`, `gaussian:amplitude=1e-3`, or a path."""
     if ":" in spec or spec in ("square-well", "gaussian", "zero"):
         name, _, params = spec.partition(":")
+        known = list(inspect.signature(potential_from_spec).parameters)[1:]
         kwargs = {}
         if params:
             for item in params.split(","):
                 key, _, val = item.partition("=")
-                kwargs[key.strip()] = float(val)
+                key = key.strip()
+                if key not in known:
+                    raise ConfigurationError(
+                        f"--potential {spec!r}: unknown parameter {key!r} "
+                        f"(expected one of {', '.join(known)})")
+                kwargs[key] = _number(val, f"--potential {spec!r}: {key}")
         return potential_from_spec(name, **kwargs)
     return potential_from_file(spec)
+
+
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigurationError(f"{what} = {text!r} is not a number") from None
+
+
+def _existing(path: str, what: str) -> str:
+    if not Path(path).is_file():
+        raise ConfigurationError(f"{what} {path} does not exist")
+    return path
 
 
 def _cmd_scattering(args) -> int:
@@ -49,11 +70,7 @@ def _cmd_scattering(args) -> int:
     write_scattering_csv(sol, out)
     summary_path = out.with_suffix(".json")
     payload = dump_solution_json(sol, V, summary_path)
-    print(json.dumps(
-        {k: payload[k] for k in
-         ("a0_tail", "a0_integral", "ode_residual", "tail_fit_error")},
-        sort_keys=True,
-    ))
+    print(json.dumps(scattering_summary(payload), sort_keys=True))
     return 0
 
 
@@ -65,9 +82,15 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    sol, _ = load_solution_json(args.scattering)
-    phi, _ = read_field(args.phi)
-    n_list = [int(tok) for tok in args.N.replace(",", " ").split()]
+    scattering = _existing(args.scattering, "--scattering")
+    phi_path = _existing(args.phi, "--phi")
+    sol, _ = load_solution_json(scattering)
+    phi, _ = read_field(phi_path)
+    try:
+        n_list = [int(tok) for tok in args.N.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigurationError(f"--N {args.N!r} is not a list of integers") \
+            from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "kernel_bounds.csv"

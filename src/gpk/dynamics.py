@@ -19,7 +19,10 @@ potential uses rfftn/irfftn with a half-spectrum multiplier.  The tables
 that do not depend on dt (k^2, density and Sobolev multipliers, tail mask)
 are built once per grid geometry and nonlinearity, cached read-only and
 shared by the stepper and the diagnostics; `sobolev_report` takes one fftn
-of phi and one rfftn of |phi|^2 per snapshot.
+of phi and one rfftn of |phi|^2 per snapshot.  One step loop advances a
+stack of fields (leading member axis, one nonlinearity each): `evolve` is
+its one-member case, and `compare_dynamics` steps the limiting reference and
+every N of the sweep together.
 """
 
 from __future__ import annotations
@@ -127,12 +130,18 @@ class WaveFunction:
 
 
 def _mass(values: np.ndarray) -> float:
-    """Sum of |v|^2 as one einsum over the real view: no BLAS call, so its
-    cost does not depend on the BLAS thread pool."""
-    flat = np.ascontiguousarray(values).reshape(-1)
+    """Sum of |v|^2 over the whole field."""
+    return float(_member_masses(values[None])[0])
+
+
+def _member_masses(stack: np.ndarray) -> np.ndarray:
+    """Sum of |v|^2 per member of a stack (leading axis), as one einsum over
+    the real view: no BLAS call, so its cost does not depend on the BLAS
+    thread pool."""
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
     if np.iscomplexobj(flat):
         flat = flat.view(flat.real.dtype)
-    return float(np.einsum("i,i->", flat, flat))
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
@@ -160,7 +169,7 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunct
             fac += np.exp(-((x - c + m * L) ** 2) / (4 * sigma**2))
         vals = vals * fac.reshape(shape)
     vals = vals.astype(complex) * (2 * math.pi * sigma**2) ** (-grid.dim / 4.0)
-    vals /= math.sqrt(float(np.sum(np.abs(vals) ** 2)) * grid.cell)
+    vals /= math.sqrt(_mass(vals) * grid.cell)
     return WaveFunction(values=vals, grid=grid)
 
 
@@ -269,10 +278,14 @@ class Trajectory:
 
 
 class _Stepper:
-    """Strang-splitting machinery for one (grid, nonlinearity): the dt tables."""
+    """Strang-splitting machinery for one grid and a stack of nonlinearities,
+    one per member of the leading axis: the dt tables and the stacked
+    density multipliers.  The FFTs run over the `dim` axes after the member
+    axis (named by positive index, which scipy.fft resolves faster)."""
 
-    def __init__(self, grid: GridSpec, nl: NonlinearitySpec):
+    def __init__(self, grid: GridSpec, nls):
         self.workers = grid.fft_workers
+        self.axes = tuple(range(1, grid.dim + 1))
         k2 = _k_squared(grid)
         if abs(grid.dt) * float(np.max(k2)) > grid.stability_budget:
             raise ConfigurationError(
@@ -281,19 +294,22 @@ class _Stepper:
             )
         self.full_drift = _unit_phase(-grid.dt * k2)
         self.half_drift = _unit_phase(-0.5 * grid.dt * k2)
-        self.density_multiplier = _density_multiplier(grid, nl)
+        self.density_multiplier = np.stack(
+            [_density_multiplier(grid, nl) for nl in nls])
 
     def kick(self, values, dt):
-        angle = _potential(values, self.density_multiplier, self.workers)
+        angle = _potential(values, self.density_multiplier, self.workers,
+                           self.axes)
         angle *= -dt
         rot = _unit_phase(angle)
         rot *= values
         return rot
 
     def drift(self, values, phase):
-        spectrum = sfft.fftn(values, workers=self.workers)
+        spectrum = sfft.fftn(values, axes=self.axes, workers=self.workers)
         spectrum *= phase
-        return sfft.ifftn(spectrum, workers=self.workers, overwrite_x=True)
+        return sfft.ifftn(spectrum, axes=self.axes, workers=self.workers,
+                          overwrite_x=True)
 
 
 def _unit_phase(angle: np.ndarray) -> np.ndarray:
@@ -375,16 +391,21 @@ def _tail_mask(grid: GridSpec, band: float) -> np.ndarray:
     return _table(("tail", grid.shape, band), build)
 
 
-def _density_spectrum(values: np.ndarray, workers: int) -> np.ndarray:
-    """rfftn of the real density |phi|^2."""
-    return sfft.rfftn(values.real**2 + values.imag**2, workers=workers)
+def _density_spectrum(values: np.ndarray, workers: int, axes=None) -> np.ndarray:
+    """rfftn of the real density |phi|^2 over `axes` (all if None)."""
+    return sfft.rfftn(values.real**2 + values.imag**2, axes=axes,
+                      workers=workers)
 
 
-def _potential(values: np.ndarray, multiplier: np.ndarray, workers: int):
-    """Density potential W[phi] = irfftn(multiplier * rfftn(|phi|^2))."""
-    rho_hat = _density_spectrum(values, workers)
+def _potential(values: np.ndarray, multiplier: np.ndarray, workers: int,
+               axes=None):
+    """Density potential W[phi] = irfftn(multiplier * rfftn(|phi|^2)), the
+    transforms over `axes` (all if None)."""
+    rho_hat = _density_spectrum(values, workers, axes)
     rho_hat *= multiplier
-    return sfft.irfftn(rho_hat, s=values.shape, workers=workers, overwrite_x=True)
+    shape = values.shape if axes is None else [values.shape[a] for a in axes]
+    return sfft.irfftn(rho_hat, s=shape, axes=axes, workers=workers,
+                       overwrite_x=True)
 
 
 def _power(psi: WaveFunction) -> np.ndarray:
@@ -428,50 +449,70 @@ def evolve(
     grid = grid or psi0.grid
     if psi0.grid.shape != grid.shape:
         raise DomainError("initial datum does not live on the requested grid")
-    if not np.all(np.isfinite(psi0.values)):
-        raise NumericalBlowupError("initial datum contains non-finite values", 0.0)
-    if abs(psi0.l2_norm - 1.0) > _NORM_TOL:
-        raise ConfigurationError("initial datum must have unit L2 norm")
+    times, stacks = _propagate(psi0.values[None], [nl], [""], grid,
+                               snapshot_stride)
+    states = [WaveFunction(values=stack[0], grid=grid) for stack in stacks]
+    return Trajectory(np.array(times), states, grid.fft_workers)
 
+
+def _propagate(values, nls, labels, grid: GridSpec, stride=None):
+    """Strang steps of a stack of fields to grid.t_final, member i (leading
+    axis) under nls[i], with a snapshot every `stride` steps (default: 16
+    per run) and at the end; returns the snapshot times and stacks.
+
+    Each member is checked on its own (finite unit-norm datum, the norm
+    monitor after every step), and an error names the failing member by its
+    label.  The first snapshot is a copy of `values`.
+    """
+
+    def named(i, message):
+        return f"{message} ({labels[i]})" if labels[i] else message
+
+    cell = grid.cell
+    for i, member in enumerate(values):
+        if not np.all(np.isfinite(member)):
+            raise NumericalBlowupError(
+                named(i, "initial datum contains non-finite values"), 0.0)
+        if abs(math.sqrt(_mass(member) * cell) - 1.0) > _NORM_TOL:
+            raise ConfigurationError(
+                named(i, "initial datum must have unit L2 norm"))
     n_steps_f = grid.t_final / grid.dt
     n_steps = int(round(n_steps_f))
     if n_steps < 0 or abs(n_steps_f - n_steps) > 1e-9:
         raise ConfigurationError("t_final must be a whole number of dt steps")
-    stride = snapshot_stride or max(1, n_steps // 16 or 1)
-
-    stepper = _Stepper(grid, nl)
+    stride = stride or max(1, n_steps // 16 or 1)
+    stepper = _Stepper(grid, nls)
     times = [0.0]
-    states = [WaveFunction(values=psi0.values.copy(), grid=grid)]
+    stacks = [values.copy()]
     if n_steps == 0:
-        return Trajectory(np.array(times), states, grid.fft_workers)
+        return times, stacks
 
     # drift-kick-drift with merged interior drifts: the running state between
     # snapshots carries an extra half drift (unitary, so the norm monitor is
     # unaffected), undone only for snapshot copies.  No substep writes to its
-    # input, so psi0 and the stored snapshots are never aliased by `vals`.
-    cell = grid.cell
-    vals = stepper.drift(psi0.values, stepper.half_drift)
+    # input, so the datum and the stored snapshots are never aliased by `vals`.
+    vals = stepper.drift(values, stepper.half_drift)
     for step in range(1, n_steps + 1):
         vals = stepper.kick(vals, grid.dt)
         last_step = step == n_steps
         vals = stepper.drift(
             vals, stepper.half_drift if last_step else stepper.full_drift
         )
-        norm = math.sqrt(_mass(vals) * cell)
-        if not math.isfinite(norm):
-            raise NumericalBlowupError("non-finite field detected", times[-1])
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise InvariantViolation(
-                f"L2 norm drifted to {norm!r} at t = {step * grid.dt}"
-            )
+        norms = np.sqrt(_member_masses(vals) * cell).tolist()
+        for i, norm in enumerate(norms):
+            if not math.isfinite(norm):
+                raise NumericalBlowupError(
+                    named(i, "non-finite field detected"), times[-1])
+            if abs(norm - 1.0) > _NORM_TOL:
+                raise InvariantViolation(named(
+                    i, f"L2 norm drifted to {norm!r} at t = {step * grid.dt}"))
         if last_step or step % stride == 0:
-            snap_vals = (
+            times.append(step * grid.dt)
+            stacks.append(
                 vals if last_step
                 else stepper.drift(vals, np.conj(stepper.half_drift))
             )
-            times.append(step * grid.dt)
-            states.append(WaveFunction(values=snap_vals, grid=grid))
-    return Trajectory(np.array(times), states, grid.fft_workers)
+    return times, stacks
 
 
 def gp_rhs(psi: WaveFunction, nl: NonlinearitySpec) -> np.ndarray:
@@ -579,15 +620,15 @@ def compare_dynamics(
         )
 
     g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
-    reference = evolve(psi0, NonlinearitySpec(kind="gp", coupling=g, a0=a0), grid)
-    ref_final = reference.states[-1]
-
-    diffs = []
-    for N in N_list:
-        nl = NonlinearitySpec(kind="modified", coupling=uhat.at_zero, a0=a0,
-                              N=N, uhat=uhat)
-        traj = evolve(psi0, nl, grid)
-        diffs.append(l2_distance(traj.states[-1], ref_final))
+    nls = [NonlinearitySpec(kind="gp", coupling=g, a0=a0)]
+    nls += [NonlinearitySpec(kind="modified", coupling=uhat.at_zero, a0=a0,
+                             N=N, uhat=uhat) for N in N_list]
+    labels = ["limiting GP"] + [f"N = {N}" for N in N_list]
+    # the reference and every N member step together
+    stacked = np.stack([psi0.values] * len(nls))
+    _, stacks = _propagate(stacked, nls, labels, grid)
+    ref_final, *finals = (WaveFunction(values=v, grid=grid) for v in stacks[-1])
+    diffs = [l2_distance(final, ref_final) for final in finals]
 
     if max(diffs) < 1e-12:
         return degenerate_report(N_list, diffs, "dynamics coincide to round-off")

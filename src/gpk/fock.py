@@ -14,8 +14,9 @@ from n to 0, recursively (d = 2, n <= 2: 00, 10, 01, 20, 11, 02).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,12 +63,25 @@ class FockBasis:
     d: int
     n_max: int
     occupations: np.ndarray           # (dim, d) int
-    index: dict = field(repr=False)   # occupation tuple -> flat index
     shell_slices: tuple               # slice per total occupation
     dim: int
 
     def totals(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """Occupation tuple -> flat index."""
+        return {tuple(map(int, occ)): i for i, occ in enumerate(self.occupations)}
+
+    @functools.cached_property
+    def ladders(self) -> tuple:
+        """(annihilators, creators) of every mode, built once and read-only."""
+        ops = [ladder(self, mode) for mode in range(self.d)]
+        for op in (op for pair in ops for op in pair):
+            for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+                arr.setflags(write=False)
+        return tuple(a for a, _ in ops), tuple(ad for _, ad in ops)
 
 
 def build_basis(d: int, n_max: int, dim_budget: int = _DIM_BUDGET) -> FockBasis:
@@ -88,10 +102,8 @@ def build_basis(d: int, n_max: int, dim_budget: int = _DIM_BUDGET) -> FockBasis:
         occs.extend(shell)
         slices.append(slice(start, start + len(shell)))
         start += len(shell)
-    occupations = np.array(occs, dtype=np.int64)
-    index = {tuple(map(int, occ)): i for i, occ in enumerate(occupations)}
     return FockBasis(
-        d=d, n_max=n_max, occupations=occupations, index=index,
+        d=d, n_max=n_max, occupations=np.array(occs, dtype=np.int64),
         shell_slices=tuple(slices), dim=dim,
     )
 
@@ -148,30 +160,55 @@ class FockOperator:
 # ladder operators and standard observables
 # ---------------------------------------------------------------------------
 
+def _rank(occupations: np.ndarray) -> np.ndarray:
+    """Flat basis index of each occupation row, without a lookup.
+
+    The shells below total n hold C(n - 1 + d, d) states.  Inside a shell,
+    the states before `occ` are counted mode by mode: with `left` particles
+    still to place on modes i..d-1, those with more than occ_i on mode i
+    number C(left - occ_i + d - 2 - i, d - 1 - i) (a hockey-stick sum).
+    """
+    d = occupations.shape[1]
+    left = occupations.sum(axis=1)
+    index = _binomial(left - 1 + d, d)
+    for i in range(d - 1):
+        index += _binomial(left - occupations[:, i] + d - 2 - i, d - 1 - i)
+        left = left - occupations[:, i]
+    return index
+
+
+def _binomial(top: np.ndarray, k: int) -> np.ndarray:
+    """C(top, k) elementwise for integer arrays top >= k - 1, exactly.
+
+    After step j the running value is C(top - k + j, j), an integer no
+    larger than the result, so floor division is exact.
+    """
+    out = np.ones_like(top)
+    for j in range(1, k + 1):
+        out = out * (top - k + j) // j
+    return out
+
+
 def ladder(basis: FockBasis, mode: int):
     """(a, a_dagger) for one mode, with the standard sqrt(n) matrix elements."""
     if not 0 <= mode < basis.d:
         raise DomainError(f"mode {mode} outside 0..{basis.d - 1}")
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.occupations):
-        n_i = occ[mode]
-        if n_i == 0:
-            continue
-        target = occ.copy()
-        target[mode] -= 1
-        rows.append(basis.index[tuple(map(int, target))])
-        cols.append(col)
-        vals.append(math.sqrt(n_i))
+    cols = np.flatnonzero(basis.occupations[:, mode])
+    lowered = basis.occupations[cols]
+    vals = np.sqrt(lowered[:, mode].astype(float))
+    lowered[:, mode] -= 1
     a = sp.csr_matrix(
-        (np.array(vals), (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex
+        (vals, (_rank(lowered), cols)), shape=(basis.dim, basis.dim),
+        dtype=complex,
     )
     a_op = FockOperator(matrix=a, basis=basis)
     return a_op, a_op.dag()
 
 
 def all_ladders(basis: FockBasis):
-    ops = [ladder(basis, i) for i in range(basis.d)]
-    return [a for a, _ in ops], [ad for _, ad in ops]
+    """Annihilators and creators of every mode: the basis's cached ones."""
+    ann, cre = basis.ladders
+    return list(ann), list(cre)
 
 
 def number_operator(basis: FockBasis) -> FockOperator:

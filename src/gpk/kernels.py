@@ -29,7 +29,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import simpson
 
-from .dynamics import GridSpec, WaveFunction
+from .dynamics import GridSpec, WaveFunction, _mass
 from .errors import AccuracyWarning, DomainError
 from .radial import radial_hat
 from .scattering import (
@@ -303,9 +303,10 @@ def kernel_hs_norms(
 
     p_tab = np.linspace(0.0, p_max, n_p)
     # F0 = N^2 w(Ns)^2   -> N^(2-d) * hat[w^2](p / N)
-    f0 = N ** (2 - d) * radial_hat(sig, wv**2, p_tab / N, d)
     # F1 = N^4 w'(Ns)^2  -> N^(4-d) * hat[w'^2](p / N)
-    f1 = N ** (4 - d) * radial_hat(sig, dwv**2, p_tab / N, d)
+    f0, f1 = radial_hat(sig, np.stack([wv**2, dwv**2]), p_tab / N, d)
+    f0 *= N ** (2 - d)
+    f1 *= N ** (4 - d)
     # C = 2 N^3 (w' w)(Ns) uhat -> l=1 transform, N^(3-d) scaling
     fc = 2.0 * N ** (3 - d) * radial_hat(sig, dwv * wv, p_tab / N, d, ell=1)
 
@@ -546,5 +547,5 @@ def coarsen_field(phi: WaveFunction, n_coarse: int) -> WaveFunction:
         stability_budget=grid.stability_budget,
         fft_workers=grid.fft_workers,
     )
-    norm = math.sqrt(float(np.sum(np.abs(vals) ** 2)) * cgrid.cell)
+    norm = math.sqrt(_mass(vals) * cgrid.cell)
     return WaveFunction(values=vals / norm, grid=cgrid)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import j0 as besselJ0, j1 as besselJ1
 
@@ -51,6 +50,34 @@ def _measure(r: np.ndarray, dim: int) -> np.ndarray:
 _PREFACTOR = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y == scipy.integrate.simpson(y, x=x) up to round-off.
+
+    Composite Simpson on pairs of (possibly unequal) intervals; for an even
+    number of samples the last interval gets Cartwright's correction, as in
+    scipy, and two samples give the trapezoid.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    w = np.zeros(n)
+    if n < 3:
+        w[:] = 0.5 * (x[-1] - x[0]) if n == 2 else 0.0
+        return w
+    h = np.diff(x)
+    m = n if n % 2 else n - 1  # samples covered by whole interval pairs
+    h0, h1 = h[0 : m - 1 : 2], h[1 : m - 1 : 2]
+    hsum = h0 + h1
+    w[0 : m - 2 : 2] += hsum / 6.0 * (2.0 - h1 / h0)
+    w[1 : m - 1 : 2] += hsum**3 / (6.0 * h0 * h1)
+    w[2:m:2] += hsum / 6.0 * (2.0 - h0 / h1)
+    if n % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        w[-1] += (2.0 * h1**2 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
+        w[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
+        w[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
+    return w
+
+
 def radial_hat(
     r: np.ndarray,
     g: np.ndarray,
@@ -60,15 +87,18 @@ def radial_hat(
 ) -> np.ndarray:
     """Transform of the sampled radial profile g at the momenta p.
 
-    One Simpson quadrature over all of r: a g that jumps is transformed
-    piece by piece by the caller (see `tabulate_interaction_transform`).
+    One Simpson quadrature over all of r, as a matrix-vector product of the
+    angular kernel with the weighted profile: a g that jumps is transformed
+    piece by piece by the caller (see `tabulate_interaction_transform`).  A
+    stack of profiles (rows of g) shares one kernel matrix and gives one
+    row of transforms each.
     """
     r = np.asarray(r, dtype=float)
     g = np.asarray(g, dtype=float)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     kern = _angular_kernel(np.outer(p, r), dim, ell)
-    integrand = kern * (g * _measure(r, dim))[None, :]
-    return _PREFACTOR[dim] * simpson(integrand, x=r, axis=1)
+    weighted = g * (_simpson_weights(r) * _measure(r, dim))
+    return _PREFACTOR[dim] * (weighted @ kern.T)
 
 
 @dataclass(frozen=True)

@@ -452,3 +452,58 @@ def test_malformed_number_list_is_a_configuration_error(tmp_path):
     cfg = load_config(write_config(tmp_path, text))
     with pytest.raises(ConfigurationError, match="n_values"):
         run_pipeline(cfg)
+
+
+@pytest.mark.parametrize("spec, what", [
+    ("gaussian:amp=1", "unknown parameter 'amp'"),
+    ("gaussian:amplitude=abc", "is not a number"),
+    ("no_such_table.txt", "does not exist"),
+])
+def test_cli_bad_potential_argument_exits_2(tmp_path, capsys, spec, what):
+    code = cli_main(["scattering", "--potential", spec,
+                     "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert what in capsys.readouterr().err
+
+
+def test_cli_kernels_missing_input_files_exit_2(tmp_path, capsys):
+    scatter_csv = tmp_path / "s.csv"
+    assert cli_main([
+        "scattering", "--potential", "square-well:height=8,radius=1",
+        "--rmax", "5.0", "--points", "2000", "--out", str(scatter_csv),
+    ]) == 0
+    grid = GridSpec(dim=1, box_length=16.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.0)
+    field_path = tmp_path / "phi.bin"
+    write_field(field_path, gaussian_datum(grid))
+    capsys.readouterr()
+    good = {"--phi": str(field_path),
+            "--scattering": str(scatter_csv.with_suffix(".json"))}
+    for flag in good:
+        args = dict(good, **{flag: str(tmp_path / "missing.bin")})
+        code = cli_main(["kernels", *(x for kv in args.items() for x in kv),
+                         "--N", "2", "--out", str(tmp_path / "kout")])
+        assert code == 2
+        assert f"{flag} " in capsys.readouterr().err
+    assert cli_main(["kernels", *(x for kv in good.items() for x in kv),
+                     "--N", "2,x", "--out", str(tmp_path / "kout")]) == 2
+
+
+def test_warm_rerun_never_parses_the_scattering_profile(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path))
+    outdir = run_pipeline(cfg).outdir
+    fresh = (outdir / "report.json").read_bytes()
+    parsed = []
+    real_load = json.load
+
+    def recording_load(fh, **kwargs):
+        parsed.append(getattr(fh, "name", None))
+        return real_load(fh, **kwargs)
+
+    monkeypatch.setattr(json, "load", recording_load)
+    warm = run_pipeline(cfg)
+    assert (outdir / "report.json").read_bytes() == fresh
+    assert parsed and not any(str(name).endswith("scattering.json")
+                              for name in parsed)
+    assert warm.summary["scattering"]["a0_tail"] == pytest.approx(
+        1 - math.tanh(2.0) / 2, rel=1e-6)

@@ -226,6 +226,46 @@ def test_compare_dynamics_slope(square_sol):
     assert rep.r_squared > 0.98
 
 
+def test_batched_compare_dynamics_matches_separate_evolves(square_sol):
+    grid = grid1d(n=128, dt=1e-3, T=0.2)
+    psi0 = gaussian_datum(grid, sigma=1.0)
+    uhat = NonlinearitySpec.modified(square_sol, N=8, grid=grid).uhat
+    Ns = [8, 16, 32, 64]
+    for a0 in (None, square_sol.a0):
+        rep = compare_dynamics(psi0, a0, uhat, Ns, t_star=0.2)
+        g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
+        ref = evolve(psi0, NonlinearitySpec(kind="gp", coupling=g, a0=a0), grid)
+        for N, got in zip(Ns, rep.y):
+            nl = NonlinearitySpec(kind="modified", coupling=uhat.at_zero,
+                                  a0=a0, N=N, uhat=uhat)
+            want = l2_distance(evolve(psi0, nl, grid).states[-1],
+                               ref.states[-1])
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+class _NanAbove:
+    """A stand-in interaction table that is NaN above a momentum."""
+
+    at_zero = 1.0
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def __call__(self, p):
+        return np.where(np.abs(p) > self.cut, np.nan, 1.0)
+
+
+def test_nan_member_of_the_n_sweep_raises_blowup_naming_it():
+    # dealiased |k| reaches 2/3 * 8 pi = 16.8 on this grid: only N = 4 sees
+    # momenta above 3
+    grid = grid1d(n=128, dt=1e-3, T=0.1)
+    psi0 = gaussian_datum(grid, sigma=1.0)
+    with pytest.raises(NumericalBlowupError, match="N = 4") as info:
+        compare_dynamics(psi0, None, _NanAbove(3.0), [4, 8, 16, 32],
+                         t_star=0.1)
+    assert info.value.last_good_time == 0.0
+
+
 def test_stability_budget_rejects_large_dt():
     grid = GridSpec(dim=1, box_length=8.0, points_per_axis=256, dt=0.5, t_final=1.0)
     psi0 = gaussian_datum(grid, sigma=1.0)

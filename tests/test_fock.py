@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from gpk.errors import (
@@ -68,6 +69,43 @@ def test_vacuum_annihilation_and_matrix_elements():
     for n in range(1, 7):
         assert dense[n - 1, n] == pytest.approx(math.sqrt(n))
     assert np.allclose(ad.to_dense(), dense.conj().T)
+
+
+def loop_built_annihilator(basis, mode):
+    """One sqrt(n) entry per state, its target row looked up by occupation."""
+    rows, cols, vals = [], [], []
+    for col, occ in enumerate(basis.occupations):
+        if occ[mode] == 0:
+            continue
+        target = occ.copy()
+        target[mode] -= 1
+        rows.append(basis.index[tuple(map(int, target))])
+        cols.append(col)
+        vals.append(math.sqrt(occ[mode]))
+    return sp.csr_matrix((np.array(vals), (rows, cols)),
+                         shape=(basis.dim, basis.dim), dtype=complex)
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 12), (2, 9), (3, 6)])
+def test_cached_ladders_equal_loop_built_ones(d, n_max):
+    b = build_basis(d, n_max)
+    ann, cre = all_ladders(b)
+    for mode in range(d):
+        ref = loop_built_annihilator(b, mode)
+        assert (ann[mode].matrix != ref).nnz == 0
+        assert (cre[mode].matrix != ref.conj().T.tocsr()).nnz == 0
+        a, ad = ladder(b, mode)
+        assert (a.matrix != ref).nnz == 0 and (ad.matrix != cre[mode].matrix).nnz == 0
+    again, _ = all_ladders(b)
+    assert all(x is y for x, y in zip(ann, again))  # built once per basis
+
+
+def test_cached_ladders_are_read_only():
+    ann, cre = all_ladders(build_basis(2, 5))
+    for op in (ann[0], cre[1]):
+        for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
 
 def test_annihilation_bounded_by_number_operator():
