@@ -563,11 +563,16 @@ def write_kernel_bounds_csv(path, phi, sol, N_list) -> None:
 
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     d = cfg.get_int("fock", "d", 2)
-    h = np.array(_parse_matrix(cfg.get("fock", "h", required=True), d))
-    u = np.array(cfg.get_floats("fock", "u", [1.0] * d))
+    h = np.array(cfg._typed("fock", "h", None, True,
+                            lambda text: _parse_matrix(text, d), "a matrix"))
+    u = _fock_vector(cfg, "u", d, [1.0] * d)
     g = cfg.get_float("fock", "coupling", required=True)
-    phi0 = np.array(cfg.get_floats("fock", "phi0", required=True))
-    phi0 = phi0 / np.linalg.norm(phi0)
+    phi0 = _fock_vector(cfg, "phi0", d)
+    norm = np.linalg.norm(phi0)
+    if not 0 < norm < math.inf:
+        raise ConfigurationError(
+            f"{cfg.path}: [fock] phi0 must be a nonzero finite vector")
+    phi0 = phi0 / norm
     scenario = ToyScenario(
         h=h,
         v=onsite_tensor(u),
@@ -639,6 +644,15 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
                ([int(n), repr(rep.t), repr(float(dist)), repr(float(num))]
                 for n, dist, num in zip(rep.N_list, rep.trace_distances,
                                         numbers)))
+
+
+def _fock_vector(cfg: ExperimentConfig, key: str, d: int, fallback=None):
+    vec = np.array(cfg.get_floats("fock", key, fallback,
+                                  required=fallback is None))
+    if vec.shape != (d,):
+        raise ConfigurationError(
+            f"{cfg.path}: [fock] {key} needs d = {d} numbers, got {vec.size}")
+    return vec
 
 
 def _parse_matrix(text: str, d: int):

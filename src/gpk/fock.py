@@ -84,14 +84,14 @@ class FockBasis:
         return tuple(a for a, _ in ops), tuple(ad for _, ad in ops)
 
 
-def build_basis(d: int, n_max: int, dim_budget: int = _DIM_BUDGET) -> FockBasis:
+def build_basis(d: int, n_max: int) -> FockBasis:
     """Enumerate the truncated space; refuses dimensions past the desk budget."""
     if d < 1 or n_max < 0:
         raise DomainError("need d >= 1 modes and n_max >= 0")
     dim = basis_dimension(d, n_max)
-    if dim > dim_budget:
+    if dim > _DIM_BUDGET:
         raise ConfigurationError(
-            f"basis dimension {dim} exceeds the budget {dim_budget} "
+            f"basis dimension {dim} exceeds the budget {_DIM_BUDGET} "
             f"(d = {d}, n_max = {n_max})"
         )
     occs = []
@@ -136,16 +136,6 @@ def vacuum(basis: FockBasis) -> FockVector:
 class FockOperator:
     matrix: sp.csr_matrix
     basis: FockBasis
-    hermitian: bool = False
-    particle_conserving: bool = False
-
-    def dag(self) -> "FockOperator":
-        return FockOperator(
-            matrix=self.matrix.conj().T.tocsr(),
-            basis=self.basis,
-            hermitian=self.hermitian,
-            particle_conserving=self.particle_conserving,
-        )
 
     def apply(self, psi: FockVector) -> FockVector:
         return FockVector(
@@ -201,8 +191,8 @@ def ladder(basis: FockBasis, mode: int):
         (vals, (_rank(lowered), cols)), shape=(basis.dim, basis.dim),
         dtype=complex,
     )
-    a_op = FockOperator(matrix=a, basis=basis)
-    return a_op, a_op.dag()
+    return (FockOperator(matrix=a, basis=basis),
+            FockOperator(matrix=a.conj().T.tocsr(), basis=basis))
 
 
 def all_ladders(basis: FockBasis):
@@ -214,20 +204,26 @@ def all_ladders(basis: FockBasis):
 def number_operator(basis: FockBasis) -> FockOperator:
     diag = basis.totals().astype(float)
     return FockOperator(
-        matrix=sp.diags(diag, format="csr").astype(complex),
-        basis=basis,
-        hermitian=True,
-        particle_conserving=True,
+        matrix=sp.diags(diag, format="csr").astype(complex), basis=basis
     )
+
+
+def _sparse_sum(basis: FockBasis, terms) -> sp.csr_matrix:
+    """Sum of coefficient * matrix over the (coefficient, matrix) pairs."""
+    m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for coeff, mat in terms:
+        m = m + coeff * mat
+    return m.tocsr()
 
 
 def annihilator_of(basis: FockBasis, f: np.ndarray) -> FockOperator:
     """a(f) = sum conj(f_i) a_i (antilinear in f)."""
     ann, _ = all_ladders(basis)
-    m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for fi, a in zip(f, ann):
-        m = m + np.conj(fi) * a.matrix
-    return FockOperator(matrix=m, basis=basis)
+    return FockOperator(
+        matrix=_sparse_sum(basis, ((np.conj(fi), a.matrix)
+                                   for fi, a in zip(f, ann))),
+        basis=basis,
+    )
 
 
 def hamiltonian(
@@ -246,11 +242,8 @@ def hamiltonian(
     if h.shape != (d, d) or not np.allclose(h, h.conj().T, atol=1e-13):
         raise DomainError("one-body matrix must be hermitian d x d")
     ann, cre = all_ladders(basis)
-    m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if h[i, j] != 0:
-                m = m + h[i, j] * (cre[i].matrix @ ann[j].matrix)
+    terms = [(h[i, j], cre[i].matrix @ ann[j].matrix)
+             for i, j in zip(*np.nonzero(h))]
     if v is not None and coupling != 0.0:
         v = np.asarray(v, dtype=complex)
         if v.shape != (d, d, d, d):
@@ -261,20 +254,10 @@ def hamiltonian(
             and np.allclose(v, np.conj(v.transpose(3, 2, 1, 0)), atol=1e-13)
         ):
             raise DomainError("interaction tensor lacks bosonic symmetry")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        if v[i, j, k, l] != 0:
-                            m = m + (0.5 * coupling * v[i, j, k, l]) * (
-                                cre[i].matrix
-                                @ cre[j].matrix
-                                @ ann[k].matrix
-                                @ ann[l].matrix
-                            )
-    return FockOperator(
-        matrix=m.tocsr(), basis=basis, hermitian=True, particle_conserving=True
-    )
+        terms += [(0.5 * coupling * v[i, j, k, l],
+                   cre[i].matrix @ cre[j].matrix @ ann[k].matrix @ ann[l].matrix)
+                  for i, j, k, l in zip(*np.nonzero(v))]
+    return FockOperator(matrix=_sparse_sum(basis, terms), basis=basis)
 
 
 def onsite_tensor(u) -> np.ndarray:
@@ -291,12 +274,21 @@ def onsite_tensor(u) -> np.ndarray:
 # Weyl and Bogoliubov unitaries
 # ---------------------------------------------------------------------------
 
+def _dense_expm(gen: sp.csr_matrix, what: str) -> np.ndarray:
+    """exp(gen) as a dense matrix; refused past the dense dimension cap."""
+    if gen.shape[0] > _DENSE_EXPM_CAP:
+        raise ConfigurationError(
+            f"dense {what} capped at dimension {_DENSE_EXPM_CAP} "
+            f"(got {gen.shape[0]}); apply_weyl and apply_bogoliubov act on "
+            "vectors at any dimension"
+        )
+    return expm(gen.toarray())
+
+
 def _weyl_generator(basis: FockBasis, f: np.ndarray) -> sp.csr_matrix:
-    ann, cre = all_ladders(basis)
-    m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for fi, a, ad in zip(f, ann, cre):
-        m = m + fi * ad.matrix - np.conj(fi) * a.matrix
-    return m.tocsr()
+    """a^dag(f) - a(f)."""
+    a_f = annihilator_of(basis, f).matrix
+    return (a_f.conj().T - a_f).tocsr()
 
 
 def _check_weyl_budget(basis: FockBasis, f: np.ndarray):
@@ -312,12 +304,7 @@ def weyl(basis: FockBasis, f: np.ndarray) -> FockOperator:
     """W(f) = exp(a^dag(f) - a(f)) as a dense-backed unitary operator."""
     f = np.asarray(f, dtype=complex)
     _check_weyl_budget(basis, f)
-    if basis.dim > _DENSE_EXPM_CAP:
-        raise ConfigurationError(
-            f"dense Weyl operator capped at dimension {_DENSE_EXPM_CAP}; "
-            "use apply_weyl for vector actions"
-        )
-    mat = expm(_weyl_generator(basis, f).toarray())
+    mat = _dense_expm(_weyl_generator(basis, f), "Weyl operator")
     return FockOperator(matrix=sp.csr_matrix(mat), basis=basis)
 
 
@@ -333,14 +320,11 @@ def apply_weyl(basis: FockBasis, f: np.ndarray, psi: FockVector) -> FockVector:
 
 def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> sp.csr_matrix:
     ann, cre = all_ladders(basis)
-    d = basis.d
-    m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if K[i, j] != 0:
-                m = m + 0.5 * K[i, j] * (cre[i].matrix @ cre[j].matrix)
-                m = m - 0.5 * np.conj(K[i, j]) * (ann[i].matrix @ ann[j].matrix)
-    return m.tocsr()
+    terms = []
+    for i, j in zip(*np.nonzero(K)):
+        terms += [(0.5 * K[i, j], cre[i].matrix @ cre[j].matrix),
+                  (-0.5 * np.conj(K[i, j]), ann[i].matrix @ ann[j].matrix)]
+    return _sparse_sum(basis, terms)
 
 
 def _check_bogoliubov_budget(basis: FockBasis, K: np.ndarray):
@@ -363,12 +347,7 @@ def _check_bogoliubov_budget(basis: FockBasis, K: np.ndarray):
 def bogoliubov(basis: FockBasis, K: np.ndarray) -> FockOperator:
     """T(K) = exp(1/2 sum (K a^dag a^dag - conj(K) a a)) as a dense unitary."""
     K = _check_bogoliubov_budget(basis, K)
-    if basis.dim > _DENSE_EXPM_CAP:
-        raise ConfigurationError(
-            f"dense Bogoliubov operator capped at dimension {_DENSE_EXPM_CAP}; "
-            "use apply_bogoliubov for vector actions"
-        )
-    mat = expm(_bogoliubov_generator(basis, K).toarray())
+    mat = _dense_expm(_bogoliubov_generator(basis, K), "Bogoliubov operator")
     return FockOperator(matrix=sp.csr_matrix(mat), basis=basis)
 
 
@@ -469,7 +448,6 @@ def reduced_density(psi: FockVector) -> ReducedDensity:
 class TraceComparison:
     trace_distance: float
     hs_norm: float
-    most_negative_eigenvalue: float
 
 
 def trace_distance_to_rank_one(
@@ -488,15 +466,12 @@ def trace_distance_to_rank_one(
     eigs = np.linalg.eigvalsh(diff)
     trace_dist = float(np.sum(np.abs(eigs)))
     hs = float(np.sqrt(np.sum(eigs**2)))
-    most_neg = float(eigs.min())
     if trace_dist > 2 * hs + 1e-12:
         raise InvariantViolation("trace norm exceeded twice the HS norm")
     negatives = int(np.sum(eigs < -1e-12))
     if negatives > 1:
         raise InvariantViolation("more than one negative eigenvalue")
-    return TraceComparison(
-        trace_distance=trace_dist, hs_norm=hs, most_negative_eigenvalue=most_neg
-    )
+    return TraceComparison(trace_distance=trace_dist, hs_norm=hs)
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +489,15 @@ def project_N(psi: FockVector, n: int):
     return vec, vec.norm()
 
 
-def _subspace_projector(basis: FockBasis, n_sub: int) -> np.ndarray:
-    keep = basis.totals() <= n_sub
-    return keep
+def _sub_cutoff(basis: FockBasis, n_sub: Optional[int]) -> np.ndarray:
+    """Mask of the states with total occupation <= n_sub (default n_max - 4)."""
+    return basis.totals() <= (basis.n_max - 4 if n_sub is None else n_sub)
 
 
 @dataclass(frozen=True)
 class WeylRelationReport:
     product_residual: float
     shift_residual: float
-    n_sub: int
 
 
 def check_weyl_relations(
@@ -540,9 +514,7 @@ def check_weyl_relations(
     combined = float(np.sum(np.abs(f) ** 2) + np.sum(np.abs(g) ** 2))
     if combined > basis.n_max / 4.0:
         raise TruncationBudgetError("|f|^2 + |g|^2 exceeds the Poisson budget")
-    if n_sub is None:
-        n_sub = basis.n_max - 4
-    keep = _subspace_projector(basis, n_sub)
+    keep = _sub_cutoff(basis, n_sub)
 
     wf = weyl(basis, f).to_dense()
     wg = weyl(basis, g).to_dense()
@@ -556,9 +528,7 @@ def check_weyl_relations(
     lhs = wf.conj().T @ ag @ wf - ag - shift * np.eye(basis.dim)
     shift_residual = float(np.max(np.abs(lhs[np.ix_(keep, keep)])))
     return WeylRelationReport(
-        product_residual=product_residual,
-        shift_residual=shift_residual,
-        n_sub=n_sub,
+        product_residual=product_residual, shift_residual=shift_residual
     )
 
 
@@ -566,9 +536,7 @@ def bogoliubov_conjugation_residual(
     basis: FockBasis, K: np.ndarray, f: np.ndarray, n_sub: Optional[int] = None
 ) -> float:
     """Max-norm defect of T^dag a(f) T = a(ch(K) f) + a^dag(sh(K) conj(f))."""
-    if n_sub is None:
-        n_sub = basis.n_max - 4
-    keep = _subspace_projector(basis, n_sub)
+    keep = _sub_cutoff(basis, n_sub)
     T = bogoliubov(basis, K).to_dense()
     ch, sh = mode_hyperbolic(K)
     f = np.asarray(f, dtype=complex)
@@ -583,16 +551,10 @@ def bogoliubov_conjugation_residual(
 class TntReport:
     smallest_c: float
     heuristic: float
-    candidate: Optional[float]
-    candidate_margin: Optional[float]
-    n_sub: int
 
 
 def check_TNT_inequality(
-    basis: FockBasis,
-    K: np.ndarray,
-    C_candidate: Optional[float] = None,
-    n_sub: Optional[int] = None,
+    basis: FockBasis, K: np.ndarray, n_sub: Optional[int] = None
 ) -> TntReport:
     """Smallest C with C (N + 1) - T^dag N T >= 0 on the sub-cutoff block.
 
@@ -600,12 +562,7 @@ def check_TNT_inequality(
     the untruncated constant 1 from below; the heuristic exp(2 |K|_HS) gives
     the expected growth scale in |K|.
     """
-    K = _check_bogoliubov_budget(basis, np.asarray(K, dtype=complex))
-    if basis.dim > _DENSE_EXPM_CAP:
-        raise ConfigurationError("TNT check needs the dense operator; reduce dim")
-    if n_sub is None:
-        n_sub = basis.n_max - 4
-    keep = _subspace_projector(basis, n_sub)
+    keep = _sub_cutoff(basis, n_sub)
     T = bogoliubov(basis, K).to_dense()
     nmat = np.diag(basis.totals().astype(float))
     tnt = T.conj().T @ nmat @ T
@@ -613,18 +570,9 @@ def check_TNT_inequality(
     weights = 1.0 / np.sqrt(basis.totals()[keep] + 1.0)
     pencil = weights[:, None] * tnt * weights[None, :]
     pencil = 0.5 * (pencil + pencil.conj().T)
-    smallest = float(np.max(np.linalg.eigvalsh(pencil)))
-    margin = None
-    if C_candidate is not None:
-        m = C_candidate * np.diag(basis.totals()[keep] + 1.0) - tnt
-        m = 0.5 * (m + m.conj().T)
-        margin = float(np.min(np.linalg.eigvalsh(m)))
     return TntReport(
-        smallest_c=smallest,
+        smallest_c=float(np.max(np.linalg.eigvalsh(pencil))),
         heuristic=math.exp(2.0 * float(np.linalg.norm(K))),
-        candidate=C_candidate,
-        candidate_margin=margin,
-        n_sub=n_sub,
     )
 
 
@@ -642,6 +590,41 @@ def evolve_state(H: FockOperator, psi: FockVector, t: float) -> FockVector:
     )
 
 
+def _fluctuation_factors(
+    basis: FockBasis,
+    H: FockOperator,
+    phi_traj: Callable[[float], np.ndarray],
+    K_traj: Optional[Callable[[float], np.ndarray]],
+    psi: FockVector,
+    t: float,
+    leakage_tol: float,
+):
+    """Apply T(K_0), W(f_0), e^{-iHt}, W*(f_t), T*(K_t) to psi in turn.
+
+    Yields the state after e^{-iHt}, then the final state.  Shell leakage
+    past the cutoff is measured after every factor; above the tolerance it
+    raises, naming the factor.
+    """
+    def checked(vec: FockVector, name: str) -> FockVector:
+        leak = vec.top_shell_mass()
+        if leak > leakage_tol:
+            raise TruncationBudgetError(
+                f"truncation leakage {leak:.3e} after factor {name}"
+            )
+        return vec
+
+    state = psi
+    if K_traj is not None:
+        state = checked(apply_bogoliubov(basis, K_traj(0.0), state), "T(k_0)")
+    state = checked(apply_weyl(basis, phi_traj(0.0), state), "W(f_0)")
+    state = checked(evolve_state(H, state, t), "exp(-iHt)")
+    yield state
+    state = checked(apply_weyl(basis, -phi_traj(t), state), "W*(f_t)")
+    if K_traj is not None:
+        state = checked(apply_bogoliubov(basis, -K_traj(t), state), "T*(k_t)")
+    yield state
+
+
 def fluctuation_dynamics(
     basis: FockBasis,
     H: FockOperator,
@@ -657,26 +640,11 @@ def fluctuation_dynamics(
 
     phi_traj returns the Weyl argument f_t (already carrying the sqrt(N)
     amplitude); K_traj may be None for the uncorrelated ansatz.  Shell
-    leakage past the cutoff is measured after every factor and raising the
-    named factor when above the tolerance.
+    leakage past the cutoff is checked after every factor.
     """
-    def checked(vec: FockVector, name: str) -> FockVector:
-        leak = vec.top_shell_mass()
-        if leak > leakage_tol:
-            raise TruncationBudgetError(
-                f"truncation leakage {leak:.3e} after factor {name}"
-            )
-        return vec
-
-    state = psi
-    if K_traj is not None:
-        state = checked(apply_bogoliubov(basis, K_traj(0.0), state), "T(k_0)")
-    state = checked(apply_weyl(basis, phi_traj(0.0), state), "W(f_0)")
-    state = checked(evolve_state(H, state, t), "exp(-iHt)")
-    state = checked(apply_weyl(basis, -phi_traj(t), state), "W*(f_t)")
-    if K_traj is not None:
-        state = checked(apply_bogoliubov(basis, -K_traj(t), state), "T*(k_t)")
-    return state
+    _, final = _fluctuation_factors(basis, H, phi_traj, K_traj, psi, t,
+                                    leakage_tol)
+    return final
 
 
 def number_expectation(psi: FockVector) -> float:
@@ -687,6 +655,11 @@ def number_expectation(psi: FockVector) -> float:
 # ---------------------------------------------------------------------------
 # toy scenarios: convergence of reduced densities, generator cancellation
 # ---------------------------------------------------------------------------
+
+_ODE_DT = 1e-3         # RK4 step of the mean-field orbit
+_CUTOFF_SIGMAS = 6.0   # n_max = N + sigmas sqrt(N) + base
+_CUTOFF_BASE = 8
+
 
 @dataclass(frozen=True)
 class ToyScenario:
@@ -703,18 +676,11 @@ class ToyScenario:
     kappa0: float
     t_final: float
     N_list: tuple
-    ode_dt: float = 1e-3
     leakage_tol: float = 1e-6
-    margin_sigmas: float = 6.0  # n_max = N + margin_sigmas sqrt(N) + margin_base
-    margin_base: int = 8
-
-    def k0(self) -> np.ndarray:
-        return -self.kappa0 * np.outer(self.phi0, self.phi0)
 
     def cutoff_for(self, N: int) -> int:
         # Poisson tail wants N + sigmas sqrt(N); the Weyl budget wants 4N
-        tail = int(math.ceil(N + self.margin_sigmas * math.sqrt(N))) + \
-            self.margin_base
+        tail = int(math.ceil(N + _CUTOFF_SIGMAS * math.sqrt(N))) + _CUTOFF_BASE
         return max(tail, 4 * N + 1)
 
 
@@ -756,16 +722,15 @@ class ConvergenceReport:
 
 
 def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
-    """Exact evolution across the N sweep: trace distance of the reduced
-    density to the mean-field orbit, and the fluctuation number growth."""
+    """Exact evolution across the N sweep, one pass of the five fluctuation
+    factors per N: the trace distance of the reduced density after e^{-iHt}
+    to the mean-field orbit, and the number of fluctuations left after the
+    whole map."""
     d = scenario.phi0.size
     g = scenario.coupling
     times, orbit = mean_field_trajectory(
-        scenario.h, scenario.v, g, scenario.phi0,
-        scenario.t_final, scenario.ode_dt,
+        scenario.h, scenario.v, g, scenario.phi0, scenario.t_final, _ODE_DT,
     )
-    phi_t = orbit[-1]
-    phi_t = phi_t / np.linalg.norm(phi_t)
 
     def orbit_at(t):
         idx = int(round(t / scenario.t_final * (len(times) - 1))) if \
@@ -773,38 +738,29 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
         vec = orbit[idx]
         return vec / np.linalg.norm(vec)
 
+    phi_t = orbit[-1] / np.linalg.norm(orbit[-1])
     distances, numbers = [], []
     for N in scenario.N_list:
         basis = build_basis(d, scenario.cutoff_for(N))
         H = hamiltonian(basis, scenario.h, scenario.v, coupling=g / N)
-        psi0 = vacuum(basis)
-        state = psi0
-        if scenario.kappa0 != 0:
-            state = apply_bogoliubov(basis, scenario.k0(), state)
-        state = apply_weyl(basis, math.sqrt(N) * scenario.phi0, state)
-        evolved = evolve_state(H, state, scenario.t_final)
-        if evolved.top_shell_mass() > scenario.leakage_tol:
-            raise TruncationBudgetError(
-                f"cutoff leakage {evolved.top_shell_mass():.3e} at N = {N}"
-            )
-        gamma = reduced_density(evolved)
-        distances.append(
-            trace_distance_to_rank_one(gamma, phi_t).trace_distance
-        )
 
         def f_traj(t):
             return math.sqrt(N) * orbit_at(t)
 
         def k_traj(t):
-            if scenario.kappa0 == 0:
-                return None
             vec = orbit_at(t)
             return -scenario.kappa0 * np.outer(vec, vec)
 
-        fluct = fluctuation_dynamics(
-            basis, H, f_traj,
-            k_traj if scenario.kappa0 != 0 else None,
-            psi0, scenario.t_final, scenario.leakage_tol,
+        try:
+            evolved, fluct = _fluctuation_factors(
+                basis, H, f_traj, k_traj if scenario.kappa0 != 0 else None,
+                vacuum(basis), scenario.t_final, scenario.leakage_tol,
+            )
+        except TruncationBudgetError as exc:
+            raise TruncationBudgetError(f"{exc} at N = {N}") from exc
+        distances.append(
+            trace_distance_to_rank_one(
+                reduced_density(evolved), phi_t).trace_distance
         )
         numbers.append(number_expectation(fluct))
 
@@ -829,8 +785,6 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
 class CancellationReport:
     ratio: float
     combined_norm: float
-    linear_norm: float
-    cubic_norm: float
     kappa: float
 
 
@@ -858,28 +812,24 @@ def generator_cancellation_check(
     if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
         raise DomainError("mode vector must be real and normalized")
     u = np.asarray(u, dtype=float)
-    d = basis.d
     if kappa is None:
         kappa = N * omega
 
     ann, cre = all_ladders(basis)
-    dim = basis.dim
-    l1 = sp.csr_matrix((dim, dim), dtype=complex)
-    l3 = sp.csr_matrix((dim, dim), dtype=complex)
-    for i in range(d):
-        coeff1 = math.sqrt(N) * g * omega * u[i] * phi[i] ** 3
-        l1 = l1 + coeff1 * (cre[i].matrix + ann[i].matrix)
-        coeff3 = g / math.sqrt(N) * u[i] * phi[i]
-        l3 = l3 + coeff3 * (
-            cre[i].matrix @ cre[i].matrix @ ann[i].matrix
-            + cre[i].matrix @ ann[i].matrix @ ann[i].matrix
-        )
+    modes = range(basis.d)
+    l1 = _sparse_sum(basis, (
+        (math.sqrt(N) * g * omega * u[i] * phi[i] ** 3,
+         cre[i].matrix + ann[i].matrix)
+        for i in modes))
+    l3 = _sparse_sum(basis, (
+        (g / math.sqrt(N) * u[i] * phi[i],
+         cre[i].matrix @ cre[i].matrix @ ann[i].matrix
+         + cre[i].matrix @ ann[i].matrix @ ann[i].matrix)
+        for i in modes))
 
     if kappa != 0:
-        K = -kappa * np.outer(phi, phi)
-        if basis.dim > _DENSE_EXPM_CAP:
-            raise ConfigurationError("cancellation check needs a dense T")
-        T = expm(_bogoliubov_generator(basis, K).toarray())
+        T = _dense_expm(_bogoliubov_generator(basis, -kappa * np.outer(phi, phi)),
+                        "Bogoliubov operator")
         Td = T.conj().T
         m1 = Td @ l1.toarray() @ T
         m3 = Td @ l3.toarray() @ T
@@ -888,21 +838,12 @@ def generator_cancellation_check(
         m3 = l3.toarray()
 
     one_shell = basis.shell_slices[1]
-
-    def lin(m):
-        return m[one_shell, 0]
-
-    lin1, lin3 = lin(m1), lin(m3)
+    lin1, lin3 = m1[one_shell, 0], m3[one_shell, 0]
     combined = float(np.linalg.norm(lin1 + lin3))
-    norm1 = float(np.linalg.norm(lin1))
-    norm3 = float(np.linalg.norm(lin3))
-    denom = max(norm1, norm3)
-    ratio = combined / denom if denom > 0 else 0.0
+    denom = max(float(np.linalg.norm(lin1)), float(np.linalg.norm(lin3)))
     return CancellationReport(
-        ratio=ratio,
+        ratio=combined / denom if denom > 0 else 0.0,
         combined_norm=combined,
-        linear_norm=norm1,
-        cubic_norm=norm3,
         kappa=float(kappa),
     )
 

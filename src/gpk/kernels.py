@@ -147,11 +147,11 @@ def grad1_components(kernel: TwoPointKernel) -> list[np.ndarray]:
     vals = kernel.values.reshape(grid.shape + (M,))
     ks = grid.k_axes()
     out = []
+    spec_x = sfft.fftn(vals, axes=tuple(range(d)), workers=grid.fft_workers)
     for axis in range(d):
         shape = [1] * (d + 1)
         shape[axis] = n
-        spec = sfft.fftn(vals, axes=tuple(range(d)), workers=grid.fft_workers)
-        spec = spec * (1j * ks[axis]).reshape(shape)
+        spec = spec_x * (1j * ks[axis]).reshape(shape)
         comp = sfft.ifftn(spec, axes=tuple(range(d)), workers=grid.fft_workers)
         out.append(comp.reshape(M, M))
     return out
@@ -237,7 +237,6 @@ def bogoliubov_identity_defect(k: TwoPointKernel, tol: float = 1e-14) -> float:
 @dataclass(frozen=True)
 class KernelBoundReport:
     N: int
-    t: float
     l2_k: float
     l2_grad1_k: float
     l2_grad1_kkbar: float
@@ -261,25 +260,24 @@ def _profile_extension(sol: ScatteringSolution, sigma_max: float, step: float):
     )
 
 
-def _lattice_radial_multiplier(grid: GridSpec, table_p, table_v) -> np.ndarray:
-    k2 = grid.k_squared()
-    kabs = np.sqrt(k2)
-    return np.interp(kabs.reshape(-1), table_p, table_v).reshape(grid.shape)
+def _field_moments(phi: WaveFunction):
+    """(rho, sum_c |d_c phi|^2, [j_c]) with j_c = Re(conj(phi) d_c phi).
 
-
-def _field_gradients(phi: WaveFunction):
+    The derivatives are spectral; j_c = d_c rho / 2.
+    """
     grid = phi.grid
     ks = grid.k_axes()
     spec = sfft.fftn(phi.values, workers=grid.fft_workers)
-    grads = []
+    g1 = np.zeros(grid.shape)
+    j = []
     for axis in range(grid.dim):
         shape = [1] * grid.dim
         shape[axis] = grid.points_per_axis
-        grads.append(
-            sfft.ifftn(spec * (1j * ks[axis]).reshape(shape),
-                       workers=grid.fft_workers)
-        )
-    return grads
+        grad = sfft.ifftn(spec * (1j * ks[axis]).reshape(shape),
+                          workers=grid.fft_workers)
+        g1 += np.abs(grad) ** 2
+        j.append(np.real(np.conj(phi.values) * grad))
+    return np.abs(phi.values) ** 2, g1, j
 
 
 def kernel_hs_norms(
@@ -294,7 +292,8 @@ def kernel_hs_norms(
     """
     grid = phi.grid
     d = grid.dim
-    p_max = math.sqrt(float(np.max(grid.k_squared()))) * 1.0000001 + 1e-12
+    kabs = np.sqrt(grid.k_squared())
+    p_max = float(np.max(kabs)) * 1.0000001 + 1e-12
     half_box = 0.5 * grid.box_length
     sigma_max = N * half_box
     # resolve the angular kernel oscillation at the largest momentum
@@ -310,21 +309,15 @@ def kernel_hs_norms(
     # C = 2 N^3 (w' w)(Ns) uhat -> l=1 transform, N^(3-d) scaling
     fc = 2.0 * N ** (3 - d) * radial_hat(sig, dwv * wv, p_tab / N, d, ell=1)
 
-    rho = np.abs(phi.values) ** 2
+    rho, g1, j = _field_moments(phi)
     rho_hat = sfft.fftn(rho, workers=grid.fft_workers)
-    grads = _field_gradients(phi)
-    g1 = np.zeros(grid.shape)
-    for g in grads:
-        g1 += np.abs(g) ** 2
     g1_hat = sfft.fftn(g1, workers=grid.fft_workers)
 
     # F_hat tabulated as the continuum transform already carries the cell of
     # the position-space convolution; one cell remains for the outer integral
     M = rho.size
     pref = grid.cell / M
-    f0_lat = _lattice_radial_multiplier(grid, p_tab, f0)
-    f1_lat = _lattice_radial_multiplier(grid, p_tab, f1)
-    fc_lat = _lattice_radial_multiplier(grid, p_tab, fc)
+    f0_lat, f1_lat, fc_lat = (np.interp(kabs, p_tab, f) for f in (f0, f1, fc))
 
     l2_k_sq = float(np.real(np.sum(f0_lat * np.abs(rho_hat) ** 2))) * pref
 
@@ -332,15 +325,12 @@ def kernel_hs_norms(
     term_a = float(np.real(np.sum(f1_lat * np.abs(rho_hat) ** 2))) * pref
     term_b = float(np.real(np.sum(f0_lat * np.conj(g1_hat) * rho_hat))) * pref
     ks = grid.k_axes()
-    k2 = grid.k_squared()
-    kabs = np.sqrt(k2)
     inv_kabs = np.where(kabs > 0, 1.0 / np.where(kabs > 0, kabs, 1.0), 0.0)
     term_c = 0.0
     for axis in range(d):
         shape = [1] * d
         shape[axis] = grid.points_per_axis
-        j_c = np.real(np.conj(phi.values) * grads[axis])  # = grad rho / 2
-        j_hat = sfft.fftn(j_c, workers=grid.fft_workers)
+        j_hat = sfft.fftn(j[axis], workers=grid.fft_workers)
         mult = -1j * ks[axis].reshape(shape) * inv_kabs * fc_lat
         term_c += float(np.real(np.sum(np.conj(j_hat) * mult * rho_hat))) * pref
     l2_grad1_sq = term_a + term_b + term_c
@@ -435,12 +425,7 @@ def grad1_kkbar_hs_norm(
     W = _lattice_profile(grid, sol, N, deriv=False)
     Wc = _lattice_profile(grid, sol, N, deriv=True)
 
-    rho = np.abs(phi.values) ** 2
-    grads = _field_gradients(phi)
-    g1 = np.zeros(shape)
-    for g in grads:
-        g1 += np.abs(g) ** 2
-    j = [np.real(np.conj(phi.values) * g) for g in grads]
+    rho, g1, j = _field_moments(phi)
 
     W_hat_c = np.conj(sfft.fftn(W, workers=workers))
     Wc_hat_c = [np.conj(sfft.fftn(w, workers=workers)) for w in Wc]
@@ -480,7 +465,6 @@ def kernel_bound_report(
     phi: WaveFunction,
     sol: ScatteringSolution,
     N_list,
-    t: float = 0.0,
     with_kkbar: bool = True,
 ) -> list[KernelBoundReport]:
     """Norm scaling report across N: the ratios |k|, |grad1 k|/sqrt(N),
@@ -498,7 +482,6 @@ def kernel_bound_report(
         reports.append(
             KernelBoundReport(
                 N=int(N),
-                t=t,
                 l2_k=l2k,
                 l2_grad1_k=l2g1,
                 l2_grad1_kkbar=kkbar,

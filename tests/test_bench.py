@@ -507,3 +507,32 @@ def test_warm_rerun_never_parses_the_scattering_profile(tmp_path, monkeypatch):
                               for name in parsed)
     assert warm.summary["scattering"]["a0_tail"] == pytest.approx(
         1 - math.tanh(2.0) / 2, rel=1e-6)
+
+
+FOCK_CONFIG = """
+[fock]
+d = 2
+h = 0.0 -1.0 ; -1.0 0.2
+u = 1.0 1.0
+coupling = 0.5
+phi0 = 1.0 0.0
+t_final = 0.3
+n_values = 3 6
+
+[output]
+directory = {outdir}
+"""
+
+
+@pytest.mark.parametrize("line, bad, what", [
+    ("h = 0.0 -1.0 ; -1.0 0.2", "h = 0.0 -1.0 ; -1.0 x", "[fock] h = "),
+    ("phi0 = 1.0 0.0", "phi0 = 1.0 0.0 0.0", "phi0 needs d = 2 numbers, got 3"),
+    ("u = 1.0 1.0", "u = 1.0", "u needs d = 2 numbers, got 1"),
+    ("phi0 = 1.0 0.0", "phi0 = 0.0 0.0", "phi0 must be a nonzero"),
+], ids=["h-token", "phi0-length", "u-length", "phi0-zero"])
+def test_cli_bad_fock_input_exits_2(tmp_path, capsys, line, bad, what):
+    assert line in FOCK_CONFIG
+    cfg_path = write_config(tmp_path, FOCK_CONFIG.replace(line, bad),
+                            name="fock.ini")
+    assert cli_main(["fock", "--scenario", str(cfg_path)]) == 2
+    assert what in capsys.readouterr().err

@@ -482,3 +482,55 @@ def test_evolve_state_matches_dense_oracle():
     dense = expm(-1j * t * H.to_dense()) @ psi.coefficients
     krylov = evolve_state(H, psi, t).coefficients
     assert np.max(np.abs(dense - krylov)) < 1e-9
+
+
+def reference_scenario(**changes):
+    """The [fock] scenario of configs/reference.ini."""
+    params = dict(
+        h=np.array([[0.0, -1.0], [-1.0, 0.2]]),
+        v=onsite_tensor([1.0, 1.0]),
+        coupling=0.5,
+        phi0=np.array([1.0, 0.0]),
+        kappa0=0.2,
+        t_final=0.4,
+        N_list=(4, 8, 16),
+    )
+    params.update(changes)
+    return ToyScenario(**params)
+
+
+def test_toy_study_runs_the_five_factors_once_per_N(monkeypatch):
+    import gpk.fock as fock
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return expm_multiply(*args, **kwargs)
+
+    expm_multiply = fock.expm_multiply
+    monkeypatch.setattr(fock, "expm_multiply", counting)
+    scenario = reference_scenario()
+    toy_convergence_study(scenario)
+    dims = [build_basis(2, scenario.cutoff_for(N)).dim for N in scenario.N_list]
+    assert calls == [dim for dim in dims for _ in range(5)]
+
+
+def test_toy_study_leakage_names_factor_and_N():
+    with pytest.raises(TruncationBudgetError,
+                       match=r"after factor T\(k_0\) at N = 4$"):
+        toy_convergence_study(reference_scenario(leakage_tol=1e-300))
+
+
+@pytest.mark.parametrize("dense", [
+    lambda b: weyl(b, np.array([0.1, 0.0])),
+    lambda b: bogoliubov(b, np.array([[0.1, 0.0], [0.0, 0.1]])),
+    lambda b: check_TNT_inequality(b, np.array([[0.1, 0.0], [0.0, 0.1]])),
+    lambda b: generator_cancellation_check(
+        b, [1.0, 1.0], 1.0, 16, np.array([1.0, 0.0]), 0.0025),
+], ids=["weyl", "bogoliubov", "tnt", "cancellation"])
+def test_dense_exponentials_refuse_dimensions_past_the_cap(dense):
+    b = build_basis(2, 60)
+    assert b.dim == 1891
+    with pytest.raises(ConfigurationError, match="capped at dimension 1500"):
+        dense(b)
