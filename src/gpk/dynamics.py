@@ -103,15 +103,25 @@ class GridSpec:
         keep = np.abs(sfft.fftfreq(n, d=1.0 / n)) <= n / 3.0
         return self._mesh(np.logical_and, keep)
 
-    def _mesh(self, op, per_axis: np.ndarray) -> np.ndarray:
-        """Full-grid table op(t[i_1], ..., t[i_d]) of one per-axis table t."""
+    def _mesh(self, op, per_axis) -> np.ndarray:
+        """Full-grid table op(t_1[i_1], ..., t_d[i_d]) of per-axis tables, one
+        for every axis or a list of `dim` (see `_open_axes`)."""
         return functools.reduce(op, self._open_axes(per_axis))
 
-    def _open_axes(self, per_axis: np.ndarray) -> list[np.ndarray]:
-        """`per_axis` laid along each axis in turn, broadcastable to the grid."""
+    def _open_axes(self, per_axis, trailing: int = 0) -> list[np.ndarray]:
+        """Per-axis tables laid along each grid axis in turn, broadcastable to
+        the grid followed by `trailing` further axes.  `per_axis` is one table
+        for every axis or a list of `dim` tables, one per axis."""
         d = self.dim
-        return [per_axis.reshape([-1 if a == axis else 1 for a in range(d)])
-                for axis in range(d)]
+        tables = per_axis if isinstance(per_axis, list) else [per_axis] * d
+        return [np.reshape(t, [-1 if a == axis else 1 for a in range(d + trailing)])
+                for axis, t in enumerate(tables)]
+
+    def _displacements(self) -> np.ndarray:
+        """Min-image displacement per axis index i: 0, dx, ..., -L/2 at the
+        Nyquist index n/2, ..., -dx."""
+        n = self.points_per_axis
+        return self.dx * sfft.fftfreq(n, d=1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,19 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
     return math.sqrt(_mass(a.values - b.values) * a.grid.cell)
 
 
+def _periodized_gaussian(grid: GridSpec, width, center, pref=1.0) -> np.ndarray:
+    """prod_c pref sum_{m=-1,0,1} exp(-(x_c - center_c + m L)^2 / (4 width)),
+    `width` real or complex."""
+    L = grid.box_length
+    facs = []
+    for x, c in zip(grid.axes(), center):
+        fac = np.zeros(x.size, dtype=np.result_type(width, float))
+        for m in (-1, 0, 1):
+            fac += np.exp(-((x - c + m * L) ** 2) / (4 * width))
+        facs.append(pref * fac)
+    return grid._mesh(np.multiply, facs)
+
+
 def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunction:
     """Normalized periodized Gaussian of width sigma.
 
@@ -158,16 +181,7 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunct
     """
     if center is None:
         center = [0.0] * grid.dim
-    axes = grid.axes()
-    L = grid.box_length
-    vals = np.ones(grid.shape, dtype=float)
-    for axis, (x, c) in enumerate(zip(axes, center)):
-        shape = [1] * grid.dim
-        shape[axis] = x.size
-        fac = np.zeros(x.size)
-        for m in (-1, 0, 1):
-            fac += np.exp(-((x - c + m * L) ** 2) / (4 * sigma**2))
-        vals = vals * fac.reshape(shape)
+    vals = _periodized_gaussian(grid, sigma**2, center)
     vals = vals.astype(complex) * (2 * math.pi * sigma**2) ** (-grid.dim / 4.0)
     vals /= math.sqrt(_mass(vals) * grid.cell)
     return WaveFunction(values=vals, grid=grid)
@@ -179,11 +193,8 @@ def constant_datum(grid: GridSpec) -> WaveFunction:
 
 
 def plane_wave_datum(grid: GridSpec, mode: int = 1) -> WaveFunction:
-    axes = grid.axes()
-    phase = np.zeros(grid.shape)
-    shape = [1] * grid.dim
-    shape[0] = axes[0].size
-    phase = phase + (2 * math.pi * mode / grid.box_length * axes[0]).reshape(shape)
+    wave = 2 * math.pi * mode / grid.box_length * grid.axes()[0]
+    phase = np.zeros(grid.shape) + grid._open_axes(wave)[0]
     vals = np.exp(1j * phase) * grid.box_length ** (-grid.dim / 2.0)
     return WaveFunction(values=vals, grid=grid)
 
@@ -196,18 +207,9 @@ def free_gaussian_oracle(
     Per axis: (2 pi s^2)^(-1/4) (s^2/(s^2+it))^(1/2) exp(-x^2/(4(s^2+it))),
     periodized over the nearest box images to match `gaussian_datum`.
     """
-    axes = grid.axes()
-    L = grid.box_length
     g = sigma**2 + 1j * t
     pref = (2 * math.pi * sigma**2) ** (-0.25) * np.sqrt(sigma**2 / g)
-    vals = np.ones(grid.shape, dtype=complex)
-    for axis, x in enumerate(axes):
-        shape = [1] * grid.dim
-        shape[axis] = x.size
-        fac = np.zeros(x.size, dtype=complex)
-        for m in (-1, 0, 1):
-            fac += np.exp(-((x + m * L) ** 2) / (4 * g))
-        vals = vals * (pref * fac).reshape(shape)
+    vals = _periodized_gaussian(grid, g, [0.0] * grid.dim, pref)
     return WaveFunction(values=vals, grid=grid)
 
 
@@ -274,7 +276,6 @@ class NonlinearitySpec:
 class Trajectory:
     times: np.ndarray
     states: list
-    fft_workers: int = 1
 
 
 class _Stepper:
@@ -452,7 +453,7 @@ def evolve(
     times, stacks = _propagate(psi0.values[None], [nl], [""], grid,
                                snapshot_stride)
     states = [WaveFunction(values=stack[0], grid=grid) for stack in stacks]
-    return Trajectory(np.array(times), states, grid.fft_workers)
+    return Trajectory(np.array(times), states)
 
 
 def _propagate(values, nls, labels, grid: GridSpec, stride=None):
@@ -634,4 +635,4 @@ def compare_dynamics(
         return degenerate_report(N_list, diffs, "dynamics coincide to round-off")
     monotone = all(d1 > d2 for d1, d2 in zip(diffs[:-1], diffs[1:]))
     note = "" if monotone else "non-monotone differences: possible resolution floor"
-    return fit_rate(N_list, diffs, monotone=monotone, note=note)
+    return fit_rate(N_list, diffs, note=note)

@@ -8,9 +8,9 @@ the norm, gradient, pointwise and time-derivative bounds.
 Hilbert-Schmidt norms that must resolve the 1/N core of w(N .) are not
 computed from dense samples (a lattice cannot hold the core for large N);
 they are reduced to radial quadratures of the solved profile paired with the
-field's спектrum:
+field's spectrum:
 
-    |k|_2^2           = sum_p  F0hat(|p|)   |rho_hat(p)|^2 / (L^d ...)
+    |k|_2^2           = sum_p  F0hat(|p|)   |rho_hat(p)|^2 dx^d / n^d
     |grad1 k|_2^2     = F1-part + cross(l=1) + F0 against |grad phi|^2
     sup_x |k(., x)|_2 = max_x rho(x) (F0 * rho)(x)
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft as sfft
@@ -54,7 +54,6 @@ class TwoPointKernel:
 
     values: np.ndarray  # (M, M) complex
     grid: GridSpec
-    symmetric: bool = True
 
     @property
     def weight(self) -> float:
@@ -66,17 +65,13 @@ class TwoPointKernel:
     def compose(self, other: "TwoPointKernel") -> "TwoPointKernel":
         """Operator product: (a b)(x, z) = int a(x, y) b(y, z) dy."""
         vals = self.values @ (self.weight * other.values)
-        return TwoPointKernel(values=vals, grid=self.grid, symmetric=False)
+        return TwoPointKernel(values=vals, grid=self.grid)
 
     def conj_kernel(self) -> "TwoPointKernel":
-        return TwoPointKernel(
-            values=np.conj(self.values), grid=self.grid, symmetric=self.symmetric
-        )
+        return TwoPointKernel(values=np.conj(self.values), grid=self.grid)
 
     def adjoint(self) -> "TwoPointKernel":
-        return TwoPointKernel(
-            values=np.conj(self.values.T), grid=self.grid, symmetric=self.symmetric
-        )
+        return TwoPointKernel(values=np.conj(self.values.T), grid=self.grid)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.values @ (self.weight * f)
@@ -84,24 +79,19 @@ class TwoPointKernel:
 
 def identity_kernel(grid: GridSpec) -> TwoPointKernel:
     M = grid.points_per_axis**grid.dim
-    return TwoPointKernel(
-        values=np.eye(M, dtype=complex) / grid.cell, grid=grid, symmetric=True
-    )
+    return TwoPointKernel(values=np.eye(M, dtype=complex) / grid.cell, grid=grid)
 
 
 def pair_distances(grid: GridSpec) -> np.ndarray:
     """Minimum-image distances between all pairs of grid points."""
-    axes = grid.axes()
-    coords = np.stack(
-        np.meshgrid(*axes, indexing="ij"), axis=-1
-    ).reshape(-1, grid.dim)
-    L = grid.box_length
-    d2 = np.zeros((coords.shape[0], coords.shape[0]))
-    for c in range(grid.dim):
-        diff = coords[:, c][:, None] - coords[:, c][None, :]
-        diff = diff - L * np.round(diff / L)
-        d2 += diff**2
-    return np.sqrt(d2)
+    u2, n = grid._displacements() ** 2, grid.points_per_axis
+    idx = np.indices(grid.shape).reshape(grid.dim, -1)
+    return np.sqrt(sum(u2[np.subtract.outer(i, i) % n] for i in idx))
+
+
+def _pair_profile(grid: GridSpec, sol: ScatteringSolution, N: int) -> np.ndarray:
+    """-N w(N|x - y|) over all pairs of grid points."""
+    return -N * scaled_profile(sol, N, pair_distances(grid))
 
 
 def build_kt(phi: WaveFunction, sol: ScatteringSolution, N: int) -> TwoPointKernel:
@@ -115,11 +105,9 @@ def build_kt(phi: WaveFunction, sol: ScatteringSolution, N: int) -> TwoPointKern
             "core is unresolved on this grid",
             AccuracyWarning,
         )
-    dist = pair_distances(grid)
-    wN = scaled_profile(sol, N, dist)
     f = phi.values.reshape(-1)
-    vals = -N * wN * np.multiply.outer(f, f)
-    return TwoPointKernel(values=vals, grid=grid, symmetric=True)
+    vals = _pair_profile(grid, sol, N) * np.multiply.outer(f, f)
+    return TwoPointKernel(values=vals, grid=grid)
 
 
 def time_derivative_kt(
@@ -130,31 +118,29 @@ def time_derivative_kt(
     Product rule on the field factors only; the profile factor is static:
     -N w(N(x-y)) (phi_dot(x) phi(y) + phi(x) phi_dot(y)).
     """
-    grid = phi.grid
-    dist = pair_distances(grid)
-    wN = scaled_profile(sol, N, dist)
     f = phi.values.reshape(-1)
     g = phi_dot.reshape(-1)
-    vals = -N * wN * (np.multiply.outer(g, f) + np.multiply.outer(f, g))
-    return TwoPointKernel(values=vals, grid=grid, symmetric=True)
+    vals = _pair_profile(phi.grid, sol, N) * (
+        np.multiply.outer(g, f) + np.multiply.outer(f, g))
+    return TwoPointKernel(values=vals, grid=phi.grid)
+
+
+def _spectral_gradient(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
+    """[d_c values for each axis c]: spectral derivatives along the grid axes,
+    the leading `dim` axes of `values`; any further axes are carried along."""
+    axes = tuple(range(grid.dim))
+    spec = sfft.fftn(values, axes=axes, workers=grid.fft_workers)
+    ks = grid._open_axes(grid.k_axes(), values.ndim - grid.dim)
+    return [sfft.ifftn(spec * (1j * k), axes=axes, workers=grid.fft_workers)
+            for k in ks]
 
 
 def grad1_components(kernel: TwoPointKernel) -> list[np.ndarray]:
     """Spectral derivative of k(x, y) in each component of the first slot."""
     grid = kernel.grid
-    n, d = grid.points_per_axis, grid.dim
-    M = n**d
-    vals = kernel.values.reshape(grid.shape + (M,))
-    ks = grid.k_axes()
-    out = []
-    spec_x = sfft.fftn(vals, axes=tuple(range(d)), workers=grid.fft_workers)
-    for axis in range(d):
-        shape = [1] * (d + 1)
-        shape[axis] = n
-        spec = spec_x * (1j * ks[axis]).reshape(shape)
-        comp = sfft.ifftn(spec, axes=tuple(range(d)), workers=grid.fft_workers)
-        out.append(comp.reshape(M, M))
-    return out
+    vals = kernel.values.reshape(grid.shape + (-1,))
+    return [comp.reshape(kernel.values.shape)
+            for comp in _spectral_gradient(grid, vals)]
 
 
 def grad1_hs_norm(kernel: TwoPointKernel) -> float:
@@ -206,13 +192,10 @@ def hyperbolic_series(k: TwoPointKernel, tol: float = 1e-14) -> BogoliubovKernel
     partial = sum(norm_k**m / math.factorial(m) for m in range(2 * n + 2))
     tail = max(math.exp(norm_k) - partial, 0.0)
     grid = k.grid
-    p = TwoPointKernel(values=p_vals, grid=grid, symmetric=False)
-    r = TwoPointKernel(values=r_vals, grid=grid, symmetric=k.symmetric)
-    sh = TwoPointKernel(values=k.values + r_vals, grid=grid, symmetric=k.symmetric)
     return BogoliubovKernels(
-        p=p,
-        r=r,
-        sh=sh,
+        p=TwoPointKernel(values=p_vals, grid=grid),
+        r=TwoPointKernel(values=r_vals, grid=grid),
+        sh=TwoPointKernel(values=k.values + r_vals, grid=grid),
         series_terms_used=n,
         truncation_error_bound=tail,
     )
@@ -223,9 +206,7 @@ def bogoliubov_identity_defect(k: TwoPointKernel, tol: float = 1e-14) -> float:
     bk = hyperbolic_series(k, tol)
     grid = k.grid
     ident = identity_kernel(grid)
-    ch = TwoPointKernel(
-        values=ident.values + bk.p.values, grid=grid, symmetric=False
-    )
+    ch = TwoPointKernel(values=ident.values + bk.p.values, grid=grid)
     lhs = ch.compose(ch.adjoint()).values - bk.sh.compose(bk.sh.adjoint()).values
     return float(np.max(np.abs(lhs - ident.values))) * grid.cell
 
@@ -247,17 +228,13 @@ class KernelBoundReport:
 
 def _profile_extension(sol: ScatteringSolution, sigma_max: float, step: float):
     """(sigma, w, w') out to sigma_max: solved grid, then the a0/sigma tail."""
-    r, w, dw, a0 = sol.r_grid, sol.w, sol.dw_dr, sol.a0
+    r = sol.r_grid
     if sigma_max <= r[-1]:
-        m = r <= sigma_max
-        return r[m], w[m], dw[m]
-    n_ext = max(int(math.ceil((sigma_max - r[-1]) / step)), 8)
-    ext = np.linspace(r[-1], sigma_max, n_ext + 1)[1:]
-    return (
-        np.concatenate([r, ext]),
-        np.concatenate([w, a0 / ext]),
-        np.concatenate([dw, -a0 / ext**2]),
-    )
+        sig = r[r <= sigma_max]
+    else:
+        n_ext = max(int(math.ceil((sigma_max - r[-1]) / step)), 8)
+        sig = np.concatenate([r, np.linspace(r[-1], sigma_max, n_ext + 1)[1:]])
+    return sig, scaled_profile(sol, 1, sig), scaled_profile(sol, 1, sig, deriv=True)
 
 
 def _field_moments(phi: WaveFunction):
@@ -265,18 +242,9 @@ def _field_moments(phi: WaveFunction):
 
     The derivatives are spectral; j_c = d_c rho / 2.
     """
-    grid = phi.grid
-    ks = grid.k_axes()
-    spec = sfft.fftn(phi.values, workers=grid.fft_workers)
-    g1 = np.zeros(grid.shape)
-    j = []
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.points_per_axis
-        grad = sfft.ifftn(spec * (1j * ks[axis]).reshape(shape),
-                          workers=grid.fft_workers)
-        g1 += np.abs(grad) ** 2
-        j.append(np.real(np.conj(phi.values) * grad))
+    grads = _spectral_gradient(phi.grid, phi.values)
+    g1 = sum(np.abs(grad) ** 2 for grad in grads)
+    j = [np.real(np.conj(phi.values) * grad) for grad in grads]
     return np.abs(phi.values) ** 2, g1, j
 
 
@@ -324,14 +292,11 @@ def kernel_hs_norms(
     # |grad1 k|^2: profile-gradient part + cross + field-gradient part
     term_a = float(np.real(np.sum(f1_lat * np.abs(rho_hat) ** 2))) * pref
     term_b = float(np.real(np.sum(f0_lat * np.conj(g1_hat) * rho_hat))) * pref
-    ks = grid.k_axes()
     inv_kabs = np.where(kabs > 0, 1.0 / np.where(kabs > 0, kabs, 1.0), 0.0)
     term_c = 0.0
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = grid.points_per_axis
-        j_hat = sfft.fftn(j[axis], workers=grid.fft_workers)
-        mult = -1j * ks[axis].reshape(shape) * inv_kabs * fc_lat
+    for k, j_c in zip(grid._open_axes(grid.k_axes()), j):
+        j_hat = sfft.fftn(j_c, workers=grid.fft_workers)
+        mult = -1j * k * inv_kabs * fc_lat
         term_c += float(np.real(np.sum(np.conj(j_hat) * mult * rho_hat))) * pref
     l2_grad1_sq = term_a + term_b + term_c
 
@@ -348,50 +313,25 @@ def kernel_hs_norms(
 def _lattice_profile(grid: GridSpec, sol: ScatteringSolution, N: int, deriv: bool):
     """Samples of N w(N|u|) (or its radial derivative factor) on the lattice.
 
-    The origin cell is cell-averaged over the equal-volume ball so the
-    unresolved core carries its true integral weight instead of w(0).
+    u runs over the min-image displacements, u = 0 at index 0.  The origin
+    cell is cell-averaged over the equal-volume ball so the unresolved core
+    carries its true integral weight instead of w(0).
     """
-    axes = grid.axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    L = grid.box_length
-    shifted = [m - L * np.round(m / L) for m in mesh]
-    dist = np.sqrt(sum(m**2 for m in shifted))
-    # lattice axes start at -L/2; recenter so u = 0 sits at index 0
-    dist = np.roll(
-        dist, shift=[grid.points_per_axis // 2] * grid.dim,
-        axis=tuple(range(grid.dim)),
-    )
-    shifted = [
-        np.roll(s, shift=[grid.points_per_axis // 2] * grid.dim,
-                axis=tuple(range(grid.dim)))
-        for s in shifted
-    ]
-
-    sigma = N * dist
-    w_of = lambda s: np.interp(
-        s, sol.r_grid, sol.dw_dr if deriv else sol.w,
-        right=0.0,
-    )
-    r_max = sol.r_grid[-1]
-    a0 = sol.a0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = (-a0 / np.maximum(sigma, 1e-300) ** 2) if deriv \
-            else (a0 / np.maximum(sigma, 1e-300))
-    prof = np.where(sigma <= r_max, w_of(sigma), tail)
+    u = grid._displacements()
+    dist = np.sqrt(grid._mesh(np.add, u**2))
+    prof = scaled_profile(sol, N, dist, deriv)
 
     if deriv:
-        # vector components N^2 w'(N|u|) u_c/|u|; odd, zero at the origin
-        out = []
+        # vector components N^2 w'(N|u|) u_c/|u|; odd, zero at the origin and
+        # on the Nyquist plane u_c = -L/2, which is its own mirror image
+        u[grid.points_per_axis // 2] = 0.0
         inv = np.where(dist > 0, 1.0 / np.where(dist > 0, dist, 1.0), 0.0)
-        for s in shifted:
-            comp = N**2 * prof * s * inv
-            comp.reshape(-1)[0] = 0.0
-            out.append(comp)
-        return out
+        return [N**2 * prof * u_c * inv for u_c in grid._open_axes(u)]
 
     vals = N * prof
     # cell average over the equal-volume ball at the origin
     d = grid.dim
+    r_max, a0 = sol.r_grid[-1], sol.a0
     omega = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}[d]
     r_eq = (grid.cell * d / omega) ** (1.0 / d)
     s_eq = N * r_eq
@@ -521,14 +461,6 @@ def coarsen_field(phi: WaveFunction, n_coarse: int) -> WaveFunction:
     for axis in range(d):
         spec = np.take(spec, keep, axis=axis)
     vals = sfft.ifftn(spec, workers=grid.fft_workers) * (n_coarse / n) ** d
-    cgrid = GridSpec(
-        dim=d,
-        box_length=grid.box_length,
-        points_per_axis=n_coarse,
-        dt=grid.dt,
-        t_final=grid.t_final,
-        stability_budget=grid.stability_budget,
-        fft_workers=grid.fft_workers,
-    )
+    cgrid = replace(grid, points_per_axis=n_coarse)
     norm = math.sqrt(_mass(vals) * cgrid.cell)
     return WaveFunction(values=vals / norm, grid=cgrid)

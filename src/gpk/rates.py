@@ -16,13 +16,11 @@ class RateReport:
     x: np.ndarray
     y: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
-    monotone: bool = True
     note: str = ""
 
 
-def fit_rate(x, y, monotone: bool = True, note: str = "") -> RateReport:
+def fit_rate(x, y, note: str = "") -> RateReport:
     """Fit the scaling exponent of positive data y against x.
 
     Raises ConfigurationError with fewer than 3 points and DomainError if any
@@ -40,8 +38,8 @@ def fit_rate(x, y, monotone: bool = True, note: str = "") -> RateReport:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return RateReport(
-        x=x, y=y, slope=float(slope), intercept=float(intercept),
-        r_squared=max(0.0, min(1.0, r2)), monotone=monotone, note=note,
+        x=x, y=y, slope=float(slope), r_squared=max(0.0, min(1.0, r2)),
+        note=note,
     )
 
 
@@ -51,8 +49,6 @@ def degenerate_report(x, y, note: str) -> RateReport:
         x=np.asarray(x, dtype=float),
         y=np.asarray(y, dtype=float),
         slope=float("nan"),
-        intercept=float("nan"),
         r_squared=0.0,
-        monotone=True,
         note=note,
     )

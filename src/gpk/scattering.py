@@ -347,11 +347,12 @@ def verify_w_bounds(sol: ScatteringSolution) -> BoundCertificate:
     )
 
 
-def scaled_profile(sol: ScatteringSolution, N: int, r):
-    """w(N r): interpolated inside the support, a0/(N r) exactly outside.
+def scaled_profile(sol: ScatteringSolution, N: int, r, deriv: bool = False):
+    """w(N r), or w'(N r) with `deriv`: the solved samples interpolated out to
+    the end of the radial grid, the closed form a0/s (or -a0/s^2) beyond it.
 
-    The scattering length of the N-rescaled problem is a0/N, so outside the
-    scaled support the profile equals a0/(N r) in closed form.
+    Outside the support w = a0/s exactly, so the cut sits at the last solved
+    sample, where the profile and its closed form still agree.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -359,13 +360,11 @@ def scaled_profile(sol: ScatteringSolution, N: int, r):
     if np.any(r < 0):
         raise DomainError("radius must be non-negative")
     s = N * r
-    inside = s <= sol.potential.r_support if sol.potential.r_support > 0 else s < 0
+    inside = s <= sol.r_grid[-1]
     out = np.empty_like(s)
-    out[inside] = np.interp(s[inside], sol.r_grid, sol.w)
+    out[inside] = np.interp(s[inside], sol.r_grid, sol.dw_dr if deriv else sol.w)
     ss = s[~inside]
-    with np.errstate(divide="ignore"):
-        tail = np.where(ss > 0, sol.a0 / np.maximum(ss, 1e-300), sol.w[0])
-    out[~inside] = tail
+    out[~inside] = -sol.a0 / ss**2 if deriv else sol.a0 / ss
     return out if out.ndim else float(out)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
+from scipy.integrate import simpson
 
 from gpk.dynamics import (
     GridSpec,
@@ -14,9 +16,12 @@ from gpk.errors import DomainError
 from gpk.kernels import (
     BogoliubovKernels,
     TwoPointKernel,
+    _field_moments,
+    _lattice_profile,
     bogoliubov_identity_defect,
     build_kt,
     coarsen_field,
+    grad1_components,
     grad1_hs_norm,
     grad1_kkbar_hs_norm,
     hyperbolic_series,
@@ -46,7 +51,7 @@ def kgrid(n=64, L=16.0, dim=1):
 
 def rank_one_kernel(grid, c, phi):
     vals = c * np.multiply.outer(phi, phi)
-    return TwoPointKernel(values=vals, grid=grid, symmetric=True)
+    return TwoPointKernel(values=vals, grid=grid)
 
 
 def normalized_vector(grid, seed=0, real=True):
@@ -134,7 +139,7 @@ def test_series_norm_bounds_random_kernels():
         a = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
         a = 0.5 * (a + a.T)
         a *= rng.uniform(0.1, 1.5) / (np.linalg.norm(a) * grid.cell)
-        k = TwoPointKernel(values=a, grid=grid, symmetric=True)
+        k = TwoPointKernel(values=a, grid=grid)
         bk = hyperbolic_series(k)
         bound = math.exp(k.hs_norm())
         assert bk.p.hs_norm() <= bound
@@ -280,3 +285,126 @@ def test_gradient_bound_of_series_terms(square_sol):
     bound = math.exp(k.hs_norm()) * grad1_hs_norm(kk)
     assert grad1_hs_norm(bk.p) <= bound
     assert grad1_hs_norm(bk.r) <= bound
+
+
+# Reference implementations of the lattice geometry as first written: each
+# builds its own mesh, min-image shift and per-axis reshapes.  The shared
+# displacement table, per-axis broadcast and spectral gradient must reproduce
+# them bit for bit.
+
+def reference_pair_distances(grid):
+    coords = np.stack(
+        np.meshgrid(*grid.axes(), indexing="ij"), axis=-1
+    ).reshape(-1, grid.dim)
+    L = grid.box_length
+    d2 = np.zeros((coords.shape[0], coords.shape[0]))
+    for c in range(grid.dim):
+        diff = coords[:, c][:, None] - coords[:, c][None, :]
+        diff = diff - L * np.round(diff / L)
+        d2 += diff**2
+    return np.sqrt(d2)
+
+
+def reference_lattice_profile(grid, sol, N):
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    L = grid.box_length
+    shifted = [m - L * np.round(m / L) for m in mesh]
+    dist = np.sqrt(sum(m**2 for m in shifted))
+    dist = np.roll(dist, shift=[grid.points_per_axis // 2] * grid.dim,
+                   axis=tuple(range(grid.dim)))
+    sigma = N * dist
+    r_max, a0 = sol.r_grid[-1], sol.a0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = a0 / np.maximum(sigma, 1e-300)
+    vals = N * np.where(sigma <= r_max,
+                        np.interp(sigma, sol.r_grid, sol.w, right=0.0), tail)
+    d = grid.dim
+    omega = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}[d]
+    s_eq = N * (grid.cell * d / omega) ** (1.0 / d)
+    sgrid = np.linspace(0.0, min(s_eq, r_max), 513)
+    integ = simpson(np.interp(sgrid, sol.r_grid, sol.w) * sgrid ** (d - 1), x=sgrid)
+    if s_eq > r_max:
+        ext = np.linspace(r_max, s_eq, 513)
+        integ += simpson((a0 / ext) * ext ** (d - 1), x=ext)
+    vals.reshape(-1)[0] = omega * N / (grid.cell * N**d) * integ
+    return vals
+
+
+def reference_field_moments(phi):
+    grid = phi.grid
+    ks = grid.k_axes()
+    spec = sfft.fftn(phi.values)
+    g1 = np.zeros(grid.shape)
+    j = []
+    for axis in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[axis] = grid.points_per_axis
+        grad = sfft.ifftn(spec * (1j * ks[axis]).reshape(shape))
+        g1 += np.abs(grad) ** 2
+        j.append(np.real(np.conj(phi.values) * grad))
+    return np.abs(phi.values) ** 2, g1, j
+
+
+def reference_grad1_components(kernel):
+    grid = kernel.grid
+    n, d = grid.points_per_axis, grid.dim
+    M, cols = kernel.values.shape
+    vals = kernel.values.reshape(grid.shape + (cols,))
+    ks = grid.k_axes()
+    spec_x = sfft.fftn(vals, axes=tuple(range(d)))
+    out = []
+    for axis in range(d):
+        shape = [1] * (d + 1)
+        shape[axis] = n
+        comp = sfft.ifftn(spec_x * (1j * ks[axis]).reshape(shape),
+                          axes=tuple(range(d)))
+        out.append(comp.reshape(M, cols))
+    return out
+
+
+def moving_gaussian(grid):
+    """Off-centre Gaussian with a phase ramp: a field with a current."""
+    phi = gaussian_datum(grid, sigma=1.0, center=[0.5] * grid.dim)
+    ramp = np.exp(0.7j * sum(grid._open_axes(grid.axes()[0])))
+    return WaveFunction(values=phi.values * ramp, grid=grid)
+
+
+@pytest.mark.parametrize("dim,n,L", [(1, 64, 16.0), (2, 16, 12.0), (3, 16, 12.0)])
+def test_lattice_geometry_matches_reference(square_sol, dim, n, L):
+    grid = kgrid(n=n, L=L, dim=dim)
+    assert np.array_equal(pair_distances(grid), reference_pair_distances(grid))
+    for N in (2, 8):
+        assert np.array_equal(_lattice_profile(grid, square_sol, N, deriv=False),
+                              reference_lattice_profile(grid, square_sol, N))
+    phi = moving_gaussian(grid)
+    for got, ref in zip(_field_moments(phi), reference_field_moments(phi)):
+        assert np.array_equal(got, ref)
+    # the x-slot derivative acts column by column: at 3D a slab of columns
+    # keeps the dense 4096 x 4096 kernel out of the test
+    if dim < 3:
+        k = build_kt(phi, square_sol, N=2)
+    else:
+        slab = np.multiply.outer(phi.values.reshape(-1), np.arange(1.0, 9.0))
+        k = TwoPointKernel(values=slab, grid=grid)
+    for got, ref in zip(grad1_components(k), reference_grad1_components(k)):
+        assert np.array_equal(got, ref)
+
+
+def reflect(values, axis):
+    """values[-i mod n] along `axis`."""
+    return np.roll(np.flip(values, axis=axis), 1, axis=axis)
+
+
+@pytest.mark.parametrize("dim,n,L", [(1, 128, 16.0), (3, 16, 12.0)])
+def test_lattice_profile_parity_under_axis_reflections(square_sol, dim, n, L):
+    # w(N|u|) is even in each u_c; the components w'(N|u|) u_c/|u| are odd
+    # in u_c and even in the others, so they vanish on the self-mirrored
+    # Nyquist plane u_c = -L/2
+    grid = kgrid(n=n, L=L, dim=dim)
+    W = _lattice_profile(grid, square_sol, 4, deriv=False)
+    comps = _lattice_profile(grid, square_sol, 4, deriv=True)
+    for axis in range(dim):
+        assert np.array_equal(reflect(W, axis), W)
+        for c, comp in enumerate(comps):
+            sign = -1.0 if c == axis else 1.0
+            assert np.array_equal(reflect(comp, axis), sign * comp)

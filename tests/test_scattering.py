@@ -116,6 +116,12 @@ def test_scaled_profile():
     assert abs(scaled_profile(sol, 10, 1.0) - sol.a0 / 10.0) < 1e-12
     val = scaled_profile(sol, 10, np.array([0.5, 2.0]))
     assert np.allclose(val, sol.a0 / (10 * np.array([0.5, 2.0])))
+    # deriv: the solved w' on the solved grid, -a0/s^2 beyond it
+    assert np.array_equal(scaled_profile(sol, 1, sol.r_grid, deriv=True),
+                          sol.dw_dr)
+    beyond = np.array([1.0, 3.0])
+    assert np.array_equal(scaled_profile(sol, 10, beyond, deriv=True),
+                          -sol.a0 / (10 * beyond) ** 2)
     with pytest.raises(DomainError):
         scaled_profile(sol, 10, -1.0)
     with pytest.raises(DomainError):
