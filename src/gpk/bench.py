@@ -3,12 +3,13 @@
 Configs are INI files with sections [potential], [grid], [datum],
 [nonlinearity], [snapshots], [nsweep], [kernels], [fock], [output].  The
 pipeline is the stage table `STAGES`, driven by one loop in `run_pipeline`.
-A stage's key hashes the sections it reads (plus the bytes of a `file =`
-table) and the artifacts of the stages it needs, so an edit invalidates the
-stages that depend on it.  Config checks run on every invocation; numerical
-work runs only on a cache miss.  Summaries are read back from each stage's
-own artifacts and downstream stages read the profile from scattering.json,
-so artifacts do not depend on cache state.  Outputs are regenerated whole
+A stage's key hashes gpk's own sources, the sections it reads (plus the
+bytes of a `file =` table) and the artifacts of the stages it needs, so an
+edit of the code or the config invalidates the stages that depend on it.
+Config checks run on every invocation; numerical work runs only on a cache
+miss.  Summaries are read back from each stage's own artifacts and
+downstream stages read the profile from scattering.json, so artifacts do
+not depend on cache state.  Outputs are regenerated whole
 (CSV with RFC-4180 quoting, JSON with sorted keys) and are deterministic.
 """
 
@@ -280,9 +281,9 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_scattering_csv(sol: ScatteringSolution, path) -> None:
+    # Python floats, which the csv writer writes as their shortest repr
     _write_csv(path, ["r", "f", "w", "dw_dr"],
-               ([repr(r), repr(f), repr(w), repr(dw)]
-                for r, f, w, dw in zip(sol.r_grid, sol.f, sol.w, sol.dw_dr)))
+               zip(*(a.tolist() for a in (sol.r_grid, sol.f, sol.w, sol.dw_dr))))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +315,12 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
-# Layout version of the stage artifacts, part of every stage key: bump it
-# when a file's columns or fields change, so older artifacts are rebuilt.
-_ARTIFACT_LAYOUT = "3"
+@functools.cache
+def _source_digest() -> str:
+    """Digest of gpk's own sources, part of every stage key, so artifacts
+    written by other code are rebuilt.  Computed once per process."""
+    return _hash_text(*(f"{path.name} {_hash_file(path)}"
+                        for path in sorted(Path(__file__).parent.glob("*.py"))))
 
 _NORMS_COLUMNS = ("t", "l2", "energy", "h1", "h2", "h3", "h4", "tail_mass")
 
@@ -524,7 +528,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
     for stage in plan:
         paths = [outdir / name for name in stage.outputs]
         key = _hash_text(
-            stage.name, _ARTIFACT_LAYOUT,
+            stage.name, _source_digest(),
             *(_section_key(cfg, section) for section in stage.sections),
             *(digests[name] for name in stage.needs if name in digests),
         )

@@ -1,14 +1,18 @@
+import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gpk import bench
 from gpk.bench import (
     load_config,
     load_solution_json,
     dump_solution_json,
     run_pipeline,
+    write_scattering_csv,
 )
 from gpk.cli import main as cli_main
 from gpk.dynamics import GridSpec, gaussian_datum
@@ -93,6 +97,18 @@ def test_solution_json_round_trip(tmp_path):
     r = np.linspace(0.0, 2.0, 2001)
     assert np.array_equal(V2(r), V(r))
     assert V2.breakpoints == V.breakpoints
+
+
+def test_scattering_csv_cells_are_numbers(tmp_path):
+    sol = solve_zero_energy(RadialPotential.square_well(8.0, 1.0), 5.0, 2000)
+    path = tmp_path / "scattering.csv"
+    write_scattering_csv(sol, path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["r", "f", "w", "dw_dr"]
+    columns = zip(*([float(cell) for cell in row] for row in rows))
+    for got, want in zip(columns, (sol.r_grid, sol.f, sol.w, sol.dw_dr)):
+        assert np.array_equal(got, want)
 
 
 def test_missing_config_file():
@@ -398,6 +414,30 @@ n_values = 3 6 12
     # fock reads nothing from the scattering stage, nsweep does
     assert (outdir / "fock_report.json").stat().st_mtime_ns == fock_mtime
     assert (outdir / "rates.csv").read_bytes() != rates_before
+
+
+def test_artifacts_of_other_sources_are_rebuilt(tmp_path, monkeypatch):
+    ran = []
+
+    def recording(stage):
+        def run(inputs, *paths):
+            ran.append(stage.name)
+            stage.run(inputs, *paths)
+        return replace(stage, run=run)
+
+    monkeypatch.setattr(bench, "STAGES", tuple(map(recording, bench.STAGES)))
+    cfg = load_config(write_config(tmp_path))
+    with monkeypatch.context() as older:
+        older.setattr(bench, "_source_digest", lambda: "older gpk sources")
+        run_pipeline(cfg)
+    planned = ran[:]
+    assert planned == ["scattering", "evolve", "nsweep"]
+    ran.clear()
+    run_pipeline(cfg)
+    assert ran == planned
+    ran.clear()
+    run_pipeline(cfg)
+    assert ran == []
 
 
 def test_subcommands_run_only_their_stages(tmp_path, capsys):

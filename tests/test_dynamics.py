@@ -11,12 +11,14 @@ from gpk.dynamics import (
     NonlinearitySpec,
     Trajectory,
     WaveFunction,
+    _Stepper,
     _density_multiplier,
     _k_squared,
     _mass,
     _potential,
     _sobolev_multiplier,
     _tail_mask,
+    _unit_phase,
     compare_dynamics,
     constant_datum,
     evolve,
@@ -241,6 +243,31 @@ def test_batched_compare_dynamics_matches_separate_evolves(square_sol):
             want = l2_distance(evolve(psi0, nl, grid).states[-1],
                                ref.states[-1])
             assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_1d_stepper_transforms_equal_the_nd_transforms(square_sol):
+    # the 1D stepper runs fft/rfft along the last axis; the n-D transforms
+    # over the grid axis of the (member, x) stack must give the same bits
+    grid = grid1d(n=256)
+    uhat = NonlinearitySpec.modified(square_sol, N=8, grid=grid).uhat
+    nls = [NonlinearitySpec(kind="gp", coupling=3.0)] + [
+        NonlinearitySpec(kind="modified", coupling=uhat.at_zero, N=N, uhat=uhat)
+        for N in (8, 16, 32, 64)]
+    stepper = _Stepper(grid, nls)
+    values = np.stack([random_unit_field(grid, seed).values
+                       for seed in range(len(nls))])
+    axes = (1,)
+
+    rho_hat = sfft.rfftn(values.real**2 + values.imag**2, axes=axes)
+    angle = sfft.irfftn(rho_hat * stepper.density_multiplier, s=[grid.points_per_axis],
+                        axes=axes)
+    angle *= -grid.dt
+    kicked = _unit_phase(angle) * values
+    assert np.array_equal(stepper.kick(values, grid.dt), kicked)
+
+    for phase in (stepper.half_drift, stepper.full_drift):
+        drifted = sfft.ifftn(sfft.fftn(values, axes=axes) * phase, axes=axes)
+        assert np.array_equal(stepper.drift(values, phase), drifted)
 
 
 class _NanAbove:

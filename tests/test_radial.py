@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from gpk.errors import DomainError
 from gpk.kernels import _profile_extension
 from gpk.radial import (
     _PREFACTOR, _angular_kernel, _measure, _simpson_weights, radial_hat,
@@ -72,3 +76,76 @@ def test_radial_hat_transforms_a_stack_row_by_row(square_sol):
     for row, g in zip(stacked, (w**2, dw**2)):
         single = radial_hat(sig, g, p, 1)
         assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+def kernel_grid(sol, box_dim, points, length, N, n_p=384):
+    """The (sigma, w, w', p / N) on which `kernel_hs_norms` transforms for a
+    box_dim-dimensional grid of `points` per axis and side `length`."""
+    p_max = math.sqrt(box_dim) * math.pi * points / length * 1.0000001 + 1e-12
+    step = max(min(0.05, 2 * math.pi * N / p_max / 12.0), 1e-3)
+    sig, w, dw = _profile_extension(sol, N * length / 2, step)
+    return sig, w, dw, np.linspace(0.0, p_max, n_p) / N
+
+
+def long_double_transform(r, g, p, dim, ell):
+    """The Simpson-weighted kernel sum with kernel and sum in long double."""
+    weighted = (g * (_simpson_weights(r) * _measure(r, dim))).astype(np.longdouble)
+    z = np.multiply.outer(p.astype(np.longdouble), r.astype(np.longdouble))
+    if dim == 1:
+        kern = np.cos(z) if ell == 0 else np.sin(z)
+    else:
+        kern = np.where(z > 0, np.sin(z) / np.where(z > 0, z, 1), 1)
+    return _PREFACTOR[dim] * (weighted @ kern.T)
+
+
+# the grids of the reference pipeline's kernels stage (128 points on a box
+# of length 16 at N = 4, sigma to 32) and of criterion 5 (16^3 box of
+# length 12 at N = 32, sigma to 192)
+@pytest.mark.parametrize("box", [(1, 128, 16.0, 4), (3, 16, 12.0, 32)])
+@pytest.mark.parametrize("dim, ell", [(1, 0), (1, 1), (3, 0)])
+def test_radial_hat_round_off_at_most_the_kernel_matrix_one(
+        square_sol, box, dim, ell):
+    *_, length, N = box
+    sig, w, dw, p = kernel_grid(square_sol, *box)
+    assert sig[-1] == N * length / 2
+    for g in ((w**2, dw**2) if ell == 0 else (dw * w,)):
+        exact = long_double_transform(sig, g, p, dim, ell)
+        scale = float(np.max(np.abs(exact)))
+        matrix = _PREFACTOR[dim] * (
+            (g * (_simpson_weights(sig) * _measure(sig, dim)))
+            @ _angular_kernel(np.outer(p, sig), dim, ell).T)
+        err_matrix = float(np.max(np.abs(matrix - exact))) / scale
+        err = float(np.max(np.abs(radial_hat(sig, g, p, dim, ell) - exact))) / scale
+        assert err <= err_matrix
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 5])
+@pytest.mark.parametrize("dim, ell", [(1, 0), (1, 1), (3, 0)])
+def test_radial_hat_on_short_momentum_grids(square_sol, n_p, dim, ell):
+    sig, w, dw = _profile_extension(square_sol, 20.0, 0.05)
+    p = np.linspace(0.3, 7.0, n_p)
+    ref = outer_product_simpson(sig, w**2, p, dim, ell)
+    got = radial_hat(sig, w**2, p, dim, ell)
+    assert got.shape == (n_p,)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, ell", [(1, 0), (3, 0), (3, 1)])
+def test_radial_hat_rejects_non_uniform_momenta(square_sol, dim, ell):
+    sig, w, dw = _profile_extension(square_sol, 8.0, 0.05)
+    p = np.linspace(0.0, 4.0, 9) ** 2
+    with pytest.raises(DomainError, match="uniformly spaced"):
+        radial_hat(sig, w**2, p, dim, ell)
+
+
+def test_radial_hat_builds_no_momentum_by_radius_matrix(square_sol):
+    sig, w, dw, p = kernel_grid(square_sol, 1, 128, 16.0, 4)
+    assert (p.size, sig.size) == (384, 4541)
+    radial_hat(sig, w**2, p, 1)
+    tracemalloc.start()
+    try:
+        radial_hat(sig, w**2, p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * p.size * sig.size * 8
