@@ -48,7 +48,6 @@ from .fock import (
     check_TNT_inequality,
     check_weyl_relations,
     generator_cancellation_check,
-    onsite_tensor,
     toy_convergence_study,
     vacuum,
 )
@@ -144,34 +143,21 @@ def load_config(path) -> ExperimentConfig:
 
 
 def potential_from_config(cfg: ExperimentConfig) -> RadialPotential:
-    file_key = cfg.get("potential", "file", fallback=None)
+    """V from [potential]: a `file =` table, or a family and its parameters;
+    `rmax` and `points` belong to the solver."""
+    where = f"{cfg.path} [potential]"
+    spec = {key: val for key, val in cfg.parser.items("potential")
+            if key not in ("rmax", "points")}
+    file_key = spec.pop("file", None)
     if file_key:
+        if spec:
+            raise ConfigurationError(
+                f"{where}: file = takes no family parameters, got "
+                f"{', '.join(spec)}")
         return potential_from_file(file_key)
-    family = cfg.get("potential", "family", fallback=None)
-    if family is None:
-        raise ConfigurationError(
-            f"{cfg.path}: [potential] needs 'family' or 'file'"
-        )
-    return potential_from_spec(
-        family,
-        height=cfg.get_float("potential", "height", 8.0),
-        radius=cfg.get_float("potential", "radius", 1.0),
-        amplitude=cfg.get_float("potential", "amplitude", 1.0),
-        width=cfg.get_float("potential", "width", 1.0),
-    )
-
-
-def potential_from_spec(
-    family: str, height=8.0, radius=1.0, amplitude=1.0, width=1.0
-) -> RadialPotential:
-    family = family.strip().lower()
-    if family in ("square-well", "square_well", "square"):
-        return RadialPotential.square_well(height, radius)
-    if family == "gaussian":
-        return RadialPotential.gaussian(amplitude, width)
-    if family in ("zero", "free"):
-        return RadialPotential.zero()
-    raise ConfigurationError(f"unknown potential family {family!r}")
+    if "family" not in spec:
+        raise ConfigurationError(f"{where}: needs 'family' or 'file'")
+    return RadialPotential.from_spec(spec, where)
 
 
 def potential_from_file(path) -> RadialPotential:
@@ -230,8 +216,7 @@ def dump_solution_json(sol: ScatteringSolution, V: RadialPotential, path) -> dic
             "defect": sol.defect.tolist(),
         },
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    _write_json(path, payload)
     return payload
 
 
@@ -241,12 +226,7 @@ def load_solution_json(path):
     payload = _read_json(path)
     if "potential" not in payload:
         raise ConfigurationError(f"{path}: no potential spec; solve it again")
-    spec = dict(payload["potential"])
-    family = spec.pop("family")
-    if family == "table":
-        V = RadialPotential.from_table(spec["r"], spec["v"])
-    else:
-        V = potential_from_spec(family, **spec)
+    V = RadialPotential.from_spec(payload["potential"], str(path))
     prof = payload["profile"]
     sol = ScatteringSolution(
         r_grid=np.asarray(prof["r"]),
@@ -266,6 +246,12 @@ def load_solution_json(path):
 def _read_json(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def _write_json(path, payload, indent=None) -> None:
+    # json.dump to a file always takes the pure-Python encoder
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=indent))
 
 
 def _read_csv(path) -> list:
@@ -400,8 +386,7 @@ def _run_scattering(inp: _Inputs, scattering_json, scattering_csv,
     sol = solve_zero_energy(V, r_max, cfg.get_int("potential", "points", 4000))
     payload = dump_solution_json(sol, V, scattering_json)
     write_scattering_csv(sol, scattering_csv)
-    with open(summary_json, "w") as fh:
-        json.dump(scattering_summary(payload), fh, sort_keys=True)
+    _write_json(summary_json, scattering_summary(payload))
 
 
 def _summarize_scattering(scattering_json, scattering_csv, summary_json):
@@ -545,12 +530,9 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
         flags.extend(stage_flags)
 
     report = outdir / "report.json"
-    with open(report, "w") as fh:
-        json.dump(
-            {"stages": [s.name for s in plan], "artifacts": artifacts,
-             "summary": summary, "flags": flags},
-            fh, sort_keys=True, indent=1,
-        )
+    _write_json(report, {"stages": [s.name for s in plan],
+                         "artifacts": artifacts, "summary": summary,
+                         "flags": flags}, indent=1)
     artifacts["report"] = [str(report)]
     return ReportBundle(outdir=outdir, artifacts=artifacts, summary=summary,
                         flags=flags)
@@ -579,7 +561,7 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     phi0 = phi0 / norm
     scenario = ToyScenario(
         h=h,
-        v=onsite_tensor(u),
+        u=u,
         coupling=g,
         phi0=phi0,
         kappa0=cfg.get_float("fock", "kappa0", 0.0),
@@ -642,8 +624,7 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
         "trace_distances": [float(x) for x in rep.trace_distances],
         "number_expectations": [float(x) for x in numbers],
     }
-    with open(fock_json, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    _write_json(fock_json, payload)
     _write_csv(conv_csv, ["N", "t", "trace_distance", "number_expectation"],
                ([int(n), repr(rep.t), repr(float(dist)), repr(float(num))]
                 for n, dist, num in zip(rep.N_list, rep.trace_distances,

@@ -9,7 +9,6 @@ error, 4 invariant violation.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,6 @@ from .bench import (
     load_config,
     load_solution_json,
     potential_from_file,
-    potential_from_spec,
     run_pipeline,
     scattering_summary,
     write_kernel_bounds_csv,
@@ -27,33 +25,18 @@ from .bench import (
 )
 from .errors import ConfigurationError, GpkError
 from .fieldio import read_field
-from .scattering import RadialPotential, solve_zero_energy
+from .scattering import RadialPotential, potential_family, solve_zero_energy
 
 
 def _parse_potential_arg(spec: str) -> RadialPotential:
     """`square-well:height=8,radius=1`, `gaussian:amplitude=1e-3`, or a path."""
-    if ":" in spec or spec in ("square-well", "gaussian", "zero"):
-        name, _, params = spec.partition(":")
-        known = list(inspect.signature(potential_from_spec).parameters)[1:]
-        kwargs = {}
-        if params:
-            for item in params.split(","):
-                key, _, val = item.partition("=")
-                key = key.strip()
-                if key not in known:
-                    raise ConfigurationError(
-                        f"--potential {spec!r}: unknown parameter {key!r} "
-                        f"(expected one of {', '.join(known)})")
-                kwargs[key] = _number(val, f"--potential {spec!r}: {key}")
-        return potential_from_spec(name, **kwargs)
-    return potential_from_file(spec)
-
-
-def _number(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(f"{what} = {text!r} is not a number") from None
+    name, colon, params = spec.partition(":")
+    if not colon and potential_family(name) is None:
+        return potential_from_file(spec)
+    pairs = [item.partition("=") for item in params.split(",")] if params else []
+    return RadialPotential.from_spec(
+        {**{key.strip(): val for key, _, val in pairs}, "family": name},
+        f"--potential {spec!r}")
 
 
 def _existing(path: str, what: str) -> str:

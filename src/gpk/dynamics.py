@@ -49,6 +49,8 @@ from .rates import RateReport, degenerate_report, fit_rate
 _NORM_TOL = 1e-10
 _TAIL_BAND = 0.875  # spectral tail: any |k_i| >= band * k_max
 _TAIL_WARN = 1e-8  # tail mass above which Sobolev values may be aliased
+_STABILITY_BUDGET = 4.0 * math.pi  # max |dt| * k_max^2 phase per step
+_SOBOLEV_ORDERS = (1, 2, 3, 4)  # the H^n norms a report tracks
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class GridSpec:
     points_per_axis: int
     dt: float
     t_final: float
-    stability_budget: float = 4.0 * math.pi  # max |dt| * k_max^2 phase per step
     fft_workers: int = 1
 
     def __post_init__(self):
@@ -251,10 +252,10 @@ class NonlinearitySpec:
         return NonlinearitySpec(kind="gp", coupling=0.0, a0=0.0)
 
     @staticmethod
-    def modified(sol, N: int, grid: GridSpec, n_p: int = 512):
+    def modified(sol, N: int, grid: GridSpec):
         """Tabulate uhat from a scattering solution for use on `grid`."""
         p_max = math.sqrt(float(np.max(_k_squared(grid)))) + 1e-9
-        table = tabulate_interaction_transform(sol, grid.dim, p_max, n_p)
+        table = tabulate_interaction_transform(sol, grid.dim, p_max)
         a0 = sol.a0
         if grid.dim == 3:
             expected = 8.0 * math.pi * a0
@@ -302,10 +303,10 @@ class _Stepper:
                 for f in (sfft.fftn, sfft.ifftn, sfft.rfftn))
             self.irfft = functools.partial(sfft.irfftn, s=grid.shape, **axes)
         k2 = _k_squared(grid)
-        if abs(grid.dt) * float(np.max(k2)) > grid.stability_budget:
+        if abs(grid.dt) * float(np.max(k2)) > _STABILITY_BUDGET:
             raise ConfigurationError(
                 f"|dt| * k_max^2 = {abs(grid.dt) * float(np.max(k2)):.3g} exceeds "
-                f"the stability budget {grid.stability_budget}"
+                f"the stability budget {_STABILITY_BUDGET}"
             )
         self.full_drift = _unit_phase(-grid.dt * k2)
         self.half_drift = _unit_phase(-0.5 * grid.dt * k2)
@@ -547,9 +548,9 @@ def sobolev_norm(psi: WaveFunction, n: int) -> float:
     return _sobolev(psi.grid, n, _power(psi))
 
 
-def spectral_tail_mass(psi: WaveFunction, band: float = _TAIL_BAND) -> float:
-    """Fraction of spectral mass with any |k_i| at or beyond `band` * k_max."""
-    return _tail_fraction(psi.grid, band, _power(psi))
+def spectral_tail_mass(psi: WaveFunction) -> float:
+    """Fraction of spectral mass with any |k_i| at or beyond 7/8 of k_max."""
+    return _tail_fraction(psi.grid, _TAIL_BAND, _power(psi))
 
 
 def tail_warnings(times, tail_mass) -> list:
@@ -571,21 +572,19 @@ class SobolevReport:
     warnings: list
 
 
-def sobolev_report(
-    traj: Trajectory, nl: NonlinearitySpec, orders=(1, 2, 3, 4)
-) -> SobolevReport:
+def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
     """Norm and energy trajectories with aliasing warnings attached.
 
     Each snapshot costs one fftn of phi and one rfftn of |phi|^2; the tail
     mass, the Sobolev norms and the energy all come from those two spectra.
     """
-    h_norms = {n: [] for n in orders}
+    h_norms = {n: [] for n in _SOBOLEV_ORDERS}
     energies, tails = [], []
     for state in traj.states:
         grid = state.grid
         power = _power(state)
         tails.append(_tail_fraction(grid, _TAIL_BAND, power))
-        for n in orders:
+        for n in _SOBOLEV_ORDERS:
             h_norms[n].append(_sobolev(grid, n, power))
         rho_hat = _density_spectrum(state.values, grid.fft_workers)
         energies.append(_energy(grid, nl, power, rho_hat))

@@ -229,13 +229,12 @@ def annihilator_of(basis: FockBasis, f: np.ndarray) -> FockOperator:
 def hamiltonian(
     basis: FockBasis,
     h: np.ndarray,
-    v: Optional[np.ndarray] = None,
+    u: Optional[np.ndarray] = None,
     coupling: float = 0.0,
 ) -> FockOperator:
-    """Sum h_ij a_i^dag a_j + (coupling/2) sum v_ijkl a_i^dag a_j^dag a_k a_l.
+    """Sum h_ij a_i^dag a_j + (coupling/2) sum u_i a_i^dag a_i^dag a_i a_i.
 
-    h must be hermitian, v symmetric under the bosonic exchanges i<->j,
-    k<->l and hermitian under (ij)<->(lk) conjugation.
+    h must be hermitian; u holds the d real on-site weights.
     """
     h = np.asarray(h, dtype=complex)
     d = basis.d
@@ -244,30 +243,20 @@ def hamiltonian(
     ann, cre = all_ladders(basis)
     terms = [(h[i, j], cre[i].matrix @ ann[j].matrix)
              for i, j in zip(*np.nonzero(h))]
-    if v is not None and coupling != 0.0:
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (d, d, d, d):
-            raise DomainError("interaction tensor must be d^4")
-        if not (
-            np.allclose(v, v.transpose(1, 0, 2, 3), atol=1e-13)
-            and np.allclose(v, v.transpose(0, 1, 3, 2), atol=1e-13)
-            and np.allclose(v, np.conj(v.transpose(3, 2, 1, 0)), atol=1e-13)
-        ):
-            raise DomainError("interaction tensor lacks bosonic symmetry")
-        terms += [(0.5 * coupling * v[i, j, k, l],
-                   cre[i].matrix @ cre[j].matrix @ ann[k].matrix @ ann[l].matrix)
-                  for i, j, k, l in zip(*np.nonzero(v))]
+    if u is not None and coupling != 0.0:
+        u = _onsite_weights(u, d)
+        terms += [(0.5 * coupling * u[i],
+                   cre[i].matrix @ cre[i].matrix @ ann[i].matrix @ ann[i].matrix)
+                  for i in np.flatnonzero(u)]
     return FockOperator(matrix=_sparse_sum(basis, terms), basis=basis)
 
 
-def onsite_tensor(u) -> np.ndarray:
-    """Contact interaction tensor with per-mode weights u_i."""
+def _onsite_weights(u, d: int) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    d = u.size
-    v = np.zeros((d, d, d, d))
-    for i in range(d):
-        v[i, i, i, i] = u[i]
-    return v
+    if u.shape != (d,):
+        raise DomainError(
+            f"on-site weights need d = {d} values, got shape {u.shape}")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -665,12 +654,12 @@ _CUTOFF_BASE = 8
 class ToyScenario:
     """Mean-field-like interacting scenario over d modes.
 
-    The Hamiltonian is sum h a^dag a + (g/2N) sum v a^dag a^dag a a; initial
-    states are W(sqrt(N) phi0) T(K0) psi with K0 = -kappa0 phi0 phi0^T.
+    The Hamiltonian is sum h a^dag a + (g/2N) sum u_i a_i^dag a_i^dag a_i a_i;
+    initial states are W(sqrt(N) phi0) T(K0) psi with K0 = -kappa0 phi0 phi0^T.
     """
 
     h: np.ndarray
-    v: np.ndarray
+    u: np.ndarray
     coupling: float
     phi0: np.ndarray
     kappa0: float
@@ -685,17 +674,16 @@ class ToyScenario:
 
 
 def mean_field_trajectory(
-    h: np.ndarray, v: np.ndarray, g: float, phi0: np.ndarray,
+    h: np.ndarray, u: np.ndarray, g: float, phi0: np.ndarray,
     t_final: float, dt: float,
 ):
     """RK4 integration of the limiting one-body equation
-    i dphi = h phi + g sum_jkl v_ijkl conj(phi_j) phi_k phi_l."""
+    i dphi_i = (h phi)_i + g u_i |phi_i|^2 phi_i."""
     h = np.asarray(h, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u = _onsite_weights(u, h.shape[0])
 
     def rhs(phi):
-        nl = np.einsum("ijkl,j,k,l->i", v, np.conj(phi), phi, phi)
-        return -1j * (h @ phi + g * nl)
+        return -1j * (h @ phi + g * (u * (np.conj(phi) * phi) * phi))
 
     steps = max(1, int(round(abs(t_final) / dt)))
     dt = t_final / steps
@@ -729,7 +717,7 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     d = scenario.phi0.size
     g = scenario.coupling
     times, orbit = mean_field_trajectory(
-        scenario.h, scenario.v, g, scenario.phi0, scenario.t_final, _ODE_DT,
+        scenario.h, scenario.u, g, scenario.phi0, scenario.t_final, _ODE_DT,
     )
 
     def orbit_at(t):
@@ -742,7 +730,7 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     distances, numbers = [], []
     for N in scenario.N_list:
         basis = build_basis(d, scenario.cutoff_for(N))
-        H = hamiltonian(basis, scenario.h, scenario.v, coupling=g / N)
+        H = hamiltonian(basis, scenario.h, scenario.u, coupling=g / N)
 
         def f_traj(t):
             return math.sqrt(N) * orbit_at(t)
@@ -811,7 +799,7 @@ def generator_cancellation_check(
     phi = np.asarray(phi, dtype=float)
     if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
         raise DomainError("mode vector must be real and normalized")
-    u = np.asarray(u, dtype=float)
+    u = _onsite_weights(u, basis.d)
     if kappa is None:
         kappa = N * omega
 

@@ -43,6 +43,9 @@ from .scattering import (
 # defect may exceed the raw equation defect by at most this factor
 CANCELLATION_BUDGET_FACTOR = 10.0
 
+# momenta of the radial transform tables in kernel_hs_norms
+_KERNEL_MOMENTA = 384
+
 
 # ---------------------------------------------------------------------------
 # dense two-point kernels
@@ -248,9 +251,7 @@ def _field_moments(phi: WaveFunction):
     return np.abs(phi.values) ** 2, g1, j
 
 
-def kernel_hs_norms(
-    phi: WaveFunction, sol: ScatteringSolution, N: int, n_p: int = 384
-):
+def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     """(|k|_2, |grad1 k|_2, sup_x |k(., x)|_2) by radial-spectral reduction.
 
     The w-dependence enters through exact radial transforms of the solved
@@ -268,7 +269,7 @@ def kernel_hs_norms(
     step = max(min(0.05, 2 * math.pi * N / p_max / 12.0), 1e-3)
     sig, wv, dwv = _profile_extension(sol, sigma_max, step)
 
-    p_tab = np.linspace(0.0, p_max, n_p)
+    p_tab = np.linspace(0.0, p_max, _KERNEL_MOMENTA)
     # F0 = N^2 w(Ns)^2   -> N^(2-d) * hat[w^2](p / N)
     # F1 = N^4 w'(Ns)^2  -> N^(4-d) * hat[w'^2](p / N)
     f0, f1 = radial_hat(sig, np.stack([wv**2, dwv**2]), p_tab / N, d)
@@ -405,7 +406,6 @@ def kernel_bound_report(
     phi: WaveFunction,
     sol: ScatteringSolution,
     N_list,
-    with_kkbar: bool = True,
 ) -> list[KernelBoundReport]:
     """Norm scaling report across N: the ratios |k|, |grad1 k|/sqrt(N),
     |grad1 (k kbar)| and sup-slice are expected flat in N.  Each entry also
@@ -416,9 +416,7 @@ def kernel_bound_report(
     ratio = pointwise_ratio(sol)
     for N in N_list:
         l2k, l2g1, sup_slice = kernel_hs_norms(phi, sol, int(N))
-        kkbar = (
-            grad1_kkbar_hs_norm(phi, sol, int(N)) if with_kkbar else float("nan")
-        )
+        kkbar = grad1_kkbar_hs_norm(phi, sol, int(N))
         reports.append(
             KernelBoundReport(
                 N=int(N),

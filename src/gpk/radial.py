@@ -64,6 +64,9 @@ def _measure(r: np.ndarray, dim: int) -> np.ndarray:
 
 _PREFACTOR = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
+# momenta of the interaction-transform table, uniform on [0, p_max]
+_INTERACTION_MOMENTA = 512
+
 
 def _simpson_weights(x: np.ndarray) -> np.ndarray:
     """Weights w with w @ y == scipy.integrate.simpson(y, x=x) up to round-off.
@@ -192,7 +195,7 @@ class RadialTransformTable:
         return float(self.values[0])
 
 
-def tabulate_interaction_transform(sol, dim: int, p_max: float, n_p: int = 512):
+def tabulate_interaction_transform(sol, dim: int, p_max: float):
     """Transform table of the pair product V(r) f(r) from a solved profile.
 
     At p = 0 and dim = 3 the value is the full volume integral of V f, i.e.
@@ -201,8 +204,8 @@ def tabulate_interaction_transform(sol, dim: int, p_max: float, n_p: int = 512):
     edge samples, so jumps cost no quadrature order.
     """
     r = sol.r_grid
-    p = np.linspace(0.0, p_max, n_p)
-    vals = np.zeros(n_p)
+    p = np.linspace(0.0, p_max, _INTERACTION_MOMENTA)
+    vals = np.zeros(p.size)
     for lo, hi, v in potential_pieces(sol.potential, r):
         vals += radial_hat(r[lo : hi + 1], v * sol.f[lo : hi + 1], p, dim)
     return RadialTransformTable(p=p, values=vals, dim=dim)

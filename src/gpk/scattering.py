@@ -34,29 +34,15 @@ class RadialPotential:
     """Spherically symmetric, non-negative interaction profile.
 
     `profile` evaluates V(r) pointwise; `breakpoints` lists radii where V is
-    discontinuous (the solver aligns its grid with them).  `samples_r` and
-    `samples_v` are a reference tabulation, checked for sign and support.
-    `spec` names the constructor and its arguments (the family and its
-    parameters, or the radius/value table), so a stored spec rebuilds V
-    exactly.
+    discontinuous (the solver aligns its grid with them).  `spec` names the
+    constructor and its arguments (the family and its parameters, or the
+    radius/value table); `from_spec` rebuilds V from it exactly.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
     r_support: float
     breakpoints: tuple[float, ...] = ()
-    samples_r: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    samples_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     spec: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.samples_v.size and np.min(self.samples_v) < 0:
-            raise DomainError("potential samples must be non-negative")
-        if self.samples_v.size:
-            outside = self.samples_r > self.r_support
-            if np.any(np.abs(self.samples_v[outside]) > 1e-12):
-                raise InvariantViolation(
-                    "potential samples do not vanish beyond r_support"
-                )
 
     def __call__(self, r):
         return self.profile(np.asarray(r, dtype=float))
@@ -78,13 +64,10 @@ class RadialPotential:
         def v(r):
             return np.where(r < radius, height, 0.0)
 
-        rs = np.linspace(0.0, 2 * radius, 257)
         return RadialPotential(
             profile=v,
             r_support=radius,
             breakpoints=(radius,),
-            samples_r=rs,
-            samples_v=v(rs),
             spec={"family": "square-well", "height": height, "radius": radius},
         )
 
@@ -103,12 +86,9 @@ class RadialPotential:
         def v(r):
             return np.where(r <= support, raw(r), 0.0)
 
-        rs = np.linspace(0.0, support, 257)
         return RadialPotential(
             profile=v,
             r_support=support,
-            samples_r=rs,
-            samples_v=v(rs),
             spec={"family": "gaussian", "amplitude": amplitude, "width": width},
         )
 
@@ -135,10 +115,57 @@ class RadialPotential:
         return RadialPotential(
             profile=prof,
             r_support=support,
-            samples_r=r,
-            samples_v=prof(r),
             spec={"family": "table", "r": r.tolist(), "v": v.tolist()},
         )
+
+    @staticmethod
+    def from_spec(spec: dict, where: str = "potential spec") -> "RadialPotential":
+        """The inverse of `spec`: V from a family name and its parameters, or
+        from the r/v table.  Parameters may be numbers or number strings;
+        those left out take the family's defaults.  An unknown family, a
+        parameter the family does not take or a value that is not a number
+        raises ConfigurationError naming `where`."""
+        params = dict(spec)
+        name = str(params.pop("family", ""))
+        family = potential_family(name)
+        if family is None:
+            raise ConfigurationError(f"{where}: unknown potential family {name!r}")
+        build, defaults = _FAMILIES[family]
+        for key in params:
+            if key not in defaults:
+                raise ConfigurationError(
+                    f"{where}: unknown parameter {key!r} for family {family!r} "
+                    f"(expected {', '.join(defaults) or 'none'})")
+        return build(**{key: _numbers(params.get(key, default), f"{where}: {key}")
+                        for key, default in defaults.items()})
+
+
+# The one table of potential families: constructor and parameters with their
+# defaults (None: required), and the other spellings of the family names.
+_FAMILIES = {
+    "square-well": (RadialPotential.square_well, {"height": 8.0, "radius": 1.0}),
+    "gaussian": (RadialPotential.gaussian, {"amplitude": 1.0, "width": 1.0}),
+    "zero": (RadialPotential.zero, {}),
+    "table": (RadialPotential.from_table, {"r": None, "v": None}),
+}
+_SPELLINGS = {"square_well": "square-well", "square": "square-well",
+              "free": "zero"}
+
+
+def potential_family(name: str):
+    """The family a name spells, or None."""
+    name = name.strip().lower()
+    name = _SPELLINGS.get(name, name)
+    return name if name in _FAMILIES else None
+
+
+def _numbers(value, what: str):
+    """A float, or an array for a table column, from numbers or strings."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} = {value!r} is not a number") from None
+    return float(out) if out.ndim == 0 else out
 
 
 def _mass_support(v, guess: float) -> float:

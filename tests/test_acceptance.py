@@ -33,7 +33,6 @@ from gpk.fock import (
     coherent_state,
     generator_cancellation_check,
     number_expectation,
-    onsite_tensor,
     poisson_shell_mass,
     toy_convergence_study,
     vacuum,
@@ -314,7 +313,7 @@ def test_criterion_10_toy_convergence():
     start = time.perf_counter()
     scenario = ToyScenario(
         h=np.array([[0.0, -1.0], [-1.0, 0.2]]),
-        v=onsite_tensor([1.0, 1.0]),
+        u=np.array([1.0, 1.0]),
         coupling=0.5,
         phi0=np.array([1.0, 0.0]),
         kappa0=0.2,

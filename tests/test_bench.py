@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,10 @@ from gpk.bench import (
     write_scattering_csv,
 )
 from gpk.cli import main as cli_main
-from gpk.dynamics import GridSpec, gaussian_datum
+from gpk.dynamics import GridSpec, WaveFunction, gaussian_datum
 from gpk.errors import ConfigurationError, DomainError
-from gpk.fieldio import read_field, write_field
+from gpk.fieldio import read_field, read_kernel, write_field, write_kernel
+from gpk.kernels import TwoPointKernel
 from gpk.rates import fit_rate
 from gpk.scattering import RadialPotential, solve_zero_energy
 
@@ -81,6 +83,31 @@ def test_field_io_round_trip(tmp_path):
     assert t == 0.25
     assert back.grid.dim == 2 and back.grid.points_per_axis == 16
     assert np.array_equal(back.values, psi.values)
+
+
+def test_dumps_round_trip_every_bit(tmp_path):
+    # signed zeros and non-finite parts must come back as written
+    grid = GridSpec(dim=1, box_length=8.0, points_per_axis=16, dt=1e-3,
+                    t_final=0.0)
+    odd = [complex(-0.0, 1.0), complex(-0.0, -0.0), complex(1.0, math.inf),
+           complex(math.nan, -0.0)]
+    vals = gaussian_datum(grid).values.astype(complex)
+    vals[:4] = odd
+    write_field(tmp_path / "f.bin", WaveFunction(values=vals, grid=grid))
+    back, _ = read_field(tmp_path / "f.bin")
+    assert back.values.tobytes() == vals.tobytes()
+    kvals = np.ones((16, 16), dtype=complex)
+    kvals[0, :4] = odd
+    write_kernel(tmp_path / "k.bin", TwoPointKernel(values=kvals, grid=grid), 4)
+    assert read_kernel(tmp_path / "k.bin")[0].tobytes() == kvals.tobytes()
+
+
+def test_dump_header_with_a_corrupt_dim_is_rejected(tmp_path):
+    # a dim of 2^31 must be refused before it sizes the values
+    path = tmp_path / "f.bin"
+    path.write_bytes(struct.pack("<4sIII d d", b"GPKF", 1, 2**31, 16, 1.0, 0.0))
+    with pytest.raises(ConfigurationError, match="not a gpk field dump"):
+        read_field(path)
 
 
 def test_solution_json_round_trip(tmp_path):
@@ -311,8 +338,6 @@ def test_kernel_dump_round_trip(tmp_path, capsys):
         "--scattering", str(scatter_csv.with_suffix(".json")),
         "--N", "2", "--out", str(tmp_path / "kd"), "--dump-kernels",
     ]) == 0
-    from gpk.fieldio import read_kernel
-
     vals, dim, n, N, L = read_kernel(tmp_path / "kd" / "kernel_N2.bin")
     assert (dim, n, N, L) == (1, 32, 2, 16.0)
     assert np.array_equal(vals, vals.T)  # symmetric by construction
@@ -392,6 +417,16 @@ directory = {{outdir}}
     assert V.spec == {"family": "table", "r": [0.0, 1.0, 1.1, 2.0],
                       "v": [4.0, 4.0, 0.0, 0.0]}
     assert sol.a0 == second
+
+
+def test_potential_table_file_takes_no_family_keys(tmp_path):
+    table = tmp_path / "well.txt"
+    table.write_text("0.0 8.0\n1.0 8.0\n1.1 0.0\n2.0 0.0\n")
+    text = f"[potential]\nfile = {table}\nheight = 4.0\n\n[output]\n" \
+        "directory = {outdir}\n"
+    cfg = load_config(write_config(tmp_path, text))
+    with pytest.raises(ConfigurationError, match="no family parameters, got height"):
+        run_pipeline(cfg)
 
 
 def test_stage_keys_follow_real_dependencies(tmp_path):
@@ -497,6 +532,7 @@ def test_malformed_number_list_is_a_configuration_error(tmp_path):
 @pytest.mark.parametrize("spec, what", [
     ("gaussian:amp=1", "unknown parameter 'amp'"),
     ("gaussian:amplitude=abc", "is not a number"),
+    ("gaussian:height=4", "unknown parameter 'height' for family 'gaussian'"),
     ("no_such_table.txt", "does not exist"),
 ])
 def test_cli_bad_potential_argument_exits_2(tmp_path, capsys, spec, what):
@@ -527,6 +563,33 @@ def test_cli_kernels_missing_input_files_exit_2(tmp_path, capsys):
         assert f"{flag} " in capsys.readouterr().err
     assert cli_main(["kernels", *(x for kv in good.items() for x in kv),
                      "--N", "2,x", "--out", str(tmp_path / "kout")]) == 2
+
+
+def test_cli_kernels_truncated_field_dump_exits_2(tmp_path, capsys):
+    scatter_csv = tmp_path / "s.csv"
+    assert cli_main([
+        "scattering", "--potential", "square-well:height=8,radius=1",
+        "--rmax", "5.0", "--points", "2000", "--out", str(scatter_csv),
+    ]) == 0
+    grid = GridSpec(dim=1, box_length=16.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.0)
+    field_path = tmp_path / "phi.bin"
+    write_field(field_path, gaussian_datum(grid))
+    field_path.write_bytes(field_path.read_bytes()[:-3])
+    capsys.readouterr()
+    code = cli_main(["kernels", "--phi", str(field_path),
+                     "--scattering", str(scatter_csv.with_suffix(".json")),
+                     "--N", "2", "--out", str(tmp_path / "kout")])
+    assert code == 2
+    assert "field dump holds" in capsys.readouterr().err
+
+
+def test_misspelled_potential_key_exits_2(tmp_path, capsys):
+    text = BASE_CONFIG.replace("height = 8.0", "heigth = 4.0")
+    assert cli_main(["run", str(write_config(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert "unknown parameter 'heigth' for family 'square-well'" in err
+    assert "expected height, radius" in err
 
 
 def test_warm_rerun_never_parses_the_scattering_profile(tmp_path, monkeypatch):

@@ -33,7 +33,6 @@ from gpk.fock import (
     mode_hyperbolic,
     number_expectation,
     number_operator,
-    onsite_tensor,
     poisson_shell_mass,
     product_state,
     project_N,
@@ -144,10 +143,60 @@ def test_hamiltonian_free_single_particle_block():
     assert np.allclose(block, h)
 
 
+def _tensor_hamiltonian(basis, h, v, coupling):
+    """The former d^4-tensor build of the Hamiltonian, kept as the reference
+    for the on-site weights."""
+    h = np.asarray(h, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    ann, cre = all_ladders(basis)
+    terms = [(h[i, j], cre[i].matrix @ ann[j].matrix)
+             for i, j in zip(*np.nonzero(h))]
+    terms += [(0.5 * coupling * v[i, j, k, l],
+               cre[i].matrix @ cre[j].matrix @ ann[k].matrix @ ann[l].matrix)
+              for i, j, k, l in zip(*np.nonzero(v))]
+    m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for coeff, mat in terms:
+        m = m + coeff * mat
+    return m.tocsr()
+
+
+def _onsite_tensor(u):
+    d = len(u)
+    v = np.zeros((d, d, d, d))
+    for i in range(d):
+        v[i, i, i, i] = u[i]
+    return v
+
+
+def _random_toy(d, seed):
+    """Hermitian h, on-site weights u (one zero at d = 3) and a unit phi0."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    u = rng.uniform(0.2, 1.5, d)
+    if d == 3:
+        u[1] = 0.0
+    phi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return 0.5 * (a + a.conj().T), u, phi0 / np.linalg.norm(phi0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hamiltonian_weights_equal_the_tensor_build(d):
+    h, u, _ = _random_toy(d, d)
+    b = build_basis(d, 6)
+    H = hamiltonian(b, h, u, coupling=0.7)
+    ref = _tensor_hamiltonian(b, h, _onsite_tensor(u), 0.7)
+    assert np.array_equal(H.to_dense(), ref.toarray())
+
+
+def test_hamiltonian_rejects_weights_of_the_wrong_length():
+    with pytest.raises(DomainError, match="d = 2"):
+        hamiltonian(build_basis(2, 3), np.eye(2), [1.0, 1.0, 1.0], coupling=0.5)
+
+
 def test_hamiltonian_commutes_with_number():
     b = build_basis(2, 5)
     h = np.array([[0.0, -1.0], [-1.0, 0.5]])
-    H = hamiltonian(b, h, onsite_tensor([1.0, 1.0]), coupling=0.7)
+    H = hamiltonian(b, h, np.array([1.0, 1.0]), coupling=0.7)
     N = number_operator(b)
     comm = H.matrix @ N.matrix - N.matrix @ H.matrix
     assert abs(comm).max() == 0.0
@@ -158,8 +207,8 @@ def test_bose_hubbard_ground_energy_oracle():
     J, U = 1.0, 0.6
     b = build_basis(2, 4)
     h = np.array([[0.0, -J], [-J, 0.0]])
-    v = onsite_tensor([1.0, 1.0])
-    H = hamiltonian(b, h, v, coupling=U)
+    u = np.array([1.0, 1.0])
+    H = hamiltonian(b, h, u, coupling=U)
 
     dense = np.zeros((b.dim, b.dim))
     occs = [tuple(map(int, o)) for o in b.occupations]
@@ -396,10 +445,42 @@ def test_fluctuation_free_coherent_stays_vacuum():
     assert number_expectation(out) < 1e-8
 
 
+def _einsum_orbit(h, v, g, phi0, t_final, dt):
+    """The former d^4-tensor RK4 orbit, kept as the reference."""
+    h = np.asarray(h, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+
+    def rhs(phi):
+        nl = np.einsum("ijkl,j,k,l->i", v, np.conj(phi), phi, phi)
+        return -1j * (h @ phi + g * nl)
+
+    steps = max(1, int(round(abs(t_final) / dt)))
+    dt = t_final / steps
+    phi = np.asarray(phi0, dtype=complex).copy()
+    out = [phi.copy()]
+    for _ in range(steps):
+        k1 = rhs(phi)
+        k2 = rhs(phi + 0.5 * dt * k1)
+        k3 = rhs(phi + 0.5 * dt * k2)
+        k4 = rhs(phi + dt * k3)
+        phi = phi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(phi.copy())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mean_field_trajectory_matches_the_tensor_orbit(d):
+    h, u, phi0 = _random_toy(d, 10 + d)
+    times, orbit = mean_field_trajectory(h, u, 0.8, phi0, 0.5, 1e-3)
+    ref = _einsum_orbit(h, _onsite_tensor(u), 0.8, phi0, 0.5, 1e-3)
+    assert times.size == 501
+    assert np.max(np.abs(orbit - ref)) <= 1e-14
+
+
 def test_mean_field_trajectory_norm_preserved():
     h = np.array([[0.0, -1.0], [-1.0, 0.3]])
-    v = onsite_tensor([1.0, 0.7])
-    _, orbit = mean_field_trajectory(h, v, 0.8, np.array([1.0, 0.0]), 0.5, 1e-3)
+    u = np.array([1.0, 0.7])
+    _, orbit = mean_field_trajectory(h, u, 0.8, np.array([1.0, 0.0]), 0.5, 1e-3)
     norms = np.linalg.norm(orbit, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
@@ -407,7 +488,7 @@ def test_mean_field_trajectory_norm_preserved():
 def test_toy_study_zero_interaction_degenerate():
     scenario = ToyScenario(
         h=np.array([[0.0, -1.0], [-1.0, 0.0]]),
-        v=onsite_tensor([1.0, 1.0]),
+        u=np.array([1.0, 1.0]),
         coupling=0.0,
         phi0=np.array([1.0, 0.0]),
         kappa0=0.0,
@@ -423,7 +504,7 @@ def test_toy_study_zero_interaction_degenerate():
 def test_toy_study_interacting_small():
     scenario = ToyScenario(
         h=np.array([[0.0, -1.0], [-1.0, 0.2]]),
-        v=onsite_tensor([1.0, 1.0]),
+        u=np.array([1.0, 1.0]),
         coupling=0.5,
         phi0=np.array([1.0, 0.0]),
         kappa0=0.2,
@@ -456,7 +537,7 @@ def test_generator_cancellation():
 def test_evolve_state_unitary():
     b = build_basis(2, 10)
     h = np.array([[0.1, -0.8], [-0.8, -0.2]])
-    H = hamiltonian(b, h, onsite_tensor([1.0, 1.0]), coupling=0.4)
+    H = hamiltonian(b, h, np.array([1.0, 1.0]), coupling=0.4)
     psi = coherent_state(b, np.array([0.7, 0.3]))
     out = evolve_state(H, psi, 1.3)
     assert out.norm() == pytest.approx(psi.norm(), abs=1e-10)
@@ -476,7 +557,7 @@ def test_fluctuation_leakage_names_factor():
 def test_evolve_state_matches_dense_oracle():
     b = build_basis(2, 10)
     h = np.array([[0.3, -0.7], [-0.7, -0.1]])
-    H = hamiltonian(b, h, onsite_tensor([0.8, 1.1]), coupling=0.5)
+    H = hamiltonian(b, h, np.array([0.8, 1.1]), coupling=0.5)
     psi = coherent_state(b, np.array([0.5, 0.4j]))
     t = 0.9
     dense = expm(-1j * t * H.to_dense()) @ psi.coefficients
@@ -488,7 +569,7 @@ def reference_scenario(**changes):
     """The [fock] scenario of configs/reference.ini."""
     params = dict(
         h=np.array([[0.0, -1.0], [-1.0, 0.2]]),
-        v=onsite_tensor([1.0, 1.0]),
+        u=np.array([1.0, 1.0]),
         coupling=0.5,
         phi0=np.array([1.0, 0.0]),
         kappa0=0.2,

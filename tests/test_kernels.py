@@ -212,7 +212,7 @@ def test_radial_norms_match_dense_route(square_sol):
 def test_bound_report_flat_in_1d_has_entries(square_sol):
     grid = kgrid(n=128, L=16.0)
     phi = gaussian_datum(grid, sigma=1.0)
-    reports = kernel_bound_report(phi, square_sol, [2, 4], with_kkbar=False)
+    reports = kernel_bound_report(phi, square_sol, [2, 4])
     assert len(reports) == 2
     for rep in reports:
         assert rep.l2_k > 0 and np.isfinite(rep.l2_grad1_k)
