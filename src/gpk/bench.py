@@ -164,7 +164,15 @@ def potential_from_file(path) -> RadialPotential:
     """V from a two-column (radius, value) table file."""
     if not Path(path).is_file():
         raise ConfigurationError(f"potential table {path} does not exist")
-    table = np.loadtxt(path)
+    try:
+        table = np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"potential table {path} is not a table of numbers: {exc}"
+        ) from None
+    if table.shape[1] != 2 or table.size == 0:
+        raise ConfigurationError(
+            f"potential table {path} needs rows of two numbers (radius, value)")
     return RadialPotential.from_table(table[:, 0], table[:, 1])
 
 
@@ -223,7 +231,11 @@ def dump_solution_json(sol: ScatteringSolution, V: RadialPotential, path) -> dic
 def load_solution_json(path):
     """Rebuild (solution, potential) from a scattering artifact; V comes from
     its stored spec, with its exact values and breakpoints."""
-    payload = _read_json(path)
+    try:
+        payload = _read_json(path)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{path} is not a JSON scattering artifact: {exc}") from None
     if "potential" not in payload:
         raise ConfigurationError(f"{path}: no potential spec; solve it again")
     V = RadialPotential.from_spec(payload["potential"], str(path))

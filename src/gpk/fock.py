@@ -341,6 +341,8 @@ def bogoliubov(basis: FockBasis, K: np.ndarray) -> FockOperator:
 
 
 def apply_bogoliubov(basis: FockBasis, K: np.ndarray, psi: FockVector) -> FockVector:
+    """T(K) psi by Krylov action; psi may hold a block of states as the
+    columns of its coefficients, acted on together."""
     K = _check_bogoliubov_budget(basis, K)
     gen = _bogoliubov_generator(basis, K)
     return FockVector(
@@ -418,19 +420,36 @@ class ReducedDensity:
 
 def reduced_density(psi: FockVector) -> ReducedDensity:
     """Gamma_ij = <psi, a_j^dag a_i psi> / <psi, N psi>."""
-    basis = psi.basis
+    (gamma,) = _displaced_densities(
+        psi.basis, psi.coefficients[:, None], np.zeros((1, psi.basis.d)))
+    return gamma
+
+
+def _displaced_densities(basis: FockBasis, block: np.ndarray,
+                         shifts: np.ndarray) -> list:
+    """Reduced densities of W(f) xi for each column xi of the block and row
+    f of the shifts, from moments in xi alone (W*(f) a_i W(f) = a_i + f_i):
+
+        <a_j^dag a_i> + f_i <a_j^dag> + conj(f_j) <a_i> + f_i conj(f_j),
+
+    each divided by its trace, the expected particle number.
+    """
     ann, _ = all_ladders(basis)
-    lowered = [a.matrix @ psi.coefficients for a in ann]
-    expected_n = sum(float(np.vdot(w, w).real) for w in lowered)
-    if expected_n <= 1e-14:
-        raise DomainError("vacuum-like state: expected particle number is zero")
-    g = np.empty((basis.d, basis.d), dtype=complex)
-    for i in range(basis.d):
-        for j in range(basis.d):
-            g[i, j] = np.vdot(lowered[j], lowered[i])
-    g /= expected_n
-    g = 0.5 * (g + g.conj().T)
-    return ReducedDensity(matrix=g)
+    lowered = np.stack([a.matrix @ block for a in ann])      # (d, dim, m)
+    pairs = np.einsum("jkm,ikm->mij", lowered.conj(), lowered)
+    means = np.einsum("km,ikm->mi", block.conj(), lowered)
+    mixed = shifts[:, :, None] * means.conj()[:, None, :]
+    moments = (pairs + mixed + mixed.conj().transpose(0, 2, 1)
+               + shifts[:, :, None] * shifts.conj()[:, None, :])
+    out = []
+    for g in moments:
+        expected_n = float(np.trace(g).real)
+        if expected_n <= 1e-14:
+            raise DomainError(
+                "vacuum-like state: expected particle number is zero")
+        g = g / expected_n
+        out.append(ReducedDensity(matrix=0.5 * (g + g.conj().T)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -579,41 +598,6 @@ def evolve_state(H: FockOperator, psi: FockVector, t: float) -> FockVector:
     )
 
 
-def _fluctuation_factors(
-    basis: FockBasis,
-    H: FockOperator,
-    phi_traj: Callable[[float], np.ndarray],
-    K_traj: Optional[Callable[[float], np.ndarray]],
-    psi: FockVector,
-    t: float,
-    leakage_tol: float,
-):
-    """Apply T(K_0), W(f_0), e^{-iHt}, W*(f_t), T*(K_t) to psi in turn.
-
-    Yields the state after e^{-iHt}, then the final state.  Shell leakage
-    past the cutoff is measured after every factor; above the tolerance it
-    raises, naming the factor.
-    """
-    def checked(vec: FockVector, name: str) -> FockVector:
-        leak = vec.top_shell_mass()
-        if leak > leakage_tol:
-            raise TruncationBudgetError(
-                f"truncation leakage {leak:.3e} after factor {name}"
-            )
-        return vec
-
-    state = psi
-    if K_traj is not None:
-        state = checked(apply_bogoliubov(basis, K_traj(0.0), state), "T(k_0)")
-    state = checked(apply_weyl(basis, phi_traj(0.0), state), "W(f_0)")
-    state = checked(evolve_state(H, state, t), "exp(-iHt)")
-    yield state
-    state = checked(apply_weyl(basis, -phi_traj(t), state), "W*(f_t)")
-    if K_traj is not None:
-        state = checked(apply_bogoliubov(basis, -K_traj(t), state), "T*(k_t)")
-    yield state
-
-
 def fluctuation_dynamics(
     basis: FockBasis,
     H: FockOperator,
@@ -629,11 +613,26 @@ def fluctuation_dynamics(
 
     phi_traj returns the Weyl argument f_t (already carrying the sqrt(N)
     amplitude); K_traj may be None for the uncorrelated ansatz.  Shell
-    leakage past the cutoff is checked after every factor.
+    leakage past the cutoff is checked after every factor and, above the
+    tolerance, raises naming the factor.
     """
-    _, final = _fluctuation_factors(basis, H, phi_traj, K_traj, psi, t,
-                                    leakage_tol)
-    return final
+    def checked(vec: FockVector, name: str) -> FockVector:
+        leak = vec.top_shell_mass()
+        if leak > leakage_tol:
+            raise TruncationBudgetError(
+                f"truncation leakage {leak:.3e} after factor {name}"
+            )
+        return vec
+
+    state = psi
+    if K_traj is not None:
+        state = checked(apply_bogoliubov(basis, K_traj(0.0), state), "T(k_0)")
+    state = checked(apply_weyl(basis, phi_traj(0.0), state), "W(f_0)")
+    state = checked(evolve_state(H, state, t), "exp(-iHt)")
+    state = checked(apply_weyl(basis, -phi_traj(t), state), "W*(f_t)")
+    if K_traj is not None:
+        state = checked(apply_bogoliubov(basis, -K_traj(t), state), "T*(k_t)")
+    return state
 
 
 def number_expectation(psi: FockVector) -> float:
@@ -646,8 +645,8 @@ def number_expectation(psi: FockVector) -> float:
 # ---------------------------------------------------------------------------
 
 _ODE_DT = 1e-3         # RK4 step of the mean-field orbit
-_CUTOFF_SIGMAS = 6.0   # n_max = N + sigmas sqrt(N) + base
-_CUTOFF_BASE = 8
+_FLUCTUATION_CUTOFF = 16   # n_c of the toy study's basis, the same for every N
+_NORM_TOL = 1e-10          # norm drift of a fluctuation state, as in dynamics
 
 
 @dataclass(frozen=True)
@@ -666,11 +665,6 @@ class ToyScenario:
     t_final: float
     N_list: tuple
     leakage_tol: float = 1e-6
-
-    def cutoff_for(self, N: int) -> int:
-        # Poisson tail wants N + sigmas sqrt(N); the Weyl budget wants 4N
-        tail = int(math.ceil(N + _CUTOFF_SIGMAS * math.sqrt(N))) + _CUTOFF_BASE
-        return max(tail, 4 * N + 1)
 
 
 def mean_field_trajectory(
@@ -709,51 +703,119 @@ class ConvergenceReport:
     rate: RateReport
 
 
+def _fluctuation_generator(basis: FockBasis, h: np.ndarray, u: np.ndarray,
+                           g: float, orbit: np.ndarray, N: np.ndarray):
+    """-i L_N(t) of the fluctuation dynamics W*(sqrt(N) phi_t) e^{-iHt}
+    W(sqrt(N) phi_0), as stacked sparse operators and coefficients.
+
+    With phi_t solving the mean-field equation the linear terms cancel and,
+    up to a scalar, L_N(t) is
+        sum h_ij a_i^dag a_j
+        + sum_i g u_i [2 |phi_i|^2 n_i + (phi_i^2 a_i^dag^2 + h.c.) / 2]
+        + sum_i (g u_i / sqrt(N)) (phi_i a_i^dag^2 a_i + h.c.)
+        + sum_i (g u_i / 2N) a_i^dag^2 a_i^2.
+    Returns the k operators stacked row-wise, (k dim, dim), and their
+    coefficients, (node, column, k, 1), at each orbit node for each N.
+    """
+    ann, cre = all_ladders(basis)
+    a = [m.matrix for m in ann]
+    ad = [m.matrix for m in cre]
+    ops = [hamiltonian(basis, h).matrix,
+           hamiltonian(basis, np.zeros_like(h), u, coupling=1.0).matrix]
+    in_time = [np.ones(len(orbit)), np.full(len(orbit), g)]
+    per_N = [np.ones_like(N), 1.0 / N]
+    for i in range(basis.d):
+        phi, gu = orbit[:, i], g * u[i]
+        ops += [ad[i] @ a[i], ad[i] @ ad[i], a[i] @ a[i],
+                ad[i] @ ad[i] @ a[i], ad[i] @ a[i] @ a[i]]
+        in_time += [2 * gu * np.abs(phi) ** 2, 0.5 * gu * phi ** 2,
+                    0.5 * gu * np.conj(phi) ** 2, gu * phi, gu * np.conj(phi)]
+        per_N += [np.ones_like(N)] * 3 + [1.0 / np.sqrt(N)] * 2
+    coefficients = -1j * (np.array(in_time).T[:, None, :, None]
+                          * np.array(per_N).T[None, :, :, None])
+    return sp.vstack(ops, format="csr"), coefficients
+
+
 def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
-    """Exact evolution across the N sweep, one pass of the five fluctuation
-    factors per N: the trace distance of the reduced density after e^{-iHt}
-    to the mean-field orbit, and the number of fluctuations left after the
-    whole map."""
+    """Exact evolution across the N sweep in the fluctuation frame.
+
+    For every N the state is W(sqrt(N) phi_t) xi_t with xi_t the fluctuation
+    dynamics of T(k_0) vacuum.  Its generator is O(1) in N, so one basis of
+    cutoff _FLUCTUATION_CUTOFF holds every N, and the N sweep is stepped
+    together as the columns of one block: classical RK4 on pairs of orbit
+    nodes, the midpoint stage at the odd node.  Reported per N are the trace
+    distance of the reduced density of W(sqrt(N) phi_t) xi_t to the orbit and
+    the number of fluctuations left in T*(k_t) xi_t.  Top-shell leakage is
+    checked after T(k_0), after every step and after T*(k_t); above the
+    tolerance it raises naming the factor or the step time, and the N.
+    """
     d = scenario.phi0.size
     g = scenario.coupling
+    N = np.asarray(scenario.N_list, dtype=float)
+    # the RK4 steps pair the orbit's nodes: take an even number of them
+    pairs = max(1, math.ceil(round(abs(scenario.t_final) / _ODE_DT) / 2))
     times, orbit = mean_field_trajectory(
-        scenario.h, scenario.u, g, scenario.phi0, scenario.t_final, _ODE_DT,
+        scenario.h, scenario.u, g, scenario.phi0, scenario.t_final,
+        abs(scenario.t_final) / (2 * pairs) if scenario.t_final else _ODE_DT,
     )
+    orbit = orbit / np.linalg.norm(orbit, axis=1, keepdims=True)
+    phi_t = orbit[-1]
+    basis = build_basis(d, _FLUCTUATION_CUTOFF)
+    top = basis.shell_slices[-1]
 
-    def orbit_at(t):
-        idx = int(round(t / scenario.t_final * (len(times) - 1))) if \
-            scenario.t_final else 0
-        vec = orbit[idx]
-        return vec / np.linalg.norm(vec)
+    def checked(block: np.ndarray, where: str) -> np.ndarray:
+        """Top-shell share and norm of every column after `where`."""
+        weight = block.real ** 2 + block.imag ** 2
+        mass = weight.sum(axis=0)
+        leaks = (weight[top].sum(axis=0) / mass).tolist()
+        for n, leak, norm in zip(scenario.N_list, leaks,
+                                 np.sqrt(mass).tolist()):
+            if leak > scenario.leakage_tol:
+                raise TruncationBudgetError(
+                    f"truncation leakage {leak:.3e} after {where} at N = {n}")
+            if abs(norm - 1.0) > _NORM_TOL:
+                raise InvariantViolation(
+                    f"fluctuation norm drifted to {norm!r} after {where} "
+                    f"at N = {n}")
+        return block
 
-    phi_t = orbit[-1] / np.linalg.norm(orbit[-1])
-    distances, numbers = [], []
-    for N in scenario.N_list:
-        basis = build_basis(d, scenario.cutoff_for(N))
-        H = hamiltonian(basis, scenario.h, scenario.u, coupling=g / N)
+    def kernel(phi):
+        return -scenario.kappa0 * np.outer(phi, phi)
 
-        def f_traj(t):
-            return math.sqrt(N) * orbit_at(t)
+    xi = vacuum(basis)
+    if scenario.kappa0 != 0:
+        xi = apply_bogoliubov(basis, kernel(orbit[0]), xi)
+    block = checked(np.repeat(xi.coefficients[:, None], N.size, axis=1),
+                    "factor T(k_0)")
 
-        def k_traj(t):
-            vec = orbit_at(t)
-            return -scenario.kappa0 * np.outer(vec, vec)
+    ops, coefficients = _fluctuation_generator(
+        basis, scenario.h, _onsite_weights(scenario.u, d), g, orbit, N)
+    shape = (coefficients.shape[2], basis.dim, N.size)
 
-        try:
-            evolved, fluct = _fluctuation_factors(
-                basis, H, f_traj, k_traj if scenario.kappa0 != 0 else None,
-                vacuum(basis), scenario.t_final, scenario.leakage_tol,
-            )
-        except TruncationBudgetError as exc:
-            raise TruncationBudgetError(f"{exc} at N = {N}") from exc
-        distances.append(
-            trace_distance_to_rank_one(
-                reduced_density(evolved), phi_t).trace_distance
-        )
-        numbers.append(number_expectation(fluct))
+    def derivative(node: int, x: np.ndarray) -> np.ndarray:
+        terms = (ops @ x).reshape(shape).transpose(2, 1, 0)
+        return np.matmul(terms, coefficients[node])[:, :, 0].T
 
-    distances = np.array(distances)
-    numbers = np.array(numbers)
+    for end in range(2, len(times), 2):
+        dt = times[end] - times[end - 2]
+        k1 = derivative(end - 2, block)
+        k2 = derivative(end - 1, block + 0.5 * dt * k1)
+        k3 = derivative(end - 1, block + 0.5 * dt * k2)
+        k4 = derivative(end, block + dt * k3)
+        block = checked(block + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
+                        f"the step to t = {times[end]:.6g}")
+
+    distances = np.array([
+        trace_distance_to_rank_one(gamma, phi_t).trace_distance
+        for gamma in _displaced_densities(
+            basis, block, np.sqrt(N)[:, None] * phi_t)
+    ])
+    if scenario.kappa0 != 0:
+        block = checked(apply_bogoliubov(
+            basis, -kernel(phi_t), FockVector(block, basis)).coefficients,
+            "factor T*(k_t)")
+    numbers = np.array([number_expectation(FockVector(col, basis))
+                        for col in block.T])
     if np.max(distances) < 1e-12:
         rate = degenerate_report(
             scenario.N_list, distances, "degenerate scenario: zero distances"

@@ -542,6 +542,32 @@ def test_cli_bad_potential_argument_exits_2(tmp_path, capsys, spec, what):
     assert what in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", ["0.0 8.0\n1 x\n", "0.0\n0.5\n1.0\n"],
+                         ids=["non-number", "one-column"])
+def test_cli_malformed_potential_table_exits_2(tmp_path, capsys, rows):
+    table = tmp_path / "bad.txt"
+    table.write_text(rows)
+    code = cli_main(["scattering", "--potential", str(table),
+                     "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert f"potential table {table} " in capsys.readouterr().err
+
+
+def test_cli_kernels_scattering_file_not_json_exits_2(tmp_path, capsys):
+    grid = GridSpec(dim=1, box_length=16.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.0)
+    field_path = tmp_path / "phi.bin"
+    write_field(field_path, gaussian_datum(grid))
+    scattering = tmp_path / "s.json"
+    scattering.write_text("r,f,w\n0.0,1.0,0.0\n")
+    code = cli_main(["kernels", "--phi", str(field_path),
+                     "--scattering", str(scattering),
+                     "--N", "2", "--out", str(tmp_path / "kout")])
+    assert code == 2
+    assert f"{scattering} is not a JSON scattering artifact" \
+        in capsys.readouterr().err
+
+
 def test_cli_kernels_missing_input_files_exit_2(tmp_path, capsys):
     scatter_csv = tmp_path / "s.csv"
     assert cli_main([

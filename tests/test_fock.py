@@ -580,27 +580,92 @@ def reference_scenario(**changes):
     return ToyScenario(**params)
 
 
-def test_toy_study_runs_the_five_factors_once_per_N(monkeypatch):
+def _lab_frame_cutoff(N):
+    """The former N-dependent lab-frame cutoff: the Poisson tail
+    N + 6 sqrt(N) + 8, and at least the Weyl budget 4N + 1."""
+    return max(int(math.ceil(N + 6.0 * math.sqrt(N))) + 8, 4 * N + 1)
+
+
+def _lab_frame_study(scenario):
+    """The toy study in the lab frame, on one basis per N, kept as the
+    reference: the reduced density of e^{-iHt} W(f_0) T(k_0) vacuum and the
+    number expectation of the five-factor fluctuation map."""
+    _, orbit = mean_field_trajectory(scenario.h, scenario.u, scenario.coupling,
+                                     scenario.phi0, scenario.t_final, 1e-3)
+    orbit = orbit / np.linalg.norm(orbit, axis=1, keepdims=True)
+
+    def at(t):
+        return orbit[0] if t == 0 else orbit[-1]
+
+    def k_traj(t):
+        return -scenario.kappa0 * np.outer(at(t), at(t))
+
+    distances, numbers = [], []
+    for N in scenario.N_list:
+        b = build_basis(2, _lab_frame_cutoff(N))
+        H = hamiltonian(b, scenario.h, scenario.u,
+                        coupling=scenario.coupling / N)
+
+        def f_traj(t):
+            return math.sqrt(N) * at(t)
+
+        lab = evolve_state(H, apply_weyl(b, f_traj(0.0), apply_bogoliubov(
+            b, k_traj(0.0), vacuum(b))), scenario.t_final)
+        distances.append(trace_distance_to_rank_one(
+            reduced_density(lab), orbit[-1]).trace_distance)
+        numbers.append(number_expectation(fluctuation_dynamics(
+            b, H, f_traj, k_traj, vacuum(b), scenario.t_final)))
+    return np.array(distances), np.array(numbers)
+
+
+@pytest.mark.parametrize("coupling", [0.45, 0.55])
+def test_toy_study_matches_the_lab_frame(coupling):
+    scenario = reference_scenario(coupling=coupling)
+    distances, numbers = _lab_frame_study(scenario)
+    rep = toy_convergence_study(scenario)
+    assert np.max(np.abs(rep.trace_distances / distances - 1.0)) <= 1e-5
+    assert np.max(np.abs(rep.number_expectations / numbers - 1.0)) <= 1e-5
+
+
+@pytest.mark.parametrize("N_list", [(4, 8, 16), (4, 8, 16, 32, 64)],
+                         ids=["3-N", "5-N"])
+def test_toy_study_acts_twice_on_the_fluctuation_basis(monkeypatch, N_list):
+    # T(k_0) once on the vacuum, T*(k_t) once on the block of all N; no
+    # Weyl factor, no e^{-iHt}, no Krylov action at a lab-frame dimension
     import gpk.fock as fock
 
-    calls = []
+    actions, bogoliubov_calls = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return expm_multiply(*args, **kwargs)
+    def counting(A, B, **kwargs):
+        actions.append((A.shape[0], B.shape))
+        return expm_multiply(A, B, **kwargs)
+
+    def counting_bogoliubov(*args):
+        bogoliubov_calls.append(args)
+        return apply_bogoliubov(*args)
 
     expm_multiply = fock.expm_multiply
     monkeypatch.setattr(fock, "expm_multiply", counting)
-    scenario = reference_scenario()
-    toy_convergence_study(scenario)
-    dims = [build_basis(2, scenario.cutoff_for(N)).dim for N in scenario.N_list]
-    assert calls == [dim for dim in dims for _ in range(5)]
+    monkeypatch.setattr(fock, "apply_bogoliubov", counting_bogoliubov)
+    toy_convergence_study(reference_scenario(N_list=N_list))
+    dim = build_basis(2, fock._FLUCTUATION_CUTOFF).dim
+    assert len(bogoliubov_calls) == 2
+    assert actions == [(dim, (dim,)), (dim, (dim, len(N_list)))]
 
 
 def test_toy_study_leakage_names_factor_and_N():
     with pytest.raises(TruncationBudgetError,
                        match=r"after factor T\(k_0\) at N = 4$"):
         toy_convergence_study(reference_scenario(leakage_tol=1e-300))
+
+
+def test_toy_study_step_leakage_names_time_and_N():
+    # from the vacuum each step reaches at most 8 shells higher, so the top
+    # shell n_c = 16 first fills in the second step
+    with pytest.raises(TruncationBudgetError,
+                       match=r"after the step to t = 0\.004 at N = 4$"):
+        toy_convergence_study(
+            reference_scenario(kappa0=0.0, leakage_tol=1e-300))
 
 
 @pytest.mark.parametrize("dense", [
