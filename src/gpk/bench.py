@@ -462,8 +462,21 @@ def _run_kernels(inp: _Inputs, bounds_csv) -> None:
                      points_per_axis=cfg.get_int("kernels", "points", 16),
                      dt=1e-3, t_final=0.0)
     phi = gaussian_datum(kgrid, sigma=cfg.get_float("kernels", "sigma", 1.0))
-    write_kernel_bounds_csv(bounds_csv, phi, inp.sol,
-                            cfg.get_ints("kernels", "n_values", required=True))
+    write_kernel_bounds_csv(bounds_csv, phi, inp.sol, _kernel_n_values(cfg))
+
+
+def _kernel_n_values(cfg: ExperimentConfig) -> list:
+    """[kernels] n_values, each at least 1 (the kernel scale N)."""
+    N_list = cfg.get_ints("kernels", "n_values", required=True)
+    if any(N < 1 for N in N_list):
+        raise ConfigurationError(
+            f"{cfg.path}: [kernels] n_values = {N_list} must all be >= 1")
+    return N_list
+
+
+def _check_kernels(cfg: ExperimentConfig) -> None:
+    _needs_potential(cfg, "[kernels]")
+    _kernel_n_values(cfg)
 
 
 @dataclass(frozen=True)
@@ -492,7 +505,7 @@ STAGES = (
           lambda cfg: _needs_potential(cfg, "[nsweep]")),
     Stage("kernels", ("kernels",), ("kernels",), ("scattering",),
           ("kernel_bounds.csv",), _run_kernels, lambda path: (None, []),
-          lambda cfg: _needs_potential(cfg, "[kernels]")),
+          _check_kernels),
     Stage("fock", ("fock",), ("fock",), (),
           ("fock_report.json", "toy_convergence.csv"),
           lambda inp, *paths: run_fock_stage(inp.cfg, *paths),
@@ -551,12 +564,13 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
 
 
 def write_kernel_bounds_csv(path, phi, sol, N_list) -> None:
+    reports = kernel_bound_report(phi, sol, N_list)  # before the file opens
     _write_csv(path, ["N", "l2_k", "grad1_k_over_sqrtN", "grad1_kkbar",
                       "sup_slice", "cancellation_residual"],
                ([rep.N, repr(rep.l2_k), repr(rep.l2_grad1_k / math.sqrt(rep.N)),
                  repr(rep.l2_grad1_kkbar), repr(rep.sup_x_l2_slice),
                  repr(rep.cancellation_residual)]
-                for rep in kernel_bound_report(phi, sol, N_list)))
+                for rep in reports))
 
 
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:

@@ -14,13 +14,18 @@ field's spectrum:
     |grad1 k|_2^2     = F1-part + cross(l=1) + F0 against |grad phi|^2
     sup_x |k(., x)|_2 = max_x rho(x) (F0 * rho)(x)
 
-with F0 = N^2 w(N s)^2, F1 = N^4 w'(N s)^2 transformed exactly on the radial
-grid (core included).  |grad1 (k kbar)|_2 is assembled from pair
-correlations of the smooth composite kernel via per-row FFTs.
+with F0 = N^2 w(N s)^2, F1 = N^4 w'(N s)^2 and the l = 1 cross profile
+transformed exactly on the radial grid (core included), all three in one
+radial pass per N.  |grad1 (k kbar)|_2 is a sum over source rows of pair
+correlations of the smooth composite kernel.  The sum takes one row per
+orbit of the lattice symmetries (axis reflections and permutations) that the
+field's density, gradient density and current respect, weighted by the
+orbit size, and runs the rows in blocks through real FFTs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -45,6 +50,17 @@ CANCELLATION_BUDGET_FACTOR = 10.0
 
 # momenta of the radial transform tables in kernel_hs_norms
 _KERNEL_MOMENTA = 384
+
+# grid points per block of source rows in grad1_kkbar_hs_norm, which holds
+# d + 2 real arrays and their half spectra per row: about 3 MB at d = 3
+_ROW_BLOCK_POINTS = 1 << 15
+
+# a lattice symmetry of the field is kept if it moves rho, sum |grad phi|^2
+# and the current by at most this many times n ulp of each field's max, n
+# points per axis: the round-off of the spectral derivatives grows about like
+# n (0.2-1 n ulp on centred Gaussians, 1D from 64 to 1024 points, 3D at 16
+# and 32)
+_SYMMETRY_ULPS_PER_POINT = 4
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +275,8 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     enters through its lattice spectrum.  Position-space integrals are
     truncated at the half-box radius, a wrap-around error common to all N.
     """
+    if N < 1:
+        raise DomainError("N must be >= 1")
     grid = phi.grid
     d = grid.dim
     kabs = np.sqrt(grid.k_squared())
@@ -272,11 +290,12 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     p_tab = np.linspace(0.0, p_max, _KERNEL_MOMENTA)
     # F0 = N^2 w(Ns)^2   -> N^(2-d) * hat[w^2](p / N)
     # F1 = N^4 w'(Ns)^2  -> N^(4-d) * hat[w'^2](p / N)
-    f0, f1 = radial_hat(sig, np.stack([wv**2, dwv**2]), p_tab / N, d)
+    # C = 2 N^3 (w' w)(Ns) uhat -> l=1 transform, N^(3-d) scaling
+    f0, f1, fc = radial_hat(sig, np.stack([wv**2, dwv**2, dwv * wv]),
+                            p_tab / N, d, ell=[0, 0, 1])
     f0 *= N ** (2 - d)
     f1 *= N ** (4 - d)
-    # C = 2 N^3 (w' w)(Ns) uhat -> l=1 transform, N^(3-d) scaling
-    fc = 2.0 * N ** (3 - d) * radial_hat(sig, dwv * wv, p_tab / N, d, ell=1)
+    fc = 2.0 * N ** (3 - d) * fc
 
     rho, g1, j = _field_moments(phi)
     rho_hat = sfft.fftn(rho, workers=grid.fft_workers)
@@ -345,6 +364,48 @@ def _lattice_profile(grid: GridSpec, sol: ScatteringSolution, N: int, deriv: boo
     return vals
 
 
+def _lattice_symmetries(grid: GridSpec):
+    """(image, signs, perm) for each of the 2^d d! symmetries S of the lattice
+    that fix the origin index n/2 of every axis: (S i)_c = s_c i_perm[c], with
+    s_c = -1 the reflection i -> (n - i) mod n.  image[m] is the flat index
+    of S applied to the point of flat index m."""
+    d, n = grid.dim, grid.points_per_axis
+    idx = np.indices(grid.shape).reshape(d, -1)
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            img = [idx[a] if s > 0 else (-idx[a]) % n
+                   for s, a in zip(signs, perm)]
+            yield np.ravel_multi_index(img, grid.shape), signs, perm
+
+
+def _row_orbits(grid: GridSpec, rho, g1, j):
+    """(representatives, sizes) of the orbits of the visited source rows
+    (rho >= 1e-300) under the lattice symmetries that keep rho and g1 and
+    carry j as a vector field, j_c(S x) = s_c j_perm[c](x), each to
+    `_SYMMETRY_ULPS_PER_POINT` n ulp of the field's max.  A field with no
+    symmetry gets one orbit per visited row."""
+    flat = [f.reshape(-1) for f in (rho, g1, *j)]
+    scales = [np.max(np.abs(f)) for f in flat[:2]]
+    scales += [max(np.max(np.abs(f)) for f in flat[2:])] * len(j)
+    ulp = _SYMMETRY_ULPS_PER_POINT * grid.points_per_axis * np.finfo(float).eps
+    tols = [ulp * s for s in scales]
+    # a row's label is its least image under the kept symmetries: every row
+    # is carried onto its label by a kept symmetry, so the row contribution
+    # is constant on a class even if the kept set were not closed under
+    # composition
+    labels = np.arange(rho.size)
+    for img, signs, perm in _lattice_symmetries(grid):
+        targets = flat[:2] + [s * flat[2 + a] for s, a in zip(signs, perm)]
+        if all(np.max(np.abs(f[img] - t)) <= tol
+               for f, t, tol in zip(flat, targets, tols)):
+            np.minimum(labels, img, out=labels)
+    visit = np.flatnonzero(flat[0] >= 1e-300)
+    _, first, sizes = np.unique(labels[visit], return_index=True,
+                                return_counts=True)
+    assert sizes.sum() == visit.size
+    return visit[first], sizes
+
+
 def grad1_kkbar_hs_norm(
     phi: WaveFunction, sol: ScatteringSolution, N: int
 ) -> float:
@@ -353,44 +414,59 @@ def grad1_kkbar_hs_norm(
     (k kbar)(x, y) = phi(x) conj(phi(y)) G(x, y) with
     G = int W(x-z) W(z-y) |phi(z)|^2 dz and W = N w(N .).  The composite is
     smooth at scale O(1), so lattice quadrature with a cell-averaged origin
-    sample of W converges; the assembly streams over rows of the pair
-    functions with FFT correlations.
+    sample of W converges.  The sum over source rows z runs over one row
+    per orbit of the field's lattice symmetries, weighted by the orbit size;
+    the rows go in blocks through real FFT correlations, with the x-side
+    terms added in the half spectrum before its one inverse transform.
     """
+    if N < 1:
+        raise DomainError("N must be >= 1")
     grid = phi.grid
-    d = grid.dim
+    d, n = grid.dim, grid.points_per_axis
     cell = grid.cell
     shape = grid.shape
-    M = phi.values.size
+    axes = tuple(range(2, d + 2))  # grid axes behind (pair function, row)
     workers = grid.fft_workers
 
     W = _lattice_profile(grid, sol, N, deriv=False)
     Wc = _lattice_profile(grid, sol, N, deriv=True)
-
     rho, g1, j = _field_moments(phi)
 
-    W_hat_c = np.conj(sfft.fftn(W, workers=workers))
-    Wc_hat_c = [np.conj(sfft.fftn(w, workers=workers)) for w in Wc]
-
-    def correlate(h, q_hat_conj):
-        return sfft.ifftn(
-            sfft.fftn(h, workers=workers) * q_hat_conj, workers=workers
-        ).real * cell
+    W_hat_c = np.conj(sfft.rfftn(W, workers=workers))
+    Wc_hat_c = [np.conj(sfft.rfftn(w, workers=workers)) for w in Wc]
+    reps, sizes = _row_orbits(grid, rho, g1, j)
 
     rho_flat = rho.reshape(-1)
     total = 0.0
-    idx_shape = shape
-    for flat_z1 in range(M):
-        if rho_flat[flat_z1] < 1e-300:
-            continue
-        z1 = np.unravel_index(flat_z1, idx_shape)
-        Wz = np.roll(W, shift=z1, axis=tuple(range(d)))
-        x_side = correlate(g1 * Wz, W_hat_c)
+    block = max(1, _ROW_BLOCK_POINTS // rho.size)
+    for lo in range(0, reps.size, block):
+        rows = reps[lo : lo + block]
+        # W(x - z) for every row z of the block, gathered per axis
+        z = np.unravel_index(rows, shape)
+        at = [(np.arange(n) - zc[:, None]) % n for zc in z]
+        at = [t.reshape([-1] + [n if a == c else 1 for a in range(d)])
+              for c, t in enumerate(at)]
+        Wz = W[tuple(at)]
+        # forward transforms: g1 W_z, then per axis 2 j_c W_z + rho Wc_z,
+        # then the y-side rho W_z
+        parts = np.empty((d + 2,) + Wz.shape)
+        np.multiply(g1, Wz, out=parts[0])
         for c in range(d):
-            x_side = x_side + 2.0 * correlate(j[c] * Wz, Wc_hat_c[c])
-            Wcz = np.roll(Wc[c], shift=z1, axis=tuple(range(d)))
-            x_side = x_side + correlate(rho * Wcz, Wc_hat_c[c])
-        y_side = correlate(rho * Wz, W_hat_c)
-        total += rho_flat[flat_z1] * float(np.sum(rho * x_side * y_side)) * cell
+            np.multiply(rho, Wc[c][tuple(at)], out=parts[1 + c])
+            parts[1 + c] += 2.0 * j[c] * Wz
+        np.multiply(rho, Wz, out=parts[-1])
+        spec = sfft.rfftn(parts, axes=axes, workers=workers)
+        # the x side and the y side, one inverse transform each
+        sides = np.empty((2,) + spec.shape[1:], dtype=spec.dtype)
+        np.multiply(spec[0], W_hat_c, out=sides[0])
+        for c in range(d):
+            sides[0] += spec[1 + c] * Wc_hat_c[c]
+        np.multiply(spec[-1], W_hat_c, out=sides[1])
+        sides = sfft.irfftn(sides, s=shape, axes=axes, workers=workers)
+        row_sums = np.einsum("bx,bx,x->b", sides[0].reshape(rows.size, -1),
+                             sides[1].reshape(rows.size, -1), rho_flat)
+        total += float(np.sum(sizes[lo : lo + block] * rho_flat[rows]
+                              * row_sums)) * cell**3
     total *= cell  # remaining z1 measure
     return math.sqrt(max(total, 0.0))
 

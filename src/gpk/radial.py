@@ -9,7 +9,9 @@ Conventions: hat(g)(p) = int g(|x|) e^{-i p.x} dx over R^dim, so
   dim 2:  2 pi int g(r) J0(p r) r dr
   dim 3:  4 pi int g(r) j0(p r) r^2 dr
 The l = 1 (vector) transform of g(|x|) x/|x| is -i phat times `radial_hat`
-with `ell=1`, using sin, J1 and j1 respectively.
+with `ell=1`, using sin, J1 and j1 respectively.  `ell` is 0 or 1 for all
+rows of a stack of profiles or one order per row, so one call transforms
+profiles of both orders.
 
 `radial_hat` takes uniformly spaced momenta (every caller samples a
 linspace), so the trigonometric kernels are factored by angle addition: with
@@ -17,14 +19,16 @@ B = ceil(sqrt(n_p)) and i = bB + k, p_i = p_{bB} + (p_k - p_0), and
 sum_j c_j e^{i p_i r_j} for all i is one thin complex matrix product of
 c * e^{i p_{bB} r} with e^{i (p_k - p_0) r}.  That takes about
 2 sqrt(n_p) n_r sines and cosines instead of n_p n_r, and no p x r buffer.
-cos and sin (dim 1) are its real and imaginary parts; j0(pr) r^2 =
-r sin(pr) / p (dim 3, l = 0) is its imaginary part with one more factor r,
-divided by p.  The sum over r runs in blocks of radii whose sums are added
-pairwise, so it carries less round-off than one long dot product.  The
-Bessel kernels J0, J1 (dim 2) and j1 (dim 3, l = 1) have no addition
-formula and keep the full p x r kernel matrix: splitting j1 = sin/z^2 -
-cos/z into p-separable parts cancels at small pr and loses about two
-digits against the direct matrix.
+The two phase tables are built once per call and every row of a stack
+goes through them in turn.  cos and sin (dim 1) are the real and imaginary
+parts of the same sums, so a 1D stack of both orders shares one pass;
+j0(pr) r^2 = r sin(pr) / p (dim 3, l = 0) is the imaginary part with one
+more factor r, divided by p.  The sum over r runs in blocks of radii
+whose sums are added pairwise, so it carries less round-off than one long
+dot product.  The Bessel kernels J0, J1 (dim 2) and j1 (dim 3, l = 1) have
+no addition formula and keep the full p x r kernel matrix, one product for
+all rows of an order: splitting j1 = sin/z^2 - cos/z into p-separable parts
+cancels at small pr and loses about two digits against the direct matrix.
 """
 
 from __future__ import annotations
@@ -120,19 +124,32 @@ _BLOCK = 32
 def _phase_sums(r: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
     """sum_j c_j exp(i p_i r_j) for every p_i of the uniform grid p, one row
     per row of c: with B = ceil(sqrt(n_p)) and i = bB + k, entry (b, k) of
-    (c * e^{i p_{bB} r}) @ e^{i (p_k - p_0) r}^T."""
+    (c * e^{i p_{bB} r}) @ e^{i (p_k - p_0) r}^T.  The two phase tables are
+    built once; the rows of c go through them one at a time, so no
+    rows x B x n_r product is formed and a row's result does not depend on
+    the other rows."""
     stride = math.isqrt(p.size - 1) + 1
+    starts = p[::stride]
     n_blocks = -(-r.size // _BLOCK)
     padded = np.zeros(n_blocks * _BLOCK)
     padded[: r.size] = r
-    weights = np.zeros(c.shape[:-1] + padded.shape)
-    weights[..., : r.size] = c  # the padding radii carry zero weight
-    terms = weights[..., None, :] * _unit_phase(np.outer(p[::stride], padded))
-    terms = terms.reshape(-1, n_blocks, _BLOCK).transpose(1, 0, 2)
-    offsets = _unit_phase(np.outer(p[:stride] - p[0], padded))
-    offsets = offsets.reshape(stride, n_blocks, _BLOCK).transpose(1, 2, 0)
-    block_sums = np.ascontiguousarray(np.moveaxis(terms @ offsets, 0, -1))
-    return block_sums.sum(axis=-1).reshape(*c.shape[:-1], -1)[..., : p.size]
+    phases = _unit_phase(np.outer(np.concatenate([starts, p[:stride] - p[0]]),
+                                  padded))
+    # (block of radii, b, radius) and (block of radii, radius, k)
+    bases = phases[: starts.size].reshape(-1, n_blocks, _BLOCK).transpose(1, 0, 2)
+    offsets = phases[starts.size :].reshape(-1, n_blocks, _BLOCK).transpose(1, 2, 0)
+    rows = c.reshape(-1, r.size)
+    out = np.empty((rows.shape[0], p.size), dtype=complex)
+    weights = np.zeros(padded.shape)  # the padding radii carry zero weight
+    terms = np.empty((n_blocks, starts.size, _BLOCK), dtype=complex)
+    # the block index last, so that numpy adds the block sums pairwise
+    block_sums = np.empty((starts.size, stride, n_blocks), dtype=complex)
+    for row, c_row in zip(out, rows):
+        weights[: r.size] = c_row
+        np.multiply(bases, weights.reshape(n_blocks, 1, _BLOCK), out=terms)
+        np.matmul(terms, offsets, out=block_sums.transpose(2, 0, 1))
+        row[:] = block_sums.sum(axis=-1).reshape(-1)[: p.size]
+    return out.reshape(c.shape[:-1] + (p.size,))
 
 
 def radial_hat(
@@ -140,34 +157,49 @@ def radial_hat(
     g: np.ndarray,
     p: np.ndarray,
     dim: int,
-    ell: int = 0,
+    ell=0,
 ) -> np.ndarray:
     """Transform of the sampled radial profile g at the uniformly spaced
     momenta p (a non-uniform p raises DomainError).
 
     One Simpson quadrature over all of r: a g that jumps is transformed
     piece by piece by the caller (see `tabulate_interaction_transform`).  A
-    stack of profiles (rows of g) gives one row of transforms each.  The
-    trigonometric kernels go through `_phase_sums`; the Bessel kernels are
-    one matrix-vector product with the p x r kernel matrix.
+    stack of profiles (rows of g) gives one row of transforms each; `ell`
+    (0 or 1, else DomainError) is one order for every row or one per row.
+    The trigonometric kernels go through one `_phase_sums` for all their
+    rows; the Bessel kernels are one matrix product with the p x r kernel
+    matrix per order.
     """
     r = np.asarray(r, dtype=float)
     g = np.asarray(g, dtype=float)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     _check_uniform(p)
+    ells = np.broadcast_to(ell, g.shape[:-1]).reshape(-1)
+    if not np.all((ells == 0) | (ells == 1)):
+        raise DomainError(f"radial transforms take ell 0 or 1, not {ell!r}")
+    rows = g.reshape(-1, r.size)
     w = _simpson_weights(r)
     if dim == 1:
-        sums = _phase_sums(r, g * w, p)
-        return _PREFACTOR[dim] * (sums.real if ell == 0 else sums.imag)
-    weighted = g * (w * _measure(r, dim))
-    if dim == 3 and ell == 0:
-        # j0(pr) r^2 = r sin(pr) / p; at p = 0 it is r^2
-        at_zero = p == 0
-        out = _phase_sums(r, g * (w * r), p).imag / np.where(at_zero, 1.0, p)
-        out[..., at_zero] = weighted.sum(axis=-1, keepdims=True)
-        return _PREFACTOR[dim] * out
-    kern = _angular_kernel(np.outer(p, r), dim, ell)
-    return _PREFACTOR[dim] * (weighted @ kern.T)
+        sums = _phase_sums(r, rows * w, p)
+        out = np.where(ells[:, None] == 0, sums.real, sums.imag)
+    else:
+        out = np.empty((rows.shape[0], p.size))
+        weighted = rows * (w * _measure(r, dim))
+        for order in (0, 1):
+            take = ells == order
+            if not take.any():
+                continue
+            if dim == 3 and order == 0:
+                # j0(pr) r^2 = r sin(pr) / p; at p = 0 it is r^2
+                at_zero = p == 0
+                vals = (_phase_sums(r, rows[take] * (w * r), p).imag
+                        / np.where(at_zero, 1.0, p))
+                vals[:, at_zero] = weighted[take].sum(axis=-1, keepdims=True)
+            else:
+                kern = _angular_kernel(np.outer(p, r), dim, order)
+                vals = weighted[take] @ kern.T
+            out[take] = vals
+    return _PREFACTOR[dim] * out.reshape(g.shape[:-1] + p.shape)
 
 
 @dataclass(frozen=True)
@@ -201,11 +233,13 @@ def tabulate_interaction_transform(sol, dim: int, p_max: float):
     At p = 0 and dim = 3 the value is the full volume integral of V f, i.e.
     8 pi a0 by the integral definition of the scattering length.  Pieces
     between potential breakpoints are transformed separately with one-sided
-    edge samples, so jumps cost no quadrature order.
+    edge samples, so jumps cost no quadrature order; a piece on which V is
+    zero (the outside of a square well) adds nothing and is skipped.
     """
     r = sol.r_grid
     p = np.linspace(0.0, p_max, _INTERACTION_MOMENTA)
     vals = np.zeros(p.size)
     for lo, hi, v in potential_pieces(sol.potential, r):
-        vals += radial_hat(r[lo : hi + 1], v * sol.f[lo : hi + 1], p, dim)
+        if np.any(v):
+            vals += radial_hat(r[lo : hi + 1], v * sol.f[lo : hi + 1], p, dim)
     return RadialTransformTable(p=p, values=vals, dim=dim)

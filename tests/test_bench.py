@@ -591,6 +591,37 @@ def test_cli_kernels_missing_input_files_exit_2(tmp_path, capsys):
                      "--N", "2,x", "--out", str(tmp_path / "kout")]) == 2
 
 
+@pytest.mark.parametrize("N", ["-2", "0", "2,0"])
+def test_cli_kernels_non_positive_N_exits_2(tmp_path, capsys, N):
+    scatter_csv = tmp_path / "s.csv"
+    assert cli_main([
+        "scattering", "--potential", "square-well:height=8,radius=1",
+        "--rmax", "5.0", "--points", "2000", "--out", str(scatter_csv),
+    ]) == 0
+    grid = GridSpec(dim=1, box_length=16.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.0)
+    field_path = tmp_path / "phi.bin"
+    write_field(field_path, gaussian_datum(grid))
+    capsys.readouterr()
+    code = cli_main(["kernels", "--phi", str(field_path),
+                     "--scattering", str(scatter_csv.with_suffix(".json")),
+                     "--N", N, "--out", str(tmp_path / "kout")])
+    assert code == 2
+    assert "N must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
+
+
+@pytest.mark.parametrize("values", ["2 0", "-1"])
+def test_kernels_n_values_below_1_refused_before_any_stage(tmp_path, values):
+    text = BASE_CONFIG + (
+        "\n[kernels]\ndim = 1\npoints = 32\nlength = 16.0\n"
+        f"n_values = {values}\n")
+    cfg = load_config(write_config(tmp_path, text))
+    with pytest.raises(ConfigurationError, match=r"\[kernels\] n_values"):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_kernels_truncated_field_dump_exits_2(tmp_path, capsys):
     scatter_csv = tmp_path / "s.csv"
     assert cli_main([

@@ -18,6 +18,8 @@ from gpk.kernels import (
     TwoPointKernel,
     _field_moments,
     _lattice_profile,
+    _profile_extension,
+    _row_orbits,
     bogoliubov_identity_defect,
     build_kt,
     coarsen_field,
@@ -31,6 +33,7 @@ from gpk.kernels import (
     time_derivative_kt,
     zero_energy_cancellation_residual,
 )
+from gpk.radial import radial_hat
 from gpk.scattering import RadialPotential, solve_zero_energy
 
 
@@ -408,3 +411,144 @@ def test_lattice_profile_parity_under_axis_reflections(square_sol, dim, n, L):
         for c, comp in enumerate(comps):
             sign = -1.0 if c == axis else 1.0
             assert np.array_equal(reflect(comp, axis), sign * comp)
+
+
+# The per-row loop that `grad1_kkbar_hs_norm` replaced: every source row z1,
+# W(. - z1) by np.roll, and complex FFT correlations per pair function.
+# The orbit sum over blocks of real transforms must reproduce it.
+
+def reference_grad1_kkbar_hs_norm(phi, sol, N):
+    grid = phi.grid
+    d = grid.dim
+    cell = grid.cell
+    M = phi.values.size
+
+    W = _lattice_profile(grid, sol, N, deriv=False)
+    Wc = _lattice_profile(grid, sol, N, deriv=True)
+    rho, g1, j = _field_moments(phi)
+    W_hat_c = np.conj(sfft.fftn(W))
+    Wc_hat_c = [np.conj(sfft.fftn(w)) for w in Wc]
+
+    def correlate(h, q_hat_conj):
+        return sfft.ifftn(sfft.fftn(h) * q_hat_conj).real * cell
+
+    rho_flat = rho.reshape(-1)
+    total = 0.0
+    for flat_z1 in range(M):
+        if rho_flat[flat_z1] < 1e-300:
+            continue
+        z1 = np.unravel_index(flat_z1, grid.shape)
+        Wz = np.roll(W, shift=z1, axis=tuple(range(d)))
+        x_side = correlate(g1 * Wz, W_hat_c)
+        for c in range(d):
+            x_side = x_side + 2.0 * correlate(j[c] * Wz, Wc_hat_c[c])
+            Wcz = np.roll(Wc[c], shift=z1, axis=tuple(range(d)))
+            x_side = x_side + correlate(rho * Wcz, Wc_hat_c[c])
+        y_side = correlate(rho * Wz, W_hat_c)
+        total += rho_flat[flat_z1] * float(np.sum(rho * x_side * y_side)) * cell
+    total *= cell
+    return math.sqrt(max(total, 0.0))
+
+
+def axis_even_field(grid, widths=(0.8, 1.0, 1.25)):
+    """Product of periodized Gaussians centred at 0 with a different width per
+    axis: even in each axis, not symmetric under axis permutations."""
+    L = grid.box_length
+    facs = [sum(np.exp(-((x + m * L) ** 2) / (4 * s**2)) for m in (-1, 0, 1))
+            for x, s in zip(grid.axes(), widths)]
+    vals = grid._mesh(np.multiply, facs).astype(complex)
+    vals /= math.sqrt(np.sum(np.abs(vals) ** 2) * grid.cell)
+    return WaveFunction(values=vals, grid=grid)
+
+
+def asymmetric_field(grid):
+    """Off-centre Gaussian at (0.5, 0.3, -0.2) with a phase ramp."""
+    phi = gaussian_datum(grid, sigma=1.0, center=[0.5, 0.3, -0.2])
+    ramp = np.exp(0.7j * sum(grid._open_axes(grid.axes()[0])))
+    return WaveFunction(values=phi.values * ramp, grid=grid)
+
+
+ORBIT_CASES = {
+    "centred-3d": (lambda: gaussian_datum(kgrid(16, 12.0, 3), sigma=1.0), 165),
+    "axis-even-3d": (lambda: axis_even_field(kgrid(16, 12.0, 3)), 729),
+    "asymmetric-3d": (lambda: asymmetric_field(kgrid(16, 12.0, 3)), 4096),
+    "centred-1d": (lambda: gaussian_datum(kgrid(128, 16.0, 1), sigma=1.0), 65),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_grad1_kkbar_orbit_sum_matches_the_row_loop(square_sol, case):
+    make, n_orbits = ORBIT_CASES[case]
+    phi = make()
+    reps, sizes = _row_orbits(phi.grid, *_field_moments(phi))
+    assert reps.size == n_orbits
+    assert sizes.sum() == phi.values.size
+    for N in (4, 8):
+        ref = reference_grad1_kkbar_hs_norm(phi, square_sol, N)
+        got = grad1_kkbar_hs_norm(phi, square_sol, N)
+        assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_row_orbits_skip_rows_without_mass():
+    # a field that vanishes on part of the lattice: those rows are not
+    # visited and no orbit counts them
+    grid = kgrid(64, 16.0, 1)
+    phi = gaussian_datum(grid, sigma=1.0)
+    vals = np.where(np.abs(grid.axes()[0]) < 4.0, phi.values, 0.0)
+    rho, g1, j = _field_moments(WaveFunction(values=vals, grid=grid))
+    reps, sizes = _row_orbits(grid, rho, g1, j)
+    assert sizes.sum() == np.count_nonzero(rho >= 1e-300) < grid.points_per_axis
+    assert np.all(rho.reshape(-1)[reps] >= 1e-300)
+
+
+# `kernel_hs_norms` as it was written with one `radial_hat` call per order:
+# the shared radial pass over the stacked profiles must reproduce it.
+
+def reference_kernel_hs_norms(phi, sol, N):
+    grid = phi.grid
+    d = grid.dim
+    kabs = np.sqrt(grid.k_squared())
+    p_max = float(np.max(kabs)) * 1.0000001 + 1e-12
+    step = max(min(0.05, 2 * math.pi * N / p_max / 12.0), 1e-3)
+    sig, wv, dwv = _profile_extension(sol, N * 0.5 * grid.box_length, step)
+    p_tab = np.linspace(0.0, p_max, 384)
+    f0 = N ** (2 - d) * radial_hat(sig, wv**2, p_tab / N, d)
+    f1 = N ** (4 - d) * radial_hat(sig, dwv**2, p_tab / N, d)
+    fc = 2.0 * N ** (3 - d) * radial_hat(sig, dwv * wv, p_tab / N, d, ell=1)
+
+    rho, g1, j = _field_moments(phi)
+    rho_hat, g1_hat = sfft.fftn(rho), sfft.fftn(g1)
+    pref = grid.cell / rho.size
+    f0_lat, f1_lat, fc_lat = (np.interp(kabs, p_tab, f) for f in (f0, f1, fc))
+    l2_k_sq = float(np.real(np.sum(f0_lat * np.abs(rho_hat) ** 2))) * pref
+    term_a = float(np.real(np.sum(f1_lat * np.abs(rho_hat) ** 2))) * pref
+    term_b = float(np.real(np.sum(f0_lat * np.conj(g1_hat) * rho_hat))) * pref
+    inv_kabs = np.where(kabs > 0, 1.0 / np.where(kabs > 0, kabs, 1.0), 0.0)
+    term_c = 0.0
+    for k, j_c in zip(grid._open_axes(grid.k_axes()), j):
+        mult = -1j * k * inv_kabs * fc_lat
+        term_c += float(np.real(np.sum(np.conj(sfft.fftn(j_c)) * mult
+                                       * rho_hat))) * pref
+    conv = sfft.ifftn(f0_lat * rho_hat).real
+    return (math.sqrt(l2_k_sq), math.sqrt(term_a + term_b + term_c),
+            math.sqrt(float(np.max(rho * conv))))
+
+
+@pytest.mark.parametrize("dim,n,L,N_list", [(1, 128, 16.0, (2, 4)),
+                                             (3, 16, 12.0, (4, 32))])
+def test_kernel_hs_norms_match_separate_radial_transforms(
+        square_sol, dim, n, L, N_list):
+    phi = moving_gaussian(kgrid(n=n, L=L, dim=dim))
+    for N in N_list:
+        got = kernel_hs_norms(phi, square_sol, N)
+        ref = reference_kernel_hs_norms(phi, square_sol, N)
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-14 * r
+
+
+@pytest.mark.parametrize("N", [0, -2])
+def test_kernel_norms_refuse_non_positive_N(square_sol, N):
+    phi = gaussian_datum(kgrid(n=32), sigma=1.0)
+    for norm in (kernel_hs_norms, grad1_kkbar_hs_norm):
+        with pytest.raises(DomainError, match="N must be >= 1"):
+            norm(phi, square_sol, N)

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from gpk import radial
 from gpk.errors import DomainError
 from gpk.kernels import _profile_extension
 from gpk.radial import (
-    _PREFACTOR, _angular_kernel, _measure, _simpson_weights, radial_hat,
+    _PREFACTOR, _angular_kernel, _measure, _phase_sums, _simpson_weights,
+    radial_hat,
 )
-from gpk.scattering import RadialPotential, solve_zero_energy
+from gpk.scattering import RadialPotential, potential_pieces, solve_zero_energy
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +151,51 @@ def test_radial_hat_builds_no_momentum_by_radius_matrix(square_sol):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * p.size * sig.size * 8
+
+
+def test_phase_sums_of_a_stack_equal_single_row_calls_bit_for_bit(square_sol):
+    sig, w, dw, p = kernel_grid(square_sol, 1, 128, 16.0, 4)
+    stack = np.stack([w**2, dw**2, dw * w]) * _simpson_weights(sig)
+    stacked = _phase_sums(sig, stack, p)
+    assert stacked.shape == (3, p.size)
+    for row, c in zip(stacked, stack):
+        assert np.array_equal(row, _phase_sums(sig, c, p))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_hat_takes_one_order_per_row(square_sol, dim):
+    sig, w, dw = _profile_extension(square_sol, 20.0, 0.05)
+    p = np.linspace(0.0, 12.0, 97)
+    got = radial_hat(sig, np.stack([w**2, dw * w, dw**2]), p, dim, ell=[0, 1, 0])
+    for row, g, ell in zip(got, (w**2, dw * w, dw**2), (0, 1, 0)):
+        single = radial_hat(sig, g, p, dim, ell)
+        assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("ell", [2, -1, 0.5, [0, 2]])
+def test_radial_hat_rejects_orders_other_than_0_and_1(square_sol, dim, ell):
+    sig, w, dw = _profile_extension(square_sol, 8.0, 0.05)
+    p = np.linspace(0.0, 4.0, 9)
+    with pytest.raises(DomainError, match="ell 0 or 1"):
+        radial_hat(sig, np.stack([w**2, dw**2]), p, dim, ell)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_interaction_table_skips_pieces_where_V_is_zero(
+        square_sol, dim, monkeypatch):
+    # the square well is zero beyond its radius: transforming that piece
+    # adds zeros, so the table is the sum over the other pieces, bit for bit
+    r = square_sol.r_grid
+    p = np.linspace(0.0, 25.0, 512)
+    pieces = list(potential_pieces(square_sol.potential, r))
+    assert [bool(np.any(v)) for _, _, v in pieces] == [True, False]
+    full = np.zeros(p.size)
+    for lo, hi, v in pieces:
+        full += radial_hat(r[lo : hi + 1], v * square_sol.f[lo : hi + 1], p, dim)
+    calls = []
+    monkeypatch.setattr(radial, "radial_hat",
+                        lambda *a, **k: calls.append(a) or radial_hat(*a, **k))
+    table = radial.tabulate_interaction_transform(square_sol, dim, 25.0)
+    assert len(calls) == 1
+    assert np.array_equal(table.values, full)
