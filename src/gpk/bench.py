@@ -554,10 +554,12 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
             summary[stage.name] = stage_summary
         flags.extend(stage_flags)
 
+    # report.json names each artifact relative to the output directory, so
+    # it does not depend on where the directory is
     report = outdir / "report.json"
     _write_json(report, {"stages": [s.name for s in plan],
-                         "artifacts": artifacts, "summary": summary,
-                         "flags": flags}, indent=1)
+                         "artifacts": {s.name: list(s.outputs) for s in plan},
+                         "summary": summary, "flags": flags}, indent=1)
     artifacts["report"] = [str(report)]
     return ReportBundle(outdir=outdir, artifacts=artifacts, summary=summary,
                         flags=flags)

@@ -163,19 +163,6 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
     return math.sqrt(_mass(a.values - b.values) * a.grid.cell)
 
 
-def _periodized_gaussian(grid: GridSpec, width, center, pref=1.0) -> np.ndarray:
-    """prod_c pref sum_{m=-1,0,1} exp(-(x_c - center_c + m L)^2 / (4 width)),
-    `width` real or complex."""
-    L = grid.box_length
-    facs = []
-    for x, c in zip(grid.axes(), center):
-        fac = np.zeros(x.size, dtype=np.result_type(width, float))
-        for m in (-1, 0, 1):
-            fac += np.exp(-((x - c + m * L) ** 2) / (4 * width))
-        facs.append(pref * fac)
-    return grid._mesh(np.multiply, facs)
-
-
 def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunction:
     """Normalized periodized Gaussian of width sigma.
 
@@ -184,7 +171,10 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunct
     """
     if center is None:
         center = [0.0] * grid.dim
-    vals = _periodized_gaussian(grid, sigma**2, center)
+    L = grid.box_length
+    facs = [sum(np.exp(-((x - c + m * L) ** 2) / (4 * sigma**2)) for m in (-1, 0, 1))
+            for x, c in zip(grid.axes(), center)]
+    vals = grid._mesh(np.multiply, facs)
     vals = vals.astype(complex) * (2 * math.pi * sigma**2) ** (-grid.dim / 4.0)
     vals /= math.sqrt(_mass(vals) * grid.cell)
     return WaveFunction(values=vals, grid=grid)
@@ -192,27 +182,6 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunct
 
 def constant_datum(grid: GridSpec) -> WaveFunction:
     vals = np.full(grid.shape, grid.box_length ** (-grid.dim / 2.0), dtype=complex)
-    return WaveFunction(values=vals, grid=grid)
-
-
-def plane_wave_datum(grid: GridSpec, mode: int = 1) -> WaveFunction:
-    wave = 2 * math.pi * mode / grid.box_length * grid.axes()[0]
-    phase = np.zeros(grid.shape) + grid._open_axes(wave)[0]
-    vals = np.exp(1j * phase) * grid.box_length ** (-grid.dim / 2.0)
-    return WaveFunction(values=vals, grid=grid)
-
-
-def free_gaussian_oracle(
-    grid: GridSpec, t: float, sigma: float = 1.0
-) -> WaveFunction:
-    """Closed-form free evolution of the centered Gaussian datum.
-
-    Per axis: (2 pi s^2)^(-1/4) (s^2/(s^2+it))^(1/2) exp(-x^2/(4(s^2+it))),
-    periodized over the nearest box images to match `gaussian_datum`.
-    """
-    g = sigma**2 + 1j * t
-    pref = (2 * math.pi * sigma**2) ** (-0.25) * np.sqrt(sigma**2 / g)
-    vals = _periodized_gaussian(grid, g, [0.0] * grid.dim, pref)
     return WaveFunction(values=vals, grid=grid)
 
 
@@ -267,12 +236,6 @@ class NonlinearitySpec:
         return NonlinearitySpec(
             kind="modified", coupling=table.at_zero, a0=a0, N=N, uhat=table
         )
-
-    def limit_gp(self) -> "NonlinearitySpec":
-        """The N -> infinity contact equation this nonlinearity approaches."""
-        if self.kind == "gp":
-            return self
-        return NonlinearitySpec(kind="gp", coupling=self.uhat.at_zero, a0=self.a0)
 
 
 @dataclass(frozen=True)
@@ -407,14 +370,6 @@ def _density_spectrum(values: np.ndarray, workers: int) -> np.ndarray:
     return sfft.rfftn(values.real**2 + values.imag**2, workers=workers)
 
 
-def _potential(values: np.ndarray, multiplier: np.ndarray, workers: int):
-    """Density potential W[phi] = irfftn(multiplier * rfftn(|phi|^2))."""
-    rho_hat = _density_spectrum(values, workers)
-    rho_hat *= multiplier
-    return sfft.irfftn(rho_hat, s=values.shape, workers=workers,
-                       overwrite_x=True)
-
-
 def _power(psi: WaveFunction) -> np.ndarray:
     """|phi_hat|^2 on the full spectrum."""
     phi_hat = sfft.fftn(psi.values, workers=psi.grid.fft_workers)
@@ -522,35 +477,10 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
     return times, stacks
 
 
-def gp_rhs(psi: WaveFunction, nl: NonlinearitySpec) -> np.ndarray:
-    """Right-hand side of i dphi/dt: -lap phi + W[phi] phi."""
-    grid, workers = psi.grid, psi.grid.fft_workers
-    spectrum = sfft.fftn(psi.values, workers=workers)
-    spectrum *= _k_squared(grid)
-    minus_lap = sfft.ifftn(spectrum, workers=workers, overwrite_x=True)
-    potential = _potential(psi.values, _density_multiplier(grid, nl), workers)
-    return minus_lap + potential * psi.values
-
-
-def time_derivative(psi: WaveFunction, nl: NonlinearitySpec) -> np.ndarray:
-    """dphi/dt = -i (RHS), the field's actual time derivative."""
-    return -1j * gp_rhs(psi, nl)
-
-
 def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
     """Conserved energy: kinetic term plus the nonlinearity-matched interaction."""
     rho_hat = _density_spectrum(psi.values, psi.grid.fft_workers)
     return _energy(psi.grid, nl, _power(psi), rho_hat)
-
-
-def sobolev_norm(psi: WaveFunction, n: int) -> float:
-    """Squared-sum Sobolev norm: sqrt of sum over |alpha| <= n of |d^alpha phi|_2^2."""
-    return _sobolev(psi.grid, n, _power(psi))
-
-
-def spectral_tail_mass(psi: WaveFunction) -> float:
-    """Fraction of spectral mass with any |k_i| at or beyond 7/8 of k_max."""
-    return _tail_fraction(psi.grid, _TAIL_BAND, _power(psi))
 
 
 def tail_warnings(times, tail_mass) -> list:

@@ -4,8 +4,9 @@ States live in the direct sum of symmetric n-particle sectors with total
 occupation at most n_max; operators are sparse matrices over the occupation
 basis.  The module provides ladder operators, number-conserving Hamiltonians,
 Weyl and Bogoliubov unitaries (dense exponentials at small dimension, Krylov
-actions on vectors otherwise), the five-factor fluctuation dynamics, reduced
-densities, and the toy-scale convergence and cancellation experiments.
+actions on vectors otherwise), reduced densities, and the toy-scale
+convergence and cancellation experiments.  Both experiments take the pieces
+of the fluctuation generator L_N from one place, `FockBasis.mode_products`.
 
 Occupation vectors are enumerated graded-lexicographically: shells of total
 occupation n in increasing n, and inside a shell the first mode decreases
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,18 +71,30 @@ class FockBasis:
         return self.occupations.sum(axis=1)
 
     @functools.cached_property
-    def index(self) -> dict:
-        """Occupation tuple -> flat index."""
-        return {tuple(map(int, occ)): i for i, occ in enumerate(self.occupations)}
-
-    @functools.cached_property
     def ladders(self) -> tuple:
         """(annihilators, creators) of every mode, built once and read-only."""
         ops = [ladder(self, mode) for mode in range(self.d)]
-        for op in (op for pair in ops for op in pair):
-            for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
-                arr.setflags(write=False)
+        _read_only(op.matrix for pair in ops for op in pair)
         return tuple(a for a, _ in ops), tuple(ad for _, ad in ops)
+
+    @functools.cached_property
+    def mode_products(self) -> tuple:
+        """Per mode i, the products of its ladder operators that the pieces
+        of L_N are made of: (n_i, a_i^dag^2, a_i^2, a_i^dag^2 a_i,
+        a_i^dag a_i^2), built once and read-only."""
+        products = []
+        for a, ad in zip(*self.ladders):
+            a, ad = a.matrix, ad.matrix
+            n, ad2 = ad @ a, ad @ ad
+            products.append((n, ad2, a @ a, ad2 @ a, n @ a))
+        _read_only(m for mode in products for m in mode)
+        return tuple(products)
+
+
+def _read_only(matrices) -> None:
+    for m in matrices:
+        for arr in (m.data, m.indices, m.indptr):
+            arr.setflags(write=False)
 
 
 def build_basis(d: int, n_max: int) -> FockBasis:
@@ -199,13 +212,6 @@ def all_ladders(basis: FockBasis):
     """Annihilators and creators of every mode: the basis's cached ones."""
     ann, cre = basis.ladders
     return list(ann), list(cre)
-
-
-def number_operator(basis: FockBasis) -> FockOperator:
-    diag = basis.totals().astype(float)
-    return FockOperator(
-        matrix=sp.diags(diag, format="csr").astype(complex), basis=basis
-    )
 
 
 def _sparse_sum(basis: FockBasis, terms) -> sp.csr_matrix:
@@ -370,36 +376,18 @@ def mode_hyperbolic(K: np.ndarray):
     return ch, sh
 
 
-def unitarity_defect(op: FockOperator) -> float:
-    d = op.matrix.conj().T @ op.matrix - sp.identity(op.basis.dim, dtype=complex)
-    return float(abs(d).max()) if d.nnz else 0.0
-
-
 def coherent_state(basis: FockBasis, f: np.ndarray) -> FockVector:
     return apply_weyl(basis, f, vacuum(basis))
 
 
-def product_state(basis: FockBasis, phi: np.ndarray, n: int) -> FockVector:
-    """The symmetric n-particle product state of the normalized orbital phi."""
-    phi = np.asarray(phi, dtype=complex)
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise DomainError("orbital must be normalized")
-    if n > basis.n_max:
-        raise DomainError("n exceeds the cutoff")
-    c = np.zeros(basis.dim, dtype=complex)
-    sl = basis.shell_slices[n]
-    for i in range(sl.start, sl.stop):
-        occ = basis.occupations[i]
-        amp = math.sqrt(math.factorial(n))
-        for ni in occ:
-            amp /= math.sqrt(math.factorial(int(ni)))
-        c[i] = amp * np.prod(phi ** occ)
-    return FockVector(coefficients=c, basis=basis)
-
-
 # ---------------------------------------------------------------------------
-# reduced densities and trace distances
+# reduced densities, particle numbers and trace distances
 # ---------------------------------------------------------------------------
+
+def number_expectation(psi: FockVector) -> float:
+    totals = psi.basis.totals().astype(float)
+    return float(np.sum(totals * np.abs(psi.coefficients) ** 2))
+
 
 @dataclass(frozen=True)
 class ReducedDensity:
@@ -416,13 +404,6 @@ class ReducedDensity:
             raise InvariantViolation("reduced density is not PSD")
         if abs(np.trace(m).real - 1.0) > 1e-12:
             raise InvariantViolation("reduced density trace is not 1")
-
-
-def reduced_density(psi: FockVector) -> ReducedDensity:
-    """Gamma_ij = <psi, a_j^dag a_i psi> / <psi, N psi>."""
-    (gamma,) = _displaced_densities(
-        psi.basis, psi.coefficients[:, None], np.zeros((1, psi.basis.d)))
-    return gamma
 
 
 def _displaced_densities(basis: FockBasis, block: np.ndarray,
@@ -483,19 +464,8 @@ def trace_distance_to_rank_one(
 
 
 # ---------------------------------------------------------------------------
-# projections and structural checks
+# structural checks
 # ---------------------------------------------------------------------------
-
-def project_N(psi: FockVector, n: int):
-    """Zero all shells except total occupation n; returns (vector, norm)."""
-    if n > psi.basis.n_max or n < 0:
-        raise DomainError("sector outside the cutoff")
-    c = np.zeros_like(psi.coefficients)
-    sl = psi.basis.shell_slices[n]
-    c[sl] = psi.coefficients[sl]
-    vec = FockVector(coefficients=c, basis=psi.basis)
-    return vec, vec.norm()
-
 
 def _sub_cutoff(basis: FockBasis, n_sub: Optional[int]) -> np.ndarray:
     """Mask of the states with total occupation <= n_sub (default n_max - 4)."""
@@ -585,62 +555,6 @@ def check_TNT_inequality(
 
 
 # ---------------------------------------------------------------------------
-# fluctuation dynamics
-# ---------------------------------------------------------------------------
-
-def evolve_state(H: FockOperator, psi: FockVector, t: float) -> FockVector:
-    """e^{-i H t} psi by Krylov action (dense-free at any desk dimension)."""
-    if t == 0:
-        return psi
-    return FockVector(
-        coefficients=expm_multiply(-1j * t * H.matrix, psi.coefficients),
-        basis=psi.basis,
-    )
-
-
-def fluctuation_dynamics(
-    basis: FockBasis,
-    H: FockOperator,
-    phi_traj: Callable[[float], np.ndarray],
-    K_traj: Optional[Callable[[float], np.ndarray]],
-    psi: FockVector,
-    t: float,
-    leakage_tol: float = 1e-6,
-) -> FockVector:
-    """Five-factor fluctuation map applied to psi:
-
-        T^dag(K_t) W^dag(f_t) e^{-iHt} W(f_0) T(K_0) psi
-
-    phi_traj returns the Weyl argument f_t (already carrying the sqrt(N)
-    amplitude); K_traj may be None for the uncorrelated ansatz.  Shell
-    leakage past the cutoff is checked after every factor and, above the
-    tolerance, raises naming the factor.
-    """
-    def checked(vec: FockVector, name: str) -> FockVector:
-        leak = vec.top_shell_mass()
-        if leak > leakage_tol:
-            raise TruncationBudgetError(
-                f"truncation leakage {leak:.3e} after factor {name}"
-            )
-        return vec
-
-    state = psi
-    if K_traj is not None:
-        state = checked(apply_bogoliubov(basis, K_traj(0.0), state), "T(k_0)")
-    state = checked(apply_weyl(basis, phi_traj(0.0), state), "W(f_0)")
-    state = checked(evolve_state(H, state, t), "exp(-iHt)")
-    state = checked(apply_weyl(basis, -phi_traj(t), state), "W*(f_t)")
-    if K_traj is not None:
-        state = checked(apply_bogoliubov(basis, -K_traj(t), state), "T*(k_t)")
-    return state
-
-
-def number_expectation(psi: FockVector) -> float:
-    totals = psi.basis.totals().astype(float)
-    return float(np.sum(totals * np.abs(psi.coefficients) ** 2))
-
-
-# ---------------------------------------------------------------------------
 # toy scenarios: convergence of reduced densities, generator cancellation
 # ---------------------------------------------------------------------------
 
@@ -717,17 +631,13 @@ def _fluctuation_generator(basis: FockBasis, h: np.ndarray, u: np.ndarray,
     Returns the k operators stacked row-wise, (k dim, dim), and their
     coefficients, (node, column, k, 1), at each orbit node for each N.
     """
-    ann, cre = all_ladders(basis)
-    a = [m.matrix for m in ann]
-    ad = [m.matrix for m in cre]
     ops = [hamiltonian(basis, h).matrix,
            hamiltonian(basis, np.zeros_like(h), u, coupling=1.0).matrix]
     in_time = [np.ones(len(orbit)), np.full(len(orbit), g)]
     per_N = [np.ones_like(N), 1.0 / N]
-    for i in range(basis.d):
+    for i, products in enumerate(basis.mode_products):
         phi, gu = orbit[:, i], g * u[i]
-        ops += [ad[i] @ a[i], ad[i] @ ad[i], a[i] @ a[i],
-                ad[i] @ ad[i] @ a[i], ad[i] @ a[i] @ a[i]]
+        ops += products
         in_time += [2 * gu * np.abs(phi) ** 2, 0.5 * gu * phi ** 2,
                     0.5 * gu * np.conj(phi) ** 2, gu * phi, gu * np.conj(phi)]
         per_N += [np.ones_like(N)] * 3 + [1.0 / np.sqrt(N)] * 2
@@ -866,16 +776,16 @@ def generator_cancellation_check(
         kappa = N * omega
 
     ann, cre = all_ladders(basis)
-    modes = range(basis.d)
     l1 = _sparse_sum(basis, (
         (math.sqrt(N) * g * omega * u[i] * phi[i] ** 3,
          cre[i].matrix + ann[i].matrix)
-        for i in modes))
+        for i in range(basis.d)))
+    # a_i^dag^2 a_i and a_i^dag a_i^2 of all modes have disjoint sparsity,
+    # so their sum is exact term by term
     l3 = _sparse_sum(basis, (
-        (g / math.sqrt(N) * u[i] * phi[i],
-         cre[i].matrix @ cre[i].matrix @ ann[i].matrix
-         + cre[i].matrix @ ann[i].matrix @ ann[i].matrix)
-        for i in modes))
+        (g / math.sqrt(N) * u[i] * phi[i], cubic)
+        for i, products in enumerate(basis.mode_products)
+        for cubic in products[3:]))
 
     if kappa != 0:
         T = _dense_expm(_bogoliubov_generator(basis, -kappa * np.outer(phi, phi)),

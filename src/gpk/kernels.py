@@ -3,7 +3,7 @@
 The pair kernel is k(x, y) = -N w(N(x - y)) phi(x) phi(y) with w = 1 - f the
 solved correlation profile.  This module constructs it densely on a desk
 sized grid, sums the hyperbolic operator series ch(k), sh(k), and certifies
-the norm, gradient, pointwise and time-derivative bounds.
+the norm, gradient and pointwise bounds.
 
 Hilbert-Schmidt norms that must resolve the 1/N core of w(N .) are not
 computed from dense samples (a lattice cannot hold the core for large N);
@@ -28,18 +28,18 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.integrate import simpson
 
-from .dynamics import GridSpec, WaveFunction, _mass
+from .dynamics import GridSpec, WaveFunction
 from .errors import AccuracyWarning, DomainError
 from .radial import radial_hat
 from .scattering import (
     RadialPotential,
     ScatteringSolution,
+    _simpson_weights,
     equation_defect_residual,
     scaled_profile,
 )
@@ -89,16 +89,8 @@ class TwoPointKernel:
     def conj_kernel(self) -> "TwoPointKernel":
         return TwoPointKernel(values=np.conj(self.values), grid=self.grid)
 
-    def adjoint(self) -> "TwoPointKernel":
-        return TwoPointKernel(values=np.conj(self.values.T), grid=self.grid)
-
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.values @ (self.weight * f)
-
-
-def identity_kernel(grid: GridSpec) -> TwoPointKernel:
-    M = grid.points_per_axis**grid.dim
-    return TwoPointKernel(values=np.eye(M, dtype=complex) / grid.cell, grid=grid)
 
 
 def pair_distances(grid: GridSpec) -> np.ndarray:
@@ -106,11 +98,6 @@ def pair_distances(grid: GridSpec) -> np.ndarray:
     u2, n = grid._displacements() ** 2, grid.points_per_axis
     idx = np.indices(grid.shape).reshape(grid.dim, -1)
     return np.sqrt(sum(u2[np.subtract.outer(i, i) % n] for i in idx))
-
-
-def _pair_profile(grid: GridSpec, sol: ScatteringSolution, N: int) -> np.ndarray:
-    """-N w(N|x - y|) over all pairs of grid points."""
-    return -N * scaled_profile(sol, N, pair_distances(grid))
 
 
 def build_kt(phi: WaveFunction, sol: ScatteringSolution, N: int) -> TwoPointKernel:
@@ -125,23 +112,8 @@ def build_kt(phi: WaveFunction, sol: ScatteringSolution, N: int) -> TwoPointKern
             AccuracyWarning,
         )
     f = phi.values.reshape(-1)
-    vals = _pair_profile(grid, sol, N) * np.multiply.outer(f, f)
-    return TwoPointKernel(values=vals, grid=grid)
-
-
-def time_derivative_kt(
-    phi: WaveFunction, phi_dot: np.ndarray, sol: ScatteringSolution, N: int
-) -> TwoPointKernel:
-    """d/dt of the pair kernel for a given field velocity phi_dot.
-
-    Product rule on the field factors only; the profile factor is static:
-    -N w(N(x-y)) (phi_dot(x) phi(y) + phi(x) phi_dot(y)).
-    """
-    f = phi.values.reshape(-1)
-    g = phi_dot.reshape(-1)
-    vals = _pair_profile(phi.grid, sol, N) * (
-        np.multiply.outer(g, f) + np.multiply.outer(f, g))
-    return TwoPointKernel(values=vals, grid=phi.grid)
+    profile = -N * scaled_profile(sol, N, pair_distances(grid))
+    return TwoPointKernel(values=profile * np.multiply.outer(f, f), grid=grid)
 
 
 def _spectral_gradient(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
@@ -152,21 +124,6 @@ def _spectral_gradient(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     ks = grid._open_axes(grid.k_axes(), values.ndim - grid.dim)
     return [sfft.ifftn(spec * (1j * k), axes=axes, workers=grid.fft_workers)
             for k in ks]
-
-
-def grad1_components(kernel: TwoPointKernel) -> list[np.ndarray]:
-    """Spectral derivative of k(x, y) in each component of the first slot."""
-    grid = kernel.grid
-    vals = kernel.values.reshape(grid.shape + (-1,))
-    return [comp.reshape(kernel.values.shape)
-            for comp in _spectral_gradient(grid, vals)]
-
-
-def grad1_hs_norm(kernel: TwoPointKernel) -> float:
-    total = 0.0
-    for comp in grad1_components(kernel):
-        total += float(np.sum(np.abs(comp) ** 2))
-    return math.sqrt(total) * kernel.weight
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +175,6 @@ def hyperbolic_series(k: TwoPointKernel, tol: float = 1e-14) -> BogoliubovKernel
         series_terms_used=n,
         truncation_error_bound=tail,
     )
-
-
-def bogoliubov_identity_defect(k: TwoPointKernel, tol: float = 1e-14) -> float:
-    """Max-entry defect of ch ch^dag - sh sh^dag = identity (weighted kernels)."""
-    bk = hyperbolic_series(k, tol)
-    grid = k.grid
-    ident = identity_kernel(grid)
-    ch = TwoPointKernel(values=ident.values + bk.p.values, grid=grid)
-    lhs = ch.compose(ch.adjoint()).values - bk.sh.compose(bk.sh.adjoint()).values
-    return float(np.max(np.abs(lhs - ident.values))) * grid.cell
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +303,11 @@ def _lattice_profile(grid: GridSpec, sol: ScatteringSolution, N: int, deriv: boo
     r_eq = (grid.cell * d / omega) ** (1.0 / d)
     s_eq = N * r_eq
     sgrid = np.linspace(0.0, min(s_eq, r_max), 513)
-    integ = simpson(np.interp(sgrid, sol.r_grid, sol.w) * sgrid ** (d - 1), x=sgrid)
+    integ = _simpson_weights(sgrid) @ (np.interp(sgrid, sol.r_grid, sol.w)
+                                       * sgrid ** (d - 1))
     if s_eq > r_max:
         ext = np.linspace(r_max, s_eq, 513)
-        integ += simpson((a0 / ext) * ext ** (d - 1), x=ext)
+        integ += _simpson_weights(ext) @ ((a0 / ext) * ext ** (d - 1))
     vals.reshape(-1)[0] = omega * N / (grid.cell * N**d) * integ
     return vals
 
@@ -519,22 +467,3 @@ def zero_energy_cancellation_residual(
     if sol.potential is not V:
         raise DomainError("profile was not solved from this potential")
     return equation_defect_residual(sol, N)
-
-
-def coarsen_field(phi: WaveFunction, n_coarse: int) -> WaveFunction:
-    """Spectral downsample onto n_coarse points per axis (band truncation)."""
-    grid = phi.grid
-    n = grid.points_per_axis
-    if n_coarse > n or n % n_coarse != 0:
-        raise DomainError("coarse grid must divide the fine grid")
-    if n_coarse == n:
-        return phi
-    d = grid.dim
-    spec = sfft.fftn(phi.values, workers=grid.fft_workers)
-    keep = np.r_[0 : n_coarse // 2, n - n_coarse // 2 : n]
-    for axis in range(d):
-        spec = np.take(spec, keep, axis=axis)
-    vals = sfft.ifftn(spec, workers=grid.fft_workers) * (n_coarse / n) ** d
-    cgrid = replace(grid, points_per_axis=n_coarse)
-    norm = math.sqrt(_mass(vals) * cgrid.cell)
-    return WaveFunction(values=vals / norm, grid=cgrid)

@@ -29,6 +29,9 @@ dot product.  The Bessel kernels J0, J1 (dim 2) and j1 (dim 3, l = 1) have
 no addition formula and keep the full p x r kernel matrix, one product for
 all rows of an order: splitting j1 = sin/z^2 - cos/z into p-separable parts
 cancels at small pr and loses about two digits against the direct matrix.
+
+The quadrature over r is Simpson's rule as weights, `_simpson_weights` of
+`gpk.scattering`, the one Simpson rule of the package.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import j0 as besselJ0, j1 as besselJ1
 
 from .errors import DomainError
-from .scattering import potential_pieces
+from .scattering import _simpson_weights, potential_pieces
 
 
 def _angular_kernel(z: np.ndarray, dim: int, ell: int) -> np.ndarray:
@@ -70,34 +73,6 @@ _PREFACTOR = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 # momenta of the interaction-transform table, uniform on [0, p_max]
 _INTERACTION_MOMENTA = 512
-
-
-def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Weights w with w @ y == scipy.integrate.simpson(y, x=x) up to round-off.
-
-    Composite Simpson on pairs of (possibly unequal) intervals; for an even
-    number of samples the last interval gets Cartwright's correction, as in
-    scipy, and two samples give the trapezoid.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    w = np.zeros(n)
-    if n < 3:
-        w[:] = 0.5 * (x[-1] - x[0]) if n == 2 else 0.0
-        return w
-    h = np.diff(x)
-    m = n if n % 2 else n - 1  # samples covered by whole interval pairs
-    h0, h1 = h[0 : m - 1 : 2], h[1 : m - 1 : 2]
-    hsum = h0 + h1
-    w[0 : m - 2 : 2] += hsum / 6.0 * (2.0 - h1 / h0)
-    w[1 : m - 1 : 2] += hsum**3 / (6.0 * h0 * h1)
-    w[2:m:2] += hsum / 6.0 * (2.0 - h0 / h1)
-    if n % 2 == 0:
-        h0, h1 = h[-2], h[-1]
-        w[-1] += (2.0 * h1**2 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
-        w[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
-        w[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
-    return w
 
 
 def _unit_phase(angle: np.ndarray) -> np.ndarray:

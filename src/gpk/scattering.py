@@ -5,6 +5,10 @@ exactly to the 1D problem u'' = (V/2) u with u = r f, u(0) = 0.  We integrate
 u with a fixed-step classical RK4 scheme on a uniform radial grid, rescale so
 that u(r) -> r - a0, and extract a0 both from u/u' at the boundary and from a
 least-squares fit of the outer 20% of the grid (the fit is canonical).
+
+Every Simpson sum of gpk goes through `_simpson_weights`, defined here: the
+volume-integral scattering length, the radial transforms of `gpk.radial` and
+the origin-cell average of the lattice profile in `gpk.kernels`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import BudgetError, ConfigurationError, DomainError, InvariantViolation
 
@@ -339,9 +342,39 @@ def scattering_length_integral(sol: ScatteringSolution, V: RadialPotential) -> f
     if sol.potential is not V:
         raise DomainError("solution was not produced from this potential")
     r, f = sol.r_grid, sol.f
-    total = sum(simpson(r[lo : hi + 1] ** 2 * v * f[lo : hi + 1], x=r[lo : hi + 1])
-                for lo, hi, v in potential_pieces(V, r))
+    total = 0.0
+    for lo, hi, v in potential_pieces(V, r):
+        x = r[lo : hi + 1]
+        total += _simpson_weights(x) @ (x**2 * v * f[lo : hi + 1])
     return 0.5 * float(total)
+
+
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y == scipy.integrate.simpson(y, x=x) up to round-off.
+
+    Composite Simpson on pairs of (possibly unequal) intervals; for an even
+    number of samples the last interval gets Cartwright's correction, as in
+    scipy, and two samples give the trapezoid.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    w = np.zeros(n)
+    if n < 3:
+        w[:] = 0.5 * (x[-1] - x[0]) if n == 2 else 0.0
+        return w
+    h = np.diff(x)
+    m = n if n % 2 else n - 1  # samples covered by whole interval pairs
+    h0, h1 = h[0 : m - 1 : 2], h[1 : m - 1 : 2]
+    hsum = h0 + h1
+    w[0 : m - 2 : 2] += hsum / 6.0 * (2.0 - h1 / h0)
+    w[1 : m - 1 : 2] += hsum**3 / (6.0 * h0 * h1)
+    w[2:m:2] += hsum / 6.0 * (2.0 - h0 / h1)
+    if n % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        w[-1] += (2.0 * h1**2 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
+        w[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
+        w[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
+    return w
 
 
 def potential_pieces(V: RadialPotential, r: np.ndarray):

@@ -379,6 +379,19 @@ directory = {outdir}
     assert report["flags"] == fresh.flags
 
 
+def test_report_json_does_not_depend_on_the_output_directory(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    reports = []
+    for name in ("a", "b"):
+        outdir = tmp_path / name
+        assert cli_main(["evolve", "--config", str(cfg_path),
+                         "--out", str(outdir)]) == 0
+        reports.append((outdir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["artifacts"]["evolve"] == ["norms.csv"]
+    capsys.readouterr()
+
+
 def test_fresh_and_partial_warm_runs_give_identical_artifacts(tmp_path):
     # the scattering stage is a cache hit on the rerun; evolve and nsweep
     # must rebuild from the stored profile exactly what the fresh run wrote

@@ -15,22 +15,16 @@ from gpk.dynamics import (
     _density_multiplier,
     _k_squared,
     _mass,
-    _potential,
     _sobolev_multiplier,
     _tail_mask,
     _unit_phase,
     compare_dynamics,
     constant_datum,
     evolve,
-    free_gaussian_oracle,
     gaussian_datum,
     gp_energy,
-    gp_rhs,
     l2_distance,
-    plane_wave_datum,
-    sobolev_norm,
     sobolev_report,
-    spectral_tail_mass,
 )
 from gpk.errors import ConfigurationError, NumericalBlowupError
 from gpk.scattering import RadialPotential, solve_zero_energy
@@ -44,6 +38,41 @@ def grid1d(n=256, L=16.0, dt=1e-3, T=0.5):
 def square_sol():
     V = RadialPotential.square_well(8.0, 1.0)
     return solve_zero_energy(V, 5.0, 4000)
+
+
+def free_gaussian_oracle(grid, t, sigma=1.0):
+    """Closed-form free evolution of the centred Gaussian datum.
+
+    Per axis: (2 pi s^2)^(-1/4) (s^2/(s^2+it))^(1/2) exp(-x^2/(4(s^2+it))),
+    periodized over the nearest box images to match `gaussian_datum`.
+    """
+    g = sigma**2 + 1j * t
+    pref = (2 * math.pi * sigma**2) ** (-0.25) * np.sqrt(sigma**2 / g)
+    L = grid.box_length
+    facs = [pref * sum(np.exp(-((x + m * L) ** 2) / (4 * g)) for m in (-1, 0, 1))
+            for x in grid.axes()]
+    return WaveFunction(values=grid._mesh(np.multiply, facs), grid=grid)
+
+
+def plane_wave_datum(grid, mode=1):
+    wave = 2 * math.pi * mode / grid.box_length * grid.axes()[0]
+    phase = np.zeros(grid.shape) + grid._open_axes(wave)[0]
+    vals = np.exp(1j * phase) * grid.box_length ** (-grid.dim / 2.0)
+    return WaveFunction(values=vals, grid=grid)
+
+
+def gp_rhs(psi, nl):
+    """Right-hand side of i dphi/dt: -lap phi + W[phi] phi, with the density
+    potential W[phi] of the stepper."""
+    minus_lap = sfft.ifftn(sfft.fftn(psi.values) * _k_squared(psi.grid))
+    potential = _Stepper(psi.grid, [nl]).potential(psi.values[None])[0]
+    return minus_lap + potential * psi.values
+
+
+def one_state_report(psi, nl=None):
+    """`sobolev_report` of the trajectory that holds psi alone."""
+    return sobolev_report(Trajectory(np.zeros(1), [psi]),
+                          nl or NonlinearitySpec.free())
 
 
 def test_free_evolution_matches_gaussian_oracle_1d():
@@ -140,11 +169,29 @@ def test_variational_consistency_rhs_vs_energy_gradient():
             assert abs(fd - target) <= 1e-6 * max(1.0, abs(target))
 
 
+def test_central_difference_of_evolve_is_minus_i_rhs_at_second_order(square_sol):
+    grid = GridSpec(dim=1, box_length=16.0, points_per_axis=64, dt=2e-4,
+                    t_final=2e-4)
+    phi = gaussian_datum(grid, sigma=1.0)
+    nl = NonlinearitySpec.modified(square_sol, N=4, grid=grid)
+    phi_dot = -1j * gp_rhs(phi, nl)
+    errs = []
+    for steps in (1, 2):
+        h = grid.dt * steps
+        g = replace(grid, t_final=h)
+        fwd = evolve(phi, nl, g).states[-1]
+        bwd = evolve(phi, nl, replace(g, dt=-g.dt, t_final=-h)).states[-1]
+        fd = (fwd.values - bwd.values) / (2 * h)
+        errs.append(np.max(np.abs(fd - phi_dot)))
+    # central difference converges at second order
+    assert errs[1] / errs[0] > 3.0
+
+
 def test_plane_wave_h1_norm():
     grid = grid1d(n=64)
     psi = plane_wave_datum(grid, mode=1)
     expected_sq = 1.0 + (2 * math.pi / grid.box_length) ** 2
-    assert abs(sobolev_norm(psi, 1) ** 2 - expected_sq) < 1e-10
+    assert abs(one_state_report(psi).h_norms[1][0] ** 2 - expected_sq) < 1e-10
 
 
 def test_gaussian_sobolev_norms_match_closed_form():
@@ -154,9 +201,10 @@ def test_gaussian_sobolev_norms_match_closed_form():
     psi = gaussian_datum(grid, sigma=sigma)
     s2 = 1.0 / (4 * sigma**2)
     dfact = {0: 1, 1: 1, 2: 3, 3: 15, 4: 105}
+    rep = one_state_report(psi)
     for n in (1, 2, 3, 4):
         expected = sum(dfact[a] * s2**a for a in range(n + 1))
-        assert abs(sobolev_norm(psi, n) ** 2 - expected) < 1e-8
+        assert abs(rep.h_norms[n][0] ** 2 - expected) < 1e-8
 
 
 def test_sobolev_report_growth_envelope():
@@ -185,7 +233,7 @@ def test_spectral_tail_warning_for_rough_field():
     vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     vals /= math.sqrt(np.sum(np.abs(vals) ** 2) * grid.cell)
     psi = WaveFunction(values=vals, grid=grid)
-    assert spectral_tail_mass(psi) > 1e-8
+    assert one_state_report(psi).tail_mass[0] > 1e-8
 
 
 def test_modified_uhat_zero_matches_8pi_a0(square_sol):
@@ -203,7 +251,9 @@ def test_modified_energy_gap_shrinks_like_1_over_N(square_sol):
     for N in Ns:
         nl = NonlinearitySpec.modified(square_sol, N=N, grid=grid)
         if gp_lim is None:
-            gp_lim = gp_energy(psi, nl.limit_gp())
+            # the N -> infinity contact equation
+            limit = NonlinearitySpec(kind="gp", coupling=nl.uhat.at_zero, a0=nl.a0)
+            gp_lim = gp_energy(psi, limit)
         gaps.append(abs(gp_energy(psi, nl) - gp_lim))
     from gpk.rates import fit_rate
 
@@ -342,7 +392,7 @@ def test_real_fft_density_path_matches_complex_reference(square_sol, kind, dim, 
     else:
         nl = NonlinearitySpec.modified(square_sol, N=4, grid=grid)
     ref_potential, ref_energy = complex_fft_reference(psi, nl)
-    potential = _potential(psi.values, _density_multiplier(grid, nl), 1)
+    potential = _Stepper(grid, [nl]).potential(psi.values[None])[0]
     scale = max(1.0, float(np.max(np.abs(ref_potential))))
     assert np.max(np.abs(potential - ref_potential)) <= 1e-14 * scale
     assert abs(gp_energy(psi, nl) - ref_energy) <= 1e-14 * max(1.0, ref_energy)
@@ -377,10 +427,11 @@ def test_sobolev_report_matches_per_state_diagnostics():
         return abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     for i, state in enumerate(traj.states):
+        single = one_state_report(state, nl)
         assert close(rep.energy[i], gp_energy(state, nl))
-        assert close(rep.tail_mass[i], spectral_tail_mass(state))
+        assert close(rep.tail_mass[i], single.tail_mass[0])
         for n in (1, 2, 3, 4):
-            assert close(rep.h_norms[n][i], sobolev_norm(state, n))
+            assert close(rep.h_norms[n][i], single.h_norms[n][0])
     assert len(rep.warnings) == 1 and rep.warnings[0].startswith("t = 0.03:")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from gpk.errors import (
     ConfigurationError,
@@ -13,6 +14,7 @@ from gpk.errors import (
 from gpk.fock import (
     FockVector,
     ToyScenario,
+    _displaced_densities,
     all_ladders,
     annihilator_of,
     apply_bogoliubov,
@@ -24,25 +26,88 @@ from gpk.fock import (
     check_TNT_inequality,
     check_weyl_relations,
     coherent_state,
-    evolve_state,
-    fluctuation_dynamics,
     generator_cancellation_check,
     hamiltonian,
     ladder,
     mean_field_trajectory,
     mode_hyperbolic,
     number_expectation,
-    number_operator,
     poisson_shell_mass,
-    product_state,
-    project_N,
-    reduced_density,
     toy_convergence_study,
     trace_distance_to_rank_one,
-    unitarity_defect,
     vacuum,
     weyl,
 )
+
+
+# References the tests compare against: the lab-frame dynamics, product
+# states, and the reduced density of an undisplaced state.
+
+def evolve_state(H, psi, t):
+    """e^{-i H t} psi by Krylov action (dense-free at any desk dimension)."""
+    if t == 0:
+        return psi
+    return FockVector(
+        coefficients=expm_multiply(-1j * t * H.matrix, psi.coefficients),
+        basis=psi.basis,
+    )
+
+
+def fluctuation_dynamics(basis, H, phi_traj, K_traj, psi, t, leakage_tol=1e-6):
+    """Five-factor fluctuation map applied to psi:
+
+        T^dag(K_t) W^dag(f_t) e^{-iHt} W(f_0) T(K_0) psi
+
+    phi_traj returns the Weyl argument f_t (already carrying the sqrt(N)
+    amplitude); K_traj may be None for the uncorrelated ansatz.  Shell
+    leakage past the cutoff is checked after every factor and, above the
+    tolerance, raises naming the factor.
+    """
+    def checked(vec, name):
+        leak = vec.top_shell_mass()
+        if leak > leakage_tol:
+            raise TruncationBudgetError(
+                f"truncation leakage {leak:.3e} after factor {name}"
+            )
+        return vec
+
+    state = psi
+    if K_traj is not None:
+        state = checked(apply_bogoliubov(basis, K_traj(0.0), state), "T(k_0)")
+    state = checked(apply_weyl(basis, phi_traj(0.0), state), "W(f_0)")
+    state = checked(evolve_state(H, state, t), "exp(-iHt)")
+    state = checked(apply_weyl(basis, -phi_traj(t), state), "W*(f_t)")
+    if K_traj is not None:
+        state = checked(apply_bogoliubov(basis, -K_traj(t), state), "T*(k_t)")
+    return state
+
+
+def product_state(basis, phi, n):
+    """The symmetric n-particle product state of the normalized orbital phi."""
+    phi = np.asarray(phi, dtype=complex)
+    assert abs(np.linalg.norm(phi) - 1.0) <= 1e-10 and n <= basis.n_max
+    c = np.zeros(basis.dim, dtype=complex)
+    sl = basis.shell_slices[n]
+    for i in range(sl.start, sl.stop):
+        occ = basis.occupations[i]
+        amp = math.sqrt(math.factorial(n))
+        for ni in occ:
+            amp /= math.sqrt(math.factorial(int(ni)))
+        c[i] = amp * np.prod(phi ** occ)
+    return FockVector(coefficients=c, basis=basis)
+
+
+def reduced_density(psi):
+    """Gamma_ij = <psi, a_j^dag a_i psi> / <psi, N psi>, by the moments the
+    toy study reads its densities from, at zero displacement."""
+    (gamma,) = _displaced_densities(
+        psi.basis, psi.coefficients[:, None], np.zeros((1, psi.basis.d)))
+    return gamma
+
+
+def occupation_index(basis):
+    """Occupation tuple -> flat index."""
+    return {tuple(map(int, occ)): i for i, occ in enumerate(basis.occupations)}
 
 
 def test_basis_dimensions_and_order():
@@ -72,13 +137,14 @@ def test_vacuum_annihilation_and_matrix_elements():
 
 def loop_built_annihilator(basis, mode):
     """One sqrt(n) entry per state, its target row looked up by occupation."""
+    index = occupation_index(basis)
     rows, cols, vals = [], [], []
     for col, occ in enumerate(basis.occupations):
         if occ[mode] == 0:
             continue
         target = occ.copy()
         target[mode] -= 1
-        rows.append(basis.index[tuple(map(int, target))])
+        rows.append(index[tuple(map(int, target))])
         cols.append(col)
         vals.append(math.sqrt(occ[mode]))
     return sp.csr_matrix((np.array(vals), (rows, cols)),
@@ -105,6 +171,25 @@ def test_cached_ladders_are_read_only():
         for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
+
+
+def test_mode_products_are_the_ladder_products_built_once():
+    b = build_basis(3, 6)
+    ann, cre = all_ladders(b)
+    cubics = []
+    for i, products in enumerate(b.mode_products):
+        a, ad = ann[i].matrix, cre[i].matrix
+        want = (ad @ a, ad @ ad, a @ a, ad @ ad @ a, ad @ a @ a)
+        for got, ref in zip(products, want, strict=True):
+            assert (got != ref).nnz == 0
+            with pytest.raises(ValueError):
+                got.data[0] = got.data[0]
+        cubics += products[3:]
+    assert b.mode_products is b.mode_products
+    # the cubic products of all modes have disjoint sparsity, so a weighted
+    # sum of them is exact term by term
+    pattern = sum(abs(m).sign() for m in cubics)
+    assert pattern.max() == 1 and pattern.nnz == sum(m.nnz for m in cubics)
 
 
 def test_annihilation_bounded_by_number_operator():
@@ -197,8 +282,8 @@ def test_hamiltonian_commutes_with_number():
     b = build_basis(2, 5)
     h = np.array([[0.0, -1.0], [-1.0, 0.5]])
     H = hamiltonian(b, h, np.array([1.0, 1.0]), coupling=0.7)
-    N = number_operator(b)
-    comm = H.matrix @ N.matrix - N.matrix @ H.matrix
+    N = sp.diags(b.totals().astype(float), format="csr").astype(complex)
+    comm = H.matrix @ N - N @ H.matrix
     assert abs(comm).max() == 0.0
 
 
@@ -211,15 +296,16 @@ def test_bose_hubbard_ground_energy_oracle():
     H = hamiltonian(b, h, u, coupling=U)
 
     dense = np.zeros((b.dim, b.dim))
+    index = occupation_index(b)
     occs = [tuple(map(int, o)) for o in b.occupations]
     for col, occ in enumerate(occs):
         n1, n2 = occ
         dense[col, col] += 0.5 * U * (n1 * (n1 - 1) + n2 * (n2 - 1))
         if n1 > 0 and n2 + 1 <= 4:
-            row = b.index[(n1 - 1, n2 + 1)]
+            row = index[(n1 - 1, n2 + 1)]
             dense[row, col] += -J * math.sqrt(n1 * (n2 + 1))
         if n2 > 0 and n1 + 1 <= 4:
-            row = b.index[(n1 + 1, n2 - 1)]
+            row = index[(n1 + 1, n2 - 1)]
             dense[row, col] += -J * math.sqrt(n2 * (n1 + 1))
     # compare within the conserved 4-particle sector
     sector = b.shell_slices[4]
@@ -230,7 +316,9 @@ def test_bose_hubbard_ground_energy_oracle():
 
 def test_weyl_identity_and_components():
     b = build_basis(2, 12)
-    assert unitarity_defect(weyl(b, np.zeros(2))) < 1e-12
+    W = weyl(b, np.zeros(2)).matrix
+    defect = W.conj().T @ W - sp.identity(b.dim, dtype=complex)
+    assert (float(abs(defect).max()) if defect.nnz else 0.0) < 1e-12
     W0 = weyl(b, np.zeros(2)).to_dense()
     assert np.allclose(W0, np.eye(b.dim))
 
@@ -395,23 +483,6 @@ def test_tnt_inequality():
     assert rep.smallest_c >= math.sinh(1.0) ** 2
     assert np.isfinite(rep.smallest_c)
     assert rep.smallest_c <= rep.heuristic * 5
-
-
-def test_project_N_poisson_shells():
-    b = build_basis(2, 36)
-    N = 6
-    phi = np.array([1.0, 0.0])
-    state = coherent_state(b, math.sqrt(N) * phi)
-    _, norm = project_N(state, N)
-    assert norm**2 == pytest.approx(poisson_shell_mass(N, N), abs=1e-10)
-    # idempotent
-    vec, _ = project_N(state, N)
-    vec2, _ = project_N(vec, N)
-    assert np.array_equal(vec.coefficients, vec2.coefficients)
-    # concentration: shells within 2 sqrt(N) of N capture at least half
-    lo, hi = int(N - 2 * math.sqrt(N)), int(N + 2 * math.sqrt(N))
-    mass = sum(state.shell_mass(n) for n in range(max(lo, 0), hi + 1))
-    assert mass >= 0.5
 
 
 def test_fluctuation_identity_at_t0():

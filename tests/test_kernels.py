@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy import fft as sfft
-from scipy.integrate import simpson
 
-from gpk.dynamics import (
-    GridSpec,
-    NonlinearitySpec,
-    WaveFunction,
-    gaussian_datum,
-    time_derivative,
-)
+from gpk.dynamics import GridSpec, WaveFunction, gaussian_datum
 from gpk.errors import DomainError
 from gpk.kernels import (
     BogoliubovKernels,
@@ -20,21 +13,17 @@ from gpk.kernels import (
     _lattice_profile,
     _profile_extension,
     _row_orbits,
-    bogoliubov_identity_defect,
+    _spectral_gradient,
     build_kt,
-    coarsen_field,
-    grad1_components,
-    grad1_hs_norm,
     grad1_kkbar_hs_norm,
     hyperbolic_series,
     kernel_bound_report,
     kernel_hs_norms,
     pair_distances,
-    time_derivative_kt,
     zero_energy_cancellation_residual,
 )
 from gpk.radial import radial_hat
-from gpk.scattering import RadialPotential, solve_zero_energy
+from gpk.scattering import RadialPotential, _simpson_weights, solve_zero_energy
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +54,38 @@ def normalized_vector(grid, seed=0, real=True):
         v = v + 1j * rng.standard_normal(M)
     v = v / math.sqrt(np.sum(np.abs(v) ** 2) * grid.cell)
     return v
+
+
+# The dense routes the radial norms and the series bounds are checked with.
+
+def grad1_components(kernel):
+    """Spectral derivative of k(x, y) in each component of the first slot."""
+    grid = kernel.grid
+    vals = kernel.values.reshape(grid.shape + (-1,))
+    return [comp.reshape(kernel.values.shape)
+            for comp in _spectral_gradient(grid, vals)]
+
+
+def grad1_hs_norm(kernel):
+    total = 0.0
+    for comp in grad1_components(kernel):
+        total += float(np.sum(np.abs(comp) ** 2))
+    return math.sqrt(total) * kernel.weight
+
+
+def bogoliubov_identity_defect(k, tol=1e-14):
+    """Max-entry defect of ch ch^dag - sh sh^dag = identity (weighted kernels)."""
+    bk = hyperbolic_series(k, tol)
+    grid = k.grid
+    ident = np.eye(k.values.shape[0], dtype=complex) / grid.cell
+    ch = TwoPointKernel(values=ident + bk.p.values, grid=grid)
+
+    def times_adjoint(a):
+        adjoint = TwoPointKernel(values=np.conj(a.values.T), grid=grid)
+        return a.compose(adjoint).values
+
+    lhs = times_adjoint(ch) - times_adjoint(bk.sh)
+    return float(np.max(np.abs(lhs - ident))) * grid.cell
 
 
 def test_zero_potential_gives_zero_kernel(zero_sol):
@@ -222,41 +243,6 @@ def test_bound_report_flat_in_1d_has_entries(square_sol):
         assert rep.pointwise_ratio_max <= 1.0 + 1e-9
 
 
-def test_time_derivative_kernel_product_rule(square_sol):
-    grid = GridSpec(dim=1, box_length=16.0, points_per_axis=64, dt=2e-4,
-                    t_final=2e-4)
-    phi = gaussian_datum(grid, sigma=1.0)
-    nl = NonlinearitySpec.modified(square_sol, N=4, grid=grid)
-    from gpk.dynamics import evolve
-
-    def kernel_at(psi_state):
-        return build_kt(psi_state, square_sol, 4).values
-
-    phi_dot = time_derivative(phi, nl)
-    kdot = time_derivative_kt(phi, phi_dot, square_sol, 4)
-    assert np.array_equal(kdot.values, kdot.values.T)
-
-    errs = []
-    for steps in (1, 2):
-        from dataclasses import replace
-
-        h = grid.dt * steps
-        g = replace(grid, t_final=h)
-        fwd = evolve(phi, nl, g).states[-1]
-        bwd = evolve(phi, nl, replace(g, dt=-g.dt, t_final=-h)).states[-1]
-        fd = (kernel_at(fwd) - kernel_at(bwd)) / (2 * h)
-        errs.append(np.max(np.abs(fd - kdot.values)))
-    # central difference converges at second order
-    assert errs[1] / errs[0] > 3.0
-
-
-def test_zero_derivative_gives_zero_kernel(square_sol):
-    grid = kgrid(n=32)
-    phi = gaussian_datum(grid, sigma=1.0)
-    kdot = time_derivative_kt(phi, np.zeros_like(phi.values), square_sol, 4)
-    assert np.max(np.abs(kdot.values)) == 0.0
-
-
 def test_cancellation_residual(square_sol):
     V = square_sol.potential
     assert zero_energy_cancellation_residual(square_sol, V, 1) <= 1e-6
@@ -268,14 +254,6 @@ def test_cancellation_residual(square_sol):
         zero_energy_cancellation_residual(
             square_sol, RadialPotential.square_well(8.0, 1.0), 1
         )
-
-
-def test_coarsen_field_preserves_smooth_data():
-    grid = kgrid(n=128, L=16.0)
-    phi = gaussian_datum(grid, sigma=1.5)
-    coarse = coarsen_field(phi, 32)
-    fine_vals = phi.values[::4]
-    assert np.max(np.abs(coarse.values - fine_vals)) < 1e-8
 
 
 def test_gradient_bound_of_series_terms(square_sol):
@@ -293,7 +271,8 @@ def test_gradient_bound_of_series_terms(square_sol):
 # Reference implementations of the lattice geometry as first written: each
 # builds its own mesh, min-image shift and per-axis reshapes.  The shared
 # displacement table, per-axis broadcast and spectral gradient must reproduce
-# them bit for bit.
+# them bit for bit.  The origin-cell integral takes the package's one Simpson
+# rule, which tests/test_radial.py pins to scipy.integrate.simpson.
 
 def reference_pair_distances(grid):
     coords = np.stack(
@@ -325,10 +304,11 @@ def reference_lattice_profile(grid, sol, N):
     omega = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}[d]
     s_eq = N * (grid.cell * d / omega) ** (1.0 / d)
     sgrid = np.linspace(0.0, min(s_eq, r_max), 513)
-    integ = simpson(np.interp(sgrid, sol.r_grid, sol.w) * sgrid ** (d - 1), x=sgrid)
+    integ = _simpson_weights(sgrid) @ (np.interp(sgrid, sol.r_grid, sol.w)
+                                       * sgrid ** (d - 1))
     if s_eq > r_max:
         ext = np.linspace(r_max, s_eq, 513)
-        integ += simpson((a0 / ext) * ext ** (d - 1), x=ext)
+        integ += _simpson_weights(ext) @ ((a0 / ext) * ext ** (d - 1))
     vals.reshape(-1)[0] = omega * N / (grid.cell * N**d) * integ
     return vals
 

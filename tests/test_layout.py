@@ -1,0 +1,134 @@
+"""Layout of the package: what `src/gpk` holds and what it imports.
+
+Every top-level function and class of gpk, and every method, must be reached
+from one of three roots: `cli.main`, the code that runs when a module is
+imported (the stage table `bench.STAGES` among it), and the names used in
+`tests/test_acceptance.py`.  Reach is followed by name through the syntax
+trees: a function or class is reached where its name is used, a method where
+its name is used as an attribute, and the dunder methods of a reached class
+are reached with it.  Matching by name over-approximates what is reached, so
+live code is never reported as dead.  The exceptions are public entry points
+that nothing in gpk calls, each named in README.md.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gpk"
+
+# module.name of each public entry point that gpk itself does not call
+ENTRY_POINTS = {
+    "fieldio.read_kernel",  # reads the dumps of `gpk kernels --dump-kernels`
+}
+
+
+# key: module.name or module.Class.method; owner: the class key of a method
+Definition = namedtuple("Definition", "key owner node")
+
+
+def _uses(nodes):
+    """(bare names, attribute names) used in the trees `nodes`; import
+    statements use nothing."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+    return names, attrs
+
+
+def _is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+
+
+def _import_time_code(stmt):
+    """The parts of a top-level statement that run at import: the whole
+    statement, or for a definition its decorators, defaults and bases, and
+    for a class the statements of its body that are not methods."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return []
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [*stmt.decorator_list, *stmt.args.defaults,
+                *(d for d in stmt.args.kw_defaults if d is not None)]
+    if isinstance(stmt, ast.ClassDef):
+        parts = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+        for item in stmt.body:
+            parts += [item] if not _is_def(item) else _import_time_code(item)
+        return parts
+    return [stmt]
+
+
+def _package():
+    """(definitions, import-time code) of every module of gpk."""
+    definitions, import_time = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            import_time += _import_time_code(stmt)
+            if not _is_def(stmt):
+                continue
+            key = f"{module}.{stmt.name}"
+            definitions.append(Definition(key, None, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                definitions += [Definition(f"{key}.{item.name}", key, item)
+                                for item in stmt.body if _is_def(item)]
+    return definitions, import_time
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached_definitions():
+    """Keys of the definitions of gpk that no root reaches."""
+    definitions, import_time = _package()
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    main = next(d for d in definitions if d.key == "cli.main")
+    names, attrs = _uses(import_time + [acceptance, main.node])
+    reached = {main.key}
+    grew = True
+    while grew:
+        grew = False
+        for d in definitions:
+            if d.key in reached:
+                continue
+            name = d.node.name
+            if d.owner:
+                hit = name in attrs or (_is_dunder(name) and d.owner in reached)
+            else:
+                hit = name in names or name in attrs
+            if hit:
+                reached.add(d.key)
+                more_names, more_attrs = _uses([d.node])
+                names |= more_names
+                attrs |= more_attrs
+                grew = True
+    return sorted(d.key for d in definitions if d.key not in reached)
+
+
+def test_every_definition_is_reached_from_the_cli_the_stages_or_acceptance():
+    assert unreached_definitions() == sorted(ENTRY_POINTS)
+
+
+def test_entry_points_are_named_in_the_readme():
+    readme = (ROOT / "README.md").read_text()
+    for key in ENTRY_POINTS:
+        assert key.rpartition(".")[2] in readme, key
+
+
+def test_gpk_does_not_import_scipy_integrate():
+    # Simpson sums go through the one set of weights in gpk.scattering
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, gpk.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -9,10 +9,11 @@ from gpk import radial
 from gpk.errors import DomainError
 from gpk.kernels import _profile_extension
 from gpk.radial import (
-    _PREFACTOR, _angular_kernel, _measure, _phase_sums, _simpson_weights,
-    radial_hat,
+    _PREFACTOR, _angular_kernel, _measure, _phase_sums, radial_hat,
 )
-from gpk.scattering import RadialPotential, potential_pieces, solve_zero_energy
+from gpk.scattering import (
+    RadialPotential, _simpson_weights, potential_pieces, solve_zero_energy,
+)
 
 
 @pytest.fixture(scope="module")
