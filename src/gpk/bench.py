@@ -40,17 +40,6 @@ from .dynamics import (
     tail_warnings,
 )
 from .errors import ConfigurationError
-from .fock import (
-    ToyScenario,
-    apply_bogoliubov,
-    apply_weyl,
-    build_basis,
-    check_TNT_inequality,
-    check_weyl_relations,
-    generator_cancellation_check,
-    toy_convergence_study,
-    vacuum,
-)
 from .kernels import kernel_bound_report
 from .scattering import (
     RadialPotential,
@@ -576,6 +565,19 @@ def write_kernel_bounds_csv(path, phi, sol, N_list) -> None:
 
 
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
+    # fock loads scipy.sparse and scipy.linalg, so only this stage imports it
+    from .fock import (
+        ToyScenario,
+        apply_bogoliubov,
+        apply_weyl,
+        build_basis,
+        check_TNT_inequality,
+        check_weyl_relations,
+        generator_cancellation_check,
+        toy_convergence_study,
+        vacuum,
+    )
+
     d = cfg.get_int("fock", "d", 2)
     h = np.array(cfg._typed("fock", "h", None, True,
                             lambda text: _parse_matrix(text, d), "a matrix"))

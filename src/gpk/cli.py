@@ -13,23 +13,18 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (
-    dump_solution_json,
-    load_config,
-    load_solution_json,
-    potential_from_file,
-    run_pipeline,
-    scattering_summary,
-    write_kernel_bounds_csv,
-    write_scattering_csv,
-)
 from .errors import ConfigurationError, GpkError
-from .fieldio import read_field
-from .scattering import RadialPotential, potential_family, solve_zero_energy
+
+# Each subcommand imports the layers it runs, so a process loads numpy and
+# scipy only when its subcommand computes: `gpk report` loads neither.
 
 
-def _parse_potential_arg(spec: str) -> RadialPotential:
-    """`square-well:height=8,radius=1`, `gaussian:amplitude=1e-3`, or a path."""
+def _parse_potential_arg(spec: str):
+    """The `RadialPotential` of `square-well:height=8,radius=1`,
+    `gaussian:amplitude=1e-3`, or a table path."""
+    from .bench import potential_from_file
+    from .scattering import RadialPotential, potential_family
+
     name, colon, params = spec.partition(":")
     if not colon and potential_family(name) is None:
         return potential_from_file(spec)
@@ -46,6 +41,11 @@ def _existing(path: str, what: str) -> str:
 
 
 def _cmd_scattering(args) -> int:
+    from .bench import (
+        dump_solution_json, scattering_summary, write_scattering_csv,
+    )
+    from .scattering import solve_zero_energy
+
     V = _parse_potential_arg(args.potential)
     r_max = args.rmax if args.rmax is not None else max(5.0, 5 * V.r_support)
     sol = solve_zero_energy(V, r_max, args.points)
@@ -58,6 +58,8 @@ def _cmd_scattering(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from .bench import load_config, run_pipeline
+
     bundle = run_pipeline(load_config(args.config), outdir=args.out,
                           stages=("evolve", "nsweep"))
     print(json.dumps(bundle.summary.get("evolve", {}), sort_keys=True))
@@ -65,6 +67,10 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    from .bench import load_solution_json, write_kernel_bounds_csv
+    from .fieldio import read_field, write_kernel
+    from .kernels import build_kt
+
     scattering = _existing(args.scattering, "--scattering")
     phi_path = _existing(args.phi, "--phi")
     sol, _ = load_solution_json(scattering)
@@ -79,9 +85,6 @@ def _cmd_kernels(args) -> int:
     path = outdir / "kernel_bounds.csv"
     write_kernel_bounds_csv(path, phi, sol, n_list)
     if args.dump_kernels:
-        from .fieldio import write_kernel
-        from .kernels import build_kt
-
         for N in n_list:
             write_kernel(outdir / f"kernel_N{N}.bin", build_kt(phi, sol, N), N)
     print(str(path))
@@ -89,6 +92,8 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_fock(args) -> int:
+    from .bench import load_config, run_pipeline
+
     bundle = run_pipeline(load_config(args.scenario), outdir=args.out,
                           stages=("fock",))
     print(json.dumps(bundle.summary.get("fock", {}), sort_keys=True))
@@ -96,6 +101,8 @@ def _cmd_fock(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .bench import load_config, run_pipeline
+
     cfg = load_config(args.config)
     bundle = run_pipeline(cfg)
     print(json.dumps({"outdir": str(bundle.outdir), "flags": bundle.flags},
@@ -105,11 +112,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     report = Path(args.dir) / "report.json"
-    if not report.exists():
-        print(f"no report.json under {args.dir}", file=sys.stderr)
-        return 2
-    with open(report) as fh:
-        payload = json.load(fh)
+    if not report.is_file():
+        raise ConfigurationError(f"no report.json under {args.dir}")
+    try:
+        with open(report) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError(f"{report} is not JSON: {exc}") from None
     print(json.dumps(payload, indent=1, sort_keys=True))
     return 0
 

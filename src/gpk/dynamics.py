@@ -22,7 +22,8 @@ shared by the stepper and the diagnostics; `sobolev_report` takes one fftn
 of phi and one rfftn of |phi|^2 per snapshot.  One step loop advances a
 stack of fields (leading member axis, one nonlinearity each): `evolve` is
 its one-member case, and `compare_dynamics` steps the limiting reference and
-every N of the sweep together.
+every N of the sweep together.  `scipy.fft` is imported by the functions
+that transform, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import (
     ConfigurationError,
@@ -94,7 +94,7 @@ class GridSpec:
 
     def k_axes(self) -> list[np.ndarray]:
         n = self.points_per_axis
-        k = 2.0 * math.pi * sfft.fftfreq(n, d=self.dx)
+        k = 2.0 * math.pi * np.fft.fftfreq(n, d=self.dx)
         return [k] * self.dim
 
     def k_squared(self) -> np.ndarray:
@@ -103,7 +103,7 @@ class GridSpec:
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask on per-axis frequency indices."""
         n = self.points_per_axis
-        keep = np.abs(sfft.fftfreq(n, d=1.0 / n)) <= n / 3.0
+        keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3.0
         return self._mesh(np.logical_and, keep)
 
     def _mesh(self, op, per_axis) -> np.ndarray:
@@ -124,7 +124,7 @@ class GridSpec:
         """Min-image displacement per axis index i: 0, dx, ..., -L/2 at the
         Nyquist index n/2, ..., -dx."""
         n = self.points_per_axis
-        return self.dx * sfft.fftfreq(n, d=1.0 / n)
+        return self.dx * np.fft.fftfreq(n, d=1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -252,6 +252,8 @@ class _Stepper:
     n-D axes handling (about 10 us a call, most of a 256-point step)."""
 
     def __init__(self, grid: GridSpec, nls):
+        from scipy import fft as sfft
+
         workers = {"workers": grid.fft_workers}
         if grid.dim == 1:
             self.fft, self.ifft, self.rfft = (
@@ -359,7 +361,7 @@ def _tail_mask(grid: GridSpec, band: float) -> np.ndarray:
 
     def build():
         n = grid.points_per_axis
-        outer = np.abs(sfft.fftfreq(n, d=1.0 / n)) >= band * (n // 2)
+        outer = np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= band * (n // 2)
         return grid._mesh(np.logical_or, outer)
 
     return _table(("tail", grid.shape, band), build)
@@ -367,11 +369,15 @@ def _tail_mask(grid: GridSpec, band: float) -> np.ndarray:
 
 def _density_spectrum(values: np.ndarray, workers: int) -> np.ndarray:
     """rfftn of the real density |phi|^2."""
+    from scipy import fft as sfft
+
     return sfft.rfftn(values.real**2 + values.imag**2, workers=workers)
 
 
 def _power(psi: WaveFunction) -> np.ndarray:
     """|phi_hat|^2 on the full spectrum."""
+    from scipy import fft as sfft
+
     phi_hat = sfft.fftn(psi.values, workers=psi.grid.fft_workers)
     return phi_hat.real**2 + phi_hat.imag**2
 

@@ -20,7 +20,8 @@ radial pass per N.  |grad1 (k kbar)|_2 is a sum over source rows of pair
 correlations of the smooth composite kernel.  The sum takes one row per
 orbit of the lattice symmetries (axis reflections and permutations) that the
 field's density, gradient density and current respect, weighted by the
-orbit size, and runs the rows in blocks through real FFTs.
+orbit size, and runs the rows in blocks through real FFTs.  `scipy.fft`
+is imported by the functions that transform, not with the module.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .dynamics import GridSpec, WaveFunction
 from .errors import AccuracyWarning, DomainError
@@ -119,6 +119,8 @@ def build_kt(phi: WaveFunction, sol: ScatteringSolution, N: int) -> TwoPointKern
 def _spectral_gradient(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     """[d_c values for each axis c]: spectral derivatives along the grid axes,
     the leading `dim` axes of `values`; any further axes are carried along."""
+    from scipy import fft as sfft
+
     axes = tuple(range(grid.dim))
     spec = sfft.fftn(values, axes=axes, workers=grid.fft_workers)
     ks = grid._open_axes(grid.k_axes(), values.ndim - grid.dim)
@@ -222,6 +224,8 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     enters through its lattice spectrum.  Position-space integrals are
     truncated at the half-box radius, a wrap-around error common to all N.
     """
+    from scipy import fft as sfft
+
     if N < 1:
         raise DomainError("N must be >= 1")
     grid = phi.grid
@@ -367,6 +371,8 @@ def grad1_kkbar_hs_norm(
     the rows go in blocks through real FFT correlations, with the x-side
     terms added in the half spectrum before its one inverse transform.
     """
+    from scipy import fft as sfft
+
     if N < 1:
         raise DomainError("N must be >= 1")
     grid = phi.grid

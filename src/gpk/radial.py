@@ -32,6 +32,12 @@ cancels at small pr and loses about two digits against the direct matrix.
 
 The quadrature over r is Simpson's rule as weights, `_simpson_weights` of
 `gpk.scattering`, the one Simpson rule of the package.
+
+Importing this module loads no scipy.  `RadialTransformTable` loads
+`scipy.interpolate` (which pulls in optimize, linalg and sparse) when it
+builds its spline, so only a process that tabulates an interaction
+transform pays for it.  The dim-2 kernels of `radial_hat` load
+`scipy.special` for J0 and J1 when they first run.
 """
 
 from __future__ import annotations
@@ -40,8 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import j0 as besselJ0, j1 as besselJ1
 
 from .errors import DomainError
 from .scattering import _simpson_weights, potential_pieces
@@ -51,7 +55,9 @@ def _angular_kernel(z: np.ndarray, dim: int, ell: int) -> np.ndarray:
     if dim == 1:
         return np.cos(z) if ell == 0 else np.sin(z)
     if dim == 2:
-        return besselJ0(z) if ell == 0 else besselJ1(z)
+        from scipy.special import j0, j1
+
+        return j0(z) if ell == 0 else j1(z)
     if dim == 3:
         if ell == 0:
             return np.sinc(z / math.pi)  # j0
@@ -186,6 +192,8 @@ class RadialTransformTable:
     dim: int
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline
+
         object.__setattr__(self, "_spline", CubicSpline(self.p, self.values))
 
     def __call__(self, p):

@@ -236,6 +236,17 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "summary" in payload and "nsweep" in payload["summary"]
 
 
+def test_cli_report_of_a_missing_or_unreadable_report_exits_2(tmp_path,
+                                                              capsys):
+    assert cli_main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: no report.json under {tmp_path}\n"
+    report = tmp_path / "report.json"
+    report.write_text("{not json")
+    assert cli_main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {report} is not JSON")
+
+
 def test_cli_kernels_subcommand(tmp_path, capsys):
     scatter_csv = tmp_path / "s.csv"
     assert cli_main([

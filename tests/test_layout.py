@@ -9,9 +9,17 @@ its name is used as an attribute, and the dunder methods of a reached class
 are reached with it.  Matching by name over-approximates what is reached, so
 live code is never reported as dead.  The exceptions are public entry points
 that nothing in gpk calls, each named in README.md.
+
+Imports are per use: no module but `fock` imports scipy when it is itself
+imported, `bench` imports `fock` only in the stage that runs it and `cli`
+imports the layers per subcommand, so each process loads the scipy modules
+of the work it does.  The
+import checks run each entry point in a fresh interpreter and read its
+`sys.modules`.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -132,3 +140,82 @@ def test_gpk_does_not_import_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def _module_level_imports(tree):
+    """(line, module) of each import that runs when the module is imported,
+    that is, outside every function body; `from . import x` gives `.x`."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, "." * node.level + node.module
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, "." * node.level + alias.name
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_fock_imports_scipy_at_module_level():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, module in sorted(_module_level_imports(tree)):
+            scipy = module == "scipy" or module.startswith("scipy.")
+            fock = module in (".fock", "gpk.fock")
+            if (scipy and path.stem != "fock") or \
+                    (fock and path.stem in ("bench", "cli")):
+                offenders.append(f"{path.name}:{line} imports {module}")
+    assert not offenders, "\n".join(offenders)
+
+
+def _scipy_modules(code, cwd=None):
+    """The scipy modules in sys.modules after `code` runs in a fresh
+    interpreter with gpk on its path."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code += ("\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                         check=True, capture_output=True, text=True)
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+def _cli(*argv):
+    return f"from gpk.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_importing_gpk_loads_no_scipy():
+    assert _scipy_modules(
+        "import gpk.cli, gpk.bench, gpk.dynamics, gpk.kernels") == set()
+
+
+def test_report_and_scattering_subcommands_load_no_scipy(tmp_path):
+    (tmp_path / "report.json").write_text('{"stages": []}')
+    assert _scipy_modules(_cli("report", str(tmp_path))) == set()
+    assert _scipy_modules(_cli(
+        "scattering", "--potential", "square-well:height=8,radius=1",
+        "--points", "1000", "--out", str(tmp_path / "s.csv"))) == set()
+
+
+def test_warm_run_loads_no_scipy(tmp_path):
+    config = str(ROOT / "configs" / "reference.ini")
+    _scipy_modules(_cli("run", config), cwd=tmp_path)  # the fresh run
+    assert _scipy_modules(_cli("run", config), cwd=tmp_path) == set()
+
+
+def test_1d_gp_evolve_loads_fft_only():
+    loaded = _scipy_modules(
+        "from gpk.dynamics import GridSpec, NonlinearitySpec, evolve, "
+        "gaussian_datum\n"
+        "grid = GridSpec(dim=1, box_length=16.0, points_per_axis=64, "
+        "dt=1e-3, t_final=1e-2)\n"
+        "evolve(gaussian_datum(grid), NonlinearitySpec.gp(a0=0.1), grid)")
+    assert "scipy.fft" in loaded
+    assert loaded.isdisjoint({"scipy.interpolate", "scipy.sparse",
+                              "scipy.linalg"})
