@@ -219,7 +219,8 @@ def dump_solution_json(sol: ScatteringSolution, V: RadialPotential, path) -> dic
 
 def load_solution_json(path):
     """Rebuild (solution, potential) from a scattering artifact; V comes from
-    its stored spec, with its exact values and breakpoints."""
+    its stored spec, with its exact values and breakpoints.  A profile
+    array or scalar that holds NaN, inf or null is a ConfigurationError."""
     try:
         payload = _read_json(path)
     except ValueError as exc:
@@ -228,17 +229,25 @@ def load_solution_json(path):
     if "potential" not in payload:
         raise ConfigurationError(f"{path}: no potential spec; solve it again")
     V = RadialPotential.from_spec(payload["potential"], str(path))
-    prof = payload["profile"]
+    # dtype=float reads a JSON null as NaN, which the check below refuses
+    fields = {f"profile.{key}": np.asarray(payload["profile"][key], dtype=float)
+              for key in ("r", "f", "w", "dw_dr", "defect")}
+    fields.update((key, np.asarray(payload[key], dtype=float)) for key in
+                  ("a0_tail", "a0_derivative", "ode_residual", "tail_fit_error"))
+    for key, values in fields.items():
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError(
+                f"{path}: {key} holds non-finite values; solve it again")
     sol = ScatteringSolution(
-        r_grid=np.asarray(prof["r"]),
-        f=np.asarray(prof["f"]),
-        w=np.asarray(prof["w"]),
-        dw_dr=np.asarray(prof["dw_dr"]),
-        a0=payload["a0_tail"],
-        a0_derivative=payload["a0_derivative"],
-        ode_residual=payload["ode_residual"],
-        tail_fit_error=payload["tail_fit_error"],
-        defect=np.asarray(prof["defect"]),
+        r_grid=fields["profile.r"],
+        f=fields["profile.f"],
+        w=fields["profile.w"],
+        dw_dr=fields["profile.dw_dr"],
+        a0=float(fields["a0_tail"]),
+        a0_derivative=float(fields["a0_derivative"]),
+        ode_residual=float(fields["ode_residual"]),
+        tail_fit_error=float(fields["tail_fit_error"]),
+        defect=fields["profile.defect"],
         potential=V,
     )
     return sol, V

@@ -33,11 +33,13 @@ cancels at small pr and loses about two digits against the direct matrix.
 The quadrature over r is Simpson's rule as weights, `_simpson_weights` of
 `gpk.scattering`, the one Simpson rule of the package.
 
-Importing this module loads no scipy.  `RadialTransformTable` loads
-`scipy.interpolate` (which pulls in optimize, linalg and sparse) when it
-builds its spline, so only a process that tabulates an interaction
-transform pays for it.  The dim-2 kernels of `radial_hat` load
-`scipy.special` for J0 and J1 when they first run.
+`RadialTransformTable` samples the table through a not-a-knot cubic
+spline that it builds and evaluates in numpy, with the same coefficients
+and the same values as `scipy.interpolate.CubicSpline` bit for bit, so a
+modified-GP run does not load `scipy.interpolate` and the optimize,
+spatial, linalg and sparse modules it pulls in.  The module imports scipy
+only in the dim-2 kernels of `radial_hat`, which load `scipy.special` for
+J0 and J1 when they first run.
 """
 
 from __future__ import annotations
@@ -183,18 +185,69 @@ def radial_hat(
     return _PREFACTOR[dim] * out.reshape(g.shape[:-1] + p.shape)
 
 
+def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, n - 1) power-basis coefficients of the not-a-knot cubic spline
+    through (x, y), highest power first, as `scipy.interpolate.CubicSpline`
+    forms them.
+
+    The knot slopes solve CubicSpline's tridiagonal system, with its
+    not-a-knot first and last rows, by forward elimination and back
+    substitution.  On uniformly spaced x every diagonal entry stays at
+    least as large as the entry below it, so LAPACK's gtsv, which
+    CubicSpline calls, does not pivot either, and the coefficients are
+    CubicSpline's bit for bit.
+    DomainError unless x holds at least 4 finite, strictly increasing,
+    uniformly spaced points and y only finite values.
+    """
+    if x.size < 4 or not np.all(np.isfinite(x)) or not np.all(np.diff(x) > 0):
+        raise DomainError("a spline table needs at least 4 finite, strictly "
+                          f"increasing momenta, got {x.size}")
+    _check_uniform(x)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("a spline table needs finite values")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # rows of the system: lower[i] s[i] + diag[i+1] s[i+1] + upper[i+1] s[i+2]
+    diag = np.empty(x.size)
+    upper = np.empty(x.size - 1)
+    lower = np.empty(x.size - 1)
+    rhs = np.empty(x.size)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] * dx[-1] * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    # Python floats round every operation as numpy does, and loop faster
+    diag, upper, lower, rhs = (a.tolist() for a in (diag, upper, lower, rhs))
+    for i in range(x.size - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        rhs[i + 1] -= fact * rhs[i]
+    s = rhs
+    s[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 @dataclass(frozen=True)
 class RadialTransformTable:
-    """Cubic-spline table of a radial transform on [0, p_max]."""
+    """Not-a-knot cubic-spline table of a radial transform on [0, p_max]."""
 
     p: np.ndarray
     values: np.ndarray
     dim: int
 
     def __post_init__(self):
-        from scipy.interpolate import CubicSpline
-
-        object.__setattr__(self, "_spline", CubicSpline(self.p, self.values))
+        object.__setattr__(self, "_coefficients",
+                           _not_a_knot_coefficients(self.p, self.values))
 
     def __call__(self, p):
         p = np.abs(np.asarray(p, dtype=float))
@@ -203,7 +256,16 @@ class RadialTransformTable:
                 f"momentum {p.max():.3g} outside the tabulated range "
                 f"[0, {self.p[-1]:.3g}]"
             )
-        return self._spline(np.clip(p, 0.0, self.p[-1]))
+        p = np.clip(p, 0.0, self.p[-1])
+        # the interval [p_i, p_{i+1}) holding p, the last one closed
+        i = np.clip(np.searchsorted(self.p, p, side="right") - 1,
+                    0, self.p.size - 2)
+        s = p - self.p[i]
+        c3, c2, c1, c0 = self._coefficients[:, i]
+        # the power sum in scipy's PPoly order, so that values match
+        # CubicSpline bit for bit (Horner's rule rounds differently)
+        s2 = s * s
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
 
     @property
     def at_zero(self) -> float:

@@ -126,6 +126,39 @@ def test_solution_json_round_trip(tmp_path):
     assert V2.breakpoints == V.breakpoints
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("profile.r", math.nan), ("profile.f", math.inf), ("profile.w", -math.inf),
+    ("profile.dw_dr", None), ("profile.defect", math.nan),
+    ("a0_tail", math.nan), ("a0_derivative", None), ("ode_residual", math.inf),
+    ("tail_fit_error", math.nan),
+])
+def test_solution_json_with_a_non_finite_number_is_refused(tmp_path, key, bad):
+    V = RadialPotential.square_well(8.0, 1.0)
+    path = tmp_path / "scattering.json"
+    payload = dump_solution_json(solve_zero_energy(V, 5.0, 2000), V, path)
+    if key.startswith("profile."):
+        payload["profile"][key.partition(".")[2]][10] = bad
+    else:
+        payload[key] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError,
+                       match=f"{key} holds non-finite values"):
+        load_solution_json(path)
+
+
+def test_evolve_on_a_scattering_json_holding_nan_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    run_pipeline(load_config(cfg_path), stages=("scattering",))
+    path = tmp_path / "out" / "scattering.json"
+    payload = json.loads(path.read_text())
+    payload["profile"]["f"][10] = math.nan
+    path.write_text(json.dumps(payload))
+    # the edited file changes the evolve key, so evolve reads the profile
+    assert cli_main(["evolve", "--config", str(cfg_path)]) == 2
+    assert f"{path}: profile.f holds non-finite values" \
+        in capsys.readouterr().err
+
+
 def test_scattering_csv_cells_are_numbers(tmp_path):
     sol = solve_zero_energy(RadialPotential.square_well(8.0, 1.0), 5.0, 2000)
     path = tmp_path / "scattering.csv"

@@ -26,8 +26,11 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gpk"
+REFERENCE = str(ROOT / "configs" / "reference.ini")
 
 # module.name of each public entry point that gpk itself does not call
 ENTRY_POINTS = {
@@ -203,19 +206,53 @@ def test_report_and_scattering_subcommands_load_no_scipy(tmp_path):
         "--points", "1000", "--out", str(tmp_path / "s.csv"))) == set()
 
 
-def test_warm_run_loads_no_scipy(tmp_path):
-    config = str(ROOT / "configs" / "reference.ini")
-    _scipy_modules(_cli("run", config), cwd=tmp_path)  # the fresh run
-    assert _scipy_modules(_cli("run", config), cwd=tmp_path) == set()
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """(working directory, scipy modules loaded) of a fresh
+    `gpk run configs/reference.ini` in a new interpreter."""
+    cwd = tmp_path_factory.mktemp("run")
+    return cwd, _scipy_modules(_cli("run", REFERENCE), cwd=cwd)
+
+
+def test_fresh_run_loads_no_interpolate_optimize_spatial_or_constants(
+        fresh_run):
+    _, loaded = fresh_run
+    assert "scipy.fft" in loaded
+    assert loaded.isdisjoint({"scipy.interpolate", "scipy.optimize",
+                              "scipy.spatial", "scipy.constants"})
+
+
+def test_warm_run_loads_no_scipy(fresh_run):
+    cwd, _ = fresh_run
+    assert _scipy_modules(_cli("run", REFERENCE), cwd=cwd) == set()
+
+
+def _evolve_1d(nonlinearity):
+    """Code that evolves a 1D Gaussian under `nonlinearity`, an expression
+    in `sol` (a solved square well) and `grid`."""
+    return ("from gpk.dynamics import GridSpec, NonlinearitySpec, evolve, "
+            "gaussian_datum\n"
+            "from gpk.scattering import RadialPotential, solve_zero_energy\n"
+            "grid = GridSpec(dim=1, box_length=16.0, points_per_axis=64, "
+            "dt=1e-3, t_final=1e-2)\n"
+            "sol = solve_zero_energy(RadialPotential.square_well(8.0, 1.0), "
+            "5.0, 1000)\n"
+            f"evolve(gaussian_datum(grid), {nonlinearity}, grid)")
 
 
 def test_1d_gp_evolve_loads_fft_only():
-    loaded = _scipy_modules(
-        "from gpk.dynamics import GridSpec, NonlinearitySpec, evolve, "
-        "gaussian_datum\n"
-        "grid = GridSpec(dim=1, box_length=16.0, points_per_axis=64, "
-        "dt=1e-3, t_final=1e-2)\n"
-        "evolve(gaussian_datum(grid), NonlinearitySpec.gp(a0=0.1), grid)")
+    loaded = _scipy_modules(_evolve_1d("NonlinearitySpec.gp(a0=0.1)"))
     assert "scipy.fft" in loaded
     assert loaded.isdisjoint({"scipy.interpolate", "scipy.sparse",
+                              "scipy.linalg"})
+
+
+def test_1d_modified_evolve_loads_fft_only():
+    # the interaction table's spline is numpy: no scipy.interpolate and
+    # none of what it pulls in
+    loaded = _scipy_modules(_evolve_1d(
+        "NonlinearitySpec.modified(sol, N=8, grid=grid)"))
+    assert "scipy.fft" in loaded
+    assert loaded.isdisjoint({"scipy.interpolate", "scipy.optimize",
+                              "scipy.spatial", "scipy.sparse",
                               "scipy.linalg"})

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
 from gpk import radial
+from gpk.dynamics import GridSpec, NonlinearitySpec, _k_squared
 from gpk.errors import DomainError
 from gpk.kernels import _profile_extension
 from gpk.radial import (
-    _PREFACTOR, _angular_kernel, _measure, _phase_sums, radial_hat,
+    _PREFACTOR, RadialTransformTable, _angular_kernel, _measure, _phase_sums,
+    radial_hat,
 )
 from gpk.scattering import (
     RadialPotential, _simpson_weights, potential_pieces, solve_zero_energy,
@@ -200,3 +203,52 @@ def test_interaction_table_skips_pieces_where_V_is_zero(
     table = radial.tabulate_interaction_transform(square_sol, dim, 25.0)
     assert len(calls) == 1
     assert np.array_equal(table.values, full)
+
+
+# the interaction tables of the reference pipeline (1D, 256 points on a box
+# of length 16) and of criterion 5 (16^3 box of length 12), each sampled at
+# |k| / N for the N its runs take
+@pytest.mark.parametrize("dim, points, length, Ns", [
+    (1, 256, 16.0, (1, 2, 8, 16, 32, 64)),
+    (3, 16, 12.0, (1, 4, 32, 1000)),
+])
+def test_interaction_table_spline_matches_scipy_bit_for_bit(
+        square_sol, dim, points, length, Ns):
+    grid = GridSpec(dim=dim, box_length=length, points_per_axis=points,
+                    dt=1e-3, t_final=0.0)
+    table = NonlinearitySpec.modified(square_sol, N=1, grid=grid).uhat
+    spline = CubicSpline(table.p, table.values)
+    assert np.array_equal(table._coefficients, spline.c)
+    kabs = np.sqrt(_k_squared(grid))
+    rng = np.random.default_rng(13)
+    for p in (*(kabs / N for N in Ns), table.p, table.p[[0, -1]],
+              rng.uniform(0.0, table.p[-1], 10_000)):
+        assert np.array_equal(table(p), spline(p))
+
+
+@pytest.mark.parametrize("p, what", [
+    (np.linspace(0.0, 1.0, 3), "at least 4"),
+    (np.linspace(1.0, 0.0, 8), "strictly increasing"),
+    (np.array([0.0, 1.0, 2.0, np.inf]), "finite, strictly"),
+    (np.array([0.0, 1.0, np.nan, 3.0]), "finite, strictly"),
+    (np.linspace(0.0, 2.0, 9) ** 2, "uniformly spaced"),
+], ids=["three", "decreasing", "inf", "nan", "non-uniform"])
+def test_spline_table_refuses_bad_momenta(p, what):
+    with pytest.raises(DomainError, match=what):
+        RadialTransformTable(p=p, values=np.ones(p.size), dim=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spline_table_refuses_non_finite_values(bad):
+    values = np.ones(8)
+    values[3] = bad
+    with pytest.raises(DomainError, match="finite values"):
+        RadialTransformTable(p=np.linspace(0.0, 1.0, 8), values=values, dim=1)
+
+
+def test_spline_table_refuses_momenta_beyond_its_range():
+    table = RadialTransformTable(p=np.linspace(0.0, 2.0, 8),
+                                 values=np.linspace(1.0, 0.0, 8), dim=1)
+    assert table(np.array([-2.0, 2.0])).shape == (2,)
+    with pytest.raises(DomainError, match="outside the tabulated range"):
+        table(np.array([1.0, 2.001]))
