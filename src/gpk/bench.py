@@ -88,14 +88,16 @@ class ExperimentConfig:
             ) from exc
 
     def get_float(self, section, key, fallback=None, required=False):
-        return self._typed(section, key, fallback, required, float, "a number")
+        return self._typed(section, key, fallback, required, _finite,
+                           "a finite number")
 
     def get_int(self, section, key, fallback=None, required=False):
         return self._typed(section, key, fallback, required, int, "an integer")
 
     def get_floats(self, section, key, fallback=None, required=False):
         return self._typed(section, key, fallback, required,
-                           lambda v: [float(t) for t in _tokens(v)], "numbers")
+                           lambda v: [_finite(t) for t in _tokens(v)],
+                           "finite numbers")
 
     def get_ints(self, section, key, fallback=None, required=False):
         return self._typed(section, key, fallback, required,
@@ -107,6 +109,14 @@ class ExperimentConfig:
 
 def _tokens(text: str) -> list:
     return text.replace(",", " ").split()
+
+
+def _finite(text: str) -> float:
+    """float(text), with ValueError for nan and +-inf as for a non-number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -463,18 +473,43 @@ def _run_kernels(inp: _Inputs, bounds_csv) -> None:
     write_kernel_bounds_csv(bounds_csv, phi, inp.sol, _kernel_n_values(cfg))
 
 
+def _at_least_one(cfg: ExperimentConfig, section: str, key: str, values):
+    """`values`, the int or ints read from [section] key; ConfigurationError
+    unless each is >= 1."""
+    if values is not None and any(v < 1 for v in np.atleast_1d(values)):
+        raise ConfigurationError(
+            f"{cfg.path}: [{section}] {key} = {values} must be >= 1")
+    return values
+
+
 def _kernel_n_values(cfg: ExperimentConfig) -> list:
     """[kernels] n_values, each at least 1 (the kernel scale N)."""
-    N_list = cfg.get_ints("kernels", "n_values", required=True)
-    if any(N < 1 for N in N_list):
-        raise ConfigurationError(
-            f"{cfg.path}: [kernels] n_values = {N_list} must all be >= 1")
-    return N_list
+    return _at_least_one(cfg, "kernels", "n_values",
+                         cfg.get_ints("kernels", "n_values", required=True))
+
+
+def _check_evolve(cfg: ExperimentConfig) -> None:
+    _nonlinearity_kind(cfg)
+    _at_least_one(cfg, "snapshots", "stride",
+                  cfg.get_int("snapshots", "stride", None))
+
+
+def _check_nsweep(cfg: ExperimentConfig) -> None:
+    _needs_potential(cfg, "[nsweep]")
+    _at_least_one(cfg, "nsweep", "n_values",
+                  cfg.get_ints("nsweep", "n_values", required=True))
 
 
 def _check_kernels(cfg: ExperimentConfig) -> None:
     _needs_potential(cfg, "[kernels]")
     _kernel_n_values(cfg)
+
+
+def _check_fock(cfg: ExperimentConfig) -> None:
+    """The particle numbers of [fock]: the study's N values and cancel_n."""
+    _at_least_one(cfg, "fock", "n_values",
+                  cfg.get_ints("fock", "n_values", required=True))
+    _at_least_one(cfg, "fock", "cancel_n", cfg.get_int("fock", "cancel_n", 16))
 
 
 @dataclass(frozen=True)
@@ -497,17 +532,17 @@ STAGES = (
           _run_scattering, _summarize_scattering),
     Stage("evolve", ("grid", "datum"),
           ("grid", "datum", "nonlinearity", "snapshots"), ("scattering",),
-          ("norms.csv",), _run_evolve, _summarize_evolve, _nonlinearity_kind),
+          ("norms.csv",), _run_evolve, _summarize_evolve, _check_evolve),
     Stage("nsweep", ("nsweep",), ("grid", "datum", "nsweep"), ("scattering",),
-          ("rates.csv",), _run_nsweep, _summarize_nsweep,
-          lambda cfg: _needs_potential(cfg, "[nsweep]")),
+          ("rates.csv",), _run_nsweep, _summarize_nsweep, _check_nsweep),
     Stage("kernels", ("kernels",), ("kernels",), ("scattering",),
           ("kernel_bounds.csv",), _run_kernels, lambda path: (None, []),
           _check_kernels),
     Stage("fock", ("fock",), ("fock",), (),
           ("fock_report.json", "toy_convergence.csv"),
           lambda inp, *paths: run_fock_stage(inp.cfg, *paths),
-          lambda fock_json, conv_csv: (_read_json(fock_json)["summary"], [])),
+          lambda fock_json, conv_csv: (_read_json(fock_json)["summary"], []),
+          _check_fock),
 )
 
 
@@ -589,7 +624,8 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
 
     d = cfg.get_int("fock", "d", 2)
     h = np.array(cfg._typed("fock", "h", None, True,
-                            lambda text: _parse_matrix(text, d), "a matrix"))
+                            lambda text: _parse_matrix(text, d),
+                            "a matrix of finite numbers"))
     u = _fock_vector(cfg, "u", d, [1.0] * d)
     g = cfg.get_float("fock", "coupling", required=True)
     phi0 = _fock_vector(cfg, "phi0", d)
@@ -681,7 +717,7 @@ def _fock_vector(cfg: ExperimentConfig, key: str, d: int, fallback=None):
 
 def _parse_matrix(text: str, d: int):
     rows = [row.strip() for row in text.split(";") if row.strip()]
-    mat = [[float(tok) for tok in row.replace(",", " ").split()] for row in rows]
+    mat = [[_finite(tok) for tok in _tokens(row)] for row in rows]
     if len(mat) != d or any(len(r) != d for r in mat):
         raise ConfigurationError(f"matrix must be {d} x {d}: got {text!r}")
     return mat

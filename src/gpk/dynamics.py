@@ -16,10 +16,13 @@ spectrum is truncated by the 2/3 rule before the potential is formed, which
 keeps every substep unitary and keeps the energy functional variationally
 paired with the right-hand side.  The density |phi|^2 is real, so the
 potential uses rfftn/irfftn with a half-spectrum multiplier.  The tables
-that do not depend on dt (k^2, density and Sobolev multipliers, tail mask)
-are built once per grid geometry and nonlinearity, cached read-only and
-shared by the stepper and the diagnostics; `sobolev_report` takes one fftn
-of phi and one rfftn of |phi|^2 per snapshot.  One step loop advances a
+the stepper reads that do not depend on dt (k^2 and the density
+multipliers) are built once per grid geometry and nonlinearity and cached
+read-only.  The diagnostics cache nothing: `sobolev_report` takes one fftn
+of phi and one rfftn of |phi|^2 per snapshot and reads the Sobolev norms,
+the kinetic term and the spectral tail from per-axis moments of |phi_hat|^2
+(a contraction one grid axis at a time, no full-grid table; the energy
+adds the density term of the cached multiplier).  One step loop advances a
 stack of fields (leading member axis, one nonlinearity each): `evolve` is
 its one-member case, and `compare_dynamics` steps the limiting reference and
 every N of the sweep together.  `scipy.fft` is imported by the functions
@@ -70,10 +73,14 @@ class GridSpec:
         n = self.points_per_axis
         if n < 16 or (n & (n - 1)) != 0:
             raise ConfigurationError("points_per_axis must be a power of two >= 16")
+        if not all(map(math.isfinite, (self.box_length, self.dt, self.t_final))):
+            raise ConfigurationError("box_length, dt and t_final must be finite")
         if self.box_length <= 0:
             raise ConfigurationError("box_length must be positive")
         if self.dt == 0:
             raise ConfigurationError("dt must be non-zero")
+        if self.fft_workers == 0:
+            raise ConfigurationError("fft_workers must be non-zero")
 
     @property
     def dx(self) -> float:
@@ -169,6 +176,8 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunct
     Summing the nearest box images keeps the torus field smooth at the box
     edge, so its spectrum decays like the free-space transform.
     """
+    if not sigma > 0:
+        raise DomainError(f"Gaussian width sigma = {sigma} must be positive")
     if center is None:
         center = [0.0] * grid.dim
     L = grid.box_length
@@ -296,9 +305,10 @@ class _Stepper:
         return self.ifft(spectrum, overwrite_x=True)
 
 
-# Spectral tables that do not depend on dt, built once per key and kept
-# read-only.  The oldest entry goes first once the cache is full, so a sweep
-# over many grids or N values keeps a bounded working set.
+# The stepper's spectral tables that do not depend on dt (k^2 and the density
+# multipliers), built once per key and kept read-only.  The oldest entry goes
+# first once the cache is full, so a sweep over many grids or N values keeps
+# a bounded working set.
 _TABLES: dict = {}
 _TABLES_MAX = 16
 
@@ -339,34 +349,6 @@ def _density_multiplier(grid: GridSpec, nl: NonlinearitySpec) -> np.ndarray:
     return _table(key, build, pin=nl.uhat)
 
 
-def _sobolev_multiplier(grid: GridSpec, n: int) -> np.ndarray:
-    """Sum over |alpha| <= n of prod_i k_i^(2 alpha_i)."""
-    if not 1 <= n <= 4:
-        raise DomainError("Sobolev order must be between 1 and 4")
-
-    def build():
-        # h[j]: complete homogeneous polynomial of degree j in the k_i^2,
-        # extended one axis at a time by h_j <- h_j + k_axis^2 h_(j-1)
-        h = [1.0] + [0.0] * n
-        for k2 in grid._open_axes(grid.k_axes()[0] ** 2):
-            for j in range(1, n + 1):
-                h[j] = h[j] + k2 * h[j - 1]
-        return sum(h)
-
-    return _table(("sobolev", grid.shape, grid.box_length, n), build)
-
-
-def _tail_mask(grid: GridSpec, band: float) -> np.ndarray:
-    """Modes with any |k_i| at or beyond `band` * k_max."""
-
-    def build():
-        n = grid.points_per_axis
-        outer = np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= band * (n // 2)
-        return grid._mesh(np.logical_or, outer)
-
-    return _table(("tail", grid.shape, band), build)
-
-
 def _density_spectrum(values: np.ndarray, workers: int) -> np.ndarray:
     """rfftn of the real density |phi|^2."""
     from scipy import fft as sfft
@@ -382,25 +364,52 @@ def _power(psi: WaveFunction) -> np.ndarray:
     return phi_hat.real**2 + phi_hat.imag**2
 
 
-def _energy(grid, nl, power, rho_hat) -> float:
-    kinetic = float(np.sum(_k_squared(grid) * power))
+def _spectral_diagnostics(grid: GridSpec, power: np.ndarray):
+    """From the spectrum power = |phi_hat|^2: the H^n norm of phi for each n
+    of `_SOBOLEV_ORDERS` (the multiplier is sum_{|alpha| <= n} k^(2 alpha)),
+    the kinetic sum of k^2 * power, and the share of the total power in the
+    spectral tail (modes with any |k_i| >= _TAIL_BAND * k_max).
+
+    The spectrum is contracted one grid axis at a time against per-axis
+    weights (k_i^(2a) for a = 0..4, then the indicators of |k_i| below and
+    in the tail band), so no full-grid table is built: S[r_1, ..., r_d] is
+    the sum of the spectrum times prod_i weights[r_i, k_i].  `np.einsum`
+    does it without a BLAS call, so the values do not depend on the BLAS
+    thread pool.
+    """
+    n, d = grid.points_per_axis, grid.dim
+    top = max(_SOBOLEV_ORDERS)
+    outer = np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= _TAIL_BAND * (n // 2)
+    k2 = grid.k_axes()[0] ** 2
+    weights = np.vstack([np.vander(k2, top + 1, increasing=True).T,
+                         ~outer, outer])
+    s = power
+    for _ in range(d):
+        s = np.einsum("i...,ri->...r", s, weights)
+    moments = s[(slice(0, top + 1),) * d]
+    order = np.indices(moments.shape).sum(axis=0)
+    scale = grid.cell / power.size
+    h_norms = {m: math.sqrt(float(np.sum(moments[order <= m])) * scale)
+               for m in _SOBOLEV_ORDERS}
+    kinetic = sum(float(s[tuple(unit)]) for unit in np.eye(d, dtype=int))
+    # the tail as a sum of positive slabs (axes before i below the band,
+    # axis i in it, later axes free), never as the total minus the modes
+    # below it, so a tail of 1e-30 of the total keeps its own accuracy
+    inner_row, outer_row = top + 1, top + 2
+    tail = sum(float(s[(inner_row,) * i + (outer_row,) + (0,) * (d - 1 - i)])
+               for i in range(d))
+    total = float(s[(0,) * d])
+    return h_norms, kinetic, tail / total if total > 0 else 0.0
+
+
+def _energy(grid, nl, kinetic, rho_hat) -> float:
+    """GP energy from the k^2 sum of |phi_hat|^2 and the density spectrum."""
     dens = _density_multiplier(grid, nl) * (rho_hat.real**2 + rho_hat.imag**2)
     # the half spectrum holds one mode of each +-k pair on the last axis,
     # except on its zero and Nyquist planes, which pair with themselves
     full = 2.0 * float(np.sum(dens)) - float(np.sum(dens[..., 0])) \
         - float(np.sum(dens[..., -1]))
-    return (kinetic + 0.5 * full) * grid.cell / power.size
-
-
-def _sobolev(grid, n, power) -> float:
-    val = float(np.sum(_sobolev_multiplier(grid, n) * power))
-    return math.sqrt(val * grid.cell / power.size)
-
-
-def _tail_fraction(grid, band, power) -> float:
-    total = float(np.sum(power))
-    tail = float(np.sum(power, where=_tail_mask(grid, band)))
-    return tail / total if total > 0 else 0.0
+    return (kinetic + 0.5 * full) * grid.cell / grid.points_per_axis**grid.dim
 
 
 def evolve(
@@ -448,7 +457,9 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
     n_steps = int(round(n_steps_f))
     if n_steps < 0 or abs(n_steps_f - n_steps) > 1e-9:
         raise ConfigurationError("t_final must be a whole number of dt steps")
-    stride = stride or max(1, n_steps // 16 or 1)
+    if stride is not None and stride < 1:
+        raise ConfigurationError(f"snapshot stride {stride} must be >= 1")
+    stride = stride or max(1, n_steps // 16)
     stepper = _Stepper(grid, nls)
     times = [0.0]
     stacks = [values.copy()]
@@ -485,8 +496,9 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
 
 def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
     """Conserved energy: kinetic term plus the nonlinearity-matched interaction."""
+    _, kinetic, _ = _spectral_diagnostics(psi.grid, _power(psi))
     rho_hat = _density_spectrum(psi.values, psi.grid.fft_workers)
-    return _energy(psi.grid, nl, _power(psi), rho_hat)
+    return _energy(psi.grid, nl, kinetic, rho_hat)
 
 
 def tail_warnings(times, tail_mass) -> list:
@@ -512,18 +524,19 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
     """Norm and energy trajectories with aliasing warnings attached.
 
     Each snapshot costs one fftn of phi and one rfftn of |phi|^2; the tail
-    mass, the Sobolev norms and the energy all come from those two spectra.
+    mass, the Sobolev norms and the energy all come from those two spectra,
+    the first through `_spectral_diagnostics`, which caches nothing.
     """
     h_norms = {n: [] for n in _SOBOLEV_ORDERS}
     energies, tails = [], []
     for state in traj.states:
         grid = state.grid
-        power = _power(state)
-        tails.append(_tail_fraction(grid, _TAIL_BAND, power))
+        norms, kinetic, tail = _spectral_diagnostics(grid, _power(state))
         for n in _SOBOLEV_ORDERS:
-            h_norms[n].append(_sobolev(grid, n, power))
+            h_norms[n].append(norms[n])
+        tails.append(tail)
         rho_hat = _density_spectrum(state.values, grid.fft_workers)
-        energies.append(_energy(grid, nl, power, rho_hat))
+        energies.append(_energy(grid, nl, kinetic, rho_hat))
     return SobolevReport(
         times=traj.times,
         h_norms={n: np.array(v) for n, v in h_norms.items()},

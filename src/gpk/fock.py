@@ -586,24 +586,34 @@ def mean_field_trajectory(
     t_final: float, dt: float,
 ):
     """RK4 integration of the limiting one-body equation
-    i dphi_i = (h phi)_i + g u_i |phi_i|^2 phi_i."""
+    i dphi_i = (h phi)_i + g u_i |phi_i|^2 phi_i.
+
+    The toy orbits have a few modes, so the steps run on lists of Python
+    complex numbers, one per mode: a numpy call costs more than its work."""
     h = np.asarray(h, dtype=complex)
     u = _onsite_weights(u, h.shape[0])
+    rows, weights = h.tolist(), u.tolist()
 
     def rhs(phi):
-        return -1j * (h @ phi + g * (u * (np.conj(phi) * phi) * phi))
+        return [-1j * (sum(a * b for a, b in zip(row, phi))
+                       + g * (w * (p.conjugate() * p) * p))
+                for row, w, p in zip(rows, weights, phi)]
+
+    def shifted(phi, step, k):
+        return [p + step * q for p, q in zip(phi, k)]
 
     steps = max(1, int(round(abs(t_final) / dt)))
     dt = t_final / steps
-    phi = np.asarray(phi0, dtype=complex).copy()
-    out = [phi.copy()]
+    phi = np.asarray(phi0, dtype=complex).tolist()
+    out = [phi]
     for _ in range(steps):
         k1 = rhs(phi)
-        k2 = rhs(phi + 0.5 * dt * k1)
-        k3 = rhs(phi + 0.5 * dt * k2)
-        k4 = rhs(phi + dt * k3)
-        phi = phi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(phi.copy())
+        k2 = rhs(shifted(phi, 0.5 * dt, k1))
+        k3 = rhs(shifted(phi, 0.5 * dt, k2))
+        k4 = rhs(shifted(phi, dt, k3))
+        phi = shifted(phi, dt / 6.0, [a + 2 * b + 2 * c + e
+                                      for a, b, c, e in zip(k1, k2, k3, k4)])
+        out.append(phi)
     times = np.linspace(0.0, t_final, steps + 1)
     return times, np.array(out)
 

@@ -753,3 +753,44 @@ def test_cli_bad_fock_input_exits_2(tmp_path, capsys, line, bad, what):
                             name="fock.ini")
     assert cli_main(["fock", "--scenario", str(cfg_path)]) == 2
     assert what in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, line, bad, what", [
+    (BASE_CONFIG, "dt = 1e-3", "dt = nan", "[grid] dt = 'nan'"),
+    (BASE_CONFIG, "t_final = 0.1", "t_final = inf", "[grid] t_final = 'inf'"),
+    (BASE_CONFIG, "t_star = 0.1", "t_star = inf", "[nsweep] t_star = 'inf'"),
+    (FOCK_CONFIG, "t_final = 0.3", "t_final = nan", "[fock] t_final = 'nan'"),
+    (FOCK_CONFIG, "coupling = 0.5", "coupling = nan",
+     "[fock] coupling = 'nan'"),
+    (FOCK_CONFIG, "n_values = 3 6", "n_values = 3 6 12\nomega = nan",
+     "[fock] omega = 'nan'"),
+], ids=["grid-dt", "grid-t_final", "nsweep-t_star", "fock-t_final",
+        "fock-coupling", "fock-omega"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, base, line, bad,
+                                          what):
+    assert base.count(line) == 1
+    cfg_path = write_config(tmp_path, base.replace(line, bad))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert f"{what} is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, line, bad, what", [
+    (FOCK_CONFIG, "n_values = 3 6", "n_values = 0 6",
+     "[fock] n_values = [0, 6] must be >= 1"),
+    (FOCK_CONFIG, "n_values = 3 6", "n_values = 3 -4",
+     "[fock] n_values = [3, -4] must be >= 1"),
+    (FOCK_CONFIG, "n_values = 3 6", "n_values = 3 6\nomega = 0.0025\ncancel_n = 0",
+     "[fock] cancel_n = 0 must be >= 1"),
+    (BASE_CONFIG, "[output]", "[snapshots]\nstride = -3\n\n[output]",
+     "[snapshots] stride = -3 must be >= 1"),
+    (BASE_CONFIG, "n_values = 8 16 32 64", "n_values = 0 0 0 0",
+     "[nsweep] n_values = [0, 0, 0, 0] must be >= 1"),
+], ids=["fock-N-zero", "fock-N-negative", "fock-cancel_n", "stride",
+        "nsweep-N-zero"])
+def test_out_of_range_count_exits_2_before_any_stage(tmp_path, capsys, base,
+                                                      line, bad, what):
+    assert base.count(line) == 1
+    cfg_path = write_config(tmp_path, base.replace(line, bad))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert what in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # checked before anything ran

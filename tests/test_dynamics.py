@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +13,11 @@ from gpk.dynamics import (
     Trajectory,
     WaveFunction,
     _Stepper,
+    _TABLES,
     _density_multiplier,
     _k_squared,
     _mass,
-    _sobolev_multiplier,
-    _tail_mask,
+    _spectral_diagnostics,
     _unit_phase,
     compare_dynamics,
     constant_datum,
@@ -26,7 +27,7 @@ from gpk.dynamics import (
     l2_distance,
     sobolev_report,
 )
-from gpk.errors import ConfigurationError, NumericalBlowupError
+from gpk.errors import ConfigurationError, DomainError, NumericalBlowupError
 from gpk.scattering import RadialPotential, solve_zero_energy
 
 
@@ -398,20 +399,78 @@ def test_real_fft_density_path_matches_complex_reference(square_sol, kind, dim, 
     assert abs(gp_energy(psi, nl) - ref_energy) <= 1e-14 * max(1.0, ref_energy)
 
 
+def random_spectrum(grid, seed):
+    return np.random.default_rng(seed).random(grid.shape)
+
+
+def tail_band_mask(grid):
+    """Modes with any |k_i| >= 0.875 k_max, as an explicit full-grid mask."""
+    n = grid.points_per_axis
+    index = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    return grid._mesh(np.logical_or, index >= 0.875 * (n // 2))
+
+
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 16)])
 def test_sobolev_multiplier_matches_multi_index_sum(dim, n):
     grid = GridSpec(dim=dim, box_length=5.0, points_per_axis=n, dt=1e-3,
                     t_final=0.0)
+    power = random_spectrum(grid, seed=dim)
     k = grid.k_axes()[0]
     k2 = [(k**2).reshape([-1 if a == axis else 1 for a in range(dim)])
           for axis in range(dim)]
+    h_norms, _, _ = _spectral_diagnostics(grid, power)
     for order in (1, 2, 3, 4):
-        ref = np.zeros(grid.shape)
+        mult = np.zeros(grid.shape)
         for alpha in itertools.product(range(order + 1), repeat=dim):
             if sum(alpha) <= order:
-                ref = ref + math.prod(x**a for x, a in zip(k2, alpha))
-        mult = _sobolev_multiplier(grid, order)
-        assert np.max(np.abs(mult - ref)) <= 1e-12 * float(np.max(ref))
+                mult = mult + math.prod(x**a for x, a in zip(k2, alpha))
+        ref = float(np.sum(mult * power))
+        got = h_norms[order] ** 2 * power.size / grid.cell
+        assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 16)])
+def test_spectral_kinetic_and_tail_match_full_grid_sums(dim, n):
+    grid = GridSpec(dim=dim, box_length=5.0, points_per_axis=n, dt=1e-3,
+                    t_final=0.0)
+    mask = tail_band_mask(grid)
+    assert 0 < np.count_nonzero(mask) < mask.size
+    for tail_scale in (1.0, 1e-30):
+        power = random_spectrum(grid, seed=10 + dim)
+        power[mask] *= tail_scale
+        _, kinetic, tail = _spectral_diagnostics(grid, power)
+        ref_kinetic = float(np.sum(_k_squared(grid) * power))
+        assert abs(kinetic - ref_kinetic) <= 1e-12 * ref_kinetic
+        ref_tail = float(np.sum(power, where=mask)) / float(np.sum(power))
+        assert 1e-31 * tail_scale < ref_tail < tail_scale
+        assert abs(tail - ref_tail) <= 1e-12 * ref_tail
+
+
+# tracemalloc peak of the 32^3 diagnostics below: 1.27 MB from per-axis
+# moments, 2.55 MB when the first call built four full-grid Sobolev
+# multipliers and a tail mask
+PEAK_BOUND = 1.75 * 2**20
+
+
+def test_diagnostics_cache_no_table_and_stay_small():
+    # no full-grid table is built or cached, so the peak stays near the
+    # snapshot's own spectra (a 32^3 complex field is 0.5 MB)
+    grid = GridSpec(dim=3, box_length=11.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.002)
+    nl = NonlinearitySpec.gp(a0=0.1)
+    _TABLES.clear()
+    traj = evolve(gaussian_datum(grid, sigma=1.2), nl, grid, snapshot_stride=1)
+    cached = set(_TABLES)
+    assert {key[0] for key in cached} == {"k2", "density"}
+    tracemalloc.start()
+    try:
+        sobolev_report(traj, nl)
+        gp_energy(traj.states[-1], nl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(_TABLES) == cached
+    assert peak < PEAK_BOUND
 
 
 def test_sobolev_report_matches_per_state_diagnostics():
@@ -463,8 +522,6 @@ def test_cached_spectral_tables_are_read_only(square_sol):
         _k_squared(grid),
         _density_multiplier(grid, NonlinearitySpec.gp(a0=0.1)),
         _density_multiplier(grid, modified),
-        _sobolev_multiplier(grid, 3),
-        _tail_mask(grid, 0.875),
     ]
     for table in tables:
         with pytest.raises(ValueError):
@@ -489,3 +546,33 @@ def test_mass_reduction_matches_sum_of_squares():
     assert psi.l2_norm == pytest.approx(math.sqrt(_mass(z) * grid.cell), rel=0)
     other = WaveFunction(values=z * 0.5, grid=grid)
     assert l2_distance(psi, other) == pytest.approx(0.5 * psi.l2_norm, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["box_length", "dt", "t_final"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_refuses_non_finite_numbers(name, bad):
+    good = {"dim": 1, "box_length": 8.0, "points_per_axis": 16, "dt": 1e-3,
+            "t_final": 0.01}
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        GridSpec(**{**good, name: bad})
+
+
+def test_grid_refuses_zero_fft_workers():
+    # scipy.fft would raise a bare ValueError at the first transform
+    with pytest.raises(ConfigurationError, match="fft_workers"):
+        GridSpec(dim=1, box_length=8.0, points_per_axis=16, dt=1e-3,
+                 t_final=0.01, fft_workers=0)
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_evolve_refuses_a_snapshot_stride_below_one(stride):
+    grid = grid1d(n=64, T=0.01)
+    with pytest.raises(ConfigurationError, match="stride"):
+        evolve(gaussian_datum(grid), NonlinearitySpec.free(), grid,
+               snapshot_stride=stride)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_gaussian_datum_refuses_a_width_that_is_not_positive(sigma):
+    with pytest.raises(DomainError, match="sigma"):
+        gaussian_datum(grid1d(n=64), sigma=sigma)
