@@ -611,9 +611,13 @@ def write_kernel_bounds_csv(path, phi, sol, N_list) -> None:
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     # fock loads scipy.sparse and scipy.linalg, so only this stage imports it
     from .fock import (
+        _DENSE_EXPM_CAP,
+        _DIM_BUDGET,
+        _FLUCTUATION_CUTOFF,
         ToyScenario,
         apply_bogoliubov,
         apply_weyl,
+        basis_dimension,
         build_basis,
         check_TNT_inequality,
         check_weyl_relations,
@@ -634,6 +638,22 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
         raise ConfigurationError(
             f"{cfg.path}: [fock] phi0 must be a nonzero finite vector")
     phi0 = phi0 / norm
+    probe_cutoff = 12
+    # every basis the stage builds, refused before the toy study runs; the
+    # probe and a cancellation check with omega != 0 take dense unitaries
+    bases = [("d", _FLUCTUATION_CUTOFF, _DIM_BUDGET),
+             ("d", probe_cutoff, _DENSE_EXPM_CAP)]
+    omega = cfg.get_float("fock", "omega", None)
+    if omega is not None:
+        cancel_cutoff = cfg.get_int("fock", "cancel_cutoff", 12)
+        bases.append(("d or cancel_cutoff", cancel_cutoff,
+                      _DENSE_EXPM_CAP if omega else _DIM_BUDGET))
+    for keys, cutoff, cap in bases:
+        dim = basis_dimension(d, cutoff)
+        if dim > cap:
+            raise ConfigurationError(
+                f"{cfg.path}: [fock] {keys}: d = {d} modes at cutoff {cutoff} "
+                f"give a basis of dimension {dim}, above the cap {cap}")
     scenario = ToyScenario(
         h=h,
         u=u,
@@ -646,10 +666,9 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     rep = toy_convergence_study(scenario)
 
     cancel = None
-    omega = cfg.get_float("fock", "omega", None)
     if omega is not None:
         n_cancel = cfg.get_int("fock", "cancel_n", 16)
-        basis = build_basis(d, cfg.get_int("fock", "cancel_cutoff", 12))
+        basis = build_basis(d, cancel_cutoff)
         matched = generator_cancellation_check(basis, u, g, n_cancel,
                                                phi0, omega)
         bare = generator_cancellation_check(basis, u, g, n_cancel,
@@ -661,7 +680,7 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
         }
 
     # structural residuals and spectral constants at toy scale
-    probe = build_basis(d, 12)
+    probe = build_basis(d, probe_cutoff)
     weyl_rep = check_weyl_relations(
         probe, 0.1 * phi0.astype(complex), 0.08 * phi0.astype(complex)
     )

@@ -15,18 +15,16 @@ Time stepping is Strang splitting between the exact free propagator
 spectrum is truncated by the 2/3 rule before the potential is formed, which
 keeps every substep unitary and keeps the energy functional variationally
 paired with the right-hand side.  The density |phi|^2 is real, so the
-potential uses rfftn/irfftn with a half-spectrum multiplier.  The tables
-the stepper reads that do not depend on dt (k^2 and the density
-multipliers) are built once per grid geometry and nonlinearity and cached
-read-only.  The diagnostics cache nothing: `sobolev_report` takes one fftn
-of phi and one rfftn of |phi|^2 per snapshot and reads the Sobolev norms,
-the kinetic term and the spectral tail from per-axis moments of |phi_hat|^2
-(a contraction one grid axis at a time, no full-grid table; the energy
-adds the density term of the cached multiplier).  One step loop advances a
-stack of fields (leading member axis, one nonlinearity each): `evolve` is
-its one-member case, and `compare_dynamics` steps the limiting reference and
-every N of the sweep together.  `scipy.fft` is imported by the functions
-that transform, so importing this module loads numpy alone.
+potential uses rfftn/irfftn with a half-spectrum multiplier.  Nothing is
+cached between calls.  `sobolev_report` takes one fftn of phi and one rfftn
+of |phi|^2 per snapshot and reads the Sobolev norms, the kinetic term and
+the spectral tail from per-axis moments of |phi_hat|^2 (a contraction one
+grid axis at a time, no full-grid table; the energy adds the density
+term).  One step loop advances a stack of fields (leading member axis, one nonlinearity
+each): `evolve` is its one-member case, and `compare_dynamics` steps the
+limiting reference and every N of the sweep together.  `scipy.fft` is
+imported by the functions that transform, so importing this module loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -232,7 +230,7 @@ class NonlinearitySpec:
     @staticmethod
     def modified(sol, N: int, grid: GridSpec):
         """Tabulate uhat from a scattering solution for use on `grid`."""
-        p_max = math.sqrt(float(np.max(_k_squared(grid)))) + 1e-9
+        p_max = math.sqrt(float(np.max(grid.k_squared()))) + 1e-9
         table = tabulate_interaction_transform(sol, grid.dim, p_max)
         a0 = sol.a0
         if grid.dim == 3:
@@ -276,7 +274,7 @@ class _Stepper:
                 functools.partial(f, **axes)
                 for f in (sfft.fftn, sfft.ifftn, sfft.rfftn))
             self.irfft = functools.partial(sfft.irfftn, s=grid.shape, **axes)
-        k2 = _k_squared(grid)
+        k2 = grid.k_squared()
         if abs(grid.dt) * float(np.max(k2)) > _STABILITY_BUDGET:
             raise ConfigurationError(
                 f"|dt| * k_max^2 = {abs(grid.dt) * float(np.max(k2)):.3g} exceeds "
@@ -305,48 +303,17 @@ class _Stepper:
         return self.ifft(spectrum, overwrite_x=True)
 
 
-# The stepper's spectral tables that do not depend on dt (k^2 and the density
-# multipliers), built once per key and kept read-only.  The oldest entry goes
-# first once the cache is full, so a sweep over many grids or N values keeps
-# a bounded working set.
-_TABLES: dict = {}
-_TABLES_MAX = 16
-
-
-def _table(key: tuple, build, pin=None) -> np.ndarray:
-    """The cached table under `key`; `pin` holds an object whose id is in the key."""
-    entry = _TABLES.get(key)
-    if entry is None:
-        if len(_TABLES) >= _TABLES_MAX:
-            del _TABLES[next(iter(_TABLES))]
-        table = build()
-        table.setflags(write=False)
-        entry = _TABLES[key] = (table, pin)
-    return entry[0]
-
-
-def _k_squared(grid: GridSpec) -> np.ndarray:
-    return _table(("k2", grid.shape, grid.box_length), grid.k_squared)
-
-
 def _density_multiplier(grid: GridSpec, nl: NonlinearitySpec) -> np.ndarray:
     """Dealiased density multiplier on the rfftn half spectrum (last axis halved).
 
     It depends on |k_i| only, so the half spectrum carries all of it.
     """
-
-    def build():
-        half = (..., slice(0, grid.points_per_axis // 2 + 1))
-        mask = grid.dealias_mask()[half]
-        if nl.kind == "gp":
-            return nl.coupling * mask
-        kabs = np.sqrt(_k_squared(grid)[half])
-        return (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
-
-    # the table has no hash; its id is safe in the key while the entry pins it
-    key = ("density", grid.shape, grid.box_length, nl.kind, nl.coupling, nl.N,
-           id(nl.uhat))
-    return _table(key, build, pin=nl.uhat)
+    half = (..., slice(0, grid.points_per_axis // 2 + 1))
+    mask = grid.dealias_mask()[half]
+    if nl.kind == "gp":
+        return nl.coupling * mask
+    kabs = np.sqrt(grid.k_squared()[half])
+    return (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
 
 
 def _density_spectrum(values: np.ndarray, workers: int) -> np.ndarray:
@@ -402,9 +369,10 @@ def _spectral_diagnostics(grid: GridSpec, power: np.ndarray):
     return h_norms, kinetic, tail / total if total > 0 else 0.0
 
 
-def _energy(grid, nl, kinetic, rho_hat) -> float:
-    """GP energy from the k^2 sum of |phi_hat|^2 and the density spectrum."""
-    dens = _density_multiplier(grid, nl) * (rho_hat.real**2 + rho_hat.imag**2)
+def _energy(grid, multiplier, kinetic, rho_hat) -> float:
+    """GP energy from the k^2 sum of |phi_hat|^2 and the density spectrum,
+    with `multiplier` the nonlinearity's `_density_multiplier`."""
+    dens = multiplier * (rho_hat.real**2 + rho_hat.imag**2)
     # the half spectrum holds one mode of each +-k pair on the last axis,
     # except on its zero and Nyquist planes, which pair with themselves
     full = 2.0 * float(np.sum(dens)) - float(np.sum(dens[..., 0])) \
@@ -498,7 +466,8 @@ def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
     """Conserved energy: kinetic term plus the nonlinearity-matched interaction."""
     _, kinetic, _ = _spectral_diagnostics(psi.grid, _power(psi))
     rho_hat = _density_spectrum(psi.values, psi.grid.fft_workers)
-    return _energy(psi.grid, nl, kinetic, rho_hat)
+    return _energy(psi.grid, _density_multiplier(psi.grid, nl), kinetic,
+                   rho_hat)
 
 
 def tail_warnings(times, tail_mass) -> list:
@@ -525,18 +494,20 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
 
     Each snapshot costs one fftn of phi and one rfftn of |phi|^2; the tail
     mass, the Sobolev norms and the energy all come from those two spectra,
-    the first through `_spectral_diagnostics`, which caches nothing.
+    the first through `_spectral_diagnostics`.  The density multiplier is
+    built once per report; the snapshots share one grid.
     """
     h_norms = {n: [] for n in _SOBOLEV_ORDERS}
     energies, tails = [], []
+    grid = traj.states[0].grid
+    multiplier = _density_multiplier(grid, nl)
     for state in traj.states:
-        grid = state.grid
         norms, kinetic, tail = _spectral_diagnostics(grid, _power(state))
         for n in _SOBOLEV_ORDERS:
             h_norms[n].append(norms[n])
         tails.append(tail)
         rho_hat = _density_spectrum(state.values, grid.fft_workers)
-        energies.append(_energy(grid, nl, kinetic, rho_hat))
+        energies.append(_energy(grid, multiplier, kinetic, rho_hat))
     return SobolevReport(
         times=traj.times,
         h_norms={n: np.array(v) for n, v in h_norms.items()},

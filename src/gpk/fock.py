@@ -1,12 +1,13 @@
 """Truncated bosonic Fock space over d discrete modes.
 
 States live in the direct sum of symmetric n-particle sectors with total
-occupation at most n_max; operators are sparse matrices over the occupation
-basis.  The module provides ladder operators, number-conserving Hamiltonians,
-Weyl and Bogoliubov unitaries (dense exponentials at small dimension, Krylov
-actions on vectors otherwise), reduced densities, and the toy-scale
-convergence and cancellation experiments.  Both experiments take the pieces
-of the fluctuation generator L_N from one place, `FockBasis.mode_products`.
+occupation at most n_max; operators are scipy CSR matrices over the
+occupation basis.  The module provides ladder operators, number-conserving
+Hamiltonians, Weyl and Bogoliubov unitaries (dense numpy arrays at small
+dimension, Krylov actions on vectors otherwise), reduced densities, and the
+toy-scale convergence and cancellation experiments.  Both experiments take
+the pieces of the fluctuation generator L_N from one place,
+`FockBasis.mode_products`.
 
 Occupation vectors are enumerated graded-lexicographically: shells of total
 occupation n in increasing n, and inside a shell the first mode decreases
@@ -31,6 +32,7 @@ from .errors import (
     InvariantViolation,
     TruncationBudgetError,
 )
+from .kernels import ch_sh_series
 from .rates import RateReport, degenerate_report, fit_rate
 
 _DIM_BUDGET = 20000
@@ -41,12 +43,10 @@ _DENSE_EXPM_CAP = 1500
 # basis
 # ---------------------------------------------------------------------------
 
-def _shell_dim(d: int, n: int) -> int:
-    return math.comb(n + d - 1, d - 1)
-
-
 def basis_dimension(d: int, n_max: int) -> int:
-    return sum(_shell_dim(d, n) for n in range(n_max + 1))
+    """Number of occupations of d modes with total at most n_max: the shells
+    C(n + d - 1, d - 1) summed over n <= n_max (hockey stick)."""
+    return math.comb(n_max + d, d) if n_max >= 0 else 0
 
 
 def _compositions(n: int, d: int):
@@ -74,7 +74,7 @@ class FockBasis:
     def ladders(self) -> tuple:
         """(annihilators, creators) of every mode, built once and read-only."""
         ops = [ladder(self, mode) for mode in range(self.d)]
-        _read_only(op.matrix for pair in ops for op in pair)
+        _read_only(op for pair in ops for op in pair)
         return tuple(a for a, _ in ops), tuple(ad for _, ad in ops)
 
     @functools.cached_property
@@ -84,7 +84,6 @@ class FockBasis:
         a_i^dag a_i^2), built once and read-only."""
         products = []
         for a, ad in zip(*self.ladders):
-            a, ad = a.matrix, ad.matrix
             n, ad2 = ad @ a, ad @ ad
             products.append((n, ad2, a @ a, ad2 @ a, n @ a))
         _read_only(m for mode in products for m in mode)
@@ -145,20 +144,6 @@ def vacuum(basis: FockBasis) -> FockVector:
     return FockVector(coefficients=c, basis=basis)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    matrix: sp.csr_matrix
-    basis: FockBasis
-
-    def apply(self, psi: FockVector) -> FockVector:
-        return FockVector(
-            coefficients=self.matrix @ psi.coefficients, basis=self.basis
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
 # ---------------------------------------------------------------------------
 # ladder operators and standard observables
 # ---------------------------------------------------------------------------
@@ -204,8 +189,7 @@ def ladder(basis: FockBasis, mode: int):
         (vals, (_rank(lowered), cols)), shape=(basis.dim, basis.dim),
         dtype=complex,
     )
-    return (FockOperator(matrix=a, basis=basis),
-            FockOperator(matrix=a.conj().T.tocsr(), basis=basis))
+    return a, a.conj().T.tocsr()
 
 
 def all_ladders(basis: FockBasis):
@@ -222,14 +206,10 @@ def _sparse_sum(basis: FockBasis, terms) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def annihilator_of(basis: FockBasis, f: np.ndarray) -> FockOperator:
+def annihilator_of(basis: FockBasis, f: np.ndarray) -> sp.csr_matrix:
     """a(f) = sum conj(f_i) a_i (antilinear in f)."""
     ann, _ = all_ladders(basis)
-    return FockOperator(
-        matrix=_sparse_sum(basis, ((np.conj(fi), a.matrix)
-                                   for fi, a in zip(f, ann))),
-        basis=basis,
-    )
+    return _sparse_sum(basis, ((np.conj(fi), a) for fi, a in zip(f, ann)))
 
 
 def hamiltonian(
@@ -237,7 +217,7 @@ def hamiltonian(
     h: np.ndarray,
     u: Optional[np.ndarray] = None,
     coupling: float = 0.0,
-) -> FockOperator:
+) -> sp.csr_matrix:
     """Sum h_ij a_i^dag a_j + (coupling/2) sum u_i a_i^dag a_i^dag a_i a_i.
 
     h must be hermitian; u holds the d real on-site weights.
@@ -247,14 +227,13 @@ def hamiltonian(
     if h.shape != (d, d) or not np.allclose(h, h.conj().T, atol=1e-13):
         raise DomainError("one-body matrix must be hermitian d x d")
     ann, cre = all_ladders(basis)
-    terms = [(h[i, j], cre[i].matrix @ ann[j].matrix)
-             for i, j in zip(*np.nonzero(h))]
+    terms = [(h[i, j], cre[i] @ ann[j]) for i, j in zip(*np.nonzero(h))]
     if u is not None and coupling != 0.0:
         u = _onsite_weights(u, d)
         terms += [(0.5 * coupling * u[i],
-                   cre[i].matrix @ cre[i].matrix @ ann[i].matrix @ ann[i].matrix)
+                   cre[i] @ cre[i] @ ann[i] @ ann[i])
                   for i in np.flatnonzero(u)]
-    return FockOperator(matrix=_sparse_sum(basis, terms), basis=basis)
+    return _sparse_sum(basis, terms)
 
 
 def _onsite_weights(u, d: int) -> np.ndarray:
@@ -281,32 +260,25 @@ def _dense_expm(gen: sp.csr_matrix, what: str) -> np.ndarray:
 
 
 def _weyl_generator(basis: FockBasis, f: np.ndarray) -> sp.csr_matrix:
-    """a^dag(f) - a(f)."""
-    a_f = annihilator_of(basis, f).matrix
-    return (a_f.conj().T - a_f).tocsr()
-
-
-def _check_weyl_budget(basis: FockBasis, f: np.ndarray):
+    """a^dag(f) - a(f), refused past the Poisson budget |f|^2 <= n_max/4."""
+    f = np.asarray(f, dtype=complex)
     mean = float(np.sum(np.abs(f) ** 2))
     if mean > basis.n_max / 4.0:
         raise TruncationBudgetError(
             f"|f|^2 = {mean:.3g} exceeds the Poisson budget n_max/4 = "
             f"{basis.n_max / 4.0:.3g}"
         )
+    a_f = annihilator_of(basis, f)
+    return (a_f.conj().T - a_f).tocsr()
 
 
-def weyl(basis: FockBasis, f: np.ndarray) -> FockOperator:
-    """W(f) = exp(a^dag(f) - a(f)) as a dense-backed unitary operator."""
-    f = np.asarray(f, dtype=complex)
-    _check_weyl_budget(basis, f)
-    mat = _dense_expm(_weyl_generator(basis, f), "Weyl operator")
-    return FockOperator(matrix=sp.csr_matrix(mat), basis=basis)
+def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
+    """W(f) = exp(a^dag(f) - a(f)) as a dense unitary matrix."""
+    return _dense_expm(_weyl_generator(basis, f), "Weyl operator")
 
 
 def apply_weyl(basis: FockBasis, f: np.ndarray, psi: FockVector) -> FockVector:
     """W(f) psi by Krylov action; exact unitary on the truncated space."""
-    f = np.asarray(f, dtype=complex)
-    _check_weyl_budget(basis, f)
     gen = _weyl_generator(basis, f)
     return FockVector(
         coefficients=expm_multiply(gen, psi.coefficients), basis=basis
@@ -314,15 +286,8 @@ def apply_weyl(basis: FockBasis, f: np.ndarray, psi: FockVector) -> FockVector:
 
 
 def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> sp.csr_matrix:
-    ann, cre = all_ladders(basis)
-    terms = []
-    for i, j in zip(*np.nonzero(K)):
-        terms += [(0.5 * K[i, j], cre[i].matrix @ cre[j].matrix),
-                  (-0.5 * np.conj(K[i, j]), ann[i].matrix @ ann[j].matrix)]
-    return _sparse_sum(basis, terms)
-
-
-def _check_bogoliubov_budget(basis: FockBasis, K: np.ndarray):
+    """1/2 sum (K a^dag a^dag - conj(K) a a), refused past the budgets of a
+    symmetric d x d kernel: |K|_HS <= 1.5 and d sinh(|K|_HS)^2 <= n_max/4."""
     K = np.asarray(K, dtype=complex)
     if K.shape != (basis.d, basis.d):
         raise DomainError("kernel matrix must be d x d")
@@ -336,44 +301,26 @@ def _check_bogoliubov_budget(basis: FockBasis, K: np.ndarray):
         raise TruncationBudgetError(
             f"sinh-amplified occupation {amplified:.3g} exceeds n_max/4"
         )
-    return K
+    ann, cre = all_ladders(basis)
+    terms = []
+    for i, j in zip(*np.nonzero(K)):
+        terms += [(0.5 * K[i, j], cre[i] @ cre[j]),
+                  (-0.5 * np.conj(K[i, j]), ann[i] @ ann[j])]
+    return _sparse_sum(basis, terms)
 
 
-def bogoliubov(basis: FockBasis, K: np.ndarray) -> FockOperator:
+def bogoliubov(basis: FockBasis, K: np.ndarray) -> np.ndarray:
     """T(K) = exp(1/2 sum (K a^dag a^dag - conj(K) a a)) as a dense unitary."""
-    K = _check_bogoliubov_budget(basis, K)
-    mat = _dense_expm(_bogoliubov_generator(basis, K), "Bogoliubov operator")
-    return FockOperator(matrix=sp.csr_matrix(mat), basis=basis)
+    return _dense_expm(_bogoliubov_generator(basis, K), "Bogoliubov operator")
 
 
 def apply_bogoliubov(basis: FockBasis, K: np.ndarray, psi: FockVector) -> FockVector:
     """T(K) psi by Krylov action; psi may hold a block of states as the
     columns of its coefficients, acted on together."""
-    K = _check_bogoliubov_budget(basis, K)
     gen = _bogoliubov_generator(basis, K)
     return FockVector(
         coefficients=expm_multiply(gen, psi.coefficients), basis=basis
     )
-
-
-def mode_hyperbolic(K: np.ndarray):
-    """(ch(K), sh(K)) for a symmetric complex mode matrix, by series."""
-    K = np.asarray(K, dtype=complex)
-    d = K.shape[0]
-    kkbar = K @ np.conj(K)
-    ch = np.eye(d, dtype=complex)
-    sh = K.copy()
-    power = np.eye(d, dtype=complex)
-    norm = np.linalg.norm(K)
-    n = 0
-    while True:
-        n += 1
-        power = power @ kkbar
-        ch = ch + power / math.factorial(2 * n)
-        sh = sh + (power @ K) / math.factorial(2 * n + 1)
-        if norm ** (2 * n) / math.factorial(2 * n) < 1e-16:
-            break
-    return ch, sh
 
 
 def coherent_state(basis: FockBasis, f: np.ndarray) -> FockVector:
@@ -416,7 +363,7 @@ def _displaced_densities(basis: FockBasis, block: np.ndarray,
     each divided by its trace, the expected particle number.
     """
     ann, _ = all_ladders(basis)
-    lowered = np.stack([a.matrix @ block for a in ann])      # (d, dim, m)
+    lowered = np.stack([a @ block for a in ann])  # (d, dim, m)
     pairs = np.einsum("jkm,ikm->mij", lowered.conj(), lowered)
     means = np.einsum("km,ikm->mi", block.conj(), lowered)
     mixed = shifts[:, :, None] * means.conj()[:, None, :]
@@ -494,14 +441,14 @@ def check_weyl_relations(
         raise TruncationBudgetError("|f|^2 + |g|^2 exceeds the Poisson budget")
     keep = _sub_cutoff(basis, n_sub)
 
-    wf = weyl(basis, f).to_dense()
-    wg = weyl(basis, g).to_dense()
-    wfg = weyl(basis, f + g).to_dense()
+    wf = weyl(basis, f)
+    wg = weyl(basis, g)
+    wfg = weyl(basis, f + g)
     phase = np.exp(-1j * np.imag(np.vdot(f, g)))
     prod_res = wf @ wg - wfg * phase
     product_residual = float(np.max(np.abs(prod_res[np.ix_(keep, keep)])))
 
-    ag = annihilator_of(basis, g).to_dense()
+    ag = annihilator_of(basis, g).toarray()
     shift = np.vdot(g, f)
     lhs = wf.conj().T @ ag @ wf - ag - shift * np.eye(basis.dim)
     shift_residual = float(np.max(np.abs(lhs[np.ix_(keep, keep)])))
@@ -515,12 +462,13 @@ def bogoliubov_conjugation_residual(
 ) -> float:
     """Max-norm defect of T^dag a(f) T = a(ch(K) f) + a^dag(sh(K) conj(f))."""
     keep = _sub_cutoff(basis, n_sub)
-    T = bogoliubov(basis, K).to_dense()
-    ch, sh = mode_hyperbolic(K)
+    T = bogoliubov(basis, K)
+    K = np.asarray(K, dtype=complex)
+    p, r, _ = ch_sh_series(K, tol=1e-16)  # ch(K) = 1 + p, sh(K) = K + r
     f = np.asarray(f, dtype=complex)
-    af = annihilator_of(basis, f).to_dense()
-    target = annihilator_of(basis, ch @ f).to_dense()
-    target = target + annihilator_of(basis, sh @ np.conj(f)).to_dense().conj().T
+    af = annihilator_of(basis, f).toarray()
+    target = annihilator_of(basis, f + p @ f).toarray()
+    target += annihilator_of(basis, (K + r) @ np.conj(f)).toarray().conj().T
     lhs = T.conj().T @ af @ T - target
     return float(np.max(np.abs(lhs[np.ix_(keep, keep)])))
 
@@ -541,7 +489,7 @@ def check_TNT_inequality(
     the expected growth scale in |K|.
     """
     keep = _sub_cutoff(basis, n_sub)
-    T = bogoliubov(basis, K).to_dense()
+    T = bogoliubov(basis, K)
     nmat = np.diag(basis.totals().astype(float))
     tnt = T.conj().T @ nmat @ T
     tnt = tnt[np.ix_(keep, keep)]
@@ -641,8 +589,8 @@ def _fluctuation_generator(basis: FockBasis, h: np.ndarray, u: np.ndarray,
     Returns the k operators stacked row-wise, (k dim, dim), and their
     coefficients, (node, column, k, 1), at each orbit node for each N.
     """
-    ops = [hamiltonian(basis, h).matrix,
-           hamiltonian(basis, np.zeros_like(h), u, coupling=1.0).matrix]
+    ops = [hamiltonian(basis, h),
+           hamiltonian(basis, np.zeros_like(h), u, coupling=1.0)]
     in_time = [np.ones(len(orbit)), np.full(len(orbit), g)]
     per_N = [np.ones_like(N), 1.0 / N]
     for i, products in enumerate(basis.mode_products):
@@ -788,7 +736,7 @@ def generator_cancellation_check(
     ann, cre = all_ladders(basis)
     l1 = _sparse_sum(basis, (
         (math.sqrt(N) * g * omega * u[i] * phi[i] ** 3,
-         cre[i].matrix + ann[i].matrix)
+         cre[i] + ann[i])
         for i in range(basis.d)))
     # a_i^dag^2 a_i and a_i^dag a_i^2 of all modes have disjoint sparsity,
     # so their sum is exact term by term
@@ -798,8 +746,7 @@ def generator_cancellation_check(
         for cubic in products[3:]))
 
     if kappa != 0:
-        T = _dense_expm(_bogoliubov_generator(basis, -kappa * np.outer(phi, phi)),
-                        "Bogoliubov operator")
+        T = bogoliubov(basis, -kappa * np.outer(phi, phi))
         Td = T.conj().T
         m1 = Td @ l1.toarray() @ T
         m3 = Td @ l3.toarray() @ T

@@ -3,7 +3,8 @@
 The pair kernel is k(x, y) = -N w(N(x - y)) phi(x) phi(y) with w = 1 - f the
 solved correlation profile.  This module constructs it densely on a desk
 sized grid, sums the hyperbolic operator series ch(k), sh(k), and certifies
-the norm, gradient and pointwise bounds.
+the norm, gradient and pointwise bounds.  `ch_sh_series` is the one ch/sh
+series of gpk: the grid kernels and the Fock mode matrices both sum it.
 
 Hilbert-Schmidt norms that must resolve the 1/N core of w(N .) are not
 computed from dense samples (a lattice cannot hold the core for large N);
@@ -81,17 +82,6 @@ class TwoPointKernel:
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.values)) * self.weight
 
-    def compose(self, other: "TwoPointKernel") -> "TwoPointKernel":
-        """Operator product: (a b)(x, z) = int a(x, y) b(y, z) dy."""
-        vals = self.values @ (self.weight * other.values)
-        return TwoPointKernel(values=vals, grid=self.grid)
-
-    def conj_kernel(self) -> "TwoPointKernel":
-        return TwoPointKernel(values=np.conj(self.values), grid=self.grid)
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.values @ (self.weight * f)
-
 
 def pair_distances(grid: GridSpec) -> np.ndarray:
     """Minimum-image distances between all pairs of grid points."""
@@ -143,35 +133,48 @@ class BogoliubovKernels:
     truncation_error_bound: float
 
 
-def hyperbolic_series(k: TwoPointKernel, tol: float = 1e-14) -> BogoliubovKernels:
-    """Sum ch(k) = sum (k kbar)^n / (2n)! and sh(k) = sum (k kbar)^n k / (2n+1)!.
-
-    Terms are added until the norm bound |k|^m / m! drops below tol; the
-    reported truncation bound is the full exponential tail, which dominates
-    the effect of any further term.
+def ch_sh_series(a: np.ndarray, tol: float = 1e-14):
+    """(p, r, n) with ch(a) = 1 + p and sh(a) = a + r for a symmetric complex
+    matrix a: p sums (a abar)^m / (2m)! and r sums (a abar)^m a / (2m+1)!
+    over m = 1..n, n the first order where |a|^(2n) / (2n)! (Frobenius
+    norm) drops below tol.  Grid kernels and Fock mode matrices both use it.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    norm_k = k.hs_norm()
-    kkbar = k.compose(k.conj_kernel())
-
-    p_vals = np.zeros_like(k.values)
-    r_vals = np.zeros_like(k.values)
-    power = kkbar  # (k kbar)^n, starting at n = 1
+    norm = float(np.linalg.norm(a))
+    aabar = a @ np.conj(a)
+    p = np.zeros_like(a)
+    r = np.zeros_like(a)
+    power = aabar  # (a abar)^n, starting at n = 1
     n = 1
     while True:
-        p_vals = p_vals + power.values / math.factorial(2 * n)
-        r_vals = r_vals + power.apply(k.values) / math.factorial(2 * n + 1)
-        if norm_k ** (2 * n) / math.factorial(2 * n) < tol or norm_k == 0:
-            break
+        p = p + power / math.factorial(2 * n)
+        r = r + (power @ a) / math.factorial(2 * n + 1)
+        if norm ** (2 * n) / math.factorial(2 * n) < tol or norm == 0:
+            return p, r, n
         n += 1
-        power = power.compose(kkbar)
+        power = power @ aabar
 
+
+def hyperbolic_series(k: TwoPointKernel, tol: float = 1e-14) -> BogoliubovKernels:
+    """Sum ch(k) = sum (k kbar)^n / (2n)! and sh(k) = sum (k kbar)^n k / (2n+1)!.
+
+    As an operator on grid functions, k acts as the matrix w k (w the cell
+    weight), whose Frobenius norm is |k|_HS; `ch_sh_series` sums that matrix
+    and the parts p and r come back as kernels divided by w.  Terms are
+    added until the norm bound |k|^m / m! drops below tol; the reported
+    truncation bound is the full exponential tail, which dominates the
+    effect of any further term.
+    """
+    w = k.weight
+    p, r, n = ch_sh_series(w * k.values, tol)
+    norm_k = k.hs_norm()
     partial = sum(norm_k**m / math.factorial(m) for m in range(2 * n + 2))
     tail = max(math.exp(norm_k) - partial, 0.0)
     grid = k.grid
+    r_vals = r / w
     return BogoliubovKernels(
-        p=TwoPointKernel(values=p_vals, grid=grid),
+        p=TwoPointKernel(values=p / w, grid=grid),
         r=TwoPointKernel(values=r_vals, grid=grid),
         sh=TwoPointKernel(values=k.values + r_vals, grid=grid),
         series_terms_used=n,

@@ -245,8 +245,9 @@ def solve_zero_energy(
 ) -> ScatteringSolution:
     """Solve u'' = (V/2) u, u(0) = 0, and extract the scattering length.
 
-    Raises ConfigurationError for a non-positive or too-small box or a grid
-    below 1000 points, and BudgetError when the measured equation defect
+    Raises ConfigurationError for a non-positive or too-small box, a grid
+    below 1000 points or a radial step wider than the potential's support,
+    and BudgetError when the measured equation defect
     exceeds the 1e-8 budget.
     """
     if r_max <= 0:
@@ -260,6 +261,12 @@ def solve_zero_energy(
 
     n = _align_points(n_points, r_max, V.breakpoints)
     h = r_max / n
+    if V.r_support > 0 and h > V.r_support:
+        # one step would span the whole well: the defect budget cannot see it
+        raise ConfigurationError(
+            f"radial step rmax / points = {h:.3g} exceeds r_support = "
+            f"{V.r_support}: raise points or lower rmax"
+        )
     r = np.linspace(0.0, r_max, n + 1)
 
     # one-sided samples of g = V/2 inside each step, so node-aligned jumps

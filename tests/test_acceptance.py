@@ -227,8 +227,8 @@ def test_criterion_07_fock_identities():
     ccr = 0.0
     for i in range(2):
         for j in range(2):
-            comm = (ann[i].matrix @ cre[j].matrix
-                    - cre[j].matrix @ ann[i].matrix).toarray()
+            comm = (ann[i] @ cre[j]
+                    - cre[j] @ ann[i]).toarray()
             comm -= (1.0 if i == j else 0.0) * np.eye(b.dim)
             ccr = max(ccr, float(np.max(np.abs(comm[:, below]))))
     assert ccr < 1e-12

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpk import bench
+from gpk import bench, fock
 from gpk.bench import (
     load_config,
     load_solution_json,
@@ -794,3 +794,59 @@ def test_out_of_range_count_exits_2_before_any_stage(tmp_path, capsys, base,
     assert cli_main(["run", str(cfg_path)]) == 2
     assert what in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # checked before anything ran
+
+
+FOCK_D4_CONFIG = """
+[fock]
+d = 4
+h = 0.0 -1.0 0.0 0.0 ; -1.0 0.0 -1.0 0.0 ; 0.0 -1.0 0.0 -1.0 ; 0.0 0.0 -1.0 0.0
+u = 1.0 1.0 1.0 1.0
+coupling = 0.5
+phi0 = 1.0 0.0 0.0 0.0
+t_final = 0.3
+n_values = 3 6
+
+[output]
+directory = {outdir}
+"""
+
+
+@pytest.mark.parametrize("text, what", [
+    (FOCK_D4_CONFIG, "[fock] d: d = 4 modes at cutoff 12 give a basis of "
+                     "dimension 1820, above the cap 1500"),
+    (FOCK_CONFIG.replace("n_values = 3 6",
+                         "n_values = 3 6\nomega = 0.0025\ncancel_cutoff = 60"),
+     "[fock] d or cancel_cutoff: d = 2 modes at cutoff 60 give a basis of "
+     "dimension 1891, above the cap 1500"),
+    # the dimension is a closed form: a huge cutoff is refused at once
+    (FOCK_CONFIG.replace("n_values = 3 6", "n_values = 3 6\nomega = 0.0\n"
+                         "cancel_cutoff = 1000000000"),
+     "[fock] d or cancel_cutoff: d = 2 modes at cutoff 1000000000 give a "
+     "basis of dimension 500000001500000001, above the cap 20000"),
+], ids=["d", "cancel_cutoff", "cancel_cutoff-huge"])
+def test_oversized_fock_basis_refused_before_the_toy_study(
+        tmp_path, capsys, monkeypatch, text, what):
+    def started(scenario):
+        raise AssertionError("the toy study started")
+
+    monkeypatch.setattr(fock, "toy_convergence_study", started)
+    cfg_path = write_config(tmp_path, text, name="fock.ini")
+    assert cli_main(["fock", "--scenario", str(cfg_path)]) == 2
+    assert what in capsys.readouterr().err
+
+
+def test_cancellation_kernel_past_the_bogoliubov_budget_exits_3(tmp_path,
+                                                                 capsys):
+    # omega = 0.1 at cancel_n = 16 asks for T(-1.6 phi phi^T)
+    cfg_path = write_config(tmp_path, FOCK_CONFIG.replace(
+        "n_values = 3 6", "n_values = 3 6 12\nomega = 0.1"), name="fock.ini")
+    assert cli_main(["fock", "--scenario", str(cfg_path)]) == 3
+    assert "|K|_HS = 1.6 exceeds the 1.5 budget" in capsys.readouterr().err
+
+
+def test_radial_step_wider_than_the_well_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, BASE_CONFIG.replace(
+        "rmax = 5.0", "rmax = 5e4").replace("points = 2000", "points = 4000"))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "rmax / points = 12.5 exceeds r_support = 1.0" in err

@@ -13,9 +13,7 @@ from gpk.dynamics import (
     Trajectory,
     WaveFunction,
     _Stepper,
-    _TABLES,
     _density_multiplier,
-    _k_squared,
     _mass,
     _spectral_diagnostics,
     _unit_phase,
@@ -65,7 +63,7 @@ def plane_wave_datum(grid, mode=1):
 def gp_rhs(psi, nl):
     """Right-hand side of i dphi/dt: -lap phi + W[phi] phi, with the density
     potential W[phi] of the stepper."""
-    minus_lap = sfft.ifftn(sfft.fftn(psi.values) * _k_squared(psi.grid))
+    minus_lap = sfft.ifftn(sfft.fftn(psi.values) * psi.grid.k_squared())
     potential = _Stepper(psi.grid, [nl]).potential(psi.values[None])[0]
     return minus_lap + potential * psi.values
 
@@ -439,7 +437,7 @@ def test_spectral_kinetic_and_tail_match_full_grid_sums(dim, n):
         power = random_spectrum(grid, seed=10 + dim)
         power[mask] *= tail_scale
         _, kinetic, tail = _spectral_diagnostics(grid, power)
-        ref_kinetic = float(np.sum(_k_squared(grid) * power))
+        ref_kinetic = float(np.sum(grid.k_squared() * power))
         assert abs(kinetic - ref_kinetic) <= 1e-12 * ref_kinetic
         ref_tail = float(np.sum(power, where=mask)) / float(np.sum(power))
         assert 1e-31 * tail_scale < ref_tail < tail_scale
@@ -458,10 +456,7 @@ def test_diagnostics_cache_no_table_and_stay_small():
     grid = GridSpec(dim=3, box_length=11.0, points_per_axis=32, dt=1e-3,
                     t_final=0.002)
     nl = NonlinearitySpec.gp(a0=0.1)
-    _TABLES.clear()
     traj = evolve(gaussian_datum(grid, sigma=1.2), nl, grid, snapshot_stride=1)
-    cached = set(_TABLES)
-    assert {key[0] for key in cached} == {"k2", "density"}
     tracemalloc.start()
     try:
         sobolev_report(traj, nl)
@@ -469,7 +464,6 @@ def test_diagnostics_cache_no_table_and_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert set(_TABLES) == cached
     assert peak < PEAK_BOUND
 
 
@@ -514,23 +508,12 @@ def test_evolve_never_writes_to_datum_or_snapshots():
         assert np.max(np.abs(state.values - alone.values)) < 1e-12
 
 
-def test_cached_spectral_tables_are_read_only(square_sol):
+def test_density_multiplier_scales_with_the_coupling():
     grid = GridSpec(dim=3, box_length=8.0, points_per_axis=16, dt=1e-3,
                     t_final=0.0)
-    modified = NonlinearitySpec.modified(square_sol, N=4, grid=grid)
-    tables = [
-        _k_squared(grid),
-        _density_multiplier(grid, NonlinearitySpec.gp(a0=0.1)),
-        _density_multiplier(grid, modified),
-    ]
-    for table in tables:
-        with pytest.raises(ValueError):
-            table[(0,) * table.ndim] = 1
-    # one build per key, a new one for another coupling
-    assert _k_squared(grid) is tables[0]
-    assert _density_multiplier(grid, modified) is tables[2]
+    one = _density_multiplier(grid, NonlinearitySpec.gp(a0=0.1))
     other = _density_multiplier(grid, NonlinearitySpec.gp(a0=0.2))
-    assert np.allclose(other, 2 * tables[1])
+    assert np.allclose(other, 2 * one)
 
 
 def test_mass_reduction_matches_sum_of_squares():

@@ -30,7 +30,6 @@ from gpk.fock import (
     hamiltonian,
     ladder,
     mean_field_trajectory,
-    mode_hyperbolic,
     number_expectation,
     poisson_shell_mass,
     toy_convergence_study,
@@ -38,6 +37,7 @@ from gpk.fock import (
     vacuum,
     weyl,
 )
+from gpk.kernels import ch_sh_series
 
 
 # References the tests compare against: the lab-frame dynamics, product
@@ -48,7 +48,7 @@ def evolve_state(H, psi, t):
     if t == 0:
         return psi
     return FockVector(
-        coefficients=expm_multiply(-1j * t * H.matrix, psi.coefficients),
+        coefficients=expm_multiply(-1j * t * H, psi.coefficients),
         basis=psi.basis,
     )
 
@@ -128,11 +128,11 @@ def test_basis_budget():
 def test_vacuum_annihilation_and_matrix_elements():
     b = build_basis(1, 6)
     a, ad = ladder(b, 0)
-    assert np.all(a.matrix @ vacuum(b).coefficients == 0)
-    dense = a.to_dense()
+    assert np.all(a @ vacuum(b).coefficients == 0)
+    dense = a.toarray()
     for n in range(1, 7):
         assert dense[n - 1, n] == pytest.approx(math.sqrt(n))
-    assert np.allclose(ad.to_dense(), dense.conj().T)
+    assert np.allclose(ad.toarray(), dense.conj().T)
 
 
 def loop_built_annihilator(basis, mode):
@@ -157,10 +157,10 @@ def test_cached_ladders_equal_loop_built_ones(d, n_max):
     ann, cre = all_ladders(b)
     for mode in range(d):
         ref = loop_built_annihilator(b, mode)
-        assert (ann[mode].matrix != ref).nnz == 0
-        assert (cre[mode].matrix != ref.conj().T.tocsr()).nnz == 0
+        assert (ann[mode] != ref).nnz == 0
+        assert (cre[mode] != ref.conj().T.tocsr()).nnz == 0
         a, ad = ladder(b, mode)
-        assert (a.matrix != ref).nnz == 0 and (ad.matrix != cre[mode].matrix).nnz == 0
+        assert (a != ref).nnz == 0 and (ad != cre[mode]).nnz == 0
     again, _ = all_ladders(b)
     assert all(x is y for x, y in zip(ann, again))  # built once per basis
 
@@ -168,7 +168,7 @@ def test_cached_ladders_equal_loop_built_ones(d, n_max):
 def test_cached_ladders_are_read_only():
     ann, cre = all_ladders(build_basis(2, 5))
     for op in (ann[0], cre[1]):
-        for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+        for arr in (op.data, op.indices, op.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
@@ -178,7 +178,7 @@ def test_mode_products_are_the_ladder_products_built_once():
     ann, cre = all_ladders(b)
     cubics = []
     for i, products in enumerate(b.mode_products):
-        a, ad = ann[i].matrix, cre[i].matrix
+        a, ad = ann[i], cre[i]
         want = (ad @ a, ad @ ad, a @ a, ad @ ad @ a, ad @ a @ a)
         for got, ref in zip(products, want, strict=True):
             assert (got != ref).nnz == 0
@@ -202,7 +202,7 @@ def test_annihilation_bounded_by_number_operator():
         psi = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
         psi /= np.linalg.norm(psi)
         af = annihilator_of(b, f)
-        lhs = np.linalg.norm(af.matrix @ psi)
+        lhs = np.linalg.norm(af @ psi)
         rhs = np.linalg.norm(f) * np.linalg.norm(np.sqrt(totals) * psi)
         assert lhs <= rhs + 1e-12
 
@@ -214,8 +214,8 @@ def test_ccr_exact_below_cutoff():
     below = b.totals() < b.n_max
     for i in range(2):
         for j in range(2):
-            comm = (ann[i].matrix @ cre[j].matrix
-                    - cre[j].matrix @ ann[i].matrix).toarray()
+            comm = (ann[i] @ cre[j]
+                    - cre[j] @ ann[i]).toarray()
             expected = (1.0 if i == j else 0.0) * np.eye(b.dim)
             assert np.max(np.abs((comm - expected)[:, below])) < 1e-13
 
@@ -224,7 +224,7 @@ def test_hamiltonian_free_single_particle_block():
     b = build_basis(2, 4)
     h = np.array([[0.5, -1.0], [-1.0, 0.3]])
     H = hamiltonian(b, h)
-    block = H.to_dense()[b.shell_slices[1], b.shell_slices[1]]
+    block = H.toarray()[b.shell_slices[1], b.shell_slices[1]]
     assert np.allclose(block, h)
 
 
@@ -234,10 +234,10 @@ def _tensor_hamiltonian(basis, h, v, coupling):
     h = np.asarray(h, dtype=complex)
     v = np.asarray(v, dtype=complex)
     ann, cre = all_ladders(basis)
-    terms = [(h[i, j], cre[i].matrix @ ann[j].matrix)
+    terms = [(h[i, j], cre[i] @ ann[j])
              for i, j in zip(*np.nonzero(h))]
     terms += [(0.5 * coupling * v[i, j, k, l],
-               cre[i].matrix @ cre[j].matrix @ ann[k].matrix @ ann[l].matrix)
+               cre[i] @ cre[j] @ ann[k] @ ann[l])
               for i, j, k, l in zip(*np.nonzero(v))]
     m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for coeff, mat in terms:
@@ -270,7 +270,7 @@ def test_hamiltonian_weights_equal_the_tensor_build(d):
     b = build_basis(d, 6)
     H = hamiltonian(b, h, u, coupling=0.7)
     ref = _tensor_hamiltonian(b, h, _onsite_tensor(u), 0.7)
-    assert np.array_equal(H.to_dense(), ref.toarray())
+    assert np.array_equal(H.toarray(), ref.toarray())
 
 
 def test_hamiltonian_rejects_weights_of_the_wrong_length():
@@ -283,7 +283,7 @@ def test_hamiltonian_commutes_with_number():
     h = np.array([[0.0, -1.0], [-1.0, 0.5]])
     H = hamiltonian(b, h, np.array([1.0, 1.0]), coupling=0.7)
     N = sp.diags(b.totals().astype(float), format="csr").astype(complex)
-    comm = H.matrix @ N - N @ H.matrix
+    comm = H @ N - N @ H
     assert abs(comm).max() == 0.0
 
 
@@ -309,18 +309,16 @@ def test_bose_hubbard_ground_energy_oracle():
             dense[row, col] += -J * math.sqrt(n2 * (n1 + 1))
     # compare within the conserved 4-particle sector
     sector = b.shell_slices[4]
-    e1 = np.linalg.eigvalsh(H.to_dense()[sector, sector].real)
+    e1 = np.linalg.eigvalsh(H.toarray()[sector, sector].real)
     e2 = np.linalg.eigvalsh(dense[sector, sector])
     assert abs(e1[0] - e2[0]) < 1e-10
 
 
 def test_weyl_identity_and_components():
     b = build_basis(2, 12)
-    W = weyl(b, np.zeros(2)).matrix
-    defect = W.conj().T @ W - sp.identity(b.dim, dtype=complex)
-    assert (float(abs(defect).max()) if defect.nnz else 0.0) < 1e-12
-    W0 = weyl(b, np.zeros(2)).to_dense()
-    assert np.allclose(W0, np.eye(b.dim))
+    W = weyl(b, np.zeros(2))
+    assert np.max(np.abs(W.conj().T @ W - np.eye(b.dim))) < 1e-12
+    assert np.allclose(W, np.eye(b.dim))
 
     f = np.array([0.6 + 0.2j, -0.3j])
     state = coherent_state(b, f)
@@ -363,14 +361,14 @@ def test_apply_weyl_matches_dense():
     rng = np.random.default_rng(5)
     psi = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     psi /= np.linalg.norm(psi)
-    dense = weyl(b, f).to_dense() @ psi
+    dense = weyl(b, f) @ psi
     krylov = apply_weyl(b, f, FockVector(psi, b)).coefficients
     assert np.max(np.abs(dense - krylov)) < 1e-9
 
 
 def test_bogoliubov_identity_and_squeezed_number():
     b = build_basis(1, 40)
-    assert np.allclose(bogoliubov(b, np.zeros((1, 1))).to_dense(), np.eye(b.dim))
+    assert np.allclose(bogoliubov(b, np.zeros((1, 1))), np.eye(b.dim))
     for r in (0.1, 0.5):
         K = np.array([[r]])
         sq = apply_bogoliubov(b, K, vacuum(b))
@@ -383,7 +381,7 @@ def test_apply_bogoliubov_matches_dense():
     rng = np.random.default_rng(8)
     psi = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     psi /= np.linalg.norm(psi)
-    dense = bogoliubov(b, K).to_dense() @ psi
+    dense = bogoliubov(b, K) @ psi
     krylov = apply_bogoliubov(b, K, FockVector(psi, b)).coefficients
     assert np.max(np.abs(dense - krylov)) < 1e-9
 
@@ -408,12 +406,22 @@ def test_bogoliubov_conjugation():
     assert bogoliubov_conjugation_residual(b, K_mod, np.array([1.0, 0.0])) < 1e-2
 
 
+def test_cancellation_check_keeps_the_bogoliubov_budget():
+    # kappa = N omega = 1.6: T(-kappa phi phi^T) is past the 1.5 budget that
+    # every Bogoliubov unitary keeps
+    b = build_basis(2, 12)
+    with pytest.raises(TruncationBudgetError, match="1.5 budget"):
+        generator_cancellation_check(b, [1.0, 1.0], 0.5, 16,
+                                     np.array([1.0, 0.0]), omega=0.1)
+
+
 def test_mode_symplectic_relation():
     rng = np.random.default_rng(17)
     for _ in range(10):
         K = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         K = 0.4 * (K + K.T) / 2
-        ch, sh = mode_hyperbolic(K)
+        p, r, _ = ch_sh_series(K, tol=1e-16)
+        ch, sh = np.eye(3) + p, K + r
         lhs = ch @ ch.conj().T - sh @ sh.conj().T
         assert np.max(np.abs(lhs - np.eye(3))) < 1e-10
 
@@ -631,7 +639,7 @@ def test_evolve_state_matches_dense_oracle():
     H = hamiltonian(b, h, np.array([0.8, 1.1]), coupling=0.5)
     psi = coherent_state(b, np.array([0.5, 0.4j]))
     t = 0.9
-    dense = expm(-1j * t * H.to_dense()) @ psi.coefficients
+    dense = expm(-1j * t * H.toarray()) @ psi.coefficients
     krylov = evolve_state(H, psi, t).coefficients
     assert np.max(np.abs(dense - krylov)) < 1e-9
 

@@ -256,3 +256,49 @@ def test_1d_modified_evolve_loads_fft_only():
     assert loaded.isdisjoint({"scipy.interpolate", "scipy.optimize",
                               "scipy.spatial", "scipy.sparse",
                               "scipy.linalg"})
+
+
+# methods that change a list, dict or set in place
+_MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem",
+             "clear", "update", "setdefault", "add", "discard", "sort",
+             "reverse"}
+
+
+def _module_state_writes(tree):
+    """(line, name) of each write into the object of a module-level name:
+    a subscript assignment, a `del`, or a call of a mutating method; and of
+    each `global` statement, which rebinds one."""
+    names = {t.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+             for t in stmt.targets if isinstance(t, ast.Name)}
+    names |= {stmt.target.id for stmt in tree.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)}
+    for node in ast.walk(tree):
+        held = []
+        if isinstance(node, ast.Global):
+            yield from ((node.lineno, name) for name in node.names)
+        elif isinstance(node, ast.Delete):
+            held = [t.value if isinstance(t, ast.Subscript) else t
+                    for t in node.targets]
+        elif isinstance(node, ast.Assign):
+            held = [t.value for t in node.targets
+                    if isinstance(t, ast.Subscript)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            if isinstance(node.target, ast.Subscript):
+                held = [node.target.value]
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr in _MUTATORS:
+            held = [node.func.value]
+        for target in held:
+            if isinstance(target, ast.Name) and target.id in names:
+                yield node.lineno, target.id
+
+
+def test_no_module_state_is_written():
+    # an artifact must not depend on what earlier calls left in the process
+    offenders = [f"{path.name}:{line} writes {name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, name in sorted(_module_state_writes(
+                     ast.parse(path.read_text(), filename=str(path))))]
+    assert not offenders, "\n".join(offenders)

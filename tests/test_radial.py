@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from gpk import radial
-from gpk.dynamics import GridSpec, NonlinearitySpec, _k_squared
+from gpk.dynamics import GridSpec, NonlinearitySpec
 from gpk.errors import DomainError
 from gpk.kernels import _profile_extension
 from gpk.radial import (
@@ -219,7 +219,7 @@ def test_interaction_table_spline_matches_scipy_bit_for_bit(
     table = NonlinearitySpec.modified(square_sol, N=1, grid=grid).uhat
     spline = CubicSpline(table.p, table.values)
     assert np.array_equal(table._coefficients, spline.c)
-    kabs = np.sqrt(_k_squared(grid))
+    kabs = np.sqrt(grid.k_squared())
     rng = np.random.default_rng(13)
     for p in (*(kabs / N for N in Ns), table.p, table.p[[0, -1]],
               rng.uniform(0.0, table.p[-1], 10_000)):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpk.errors import ConfigurationError, DomainError
+from gpk.errors import BudgetError, ConfigurationError, DomainError
 from gpk.scattering import (
     RadialPotential,
     equation_defect_residual,
@@ -138,6 +138,17 @@ def test_configuration_errors():
         solve_zero_energy(V, r_max=5.0, n_points=100)
     with pytest.raises(DomainError):
         RadialPotential.from_table(np.array([0.0, 1.0]), np.array([1.0, -0.5]))
+
+
+def test_radial_step_wider_than_the_support_is_refused():
+    # at rmax = 5e4 one step of 12.5 spans the well of radius 1: the defect
+    # reads 0 and a0 comes out wrong, so the grid is refused instead
+    V = RadialPotential.square_well(8.0, 1.0)
+    with pytest.raises(ConfigurationError, match="rmax / points = 12.5"):
+        solve_zero_energy(V, r_max=5e4, n_points=4000)
+    # a step as wide as the well still meets the defect budget, and fails it
+    with pytest.raises(BudgetError):
+        solve_zero_energy(V, r_max=4000.0, n_points=4000)
 
 
 def test_table_potential_round_trip():
