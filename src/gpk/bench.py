@@ -1,16 +1,16 @@
-"""Experiment orchestration: config parsing, staged pipeline, reports.
+"""Experiment orchestration: config schema, staged pipeline, reports.
 
-Configs are INI files with sections [potential], [grid], [datum],
-[nonlinearity], [snapshots], [nsweep], [kernels], [fock], [output].  The
+`SCHEMA` holds every INI section and key gpk reads, with its type, default
+and bound; `load_config` checks a whole file against it and the rules
+between keys once, before any stage runs, and holds the typed values.  The
 pipeline is the stage table `STAGES`, driven by one loop in `run_pipeline`.
 A stage's key hashes gpk's own sources, the sections it reads (plus the
 bytes of a `file =` table) and the artifacts of the stages it needs, so an
 edit of the code or the config invalidates the stages that depend on it.
-Config checks run on every invocation; numerical work runs only on a cache
-miss.  Summaries are read back from each stage's own artifacts and
-downstream stages read the profile from scattering.json, so artifacts do
-not depend on cache state.  Outputs are regenerated whole
-(CSV with RFC-4180 quoting, JSON with sorted keys) and are deterministic.
+Numerical work runs only on a cache miss.  Summaries are read back from each
+stage's own artifacts and downstream stages read the profile from
+scattering.json, so artifacts do not depend on cache state.  Outputs are
+regenerated whole (CSV with RFC-4180 quoting, JSON with sorted keys).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fieldio
+from . import budgets, fieldio
 from .dynamics import (
     GridSpec,
     NonlinearitySpec,
@@ -54,59 +54,6 @@ from .scattering import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    path: Path
-    parser: configparser.ConfigParser
-    raw_sections: dict
-
-    def has(self, section: str) -> bool:
-        return self.parser.has_section(section)
-
-    def get(self, section: str, key: str, fallback=None, required=False):
-        if not self.parser.has_section(section):
-            if required:
-                raise ConfigurationError(f"{self.path}: missing section [{section}]")
-            return fallback
-        if not self.parser.has_option(section, key):
-            if required:
-                raise ConfigurationError(
-                    f"{self.path}: section [{section}] missing key '{key}'"
-                )
-            return fallback
-        return self.parser.get(section, key)
-
-    def _typed(self, section, key, fallback, required, convert, what):
-        val = self.get(section, key, required=required)
-        if val is None:
-            return fallback
-        try:
-            return convert(val)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{self.path}: [{section}] {key} = {val!r} is not {what}"
-            ) from exc
-
-    def get_float(self, section, key, fallback=None, required=False):
-        return self._typed(section, key, fallback, required, _finite,
-                           "a finite number")
-
-    def get_int(self, section, key, fallback=None, required=False):
-        return self._typed(section, key, fallback, required, int, "an integer")
-
-    def get_floats(self, section, key, fallback=None, required=False):
-        return self._typed(section, key, fallback, required,
-                           lambda v: [_finite(t) for t in _tokens(v)],
-                           "finite numbers")
-
-    def get_ints(self, section, key, fallback=None, required=False):
-        return self._typed(section, key, fallback, required,
-                           lambda v: [int(t) for t in _tokens(v)], "integers")
-
-    def section_text(self, section: str) -> str:
-        return self.raw_sections.get(section, "")
-
-
 def _tokens(text: str) -> list:
     return text.replace(",", " ").split()
 
@@ -119,44 +66,219 @@ def _finite(text: str) -> float:
     return value
 
 
+def _choice(*words):
+    """The type of a key that takes one of `words`, in any case."""
+    table = {word: word for word in words}
+    return (lambda text: table[text.lower()]), " or ".join(words)
+
+
+# A type is (reader, what the text must be); the reader raises ValueError or
+# KeyError on a text it cannot read.
+_INT = (int, "an integer")
+_INTS = (lambda text: [int(tok) for tok in _tokens(text)], "integers")
+_FLOAT = (_finite, "a finite number")
+_FLOATS = (lambda text: [_finite(tok) for tok in _tokens(text)],
+           "finite numbers")
+_MATRIX = (lambda text: [_FLOATS[0](row) for row in text.split(";")
+                         if row.strip()], "a matrix of finite numbers")
+_TEXT = (str, "text")
+_YES_NO = (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+           "yes or no")
+REQUIRED = object()  # the default of a key that a given section must give
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its type, its default and the least value each of
+    its numbers takes."""
+
+    type: tuple
+    default: object = None
+    least: int | None = None
+
+
+# Every section and key gpk reads.  [potential] also takes the parameters of
+# its family, which `RadialPotential.from_spec` checks.  A key without a
+# default reads None when it is not given: `solve_zero_energy` takes
+# max(5, 5 r_support) for rmax, and the fock stage d ones for u.
+SCHEMA = {
+    "potential": {"family": Key(_TEXT), "file": Key(_TEXT), "rmax": Key(_FLOAT),
+                  "points": Key(_INT, 4000)},
+    "grid": {"dim": Key(_INT, REQUIRED), "length": Key(_FLOAT, REQUIRED),
+             "points": Key(_INT, REQUIRED), "dt": Key(_FLOAT, REQUIRED),
+             "t_final": Key(_FLOAT, REQUIRED),
+             "fft_workers": Key(_INT, 1, least=1)},
+    "datum": {"family": Key(_choice("gaussian", "constant"), "gaussian"),
+              "sigma": Key(_FLOAT, 1.0)},
+    "nonlinearity": {"kind": Key(_choice("gp", "modified"), "gp"),
+                     "a0": Key(_FLOAT), "coupling": Key(_FLOAT),
+                     "n": Key(_INT, least=1)},
+    "snapshots": {"stride": Key(_INT, least=1), "fields": Key(_YES_NO, False)},
+    "nsweep": {"n_values": Key(_INTS, REQUIRED, least=1),
+               "t_star": Key(_FLOAT, REQUIRED)},
+    "kernels": {"dim": Key(_INT, 3), "length": Key(_FLOAT, 12.0),
+                "points": Key(_INT, 16), "sigma": Key(_FLOAT, 1.0),
+                "n_values": Key(_INTS, REQUIRED, least=1)},
+    "fock": {"d": Key(_INT, 2, least=1), "h": Key(_MATRIX, REQUIRED),
+             "u": Key(_FLOATS), "coupling": Key(_FLOAT, REQUIRED),
+             "phi0": Key(_FLOATS, REQUIRED), "kappa0": Key(_FLOAT, 0.0),
+             "t_final": Key(_FLOAT, REQUIRED),
+             "n_values": Key(_INTS, REQUIRED, least=1), "omega": Key(_FLOAT),
+             "cancel_n": Key(_INT, 16, least=1),
+             "cancel_cutoff": Key(_INT, 12, least=0)},
+    "output": {"directory": Key(_TEXT, "out")},
+}
+
+
+def parse_value(where: str, key: Key, text: str):
+    """`text` read as the type of `key`, each number at least `key.least`;
+    a ConfigurationError naming `where` if it is not."""
+    read, what = key.type
+    try:
+        value = read(text)
+    except (KeyError, ValueError):
+        raise ConfigurationError(f"{where} = {text!r} is not {what}") from None
+    if key.least is not None and np.any(np.less(value, key.least)):
+        raise ConfigurationError(f"{where} = {value} must be >= {key.least}")
+    return value
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A config checked against `SCHEMA`: `values[section][key]` is a typed
+    value or its default ([potential] also holds its family parameters), and
+    `texts` the normalised text of each given section, which keys hash."""
+
+    path: Path
+    values: dict
+    texts: dict
+
+    def has(self, section: str) -> bool:
+        return section in self.texts
+
+    def get(self, section: str, key: str):
+        return self.values[section][key]
+
+    get_float = get_ints = get  # the former typed getters, which perfbench/ calls
+
+
 def load_config(path) -> ExperimentConfig:
+    """The config at `path`, checked whole against `SCHEMA` and the rules
+    between its keys; a ConfigurationError at the first fault."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
+        given = {section: dict(parser.items(section))
+                 for section in parser.sections()}
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    raw = {}
-    for section in parser.sections():
-        items = sorted(parser.items(section))
-        raw[section] = "\n".join(f"{k} = {v}" for k, v in items)
-    cfg = ExperimentConfig(path=path, parser=parser, raw_sections=raw)
-    file_key = cfg.get("potential", "file")
-    if file_key and not Path(file_key).exists():
-        raise ConfigurationError(
-            f"{path}: [potential] file = {file_key} does not exist"
-        )
+    for section, items in given.items():
+        if section not in SCHEMA:
+            raise _unknown(path, f"section [{section}]", section, SCHEMA)
+        for key in items:
+            if key not in SCHEMA[section] and section != "potential":
+                # [potential] takes its family's parameters as well
+                raise _unknown(path, f"key '{key}' in [{section}]", key,
+                               SCHEMA[section])
+    values = {}
+    for section, keys in SCHEMA.items():
+        items = given.get(section, {})
+        values[section] = dict(items)
+        for name, key in keys.items():
+            if name in items:
+                values[section][name] = parse_value(
+                    f"{path}: [{section}] {name}", key, items[name])
+            elif key.default is not REQUIRED:
+                values[section][name] = key.default
+            elif section in given:
+                raise ConfigurationError(
+                    f"{path}: section [{section}] missing key '{name}'")
+    cfg = ExperimentConfig(path=path, values=values, texts={
+        section: "\n".join(f"{k} = {v}" for k, v in sorted(items.items()))
+        for section, items in given.items()})
+    _check_rules(cfg)
     return cfg
 
 
+def _unknown(path, what: str, name: str, valid) -> ConfigurationError:
+    """The error for an unknown section or key, naming the closest valid one."""
+    import difflib  # on this error path only: it takes 1.5 ms to import
+
+    close = difflib.get_close_matches(name, list(valid), n=1)
+    hint = f"did you mean {close[0]!r}?" if close else \
+        f"expected one of {', '.join(valid)}"
+    return ConfigurationError(f"{path}: unknown {what}; {hint}")
+
+
+def _check_rules(cfg: ExperimentConfig) -> None:
+    """The rules between keys and sections that the schema does not state."""
+    path, nl = cfg.path, cfg.values["nonlinearity"]
+    modified = nl["kind"] == "modified"
+    if modified and nl["n"] is None:
+        raise ConfigurationError(
+            f"{path}: section [nonlinearity] missing key 'n'")
+    if not modified and nl["a0"] is not None and nl["coupling"] is not None:
+        raise ConfigurationError(
+            f"{path}: [nonlinearity] kind = gp takes a0 or coupling, not both")
+    for what, present, needed in (
+            ("[nsweep]", cfg.has("nsweep"), "potential"),
+            ("[nsweep]", cfg.has("nsweep"), "grid"),
+            ("[kernels]", cfg.has("kernels"), "potential"),
+            ("modified nonlinearity", modified, "potential")):
+        if present and not cfg.has(needed):
+            raise ConfigurationError(f"{path}: {what} needs a [{needed}] section")
+    if cfg.has("potential"):
+        potential_from_config(cfg)
+    if cfg.has("fock"):
+        _check_fock_scenario(path, cfg.values["fock"])
+
+
+def _check_fock_scenario(path, fock: dict) -> None:
+    """The shapes of [fock] h, u and phi0, and every basis the fock stage
+    builds, against the caps of `gpk.budgets`."""
+    d, omega = fock["d"], fock["omega"]
+    if len(fock["h"]) != d or any(len(row) != d for row in fock["h"]):
+        raise ConfigurationError(f"{path}: [fock] h must be {d} x {d}")
+    for key in ("u", "phi0"):
+        if fock[key] is not None and len(fock[key]) != d:
+            raise ConfigurationError(f"{path}: [fock] {key} needs d = {d} "
+                                     f"numbers, got {len(fock[key])}")
+    if not 0 < np.linalg.norm(fock["phi0"]) < math.inf:
+        raise ConfigurationError(
+            f"{path}: [fock] phi0 must be a nonzero finite vector")
+    # the probe and a cancellation check with omega != 0 take dense unitaries
+    bases = [("d", budgets.FLUCTUATION_CUTOFF, budgets.DIM_BUDGET),
+             ("d", budgets.PROBE_CUTOFF, budgets.DENSE_EXPM_CAP)]
+    if omega is not None:
+        bases.append(("d or cancel_cutoff", fock["cancel_cutoff"],
+                      budgets.DENSE_EXPM_CAP if omega else budgets.DIM_BUDGET))
+    for keys, cutoff, cap in bases:
+        dim = budgets.basis_dimension(d, cutoff)
+        if dim > cap:
+            raise ConfigurationError(
+                f"{path}: [fock] {keys}: d = {d} modes at cutoff {cutoff} "
+                f"give a basis of dimension {dim}, above the cap {cap}")
+
+
 def potential_from_config(cfg: ExperimentConfig) -> RadialPotential:
-    """V from [potential]: a `file =` table, or a family and its parameters;
-    `rmax` and `points` belong to the solver."""
+    """V from [potential]: a `file =` table, or a family and its parameters."""
     where = f"{cfg.path} [potential]"
-    spec = {key: val for key, val in cfg.parser.items("potential")
-            if key not in ("rmax", "points")}
-    file_key = spec.pop("file", None)
-    if file_key:
-        if spec:
+    potential = cfg.values["potential"]
+    params = {key: val for key, val in potential.items()
+              if key not in SCHEMA["potential"]}
+    if potential["file"]:
+        if params:
             raise ConfigurationError(
                 f"{where}: file = takes no family parameters, got "
-                f"{', '.join(spec)}")
-        return potential_from_file(file_key)
-    if "family" not in spec:
+                f"{', '.join(params)}")
+        return potential_from_file(potential["file"])
+    if potential["family"] is None:
         raise ConfigurationError(f"{where}: needs 'family' or 'file'")
-    return RadialPotential.from_spec(spec, where)
+    return RadialPotential.from_spec({**params, "family": potential["family"]},
+                                     where)
 
 
 def potential_from_file(path) -> RadialPotential:
@@ -176,23 +298,16 @@ def potential_from_file(path) -> RadialPotential:
 
 
 def datum_from_config(cfg: ExperimentConfig, grid: GridSpec) -> WaveFunction:
-    family = cfg.get("datum", "family", fallback="gaussian").strip().lower()
-    if family == "gaussian":
-        return gaussian_datum(grid, sigma=cfg.get_float("datum", "sigma", 1.0))
-    if family == "constant":
+    if cfg.get("datum", "family") == "constant":
         return constant_datum(grid)
-    raise ConfigurationError(f"{cfg.path}: unknown datum family {family!r}")
+    return gaussian_datum(grid, sigma=cfg.get("datum", "sigma"))
 
 
 def grid_from_config(cfg: ExperimentConfig) -> GridSpec:
-    return GridSpec(
-        dim=cfg.get_int("grid", "dim", required=True),
-        box_length=cfg.get_float("grid", "length", required=True),
-        points_per_axis=cfg.get_int("grid", "points", required=True),
-        dt=cfg.get_float("grid", "dt", required=True),
-        t_final=cfg.get_float("grid", "t_final", required=True),
-        fft_workers=cfg.get_int("grid", "fft_workers", 1),
-    )
+    grid = cfg.values["grid"]
+    return GridSpec(dim=grid["dim"], box_length=grid["length"],
+                    points_per_axis=grid["points"], dt=grid["dt"],
+                    t_final=grid["t_final"], fft_workers=grid["fft_workers"])
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +448,8 @@ _NORMS_COLUMNS = ("t", "l2", "energy", "h1", "h2", "h3", "h4", "tail_mass")
 
 def _section_key(cfg: ExperimentConfig, section: str) -> str:
     """A section's text, plus the bytes of the table it names by `file =`."""
-    path = cfg.get(section, "file")
-    return cfg.section_text(section) + (_hash_file(Path(path)) if path else "")
+    path = cfg.values[section].get("file")
+    return cfg.texts.get(section, "") + (_hash_file(Path(path)) if path else "")
 
 
 class _Inputs:
@@ -363,28 +478,11 @@ class _Inputs:
         return NonlinearitySpec.modified(self.sol, N=1, grid=self.grid)
 
 
-def _needs_potential(cfg: ExperimentConfig, what: str) -> None:
-    if not cfg.has("potential"):
-        raise ConfigurationError(f"{cfg.path}: {what} needs a [potential] stage")
-
-
-def _nonlinearity_kind(cfg: ExperimentConfig) -> str:
-    """The [nonlinearity] kind, checked along with the stage it needs."""
-    kind = (cfg.get("nonlinearity", "kind", fallback="gp") or "gp").lower()
-    if kind not in ("gp", "modified"):
-        raise ConfigurationError(f"{cfg.path}: unknown nonlinearity kind {kind!r}")
-    if kind == "modified":
-        _needs_potential(cfg, "modified nonlinearity")
-    return kind
-
-
 def _nonlinearity(inp: _Inputs) -> NonlinearitySpec:
-    cfg = inp.cfg
-    if _nonlinearity_kind(cfg) == "modified":
-        return replace(inp.interaction,
-                       N=cfg.get_int("nonlinearity", "n", required=True))
-    a0 = cfg.get_float("nonlinearity", "a0", None)
-    coupling = cfg.get_float("nonlinearity", "coupling", None)
+    nl = inp.cfg.values["nonlinearity"]
+    if nl["kind"] == "modified":
+        return replace(inp.interaction, N=nl["n"])
+    a0, coupling = nl["a0"], nl["coupling"]
     if a0 is None and coupling is None and inp.sol is not None:
         a0 = inp.sol.a0
     if a0 is None and coupling is None:
@@ -400,10 +498,8 @@ def scattering_summary(payload: dict) -> dict:
 
 def _run_scattering(inp: _Inputs, scattering_json, scattering_csv,
                     summary_json) -> None:
-    cfg = inp.cfg
-    V = potential_from_config(cfg)
-    r_max = cfg.get_float("potential", "rmax", max(5.0, 5 * V.r_support))
-    sol = solve_zero_energy(V, r_max, cfg.get_int("potential", "points", 4000))
+    V, potential = potential_from_config(inp.cfg), inp.cfg.values["potential"]
+    sol = solve_zero_energy(V, potential["rmax"], potential["points"])
     payload = dump_solution_json(sol, V, scattering_json)
     write_scattering_csv(sol, scattering_csv)
     _write_json(summary_json, scattering_summary(payload))
@@ -417,18 +513,16 @@ def _summarize_scattering(scattering_json, scattering_csv, summary_json):
 
 
 def _run_evolve(inp: _Inputs, norms_csv) -> None:
-    cfg = inp.cfg
+    snapshots = inp.cfg.values["snapshots"]
     nl = _nonlinearity(inp)
-    stride = cfg.get_int("snapshots", "stride", None)
-    traj = evolve(datum_from_config(cfg, inp.grid), nl, inp.grid,
-                  snapshot_stride=stride)
+    traj = evolve(datum_from_config(inp.cfg, inp.grid), nl, inp.grid,
+                  snapshot_stride=snapshots["stride"])
     rep = sobolev_report(traj, nl)
     columns = [traj.times, [s.l2_norm for s in traj.states], rep.energy,
                *(rep.h_norms[n] for n in (1, 2, 3, 4)), rep.tail_mass]
     _write_csv(norms_csv, _NORMS_COLUMNS,
                ([repr(float(x)) for x in row] for row in zip(*columns)))
-    fields = (cfg.get("snapshots", "fields", fallback="no") or "no").lower()
-    if fields in ("yes", "true", "1"):
+    if snapshots["fields"]:
         for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
             fieldio.write_field(inp.outdir / f"field_{idx:04d}.bin", state,
                                 float(t))
@@ -444,12 +538,11 @@ def _summarize_evolve(norms_csv):
 
 
 def _run_nsweep(inp: _Inputs, rates_csv) -> None:
-    cfg = inp.cfg
-    N_list = cfg.get_ints("nsweep", "n_values", required=True)
-    t_star = cfg.get_float("nsweep", "t_star", required=True)
+    sweep = inp.cfg.values["nsweep"]
     a0 = inp.sol.a0 if inp.grid.dim == 3 else None
-    rep = compare_dynamics(datum_from_config(cfg, inp.grid), a0,
-                           inp.interaction.uhat, N_list, t_star)
+    rep = compare_dynamics(datum_from_config(inp.cfg, inp.grid), a0,
+                           inp.interaction.uhat, sweep["n_values"],
+                           sweep["t_star"])
     _write_csv(rates_csv, ["N", "l2_difference", "slope"],
                ([int(n), repr(float(y)), repr(rep.slope)]
                 for n, y in zip(rep.x, rep.y)))
@@ -464,52 +557,11 @@ def _summarize_nsweep(rates_csv):
 
 
 def _run_kernels(inp: _Inputs, bounds_csv) -> None:
-    cfg = inp.cfg
-    kgrid = GridSpec(dim=cfg.get_int("kernels", "dim", 3),
-                     box_length=cfg.get_float("kernels", "length", 12.0),
-                     points_per_axis=cfg.get_int("kernels", "points", 16),
-                     dt=1e-3, t_final=0.0)
-    phi = gaussian_datum(kgrid, sigma=cfg.get_float("kernels", "sigma", 1.0))
-    write_kernel_bounds_csv(bounds_csv, phi, inp.sol, _kernel_n_values(cfg))
-
-
-def _at_least_one(cfg: ExperimentConfig, section: str, key: str, values):
-    """`values`, the int or ints read from [section] key; ConfigurationError
-    unless each is >= 1."""
-    if values is not None and any(v < 1 for v in np.atleast_1d(values)):
-        raise ConfigurationError(
-            f"{cfg.path}: [{section}] {key} = {values} must be >= 1")
-    return values
-
-
-def _kernel_n_values(cfg: ExperimentConfig) -> list:
-    """[kernels] n_values, each at least 1 (the kernel scale N)."""
-    return _at_least_one(cfg, "kernels", "n_values",
-                         cfg.get_ints("kernels", "n_values", required=True))
-
-
-def _check_evolve(cfg: ExperimentConfig) -> None:
-    _nonlinearity_kind(cfg)
-    _at_least_one(cfg, "snapshots", "stride",
-                  cfg.get_int("snapshots", "stride", None))
-
-
-def _check_nsweep(cfg: ExperimentConfig) -> None:
-    _needs_potential(cfg, "[nsweep]")
-    _at_least_one(cfg, "nsweep", "n_values",
-                  cfg.get_ints("nsweep", "n_values", required=True))
-
-
-def _check_kernels(cfg: ExperimentConfig) -> None:
-    _needs_potential(cfg, "[kernels]")
-    _kernel_n_values(cfg)
-
-
-def _check_fock(cfg: ExperimentConfig) -> None:
-    """The particle numbers of [fock]: the study's N values and cancel_n."""
-    _at_least_one(cfg, "fock", "n_values",
-                  cfg.get_ints("fock", "n_values", required=True))
-    _at_least_one(cfg, "fock", "cancel_n", cfg.get_int("fock", "cancel_n", 16))
+    k = inp.cfg.values["kernels"]
+    kgrid = GridSpec(dim=k["dim"], box_length=k["length"],
+                     points_per_axis=k["points"], dt=1e-3, t_final=0.0)
+    write_kernel_bounds_csv(bounds_csv, gaussian_datum(kgrid, sigma=k["sigma"]),
+                            inp.sol, k["n_values"])
 
 
 @dataclass(frozen=True)
@@ -523,7 +575,6 @@ class Stage:
     outputs: tuple       # its files under the output directory
     run: Callable        # run(inputs, *output paths), on a cache miss only
     summarize: Callable  # (*output paths) -> (summary or None, flags)
-    check: Callable = lambda cfg: None  # config validation, every invocation
 
 
 STAGES = (
@@ -532,17 +583,15 @@ STAGES = (
           _run_scattering, _summarize_scattering),
     Stage("evolve", ("grid", "datum"),
           ("grid", "datum", "nonlinearity", "snapshots"), ("scattering",),
-          ("norms.csv",), _run_evolve, _summarize_evolve, _check_evolve),
+          ("norms.csv",), _run_evolve, _summarize_evolve),
     Stage("nsweep", ("nsweep",), ("grid", "datum", "nsweep"), ("scattering",),
-          ("rates.csv",), _run_nsweep, _summarize_nsweep, _check_nsweep),
+          ("rates.csv",), _run_nsweep, _summarize_nsweep),
     Stage("kernels", ("kernels",), ("kernels",), ("scattering",),
-          ("kernel_bounds.csv",), _run_kernels, lambda path: (None, []),
-          _check_kernels),
+          ("kernel_bounds.csv",), _run_kernels, lambda path: (None, [])),
     Stage("fock", ("fock",), ("fock",), (),
           ("fock_report.json", "toy_convergence.csv"),
           lambda inp, *paths: run_fock_stage(inp.cfg, *paths),
-          lambda fock_json, conv_csv: (_read_json(fock_json)["summary"], []),
-          _check_fock),
+          lambda fock_json, conv_csv: (_read_json(fock_json)["summary"], [])),
 )
 
 
@@ -561,10 +610,8 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
     upstream stages they need, with caching; report.json lists the stages
     this invocation ran, hit or miss, with their artifacts, summaries and
     flags."""
-    outdir = Path(outdir or cfg.get("output", "directory", fallback="out"))
+    outdir = Path(outdir or cfg.get("output", "directory"))
     plan = _plan(cfg, stages)
-    for stage in plan:
-        stage.check(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     inputs = _Inputs(cfg, outdir)
     digests, artifacts, summary, flags = {}, {}, {}, []
@@ -611,13 +658,9 @@ def write_kernel_bounds_csv(path, phi, sol, N_list) -> None:
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     # fock loads scipy.sparse and scipy.linalg, so only this stage imports it
     from .fock import (
-        _DENSE_EXPM_CAP,
-        _DIM_BUDGET,
-        _FLUCTUATION_CUTOFF,
         ToyScenario,
         apply_bogoliubov,
         apply_weyl,
-        basis_dimension,
         build_basis,
         check_TNT_inequality,
         check_weyl_relations,
@@ -626,52 +669,21 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
         vacuum,
     )
 
-    d = cfg.get_int("fock", "d", 2)
-    h = np.array(cfg._typed("fock", "h", None, True,
-                            lambda text: _parse_matrix(text, d),
-                            "a matrix of finite numbers"))
-    u = _fock_vector(cfg, "u", d, [1.0] * d)
-    g = cfg.get_float("fock", "coupling", required=True)
-    phi0 = _fock_vector(cfg, "phi0", d)
-    norm = np.linalg.norm(phi0)
-    if not 0 < norm < math.inf:
-        raise ConfigurationError(
-            f"{cfg.path}: [fock] phi0 must be a nonzero finite vector")
-    phi0 = phi0 / norm
-    probe_cutoff = 12
-    # every basis the stage builds, refused before the toy study runs; the
-    # probe and a cancellation check with omega != 0 take dense unitaries
-    bases = [("d", _FLUCTUATION_CUTOFF, _DIM_BUDGET),
-             ("d", probe_cutoff, _DENSE_EXPM_CAP)]
-    omega = cfg.get_float("fock", "omega", None)
-    if omega is not None:
-        cancel_cutoff = cfg.get_int("fock", "cancel_cutoff", 12)
-        bases.append(("d or cancel_cutoff", cancel_cutoff,
-                      _DENSE_EXPM_CAP if omega else _DIM_BUDGET))
-    for keys, cutoff, cap in bases:
-        dim = basis_dimension(d, cutoff)
-        if dim > cap:
-            raise ConfigurationError(
-                f"{cfg.path}: [fock] {keys}: d = {d} modes at cutoff {cutoff} "
-                f"give a basis of dimension {dim}, above the cap {cap}")
-    scenario = ToyScenario(
-        h=h,
-        u=u,
-        coupling=g,
-        phi0=phi0,
-        kappa0=cfg.get_float("fock", "kappa0", 0.0),
-        t_final=cfg.get_float("fock", "t_final", required=True),
-        N_list=tuple(cfg.get_ints("fock", "n_values", required=True)),
-    )
+    f = cfg.values["fock"]
+    d, g, omega = f["d"], f["coupling"], f["omega"]
+    u = np.array(f["u"] or [1.0] * d)
+    phi0 = np.array(f["phi0"]) / np.linalg.norm(f["phi0"])
+    scenario = ToyScenario(h=np.array(f["h"]), u=u, coupling=g, phi0=phi0,
+                           kappa0=f["kappa0"], t_final=f["t_final"],
+                           N_list=tuple(f["n_values"]))
     rep = toy_convergence_study(scenario)
 
     cancel = None
     if omega is not None:
-        n_cancel = cfg.get_int("fock", "cancel_n", 16)
-        basis = build_basis(d, cancel_cutoff)
-        matched = generator_cancellation_check(basis, u, g, n_cancel,
+        basis = build_basis(d, f["cancel_cutoff"])
+        matched = generator_cancellation_check(basis, u, g, f["cancel_n"],
                                                phi0, omega)
-        bare = generator_cancellation_check(basis, u, g, n_cancel,
+        bare = generator_cancellation_check(basis, u, g, f["cancel_n"],
                                             phi0, omega, kappa=0.0)
         cancel = {
             "matched_ratio": matched.ratio,
@@ -680,7 +692,7 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
         }
 
     # structural residuals and spectral constants at toy scale
-    probe = build_basis(d, probe_cutoff)
+    probe = build_basis(d, budgets.PROBE_CUTOFF)
     weyl_rep = check_weyl_relations(
         probe, 0.1 * phi0.astype(complex), 0.08 * phi0.astype(complex)
     )
@@ -724,19 +736,3 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
                 for n, dist, num in zip(rep.N_list, rep.trace_distances,
                                         numbers)))
 
-
-def _fock_vector(cfg: ExperimentConfig, key: str, d: int, fallback=None):
-    vec = np.array(cfg.get_floats("fock", key, fallback,
-                                  required=fallback is None))
-    if vec.shape != (d,):
-        raise ConfigurationError(
-            f"{cfg.path}: [fock] {key} needs d = {d} numbers, got {vec.size}")
-    return vec
-
-
-def _parse_matrix(text: str, d: int):
-    rows = [row.strip() for row in text.split(";") if row.strip()]
-    mat = [[_finite(tok) for tok in _tokens(row)] for row in rows]
-    if len(mat) != d or any(len(r) != d for r in mat):
-        raise ConfigurationError(f"matrix must be {d} x {d}: got {text!r}")
-    return mat

@@ -42,13 +42,14 @@ def _existing(path: str, what: str) -> str:
 
 def _cmd_scattering(args) -> int:
     from .bench import (
-        dump_solution_json, scattering_summary, write_scattering_csv,
+        SCHEMA, dump_solution_json, scattering_summary, write_scattering_csv,
     )
     from .scattering import solve_zero_energy
 
     V = _parse_potential_arg(args.potential)
-    r_max = args.rmax if args.rmax is not None else max(5.0, 5 * V.r_support)
-    sol = solve_zero_energy(V, r_max, args.points)
+    points = (SCHEMA["potential"]["points"].default if args.points is None
+              else args.points)
+    sol = solve_zero_energy(V, args.rmax, points)
     out = Path(args.out)
     write_scattering_csv(sol, out)
     summary_path = out.with_suffix(".json")
@@ -67,26 +68,21 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    from .bench import load_solution_json, write_kernel_bounds_csv
-    from .fieldio import read_field, write_kernel
-    from .kernels import build_kt
+    from .bench import (
+        SCHEMA, load_solution_json, parse_value, write_kernel_bounds_csv,
+    )
+    from .fieldio import read_field
 
     scattering = _existing(args.scattering, "--scattering")
     phi_path = _existing(args.phi, "--phi")
     sol, _ = load_solution_json(scattering)
     phi, _ = read_field(phi_path)
-    try:
-        n_list = [int(tok) for tok in args.N.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigurationError(f"--N {args.N!r} is not a list of integers") \
-            from None
+    # the reader and bound of [kernels] n_values
+    n_list = parse_value("--N", SCHEMA["kernels"]["n_values"], args.N)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "kernel_bounds.csv"
     write_kernel_bounds_csv(path, phi, sol, n_list)
-    if args.dump_kernels:
-        for N in n_list:
-            write_kernel(outdir / f"kernel_N{N}.bin", build_kt(phi, sol, N), N)
     print(str(path))
     return 0
 
@@ -132,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family spec like square-well:height=8,radius=1 or a "
                         "two-column table file")
     p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=4000)
+    p.add_argument("--points", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_scattering)
 
@@ -146,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scattering", required=True, help="scattering JSON artifact")
     p.add_argument("--N", required=True, help="comma separated N values")
     p.add_argument("--out", required=True)
-    p.add_argument("--dump-kernels", action="store_true",
-                   help="also write dense kernel dumps (desk-sized grids only)")
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser("fock", help="toy Fock-space scenario")

@@ -77,8 +77,8 @@ class GridSpec:
             raise ConfigurationError("box_length must be positive")
         if self.dt == 0:
             raise ConfigurationError("dt must be non-zero")
-        if self.fft_workers == 0:
-            raise ConfigurationError("fft_workers must be non-zero")
+        if self.fft_workers < 1:
+            raise ConfigurationError("fft_workers must be >= 1")
 
     @property
     def dx(self) -> float:

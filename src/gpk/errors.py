@@ -46,7 +46,3 @@ class InvariantViolation(GpkError):
     """A structural invariant failed (norm drift, PSD defect, symmetry)."""
 
     exit_code = 4
-
-
-class AccuracyWarning(UserWarning):
-    """Result is returned but a resolution/aliasing budget is strained."""

@@ -26,6 +26,12 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
+from .budgets import (
+    DENSE_EXPM_CAP,
+    DIM_BUDGET,
+    FLUCTUATION_CUTOFF,
+    basis_dimension,
+)
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -35,19 +41,10 @@ from .errors import (
 from .kernels import ch_sh_series
 from .rates import RateReport, degenerate_report, fit_rate
 
-_DIM_BUDGET = 20000
-_DENSE_EXPM_CAP = 1500
-
 
 # ---------------------------------------------------------------------------
 # basis
 # ---------------------------------------------------------------------------
-
-def basis_dimension(d: int, n_max: int) -> int:
-    """Number of occupations of d modes with total at most n_max: the shells
-    C(n + d - 1, d - 1) summed over n <= n_max (hockey stick)."""
-    return math.comb(n_max + d, d) if n_max >= 0 else 0
-
 
 def _compositions(n: int, d: int):
     """Occupations of total n over d modes, first mode from n down to 0."""
@@ -101,9 +98,9 @@ def build_basis(d: int, n_max: int) -> FockBasis:
     if d < 1 or n_max < 0:
         raise DomainError("need d >= 1 modes and n_max >= 0")
     dim = basis_dimension(d, n_max)
-    if dim > _DIM_BUDGET:
+    if dim > DIM_BUDGET:
         raise ConfigurationError(
-            f"basis dimension {dim} exceeds the budget {_DIM_BUDGET} "
+            f"basis dimension {dim} exceeds the budget {DIM_BUDGET} "
             f"(d = {d}, n_max = {n_max})"
         )
     occs = []
@@ -250,9 +247,9 @@ def _onsite_weights(u, d: int) -> np.ndarray:
 
 def _dense_expm(gen: sp.csr_matrix, what: str) -> np.ndarray:
     """exp(gen) as a dense matrix; refused past the dense dimension cap."""
-    if gen.shape[0] > _DENSE_EXPM_CAP:
+    if gen.shape[0] > DENSE_EXPM_CAP:
         raise ConfigurationError(
-            f"dense {what} capped at dimension {_DENSE_EXPM_CAP} "
+            f"dense {what} capped at dimension {DENSE_EXPM_CAP} "
             f"(got {gen.shape[0]}); apply_weyl and apply_bogoliubov act on "
             "vectors at any dimension"
         )
@@ -506,9 +503,8 @@ def check_TNT_inequality(
 # toy scenarios: convergence of reduced densities, generator cancellation
 # ---------------------------------------------------------------------------
 
-_ODE_DT = 1e-3         # RK4 step of the mean-field orbit
-_FLUCTUATION_CUTOFF = 16   # n_c of the toy study's basis, the same for every N
-_NORM_TOL = 1e-10          # norm drift of a fluctuation state, as in dynamics
+_ODE_DT = 1e-3     # RK4 step of the mean-field orbit
+_NORM_TOL = 1e-10  # norm drift of a fluctuation state, as in dynamics
 
 
 @dataclass(frozen=True)
@@ -609,7 +605,7 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
 
     For every N the state is W(sqrt(N) phi_t) xi_t with xi_t the fluctuation
     dynamics of T(k_0) vacuum.  Its generator is O(1) in N, so one basis of
-    cutoff _FLUCTUATION_CUTOFF holds every N, and the N sweep is stepped
+    cutoff FLUCTUATION_CUTOFF holds every N, and the N sweep is stepped
     together as the columns of one block: classical RK4 on pairs of orbit
     nodes, the midpoint stage at the odd node.  Reported per N are the trace
     distance of the reduced density of W(sqrt(N) phi_t) xi_t to the orbit and
@@ -628,7 +624,7 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     )
     orbit = orbit / np.linalg.norm(orbit, axis=1, keepdims=True)
     phi_t = orbit[-1]
-    basis = build_basis(d, _FLUCTUATION_CUTOFF)
+    basis = build_basis(d, FLUCTUATION_CUTOFF)
     top = basis.shell_slices[-1]
 
     def checked(block: np.ndarray, where: str) -> np.ndarray:

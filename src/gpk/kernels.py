@@ -1,10 +1,11 @@
 """Correlation kernels built from the scattering profile and a field.
 
 The pair kernel is k(x, y) = -N w(N(x - y)) phi(x) phi(y) with w = 1 - f the
-solved correlation profile.  This module constructs it densely on a desk
-sized grid, sums the hyperbolic operator series ch(k), sh(k), and certifies
-the norm, gradient and pointwise bounds.  `ch_sh_series` is the one ch/sh
-series of gpk: the grid kernels and the Fock mode matrices both sum it.
+solved correlation profile.  This module sums the hyperbolic operator series
+ch(k), sh(k) of a dense kernel on a desk sized grid, and certifies the norm,
+gradient and pointwise bounds of k without building it.  `ch_sh_series` is
+the one ch/sh series of gpk: the grid kernels and the Fock mode matrices
+both sum it.
 
 Hilbert-Schmidt norms that must resolve the 1/N core of w(N .) are not
 computed from dense samples (a lattice cannot hold the core for large N);
@@ -29,13 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import GridSpec, WaveFunction
-from .errors import AccuracyWarning, DomainError
+from .errors import DomainError
 from .radial import radial_hat
 from .scattering import (
     RadialPotential,
@@ -81,29 +81,6 @@ class TwoPointKernel:
 
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.values)) * self.weight
-
-
-def pair_distances(grid: GridSpec) -> np.ndarray:
-    """Minimum-image distances between all pairs of grid points."""
-    u2, n = grid._displacements() ** 2, grid.points_per_axis
-    idx = np.indices(grid.shape).reshape(grid.dim, -1)
-    return np.sqrt(sum(u2[np.subtract.outer(i, i) % n] for i in idx))
-
-
-def build_kt(phi: WaveFunction, sol: ScatteringSolution, N: int) -> TwoPointKernel:
-    """Pair-correlation kernel -N w(N(x-y)) phi(x) phi(y); symmetric exactly."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    grid = phi.grid
-    if sol.potential.r_support > 0 and N * grid.dx > 10.0 * sol.potential.r_support:
-        warnings.warn(
-            f"N dx = {N * grid.dx:.3g} exceeds 10 r_support: the scaled profile "
-            "core is unresolved on this grid",
-            AccuracyWarning,
-        )
-    f = phi.values.reshape(-1)
-    profile = -N * scaled_profile(sol, N, pair_distances(grid))
-    return TwoPointKernel(values=profile * np.multiply.outer(f, f), grid=grid)
 
 
 def _spectral_gradient(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:

@@ -241,15 +241,18 @@ def _step_defect(u, up, h, g_lo, g_mid, g_hi):
 
 
 def solve_zero_energy(
-    V: RadialPotential, r_max: float, n_points: int
+    V: RadialPotential, r_max: float | None, n_points: int
 ) -> ScatteringSolution:
     """Solve u'' = (V/2) u, u(0) = 0, and extract the scattering length.
 
-    Raises ConfigurationError for a non-positive or too-small box, a grid
-    below 1000 points or a radial step wider than the potential's support,
-    and BudgetError when the measured equation defect
-    exceeds the 1e-8 budget.
+    An r_max of None takes max(5, 5 r_support), the least box the support
+    check admits.  Raises ConfigurationError for a non-positive or too-small
+    box, a grid below 1000 points or a radial step wider than the potential's
+    support, and BudgetError when the measured equation defect exceeds the
+    1e-8 budget.
     """
+    if r_max is None:
+        r_max = max(5.0, 5 * V.r_support)
     if r_max <= 0:
         raise ConfigurationError("r_max must be positive")
     if V.r_support > 0 and r_max < 5 * V.r_support:

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from gpk.bench import (
 from gpk.cli import main as cli_main
 from gpk.dynamics import GridSpec, WaveFunction, gaussian_datum
 from gpk.errors import ConfigurationError, DomainError
-from gpk.fieldio import read_field, read_kernel, write_field, write_kernel
-from gpk.kernels import TwoPointKernel
+from gpk.fieldio import read_field, write_field
 from gpk.rates import fit_rate
 from gpk.scattering import RadialPotential, solve_zero_energy
 
@@ -96,10 +96,6 @@ def test_dumps_round_trip_every_bit(tmp_path):
     write_field(tmp_path / "f.bin", WaveFunction(values=vals, grid=grid))
     back, _ = read_field(tmp_path / "f.bin")
     assert back.values.tobytes() == vals.tobytes()
-    kvals = np.ones((16, 16), dtype=complex)
-    kvals[0, :4] = odd
-    write_kernel(tmp_path / "k.bin", TwoPointKernel(values=kvals, grid=grid), 4)
-    assert read_kernel(tmp_path / "k.bin")[0].tobytes() == kvals.tobytes()
 
 
 def test_dump_header_with_a_corrupt_dim_is_rejected(tmp_path):
@@ -365,28 +361,6 @@ directory = {outdir}
     assert psi.l2_norm == pytest.approx(1.0, abs=1e-10)
 
 
-def test_kernel_dump_round_trip(tmp_path, capsys):
-    scatter_csv = tmp_path / "s.csv"
-    assert cli_main([
-        "scattering", "--potential", "square-well:height=8,radius=1",
-        "--rmax", "5.0", "--points", "2000", "--out", str(scatter_csv),
-    ]) == 0
-    grid = GridSpec(dim=1, box_length=16.0, points_per_axis=32, dt=1e-3,
-                    t_final=0.0)
-    phi = gaussian_datum(grid, sigma=1.0)
-    field_path = tmp_path / "phi.bin"
-    write_field(field_path, phi)
-    capsys.readouterr()
-    assert cli_main([
-        "kernels", "--phi", str(field_path),
-        "--scattering", str(scatter_csv.with_suffix(".json")),
-        "--N", "2", "--out", str(tmp_path / "kd"), "--dump-kernels",
-    ]) == 0
-    vals, dim, n, N, L = read_kernel(tmp_path / "kd" / "kernel_N2.bin")
-    assert (dim, n, N, L) == (1, 32, 2, 16.0)
-    assert np.array_equal(vals, vals.T)  # symmetric by construction
-
-
 def test_tail_warnings_come_from_norms_csv_on_cache_hits(tmp_path):
     # a narrow datum on a coarse grid leaves spectral mass near k_max
     text = """
@@ -481,9 +455,8 @@ def test_potential_table_file_takes_no_family_keys(tmp_path):
     table.write_text("0.0 8.0\n1.0 8.0\n1.1 0.0\n2.0 0.0\n")
     text = f"[potential]\nfile = {table}\nheight = 4.0\n\n[output]\n" \
         "directory = {outdir}\n"
-    cfg = load_config(write_config(tmp_path, text))
     with pytest.raises(ConfigurationError, match="no family parameters, got height"):
-        run_pipeline(cfg)
+        load_config(write_config(tmp_path, text))
 
 
 def test_stage_keys_follow_real_dependencies(tmp_path):
@@ -581,9 +554,8 @@ def test_missing_potential_is_an_error_on_a_warm_cache(tmp_path, capsys):
 
 def test_malformed_number_list_is_a_configuration_error(tmp_path):
     text = BASE_CONFIG.replace("n_values = 8 16 32 64", "n_values = 8 x 32 64")
-    cfg = load_config(write_config(tmp_path, text))
     with pytest.raises(ConfigurationError, match="n_values"):
-        run_pipeline(cfg)
+        load_config(write_config(tmp_path, text))
 
 
 @pytest.mark.parametrize("spec, what", [
@@ -650,6 +622,7 @@ def test_cli_kernels_missing_input_files_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("N", ["-2", "0", "2,0"])
 def test_cli_kernels_non_positive_N_exits_2(tmp_path, capsys, N):
+    # --N takes the reader and bound of [kernels] n_values
     scatter_csv = tmp_path / "s.csv"
     assert cli_main([
         "scattering", "--potential", "square-well:height=8,radius=1",
@@ -664,7 +637,8 @@ def test_cli_kernels_non_positive_N_exits_2(tmp_path, capsys, N):
                      "--scattering", str(scatter_csv.with_suffix(".json")),
                      "--N", N, "--out", str(tmp_path / "kout")])
     assert code == 2
-    assert "N must be >= 1" in capsys.readouterr().err
+    shown = [int(tok) for tok in N.split(",")]
+    assert f"--N = {shown} must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
 
 
@@ -673,9 +647,8 @@ def test_kernels_n_values_below_1_refused_before_any_stage(tmp_path, values):
     text = BASE_CONFIG + (
         "\n[kernels]\ndim = 1\npoints = 32\nlength = 16.0\n"
         f"n_values = {values}\n")
-    cfg = load_config(write_config(tmp_path, text))
     with pytest.raises(ConfigurationError, match=r"\[kernels\] n_values"):
-        run_pipeline(cfg)
+        load_config(write_config(tmp_path, text))
     assert not (tmp_path / "out").exists()
 
 
@@ -850,3 +823,47 @@ def test_radial_step_wider_than_the_well_exits_2(tmp_path, capsys):
     assert cli_main(["run", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "rmax / points = 12.5 exceeds r_support = 1.0" in err
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
+FOCK_D2 = """d = 2
+h = 0.0 -1.0 ; -1.0 0.2
+u = 1.0 1.0
+coupling = 0.5
+phi0 = 1.0 0.0"""
+
+
+@pytest.mark.parametrize("line, bad, what", [
+    ("points = 128", "pionts = 32",
+     "unknown key 'pionts' in [kernels]; did you mean 'points'?"),
+    ("[kernels]", "[kernel]", "unknown section [kernel]; did you mean 'kernels'?"),
+    ("omega = 0.0025", "omegaa = 0.0025",
+     "unknown key 'omegaa' in [fock]; did you mean 'omega'?"),
+    ("gaussian\nsigma = 1.0", "gaussian\nsigmaa = 1.0",
+     "unknown key 'sigmaa' in [datum]; did you mean 'sigma'?"),
+    ("t_final = 0.25", "t_final = 0.25\nfft_worker = 1",
+     "unknown key 'fft_worker' in [grid]; did you mean 'fft_workers'?"),
+    ("stride = 100", "stride = 100\nzzz = 1",
+     "unknown key 'zzz' in [snapshots]; expected one of stride, fields"),
+    ("fields = no", "fields = yes please",
+     "[snapshots] fields = 'yes please' is not yes or no"),
+    ("t_final = 0.25", "t_final = 0.25\nfft_workers = -3",
+     "[grid] fft_workers = -3 must be >= 1"),
+    ("kind = modified\nn = 8", "kind = gp\na0 = 0.5\ncoupling = 2.0",
+     "[nonlinearity] kind = gp takes a0 or coupling, not both"),
+    (FOCK_D2, FOCK_D4_CONFIG.partition("[fock]\n")[2].partition("\nt_final")[0],
+     "[fock] d: d = 4 modes at cutoff 12 give a basis of dimension 1820, "
+     "above the cap 1500"),
+], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
+        "grid-fft_worker", "no-close-key", "fields-yes-please",
+        "fft_workers-negative", "gp-a0-and-coupling", "fock-d4"])
+def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
+                                               what):
+    text = REFERENCE.read_text().replace(
+        "directory = out", f"directory = {tmp_path / 'out'}")
+    assert text.count(line) == 1
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(text.replace(line, bad))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert what in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

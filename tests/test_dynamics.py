@@ -541,10 +541,12 @@ def test_grid_refuses_non_finite_numbers(name, bad):
 
 
 def test_grid_refuses_zero_fft_workers():
-    # scipy.fft would raise a bare ValueError at the first transform
-    with pytest.raises(ConfigurationError, match="fft_workers"):
-        GridSpec(dim=1, box_length=8.0, points_per_axis=16, dt=1e-3,
-                 t_final=0.01, fft_workers=0)
+    # scipy.fft would raise a bare ValueError at the first transform below
+    # -1, and -1 or -2 would make the thread count depend on the host
+    for workers in (0, -1, -3):
+        with pytest.raises(ConfigurationError, match="fft_workers must be >= 1"):
+            GridSpec(dim=1, box_length=8.0, points_per_axis=16, dt=1e-3,
+                     t_final=0.01, fft_workers=workers)
 
 
 @pytest.mark.parametrize("stride", [0, -3])

@@ -727,7 +727,7 @@ def test_toy_study_acts_twice_on_the_fluctuation_basis(monkeypatch, N_list):
     monkeypatch.setattr(fock, "expm_multiply", counting)
     monkeypatch.setattr(fock, "apply_bogoliubov", counting_bogoliubov)
     toy_convergence_study(reference_scenario(N_list=N_list))
-    dim = build_basis(2, fock._FLUCTUATION_CUTOFF).dim
+    dim = build_basis(2, fock.FLUCTUATION_CUTOFF).dim
     assert len(bogoliubov_calls) == 2
     assert actions == [(dim, (dim,)), (dim, (dim, len(N_list)))]
 

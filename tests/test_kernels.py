@@ -14,16 +14,19 @@ from gpk.kernels import (
     _profile_extension,
     _row_orbits,
     _spectral_gradient,
-    build_kt,
     grad1_kkbar_hs_norm,
     hyperbolic_series,
     kernel_bound_report,
     kernel_hs_norms,
-    pair_distances,
     zero_energy_cancellation_residual,
 )
 from gpk.radial import radial_hat
-from gpk.scattering import RadialPotential, _simpson_weights, solve_zero_energy
+from gpk.scattering import (
+    RadialPotential,
+    _simpson_weights,
+    scaled_profile,
+    solve_zero_energy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +60,22 @@ def normalized_vector(grid, seed=0, real=True):
 
 
 # The dense routes the radial norms and the series bounds are checked with.
+
+def pair_distances(grid):
+    """Minimum-image distances between all pairs of grid points."""
+    u2, n = grid._displacements() ** 2, grid.points_per_axis
+    idx = np.indices(grid.shape).reshape(grid.dim, -1)
+    return np.sqrt(sum(u2[np.subtract.outer(i, i) % n] for i in idx))
+
+
+def build_kt(phi, sol, N):
+    """Dense pair-correlation kernel -N w(N(x-y)) phi(x) phi(y), an M x M
+    array for M grid points; symmetric exactly."""
+    f = phi.values.reshape(-1)
+    profile = -N * scaled_profile(sol, N, pair_distances(phi.grid))
+    return TwoPointKernel(values=profile * np.multiply.outer(f, f),
+                          grid=phi.grid)
+
 
 def grad1_components(kernel):
     """Spectral derivative of k(x, y) in each component of the first slot."""
@@ -145,8 +164,6 @@ def test_hs_norm_matches_double_quadrature(square_sol):
     direct = 0.0
     f = phi.values.reshape(-1)
     dist = pair_distances(grid)
-    from gpk.scattering import scaled_profile
-
     for i in range(f.size):
         row = -N * scaled_profile(square_sol, N, dist[i]) * f[i] * f
         direct += float(np.sum(np.abs(row) ** 2)) * grid.cell**2

@@ -7,8 +7,7 @@ imported (the stage table `bench.STAGES` among it), and the names used in
 trees: a function or class is reached where its name is used, a method where
 its name is used as an attribute, and the dunder methods of a reached class
 are reached with it.  Matching by name over-approximates what is reached, so
-live code is never reported as dead.  The exceptions are public entry points
-that nothing in gpk calls, each named in README.md.
+live code is never reported as dead.  There are no exceptions.
 
 Imports are per use: no module but `fock` imports scipy when it is itself
 imported, `bench` imports `fock` only in the stage that runs it and `cli`
@@ -21,6 +20,7 @@ import checks run each entry point in a fresh interpreter and read its
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import namedtuple
@@ -31,12 +31,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gpk"
 REFERENCE = str(ROOT / "configs" / "reference.ini")
-
-# module.name of each public entry point that gpk itself does not call
-ENTRY_POINTS = {
-    "fieldio.read_kernel",  # reads the dumps of `gpk kernels --dump-kernels`
-}
-
 
 # key: module.name or module.Class.method; owner: the class key of a method
 Definition = namedtuple("Definition", "key owner node")
@@ -127,13 +121,29 @@ def unreached_definitions():
 
 
 def test_every_definition_is_reached_from_the_cli_the_stages_or_acceptance():
-    assert unreached_definitions() == sorted(ENTRY_POINTS)
+    assert unreached_definitions() == []
 
 
-def test_entry_points_are_named_in_the_readme():
-    readme = (ROOT / "README.md").read_text()
-    for key in ENTRY_POINTS:
-        assert key.rpartition(".")[2] in readme, key
+def test_readme_config_table_lists_the_schema_keys_and_defaults():
+    from gpk.bench import REQUIRED, SCHEMA
+    from gpk.scattering import _FAMILIES
+
+    rows = dict(re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$",
+                           (ROOT / "README.md").read_text(), re.MULTILINE))
+    assert list(rows) == list(SCHEMA)
+    for section, keys in SCHEMA.items():
+        defaults = {name: key.default for name, key in keys.items()}
+        if section == "potential":  # and the parameters of each family
+            for family, (_, params) in _FAMILIES.items():
+                if family != "table":
+                    defaults.update(params)
+        assert set(re.findall(r"`(\w+)`", rows[section])) == set(defaults), \
+            section
+        for name, default in defaults.items():
+            if default is not None and default is not REQUIRED:
+                if isinstance(default, bool):
+                    default = "yes" if default else "no"
+                assert f"`{name}` = {default}" in rows[section], (section, name)
 
 
 def test_gpk_does_not_import_scipy_integrate():
@@ -204,6 +214,17 @@ def test_report_and_scattering_subcommands_load_no_scipy(tmp_path):
     assert _scipy_modules(_cli(
         "scattering", "--potential", "square-well:height=8,radius=1",
         "--points", "1000", "--out", str(tmp_path / "s.csv"))) == set()
+
+
+def test_load_config_loads_no_scipy_fock_or_difflib():
+    # the Fock basis checks read gpk.budgets; difflib is for error messages
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = (f"import sys, gpk.bench\ngpk.bench.load_config({REFERENCE!r})\n"
+            "print([m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'difflib') or m == 'gpk.fock'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
