@@ -42,8 +42,10 @@ from .dynamics import (
 from .errors import ConfigurationError
 from .kernels import kernel_bound_report
 from .scattering import (
+    _FAMILIES,
     RadialPotential,
     ScatteringSolution,
+    potential_family,
     scattering_length_integral,
     solve_zero_energy,
     verify_w_bounds,
@@ -232,6 +234,14 @@ def _check_rules(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"{path}: {what} needs a [{needed}] section")
     if cfg.has("potential"):
         potential_from_config(cfg)
+    # the grids the stages build, from the same constructors
+    for section, grid in (("grid", grid_from_config),
+                          ("kernels", kernel_grid_from_config)):
+        if cfg.has(section):
+            try:
+                grid(cfg)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{path} [{section}]: {exc}") from None
     if cfg.has("fock"):
         _check_fock_scenario(path, cfg.values["fock"])
 
@@ -250,21 +260,23 @@ def _check_fock_scenario(path, fock: dict) -> None:
         raise ConfigurationError(
             f"{path}: [fock] phi0 must be a nonzero finite vector")
     # the probe and a cancellation check with omega != 0 take dense unitaries
-    bases = [("d", budgets.FLUCTUATION_CUTOFF, budgets.DIM_BUDGET),
-             ("d", budgets.PROBE_CUTOFF, budgets.DENSE_EXPM_CAP)]
+    bases = [("d", budgets.FLUCTUATION_CUTOFF, "DIM_BUDGET"),
+             ("d", budgets.PROBE_CUTOFF, "DENSE_EXPM_CAP")]
     if omega is not None:
         bases.append(("d or cancel_cutoff", fock["cancel_cutoff"],
-                      budgets.DENSE_EXPM_CAP if omega else budgets.DIM_BUDGET))
-    for keys, cutoff, cap in bases:
-        dim = budgets.basis_dimension(d, cutoff)
+                      "DENSE_EXPM_CAP" if omega else "DIM_BUDGET"))
+    for keys, cutoff, name in bases:
+        dim, cap = budgets.basis_dimension(d, cutoff), getattr(budgets, name)
         if dim > cap:
             raise ConfigurationError(
                 f"{path}: [fock] {keys}: d = {d} modes at cutoff {cutoff} "
-                f"give a basis of dimension {dim}, above the cap {cap}")
+                f"give a basis of dimension {dim}, above the cap {cap} ({name})")
 
 
 def potential_from_config(cfg: ExperimentConfig) -> RadialPotential:
-    """V from [potential]: a `file =` table, or a family and its parameters."""
+    """V from [potential]: a `file =` table, or a family and its parameters.
+    A key that is neither a schema key nor a parameter of the family is
+    refused naming the closest of those."""
     where = f"{cfg.path} [potential]"
     potential = cfg.values["potential"]
     params = {key: val for key, val in potential.items()
@@ -277,6 +289,13 @@ def potential_from_config(cfg: ExperimentConfig) -> RadialPotential:
         return potential_from_file(potential["file"])
     if potential["family"] is None:
         raise ConfigurationError(f"{where}: needs 'family' or 'file'")
+    family = potential_family(potential["family"])
+    if family is not None:
+        valid = [*SCHEMA["potential"], *_FAMILIES[family][1]]
+        for key in params:
+            if key not in valid:
+                raise _unknown(cfg.path, f"key '{key}' in [potential] for "
+                               f"family {family!r}", key, valid)
     return RadialPotential.from_spec({**params, "family": potential["family"]},
                                      where)
 
@@ -308,6 +327,13 @@ def grid_from_config(cfg: ExperimentConfig) -> GridSpec:
     return GridSpec(dim=grid["dim"], box_length=grid["length"],
                     points_per_axis=grid["points"], dt=grid["dt"],
                     t_final=grid["t_final"], fft_workers=grid["fft_workers"])
+
+
+def kernel_grid_from_config(cfg: ExperimentConfig) -> GridSpec:
+    """The grid of the [kernels] field; the kernels stage takes no time step."""
+    k = cfg.values["kernels"]
+    return GridSpec(dim=k["dim"], box_length=k["length"],
+                    points_per_axis=k["points"], dt=1e-3, t_final=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +535,7 @@ def _summarize_scattering(scattering_json, scattering_csv, summary_json):
     # the small summary file, so a cache hit never parses the profile
     summary = _read_json(summary_json)
     return summary, (["degenerate scenario: zero scattering length"]
-                     if summary["a0_tail"] < 1e-12 else [])
+                     if summary["a0_tail"] < budgets.DEGENERATE_FLOOR else [])
 
 
 def _run_evolve(inp: _Inputs, norms_csv) -> None:
@@ -549,19 +575,23 @@ def _run_nsweep(inp: _Inputs, rates_csv) -> None:
 
 
 def _summarize_nsweep(rates_csv):
+    """The slope, flagged when the differences are at round-off (`fit_rate`
+    wrote a NaN slope) or do not fall with N."""
     rows = _read_csv(rates_csv)
-    summary = {"slope": float(rows[0]["slope"]) if rows else float("nan")}
-    if rows and all(float(r["l2_difference"]) < 1e-12 for r in rows):
+    summary = {"slope": float(rows[0]["slope"])}
+    diffs = [float(r["l2_difference"]) for r in rows]
+    if math.isnan(summary["slope"]):
         return summary, ["degenerate scenario: comparison differences at round-off"]
+    if any(d1 <= d2 for d1, d2 in zip(diffs, diffs[1:])):
+        return summary, ["non-monotone comparison differences: possible "
+                         "resolution floor"]
     return summary, []
 
 
 def _run_kernels(inp: _Inputs, bounds_csv) -> None:
     k = inp.cfg.values["kernels"]
-    kgrid = GridSpec(dim=k["dim"], box_length=k["length"],
-                     points_per_axis=k["points"], dt=1e-3, t_final=0.0)
-    write_kernel_bounds_csv(bounds_csv, gaussian_datum(kgrid, sigma=k["sigma"]),
-                            inp.sol, k["n_values"])
+    phi = gaussian_datum(kernel_grid_from_config(inp.cfg), sigma=k["sigma"])
+    write_kernel_bounds_csv(bounds_csv, phi, inp.sol, k["n_values"])
 
 
 @dataclass(frozen=True)
@@ -720,7 +750,7 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
         },
         "leakages": {
             "probe_state_top_shell": leak_state.top_shell_mass(),
-            "tolerance": scenario.leakage_tol,
+            "tolerance": budgets.LEAKAGE_TOL,
         },
         "spectral_constants": {
             "tnt_smallest_c": tnt.smallest_c,

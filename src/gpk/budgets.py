@@ -1,19 +1,34 @@
-"""Fock basis sizes: the cutoffs and caps of every basis gpk builds.
+"""The named budgets of gpk: every value a check compares with.
 
-Pure Python, so `gpk.bench` refuses an oversized basis when it loads a
-config, before any stage runs and without importing `gpk.fock` (which
-loads scipy).  `gpk.fock` enforces the same caps when it builds a basis
-or a dense unitary.
+Pure Python (no numpy, no scipy), so `gpk.bench` checks a config against
+the Fock caps before any stage runs without importing `gpk.fock` (which
+loads scipy).  Each check reads its budget here, by name, and its error
+message names it.
 """
 
 from __future__ import annotations
 
 import math
 
-DIM_BUDGET = 20000       # the largest basis any Fock operation builds
-DENSE_EXPM_CAP = 1500    # the largest basis a dense Weyl or Bogoliubov unitary takes
-FLUCTUATION_CUTOFF = 16  # n_c of the toy study's basis, the same for every N
-PROBE_CUTOFF = 12        # n_c of the fock stage's Weyl, TNT and leakage probes
+# invariants
+NORM_TOL = 1e-10          # |norm - 1| of a field, a fluctuation state or an orbital
+W_BOUND_SLACK = 1e-10     # how far the solved profile w may leave [0, 1]
+ROUNDOFF_SLACK = 1e-12    # round-off of a reduced density and its trace distance
+
+# accuracy and stability
+ODE_DEFECT_BUDGET = 1e-8  # max per-step equation defect of the radial solver
+STABILITY_BUDGET = 4.0 * math.pi  # max phase |dt| k_max^2 of one split step
+TAIL_WARN = 1e-8          # spectral tail mass that flags aliased Sobolev values
+DEGENERATE_FLOOR = 1e-12  # distances or a0 below it are round-off: nothing to fit
+
+# Fock truncation
+KERNEL_HS_BUDGET = 1.5    # max |K|_HS of a Bogoliubov kernel
+POISSON_SHARE = 1 / 4     # max mean occupation of a Weyl or Bogoliubov factor / n_max
+LEAKAGE_TOL = 1e-6        # max top-shell share of a toy-study state
+DIM_BUDGET = 20000        # the largest basis any Fock operation builds
+DENSE_EXPM_CAP = 1500     # the largest basis a dense Weyl or Bogoliubov unitary takes
+FLUCTUATION_CUTOFF = 16   # n_c of the toy study's basis, the same for every N
+PROBE_CUTOFF = 12         # n_c of the fock stage's Weyl, TNT and leakage probes
 
 
 def basis_dimension(d: int, n_max: int) -> int:

@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from .budgets import NORM_TOL, STABILITY_BUDGET, TAIL_WARN
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -45,12 +46,9 @@ from .errors import (
 from .radial import (
     RadialTransformTable, _unit_phase, tabulate_interaction_transform,
 )
-from .rates import RateReport, degenerate_report, fit_rate
+from .rates import RateReport, fit_rate
 
-_NORM_TOL = 1e-10
 _TAIL_BAND = 0.875  # spectral tail: any |k_i| >= band * k_max
-_TAIL_WARN = 1e-8  # tail mass above which Sobolev values may be aliased
-_STABILITY_BUDGET = 4.0 * math.pi  # max |dt| * k_max^2 phase per step
 _SOBOLEV_ORDERS = (1, 2, 3, 4)  # the H^n norms a report tracks
 
 
@@ -275,10 +273,10 @@ class _Stepper:
                 for f in (sfft.fftn, sfft.ifftn, sfft.rfftn))
             self.irfft = functools.partial(sfft.irfftn, s=grid.shape, **axes)
         k2 = grid.k_squared()
-        if abs(grid.dt) * float(np.max(k2)) > _STABILITY_BUDGET:
+        if abs(grid.dt) * float(np.max(k2)) > STABILITY_BUDGET:
             raise ConfigurationError(
                 f"|dt| * k_max^2 = {abs(grid.dt) * float(np.max(k2)):.3g} exceeds "
-                f"the stability budget {_STABILITY_BUDGET}"
+                f"the stability budget STABILITY_BUDGET = {STABILITY_BUDGET:.4g}"
             )
         self.full_drift = _unit_phase(-grid.dt * k2)
         self.half_drift = _unit_phase(-0.5 * grid.dt * k2)
@@ -388,7 +386,7 @@ def evolve(
 ) -> Trajectory:
     """Propagate psi0 to grid.t_final, returning snapshots every `stride` steps.
 
-    Mass is conserved to 1e-10 (each substep is exactly unitary); a NaN in
+    Mass is conserved to NORM_TOL (each substep is exactly unitary); a NaN in
     the field raises NumericalBlowupError carrying the last good time.
     """
     grid = grid or psi0.grid
@@ -418,9 +416,9 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
         if not np.all(np.isfinite(member)):
             raise NumericalBlowupError(
                 named(i, "initial datum contains non-finite values"), 0.0)
-        if abs(math.sqrt(_mass(member) * cell) - 1.0) > _NORM_TOL:
-            raise ConfigurationError(
-                named(i, "initial datum must have unit L2 norm"))
+        if abs(math.sqrt(_mass(member) * cell) - 1.0) > NORM_TOL:
+            raise ConfigurationError(named(
+                i, f"initial datum must have unit L2 norm (NORM_TOL = {NORM_TOL:g})"))
     n_steps_f = grid.t_final / grid.dt
     n_steps = int(round(n_steps_f))
     if n_steps < 0 or abs(n_steps_f - n_steps) > 1e-9:
@@ -450,9 +448,10 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
             if not math.isfinite(norm):
                 raise NumericalBlowupError(
                     named(i, "non-finite field detected"), times[-1])
-            if abs(norm - 1.0) > _NORM_TOL:
+            if abs(norm - 1.0) > NORM_TOL:
                 raise InvariantViolation(named(
-                    i, f"L2 norm drifted to {norm!r} at t = {step * grid.dt}"))
+                    i, f"L2 norm drifted to {norm!r} at t = {step * grid.dt}, "
+                    f"beyond NORM_TOL = {NORM_TOL:g}"))
         if last_step or step % stride == 0:
             times.append(step * grid.dt)
             stacks.append(
@@ -473,10 +472,10 @@ def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
 def tail_warnings(times, tail_mass) -> list:
     """Aliasing warnings for the snapshots whose spectral tail mass is too large."""
     return [
-        f"t = {t:g}: spectral tail mass {tail:.3e} above {_TAIL_WARN:g}; "
+        f"t = {t:g}: spectral tail mass {tail:.3e} above {TAIL_WARN:g}; "
         "Sobolev values may be aliased"
         for t, tail in zip(times, tail_mass)
-        if tail > _TAIL_WARN
+        if tail > TAIL_WARN
     ]
 
 
@@ -486,11 +485,11 @@ class SobolevReport:
     h_norms: dict
     energy: np.ndarray
     tail_mass: np.ndarray
-    warnings: list
 
 
 def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
-    """Norm and energy trajectories with aliasing warnings attached.
+    """Norm, energy and spectral tail trajectories; `tail_warnings` reads
+    the aliasing warnings from the tail.
 
     Each snapshot costs one fftn of phi and one rfftn of |phi|^2; the tail
     mass, the Sobolev norms and the energy all come from those two spectra,
@@ -513,7 +512,6 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
         h_norms={n: np.array(v) for n, v in h_norms.items()},
         energy=np.array(energies),
         tail_mass=np.array(tails),
-        warnings=tail_warnings(traj.times, tails),
     )
 
 
@@ -527,8 +525,8 @@ def compare_dynamics(
     """L2 distance between modified and limiting dynamics at t_star, per N.
 
     The expected log-log slope against N is -1 (coupling deficit of the
-    pair-counting factor).  Non-monotone distances flag the report instead of
-    raising, since they usually indicate a resolution floor.
+    pair-counting factor).  At t_star = 0, or with every distance at
+    round-off, `fit_rate` reports a NaN slope.
     """
     N_list = [int(N) for N in N_list]
     if len(N_list) < 4:
@@ -540,9 +538,7 @@ def compare_dynamics(
     grid = replace(psi0.grid, t_final=t_star)
     psi0 = WaveFunction(values=psi0.values, grid=grid)
     if t_star == 0:
-        return degenerate_report(
-            N_list, [0.0] * len(N_list), "t_star = 0: identical initial data"
-        )
+        return fit_rate(N_list, [0.0] * len(N_list))
 
     g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
     nls = [NonlinearitySpec(kind="gp", coupling=g, a0=a0)]
@@ -555,8 +551,4 @@ def compare_dynamics(
     ref_final, *finals = (WaveFunction(values=v, grid=grid) for v in stacks[-1])
     diffs = [l2_distance(final, ref_final) for final in finals]
 
-    if max(diffs) < 1e-12:
-        return degenerate_report(N_list, diffs, "dynamics coincide to round-off")
-    monotone = all(d1 > d2 for d1, d2 in zip(diffs[:-1], diffs[1:]))
-    note = "" if monotone else "non-monotone differences: possible resolution floor"
-    return fit_rate(N_list, diffs, note=note)
+    return fit_rate(N_list, diffs)

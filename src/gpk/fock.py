@@ -27,10 +27,8 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .budgets import (
-    DENSE_EXPM_CAP,
-    DIM_BUDGET,
-    FLUCTUATION_CUTOFF,
-    basis_dimension,
+    DENSE_EXPM_CAP, DIM_BUDGET, FLUCTUATION_CUTOFF, KERNEL_HS_BUDGET, LEAKAGE_TOL,
+    NORM_TOL, POISSON_SHARE, ROUNDOFF_SLACK, basis_dimension,
 )
 from .errors import (
     ConfigurationError,
@@ -39,7 +37,7 @@ from .errors import (
     TruncationBudgetError,
 )
 from .kernels import ch_sh_series
-from .rates import RateReport, degenerate_report, fit_rate
+from .rates import RateReport, fit_rate
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +92,13 @@ def _read_only(matrices) -> None:
 
 
 def build_basis(d: int, n_max: int) -> FockBasis:
-    """Enumerate the truncated space; refuses dimensions past the desk budget."""
+    """Enumerate the truncated space; refuses dimensions past DIM_BUDGET."""
     if d < 1 or n_max < 0:
         raise DomainError("need d >= 1 modes and n_max >= 0")
     dim = basis_dimension(d, n_max)
     if dim > DIM_BUDGET:
         raise ConfigurationError(
-            f"basis dimension {dim} exceeds the budget {DIM_BUDGET} "
+            f"basis dimension {dim} exceeds DIM_BUDGET = {DIM_BUDGET} "
             f"(d = {d}, n_max = {n_max})"
         )
     occs = []
@@ -246,25 +244,28 @@ def _onsite_weights(u, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dense_expm(gen: sp.csr_matrix, what: str) -> np.ndarray:
-    """exp(gen) as a dense matrix; refused past the dense dimension cap."""
+    """exp(gen) as a dense matrix; refused past DENSE_EXPM_CAP."""
     if gen.shape[0] > DENSE_EXPM_CAP:
         raise ConfigurationError(
-            f"dense {what} capped at dimension {DENSE_EXPM_CAP} "
-            f"(got {gen.shape[0]}); apply_weyl and apply_bogoliubov act on "
+            f"dense {what} capped at dimension {DENSE_EXPM_CAP} (DENSE_EXPM_CAP, "
+            f"got {gen.shape[0]}); apply_weyl and apply_bogoliubov act on "
             "vectors at any dimension"
         )
     return expm(gen.toarray())
 
 
-def _weyl_generator(basis: FockBasis, f: np.ndarray) -> sp.csr_matrix:
-    """a^dag(f) - a(f), refused past the Poisson budget |f|^2 <= n_max/4."""
-    f = np.asarray(f, dtype=complex)
-    mean = float(np.sum(np.abs(f) ** 2))
-    if mean > basis.n_max / 4.0:
+def _poisson_budget(basis: FockBasis, mean: float, what: str) -> None:
+    """Refuse a mean occupation past POISSON_SHARE * n_max."""
+    if mean > POISSON_SHARE * basis.n_max:
         raise TruncationBudgetError(
-            f"|f|^2 = {mean:.3g} exceeds the Poisson budget n_max/4 = "
-            f"{basis.n_max / 4.0:.3g}"
-        )
+            f"{what} = {mean:.3g} exceeds the Poisson budget POISSON_SHARE * "
+            f"n_max = {POISSON_SHARE * basis.n_max:.3g}")
+
+
+def _weyl_generator(basis: FockBasis, f: np.ndarray) -> sp.csr_matrix:
+    """a^dag(f) - a(f), refused past the Poisson budget of |f|^2."""
+    f = np.asarray(f, dtype=complex)
+    _poisson_budget(basis, float(np.sum(np.abs(f) ** 2)), "|f|^2")
     a_f = annihilator_of(basis, f)
     return (a_f.conj().T - a_f).tocsr()
 
@@ -284,20 +285,19 @@ def apply_weyl(basis: FockBasis, f: np.ndarray, psi: FockVector) -> FockVector:
 
 def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> sp.csr_matrix:
     """1/2 sum (K a^dag a^dag - conj(K) a a), refused past the budgets of a
-    symmetric d x d kernel: |K|_HS <= 1.5 and d sinh(|K|_HS)^2 <= n_max/4."""
+    symmetric d x d kernel: |K|_HS <= KERNEL_HS_BUDGET and the Poisson budget
+    of d sinh(|K|_HS)^2."""
     K = np.asarray(K, dtype=complex)
     if K.shape != (basis.d, basis.d):
         raise DomainError("kernel matrix must be d x d")
     if not np.allclose(K, K.T, atol=1e-12):
         raise DomainError("kernel matrix must be symmetric")
     hs = float(np.linalg.norm(K))
-    if hs > 1.5:
-        raise TruncationBudgetError(f"|K|_HS = {hs:.3g} exceeds the 1.5 budget")
-    amplified = math.sinh(hs) ** 2 * basis.d
-    if amplified > basis.n_max / 4.0:
-        raise TruncationBudgetError(
-            f"sinh-amplified occupation {amplified:.3g} exceeds n_max/4"
-        )
+    if hs > KERNEL_HS_BUDGET:
+        raise TruncationBudgetError(f"|K|_HS = {hs:.3g} exceeds the "
+                                    f"{KERNEL_HS_BUDGET} budget KERNEL_HS_BUDGET")
+    _poisson_budget(basis, math.sinh(hs) ** 2 * basis.d,
+                    "sinh-amplified occupation")
     ann, cre = all_ladders(basis)
     terms = []
     for i, j in zip(*np.nonzero(K)):
@@ -335,19 +335,20 @@ def number_expectation(psi: FockVector) -> float:
 
 @dataclass(frozen=True)
 class ReducedDensity:
-    """One-particle reduced density: hermitian, PSD, unit trace."""
+    """One-particle reduced density: hermitian, PSD, unit trace, each to
+    ROUNDOFF_SLACK."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = self.matrix
-        if not np.allclose(m, m.conj().T, atol=1e-12):
-            raise InvariantViolation("reduced density is not hermitian")
+        if not np.allclose(m, m.conj().T, atol=ROUNDOFF_SLACK):
+            raise InvariantViolation("reduced density not hermitian (ROUNDOFF_SLACK)")
         eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -1e-12:
-            raise InvariantViolation("reduced density is not PSD")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise InvariantViolation("reduced density trace is not 1")
+        if eigs.min() < -ROUNDOFF_SLACK:
+            raise InvariantViolation("reduced density not PSD (ROUNDOFF_SLACK)")
+        if abs(np.trace(m).real - 1.0) > ROUNDOFF_SLACK:
+            raise InvariantViolation("reduced density trace not 1 (ROUNDOFF_SLACK)")
 
 
 def _displaced_densities(basis: FockBasis, block: np.ndarray,
@@ -393,17 +394,18 @@ def trace_distance_to_rank_one(
     magnitude and is controlled by twice the Hilbert-Schmidt norm.
     """
     phi = np.asarray(phi, dtype=complex)
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise DomainError("comparison orbital must be normalized")
+    if abs(np.linalg.norm(phi) - 1.0) > NORM_TOL:
+        raise DomainError(
+            f"comparison orbital must be normalized to NORM_TOL = {NORM_TOL:g}")
     diff = gamma.matrix - np.outer(phi, np.conj(phi))
     eigs = np.linalg.eigvalsh(diff)
     trace_dist = float(np.sum(np.abs(eigs)))
     hs = float(np.sqrt(np.sum(eigs**2)))
-    if trace_dist > 2 * hs + 1e-12:
-        raise InvariantViolation("trace norm exceeded twice the HS norm")
-    negatives = int(np.sum(eigs < -1e-12))
+    if trace_dist > 2 * hs + ROUNDOFF_SLACK:
+        raise InvariantViolation("trace norm above twice the HS norm (ROUNDOFF_SLACK)")
+    negatives = int(np.sum(eigs < -ROUNDOFF_SLACK))
     if negatives > 1:
-        raise InvariantViolation("more than one negative eigenvalue")
+        raise InvariantViolation("more than one eigenvalue below -ROUNDOFF_SLACK")
     return TraceComparison(trace_distance=trace_dist, hs_norm=hs)
 
 
@@ -433,9 +435,8 @@ def check_weyl_relations(
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    combined = float(np.sum(np.abs(f) ** 2) + np.sum(np.abs(g) ** 2))
-    if combined > basis.n_max / 4.0:
-        raise TruncationBudgetError("|f|^2 + |g|^2 exceeds the Poisson budget")
+    _poisson_budget(basis, float(np.sum(np.abs(f) ** 2) + np.sum(np.abs(g) ** 2)),
+                    "|f|^2 + |g|^2")
     keep = _sub_cutoff(basis, n_sub)
 
     wf = weyl(basis, f)
@@ -461,7 +462,7 @@ def bogoliubov_conjugation_residual(
     keep = _sub_cutoff(basis, n_sub)
     T = bogoliubov(basis, K)
     K = np.asarray(K, dtype=complex)
-    p, r, _ = ch_sh_series(K, tol=1e-16)  # ch(K) = 1 + p, sh(K) = K + r
+    p, r = ch_sh_series(K, tol=1e-16)  # ch(K) = 1 + p, sh(K) = K + r
     f = np.asarray(f, dtype=complex)
     af = annihilator_of(basis, f).toarray()
     target = annihilator_of(basis, f + p @ f).toarray()
@@ -503,8 +504,7 @@ def check_TNT_inequality(
 # toy scenarios: convergence of reduced densities, generator cancellation
 # ---------------------------------------------------------------------------
 
-_ODE_DT = 1e-3     # RK4 step of the mean-field orbit
-_NORM_TOL = 1e-10  # norm drift of a fluctuation state, as in dynamics
+_ODE_DT = 1e-3  # RK4 step of the mean-field orbit
 
 
 @dataclass(frozen=True)
@@ -522,7 +522,6 @@ class ToyScenario:
     kappa0: float
     t_final: float
     N_list: tuple
-    leakage_tol: float = 1e-6
 
 
 def mean_field_trajectory(
@@ -610,8 +609,9 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     nodes, the midpoint stage at the odd node.  Reported per N are the trace
     distance of the reduced density of W(sqrt(N) phi_t) xi_t to the orbit and
     the number of fluctuations left in T*(k_t) xi_t.  Top-shell leakage is
-    checked after T(k_0), after every step and after T*(k_t); above the
-    tolerance it raises naming the factor or the step time, and the N.
+    checked after T(k_0), after every step and after T*(k_t); above
+    LEAKAGE_TOL it raises naming the factor or the step time, and the N, and
+    so does a norm drift past NORM_TOL.
     """
     d = scenario.phi0.size
     g = scenario.coupling
@@ -634,10 +634,11 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
         leaks = (weight[top].sum(axis=0) / mass).tolist()
         for n, leak, norm in zip(scenario.N_list, leaks,
                                  np.sqrt(mass).tolist()):
-            if leak > scenario.leakage_tol:
+            if leak > LEAKAGE_TOL:
                 raise TruncationBudgetError(
-                    f"truncation leakage {leak:.3e} after {where} at N = {n}")
-            if abs(norm - 1.0) > _NORM_TOL:
+                    f"truncation leakage {leak:.3e} above LEAKAGE_TOL after "
+                    f"{where} at N = {n}")
+            if abs(norm - 1.0) > NORM_TOL:
                 raise InvariantViolation(
                     f"fluctuation norm drifted to {norm!r} after {where} "
                     f"at N = {n}")
@@ -680,25 +681,18 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
             "factor T*(k_t)")
     numbers = np.array([number_expectation(FockVector(col, basis))
                         for col in block.T])
-    if np.max(distances) < 1e-12:
-        rate = degenerate_report(
-            scenario.N_list, distances, "degenerate scenario: zero distances"
-        )
-    else:
-        rate = fit_rate(scenario.N_list, distances)
     return ConvergenceReport(
         N_list=tuple(scenario.N_list),
         t=scenario.t_final,
         trace_distances=distances,
         number_expectations=numbers,
-        rate=rate,
+        rate=fit_rate(scenario.N_list, distances),
     )
 
 
 @dataclass(frozen=True)
 class CancellationReport:
     ratio: float
-    combined_norm: float
     kappa: float
 
 
@@ -723,8 +717,9 @@ def generator_cancellation_check(
     the demonstration regime.  kappa = 0 shows no cancellation (ratio ~ 1).
     """
     phi = np.asarray(phi, dtype=float)
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise DomainError("mode vector must be real and normalized")
+    if abs(np.linalg.norm(phi) - 1.0) > NORM_TOL:
+        raise DomainError(
+            f"mode vector must be real and normalized to NORM_TOL = {NORM_TOL:g}")
     u = _onsite_weights(u, basis.d)
     if kappa is None:
         kappa = N * omega
@@ -754,11 +749,8 @@ def generator_cancellation_check(
     lin1, lin3 = m1[one_shell, 0], m3[one_shell, 0]
     combined = float(np.linalg.norm(lin1 + lin3))
     denom = max(float(np.linalg.norm(lin1)), float(np.linalg.norm(lin3)))
-    return CancellationReport(
-        ratio=combined / denom if denom > 0 else 0.0,
-        combined_norm=combined,
-        kappa=float(kappa),
-    )
+    return CancellationReport(ratio=combined / denom if denom > 0 else 0.0,
+                              kappa=float(kappa))
 
 
 def poisson_shell_mass(mean: float, n: int) -> float:

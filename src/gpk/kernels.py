@@ -3,7 +3,7 @@
 The pair kernel is k(x, y) = -N w(N(x - y)) phi(x) phi(y) with w = 1 - f the
 solved correlation profile.  This module sums the hyperbolic operator series
 ch(k), sh(k) of a dense kernel on a desk sized grid, and certifies the norm,
-gradient and pointwise bounds of k without building it.  `ch_sh_series` is
+gradient and sup-slice bounds of k without building it.  `ch_sh_series` is
 the one ch/sh series of gpk: the grid kernels and the Fock mode matrices
 both sum it.
 
@@ -44,10 +44,6 @@ from .scattering import (
     equation_defect_residual,
     scaled_profile,
 )
-
-# residual budget factor for the zero-energy cancellation check: the scaled
-# defect may exceed the raw equation defect by at most this factor
-CANCELLATION_BUDGET_FACTOR = 10.0
 
 # momenta of the radial transform tables in kernel_hs_norms
 _KERNEL_MOMENTA = 384
@@ -106,12 +102,10 @@ class BogoliubovKernels:
     p: TwoPointKernel
     r: TwoPointKernel
     sh: TwoPointKernel
-    series_terms_used: int
-    truncation_error_bound: float
 
 
 def ch_sh_series(a: np.ndarray, tol: float = 1e-14):
-    """(p, r, n) with ch(a) = 1 + p and sh(a) = a + r for a symmetric complex
+    """(p, r) with ch(a) = 1 + p and sh(a) = a + r for a symmetric complex
     matrix a: p sums (a abar)^m / (2m)! and r sums (a abar)^m a / (2m+1)!
     over m = 1..n, n the first order where |a|^(2n) / (2n)! (Frobenius
     norm) drops below tol.  Grid kernels and Fock mode matrices both use it.
@@ -128,7 +122,7 @@ def ch_sh_series(a: np.ndarray, tol: float = 1e-14):
         p = p + power / math.factorial(2 * n)
         r = r + (power @ a) / math.factorial(2 * n + 1)
         if norm ** (2 * n) / math.factorial(2 * n) < tol or norm == 0:
-            return p, r, n
+            return p, r
         n += 1
         power = power @ aabar
 
@@ -138,24 +132,16 @@ def hyperbolic_series(k: TwoPointKernel, tol: float = 1e-14) -> BogoliubovKernel
 
     As an operator on grid functions, k acts as the matrix w k (w the cell
     weight), whose Frobenius norm is |k|_HS; `ch_sh_series` sums that matrix
-    and the parts p and r come back as kernels divided by w.  Terms are
-    added until the norm bound |k|^m / m! drops below tol; the reported
-    truncation bound is the full exponential tail, which dominates the
-    effect of any further term.
+    and the parts p and r come back as kernels divided by w.
     """
     w = k.weight
-    p, r, n = ch_sh_series(w * k.values, tol)
-    norm_k = k.hs_norm()
-    partial = sum(norm_k**m / math.factorial(m) for m in range(2 * n + 2))
-    tail = max(math.exp(norm_k) - partial, 0.0)
+    p, r = ch_sh_series(w * k.values, tol)
     grid = k.grid
     r_vals = r / w
     return BogoliubovKernels(
         p=TwoPointKernel(values=p / w, grid=grid),
         r=TwoPointKernel(values=r_vals, grid=grid),
         sh=TwoPointKernel(values=k.values + r_vals, grid=grid),
-        series_terms_used=n,
-        truncation_error_bound=tail,
     )
 
 
@@ -170,7 +156,6 @@ class KernelBoundReport:
     l2_grad1_k: float
     l2_grad1_kkbar: float
     sup_x_l2_slice: float
-    pointwise_ratio_max: float
     cancellation_residual: float
 
 
@@ -405,13 +390,6 @@ def grad1_kkbar_hs_norm(
     return math.sqrt(max(total, 0.0))
 
 
-def pointwise_ratio(sol: ScatteringSolution) -> float:
-    """Max of w(sigma) max(1, sigma): certifies |k| <= min(N, 1/|x-y|) |phi phi|."""
-    sig = sol.r_grid
-    vals = sol.w * np.maximum(1.0, sig)
-    return float(max(np.max(vals), sol.a0))
-
-
 def kernel_bound_report(
     phi: WaveFunction,
     sol: ScatteringSolution,
@@ -423,7 +401,6 @@ def kernel_bound_report(
     if not len(N_list):
         raise DomainError("N_list must be non-empty")
     reports = []
-    ratio = pointwise_ratio(sol)
     for N in N_list:
         l2k, l2g1, sup_slice = kernel_hs_norms(phi, sol, int(N))
         kkbar = grad1_kkbar_hs_norm(phi, sol, int(N))
@@ -434,7 +411,6 @@ def kernel_bound_report(
                 l2_grad1_k=l2g1,
                 l2_grad1_kkbar=kkbar,
                 sup_x_l2_slice=sup_slice,
-                pointwise_ratio_max=ratio,
                 cancellation_residual=zero_energy_cancellation_residual(
                     sol, sol.potential, int(N)),
             )
@@ -447,8 +423,8 @@ def zero_energy_cancellation_residual(
 ) -> float:
     """Residual of N^3 [(-lap + V/2)(1 - w)](N r) over the radial grid.
 
-    Zero for the exact profile; numerically bounded by the budget factor
-    times the N^3-scaled equation defect of the solver.
+    Zero for the exact profile; numerically it is the solver's equation
+    defect scaled by N^3 / r (`equation_defect_residual`).
     """
     if sol.potential is not V:
         raise DomainError("profile was not solved from this potential")

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import DEGENERATE_FLOOR
 from .errors import ConfigurationError, DomainError
 
 
@@ -17,17 +18,19 @@ class RateReport:
     y: np.ndarray
     slope: float
     r_squared: float
-    note: str = ""
 
 
-def fit_rate(x, y, note: str = "") -> RateReport:
+def fit_rate(x, y) -> RateReport:
     """Fit the scaling exponent of positive data y against x.
 
-    Raises ConfigurationError with fewer than 3 points and DomainError if any
-    y is non-positive.
+    Data all below DEGENERATE_FLOOR are round-off: the report has a NaN slope
+    and r_squared 0.  Otherwise raises ConfigurationError with fewer than 3
+    points and DomainError if any y is non-positive.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if np.max(y) < DEGENERATE_FLOOR:
+        return RateReport(x=x, y=y, slope=float("nan"), r_squared=0.0)
     if x.size < 3:
         raise ConfigurationError("rate fit needs at least 3 points")
     if np.any(y <= 0):
@@ -37,18 +40,5 @@ def fit_rate(x, y, note: str = "") -> RateReport:
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return RateReport(
-        x=x, y=y, slope=float(slope), r_squared=max(0.0, min(1.0, r2)),
-        note=note,
-    )
-
-
-def degenerate_report(x, y, note: str) -> RateReport:
-    """Report for runs where the fit is undefined (e.g. all errors zero)."""
-    return RateReport(
-        x=np.asarray(x, dtype=float),
-        y=np.asarray(y, dtype=float),
-        slope=float("nan"),
-        r_squared=0.0,
-        note=note,
-    )
+    return RateReport(x=x, y=y, slope=float(slope),
+                      r_squared=max(0.0, min(1.0, r2)))

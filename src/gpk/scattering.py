@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .budgets import ODE_DEFECT_BUDGET, W_BOUND_SLACK
 from .errors import BudgetError, ConfigurationError, DomainError, InvariantViolation
 
 # Fractional inset used when sampling V at step endpoints, so that a jump
@@ -211,9 +212,7 @@ class BoundCertificate:
 
     c1_hat: float          # smallest C with w(r) <= C / (r + 1)
     c2_hat: float          # smallest C with |w'(r)| <= C / (r^2 + 1)
-    w_within_unit: bool    # 0 <= w <= 1 at every grid point
-    w_min: float
-    w_max: float
+    w_within_unit: bool    # 0 <= w <= 1 at every grid point, to W_BOUND_SLACK
 
 
 def _align_points(n_points: int, r_max: float, breakpoints) -> int:
@@ -248,8 +247,9 @@ def solve_zero_energy(
     An r_max of None takes max(5, 5 r_support), the least box the support
     check admits.  Raises ConfigurationError for a non-positive or too-small
     box, a grid below 1000 points or a radial step wider than the potential's
-    support, and BudgetError when the measured equation defect exceeds the
-    1e-8 budget.
+    support, BudgetError when the measured equation defect exceeds
+    ODE_DEFECT_BUDGET, and InvariantViolation when w leaves [0, 1] by more
+    than W_BOUND_SLACK.
     """
     if r_max is None:
         r_max = max(5.0, 5 * V.r_support)
@@ -318,16 +318,18 @@ def solve_zero_energy(
 
     defect = _step_defect(u, up, h, g_lo, g_mid, g_hi)
     ode_residual = float(np.max(np.abs(defect)))
-    if ode_residual > 1e-8:
+    if ode_residual > ODE_DEFECT_BUDGET:
         raise BudgetError(
-            f"equation defect {ode_residual:.3e} exceeds the 1e-8 budget; "
-            "refine the radial grid"
+            f"equation defect {ode_residual:.3e} exceeds ODE_DEFECT_BUDGET = "
+            f"{ODE_DEFECT_BUDGET:g}; refine the radial grid"
         )
 
     tail_fit_error = float(np.max(np.abs(f[tail] - (1.0 - a0_fit / r[tail]))))
 
-    if np.min(w) < -1e-10 or np.max(w) > 1.0 + 1e-10:
-        raise InvariantViolation("correlation profile w left [0, 1]")
+    if not _within_unit(w):
+        raise InvariantViolation(
+            f"correlation profile w left [0, 1] by more than W_BOUND_SLACK = "
+            f"{W_BOUND_SLACK:g}")
 
     return ScatteringSolution(
         r_grid=r,
@@ -407,14 +409,13 @@ def verify_w_bounds(sol: ScatteringSolution) -> BoundCertificate:
     r, w, dw = sol.r_grid, sol.w, sol.dw_dr
     c1 = float(np.max(w * (r + 1.0)))
     c2 = float(np.max(np.abs(dw) * (r**2 + 1.0)))
-    wmin, wmax = float(np.min(w)), float(np.max(w))
-    return BoundCertificate(
-        c1_hat=max(c1, 0.0),
-        c2_hat=max(c2, 0.0),
-        w_within_unit=(wmin >= -1e-12 and wmax <= 1.0 + 1e-12),
-        w_min=wmin,
-        w_max=wmax,
-    )
+    return BoundCertificate(c1_hat=max(c1, 0.0), c2_hat=max(c2, 0.0),
+                            w_within_unit=_within_unit(w))
+
+
+def _within_unit(w: np.ndarray) -> bool:
+    """0 <= w <= 1 at every sample, to W_BOUND_SLACK."""
+    return bool(np.min(w) >= -W_BOUND_SLACK and np.max(w) <= 1.0 + W_BOUND_SLACK)
 
 
 def scaled_profile(sol: ScatteringSolution, N: int, r, deriv: bool = False):

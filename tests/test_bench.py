@@ -225,6 +225,22 @@ def test_pipeline_caching_soundness(tmp_path):
     assert (outdir / "rates.csv").read_bytes() != rates_after
 
 
+@pytest.mark.parametrize("differences, slope, flags", [
+    ("1e-3 5e-4 2.5e-4 1.2e-4", "-1.0", []),
+    ("1e-3 4e-4 5e-4 1e-4", "-1.1",
+     ["non-monotone comparison differences: possible resolution floor"]),
+    ("0.0 0.0 0.0 0.0", "nan",
+     ["degenerate scenario: comparison differences at round-off"]),
+], ids=["monotone", "non-monotone", "degenerate"])
+def test_nsweep_flags_come_from_rates_csv(tmp_path, differences, slope, flags):
+    rates = tmp_path / "rates.csv"
+    rates.write_text("N,l2_difference,slope\n" + "".join(
+        f"{n},{y},{slope}\n" for n, y in zip((8, 16, 32, 64), differences.split())))
+    summary, got = bench._summarize_nsweep(rates)
+    assert got == flags
+    assert str(summary["slope"]) == slope
+
+
 def test_degenerate_zero_potential_flagged(tmp_path):
     text = BASE_CONFIG.replace("family = square-well", "family = zero").replace(
         "height = 8.0\nradius = 1.0\n", ""
@@ -675,8 +691,8 @@ def test_misspelled_potential_key_exits_2(tmp_path, capsys):
     text = BASE_CONFIG.replace("height = 8.0", "heigth = 4.0")
     assert cli_main(["run", str(write_config(tmp_path, text))]) == 2
     err = capsys.readouterr().err
-    assert "unknown parameter 'heigth' for family 'square-well'" in err
-    assert "expected height, radius" in err
+    assert "unknown key 'heigth' in [potential] for family 'square-well'; " \
+        "did you mean 'height'?" in err
 
 
 def test_warm_rerun_never_parses_the_scattering_profile(tmp_path, monkeypatch):
@@ -854,9 +870,17 @@ phi0 = 1.0 0.0"""
     (FOCK_D2, FOCK_D4_CONFIG.partition("[fock]\n")[2].partition("\nt_final")[0],
      "[fock] d: d = 4 modes at cutoff 12 give a basis of dimension 1820, "
      "above the cap 1500"),
+    ("points = 4000", "pionts = 4000",
+     "unknown key 'pionts' in [potential] for family 'square-well'; "
+     "did you mean 'points'?"),
+    ("points = 256", "points = 100",
+     "exp.ini [grid]: points_per_axis must be a power of two >= 16"),
+    ("points = 128", "points = 100",
+     "exp.ini [kernels]: points_per_axis must be a power of two >= 16"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
-        "fft_workers-negative", "gp-a0-and-coupling", "fock-d4"])
+        "fft_workers-negative", "gp-a0-and-coupling", "fock-d4",
+        "potential-pionts", "grid-points", "kernels-points"])
 def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
                                                what):
     text = REFERENCE.read_text().replace(

@@ -9,6 +9,11 @@ its name is used as an attribute, and the dunder methods of a reached class
 are reached with it.  Matching by name over-approximates what is reached, so
 live code is never reported as dead.  There are no exceptions.
 
+Every dataclass field of gpk must be read, matched by name as an attribute,
+in `src/`, `tests/test_acceptance.py` or `perfbench/`.  No comparison in
+`bench`, `dynamics`, `fock` or `scattering` may write the value of a
+`gpk.budgets` budget as a literal.
+
 Imports are per use: no module but `fock` imports scipy when it is itself
 imported, `bench` imports `fock` only in the stage that runs it and `cli`
 imports the layers per subcommand, so each process loads the scipy modules
@@ -122,6 +127,67 @@ def unreached_definitions():
 
 def test_every_definition_is_reached_from_the_cli_the_stages_or_acceptance():
     assert unreached_definitions() == []
+
+
+def _dataclass_fields():
+    """(module.Class, field) of every dataclass field of gpk."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in stmt.decorator_list):
+                yield from ((f"{path.stem}.{stmt.name}", item.target.id)
+                            for item in stmt.body
+                            if isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name))
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read where its name is loaded as an attribute in src/, in
+    # tests/test_acceptance.py or in perfbench/; unit tests do not count
+    sources = [*sorted((ROOT / "src").rglob("*.py")),
+               ROOT / "tests" / "test_acceptance.py",
+               *sorted((ROOT / "perfbench").glob("*.py"))]
+    read = {node.attr for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [f"{owner}.{name}" for owner, name in _dataclass_fields()
+            if name not in read] == []
+
+
+def _written_numbers(node):
+    """The numbers written in an operand: a constant, signed or inside
+    + - * /; not the arguments of a call the operand makes."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        yield node.value
+    elif isinstance(node, ast.UnaryOp):
+        yield from _written_numbers(node.operand)
+    elif isinstance(node, ast.BinOp):
+        yield from _written_numbers(node.left)
+        yield from _written_numbers(node.right)
+
+
+def test_no_check_compares_with_a_budget_literal():
+    # every check reads its budget from gpk.budgets by name; a cutoff sizes
+    # a basis and is compared with nothing, so its value may recur
+    from gpk import budgets
+
+    values = {value: name for name, value in vars(budgets).items()
+              if name.isupper() and not name.endswith("_CUTOFF")}
+    assert {"NORM_TOL", "W_BOUND_SLACK", "ROUNDOFF_SLACK", "ODE_DEFECT_BUDGET",
+            "STABILITY_BUDGET", "TAIL_WARN", "DEGENERATE_FLOOR",
+            "KERNEL_HS_BUDGET", "POISSON_SHARE", "LEAKAGE_TOL", "DIM_BUDGET",
+            "DENSE_EXPM_CAP"} <= set(vars(budgets))
+    offenders = []
+    for module in ("bench", "dynamics", "fock", "scattering"):
+        path = PACKAGE / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                offenders += [f"{path.name}:{node.lineno} writes {number!r} "
+                              f"for {values[abs(number)]}"
+                              for operand in (node.left, *node.comparators)
+                              for number in _written_numbers(operand)
+                              if abs(number) in values]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_readme_config_table_lists_the_schema_keys_and_defaults():

@@ -70,7 +70,10 @@ def test_w_bounds_certificate(square_sol):
     sol, _ = square_sol
     cert = verify_w_bounds(sol)
     assert cert.w_within_unit
-    assert cert.w_min >= -1e-12 and cert.w_max <= 1.0
+    assert np.min(sol.w) >= -1e-12 and np.max(sol.w) <= 1.0
+    # w(sigma) max(1, sigma) <= 1: |k| <= min(N, 1/|x - y|) |phi(x) phi(y)|
+    assert np.max(sol.w * np.maximum(1.0, sol.r_grid)) <= 1.0 + 1e-9
+    assert sol.a0 <= 1.0
     assert np.isfinite(cert.c1_hat) and np.isfinite(cert.c2_hat)
 
 
