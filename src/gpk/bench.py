@@ -42,9 +42,9 @@ from .dynamics import (
 from .errors import ConfigurationError
 from .kernels import kernel_bound_report
 from .scattering import (
-    _FAMILIES,
     RadialPotential,
     ScatteringSolution,
+    family_parameters,
     potential_family,
     scattering_length_integral,
     solve_zero_energy,
@@ -100,7 +100,7 @@ class Key:
 
 
 # Every section and key gpk reads.  [potential] also takes the parameters of
-# its family, which `RadialPotential.from_spec` checks.  A key without a
+# its family, which `potential_from_config` checks.  A key without a
 # default reads None when it is not given: `solve_zero_energy` takes
 # max(5, 5 r_support) for rmax, and the fock stage d ones for u.
 SCHEMA = {
@@ -260,13 +260,15 @@ def _check_fock_scenario(path, fock: dict) -> None:
         raise ConfigurationError(
             f"{path}: [fock] phi0 must be a nonzero finite vector")
     # the probe and a cancellation check with omega != 0 take dense unitaries
-    bases = [("d", budgets.FLUCTUATION_CUTOFF, "DIM_BUDGET"),
-             ("d", budgets.PROBE_CUTOFF, "DENSE_EXPM_CAP")]
+    dim_cap = (budgets.DIM_BUDGET, "DIM_BUDGET")
+    dense_cap = (budgets.DENSE_EXPM_CAP, "DENSE_EXPM_CAP")
+    bases = [("d", budgets.FLUCTUATION_CUTOFF, dim_cap),
+             ("d", budgets.PROBE_CUTOFF, dense_cap)]
     if omega is not None:
         bases.append(("d or cancel_cutoff", fock["cancel_cutoff"],
-                      "DENSE_EXPM_CAP" if omega else "DIM_BUDGET"))
-    for keys, cutoff, name in bases:
-        dim, cap = budgets.basis_dimension(d, cutoff), getattr(budgets, name)
+                      dense_cap if omega else dim_cap))
+    for keys, cutoff, (cap, name) in bases:
+        dim = budgets.basis_dimension(d, cutoff)
         if dim > cap:
             raise ConfigurationError(
                 f"{path}: [fock] {keys}: d = {d} modes at cutoff {cutoff} "
@@ -291,7 +293,7 @@ def potential_from_config(cfg: ExperimentConfig) -> RadialPotential:
         raise ConfigurationError(f"{where}: needs 'family' or 'file'")
     family = potential_family(potential["family"])
     if family is not None:
-        valid = [*SCHEMA["potential"], *_FAMILIES[family][1]]
+        valid = [*SCHEMA["potential"], *family_parameters(family)]
         for key in params:
             if key not in valid:
                 raise _unknown(cfg.path, f"key '{key}' in [potential] for "
@@ -390,17 +392,11 @@ def load_solution_json(path):
             raise ConfigurationError(
                 f"{path}: {key} holds non-finite values; solve it again")
     sol = ScatteringSolution(
-        r_grid=fields["profile.r"],
-        f=fields["profile.f"],
-        w=fields["profile.w"],
-        dw_dr=fields["profile.dw_dr"],
-        a0=float(fields["a0_tail"]),
-        a0_derivative=float(fields["a0_derivative"]),
+        r_grid=fields["profile.r"], f=fields["profile.f"], w=fields["profile.w"],
+        dw_dr=fields["profile.dw_dr"], defect=fields["profile.defect"],
+        a0=float(fields["a0_tail"]), a0_derivative=float(fields["a0_derivative"]),
         ode_residual=float(fields["ode_residual"]),
-        tail_fit_error=float(fields["tail_fit_error"]),
-        defect=fields["profile.defect"],
-        potential=V,
-    )
+        tail_fit_error=float(fields["tail_fit_error"]), potential=V)
     return sol, V
 
 
@@ -687,17 +683,9 @@ def write_kernel_bounds_csv(path, phi, sol, N_list) -> None:
 
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     # fock loads scipy.sparse and scipy.linalg, so only this stage imports it
-    from .fock import (
-        ToyScenario,
-        apply_bogoliubov,
-        apply_weyl,
-        build_basis,
-        check_TNT_inequality,
-        check_weyl_relations,
-        generator_cancellation_check,
-        toy_convergence_study,
-        vacuum,
-    )
+    from .fock import (ToyScenario, apply_bogoliubov, apply_weyl, build_basis,
+                       check_TNT_inequality, check_weyl_relations,
+                       generator_cancellation_check, toy_convergence_study, vacuum)
 
     f = cfg.values["fock"]
     d, g, omega = f["d"], f["coupling"], f["omega"]

@@ -13,13 +13,15 @@ import math
 # invariants
 NORM_TOL = 1e-10          # |norm - 1| of a field, a fluctuation state or an orbital
 W_BOUND_SLACK = 1e-10     # how far the solved profile w may leave [0, 1]
-ROUNDOFF_SLACK = 1e-12    # round-off of a reduced density and its trace distance
+ROUNDOFF_SLACK = 1e-12    # round-off of a matrix symmetry, a density, w's certificate
+RATIO_SLACK = 1e-9        # rounding of a ratio that must be whole or shared
 
 # accuracy and stability
 ODE_DEFECT_BUDGET = 1e-8  # max per-step equation defect of the radial solver
 STABILITY_BUDGET = 4.0 * math.pi  # max phase |dt| k_max^2 of one split step
 TAIL_WARN = 1e-8          # spectral tail mass that flags aliased Sobolev values
 DEGENERATE_FLOOR = 1e-12  # distances or a0 below it are round-off: nothing to fit
+TRANSFORM_TOL = 1e-4      # relative gap of the tabulated 3D uhat(0) from 8 pi a0
 
 # Fock truncation
 KERNEL_HS_BUDGET = 1.5    # max |K|_HS of a Bogoliubov kernel
@@ -27,6 +29,7 @@ POISSON_SHARE = 1 / 4     # max mean occupation of a Weyl or Bogoliubov factor /
 LEAKAGE_TOL = 1e-6        # max top-shell share of a toy-study state
 DIM_BUDGET = 20000        # the largest basis any Fock operation builds
 DENSE_EXPM_CAP = 1500     # the largest basis a dense Weyl or Bogoliubov unitary takes
+VACUUM_FLOOR = 1e-14      # expected particle number at or below it: the vacuum
 FLUCTUATION_CUTOFF = 16   # n_c of the toy study's basis, the same for every N
 PROBE_CUTOFF = 12         # n_c of the fock stage's Weyl, TNT and leakage probes
 

@@ -36,7 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .budgets import NORM_TOL, STABILITY_BUDGET, TAIL_WARN
+from .budgets import (DEGENERATE_FLOOR, NORM_TOL, RATIO_SLACK, STABILITY_BUDGET,
+                      TAIL_WARN, TRANSFORM_TOL)
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -233,11 +234,11 @@ class NonlinearitySpec:
         a0 = sol.a0
         if grid.dim == 3:
             expected = 8.0 * math.pi * a0
-            if abs(table.at_zero - expected) > 1e-4 * max(expected, 1e-12):
+            gap = abs(table.at_zero - expected) / max(expected, DEGENERATE_FLOOR)
+            if gap > TRANSFORM_TOL:
                 raise InvariantViolation(
-                    f"uhat(0) = {table.at_zero:.8g} disagrees with "
-                    f"8 pi a0 = {expected:.8g}"
-                )
+                    f"uhat(0) = {table.at_zero:.8g} disagrees with 8 pi a0 = "
+                    f"{expected:.8g} beyond TRANSFORM_TOL = {TRANSFORM_TOL:g}")
         return NonlinearitySpec(
             kind="modified", coupling=table.at_zero, a0=a0, N=N, uhat=table
         )
@@ -421,8 +422,9 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
                 i, f"initial datum must have unit L2 norm (NORM_TOL = {NORM_TOL:g})"))
     n_steps_f = grid.t_final / grid.dt
     n_steps = int(round(n_steps_f))
-    if n_steps < 0 or abs(n_steps_f - n_steps) > 1e-9:
-        raise ConfigurationError("t_final must be a whole number of dt steps")
+    if n_steps < 0 or abs(n_steps_f - n_steps) > RATIO_SLACK:
+        raise ConfigurationError(
+            "t_final must be a whole number of dt steps (RATIO_SLACK)")
     if stride is not None and stride < 1:
         raise ConfigurationError(f"snapshot stride {stride} must be >= 1")
     stride = stride or max(1, n_steps // 16)
@@ -532,8 +534,8 @@ def compare_dynamics(
     if len(N_list) < 4:
         raise ConfigurationError("need at least 4 values of N")
     ratios = [N_list[i + 1] / N_list[i] for i in range(len(N_list) - 1)]
-    if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
-        raise ConfigurationError("N values must be geometrically spaced")
+    if any(abs(r - ratios[0]) > RATIO_SLACK * ratios[0] for r in ratios):
+        raise ConfigurationError("N values must be geometrically spaced (RATIO_SLACK)")
 
     grid = replace(psi0.grid, t_final=t_star)
     psi0 = WaveFunction(values=psi0.values, grid=grid)

@@ -28,7 +28,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .budgets import (
     DENSE_EXPM_CAP, DIM_BUDGET, FLUCTUATION_CUTOFF, KERNEL_HS_BUDGET, LEAKAGE_TOL,
-    NORM_TOL, POISSON_SHARE, ROUNDOFF_SLACK, basis_dimension,
+    NORM_TOL, POISSON_SHARE, ROUNDOFF_SLACK, VACUUM_FLOOR, basis_dimension,
 )
 from .errors import (
     ConfigurationError,
@@ -219,8 +219,8 @@ def hamiltonian(
     """
     h = np.asarray(h, dtype=complex)
     d = basis.d
-    if h.shape != (d, d) or not np.allclose(h, h.conj().T, atol=1e-13):
-        raise DomainError("one-body matrix must be hermitian d x d")
+    if h.shape != (d, d) or not np.allclose(h, h.conj().T, atol=ROUNDOFF_SLACK):
+        raise DomainError("one-body matrix must be hermitian d x d (ROUNDOFF_SLACK)")
     ann, cre = all_ladders(basis)
     terms = [(h[i, j], cre[i] @ ann[j]) for i, j in zip(*np.nonzero(h))]
     if u is not None and coupling != 0.0:
@@ -290,8 +290,8 @@ def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> sp.csr_matrix:
     K = np.asarray(K, dtype=complex)
     if K.shape != (basis.d, basis.d):
         raise DomainError("kernel matrix must be d x d")
-    if not np.allclose(K, K.T, atol=1e-12):
-        raise DomainError("kernel matrix must be symmetric")
+    if not np.allclose(K, K.T, atol=ROUNDOFF_SLACK):
+        raise DomainError("kernel matrix must be symmetric (ROUNDOFF_SLACK)")
     hs = float(np.linalg.norm(K))
     if hs > KERNEL_HS_BUDGET:
         raise TruncationBudgetError(f"|K|_HS = {hs:.3g} exceeds the "
@@ -370,9 +370,9 @@ def _displaced_densities(basis: FockBasis, block: np.ndarray,
     out = []
     for g in moments:
         expected_n = float(np.trace(g).real)
-        if expected_n <= 1e-14:
+        if expected_n <= VACUUM_FLOOR:
             raise DomainError(
-                "vacuum-like state: expected particle number is zero")
+                "vacuum-like state: expected particle number is zero (VACUUM_FLOOR)")
         g = g / expected_n
         out.append(ReducedDensity(matrix=0.5 * (g + g.conj().T)))
     return out

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import ROUNDOFF_SLACK
 from .errors import DomainError
 from .scattering import _simpson_weights, potential_pieces
 
@@ -251,7 +252,7 @@ class RadialTransformTable:
 
     def __call__(self, p):
         p = np.abs(np.asarray(p, dtype=float))
-        if np.any(p > self.p[-1] * (1 + 1e-12)):
+        if np.any(p > self.p[-1] * (1 + ROUNDOFF_SLACK)):
             raise DomainError(
                 f"momentum {p.max():.3g} outside the tabulated range "
                 f"[0, {self.p[-1]:.3g}]"

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .budgets import ODE_DEFECT_BUDGET, W_BOUND_SLACK
+from .budgets import ODE_DEFECT_BUDGET, RATIO_SLACK, ROUNDOFF_SLACK, W_BOUND_SLACK
 from .errors import BudgetError, ConfigurationError, DomainError, InvariantViolation
 
 # Fractional inset used when sampling V at step endpoints, so that a jump
@@ -163,6 +163,11 @@ def potential_family(name: str):
     return name if name in _FAMILIES else None
 
 
+def family_parameters(family: str) -> list:
+    """The parameter names of a family that `potential_family` returned."""
+    return list(_FAMILIES[family][1])
+
+
 def _numbers(value, what: str):
     """A float, or an array for a table column, from numbers or strings."""
     try:
@@ -212,7 +217,7 @@ class BoundCertificate:
 
     c1_hat: float          # smallest C with w(r) <= C / (r + 1)
     c2_hat: float          # smallest C with |w'(r)| <= C / (r^2 + 1)
-    w_within_unit: bool    # 0 <= w <= 1 at every grid point, to W_BOUND_SLACK
+    w_within_unit: bool    # 0 <= w <= 1 at every grid point, to ROUNDOFF_SLACK
 
 
 def _align_points(n_points: int, r_max: float, breakpoints) -> int:
@@ -221,7 +226,7 @@ def _align_points(n_points: int, r_max: float, breakpoints) -> int:
         return n_points
     for n in range(n_points, n_points + 4096):
         h = r_max / n
-        if all(abs(b / h - round(b / h)) < 1e-9 for b in breakpoints):
+        if all(abs(b / h - round(b / h)) < RATIO_SLACK for b in breakpoints):
             return n
     return n_points
 
@@ -326,7 +331,7 @@ def solve_zero_energy(
 
     tail_fit_error = float(np.max(np.abs(f[tail] - (1.0 - a0_fit / r[tail]))))
 
-    if not _within_unit(w):
+    if not _within_unit(w, W_BOUND_SLACK):
         raise InvariantViolation(
             f"correlation profile w left [0, 1] by more than W_BOUND_SLACK = "
             f"{W_BOUND_SLACK:g}")
@@ -410,12 +415,12 @@ def verify_w_bounds(sol: ScatteringSolution) -> BoundCertificate:
     c1 = float(np.max(w * (r + 1.0)))
     c2 = float(np.max(np.abs(dw) * (r**2 + 1.0)))
     return BoundCertificate(c1_hat=max(c1, 0.0), c2_hat=max(c2, 0.0),
-                            w_within_unit=_within_unit(w))
+                            w_within_unit=_within_unit(w, ROUNDOFF_SLACK))
 
 
-def _within_unit(w: np.ndarray) -> bool:
-    """0 <= w <= 1 at every sample, to W_BOUND_SLACK."""
-    return bool(np.min(w) >= -W_BOUND_SLACK and np.max(w) <= 1.0 + W_BOUND_SLACK)
+def _within_unit(w: np.ndarray, slack: float) -> bool:
+    """0 <= w <= 1 at every sample, to `slack`; False for a NaN sample."""
+    return bool(np.min(w) >= -slack and np.max(w) <= 1.0 + slack)
 
 
 def scaled_profile(sol: ScatteringSolution, N: int, r, deriv: bool = False):

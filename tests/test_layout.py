@@ -173,20 +173,27 @@ def test_no_check_compares_with_a_budget_literal():
 
     values = {value: name for name, value in vars(budgets).items()
               if name.isupper() and not name.endswith("_CUTOFF")}
-    assert {"NORM_TOL", "W_BOUND_SLACK", "ROUNDOFF_SLACK", "ODE_DEFECT_BUDGET",
-            "STABILITY_BUDGET", "TAIL_WARN", "DEGENERATE_FLOOR",
-            "KERNEL_HS_BUDGET", "POISSON_SHARE", "LEAKAGE_TOL", "DIM_BUDGET",
-            "DENSE_EXPM_CAP"} <= set(vars(budgets))
+    assert {"NORM_TOL", "W_BOUND_SLACK", "ROUNDOFF_SLACK", "RATIO_SLACK",
+            "ODE_DEFECT_BUDGET", "STABILITY_BUDGET", "TAIL_WARN",
+            "DEGENERATE_FLOOR", "TRANSFORM_TOL", "KERNEL_HS_BUDGET",
+            "POISSON_SHARE", "LEAKAGE_TOL", "DIM_BUDGET", "DENSE_EXPM_CAP",
+            "VACUUM_FLOOR"} <= set(vars(budgets))
     offenders = []
     for module in ("bench", "dynamics", "fock", "scattering"):
         path = PACKAGE / f"{module}.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Compare):
-                offenders += [f"{path.name}:{node.lineno} writes {number!r} "
-                              f"for {values[abs(number)]}"
-                              for operand in (node.left, *node.comparators)
-                              for number in _written_numbers(operand)
-                              if abs(number) in values]
+            if isinstance(node, ast.Compare):  # and the tolerances of a call
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Call):
+                operands = [kw.value for kw in node.keywords
+                            if kw.arg in ("atol", "rtol")]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} writes {number!r} "
+                          f"for {values[abs(number)]}"
+                          for operand in operands
+                          for number in _written_numbers(operand)
+                          if abs(number) in values]
     assert not offenders, "\n".join(offenders)
 
 

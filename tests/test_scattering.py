@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gpk.budgets import ROUNDOFF_SLACK, W_BOUND_SLACK
 from gpk.errors import BudgetError, ConfigurationError, DomainError
 from gpk.scattering import (
     RadialPotential,
@@ -75,6 +77,17 @@ def test_w_bounds_certificate(square_sol):
     assert np.max(sol.w * np.maximum(1.0, sol.r_grid)) <= 1.0 + 1e-9
     assert sol.a0 <= 1.0
     assert np.isfinite(cert.c1_hat) and np.isfinite(cert.c2_hat)
+
+
+def test_w_certificate_is_tighter_than_the_solver(square_sol):
+    # the solver takes a w that leaves [0, 1] by up to W_BOUND_SLACK; the
+    # certificate of scattering.json holds it to ROUNDOFF_SLACK, so it can fail
+    sol, _ = square_sol
+    low = replace(sol, w=sol.w - np.min(sol.w) - 10 * ROUNDOFF_SLACK)
+    assert -W_BOUND_SLACK < np.min(low.w) < -ROUNDOFF_SLACK
+    assert not verify_w_bounds(low).w_within_unit
+    nan = replace(sol, w=np.full_like(sol.w, np.nan))
+    assert not verify_w_bounds(nan).w_within_unit
 
 
 def test_hard_well_keeps_w_below_one():
