@@ -38,6 +38,7 @@ from .dynamics import (
     gaussian_datum,
     sobolev_report,
     tail_warnings,
+    time_steps,
 )
 from .errors import ConfigurationError
 from .kernels import kernel_bound_report
@@ -234,14 +235,21 @@ def _check_rules(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"{path}: {what} needs a [{needed}] section")
     if cfg.has("potential"):
         potential_from_config(cfg)
-    # the grids the stages build, from the same constructors
-    for section, grid in (("grid", grid_from_config),
-                          ("kernels", kernel_grid_from_config)):
-        if cfg.has(section):
+    # the grids the stages build, from the same constructors, and the steps
+    # the evolve and nsweep stages take on them; the kernels grid takes none
+    for where, present, check in (
+            ("[grid]", cfg.has("grid"),
+             lambda: time_steps(grid_from_config(cfg))),
+            ("[nsweep] t_star", cfg.has("nsweep"),
+             lambda: time_steps(replace(grid_from_config(cfg),
+                                        t_final=cfg.get("nsweep", "t_star")))),
+            ("[kernels]", cfg.has("kernels"),
+             lambda: kernel_grid_from_config(cfg))):
+        if present:
             try:
-                grid(cfg)
+                check()
             except ConfigurationError as exc:
-                raise ConfigurationError(f"{path} [{section}]: {exc}") from None
+                raise ConfigurationError(f"{path} {where}: {exc}") from None
     if cfg.has("fock"):
         _check_fock_scenario(path, cfg.values["fock"])
 
@@ -343,8 +351,9 @@ def kernel_grid_from_config(cfg: ExperimentConfig) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 
-def dump_solution_json(sol: ScatteringSolution, V: RadialPotential, path) -> dict:
-    a0_int = scattering_length_integral(sol, V)
+def dump_solution_json(sol: ScatteringSolution, path) -> dict:
+    V = sol.potential
+    a0_int = scattering_length_integral(sol)
     cert = verify_w_bounds(sol)
     payload = {
         "a0_tail": sol.a0,
@@ -371,8 +380,8 @@ def dump_solution_json(sol: ScatteringSolution, V: RadialPotential, path) -> dic
 
 
 def load_solution_json(path):
-    """Rebuild (solution, potential) from a scattering artifact; V comes from
-    its stored spec, with its exact values and breakpoints.  A profile
+    """Rebuild a solution from a scattering artifact; its potential comes from
+    the stored spec, with its exact values and breakpoints.  A profile
     array or scalar that holds NaN, inf or null is a ConfigurationError."""
     try:
         payload = _read_json(path)
@@ -391,13 +400,12 @@ def load_solution_json(path):
         if not np.all(np.isfinite(values)):
             raise ConfigurationError(
                 f"{path}: {key} holds non-finite values; solve it again")
-    sol = ScatteringSolution(
+    return ScatteringSolution(
         r_grid=fields["profile.r"], f=fields["profile.f"], w=fields["profile.w"],
         dw_dr=fields["profile.dw_dr"], defect=fields["profile.defect"],
         a0=float(fields["a0_tail"]), a0_derivative=float(fields["a0_derivative"]),
         ode_residual=float(fields["ode_residual"]),
         tail_fit_error=float(fields["tail_fit_error"]), potential=V)
-    return sol, V
 
 
 def _read_json(path) -> dict:
@@ -488,7 +496,7 @@ class _Inputs:
     def sol(self):
         if not self.cfg.has("potential"):
             return None
-        return load_solution_json(self.outdir / "scattering.json")[0]
+        return load_solution_json(self.outdir / "scattering.json")
 
     @functools.cached_property
     def grid(self) -> GridSpec:
@@ -522,7 +530,7 @@ def _run_scattering(inp: _Inputs, scattering_json, scattering_csv,
                     summary_json) -> None:
     V, potential = potential_from_config(inp.cfg), inp.cfg.values["potential"]
     sol = solve_zero_energy(V, potential["rmax"], potential["points"])
-    payload = dump_solution_json(sol, V, scattering_json)
+    payload = dump_solution_json(sol, scattering_json)
     write_scattering_csv(sol, scattering_csv)
     _write_json(summary_json, scattering_summary(payload))
 
@@ -685,7 +693,8 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     # fock loads scipy.sparse and scipy.linalg, so only this stage imports it
     from .fock import (ToyScenario, apply_bogoliubov, apply_weyl, build_basis,
                        check_TNT_inequality, check_weyl_relations,
-                       generator_cancellation_check, toy_convergence_study, vacuum)
+                       generator_cancellation_check, top_shell_share,
+                       toy_convergence_study, vacuum)
 
     f = cfg.values["fock"]
     d, g, omega = f["d"], f["coupling"], f["omega"]
@@ -737,7 +746,7 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
             "weyl_shift": weyl_rep.shift_residual,
         },
         "leakages": {
-            "probe_state_top_shell": leak_state.top_shell_mass(),
+            "probe_state_top_shell": top_shell_share(probe, leak_state),
             "tolerance": budgets.LEAKAGE_TOL,
         },
         "spectral_constants": {

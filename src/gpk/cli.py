@@ -53,7 +53,7 @@ def _cmd_scattering(args) -> int:
     out = Path(args.out)
     write_scattering_csv(sol, out)
     summary_path = out.with_suffix(".json")
-    payload = dump_solution_json(sol, V, summary_path)
+    payload = dump_solution_json(sol, summary_path)
     print(json.dumps(scattering_summary(payload), sort_keys=True))
     return 0
 
@@ -75,7 +75,7 @@ def _cmd_kernels(args) -> int:
 
     scattering = _existing(args.scattering, "--scattering")
     phi_path = _existing(args.phi, "--phi")
-    sol, _ = load_solution_json(scattering)
+    sol = load_solution_json(scattering)
     phi, _ = read_field(phi_path)
     # the reader and bound of [kernels] n_values
     n_list = parse_value("--N", SCHEMA["kernels"]["n_values"], args.N)

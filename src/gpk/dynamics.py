@@ -274,11 +274,6 @@ class _Stepper:
                 for f in (sfft.fftn, sfft.ifftn, sfft.rfftn))
             self.irfft = functools.partial(sfft.irfftn, s=grid.shape, **axes)
         k2 = grid.k_squared()
-        if abs(grid.dt) * float(np.max(k2)) > STABILITY_BUDGET:
-            raise ConfigurationError(
-                f"|dt| * k_max^2 = {abs(grid.dt) * float(np.max(k2)):.3g} exceeds "
-                f"the stability budget STABILITY_BUDGET = {STABILITY_BUDGET:.4g}"
-            )
         self.full_drift = _unit_phase(-grid.dt * k2)
         self.half_drift = _unit_phase(-0.5 * grid.dt * k2)
         self.density_multiplier = np.stack(
@@ -379,6 +374,23 @@ def _energy(grid, multiplier, kinetic, rho_hat) -> float:
     return (kinetic + 0.5 * full) * grid.cell / grid.points_per_axis**grid.dim
 
 
+def time_steps(grid: GridSpec) -> int:
+    """The number of Strang steps to grid.t_final.  Refuses a dt past the
+    stability budget and a t_final that is not a whole number of dt steps."""
+    # k_max^2 is dim times the largest k_i^2 of one axis: no full-grid table
+    k2_max = grid.dim * float(np.max(grid.k_axes()[0] ** 2))
+    if abs(grid.dt) * k2_max > STABILITY_BUDGET:
+        raise ConfigurationError(
+            f"|dt| * k_max^2 = {abs(grid.dt) * k2_max:.3g} exceeds "
+            f"the stability budget STABILITY_BUDGET = {STABILITY_BUDGET:.4g}")
+    n_steps_f = grid.t_final / grid.dt
+    n_steps = int(round(n_steps_f))
+    if n_steps < 0 or abs(n_steps_f - n_steps) > RATIO_SLACK:
+        raise ConfigurationError(
+            "t_final must be a whole number of dt steps (RATIO_SLACK)")
+    return n_steps
+
+
 def evolve(
     psi0: WaveFunction,
     nl: NonlinearitySpec,
@@ -420,11 +432,7 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
         if abs(math.sqrt(_mass(member) * cell) - 1.0) > NORM_TOL:
             raise ConfigurationError(named(
                 i, f"initial datum must have unit L2 norm (NORM_TOL = {NORM_TOL:g})"))
-    n_steps_f = grid.t_final / grid.dt
-    n_steps = int(round(n_steps_f))
-    if n_steps < 0 or abs(n_steps_f - n_steps) > RATIO_SLACK:
-        raise ConfigurationError(
-            "t_final must be a whole number of dt steps (RATIO_SLACK)")
+    n_steps = time_steps(grid)
     if stride is not None and stride < 1:
         raise ConfigurationError(f"snapshot stride {stride} must be >= 1")
     stride = stride or max(1, n_steps // 16)

@@ -1,11 +1,13 @@
 """Truncated bosonic Fock space over d discrete modes.
 
 States live in the direct sum of symmetric n-particle sectors with total
-occupation at most n_max; operators are scipy CSR matrices over the
-occupation basis.  The module provides ladder operators, number-conserving
-Hamiltonians, Weyl and Bogoliubov unitaries (dense numpy arrays at small
-dimension, Krylov actions on vectors otherwise), reduced densities, and the
-toy-scale convergence and cancellation experiments.  Both experiments take
+occupation at most n_max.  A state is a complex numpy array over the
+occupation basis: a vector, or a block of states as its columns; operators
+are scipy CSR matrices over the same basis.  The module provides ladder
+operators, number-conserving Hamiltonians, Weyl and Bogoliubov unitaries
+(dense numpy arrays at small dimension, Krylov actions on states
+otherwise), reduced densities, the top-shell share, and the toy-scale
+convergence and cancellation experiments.  Both experiments take
 the pieces of the fluctuation generator L_N from one place,
 `FockBasis.mode_products`.
 
@@ -115,28 +117,18 @@ def build_basis(d: int, n_max: int) -> FockBasis:
     )
 
 
-@dataclass(frozen=True)
-class FockVector:
-    coefficients: np.ndarray
-    basis: FockBasis
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def shell_mass(self, n: int) -> float:
-        return float(
-            np.sum(np.abs(self.coefficients[self.basis.shell_slices[n]]) ** 2)
-        )
-
-    def top_shell_mass(self) -> float:
-        total = self.norm() ** 2
-        return self.shell_mass(self.basis.n_max) / total if total > 0 else 0.0
+def vacuum(basis: FockBasis) -> np.ndarray:
+    psi = np.zeros(basis.dim, dtype=complex)
+    psi[0] = 1.0
+    return psi
 
 
-def vacuum(basis: FockBasis) -> FockVector:
-    c = np.zeros(basis.dim, dtype=complex)
-    c[0] = 1.0
-    return FockVector(coefficients=c, basis=basis)
+def top_shell_share(basis: FockBasis, psi: np.ndarray):
+    """Share of |psi|^2 in the top shell n_max: a float for a vector, one
+    value per column of a block of states."""
+    weight = psi.real ** 2 + psi.imag ** 2
+    share = weight[basis.shell_slices[-1]].sum(axis=0) / weight.sum(axis=0)
+    return float(share) if psi.ndim == 1 else share
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +179,6 @@ def ladder(basis: FockBasis, mode: int):
     return a, a.conj().T.tocsr()
 
 
-def all_ladders(basis: FockBasis):
-    """Annihilators and creators of every mode: the basis's cached ones."""
-    ann, cre = basis.ladders
-    return list(ann), list(cre)
-
-
 def _sparse_sum(basis: FockBasis, terms) -> sp.csr_matrix:
     """Sum of coefficient * matrix over the (coefficient, matrix) pairs."""
     m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
@@ -203,7 +189,7 @@ def _sparse_sum(basis: FockBasis, terms) -> sp.csr_matrix:
 
 def annihilator_of(basis: FockBasis, f: np.ndarray) -> sp.csr_matrix:
     """a(f) = sum conj(f_i) a_i (antilinear in f)."""
-    ann, _ = all_ladders(basis)
+    ann, _ = basis.ladders
     return _sparse_sum(basis, ((np.conj(fi), a) for fi, a in zip(f, ann)))
 
 
@@ -221,7 +207,7 @@ def hamiltonian(
     d = basis.d
     if h.shape != (d, d) or not np.allclose(h, h.conj().T, atol=ROUNDOFF_SLACK):
         raise DomainError("one-body matrix must be hermitian d x d (ROUNDOFF_SLACK)")
-    ann, cre = all_ladders(basis)
+    ann, cre = basis.ladders
     terms = [(h[i, j], cre[i] @ ann[j]) for i, j in zip(*np.nonzero(h))]
     if u is not None and coupling != 0.0:
         u = _onsite_weights(u, d)
@@ -275,12 +261,9 @@ def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
     return _dense_expm(_weyl_generator(basis, f), "Weyl operator")
 
 
-def apply_weyl(basis: FockBasis, f: np.ndarray, psi: FockVector) -> FockVector:
+def apply_weyl(basis: FockBasis, f: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """W(f) psi by Krylov action; exact unitary on the truncated space."""
-    gen = _weyl_generator(basis, f)
-    return FockVector(
-        coefficients=expm_multiply(gen, psi.coefficients), basis=basis
-    )
+    return expm_multiply(_weyl_generator(basis, f), psi)
 
 
 def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> sp.csr_matrix:
@@ -298,7 +281,7 @@ def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> sp.csr_matrix:
                                     f"{KERNEL_HS_BUDGET} budget KERNEL_HS_BUDGET")
     _poisson_budget(basis, math.sinh(hs) ** 2 * basis.d,
                     "sinh-amplified occupation")
-    ann, cre = all_ladders(basis)
+    ann, cre = basis.ladders
     terms = []
     for i, j in zip(*np.nonzero(K)):
         terms += [(0.5 * K[i, j], cre[i] @ cre[j]),
@@ -311,26 +294,19 @@ def bogoliubov(basis: FockBasis, K: np.ndarray) -> np.ndarray:
     return _dense_expm(_bogoliubov_generator(basis, K), "Bogoliubov operator")
 
 
-def apply_bogoliubov(basis: FockBasis, K: np.ndarray, psi: FockVector) -> FockVector:
-    """T(K) psi by Krylov action; psi may hold a block of states as the
-    columns of its coefficients, acted on together."""
-    gen = _bogoliubov_generator(basis, K)
-    return FockVector(
-        coefficients=expm_multiply(gen, psi.coefficients), basis=basis
-    )
-
-
-def coherent_state(basis: FockBasis, f: np.ndarray) -> FockVector:
-    return apply_weyl(basis, f, vacuum(basis))
+def apply_bogoliubov(basis: FockBasis, K: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """T(K) psi by Krylov action; psi may be a block of states as columns,
+    acted on together."""
+    return expm_multiply(_bogoliubov_generator(basis, K), psi)
 
 
 # ---------------------------------------------------------------------------
 # reduced densities, particle numbers and trace distances
 # ---------------------------------------------------------------------------
 
-def number_expectation(psi: FockVector) -> float:
-    totals = psi.basis.totals().astype(float)
-    return float(np.sum(totals * np.abs(psi.coefficients) ** 2))
+def number_expectation(basis: FockBasis, psi: np.ndarray) -> float:
+    totals = basis.totals().astype(float)
+    return float(np.sum(totals * np.abs(psi) ** 2))
 
 
 @dataclass(frozen=True)
@@ -360,7 +336,7 @@ def _displaced_densities(basis: FockBasis, block: np.ndarray,
 
     each divided by its trace, the expected particle number.
     """
-    ann, _ = all_ladders(basis)
+    ann, _ = basis.ladders
     lowered = np.stack([a @ block for a in ann])  # (d, dim, m)
     pairs = np.einsum("jkm,ikm->mij", lowered.conj(), lowered)
     means = np.einsum("km,ikm->mi", block.conj(), lowered)
@@ -378,15 +354,7 @@ def _displaced_densities(basis: FockBasis, block: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class TraceComparison:
-    trace_distance: float
-    hs_norm: float
-
-
-def trace_distance_to_rank_one(
-    gamma: ReducedDensity, phi: np.ndarray
-) -> TraceComparison:
+def trace_distance_to_rank_one(gamma: ReducedDensity, phi: np.ndarray) -> float:
     """Tr |Gamma - |phi><phi|| via eigendecomposition of the difference.
 
     For a PSD unit-trace Gamma against a rank-one projector the difference
@@ -406,7 +374,7 @@ def trace_distance_to_rank_one(
     negatives = int(np.sum(eigs < -ROUNDOFF_SLACK))
     if negatives > 1:
         raise InvariantViolation("more than one eigenvalue below -ROUNDOFF_SLACK")
-    return TraceComparison(trace_distance=trace_dist, hs_norm=hs)
+    return trace_dist
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +593,12 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     orbit = orbit / np.linalg.norm(orbit, axis=1, keepdims=True)
     phi_t = orbit[-1]
     basis = build_basis(d, FLUCTUATION_CUTOFF)
-    top = basis.shell_slices[-1]
 
     def checked(block: np.ndarray, where: str) -> np.ndarray:
         """Top-shell share and norm of every column after `where`."""
-        weight = block.real ** 2 + block.imag ** 2
-        mass = weight.sum(axis=0)
-        leaks = (weight[top].sum(axis=0) / mass).tolist()
-        for n, leak, norm in zip(scenario.N_list, leaks,
-                                 np.sqrt(mass).tolist()):
+        for n, leak, norm in zip(scenario.N_list,
+                                 top_shell_share(basis, block).tolist(),
+                                 np.linalg.norm(block, axis=0).tolist()):
             if leak > LEAKAGE_TOL:
                 raise TruncationBudgetError(
                     f"truncation leakage {leak:.3e} above LEAKAGE_TOL after "
@@ -650,8 +615,7 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     xi = vacuum(basis)
     if scenario.kappa0 != 0:
         xi = apply_bogoliubov(basis, kernel(orbit[0]), xi)
-    block = checked(np.repeat(xi.coefficients[:, None], N.size, axis=1),
-                    "factor T(k_0)")
+    block = checked(np.repeat(xi[:, None], N.size, axis=1), "factor T(k_0)")
 
     ops, coefficients = _fluctuation_generator(
         basis, scenario.h, _onsite_weights(scenario.u, d), g, orbit, N)
@@ -671,16 +635,14 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
                         f"the step to t = {times[end]:.6g}")
 
     distances = np.array([
-        trace_distance_to_rank_one(gamma, phi_t).trace_distance
+        trace_distance_to_rank_one(gamma, phi_t)
         for gamma in _displaced_densities(
             basis, block, np.sqrt(N)[:, None] * phi_t)
     ])
     if scenario.kappa0 != 0:
-        block = checked(apply_bogoliubov(
-            basis, -kernel(phi_t), FockVector(block, basis)).coefficients,
-            "factor T*(k_t)")
-    numbers = np.array([number_expectation(FockVector(col, basis))
-                        for col in block.T])
+        block = checked(apply_bogoliubov(basis, -kernel(phi_t), block),
+                        "factor T*(k_t)")
+    numbers = np.array([number_expectation(basis, col) for col in block.T])
     return ConvergenceReport(
         N_list=tuple(scenario.N_list),
         t=scenario.t_final,
@@ -724,7 +686,7 @@ def generator_cancellation_check(
     if kappa is None:
         kappa = N * omega
 
-    ann, cre = all_ladders(basis)
+    ann, cre = basis.ladders
     l1 = _sparse_sum(basis, (
         (math.sqrt(N) * g * omega * u[i] * phi[i] ** 3,
          cre[i] + ann[i])

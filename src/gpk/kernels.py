@@ -38,7 +38,6 @@ from .dynamics import GridSpec, WaveFunction
 from .errors import DomainError
 from .radial import radial_hat
 from .scattering import (
-    RadialPotential,
     ScatteringSolution,
     _simpson_weights,
     equation_defect_residual,
@@ -411,21 +410,7 @@ def kernel_bound_report(
                 l2_grad1_k=l2g1,
                 l2_grad1_kkbar=kkbar,
                 sup_x_l2_slice=sup_slice,
-                cancellation_residual=zero_energy_cancellation_residual(
-                    sol, sol.potential, int(N)),
+                cancellation_residual=equation_defect_residual(sol, int(N)),
             )
         )
     return reports
-
-
-def zero_energy_cancellation_residual(
-    sol: ScatteringSolution, V: RadialPotential, N: int
-) -> float:
-    """Residual of N^3 [(-lap + V/2)(1 - w)](N r) over the radial grid.
-
-    Zero for the exact profile; numerically it is the solver's equation
-    defect scaled by N^3 / r (`equation_defect_residual`).
-    """
-    if sol.potential is not V:
-        raise DomainError("profile was not solved from this potential")
-    return equation_defect_residual(sol, N)

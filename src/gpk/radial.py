@@ -244,7 +244,6 @@ class RadialTransformTable:
 
     p: np.ndarray
     values: np.ndarray
-    dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "_coefficients",
@@ -288,4 +287,4 @@ def tabulate_interaction_transform(sol, dim: int, p_max: float):
     for lo, hi, v in potential_pieces(sol.potential, r):
         if np.any(v):
             vals += radial_hat(r[lo : hi + 1], v * sol.f[lo : hi + 1], p, dim)
-    return RadialTransformTable(p=p, values=vals, dim=dim)
+    return RadialTransformTable(p=p, values=vals)

@@ -350,17 +350,15 @@ def solve_zero_energy(
     )
 
 
-def scattering_length_integral(sol: ScatteringSolution, V: RadialPotential) -> float:
+def scattering_length_integral(sol: ScatteringSolution) -> float:
     """Scattering length from the volume integral (1/8pi) int V f dx.
 
     Reduces to (1/2) int r^2 V(r) f(r) dr; integrated piecewise between the
     potential's breakpoints so jumps do not degrade the quadrature.
     """
-    if sol.potential is not V:
-        raise DomainError("solution was not produced from this potential")
     r, f = sol.r_grid, sol.f
     total = 0.0
-    for lo, hi, v in potential_pieces(V, r):
+    for lo, hi, v in potential_pieces(sol.potential, r):
         x = r[lo : hi + 1]
         total += _simpson_weights(x) @ (x**2 * v * f[lo : hi + 1])
     return 0.5 * float(total)

@@ -24,13 +24,12 @@ from gpk.dynamics import (
 )
 from gpk.fock import (
     ToyScenario,
-    all_ladders,
     apply_bogoliubov,
+    apply_weyl,
     bogoliubov_conjugation_residual,
     build_basis,
     check_TNT_inequality,
     check_weyl_relations,
-    coherent_state,
     generator_cancellation_check,
     number_expectation,
     poisson_shell_mass,
@@ -42,10 +41,10 @@ from gpk.kernels import (
     grad1_kkbar_hs_norm,
     hyperbolic_series,
     kernel_hs_norms,
-    zero_energy_cancellation_residual,
 )
 from gpk.scattering import (
     RadialPotential,
+    equation_defect_residual,
     scattering_length_integral,
     solve_zero_energy,
     verify_w_bounds,
@@ -60,16 +59,15 @@ def report(criterion, detail):
 
 @pytest.fixture(scope="module")
 def square_sol():
-    V = RadialPotential.square_well(8.0, 1.0)
-    return solve_zero_energy(V, 5.0, 4000), V
+    return solve_zero_energy(RadialPotential.square_well(8.0, 1.0), 5.0, 4000)
 
 
 def test_criterion_01_scattering_oracle(square_sol):
     start = time.perf_counter()
-    sol, V = square_sol
+    sol = square_sol
     rel = abs(sol.a0 - A0_SQUARE_WELL) / A0_SQUARE_WELL
     assert rel < 1e-6
-    a0_int = scattering_length_integral(sol, V)
+    a0_int = scattering_length_integral(sol)
     assert abs(a0_int - sol.a0) / sol.a0 < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -79,7 +77,7 @@ def test_criterion_01_scattering_oracle(square_sol):
 
 def test_criterion_02_profile_bounds(square_sol):
     start = time.perf_counter()
-    sol, _ = square_sol
+    sol = square_sol
     cert = verify_w_bounds(sol)
     assert cert.w_within_unit
 
@@ -131,7 +129,7 @@ def test_criterion_03_gp_conservation_3d():
 
 def test_criterion_04_comparison_exponent_1d(square_sol):
     start = time.perf_counter()
-    sol, _ = square_sol
+    sol = square_sol
     grid = GridSpec(dim=1, box_length=16.0, points_per_axis=256, dt=5e-4,
                     t_final=0.5)
     psi0 = gaussian_datum(grid, sigma=1.0)
@@ -147,7 +145,7 @@ def test_criterion_04_comparison_exponent_1d(square_sol):
 
 @pytest.mark.nightly
 def test_criterion_04_comparison_exponent_3d(square_sol):
-    sol, _ = square_sol
+    sol = square_sol
     grid = GridSpec(dim=3, box_length=16.0, points_per_axis=64, dt=1e-3,
                     t_final=0.5)
     psi0 = gaussian_datum(grid, sigma=1.5)
@@ -160,7 +158,7 @@ def test_criterion_04_comparison_exponent_3d(square_sol):
 
 def test_criterion_05_kernel_norm_scaling(square_sol):
     start = time.perf_counter()
-    sol, _ = square_sol
+    sol = square_sol
     grid = GridSpec(dim=3, box_length=12.0, points_per_axis=16, dt=1e-3,
                     t_final=0.0)
     phi = gaussian_datum(grid, sigma=1.0)
@@ -222,7 +220,7 @@ def test_criterion_07_fock_identities():
     b = build_basis(2, 10)
 
     # CCR below the cutoff (exact up to sqrt(n) float representation)
-    ann, cre = all_ladders(b)
+    ann, cre = b.ladders
     below = b.totals() < b.n_max
     ccr = 0.0
     for i in range(2):
@@ -242,17 +240,18 @@ def test_criterion_07_fock_identities():
     assert conj_res <= 1e-8
 
     f = np.array([0.6, 0.55])
-    state = coherent_state(b, f)
+    state = apply_weyl(b, f, vacuum(b))
     mu = float(np.sum(f**2))
     shell_err = max(
-        abs(state.shell_mass(n) - poisson_shell_mass(mu, n)) for n in range(6)
+        abs(np.sum(np.abs(state[b.shell_slices[n]]) ** 2)
+            - poisson_shell_mass(mu, n)) for n in range(6)
     )
     assert shell_err <= 1e-10
 
     b1 = build_basis(1, 10)
     r = 0.1
     sq = apply_bogoliubov(b1, np.array([[r]]), vacuum(b1))
-    sq_err = abs(number_expectation(sq) - math.sinh(r) ** 2)
+    sq_err = abs(number_expectation(b1, sq) - math.sinh(r) ** 2)
     assert sq_err <= 1e-8
 
     elapsed = time.perf_counter() - start
@@ -287,11 +286,11 @@ def test_criterion_08_tnt_spectral_constant():
 
 def test_criterion_09_cancellations(square_sol):
     start = time.perf_counter()
-    sol, V = square_sol
+    sol = square_sol
     budget = 1e-6
     worst = 0.0
     for N in (1, 2, 4):
-        resid = zero_energy_cancellation_residual(sol, V, N)
+        resid = equation_defect_residual(sol, N)
         worst = max(worst, resid / N**3)
     assert worst <= budget
 

@@ -110,8 +110,9 @@ def test_solution_json_round_trip(tmp_path):
     V = RadialPotential.square_well(8.0, 1.0)
     sol = solve_zero_energy(V, 5.0, 2000)
     path = tmp_path / "scattering.json"
-    dump_solution_json(sol, V, path)
-    sol2, V2 = load_solution_json(path)
+    dump_solution_json(sol, path)
+    sol2 = load_solution_json(path)
+    V2 = sol2.potential
     assert sol2.a0 == sol.a0
     assert sol2.a0_derivative == sol.a0_derivative
     assert np.array_equal(sol2.w, sol.w)
@@ -131,7 +132,7 @@ def test_solution_json_round_trip(tmp_path):
 def test_solution_json_with_a_non_finite_number_is_refused(tmp_path, key, bad):
     V = RadialPotential.square_well(8.0, 1.0)
     path = tmp_path / "scattering.json"
-    payload = dump_solution_json(solve_zero_energy(V, 5.0, 2000), V, path)
+    payload = dump_solution_json(solve_zero_energy(V, 5.0, 2000), path)
     if key.startswith("profile."):
         payload["profile"][key.partition(".")[2]][10] = bad
     else:
@@ -460,8 +461,8 @@ directory = {{outdir}}
     second = run_pipeline(cfg).summary["scattering"]["a0_tail"]
     assert second < first  # a lower well scatters less
     # the stored table rebuilds the edited potential
-    sol, V = load_solution_json(tmp_path / "out" / "scattering.json")
-    assert V.spec == {"family": "table", "r": [0.0, 1.0, 1.1, 2.0],
+    sol = load_solution_json(tmp_path / "out" / "scattering.json")
+    assert sol.potential.spec == {"family": "table", "r": [0.0, 1.0, 1.1, 2.0],
                       "v": [4.0, 4.0, 0.0, 0.0]}
     assert sol.a0 == second
 
@@ -877,10 +878,17 @@ phi0 = 1.0 0.0"""
      "exp.ini [grid]: points_per_axis must be a power of two >= 16"),
     ("points = 128", "points = 100",
      "exp.ini [kernels]: points_per_axis must be a power of two >= 16"),
+    ("dt = 2.5e-4", "dt = 2.5e-2",
+     "exp.ini [grid]: |dt| * k_max^2 = 63.2 exceeds the stability budget"),
+    ("dt = 2.5e-4", "dt = 3e-4",
+     "exp.ini [grid]: t_final must be a whole number of dt steps"),
+    ("t_star = 0.25", "t_star = 0.2501",
+     "exp.ini [nsweep] t_star: t_final must be a whole number of dt steps"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "gp-a0-and-coupling", "fock-d4",
-        "potential-pionts", "grid-points", "kernels-points"])
+        "potential-pionts", "grid-points", "kernels-points", "dt-unstable",
+        "dt-not-whole-steps", "t_star-not-whole-steps"])
 def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
                                                what):
     text = REFERENCE.read_text().replace(

@@ -12,10 +12,9 @@ from gpk.errors import (
     TruncationBudgetError,
 )
 from gpk.fock import (
-    FockVector,
+    ReducedDensity,
     ToyScenario,
     _displaced_densities,
-    all_ladders,
     annihilator_of,
     apply_bogoliubov,
     apply_weyl,
@@ -25,13 +24,13 @@ from gpk.fock import (
     basis_dimension,
     check_TNT_inequality,
     check_weyl_relations,
-    coherent_state,
     generator_cancellation_check,
     hamiltonian,
     ladder,
     mean_field_trajectory,
     number_expectation,
     poisson_shell_mass,
+    top_shell_share,
     toy_convergence_study,
     trace_distance_to_rank_one,
     vacuum,
@@ -47,11 +46,11 @@ def evolve_state(H, psi, t):
     """e^{-i H t} psi by Krylov action (dense-free at any desk dimension)."""
     if t == 0:
         return psi
-    return FockVector(
-        coefficients=expm_multiply(-1j * t * H, psi.coefficients),
-        basis=psi.basis,
-    )
+    return expm_multiply(-1j * t * H, psi)
 
+
+def coherent_state(basis, f):
+    return apply_weyl(basis, f, vacuum(basis))
 
 def fluctuation_dynamics(basis, H, phi_traj, K_traj, psi, t, leakage_tol=1e-6):
     """Five-factor fluctuation map applied to psi:
@@ -64,7 +63,7 @@ def fluctuation_dynamics(basis, H, phi_traj, K_traj, psi, t, leakage_tol=1e-6):
     tolerance, raises naming the factor.
     """
     def checked(vec, name):
-        leak = vec.top_shell_mass()
+        leak = top_shell_share(basis, vec)
         if leak > leakage_tol:
             raise TruncationBudgetError(
                 f"truncation leakage {leak:.3e} after factor {name}"
@@ -94,14 +93,13 @@ def product_state(basis, phi, n):
         for ni in occ:
             amp /= math.sqrt(math.factorial(int(ni)))
         c[i] = amp * np.prod(phi ** occ)
-    return FockVector(coefficients=c, basis=basis)
+    return c
 
 
-def reduced_density(psi):
+def reduced_density(basis, psi):
     """Gamma_ij = <psi, a_j^dag a_i psi> / <psi, N psi>, by the moments the
     toy study reads its densities from, at zero displacement."""
-    (gamma,) = _displaced_densities(
-        psi.basis, psi.coefficients[:, None], np.zeros((1, psi.basis.d)))
+    (gamma,) = _displaced_densities(basis, psi[:, None], np.zeros((1, basis.d)))
     return gamma
 
 
@@ -128,7 +126,7 @@ def test_basis_budget():
 def test_vacuum_annihilation_and_matrix_elements():
     b = build_basis(1, 6)
     a, ad = ladder(b, 0)
-    assert np.all(a @ vacuum(b).coefficients == 0)
+    assert np.all(a @ vacuum(b) == 0)
     dense = a.toarray()
     for n in range(1, 7):
         assert dense[n - 1, n] == pytest.approx(math.sqrt(n))
@@ -154,19 +152,19 @@ def loop_built_annihilator(basis, mode):
 @pytest.mark.parametrize("d, n_max", [(1, 12), (2, 9), (3, 6)])
 def test_cached_ladders_equal_loop_built_ones(d, n_max):
     b = build_basis(d, n_max)
-    ann, cre = all_ladders(b)
+    ann, cre = b.ladders
     for mode in range(d):
         ref = loop_built_annihilator(b, mode)
         assert (ann[mode] != ref).nnz == 0
         assert (cre[mode] != ref.conj().T.tocsr()).nnz == 0
         a, ad = ladder(b, mode)
         assert (a != ref).nnz == 0 and (ad != cre[mode]).nnz == 0
-    again, _ = all_ladders(b)
+    again, _ = b.ladders
     assert all(x is y for x, y in zip(ann, again))  # built once per basis
 
 
 def test_cached_ladders_are_read_only():
-    ann, cre = all_ladders(build_basis(2, 5))
+    ann, cre = build_basis(2, 5).ladders
     for op in (ann[0], cre[1]):
         for arr in (op.data, op.indices, op.indptr):
             with pytest.raises(ValueError):
@@ -175,7 +173,7 @@ def test_cached_ladders_are_read_only():
 
 def test_mode_products_are_the_ladder_products_built_once():
     b = build_basis(3, 6)
-    ann, cre = all_ladders(b)
+    ann, cre = b.ladders
     cubics = []
     for i, products in enumerate(b.mode_products):
         a, ad = ann[i], cre[i]
@@ -210,7 +208,7 @@ def test_annihilation_bounded_by_number_operator():
 def test_ccr_exact_below_cutoff():
     # exact up to the float representation of sqrt(n) products
     b = build_basis(2, 6)
-    ann, cre = all_ladders(b)
+    ann, cre = b.ladders
     below = b.totals() < b.n_max
     for i in range(2):
         for j in range(2):
@@ -233,7 +231,7 @@ def _tensor_hamiltonian(basis, h, v, coupling):
     for the on-site weights."""
     h = np.asarray(h, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    ann, cre = all_ladders(basis)
+    ann, cre = basis.ladders
     terms = [(h[i, j], cre[i] @ ann[j])
              for i, j in zip(*np.nonzero(h))]
     terms += [(0.5 * coupling * v[i, j, k, l],
@@ -333,7 +331,7 @@ def test_weyl_identity_and_components():
             * f[1] ** n2
             / math.sqrt(math.factorial(n1) * math.factorial(n2))
         )
-        assert abs(state.coefficients[idx] - expected) < 1e-10
+        assert abs(state[idx] - expected) < 1e-10
 
 
 def test_coherent_occupation_is_poisson():
@@ -342,11 +340,11 @@ def test_coherent_occupation_is_poisson():
     state = coherent_state(b, f)
     mu = float(np.sum(np.abs(f) ** 2))
     for n in range(8):
-        assert state.shell_mass(n) == pytest.approx(
+        assert np.sum(np.abs(state[b.shell_slices[n]]) ** 2) == pytest.approx(
             poisson_shell_mass(mu, n), abs=1e-10
         )
     # expected number of particles
-    assert number_expectation(state) == pytest.approx(mu, abs=1e-8)
+    assert number_expectation(b, state) == pytest.approx(mu, abs=1e-8)
 
 
 def test_weyl_budget_error():
@@ -362,7 +360,7 @@ def test_apply_weyl_matches_dense():
     psi = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     psi /= np.linalg.norm(psi)
     dense = weyl(b, f) @ psi
-    krylov = apply_weyl(b, f, FockVector(psi, b)).coefficients
+    krylov = apply_weyl(b, f, psi)
     assert np.max(np.abs(dense - krylov)) < 1e-9
 
 
@@ -372,7 +370,8 @@ def test_bogoliubov_identity_and_squeezed_number():
     for r in (0.1, 0.5):
         K = np.array([[r]])
         sq = apply_bogoliubov(b, K, vacuum(b))
-        assert number_expectation(sq) == pytest.approx(math.sinh(r) ** 2, abs=1e-8)
+        assert number_expectation(b, sq) == pytest.approx(math.sinh(r) ** 2,
+                                                          abs=1e-8)
 
 
 def test_apply_bogoliubov_matches_dense():
@@ -382,7 +381,7 @@ def test_apply_bogoliubov_matches_dense():
     psi = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     psi /= np.linalg.norm(psi)
     dense = bogoliubov(b, K) @ psi
-    krylov = apply_bogoliubov(b, K, FockVector(psi, b)).coefficients
+    krylov = apply_bogoliubov(b, K, psi)
     assert np.max(np.abs(dense - krylov)) < 1e-9
 
 
@@ -430,39 +429,37 @@ def test_reduced_density_product_and_coherent():
     b = build_basis(2, 10)
     phi = np.array([0.6, 0.8], dtype=complex)
     prod = product_state(b, phi, 6)
-    assert prod.norm() == pytest.approx(1.0, abs=1e-12)
-    gamma = reduced_density(prod)
+    assert np.linalg.norm(prod) == pytest.approx(1.0, abs=1e-12)
+    gamma = reduced_density(b, prod)
     assert np.max(np.abs(gamma.matrix - np.outer(phi, phi.conj()))) < 1e-12
 
     f = math.sqrt(1.5) * phi
     coh = coherent_state(b, f)
-    gamma2 = reduced_density(coh)
+    gamma2 = reduced_density(b, coh)
     assert np.max(np.abs(gamma2.matrix - np.outer(phi, phi.conj()))) < 1e-8
     assert np.trace(gamma2.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     with pytest.raises(DomainError):
-        reduced_density(vacuum(b))
+        reduced_density(b, vacuum(b))
 
 
 def test_trace_distance_cases():
     b = build_basis(2, 8)
     phi = np.array([1.0, 0.0], dtype=complex)
     perp = np.array([0.0, 1.0], dtype=complex)
-    gamma = reduced_density(product_state(b, phi, 4))
-    assert trace_distance_to_rank_one(gamma, phi).trace_distance < 1e-12
-    assert trace_distance_to_rank_one(gamma, perp).trace_distance == pytest.approx(
-        2.0, abs=1e-12
-    )
+    gamma = reduced_density(b, product_state(b, phi, 4))
+    assert trace_distance_to_rank_one(gamma, phi) < 1e-12
+    assert trace_distance_to_rank_one(gamma, perp) == pytest.approx(2.0, abs=1e-12)
     rng = np.random.default_rng(23)
     for _ in range(20):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        from gpk.fock import ReducedDensity
-
-        cmp = trace_distance_to_rank_one(ReducedDensity(rho), phi)
-        assert cmp.trace_distance >= cmp.hs_norm - 1e-12
-        assert cmp.trace_distance <= 2 * cmp.hs_norm + 1e-12
+        # the trace norm lies between the Hilbert-Schmidt norm and twice it
+        hs = np.linalg.norm(rho - np.outer(phi, phi.conj()))
+        dist = trace_distance_to_rank_one(ReducedDensity(rho), phi)
+        assert dist >= hs - 1e-12
+        assert dist <= 2 * hs + 1e-12
 
 
 def test_weyl_relations_report():
@@ -502,7 +499,7 @@ def test_fluctuation_identity_at_t0():
     out = fluctuation_dynamics(
         b, H, lambda t: math.sqrt(1.5) * phi0, None, psi, 0.0
     )
-    assert np.max(np.abs(out.coefficients - psi.coefficients)) < 1e-9
+    assert np.max(np.abs(out - psi)) < 1e-9
 
 
 def test_fluctuation_free_coherent_stays_vacuum():
@@ -521,7 +518,7 @@ def test_fluctuation_free_coherent_stays_vacuum():
         return math.sqrt(2.0) * (prop @ phi0)
 
     out = fluctuation_dynamics(b, H, f_traj, None, vacuum(b), 0.7)
-    assert number_expectation(out) < 1e-8
+    assert number_expectation(b, out) < 1e-8
 
 
 def _einsum_orbit(h, v, g, phi0, t_final, dt):
@@ -619,7 +616,7 @@ def test_evolve_state_unitary():
     H = hamiltonian(b, h, np.array([1.0, 1.0]), coupling=0.4)
     psi = coherent_state(b, np.array([0.7, 0.3]))
     out = evolve_state(H, psi, 1.3)
-    assert out.norm() == pytest.approx(psi.norm(), abs=1e-10)
+    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(psi), abs=1e-10)
 
 
 def test_fluctuation_leakage_names_factor():
@@ -639,8 +636,8 @@ def test_evolve_state_matches_dense_oracle():
     H = hamiltonian(b, h, np.array([0.8, 1.1]), coupling=0.5)
     psi = coherent_state(b, np.array([0.5, 0.4j]))
     t = 0.9
-    dense = expm(-1j * t * H.toarray()) @ psi.coefficients
-    krylov = evolve_state(H, psi, t).coefficients
+    dense = expm(-1j * t * H.toarray()) @ psi
+    krylov = evolve_state(H, psi, t)
     assert np.max(np.abs(dense - krylov)) < 1e-9
 
 
@@ -691,8 +688,8 @@ def _lab_frame_study(scenario):
         lab = evolve_state(H, apply_weyl(b, f_traj(0.0), apply_bogoliubov(
             b, k_traj(0.0), vacuum(b))), scenario.t_final)
         distances.append(trace_distance_to_rank_one(
-            reduced_density(lab), orbit[-1]).trace_distance)
-        numbers.append(number_expectation(fluctuation_dynamics(
+            reduced_density(b, lab), orbit[-1]))
+        numbers.append(number_expectation(b, fluctuation_dynamics(
             b, H, f_traj, k_traj, vacuum(b), scenario.t_final)))
     return np.array(distances), np.array(numbers)
 
@@ -750,6 +747,44 @@ def test_toy_study_step_leakage_names_time_and_N(monkeypatch):
     with pytest.raises(TruncationBudgetError,
                        match=r"after the step to t = 0\.004 at N = 4$"):
         toy_convergence_study(reference_scenario(kappa0=0.0))
+
+
+def test_top_shell_share_of_a_block_is_the_share_of_each_column():
+    b = build_basis(2, 8)
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((b.dim, 2)) + 1j * rng.standard_normal((b.dim, 2))
+    shares = top_shell_share(b, block)
+    assert shares.shape == (2,)
+    for share, column in zip(shares, block.T):
+        alone = top_shell_share(b, column)
+        assert isinstance(alone, float)
+        assert share == pytest.approx(alone, rel=1e-14)
+    assert top_shell_share(b, vacuum(b)) == 0.0
+
+
+def test_toy_study_leakage_of_one_column_names_its_step_and_N(monkeypatch):
+    # with LEAKAGE_TOL between the columns' shares after the step to
+    # t = 0.004, the first step whose top shell fills, only the column with
+    # the largest share passes it, and the study names that step and its N
+    import gpk.fock as fock
+
+    scenario = reference_scenario(kappa0=0.0)
+    seen = []
+
+    def recording(basis, psi):
+        seen.append(top_shell_share(basis, psi))
+        return seen[-1]
+
+    monkeypatch.setattr(fock, "top_shell_share", recording)
+    toy_convergence_study(scenario)
+    shares = seen[2]  # after T(k_0), the step to t = 0.002, then t = 0.004
+    second, first = np.sort(shares)[-2:]
+    assert 0.0 < second < first
+    monkeypatch.setattr(fock, "LEAKAGE_TOL", float(second + first) / 2)
+    leaky = scenario.N_list[int(np.argmax(shares))]
+    with pytest.raises(TruncationBudgetError,
+                       match=rf"after the step to t = 0\.004 at N = {leaky}$"):
+        toy_convergence_study(scenario)
 
 
 @pytest.mark.parametrize("dense", [

@@ -18,12 +18,12 @@ from gpk.kernels import (
     hyperbolic_series,
     kernel_bound_report,
     kernel_hs_norms,
-    zero_energy_cancellation_residual,
 )
 from gpk.radial import radial_hat
 from gpk.scattering import (
     RadialPotential,
     _simpson_weights,
+    equation_defect_residual,
     scaled_profile,
     solve_zero_energy,
 )
@@ -317,16 +317,13 @@ def test_bound_report_flat_in_1d_has_entries(square_sol):
 
 
 def test_cancellation_residual(square_sol):
-    V = square_sol.potential
-    assert zero_energy_cancellation_residual(square_sol, V, 1) <= 1e-6
-    r1 = zero_energy_cancellation_residual(square_sol, V, 1)
-    assert zero_energy_cancellation_residual(square_sol, V, 4) == pytest.approx(
-        64 * r1, rel=1e-12
-    )
-    with pytest.raises(DomainError):
-        zero_energy_cancellation_residual(
-            square_sol, RadialPotential.square_well(8.0, 1.0), 1
-        )
+    # each report entry carries the profile's equation defect at its N
+    phi = gaussian_datum(kgrid(n=64, L=16.0), sigma=1.0)
+    r1, r4 = (rep.cancellation_residual
+              for rep in kernel_bound_report(phi, square_sol, [1, 4]))
+    assert [r1, r4] == [equation_defect_residual(square_sol, N) for N in (1, 4)]
+    assert r1 <= 1e-6
+    assert r4 == pytest.approx(64 * r1, rel=1e-12)
 
 
 def test_gradient_bound_of_series_terms(square_sol):

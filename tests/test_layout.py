@@ -10,7 +10,8 @@ are reached with it.  Matching by name over-approximates what is reached, so
 live code is never reported as dead.  There are no exceptions.
 
 Every dataclass field of gpk must be read, matched by name as an attribute,
-in `src/`, `tests/test_acceptance.py` or `perfbench/`.  No comparison in
+in `src/`, `tests/test_acceptance.py` or `perfbench/`; a call `x.name()`
+reads no field where a gpk class has a method `name`.  No comparison in
 `bench`, `dynamics`, `fock` or `scattering` may write the value of a
 `gpk.budgets` budget as a literal.
 
@@ -129,27 +130,44 @@ def test_every_definition_is_reached_from_the_cli_the_stages_or_acceptance():
     assert unreached_definitions() == []
 
 
-def _dataclass_fields():
-    """(module.Class, field) of every dataclass field of gpk."""
+def _classes():
+    """(module name, class node) of every top-level class of gpk."""
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(stmt, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d) for d in stmt.decorator_list):
-                yield from ((f"{path.stem}.{stmt.name}", item.target.id)
-                            for item in stmt.body
-                            if isinstance(item, ast.AnnAssign)
-                            and isinstance(item.target, ast.Name))
+            if isinstance(stmt, ast.ClassDef):
+                yield path.stem, stmt
+
+
+def _dataclass_fields():
+    """(module.Class, field) of every dataclass field of gpk."""
+    for module, cls in _classes():
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            yield from ((f"{module}.{cls.name}", item.target.id)
+                        for item in cls.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name))
 
 
 def test_every_dataclass_field_is_read():
     # a field is read where its name is loaded as an attribute in src/, in
-    # tests/test_acceptance.py or in perfbench/; unit tests do not count
+    # tests/test_acceptance.py or in perfbench/; unit tests do not count, and
+    # nor does a call x.name() where a gpk class has a method `name`
+    methods = {item.name for _, cls in _classes() for item in cls.body
+               if isinstance(item, ast.FunctionDef)}
     sources = [*sorted((ROOT / "src").rglob("*.py")),
                ROOT / "tests" / "test_acceptance.py",
                *sorted((ROOT / "perfbench").glob("*.py"))]
-    read = {node.attr for path in sources
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        method_calls = {id(node.func) for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in methods}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and id(node) not in method_calls}
     assert [f"{owner}.{name}" for owner, name in _dataclass_fields()
             if name not in read] == []
 

@@ -235,7 +235,7 @@ def test_interaction_table_spline_matches_scipy_bit_for_bit(
 ], ids=["three", "decreasing", "inf", "nan", "non-uniform"])
 def test_spline_table_refuses_bad_momenta(p, what):
     with pytest.raises(DomainError, match=what):
-        RadialTransformTable(p=p, values=np.ones(p.size), dim=1)
+        RadialTransformTable(p=p, values=np.ones(p.size))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -243,12 +243,12 @@ def test_spline_table_refuses_non_finite_values(bad):
     values = np.ones(8)
     values[3] = bad
     with pytest.raises(DomainError, match="finite values"):
-        RadialTransformTable(p=np.linspace(0.0, 1.0, 8), values=values, dim=1)
+        RadialTransformTable(p=np.linspace(0.0, 1.0, 8), values=values)
 
 
 def test_spline_table_refuses_momenta_beyond_its_range():
     table = RadialTransformTable(p=np.linspace(0.0, 2.0, 8),
-                                 values=np.linspace(1.0, 0.0, 8), dim=1)
+                                 values=np.linspace(1.0, 0.0, 8))
     assert table(np.array([-2.0, 2.0])).shape == (2,)
     with pytest.raises(DomainError, match="outside the tabulated range"):
         table(np.array([1.0, 2.001]))

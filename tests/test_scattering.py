@@ -24,7 +24,7 @@ A0_SQUARE_WELL = 1.0 - math.tanh(2.0) / 2.0  # V0 = 8, R = 1 -> kappa = 2
 @pytest.fixture(scope="module")
 def square_sol():
     V = RadialPotential.square_well(8.0, 1.0)
-    return solve_zero_energy(V, r_max=5.0, n_points=4000), V
+    return solve_zero_energy(V, r_max=5.0, n_points=4000)
 
 
 def test_free_case_is_trivial():
@@ -33,21 +33,21 @@ def test_free_case_is_trivial():
     assert np.allclose(sol.f, 1.0, atol=1e-12)
     assert np.allclose(sol.w, 0.0, atol=1e-12)
     assert abs(sol.a0) < 1e-12
-    assert scattering_length_integral(sol, V) == 0.0
+    assert scattering_length_integral(sol) == 0.0
     cert = verify_w_bounds(sol)
     assert cert.c1_hat < 1e-12 and cert.c2_hat < 1e-12
 
 
 def test_square_well_matches_analytic_a0(square_sol):
-    sol, _ = square_sol
+    sol = square_sol
     assert abs(sol.a0 - A0_SQUARE_WELL) / A0_SQUARE_WELL < 1e-6
     assert abs(sol.a0_derivative - A0_SQUARE_WELL) / A0_SQUARE_WELL < 1e-6
     assert sol.ode_residual <= 1e-8
 
 
 def test_square_well_dual_definition_agreement(square_sol):
-    sol, V = square_sol
-    a0_int = scattering_length_integral(sol, V)
+    sol = square_sol
+    a0_int = scattering_length_integral(sol)
     assert abs(a0_int - sol.a0) / sol.a0 < 1e-6
 
 
@@ -62,14 +62,14 @@ def test_weak_gaussian_matches_born_oracle():
 
 
 def test_exterior_profile_is_a0_over_r(square_sol):
-    sol, _ = square_sol
+    sol = square_sol
     outside = sol.r_grid > 1.0
     r = sol.r_grid[outside]
     assert np.max(np.abs(sol.w[outside] - sol.a0 / r)) < 1e-8
 
 
 def test_w_bounds_certificate(square_sol):
-    sol, _ = square_sol
+    sol = square_sol
     cert = verify_w_bounds(sol)
     assert cert.w_within_unit
     assert np.min(sol.w) >= -1e-12 and np.max(sol.w) <= 1.0
@@ -82,7 +82,7 @@ def test_w_bounds_certificate(square_sol):
 def test_w_certificate_is_tighter_than_the_solver(square_sol):
     # the solver takes a w that leaves [0, 1] by up to W_BOUND_SLACK; the
     # certificate of scattering.json holds it to ROUNDOFF_SLACK, so it can fail
-    sol, _ = square_sol
+    sol = square_sol
     low = replace(sol, w=sol.w - np.min(sol.w) - 10 * ROUNDOFF_SLACK)
     assert -W_BOUND_SLACK < np.min(low.w) < -ROUNDOFF_SLACK
     assert not verify_w_bounds(low).w_within_unit
@@ -101,14 +101,14 @@ def test_hard_well_keeps_w_below_one():
 
 
 def test_f_monotone_and_w_decreasing_outside(square_sol):
-    sol, _ = square_sol
+    sol = square_sol
     assert np.all(np.diff(sol.f) >= -1e-12)
     outside = sol.r_grid >= 1.0
     assert np.all(np.diff(sol.w[outside]) <= 1e-12)
 
 
 def test_tail_consistency(square_sol):
-    sol, _ = square_sol
+    sol = square_sol
     assert sol.tail_fit_error < 1e-8
     r_max = sol.r_grid[-1]
     assert abs(sol.f[-1] - 1.0) <= sol.a0 / r_max + 1e-8
