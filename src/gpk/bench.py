@@ -30,13 +30,16 @@ import numpy as np
 from . import budgets, fieldio
 from .dynamics import (
     GridSpec,
+    Members,
     NonlinearitySpec,
+    Trajectory,
     WaveFunction,
-    compare_dynamics,
     constant_datum,
-    evolve,
     gaussian_datum,
     sobolev_report,
+    step_members,
+    sweep_members,
+    sweep_rate,
     tail_warnings,
     time_steps,
 )
@@ -486,11 +489,16 @@ class _Inputs:
     """Numerical inputs of the stages, each built on first use, so a run of
     cache hits builds none.  The profile is always read back from
     scattering.json: a stage sees the same V and f whether the scattering
-    stage ran now or in an earlier run."""
+    stage ran now or in an earlier run.  `stepped` maps each stage with
+    members that missed to its `Members` and their (times, stacks): the
+    driver steps the evolve and nsweep members in one `step_members` call,
+    which shares one step loop between them when [grid] t_final and
+    [nsweep] t_star are the same number of dt steps."""
 
     def __init__(self, cfg: ExperimentConfig, outdir: Path):
         self.cfg = cfg
         self.outdir = outdir
+        self.stepped = {}
 
     @functools.cached_property
     def sol(self):
@@ -501,6 +509,11 @@ class _Inputs:
     @functools.cached_property
     def grid(self) -> GridSpec:
         return grid_from_config(self.cfg)
+
+    @functools.cached_property
+    def datum(self) -> WaveFunction:
+        """The [datum] field on the [grid]; evolve and nsweep start from it."""
+        return datum_from_config(self.cfg, self.grid)
 
     @functools.cached_property
     def interaction(self) -> NonlinearitySpec:
@@ -542,17 +555,23 @@ def _summarize_scattering(scattering_json, scattering_csv, summary_json):
                      if summary["a0_tail"] < budgets.DEGENERATE_FLOOR else [])
 
 
+def _evolve_members(inp: _Inputs) -> Members:
+    """The one modified-GP (or GP) member of the evolve stage, with snapshots."""
+    return Members(inp.datum, (_nonlinearity(inp),), ("",), snapshots=True,
+                   stride=inp.cfg.get("snapshots", "stride"))
+
+
 def _run_evolve(inp: _Inputs, norms_csv) -> None:
-    snapshots = inp.cfg.values["snapshots"]
-    nl = _nonlinearity(inp)
-    traj = evolve(datum_from_config(inp.cfg, inp.grid), nl, inp.grid,
-                  snapshot_stride=snapshots["stride"])
+    members, times, stacks = inp.stepped["evolve"]
+    [nl], grid = members.nls, members.psi0.grid
+    traj = Trajectory(np.array(times),
+                      [WaveFunction(values=stack[0], grid=grid) for stack in stacks])
     rep = sobolev_report(traj, nl)
     columns = [traj.times, [s.l2_norm for s in traj.states], rep.energy,
                *(rep.h_norms[n] for n in (1, 2, 3, 4)), rep.tail_mass]
     _write_csv(norms_csv, _NORMS_COLUMNS,
                ([repr(float(x)) for x in row] for row in zip(*columns)))
-    if snapshots["fields"]:
+    if inp.cfg.get("snapshots", "fields"):
         for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
             fieldio.write_field(inp.outdir / f"field_{idx:04d}.bin", state,
                                 float(t))
@@ -567,12 +586,17 @@ def _summarize_evolve(norms_csv):
                                   [float(r["tail_mass"]) for r in rows])
 
 
-def _run_nsweep(inp: _Inputs, rates_csv) -> None:
+def _nsweep_members(inp: _Inputs) -> Members:
+    """The limiting GP and each N of [nsweep], to t_star."""
     sweep = inp.cfg.values["nsweep"]
     a0 = inp.sol.a0 if inp.grid.dim == 3 else None
-    rep = compare_dynamics(datum_from_config(inp.cfg, inp.grid), a0,
-                           inp.interaction.uhat, sweep["n_values"],
-                           sweep["t_star"])
+    return sweep_members(inp.datum, a0, inp.interaction.uhat,
+                         sweep["n_values"], sweep["t_star"])
+
+
+def _run_nsweep(inp: _Inputs, rates_csv) -> None:
+    members, _, stacks = inp.stepped["nsweep"]
+    rep = sweep_rate(members, stacks[-1])
     _write_csv(rates_csv, ["N", "l2_difference", "slope"],
                ([int(n), repr(float(y)), repr(rep.slope)]
                 for n, y in zip(rep.x, rep.y)))
@@ -609,6 +633,7 @@ class Stage:
     outputs: tuple       # its files under the output directory
     run: Callable        # run(inputs, *output paths), on a cache miss only
     summarize: Callable  # (*output paths) -> (summary or None, flags)
+    members: Callable | None = None  # members(inputs) -> the Members it steps
 
 
 STAGES = (
@@ -617,9 +642,9 @@ STAGES = (
           _run_scattering, _summarize_scattering),
     Stage("evolve", ("grid", "datum"),
           ("grid", "datum", "nonlinearity", "snapshots"), ("scattering",),
-          ("norms.csv",), _run_evolve, _summarize_evolve),
+          ("norms.csv",), _run_evolve, _summarize_evolve, _evolve_members),
     Stage("nsweep", ("nsweep",), ("grid", "datum", "nsweep"), ("scattering",),
-          ("rates.csv",), _run_nsweep, _summarize_nsweep),
+          ("rates.csv",), _run_nsweep, _summarize_nsweep, _nsweep_members),
     Stage("kernels", ("kernels",), ("kernels",), ("scattering",),
           ("kernel_bounds.csv",), _run_kernels, lambda path: (None, [])),
     Stage("fock", ("fock",), ("fock",), (),
@@ -639,28 +664,56 @@ def _plan(cfg: ExperimentConfig, wanted) -> list:
             if s.name in take and all(cfg.has(sec) for sec in s.switch)]
 
 
+def _step_together(inp: _Inputs, stages) -> dict:
+    """Stage name -> its Members, times and stacks, for the members of every
+    stage of `stages` stepped by one `step_members` call; an error names the
+    stage before the member."""
+    runs = [stage.members(inp) for stage in stages]
+    runs = [replace(run, labels=tuple(f"{stage.name} {label}".rstrip()
+                                      for label in run.labels))
+            for stage, run in zip(stages, runs)]
+    return {stage.name: (run, *stepped) for stage, run, stepped
+            in zip(stages, runs, step_members(runs))}
+
+
 def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundle:
     """Run the configured stages among `stages` (all if None) and the
     upstream stages they need, with caching; report.json lists the stages
     this invocation ran, hit or miss, with their artifacts, summaries and
-    flags."""
+    flags.
+
+    Before a stage runs, every stage whose upstream is done is keyed and
+    found a hit or a miss, and the members of the misses among them are
+    stepped together, so the evolve and nsweep misses share one step loop.
+    A hit adds no member."""
     outdir = Path(outdir or cfg.get("output", "directory"))
     plan = _plan(cfg, stages)
+    outputs = {s.name: [outdir / name for name in s.outputs] for s in plan}
     outdir.mkdir(parents=True, exist_ok=True)
     inputs = _Inputs(cfg, outdir)
-    digests, artifacts, summary, flags = {}, {}, {}, []
+    keys, misses, digests, artifacts, summary, flags = {}, set(), {}, {}, {}, []
     for stage in plan:
-        paths = [outdir / name for name in stage.outputs]
-        key = _hash_text(
-            stage.name, _source_digest(),
-            *(_section_key(cfg, section) for section in stage.sections),
-            *(digests[name] for name in stage.needs if name in digests),
-        )
-        marker = outdir / f"{stage.name}.hash"
-        if not (marker.exists() and marker.read_text().strip() == key
-                and all(p.exists() for p in paths)):
+        if stage.name not in keys:  # it and every stage ready with it
+            ready = [s for s in plan if s.name not in keys and all(
+                name in digests for name in s.needs if name in outputs)]
+            for s in ready:
+                keys[s.name] = _hash_text(
+                    s.name, _source_digest(),
+                    *(_section_key(cfg, section) for section in s.sections),
+                    *(digests[name] for name in s.needs if name in digests),
+                )
+                marker = outdir / f"{s.name}.hash"
+                if not (marker.exists()
+                        and marker.read_text().strip() == keys[s.name]
+                        and all(p.exists() for p in outputs[s.name])):
+                    misses.add(s.name)
+            stepping = [s for s in ready if s.name in misses and s.members]
+            if stepping:
+                inputs.stepped.update(_step_together(inputs, stepping))
+        paths = outputs[stage.name]
+        if stage.name in misses:
             stage.run(inputs, *paths)
-            marker.write_text(key + "\n")
+            (outdir / f"{stage.name}.hash").write_text(keys[stage.name] + "\n")
         digests[stage.name] = _hash_text(*map(_hash_file, paths))
         artifacts[stage.name] = [str(p) for p in paths]
         stage_summary, stage_flags = stage.summarize(*paths)

@@ -20,11 +20,16 @@ cached between calls.  `sobolev_report` takes one fftn of phi and one rfftn
 of |phi|^2 per snapshot and reads the Sobolev norms, the kinetic term and
 the spectral tail from per-axis moments of |phi_hat|^2 (a contraction one
 grid axis at a time, no full-grid table; the energy adds the density
-term).  One step loop advances a stack of fields (leading member axis, one nonlinearity
-each): `evolve` is its one-member case, and `compare_dynamics` steps the
-limiting reference and every N of the sweep together.  `scipy.fft` is
-imported by the functions that transform, so importing this module loads
-numpy alone.
+term).  One step loop, `_propagate`, advances a stack of fields (leading
+member axis, one nonlinearity each) and keeps intermediate snapshots of a
+leading slice of members only: `evolve` is its one-member case, and
+`step_members` steps several sets of `Members` (a trajectory with
+snapshots, an N sweep with its final states only) in one call when they
+take the same number of steps.  A member's result is bit-identical whether
+it steps alone or in a stack, so sharing a call changes no bit and pays the
+per-call overhead of a step once.  `compare_dynamics` is `sweep_members`,
+then `step_members`, then `sweep_rate`.  `scipy.fft` is imported by the
+functions that transform, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -411,14 +416,17 @@ def evolve(
     return Trajectory(np.array(times), states)
 
 
-def _propagate(values, nls, labels, grid: GridSpec, stride=None):
+def _propagate(values, nls, labels, grid: GridSpec, stride=None, tracked=None):
     """Strang steps of a stack of fields to grid.t_final, member i (leading
-    axis) under nls[i], with a snapshot every `stride` steps (default: 16
-    per run) and at the end; returns the snapshot times and stacks.
+    axis) under nls[i]; returns the snapshot times and stacks.  The first
+    stack is a copy of `values` and the last the final stack.  In between,
+    every `stride` steps (default: 16 per run), sits a snapshot of the
+    leading `tracked` members only (default: all; with none, no snapshot is
+    taken between the datum and the end).
 
     Each member is checked on its own (finite unit-norm datum, the norm
     monitor after every step), and an error names the failing member by its
-    label.  The first snapshot is a copy of `values`.
+    label.
     """
 
     def named(i, message):
@@ -436,6 +444,7 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
     if stride is not None and stride < 1:
         raise ConfigurationError(f"snapshot stride {stride} must be >= 1")
     stride = stride or max(1, n_steps // 16)
+    tracked = len(values) if tracked is None else tracked
     stepper = _Stepper(grid, nls)
     times = [0.0]
     stacks = [values.copy()]
@@ -462,13 +471,69 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None):
                 raise InvariantViolation(named(
                     i, f"L2 norm drifted to {norm!r} at t = {step * grid.dt}, "
                     f"beyond NORM_TOL = {NORM_TOL:g}"))
-        if last_step or step % stride == 0:
+        if last_step or (tracked and step % stride == 0):
             times.append(step * grid.dt)
             stacks.append(
                 vals if last_step
-                else stepper.drift(vals, np.conj(stepper.half_drift))
+                # the slice is a view: a whole-stack snapshot copies nothing more
+                else stepper.drift(vals[:tracked], np.conj(stepper.half_drift))
             )
     return times, stacks
+
+
+@dataclass(frozen=True)
+class Members:
+    """Fields stepped from one datum to psi0.grid.t_final, member i under
+    nls[i] and named by labels[i] in an error.  With `snapshots`, they keep
+    one every `stride` steps (default: 16 per run); without, only the datum
+    and the final state."""
+
+    psi0: WaveFunction
+    nls: tuple
+    labels: tuple
+    snapshots: bool = False
+    stride: Optional[int] = None
+
+
+def step_members(runs) -> list:
+    """(times, stacks) of each of `runs` (`Members`), as `_propagate` returns
+    them for its members alone.
+
+    Runs whose grids differ at most in t_final and that take the same number
+    of steps share one `_propagate` call, a run with snapshots leading its
+    stack (at most one per call).  A member steps bit-identically alone or
+    in a stack, so sharing changes no result; it pays the per-step overhead
+    of the FFT and numpy calls once for all of them.
+    """
+    calls = []  # (grid without t_final, steps), run indices; one per call
+    for i in sorted(range(len(runs)), key=lambda i: not runs[i].snapshots):
+        grid = runs[i].psi0.grid
+        key = (replace(grid, t_final=0.0), time_steps(grid))
+        call = None if runs[i].snapshots else next(
+            (members for k, members in calls if k == key), None)
+        if call is None:
+            calls.append((key, [i]))
+        else:
+            call.append(i)
+    results = [None] * len(runs)
+    for _, members in calls:
+        group = [runs[i] for i in members]
+        lead = group[0]
+        times, stacks = _propagate(
+            np.stack([run.psi0.values for run in group for _ in run.nls]),
+            [nl for run in group for nl in run.nls],
+            [label for run in group for label in run.labels],
+            lead.psi0.grid, lead.stride,
+            tracked=len(lead.nls) if lead.snapshots else 0)
+        start = 0
+        for i, run in zip(members, group):
+            part = slice(start, start + len(run.nls))
+            start = part.stop
+            results[i] = ((times, [stack[part] for stack in stacks])
+                          if run.snapshots else
+                          ([times[0], times[-1]], [stacks[0][part],
+                                                   stacks[-1][part]]))
+    return results
 
 
 def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
@@ -525,6 +590,40 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
     )
 
 
+def sweep_members(
+    psi0: WaveFunction,
+    a0: Optional[float],
+    uhat: RadialTransformTable,
+    N_list,
+    t_star: float,
+) -> Members:
+    """The members of the N sweep at t_star: the limiting GP (contact
+    coupling 8 pi a0, or uhat(0) without a0), then the modified equation for
+    each N of `N_list`, at least 4 geometrically spaced values."""
+    N_list = [int(N) for N in N_list]
+    if len(N_list) < 4:
+        raise ConfigurationError("need at least 4 values of N")
+    ratios = [N_list[i + 1] / N_list[i] for i in range(len(N_list) - 1)]
+    if any(abs(r - ratios[0]) > RATIO_SLACK * ratios[0] for r in ratios):
+        raise ConfigurationError("N values must be geometrically spaced (RATIO_SLACK)")
+    g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
+    nls = [NonlinearitySpec(kind="gp", coupling=g, a0=a0)]
+    nls += [NonlinearitySpec(kind="modified", coupling=uhat.at_zero, a0=a0,
+                             N=N, uhat=uhat) for N in N_list]
+    grid = replace(psi0.grid, t_final=t_star)
+    return Members(WaveFunction(values=psi0.values, grid=grid), tuple(nls),
+                   ("limiting GP", *(f"N = {N}" for N in N_list)))
+
+
+def sweep_rate(sweep: Members, final: np.ndarray) -> RateReport:
+    """The fitted rate of each N member's L2 distance from the limiting GP,
+    from the final stack of the sweep's members."""
+    grid = sweep.psi0.grid
+    ref, *finals = (WaveFunction(values=v, grid=grid) for v in final)
+    return fit_rate([nl.N for nl in sweep.nls[1:]],
+                    [l2_distance(state, ref) for state in finals])
+
+
 def compare_dynamics(
     psi0: WaveFunction,
     a0: Optional[float],
@@ -538,27 +637,6 @@ def compare_dynamics(
     pair-counting factor).  At t_star = 0, or with every distance at
     round-off, `fit_rate` reports a NaN slope.
     """
-    N_list = [int(N) for N in N_list]
-    if len(N_list) < 4:
-        raise ConfigurationError("need at least 4 values of N")
-    ratios = [N_list[i + 1] / N_list[i] for i in range(len(N_list) - 1)]
-    if any(abs(r - ratios[0]) > RATIO_SLACK * ratios[0] for r in ratios):
-        raise ConfigurationError("N values must be geometrically spaced (RATIO_SLACK)")
-
-    grid = replace(psi0.grid, t_final=t_star)
-    psi0 = WaveFunction(values=psi0.values, grid=grid)
-    if t_star == 0:
-        return fit_rate(N_list, [0.0] * len(N_list))
-
-    g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
-    nls = [NonlinearitySpec(kind="gp", coupling=g, a0=a0)]
-    nls += [NonlinearitySpec(kind="modified", coupling=uhat.at_zero, a0=a0,
-                             N=N, uhat=uhat) for N in N_list]
-    labels = ["limiting GP"] + [f"N = {N}" for N in N_list]
-    # the reference and every N member step together
-    stacked = np.stack([psi0.values] * len(nls))
-    _, stacks = _propagate(stacked, nls, labels, grid)
-    ref_final, *finals = (WaveFunction(values=v, grid=grid) for v in stacks[-1])
-    diffs = [l2_distance(final, ref_final) for final in finals]
-
-    return fit_rate(N_list, diffs)
+    sweep = sweep_members(psi0, a0, uhat, N_list, t_star)
+    [(_, stacks)] = step_members([sweep])
+    return sweep_rate(sweep, stacks[-1])

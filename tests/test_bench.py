@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpk import bench, fock
+from gpk import bench, dynamics, fock
 from gpk.bench import (
     load_config,
     load_solution_json,
@@ -17,8 +17,8 @@ from gpk.bench import (
     write_scattering_csv,
 )
 from gpk.cli import main as cli_main
-from gpk.dynamics import GridSpec, WaveFunction, gaussian_datum
-from gpk.errors import ConfigurationError, DomainError
+from gpk.dynamics import GridSpec, NonlinearitySpec, WaveFunction, gaussian_datum
+from gpk.errors import ConfigurationError, DomainError, NumericalBlowupError
 from gpk.fieldio import read_field, write_field
 from gpk.rates import fit_rate
 from gpk.scattering import RadialPotential, solve_zero_energy
@@ -441,6 +441,111 @@ def test_fresh_and_partial_warm_runs_give_identical_artifacts(tmp_path):
     assert (outdir / "scattering.json").stat().st_mtime_ns == scatter_mtime
     for name in names:
         assert (outdir / name).read_bytes() == fresh[name], name
+
+
+# the evolve stage with field dumps, 100 steps as the nsweep stage takes
+DYNAMICS_CONFIG = BASE_CONFIG + "\n[snapshots]\nstride = 10\nfields = yes\n"
+
+
+def artifact_bytes(outdir):
+    """Every file of a run but the `*.hash` markers, by name."""
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())
+            if p.suffix != ".hash"}
+
+
+def recording_members(monkeypatch):
+    """Per `_propagate` call its member count, and per `step_members` call
+    the labels of the members the pipeline passes, each in a list."""
+    counts, labels = [], []
+    propagate, step_members = dynamics._propagate, bench.step_members
+
+    def counted(values, *args, **kwargs):
+        counts.append(len(values))
+        return propagate(values, *args, **kwargs)
+
+    def labelled(runs):
+        labels.append([label for run in runs for label in run.labels])
+        return step_members(runs)
+
+    monkeypatch.setattr(dynamics, "_propagate", counted)
+    monkeypatch.setattr(bench, "step_members", labelled)
+    return counts, labels
+
+
+SWEEP_LABELS = ["nsweep limiting GP", "nsweep N = 8", "nsweep N = 16",
+                "nsweep N = 32", "nsweep N = 64"]
+
+
+def test_deleting_one_dynamics_hash_keeps_every_artifact(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, DYNAMICS_CONFIG))
+    outdir = run_pipeline(cfg).outdir
+    fresh = artifact_bytes(outdir)
+    assert "field_0010.bin" in fresh
+    counts, labels = recording_members(monkeypatch)
+    for stage, output, other in (("evolve", "norms.csv", "rates.csv"),
+                                 ("nsweep", "rates.csv", "norms.csv")):
+        (outdir / f"{stage}.hash").unlink()
+        stamps = {name: (outdir / name).stat().st_mtime_ns
+                  for name in (output, other)}
+        run_pipeline(cfg)
+        assert artifact_bytes(outdir) == fresh, stage
+        # the stage reran alone; the other one was a hit and added no member
+        assert (outdir / output).stat().st_mtime_ns != stamps[output]
+        assert (outdir / other).stat().st_mtime_ns == stamps[other]
+    assert labels == [["evolve"], SWEEP_LABELS]
+    assert counts == [1, 5]
+
+
+@pytest.mark.parametrize("t_star, counts", [("0.1", [6]), ("0.05", [1, 5])],
+                         ids=["equal-steps", "unequal-steps"])
+def test_shared_or_not_each_stage_writes_its_own_artifacts(
+        tmp_path, monkeypatch, t_star, counts):
+    # evolve and nsweep share one step loop only when [grid] t_final and
+    # [nsweep] t_star are the same number of steps; either way each writes
+    # the bytes it writes when it runs alone
+    text = DYNAMICS_CONFIG.replace("t_star = 0.1", f"t_star = {t_star}")
+    cfg = load_config(write_config(tmp_path, text))
+    stepped, labels = recording_members(monkeypatch)
+    both = artifact_bytes(run_pipeline(cfg).outdir)
+    assert stepped == counts
+    assert labels == [["evolve", *SWEEP_LABELS]]
+    for stage in ("evolve", "nsweep"):
+        alone = run_pipeline(cfg, outdir=tmp_path / stage, stages=(stage,))
+        for name, data in artifact_bytes(alone.outdir).items():
+            if name != "report.json":
+                assert both[name] == data, (stage, name)
+
+
+class _NanAbove:
+    """A stand-in interaction table that is NaN above a momentum."""
+
+    at_zero = 1.0
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def __call__(self, p):
+        return np.where(np.abs(p) > self.cut, np.nan, 1.0)
+
+
+@pytest.mark.parametrize("n, member", [(8, "evolve"), (64, "nsweep N = 8")])
+def test_a_blowup_in_the_shared_stack_names_its_stage_and_member(
+        tmp_path, capsys, monkeypatch, n, member):
+    # dealiased |k| reaches 2/3 * 8 pi = 16.8 on this grid, so the table
+    # is NaN for N = 8 (p/N up to 2.1) and finite for N >= 16 (up to 1.05)
+    cfg_path = write_config(tmp_path, BASE_CONFIG.replace("n = 8\n", f"n = {n}\n"))
+    monkeypatch.setattr(bench._Inputs, "interaction", property(
+        lambda inp: NonlinearitySpec(kind="modified", coupling=1.0, N=1,
+                                     uhat=_NanAbove(1.5))))
+    with pytest.raises(NumericalBlowupError,
+                       match=rf"non-finite field detected \({member}\)$"):
+        run_pipeline(load_config(cfg_path))
+    assert cli_main(["run", str(cfg_path)]) == 3
+    assert f"({member})" in capsys.readouterr().err
+    outdir = tmp_path / "out"
+    assert (outdir / "scattering.hash").exists()
+    assert not (outdir / "evolve.hash").exists()
+    assert not (outdir / "nsweep.hash").exists()
 
 
 def test_edited_potential_table_rebuilds_scattering(tmp_path):

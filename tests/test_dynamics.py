@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from gpk import dynamics
 from gpk.dynamics import (
     GridSpec,
+    Members,
     NonlinearitySpec,
     Trajectory,
     WaveFunction,
@@ -24,6 +26,9 @@ from gpk.dynamics import (
     gp_energy,
     l2_distance,
     sobolev_report,
+    step_members,
+    sweep_members,
+    sweep_rate,
     tail_warnings,
 )
 from gpk.errors import ConfigurationError, DomainError, NumericalBlowupError
@@ -278,21 +283,111 @@ def test_compare_dynamics_slope(square_sol):
     assert rep.r_squared > 0.98
 
 
+# tiny grids of each dimension: a member must step bit-identically alone
+# and in a stack on every one of them
+SMALL_GRIDS = (
+    grid1d(n=128, dt=1e-3, T=0.2),
+    GridSpec(dim=2, box_length=16.0, points_per_axis=32, dt=1e-3, t_final=0.02),
+    GridSpec(dim=3, box_length=16.0, points_per_axis=16, dt=1e-3, t_final=0.02),
+)
+
+
 def test_batched_compare_dynamics_matches_separate_evolves(square_sol):
-    grid = grid1d(n=128, dt=1e-3, T=0.2)
+    Ns = [8, 16, 32, 64]
+    for grid in SMALL_GRIDS:
+        psi0 = gaussian_datum(grid, sigma=1.0)
+        uhat = NonlinearitySpec.modified(square_sol, N=8, grid=grid).uhat
+        for a0 in (None, square_sol.a0):
+            rep = compare_dynamics(psi0, a0, uhat, Ns, t_star=grid.t_final)
+            g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
+            ref = evolve(psi0, NonlinearitySpec(kind="gp", coupling=g, a0=a0),
+                         grid)
+            for N, got in zip(Ns, rep.y):
+                nl = NonlinearitySpec(kind="modified", coupling=uhat.at_zero,
+                                      a0=a0, N=N, uhat=uhat)
+                want = l2_distance(evolve(psi0, nl, grid).states[-1],
+                                   ref.states[-1])
+                assert got == want, (grid.dim, a0, N)
+
+
+def counting_propagate(monkeypatch):
+    """The member count of each `_propagate` call, recorded in a list."""
+    calls, original = [], dynamics._propagate
+
+    def counted(values, *args, **kwargs):
+        calls.append(len(values))
+        return original(values, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_propagate", counted)
+    return calls
+
+
+def test_a_trajectory_and_a_sweep_of_equal_steps_share_one_loop(
+        square_sol, monkeypatch):
+    Ns = [8, 16, 32, 64]
+    calls = counting_propagate(monkeypatch)
+    for grid in SMALL_GRIDS:
+        psi0 = gaussian_datum(grid, sigma=1.0)
+        nl = NonlinearitySpec.modified(square_sol, N=8, grid=grid)
+        sweep = sweep_members(psi0, square_sol.a0, nl.uhat, Ns, grid.t_final)
+        run = Members(psi0, (nl,), ("",), snapshots=True, stride=7)
+        calls.clear()
+        # results come in the order given; the trajectory leads the stack
+        (sweep_times, sweep_stacks), (times, stacks) = step_members([sweep, run])
+        assert calls == [1 + 1 + len(Ns)]
+        alone = evolve(psi0, nl, grid, snapshot_stride=7)
+        assert times == alone.times.tolist()
+        assert all(np.array_equal(stack[0], state.values)
+                   for stack, state in zip(stacks, alone.states))
+        assert len(sweep_times) == len(sweep_stacks) == 2
+        shared = sweep_rate(sweep, sweep_stacks[-1])
+        separate = compare_dynamics(psi0, square_sol.a0, nl.uhat, Ns,
+                                    grid.t_final)
+        assert shared.y.tolist() == separate.y.tolist()
+
+
+def test_runs_of_unequal_steps_step_apart(square_sol, monkeypatch):
+    grid = grid1d(n=64, dt=1e-3, T=0.02)
+    psi0 = gaussian_datum(grid, sigma=1.0)
+    nl = NonlinearitySpec.modified(square_sol, N=8, grid=grid)
+    sweep = sweep_members(psi0, None, nl.uhat, [8, 16, 32, 64], 0.01)
+    calls = counting_propagate(monkeypatch)
+    (times, _), (sweep_times, _) = step_members(
+        [Members(psi0, (nl,), ("",), snapshots=True), sweep])
+    assert calls == [1, 5]
+    assert times[-1] == pytest.approx(0.02) and len(times) == 20 + 1
+    assert sweep_times[-1] == pytest.approx(0.01)
+
+
+def test_a_sweep_keeps_only_its_datum_and_final_stacks(square_sol, monkeypatch):
+    # a sweep's rate reads the final states alone: no snapshot between, and
+    # no drift to undo for one
+    grid = grid1d(n=64, dt=1e-3, T=0.05)
     psi0 = gaussian_datum(grid, sigma=1.0)
     uhat = NonlinearitySpec.modified(square_sol, N=8, grid=grid).uhat
-    Ns = [8, 16, 32, 64]
-    for a0 in (None, square_sol.a0):
-        rep = compare_dynamics(psi0, a0, uhat, Ns, t_star=0.2)
-        g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
-        ref = evolve(psi0, NonlinearitySpec(kind="gp", coupling=g, a0=a0), grid)
-        for N, got in zip(Ns, rep.y):
-            nl = NonlinearitySpec(kind="modified", coupling=uhat.at_zero,
-                                  a0=a0, N=N, uhat=uhat)
-            want = l2_distance(evolve(psi0, nl, grid).states[-1],
-                               ref.states[-1])
-            assert got == pytest.approx(want, rel=1e-13, abs=0)
+    sweep = sweep_members(psi0, None, uhat, [4, 8, 16, 32], 0.05)
+    [(times, stacks)] = step_members([sweep])
+    assert times == [0.0, pytest.approx(0.05)]
+    assert [stack.shape for stack in stacks] == [(5, 64)] * 2
+    assert np.array_equal(stacks[0], np.stack([psi0.values] * 5))
+
+    kept, drifts = [], []
+    propagate, drift = dynamics._propagate, dynamics._Stepper.drift
+
+    def keeping(*args, **kwargs):
+        times, stacks = propagate(*args, **kwargs)
+        kept.append(len(stacks))
+        return times, stacks
+
+    def counted(self, *args):
+        drifts.append(1)
+        return drift(self, *args)
+
+    monkeypatch.setattr(dynamics, "_propagate", keeping)
+    monkeypatch.setattr(dynamics._Stepper, "drift", counted)
+    compare_dynamics(psi0, None, uhat, [4, 8, 16, 32], t_star=0.05)
+    assert kept == [2]
+    assert len(drifts) == 50 + 1  # the first half drift, then one a step
 
 
 def test_1d_stepper_transforms_equal_the_nd_transforms(square_sol):
