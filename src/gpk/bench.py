@@ -30,16 +30,13 @@ import numpy as np
 from . import budgets, fieldio
 from .dynamics import (
     GridSpec,
-    Members,
     NonlinearitySpec,
-    Trajectory,
     WaveFunction,
     constant_datum,
+    evolve_and_compare,
     gaussian_datum,
     sobolev_report,
-    step_members,
-    sweep_members,
-    sweep_rate,
+    sweep_nonlinearities,
     tail_warnings,
     time_steps,
 )
@@ -489,16 +486,12 @@ class _Inputs:
     """Numerical inputs of the stages, each built on first use, so a run of
     cache hits builds none.  The profile is always read back from
     scattering.json: a stage sees the same V and f whether the scattering
-    stage ran now or in an earlier run.  `stepped` maps each stage with
-    members that missed to its `Members` and their (times, stacks): the
-    driver steps the evolve and nsweep members in one `step_members` call,
-    which shares one step loop between them when [grid] t_final and
-    [nsweep] t_star are the same number of dt steps."""
+    stage ran now or in an earlier run.  Evolve and nsweep step from the
+    one `datum`; what they step is passed to their `run`, not kept here."""
 
     def __init__(self, cfg: ExperimentConfig, outdir: Path):
         self.cfg = cfg
         self.outdir = outdir
-        self.stepped = {}
 
     @functools.cached_property
     def sol(self):
@@ -539,7 +532,7 @@ def scattering_summary(payload: dict) -> dict:
             ("a0_tail", "a0_integral", "ode_residual", "tail_fit_error")}
 
 
-def _run_scattering(inp: _Inputs, scattering_json, scattering_csv,
+def _run_scattering(inp: _Inputs, _, scattering_json, scattering_csv,
                     summary_json) -> None:
     V, potential = potential_from_config(inp.cfg), inp.cfg.values["potential"]
     sol = solve_zero_energy(V, potential["rmax"], potential["points"])
@@ -555,18 +548,27 @@ def _summarize_scattering(scattering_json, scattering_csv, summary_json):
                      if summary["a0_tail"] < budgets.DEGENERATE_FLOOR else [])
 
 
-def _evolve_members(inp: _Inputs) -> Members:
-    """The one modified-GP (or GP) member of the evolve stage, with snapshots."""
-    return Members(inp.datum, (_nonlinearity(inp),), ("",), snapshots=True,
-                   stride=inp.cfg.get("snapshots", "stride"))
+def _step(inp: _Inputs, names) -> dict:
+    """The trajectory of the evolve stage and the rate of the nsweep stage,
+    by name, for those among `names`, from one `evolve_and_compare` call
+    from the [datum]; an error names the stage before the member."""
+    evolve, nsweep = "evolve" in names, "nsweep" in names
+    if not (evolve or nsweep):
+        return {}
+    sweep = ()
+    if nsweep:
+        a0 = inp.sol.a0 if inp.grid.dim == 3 else None
+        sweep = sweep_nonlinearities(a0, inp.interaction.uhat,
+                                     inp.cfg.get("nsweep", "n_values"))
+    traj, rate = evolve_and_compare(
+        inp.datum, _nonlinearity(inp) if evolve else None, sweep,
+        inp.cfg.values["nsweep"].get("t_star"),
+        inp.cfg.get("snapshots", "stride"), names=("evolve", "nsweep"))
+    return {"evolve": traj, "nsweep": rate}
 
 
-def _run_evolve(inp: _Inputs, norms_csv) -> None:
-    members, times, stacks = inp.stepped["evolve"]
-    [nl], grid = members.nls, members.psi0.grid
-    traj = Trajectory(np.array(times),
-                      [WaveFunction(values=stack[0], grid=grid) for stack in stacks])
-    rep = sobolev_report(traj, nl)
+def _run_evolve(inp: _Inputs, traj, norms_csv) -> None:
+    rep = sobolev_report(traj, _nonlinearity(inp))
     columns = [traj.times, [s.l2_norm for s in traj.states], rep.energy,
                *(rep.h_norms[n] for n in (1, 2, 3, 4)), rep.tail_mass]
     _write_csv(norms_csv, _NORMS_COLUMNS,
@@ -586,17 +588,7 @@ def _summarize_evolve(norms_csv):
                                   [float(r["tail_mass"]) for r in rows])
 
 
-def _nsweep_members(inp: _Inputs) -> Members:
-    """The limiting GP and each N of [nsweep], to t_star."""
-    sweep = inp.cfg.values["nsweep"]
-    a0 = inp.sol.a0 if inp.grid.dim == 3 else None
-    return sweep_members(inp.datum, a0, inp.interaction.uhat,
-                         sweep["n_values"], sweep["t_star"])
-
-
-def _run_nsweep(inp: _Inputs, rates_csv) -> None:
-    members, _, stacks = inp.stepped["nsweep"]
-    rep = sweep_rate(members, stacks[-1])
+def _run_nsweep(inp: _Inputs, rep, rates_csv) -> None:
     _write_csv(rates_csv, ["N", "l2_difference", "slope"],
                ([int(n), repr(float(y)), repr(rep.slope)]
                 for n, y in zip(rep.x, rep.y)))
@@ -616,7 +608,7 @@ def _summarize_nsweep(rates_csv):
     return summary, []
 
 
-def _run_kernels(inp: _Inputs, bounds_csv) -> None:
+def _run_kernels(inp: _Inputs, _, bounds_csv) -> None:
     k = inp.cfg.values["kernels"]
     phi = gaussian_datum(kernel_grid_from_config(inp.cfg), sigma=k["sigma"])
     write_kernel_bounds_csv(bounds_csv, phi, inp.sol, k["n_values"])
@@ -631,9 +623,8 @@ class Stage:
     sections: tuple      # config sections hashed into its key
     needs: tuple         # upstream stages it reads; their artifacts key it
     outputs: tuple       # its files under the output directory
-    run: Callable        # run(inputs, *output paths), on a cache miss only
+    run: Callable        # run(inputs, stepped, *output paths), on a miss only
     summarize: Callable  # (*output paths) -> (summary or None, flags)
-    members: Callable | None = None  # members(inputs) -> the Members it steps
 
 
 STAGES = (
@@ -642,14 +633,14 @@ STAGES = (
           _run_scattering, _summarize_scattering),
     Stage("evolve", ("grid", "datum"),
           ("grid", "datum", "nonlinearity", "snapshots"), ("scattering",),
-          ("norms.csv",), _run_evolve, _summarize_evolve, _evolve_members),
+          ("norms.csv",), _run_evolve, _summarize_evolve),
     Stage("nsweep", ("nsweep",), ("grid", "datum", "nsweep"), ("scattering",),
-          ("rates.csv",), _run_nsweep, _summarize_nsweep, _nsweep_members),
+          ("rates.csv",), _run_nsweep, _summarize_nsweep),
     Stage("kernels", ("kernels",), ("kernels",), ("scattering",),
           ("kernel_bounds.csv",), _run_kernels, lambda path: (None, [])),
     Stage("fock", ("fock",), ("fock",), (),
           ("fock_report.json", "toy_convergence.csv"),
-          lambda inp, *paths: run_fock_stage(inp.cfg, *paths),
+          lambda inp, _, *paths: run_fock_stage(inp.cfg, *paths),
           lambda fock_json, conv_csv: (_read_json(fock_json)["summary"], [])),
 )
 
@@ -664,18 +655,6 @@ def _plan(cfg: ExperimentConfig, wanted) -> list:
             if s.name in take and all(cfg.has(sec) for sec in s.switch)]
 
 
-def _step_together(inp: _Inputs, stages) -> dict:
-    """Stage name -> its Members, times and stacks, for the members of every
-    stage of `stages` stepped by one `step_members` call; an error names the
-    stage before the member."""
-    runs = [stage.members(inp) for stage in stages]
-    runs = [replace(run, labels=tuple(f"{stage.name} {label}".rstrip()
-                                      for label in run.labels))
-            for stage, run in zip(stages, runs)]
-    return {stage.name: (run, *stepped) for stage, run, stepped
-            in zip(stages, runs, step_members(runs))}
-
-
 def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundle:
     """Run the configured stages among `stages` (all if None) and the
     upstream stages they need, with caching; report.json lists the stages
@@ -683,15 +662,16 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
     flags.
 
     Before a stage runs, every stage whose upstream is done is keyed and
-    found a hit or a miss, and the members of the misses among them are
-    stepped together, so the evolve and nsweep misses share one step loop.
-    A hit adds no member."""
+    found a hit or a miss; the evolve and nsweep misses among them are
+    stepped from the [datum] by one `_step` call, and each receives its
+    result as the `stepped` argument of its `run`.  A hit steps nothing."""
     outdir = Path(outdir or cfg.get("output", "directory"))
     plan = _plan(cfg, stages)
     outputs = {s.name: [outdir / name for name in s.outputs] for s in plan}
     outdir.mkdir(parents=True, exist_ok=True)
     inputs = _Inputs(cfg, outdir)
-    keys, misses, digests, artifacts, summary, flags = {}, set(), {}, {}, {}, []
+    keys, misses, stepped = {}, set(), {}
+    digests, artifacts, summary, flags = {}, {}, {}, []
     for stage in plan:
         if stage.name not in keys:  # it and every stage ready with it
             ready = [s for s in plan if s.name not in keys and all(
@@ -707,12 +687,10 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
                         and marker.read_text().strip() == keys[s.name]
                         and all(p.exists() for p in outputs[s.name])):
                     misses.add(s.name)
-            stepping = [s for s in ready if s.name in misses and s.members]
-            if stepping:
-                inputs.stepped.update(_step_together(inputs, stepping))
+            stepped.update(_step(inputs, {s.name for s in ready} & misses))
         paths = outputs[stage.name]
         if stage.name in misses:
-            stage.run(inputs, *paths)
+            stage.run(inputs, stepped.pop(stage.name, None), *paths)
             (outdir / f"{stage.name}.hash").write_text(keys[stage.name] + "\n")
         digests[stage.name] = _hash_text(*map(_hash_file, paths))
         artifacts[stage.name] = [str(p) for p in paths]

@@ -20,16 +20,17 @@ cached between calls.  `sobolev_report` takes one fftn of phi and one rfftn
 of |phi|^2 per snapshot and reads the Sobolev norms, the kinetic term and
 the spectral tail from per-axis moments of |phi_hat|^2 (a contraction one
 grid axis at a time, no full-grid table; the energy adds the density
-term).  One step loop, `_propagate`, advances a stack of fields (leading
-member axis, one nonlinearity each) and keeps intermediate snapshots of a
-leading slice of members only: `evolve` is its one-member case, and
-`step_members` steps several sets of `Members` (a trajectory with
-snapshots, an N sweep with its final states only) in one call when they
-take the same number of steps.  A member's result is bit-identical whether
-it steps alone or in a stack, so sharing a call changes no bit and pays the
-per-call overhead of a step once.  `compare_dynamics` is `sweep_members`,
-then `step_members`, then `sweep_rate`.  `scipy.fft` is imported by the
-functions that transform, so importing this module loads numpy alone.
+term).  One step loop, `_propagate`, takes one datum and a list of
+nonlinearities: it checks and drifts the datum once, broadcasts it into a
+stack of fields (leading member axis, one nonlinearity each), and keeps
+the snapshots of the leading member only when asked.  `evolve` is its
+one-member case with snapshots, and `compare_dynamics` an N sweep with its
+final states only.  `evolve_and_compare` steps a trajectory and a sweep
+from the same datum in one call when they take the same number of steps;
+a member's result is bit-identical whether it steps alone or in a stack,
+so sharing changes no bit and pays the per-call overhead of a step once.
+`scipy.fft` is imported by the functions that transform, so importing
+this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -381,7 +382,8 @@ def _energy(grid, multiplier, kinetic, rho_hat) -> float:
 
 def time_steps(grid: GridSpec) -> int:
     """The number of Strang steps to grid.t_final.  Refuses a dt past the
-    stability budget and a t_final that is not a whole number of dt steps."""
+    stability budget, a t_final of the other sign than dt and a t_final that
+    is not a whole number of dt steps."""
     # k_max^2 is dim times the largest k_i^2 of one axis: no full-grid table
     k2_max = grid.dim * float(np.max(grid.k_axes()[0] ** 2))
     if abs(grid.dt) * k2_max > STABILITY_BUDGET:
@@ -389,8 +391,11 @@ def time_steps(grid: GridSpec) -> int:
             f"|dt| * k_max^2 = {abs(grid.dt) * k2_max:.3g} exceeds "
             f"the stability budget STABILITY_BUDGET = {STABILITY_BUDGET:.4g}")
     n_steps_f = grid.t_final / grid.dt
+    if n_steps_f < 0:
+        raise ConfigurationError(f"t_final = {grid.t_final:g} and dt = "
+                                 f"{grid.dt:g} have opposite signs")
     n_steps = int(round(n_steps_f))
-    if n_steps < 0 or abs(n_steps_f - n_steps) > RATIO_SLACK:
+    if abs(n_steps_f - n_steps) > RATIO_SLACK:
         raise ConfigurationError(
             "t_final must be a whole number of dt steps (RATIO_SLACK)")
     return n_steps
@@ -407,55 +412,49 @@ def evolve(
     Mass is conserved to NORM_TOL (each substep is exactly unitary); a NaN in
     the field raises NumericalBlowupError carrying the last good time.
     """
-    grid = grid or psi0.grid
-    if psi0.grid.shape != grid.shape:
-        raise DomainError("initial datum does not live on the requested grid")
-    times, stacks = _propagate(psi0.values[None], [nl], [""], grid,
-                               snapshot_stride)
-    states = [WaveFunction(values=stack[0], grid=grid) for stack in stacks]
-    return Trajectory(np.array(times), states)
+    return _propagate(psi0, [nl], [""], grid or psi0.grid, snapshot_stride)[0]
 
 
-def _propagate(values, nls, labels, grid: GridSpec, stride=None, tracked=None):
-    """Strang steps of a stack of fields to grid.t_final, member i (leading
-    axis) under nls[i]; returns the snapshot times and stacks.  The first
-    stack is a copy of `values` and the last the final stack.  In between,
-    every `stride` steps (default: 16 per run), sits a snapshot of the
-    leading `tracked` members only (default: all; with none, no snapshot is
-    taken between the datum and the end).
+def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
+               tracked=True):
+    """Strang steps of psi0 to grid.t_final under each of `nls`, member i of a
+    stack (leading axis) under nls[i] and named by labels[i] in an error.
+    Returns the leading member's Trajectory (None unless `tracked`) and the
+    final stack (after zero steps, a read-only broadcast of psi0).  The
+    trajectory holds a copy of psi0, a snapshot every `stride` steps
+    (default: 16 per run) and the final state, a view of the final stack.
 
-    Each member is checked on its own (finite unit-norm datum, the norm
-    monitor after every step), and an error names the failing member by its
-    label.
+    The datum is checked once (on the grid, finite, unit norm), drifted once
+    and broadcast into the stack by the first kick; every member is checked
+    after every step by the norm monitor.
     """
 
     def named(i, message):
         return f"{message} ({labels[i]})" if labels[i] else message
 
-    cell = grid.cell
-    for i, member in enumerate(values):
-        if not np.all(np.isfinite(member)):
-            raise NumericalBlowupError(
-                named(i, "initial datum contains non-finite values"), 0.0)
-        if abs(math.sqrt(_mass(member) * cell) - 1.0) > NORM_TOL:
-            raise ConfigurationError(named(
-                i, f"initial datum must have unit L2 norm (NORM_TOL = {NORM_TOL:g})"))
+    values, cell = psi0.values, grid.cell
+    if values.shape != grid.shape:
+        raise DomainError("initial datum does not live on the requested grid")
+    if not np.all(np.isfinite(values)):
+        raise NumericalBlowupError("initial datum contains non-finite values", 0.0)
+    if abs(math.sqrt(_mass(values) * cell) - 1.0) > NORM_TOL:
+        raise ConfigurationError(
+            f"initial datum must have unit L2 norm (NORM_TOL = {NORM_TOL:g})")
     n_steps = time_steps(grid)
     if stride is not None and stride < 1:
         raise ConfigurationError(f"snapshot stride {stride} must be >= 1")
     stride = stride or max(1, n_steps // 16)
-    tracked = len(values) if tracked is None else tracked
     stepper = _Stepper(grid, nls)
-    times = [0.0]
-    stacks = [values.copy()]
-    if n_steps == 0:
-        return times, stacks
-
-    # drift-kick-drift with merged interior drifts: the running state between
-    # snapshots carries an extra half drift (unitary, so the norm monitor is
-    # unaffected), undone only for snapshot copies.  No substep writes to its
-    # input, so the datum and the stored snapshots are never aliased by `vals`.
-    vals = stepper.drift(values, stepper.half_drift)
+    times, kept = [0.0], [values.copy()] if tracked else []
+    vals = np.broadcast_to(values, (len(nls), *grid.shape))  # read-only
+    if n_steps:
+        # drift-kick-drift with merged interior drifts: the running state
+        # between snapshots carries an extra half drift (unitary, so the norm
+        # monitor is unaffected), undone only for snapshot copies.  No substep
+        # writes to its input, so stepping never writes to the datum or a
+        # snapshot.
+        vals = np.broadcast_to(stepper.drift(values[None], stepper.half_drift),
+                               vals.shape)
     for step in range(1, n_steps + 1):
         vals = stepper.kick(vals, grid.dt)
         last_step = step == n_steps
@@ -471,69 +470,14 @@ def _propagate(values, nls, labels, grid: GridSpec, stride=None, tracked=None):
                 raise InvariantViolation(named(
                     i, f"L2 norm drifted to {norm!r} at t = {step * grid.dt}, "
                     f"beyond NORM_TOL = {NORM_TOL:g}"))
-        if last_step or (tracked and step % stride == 0):
+        if tracked and (last_step or step % stride == 0):
             times.append(step * grid.dt)
-            stacks.append(
-                vals if last_step
-                # the slice is a view: a whole-stack snapshot copies nothing more
-                else stepper.drift(vals[:tracked], np.conj(stepper.half_drift))
-            )
-    return times, stacks
-
-
-@dataclass(frozen=True)
-class Members:
-    """Fields stepped from one datum to psi0.grid.t_final, member i under
-    nls[i] and named by labels[i] in an error.  With `snapshots`, they keep
-    one every `stride` steps (default: 16 per run); without, only the datum
-    and the final state."""
-
-    psi0: WaveFunction
-    nls: tuple
-    labels: tuple
-    snapshots: bool = False
-    stride: Optional[int] = None
-
-
-def step_members(runs) -> list:
-    """(times, stacks) of each of `runs` (`Members`), as `_propagate` returns
-    them for its members alone.
-
-    Runs whose grids differ at most in t_final and that take the same number
-    of steps share one `_propagate` call, a run with snapshots leading its
-    stack (at most one per call).  A member steps bit-identically alone or
-    in a stack, so sharing changes no result; it pays the per-step overhead
-    of the FFT and numpy calls once for all of them.
-    """
-    calls = []  # (grid without t_final, steps), run indices; one per call
-    for i in sorted(range(len(runs)), key=lambda i: not runs[i].snapshots):
-        grid = runs[i].psi0.grid
-        key = (replace(grid, t_final=0.0), time_steps(grid))
-        call = None if runs[i].snapshots else next(
-            (members for k, members in calls if k == key), None)
-        if call is None:
-            calls.append((key, [i]))
-        else:
-            call.append(i)
-    results = [None] * len(runs)
-    for _, members in calls:
-        group = [runs[i] for i in members]
-        lead = group[0]
-        times, stacks = _propagate(
-            np.stack([run.psi0.values for run in group for _ in run.nls]),
-            [nl for run in group for nl in run.nls],
-            [label for run in group for label in run.labels],
-            lead.psi0.grid, lead.stride,
-            tracked=len(lead.nls) if lead.snapshots else 0)
-        start = 0
-        for i, run in zip(members, group):
-            part = slice(start, start + len(run.nls))
-            start = part.stop
-            results[i] = ((times, [stack[part] for stack in stacks])
-                          if run.snapshots else
-                          ([times[0], times[-1]], [stacks[0][part],
-                                                   stacks[-1][part]]))
-    return results
+            kept.append(vals[0] if last_step else stepper.drift(
+                vals[:1], np.conj(stepper.half_drift))[0])
+    if not tracked:
+        return None, vals
+    return Trajectory(np.array(times),
+                      [WaveFunction(values=v, grid=grid) for v in kept]), vals
 
 
 def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
@@ -590,16 +534,11 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
     )
 
 
-def sweep_members(
-    psi0: WaveFunction,
-    a0: Optional[float],
-    uhat: RadialTransformTable,
-    N_list,
-    t_star: float,
-) -> Members:
-    """The members of the N sweep at t_star: the limiting GP (contact
-    coupling 8 pi a0, or uhat(0) without a0), then the modified equation for
-    each N of `N_list`, at least 4 geometrically spaced values."""
+def sweep_nonlinearities(a0: Optional[float], uhat: RadialTransformTable,
+                          N_list) -> list:
+    """The members of an N sweep: the limiting GP (contact coupling 8 pi a0,
+    or uhat(0) without a0), then the modified equation for each N of
+    `N_list`, at least 4 geometrically spaced values."""
     N_list = [int(N) for N in N_list]
     if len(N_list) < 4:
         raise ConfigurationError("need at least 4 values of N")
@@ -607,21 +546,41 @@ def sweep_members(
     if any(abs(r - ratios[0]) > RATIO_SLACK * ratios[0] for r in ratios):
         raise ConfigurationError("N values must be geometrically spaced (RATIO_SLACK)")
     g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
-    nls = [NonlinearitySpec(kind="gp", coupling=g, a0=a0)]
-    nls += [NonlinearitySpec(kind="modified", coupling=uhat.at_zero, a0=a0,
-                             N=N, uhat=uhat) for N in N_list]
-    grid = replace(psi0.grid, t_final=t_star)
-    return Members(WaveFunction(values=psi0.values, grid=grid), tuple(nls),
-                   ("limiting GP", *(f"N = {N}" for N in N_list)))
+    return [NonlinearitySpec(kind="gp", coupling=g, a0=a0)] + [
+        NonlinearitySpec(kind="modified", coupling=uhat.at_zero, a0=a0, N=N,
+                         uhat=uhat) for N in N_list]
 
 
-def sweep_rate(sweep: Members, final: np.ndarray) -> RateReport:
-    """The fitted rate of each N member's L2 distance from the limiting GP,
-    from the final stack of the sweep's members."""
-    grid = sweep.psi0.grid
-    ref, *finals = (WaveFunction(values=v, grid=grid) for v in final)
-    return fit_rate([nl.N for nl in sweep.nls[1:]],
-                    [l2_distance(state, ref) for state in finals])
+def evolve_and_compare(psi0: WaveFunction, nl, sweep, t_star, stride,
+                       names) -> tuple:
+    """`evolve(psi0, nl, snapshot_stride=stride)` (None without `nl`) and the
+    rate of the `sweep` members (`sweep_nonlinearities`) at t_star, as
+    `compare_dynamics` reports it (None without a sweep).
+
+    When psi0.grid.t_final and t_star are the same number of dt steps, both
+    step in one `_propagate` call, `nl` leading the stack.  A member steps
+    bit-identically alone or in a stack, so sharing changes no result and
+    pays the per-call overhead of a step once.  A failing member is named
+    after names[0] (the trajectory) or names[1] (the sweep).
+    """
+    grid = psi0.grid
+    sweep_grid = replace(grid, t_final=t_star) if sweep else None
+    labels = [f"{names[1]} {f'N = {s.N}' if s.N else 'limiting GP'}".strip()
+              for s in sweep]
+    traj = rate = None
+    if nl is not None and sweep and time_steps(grid) == time_steps(sweep_grid):
+        traj, final = _propagate(psi0, [nl, *sweep], [names[0], *labels], grid,
+                                 stride)
+    else:
+        if nl is not None:
+            traj, _ = _propagate(psi0, [nl], names[:1], grid, stride)
+        if sweep:
+            _, final = _propagate(psi0, sweep, labels, sweep_grid, tracked=False)
+    if sweep:
+        ref, *finals = final[-len(sweep):]
+        rate = fit_rate([s.N for s in sweep[1:]],
+                        [math.sqrt(_mass(v - ref) * grid.cell) for v in finals])
+    return traj, rate
 
 
 def compare_dynamics(
@@ -637,6 +596,5 @@ def compare_dynamics(
     pair-counting factor).  At t_star = 0, or with every distance at
     round-off, `fit_rate` reports a NaN slope.
     """
-    sweep = sweep_members(psi0, a0, uhat, N_list, t_star)
-    [(_, stacks)] = step_members([sweep])
-    return sweep_rate(sweep, stacks[-1])
+    sweep = sweep_nonlinearities(a0, uhat, N_list)
+    return evolve_and_compare(psi0, None, sweep, t_star, None, ("", ""))[1]

@@ -454,21 +454,17 @@ def artifact_bytes(outdir):
 
 
 def recording_members(monkeypatch):
-    """Per `_propagate` call its member count, and per `step_members` call
-    the labels of the members the pipeline passes, each in a list."""
+    """Per `_propagate` call its member count, one per nonlinearity passed,
+    and the labels of its members, each in a list."""
     counts, labels = [], []
-    propagate, step_members = dynamics._propagate, bench.step_members
+    propagate = dynamics._propagate
 
-    def counted(values, *args, **kwargs):
-        counts.append(len(values))
-        return propagate(values, *args, **kwargs)
-
-    def labelled(runs):
-        labels.append([label for run in runs for label in run.labels])
-        return step_members(runs)
+    def counted(psi0, nls, member_labels, *args, **kwargs):
+        counts.append(len(nls))
+        labels.append(list(member_labels))
+        return propagate(psi0, nls, member_labels, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_propagate", counted)
-    monkeypatch.setattr(bench, "step_members", labelled)
     return counts, labels
 
 
@@ -496,10 +492,12 @@ def test_deleting_one_dynamics_hash_keeps_every_artifact(tmp_path, monkeypatch):
     assert counts == [1, 5]
 
 
-@pytest.mark.parametrize("t_star, counts", [("0.1", [6]), ("0.05", [1, 5])],
-                         ids=["equal-steps", "unequal-steps"])
+@pytest.mark.parametrize("t_star, counts, loops", [
+    ("0.1", [6], [["evolve", *SWEEP_LABELS]]),
+    ("0.05", [1, 5], [["evolve"], SWEEP_LABELS]),
+], ids=["equal-steps", "unequal-steps"])
 def test_shared_or_not_each_stage_writes_its_own_artifacts(
-        tmp_path, monkeypatch, t_star, counts):
+        tmp_path, monkeypatch, t_star, counts, loops):
     # evolve and nsweep share one step loop only when [grid] t_final and
     # [nsweep] t_star are the same number of steps; either way each writes
     # the bytes it writes when it runs alone
@@ -508,7 +506,7 @@ def test_shared_or_not_each_stage_writes_its_own_artifacts(
     stepped, labels = recording_members(monkeypatch)
     both = artifact_bytes(run_pipeline(cfg).outdir)
     assert stepped == counts
-    assert labels == [["evolve", *SWEEP_LABELS]]
+    assert labels == loops
     for stage in ("evolve", "nsweep"):
         alone = run_pipeline(cfg, outdir=tmp_path / stage, stages=(stage,))
         for name, data in artifact_bytes(alone.outdir).items():
@@ -989,11 +987,17 @@ phi0 = 1.0 0.0"""
      "exp.ini [grid]: t_final must be a whole number of dt steps"),
     ("t_star = 0.25", "t_star = 0.2501",
      "exp.ini [nsweep] t_star: t_final must be a whole number of dt steps"),
+    # -400 steps is a whole number: the fault is the sign
+    ("t_final = 0.25", "t_final = -0.1",
+     "exp.ini [grid]: t_final = -0.1 and dt = 0.00025 have opposite signs"),
+    ("t_star = 0.25", "t_star = -0.25", "exp.ini [nsweep] t_star: "
+     "t_final = -0.25 and dt = 0.00025 have opposite signs"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "gp-a0-and-coupling", "fock-d4",
         "potential-pionts", "grid-points", "kernels-points", "dt-unstable",
-        "dt-not-whole-steps", "t_star-not-whole-steps"])
+        "dt-not-whole-steps", "t_star-not-whole-steps",
+        "t_final-opposite-sign", "t_star-opposite-sign"])
 def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
                                                what):
     text = REFERENCE.read_text().replace(

@@ -10,7 +10,6 @@ from scipy import fft as sfft
 from gpk import dynamics
 from gpk.dynamics import (
     GridSpec,
-    Members,
     NonlinearitySpec,
     Trajectory,
     WaveFunction,
@@ -22,13 +21,12 @@ from gpk.dynamics import (
     compare_dynamics,
     constant_datum,
     evolve,
+    evolve_and_compare,
     gaussian_datum,
     gp_energy,
     l2_distance,
     sobolev_report,
-    step_members,
-    sweep_members,
-    sweep_rate,
+    sweep_nonlinearities,
     tail_warnings,
 )
 from gpk.errors import ConfigurationError, DomainError, NumericalBlowupError
@@ -311,12 +309,13 @@ def test_batched_compare_dynamics_matches_separate_evolves(square_sol):
 
 
 def counting_propagate(monkeypatch):
-    """The member count of each `_propagate` call, recorded in a list."""
+    """The member count of each `_propagate` call, one per nonlinearity
+    passed, recorded in a list."""
     calls, original = [], dynamics._propagate
 
-    def counted(values, *args, **kwargs):
-        calls.append(len(values))
-        return original(values, *args, **kwargs)
+    def counted(psi0, nls, *args, **kwargs):
+        calls.append(len(nls))
+        return original(psi0, nls, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_propagate", counted)
     return calls
@@ -329,18 +328,16 @@ def test_a_trajectory_and_a_sweep_of_equal_steps_share_one_loop(
     for grid in SMALL_GRIDS:
         psi0 = gaussian_datum(grid, sigma=1.0)
         nl = NonlinearitySpec.modified(square_sol, N=8, grid=grid)
-        sweep = sweep_members(psi0, square_sol.a0, nl.uhat, Ns, grid.t_final)
-        run = Members(psi0, (nl,), ("",), snapshots=True, stride=7)
+        sweep = sweep_nonlinearities(square_sol.a0, nl.uhat, Ns)
         calls.clear()
-        # results come in the order given; the trajectory leads the stack
-        (sweep_times, sweep_stacks), (times, stacks) = step_members([sweep, run])
+        # the trajectory leads the stack
+        traj, shared = evolve_and_compare(psi0, nl, sweep, grid.t_final, 7,
+                                          ("", ""))
         assert calls == [1 + 1 + len(Ns)]
         alone = evolve(psi0, nl, grid, snapshot_stride=7)
-        assert times == alone.times.tolist()
-        assert all(np.array_equal(stack[0], state.values)
-                   for stack, state in zip(stacks, alone.states))
-        assert len(sweep_times) == len(sweep_stacks) == 2
-        shared = sweep_rate(sweep, sweep_stacks[-1])
+        assert traj.times.tolist() == alone.times.tolist()
+        assert all(np.array_equal(state.values, other.values)
+                   for state, other in zip(traj.states, alone.states))
         separate = compare_dynamics(psi0, square_sol.a0, nl.uhat, Ns,
                                     grid.t_final)
         assert shared.y.tolist() == separate.y.tolist()
@@ -350,34 +347,34 @@ def test_runs_of_unequal_steps_step_apart(square_sol, monkeypatch):
     grid = grid1d(n=64, dt=1e-3, T=0.02)
     psi0 = gaussian_datum(grid, sigma=1.0)
     nl = NonlinearitySpec.modified(square_sol, N=8, grid=grid)
-    sweep = sweep_members(psi0, None, nl.uhat, [8, 16, 32, 64], 0.01)
+    sweep = sweep_nonlinearities(None, nl.uhat, [8, 16, 32, 64])
     calls = counting_propagate(monkeypatch)
-    (times, _), (sweep_times, _) = step_members(
-        [Members(psi0, (nl,), ("",), snapshots=True), sweep])
+    traj, rate = evolve_and_compare(psi0, nl, sweep, 0.01, None, ("", ""))
     assert calls == [1, 5]
-    assert times[-1] == pytest.approx(0.02) and len(times) == 20 + 1
-    assert sweep_times[-1] == pytest.approx(0.01)
+    assert traj.times[-1] == pytest.approx(0.02) and len(traj.times) == 20 + 1
+    at_t_star = compare_dynamics(psi0, None, nl.uhat, [8, 16, 32, 64], 0.01)
+    assert rate.y.tolist() == at_t_star.y.tolist()
 
 
 def test_a_sweep_keeps_only_its_datum_and_final_stacks(square_sol, monkeypatch):
-    # a sweep's rate reads the final states alone: no snapshot between, and
-    # no drift to undo for one
+    # a sweep's rate reads the final states alone: no trajectory, no copy
+    # of the datum, no snapshot between, and no drift to undo for one
     grid = grid1d(n=64, dt=1e-3, T=0.05)
     psi0 = gaussian_datum(grid, sigma=1.0)
     uhat = NonlinearitySpec.modified(square_sol, N=8, grid=grid).uhat
-    sweep = sweep_members(psi0, None, uhat, [4, 8, 16, 32], 0.05)
-    [(times, stacks)] = step_members([sweep])
-    assert times == [0.0, pytest.approx(0.05)]
-    assert [stack.shape for stack in stacks] == [(5, 64)] * 2
-    assert np.array_equal(stacks[0], np.stack([psi0.values] * 5))
+    sweep = sweep_nonlinearities(None, uhat, [4, 8, 16, 32])
+    traj, final = dynamics._propagate(psi0, sweep, [""] * 5, grid,
+                                      tracked=False)
+    assert traj is None and final.shape == (5, 64)
+    assert not np.shares_memory(final, psi0.values)
 
     kept, drifts = [], []
     propagate, drift = dynamics._propagate, dynamics._Stepper.drift
 
     def keeping(*args, **kwargs):
-        times, stacks = propagate(*args, **kwargs)
-        kept.append(len(stacks))
-        return times, stacks
+        traj, final = propagate(*args, **kwargs)
+        kept.append(traj)
+        return traj, final
 
     def counted(self, *args):
         drifts.append(1)
@@ -386,8 +383,26 @@ def test_a_sweep_keeps_only_its_datum_and_final_stacks(square_sol, monkeypatch):
     monkeypatch.setattr(dynamics, "_propagate", keeping)
     monkeypatch.setattr(dynamics._Stepper, "drift", counted)
     compare_dynamics(psi0, None, uhat, [4, 8, 16, 32], t_star=0.05)
-    assert kept == [2]
+    assert kept == [None]
     assert len(drifts) == 50 + 1  # the first half drift, then one a step
+
+
+def test_comparing_five_members_holds_under_four_stacks(square_sol):
+    # one datum per run: it is drifted once and broadcast into the running
+    # stack, with no stack of datum copies and no first snapshot of a sweep
+    grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.005)
+    psi0 = gaussian_datum(grid, sigma=1.5)
+    uhat = NonlinearitySpec.modified(square_sol, N=8, grid=grid).uhat
+    stack = 5 * psi0.values.nbytes
+    tracemalloc.start()
+    try:
+        compare_dynamics(psi0, square_sol.a0, uhat, [8, 16, 32, 64],
+                         t_star=0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * stack
 
 
 def test_1d_stepper_transforms_equal_the_nd_transforms(square_sol):
