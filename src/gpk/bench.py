@@ -8,8 +8,8 @@ A stage's key hashes gpk's own sources, the sections it reads (plus the
 bytes of a `file =` table) and the artifacts of the stages it needs, so an
 edit of the code or the config invalidates the stages that depend on it.
 Numerical work runs only on a cache miss.  Summaries are read back from each
-stage's own artifacts and downstream stages read the profile from
-scattering.json, so artifacts do not depend on cache state.  Outputs are
+stage's own artifacts and downstream stages read the scattering.json + .npz
+pair back, so artifacts do not depend on cache state.  Outputs are
 regenerated whole (CSV with RFC-4180 quoting, JSON with sorted keys).
 """
 
@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -45,6 +46,7 @@ from .kernels import kernel_bound_report
 from .scattering import (
     RadialPotential,
     ScatteringSolution,
+    as_numbers,
     family_parameters,
     potential_family,
     scattering_length_integral,
@@ -236,20 +238,21 @@ def _check_rules(cfg: ExperimentConfig) -> None:
     if cfg.has("potential"):
         potential_from_config(cfg)
     # the grids the stages build, from the same constructors, and the steps
-    # the evolve and nsweep stages take on them; the kernels grid takes none
-    for where, present, check in (
-            ("[grid]", cfg.has("grid"),
+    # taken on them; nsweep's grid ends at t_star, the kernels grid takes none
+    for where, time_key, present, check in (
+            ("[grid]", "t_final", cfg.has("grid"),
              lambda: time_steps(grid_from_config(cfg))),
-            ("[nsweep] t_star", cfg.has("nsweep"),
+            ("[nsweep]", "t_star", cfg.has("nsweep"),
              lambda: time_steps(replace(grid_from_config(cfg),
                                         t_final=cfg.get("nsweep", "t_star")))),
-            ("[kernels]", cfg.has("kernels"),
+            ("[kernels]", "t_final", cfg.has("kernels"),
              lambda: kernel_grid_from_config(cfg))):
         if present:
             try:
                 check()
             except ConfigurationError as exc:
-                raise ConfigurationError(f"{path} {where}: {exc}") from None
+                raise ConfigurationError(f"{path} {where}: " + str(exc).replace(
+                    "t_final", time_key)) from None
     if cfg.has("fock"):
         _check_fock_scenario(path, cfg.values["fock"])
 
@@ -352,6 +355,8 @@ def kernel_grid_from_config(cfg: ExperimentConfig) -> GridSpec:
 
 
 def dump_solution_json(sol: ScatteringSolution, path) -> dict:
+    """The scalars, the potential spec and the w certificate to the JSON file
+    `path`, the profile arrays to the .npz beside it; returns the JSON."""
     V = sol.potential
     a0_int = scattering_length_integral(sol)
     cert = verify_w_bounds(sol)
@@ -366,46 +371,46 @@ def dump_solution_json(sol: ScatteringSolution, path) -> dict:
         "w_c1_hat": cert.c1_hat,
         "w_c2_hat": cert.c2_hat,
         "w_within_unit": cert.w_within_unit,
-        "profile": {
-            "r": sol.r_grid.tolist(),
-            "f": sol.f.tolist(),
-            "w": sol.w.tolist(),
-            "dw_dr": sol.dw_dr.tolist(),
-            "v": V(sol.r_grid).tolist(),
-            "defect": sol.defect.tolist(),
-        },
     }
     _write_json(path, payload)
+    np.savez(Path(path).with_suffix(".npz"), r=sol.r_grid, f=sol.f, w=sol.w,
+             dw_dr=sol.dw_dr, defect=sol.defect)
     return payload
 
 
 def load_solution_json(path):
-    """Rebuild a solution from a scattering artifact; its potential comes from
-    the stored spec, with its exact values and breakpoints.  A profile
-    array or scalar that holds NaN, inf or null is a ConfigurationError."""
+    """The solution of the JSON file `path` and the .npz beside it, V rebuilt
+    exactly from its spec.  A missing key or array, an unreadable .npz and a
+    NaN, inf or null value are ConfigurationErrors; solve such a file again."""
+    npz = Path(path).with_suffix(".npz")
     try:
         payload = _read_json(path)
     except ValueError as exc:
         raise ConfigurationError(
             f"{path} is not a JSON scattering artifact: {exc}") from None
-    if "potential" not in payload:
-        raise ConfigurationError(f"{path}: no potential spec; solve it again")
-    V = RadialPotential.from_spec(payload["potential"], str(path))
-    # dtype=float reads a JSON null as NaN, which the check below refuses
-    fields = {f"profile.{key}": np.asarray(payload["profile"][key], dtype=float)
-              for key in ("r", "f", "w", "dw_dr", "defect")}
-    fields.update((key, np.asarray(payload[key], dtype=float)) for key in
-                  ("a0_tail", "a0_derivative", "ode_residual", "tail_fit_error"))
-    for key, values in fields.items():
-        if not np.all(np.isfinite(values)):
-            raise ConfigurationError(
-                f"{path}: {key} holds non-finite values; solve it again")
+    if not isinstance(payload, dict) or "potential" not in payload:
+        raise ConfigurationError(f"{path}: no potential; solve it again")
+    try:
+        with np.load(npz, allow_pickle=False) as data:
+            arrays = dict(data)
+    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"{npz} is not a scattering profile "
+                                 f"({exc}); solve it again") from None
+    fields = {}
+    scalars = ("a0_tail", "a0_derivative", "ode_residual", "tail_fit_error")
+    profile = ("r", "f", "w", "dw_dr", "defect")
+    for source, found, keys in ((path, payload, scalars), (npz, arrays, profile)):
+        for key in keys:
+            if key not in found:
+                raise ConfigurationError(f"{source}: no {key}; solve it again")
+            # a JSON null reads as NaN, which is refused
+            fields[key] = as_numbers(found[key], f"{source}: {key}")
+            if not np.all(np.isfinite(fields[key])):
+                raise ConfigurationError(
+                    f"{source}: {key} holds non-finite values; solve it again")
     return ScatteringSolution(
-        r_grid=fields["profile.r"], f=fields["profile.f"], w=fields["profile.w"],
-        dw_dr=fields["profile.dw_dr"], defect=fields["profile.defect"],
-        a0=float(fields["a0_tail"]), a0_derivative=float(fields["a0_derivative"]),
-        ode_residual=float(fields["ode_residual"]),
-        tail_fit_error=float(fields["tail_fit_error"]), potential=V)
+        r_grid=fields.pop("r"), a0=fields.pop("a0_tail"), **fields,
+        potential=RadialPotential.from_spec(payload["potential"], str(path)))
 
 
 def _read_json(path) -> dict:
@@ -484,8 +489,8 @@ def _section_key(cfg: ExperimentConfig, section: str) -> str:
 
 class _Inputs:
     """Numerical inputs of the stages, each built on first use, so a run of
-    cache hits builds none.  The profile is always read back from
-    scattering.json: a stage sees the same V and f whether the scattering
+    cache hits builds none.  The solution is always read back from the
+    scattering artifact: a stage sees the same V and f whether the scattering
     stage ran now or in an earlier run.  Evolve and nsweep step from the
     one `datum`; what they step is passed to their `run`, not kept here."""
 
@@ -532,18 +537,15 @@ def scattering_summary(payload: dict) -> dict:
             ("a0_tail", "a0_integral", "ode_residual", "tail_fit_error")}
 
 
-def _run_scattering(inp: _Inputs, _, scattering_json, scattering_csv,
-                    summary_json) -> None:
+def _run_scattering(inp: _Inputs, _, scattering_json, scattering_npz) -> None:
     V, potential = potential_from_config(inp.cfg), inp.cfg.values["potential"]
     sol = solve_zero_energy(V, potential["rmax"], potential["points"])
-    payload = dump_solution_json(sol, scattering_json)
-    write_scattering_csv(sol, scattering_csv)
-    _write_json(summary_json, scattering_summary(payload))
+    dump_solution_json(sol, scattering_json)
 
 
-def _summarize_scattering(scattering_json, scattering_csv, summary_json):
-    # the small summary file, so a cache hit never parses the profile
-    summary = _read_json(summary_json)
+def _summarize_scattering(scattering_json, scattering_npz):
+    # the JSON file holds only scalars, so a cache hit never reads the profile
+    summary = scattering_summary(_read_json(scattering_json))
     return summary, (["degenerate scenario: zero scattering length"]
                      if summary["a0_tail"] < budgets.DEGENERATE_FLOOR else [])
 
@@ -629,7 +631,7 @@ class Stage:
 
 STAGES = (
     Stage("scattering", ("potential",), ("potential",), (),
-          ("scattering.json", "scattering.csv", "scattering_summary.json"),
+          ("scattering.json", "scattering.npz"),
           _run_scattering, _summarize_scattering),
     Stage("evolve", ("grid", "datum"),
           ("grid", "datum", "nonlinearity", "snapshots"), ("scattering",),

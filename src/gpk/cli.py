@@ -46,24 +46,28 @@ def _cmd_scattering(args) -> int:
     )
     from .scattering import solve_zero_energy
 
+    out = Path(args.out)
+    if out.suffix in (".json", ".npz"):
+        raise ConfigurationError(f"--out {out}: the CSV export would collide "
+                                 f"with the artifact {out.stem}.json + .npz")
     V = _parse_potential_arg(args.potential)
     points = (SCHEMA["potential"]["points"].default if args.points is None
               else args.points)
     sol = solve_zero_energy(V, args.rmax, points)
-    out = Path(args.out)
     write_scattering_csv(sol, out)
-    summary_path = out.with_suffix(".json")
-    payload = dump_solution_json(sol, summary_path)
+    payload = dump_solution_json(sol, out.with_suffix(".json"))
     print(json.dumps(scattering_summary(payload), sort_keys=True))
     return 0
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_stages(args) -> int:
+    """`gpk evolve` and `gpk fock`: their stages and the upstream stages
+    those read; prints the summary of the first."""
     from .bench import load_config, run_pipeline
 
     bundle = run_pipeline(load_config(args.config), outdir=args.out,
-                          stages=("evolve", "nsweep"))
-    print(json.dumps(bundle.summary.get("evolve", {}), sort_keys=True))
+                          stages=args.stages)
+    print(json.dumps(bundle.summary.get(args.stages[0], {}), sort_keys=True))
     return 0
 
 
@@ -84,15 +88,6 @@ def _cmd_kernels(args) -> int:
     path = outdir / "kernel_bounds.csv"
     write_kernel_bounds_csv(path, phi, sol, n_list)
     print(str(path))
-    return 0
-
-
-def _cmd_fock(args) -> int:
-    from .bench import load_config, run_pipeline
-
-    bundle = run_pipeline(load_config(args.scenario), outdir=args.out,
-                          stages=("fock",))
-    print(json.dumps(bundle.summary.get("fock", {}), sort_keys=True))
     return 0
 
 
@@ -129,25 +124,27 @@ def build_parser() -> argparse.ArgumentParser:
                         "two-column table file")
     p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", required=True,
+                   help="CSV export X.csv; the artifact X.json + X.npz goes beside it")
     p.set_defaults(func=_cmd_scattering)
 
     p = sub.add_parser("evolve", help="run the configured field evolution")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_evolve)
+    p.set_defaults(func=_cmd_stages, stages=("evolve", "nsweep"))
 
     p = sub.add_parser("kernels", help="kernel norm scaling report")
     p.add_argument("--phi", required=True, help="binary field dump")
-    p.add_argument("--scattering", required=True, help="scattering JSON artifact")
+    p.add_argument("--scattering", required=True, help="artifact X.json (+ X.npz)")
     p.add_argument("--N", required=True, help="comma separated N values")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser("fock", help="toy Fock-space scenario")
-    p.add_argument("--scenario", required=True, help="config with a [fock] section")
+    p.add_argument("--scenario", dest="config", required=True,
+                   help="config with a [fock] section")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fock)
+    p.set_defaults(func=_cmd_stages, stages=("fock",))
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("config")

@@ -140,7 +140,7 @@ class RadialPotential:
                 raise ConfigurationError(
                     f"{where}: unknown parameter {key!r} for family {family!r} "
                     f"(expected {', '.join(defaults) or 'none'})")
-        return build(**{key: _numbers(params.get(key, default), f"{where}: {key}")
+        return build(**{key: as_numbers(params.get(key, default), f"{where}: {key}")
                         for key, default in defaults.items()})
 
 
@@ -168,7 +168,7 @@ def family_parameters(family: str) -> list:
     return list(_FAMILIES[family][1])
 
 
-def _numbers(value, what: str):
+def as_numbers(value, what: str):
     """A float, or an array for a table column, from numbers or strings."""
     try:
         out = np.asarray(value, dtype=float)

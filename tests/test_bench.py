@@ -111,16 +111,29 @@ def test_solution_json_round_trip(tmp_path):
     sol = solve_zero_energy(V, 5.0, 2000)
     path = tmp_path / "scattering.json"
     dump_solution_json(sol, path)
+    assert "profile" not in json.loads(path.read_text())
     sol2 = load_solution_json(path)
     V2 = sol2.potential
     assert sol2.a0 == sol.a0
     assert sol2.a0_derivative == sol.a0_derivative
-    assert np.array_equal(sol2.w, sol.w)
+    # every array comes back from scattering.npz bit for bit
+    for name in ("r_grid", "f", "w", "dw_dr", "defect"):
+        got, want = getattr(sol2, name), getattr(sol, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert V2.r_support == pytest.approx(V.r_support, abs=1e-9)
     # V is rebuilt exactly, jump included, not interpolated from samples
     r = np.linspace(0.0, 2.0, 2001)
     assert np.array_equal(V2(r), V(r))
     assert V2.breakpoints == V.breakpoints
+
+
+def set_profile_value(npz, name, value, index=10):
+    """Rewrite the scattering profile `npz` with one value of array `name`
+    replaced (None is stored as NaN, as a JSON null was read)."""
+    with np.load(npz) as data:
+        arrays = dict(data)
+    arrays[name][index] = value
+    np.savez(npz, **arrays)
 
 
 @pytest.mark.parametrize("key, bad", [
@@ -130,30 +143,105 @@ def test_solution_json_round_trip(tmp_path):
     ("tail_fit_error", math.nan),
 ])
 def test_solution_json_with_a_non_finite_number_is_refused(tmp_path, key, bad):
+    # a profile.* key names an array of scattering.npz, the others a scalar
+    # of scattering.json
     V = RadialPotential.square_well(8.0, 1.0)
     path = tmp_path / "scattering.json"
     payload = dump_solution_json(solve_zero_energy(V, 5.0, 2000), path)
-    if key.startswith("profile."):
-        payload["profile"][key.partition(".")[2]][10] = bad
+    section, _, name = key.rpartition(".")
+    if section:
+        where = path.with_suffix(".npz")
+        set_profile_value(where, name, bad)
     else:
+        where = path
         payload[key] = bad
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigurationError,
-                       match=f"{key} holds non-finite values"):
+        path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError) as err:
         load_solution_json(path)
+    assert f"{where}: {name} holds non-finite values" in str(err.value)
 
 
 def test_evolve_on_a_scattering_json_holding_nan_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     run_pipeline(load_config(cfg_path), stages=("scattering",))
-    path = tmp_path / "out" / "scattering.json"
-    payload = json.loads(path.read_text())
-    payload["profile"]["f"][10] = math.nan
-    path.write_text(json.dumps(payload))
+    npz = tmp_path / "out" / "scattering.npz"
+    set_profile_value(npz, "f", math.nan)
     # the edited file changes the evolve key, so evolve reads the profile
     assert cli_main(["evolve", "--config", str(cfg_path)]) == 2
-    assert f"{path}: profile.f holds non-finite values" \
-        in capsys.readouterr().err
+    assert f"{npz}: f holds non-finite values" in capsys.readouterr().err
+
+
+def scattering_artifact(tmp_path, capsys):
+    """A field dump and the artifact pair s.json + s.npz of `gpk scattering`,
+    and the arguments of `gpk kernels` that read them."""
+    assert cli_main([
+        "scattering", "--potential", "square-well:height=8,radius=1",
+        "--rmax", "5.0", "--points", "2000", "--out", str(tmp_path / "s.csv"),
+    ]) == 0
+    grid = GridSpec(dim=1, box_length=16.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.0)
+    write_field(tmp_path / "phi.bin", gaussian_datum(grid))
+    capsys.readouterr()
+    return tmp_path / "s.json", ["kernels", "--phi", str(tmp_path / "phi.bin"),
+                                 "--scattering", str(tmp_path / "s.json"),
+                                 "--N", "2", "--out", str(tmp_path / "kout")]
+
+
+@pytest.mark.parametrize("file, key", [
+    ("json", "a0_tail"), ("json", "tail_fit_error"), ("json", "potential"),
+    ("npz", "w"), ("npz", "defect"),
+])
+def test_cli_kernels_scattering_artifact_missing_a_key_exits_2(
+        tmp_path, capsys, file, key):
+    path, args = scattering_artifact(tmp_path, capsys)
+    if file == "json":
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+    else:
+        with np.load(path.with_suffix(".npz")) as data:
+            arrays = dict(data)
+        del arrays[key]
+        np.savez(path.with_suffix(".npz"), **arrays)
+    assert cli_main(args) == 2
+    where = path.with_suffix(f".{file}")
+    assert f"error: {where}: no {key}; solve it again" in capsys.readouterr().err
+    assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
+
+
+@pytest.mark.parametrize("text, what", [
+    ("5", "no potential"),
+    ('{"a0_tail": "abc"}', "a0_tail = 'abc' is not a number"),
+], ids=["a-number", "a-text-scalar"])
+def test_cli_kernels_scattering_json_of_the_wrong_type_exits_2(
+        tmp_path, capsys, text, what):
+    path, args = scattering_artifact(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    edited = json.loads(text)
+    path.write_text(json.dumps({**payload, **edited}
+                               if isinstance(edited, dict) else edited))
+    assert cli_main(args) == 2
+    assert f"error: {path}: {what}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing", "not-zip", "npy"])
+def test_cli_kernels_unreadable_scattering_npz_exits_2(tmp_path, capsys,
+                                                       damage):
+    path, args = scattering_artifact(tmp_path, capsys)
+    npz = path.with_suffix(".npz")
+    if damage == "truncated":
+        npz.write_bytes(npz.read_bytes()[:-40])
+    elif damage == "missing":
+        npz.unlink()
+    elif damage == "not-zip":
+        npz.write_text("r,f,w\n0.0,1.0,0.0\n")
+    else:  # a bare .npy array under the .npz name
+        np.save(tmp_path / "bare.npy", np.zeros(4))
+        (tmp_path / "bare.npy").replace(npz)
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {npz} is not a scattering profile" in err
+    assert "solve it again" in err
 
 
 def test_scattering_csv_cells_are_numbers(tmp_path):
@@ -185,16 +273,16 @@ def test_pipeline_runs_and_is_deterministic(tmp_path):
     cfg = load_config(cfg_path)
     bundle = run_pipeline(cfg)
     outdir = bundle.outdir
-    rates = (outdir / "rates.csv").read_bytes()
-    norms = (outdir / "norms.csv").read_bytes()
-    scattering = (outdir / "scattering.json").read_bytes()
+    files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    assert {"scattering.json", "scattering.npz", "norms.csv",
+            "rates.csv", "report.json"} <= set(files)
 
-    # byte-identical on a fresh run in a second directory
+    # every file byte-identical on a fresh run in a second directory
     out2 = tmp_path / "out2"
     bundle2 = run_pipeline(cfg, outdir=out2)
-    assert (out2 / "rates.csv").read_bytes() == rates
-    assert (out2 / "norms.csv").read_bytes() == norms
-    assert (out2 / "scattering.json").read_bytes() == scattering
+    assert sorted(p.name for p in out2.iterdir()) == sorted(files)
+    for name, data in files.items():
+        assert (out2 / name).read_bytes() == data, name
     assert bundle2.summary["nsweep"]["slope"] == bundle.summary["nsweep"]["slope"]
 
     slope = bundle.summary["nsweep"]["slope"]
@@ -261,7 +349,8 @@ def test_cli_scattering_and_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert payload["a0_tail"] == pytest.approx(1 - math.tanh(2.0) / 2, rel=1e-6)
-    assert out.exists() and out.with_suffix(".json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "scatter.csv", "scatter.json", "scatter.npz"]
     header = out.read_text().splitlines()[0]
     assert header == "r,f,w,dw_dr"
 
@@ -271,6 +360,17 @@ def test_cli_scattering_and_exit_codes(tmp_path, capsys):
         "--rmax", "2.0", "--out", str(out),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("suffix", [".json", ".npz"])
+def test_cli_scattering_out_that_collides_with_the_artifact_exits_2(
+        tmp_path, capsys, suffix):
+    # the CSV export would be overwritten by the artifact pair beside it
+    out = tmp_path / f"s{suffix}"
+    assert cli_main(["scattering", "--potential", "square-well:height=8,radius=1",
+                     "--rmax", "5.0", "--points", "2000", "--out", str(out)]) == 2
+    assert f"--out {out}: the CSV export would collide" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run_and_report(tmp_path, capsys):
@@ -803,20 +903,24 @@ def test_warm_rerun_never_parses_the_scattering_profile(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path))
     outdir = run_pipeline(cfg).outdir
     fresh = (outdir / "report.json").read_bytes()
-    parsed = []
-    real_load = json.load
+    loaded = []
+    real_load = np.load
 
-    def recording_load(fh, **kwargs):
-        parsed.append(getattr(fh, "name", None))
-        return real_load(fh, **kwargs)
+    def recording_load(file, *args, **kwargs):
+        loaded.append(Path(file).name)
+        return real_load(file, *args, **kwargs)
 
-    monkeypatch.setattr(json, "load", recording_load)
+    monkeypatch.setattr(np, "load", recording_load)
     warm = run_pipeline(cfg)
     assert (outdir / "report.json").read_bytes() == fresh
-    assert parsed and not any(str(name).endswith("scattering.json")
-                              for name in parsed)
+    assert loaded == []
     assert warm.summary["scattering"]["a0_tail"] == pytest.approx(
         1 - math.tanh(2.0) / 2, rel=1e-6)
+    # the recorder sees the profile read of a stage that misses
+    (outdir / "evolve.hash").unlink()
+    run_pipeline(cfg)
+    assert loaded == ["scattering.npz"]
+    assert (outdir / "report.json").read_bytes() == fresh
 
 
 FOCK_CONFIG = """
@@ -986,12 +1090,12 @@ phi0 = 1.0 0.0"""
     ("dt = 2.5e-4", "dt = 3e-4",
      "exp.ini [grid]: t_final must be a whole number of dt steps"),
     ("t_star = 0.25", "t_star = 0.2501",
-     "exp.ini [nsweep] t_star: t_final must be a whole number of dt steps"),
+     "exp.ini [nsweep]: t_star must be a whole number of dt steps"),
     # -400 steps is a whole number: the fault is the sign
     ("t_final = 0.25", "t_final = -0.1",
      "exp.ini [grid]: t_final = -0.1 and dt = 0.00025 have opposite signs"),
-    ("t_star = 0.25", "t_star = -0.25", "exp.ini [nsweep] t_star: "
-     "t_final = -0.25 and dt = 0.00025 have opposite signs"),
+    ("t_star = 0.25", "t_star = -0.25",
+     "exp.ini [nsweep]: t_star = -0.25 and dt = 0.00025 have opposite signs"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "gp-a0-and-coupling", "fock-d4",
@@ -1006,5 +1110,8 @@ def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(text.replace(line, bad))
     assert cli_main(["run", str(cfg_path)]) == 2
-    assert what in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert what in err
+    if line.startswith("t_star"):  # the message names only the key written
+        assert "t_final" not in err
     assert not (tmp_path / "out").exists()
