@@ -33,16 +33,17 @@ from .dynamics import (
     GridSpec,
     NonlinearitySpec,
     WaveFunction,
-    constant_datum,
     evolve_and_compare,
     gaussian_datum,
     sobolev_report,
     sweep_nonlinearities,
+    sweep_values,
     tail_warnings,
     time_steps,
 )
 from .errors import ConfigurationError
 from .kernels import kernel_bound_report
+from .rates import rate_points
 from .scattering import (
     RadialPotential,
     ScatteringSolution,
@@ -63,11 +64,12 @@ def _tokens(text: str) -> list:
     return text.replace(",", " ").split()
 
 
-def _finite(text: str) -> float:
-    """float(text), with ValueError for nan and +-inf as for a non-number."""
+def _finite(text: str, above=-math.inf) -> float:
+    """float(text), with ValueError for nan, +-inf and a number not `above`
+    as for a non-number."""
     value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
+    if not above < value < math.inf:
+        raise ValueError(f"{text!r} is not a finite number above {above}")
     return value
 
 
@@ -82,6 +84,7 @@ def _choice(*words):
 _INT = (int, "an integer")
 _INTS = (lambda text: [int(tok) for tok in _tokens(text)], "integers")
 _FLOAT = (_finite, "a finite number")
+_WIDTH = (lambda text: _finite(text, above=0.0), "a positive finite number")
 _FLOATS = (lambda text: [_finite(tok) for tok in _tokens(text)],
            "finite numbers")
 _MATRIX = (lambda text: [_FLOATS[0](row) for row in text.split(";")
@@ -105,7 +108,7 @@ class Key:
 # Every section and key gpk reads.  [potential] also takes the parameters of
 # its family, which `potential_from_config` checks.  A key without a
 # default reads None when it is not given: `solve_zero_energy` takes
-# max(5, 5 r_support) for rmax, and the fock stage d ones for u.
+# max(5, 5 r_support) for rmax, and the fock stage ones for u.
 SCHEMA = {
     "potential": {"family": Key(_TEXT), "file": Key(_TEXT), "rmax": Key(_FLOAT),
                   "points": Key(_INT, 4000)},
@@ -113,24 +116,20 @@ SCHEMA = {
              "points": Key(_INT, REQUIRED), "dt": Key(_FLOAT, REQUIRED),
              "t_final": Key(_FLOAT, REQUIRED),
              "fft_workers": Key(_INT, 1, least=1)},
-    "datum": {"family": Key(_choice("gaussian", "constant"), "gaussian"),
-              "sigma": Key(_FLOAT, 1.0)},
+    "datum": {"sigma": Key(_WIDTH, 1.0)},
     "nonlinearity": {"kind": Key(_choice("gp", "modified"), "gp"),
-                     "a0": Key(_FLOAT), "coupling": Key(_FLOAT),
-                     "n": Key(_INT, least=1)},
+                     "a0": Key(_FLOAT), "n": Key(_INT, least=1)},
     "snapshots": {"stride": Key(_INT, least=1), "fields": Key(_YES_NO, False)},
     "nsweep": {"n_values": Key(_INTS, REQUIRED, least=1),
                "t_star": Key(_FLOAT, REQUIRED)},
     "kernels": {"dim": Key(_INT, 3), "length": Key(_FLOAT, 12.0),
-                "points": Key(_INT, 16), "sigma": Key(_FLOAT, 1.0),
+                "points": Key(_INT, 16), "sigma": Key(_WIDTH, 1.0),
                 "n_values": Key(_INTS, REQUIRED, least=1)},
-    "fock": {"d": Key(_INT, 2, least=1), "h": Key(_MATRIX, REQUIRED),
-             "u": Key(_FLOATS), "coupling": Key(_FLOAT, REQUIRED),
+    "fock": {"h": Key(_MATRIX, REQUIRED), "u": Key(_FLOATS),
+             "coupling": Key(_FLOAT, REQUIRED),
              "phi0": Key(_FLOATS, REQUIRED), "kappa0": Key(_FLOAT, 0.0),
              "t_final": Key(_FLOAT, REQUIRED),
-             "n_values": Key(_INTS, REQUIRED, least=1), "omega": Key(_FLOAT),
-             "cancel_n": Key(_INT, 16, least=1),
-             "cancel_cutoff": Key(_INT, 12, least=0)},
+             "n_values": Key(_INTS, REQUIRED, least=1), "omega": Key(_FLOAT)},
     "output": {"directory": Key(_TEXT, "out")},
 }
 
@@ -225,9 +224,6 @@ def _check_rules(cfg: ExperimentConfig) -> None:
     if modified and nl["n"] is None:
         raise ConfigurationError(
             f"{path}: section [nonlinearity] missing key 'n'")
-    if not modified and nl["a0"] is not None and nl["coupling"] is not None:
-        raise ConfigurationError(
-            f"{path}: [nonlinearity] kind = gp takes a0 or coupling, not both")
     for what, present, needed in (
             ("[nsweep]", cfg.has("nsweep"), "potential"),
             ("[nsweep]", cfg.has("nsweep"), "grid"),
@@ -238,31 +234,40 @@ def _check_rules(cfg: ExperimentConfig) -> None:
     if cfg.has("potential"):
         potential_from_config(cfg)
     # the grids the stages build, from the same constructors, and the steps
-    # taken on them; nsweep's grid ends at t_star, the kernels grid takes none
+    # taken on them (nsweep's grid ends at t_star, the kernels grid takes
+    # none); the N lists, by the rules of the nsweep and fock rate fits,
+    # which name no time key
     for where, time_key, present, check in (
             ("[grid]", "t_final", cfg.has("grid"),
              lambda: time_steps(grid_from_config(cfg))),
             ("[nsweep]", "t_star", cfg.has("nsweep"),
              lambda: time_steps(replace(grid_from_config(cfg),
                                         t_final=cfg.get("nsweep", "t_star")))),
+            ("[nsweep] n_values", None, cfg.has("nsweep"),
+             lambda: sweep_values(cfg.get("nsweep", "n_values"))),
             ("[kernels]", "t_final", cfg.has("kernels"),
-             lambda: kernel_grid_from_config(cfg))):
+             lambda: kernel_grid_from_config(cfg)),
+            ("[fock] n_values", None, cfg.has("fock"),
+             lambda: rate_points(cfg.get("fock", "n_values")))):
         if present:
             try:
                 check()
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{path} {where}: " + str(exc).replace(
-                    "t_final", time_key)) from None
+                    "t_final", time_key or "t_final")) from None
     if cfg.has("fock"):
         _check_fock_scenario(path, cfg.values["fock"])
 
 
 def _check_fock_scenario(path, fock: dict) -> None:
-    """The shapes of [fock] h, u and phi0, and every basis the fock stage
-    builds, against the caps of `gpk.budgets`."""
-    d, omega = fock["d"], fock["omega"]
-    if len(fock["h"]) != d or any(len(row) != d for row in fock["h"]):
-        raise ConfigurationError(f"{path}: [fock] h must be {d} x {d}")
+    """The shapes of [fock] h (d x d, for d modes), u and phi0 (d numbers),
+    and both bases the fock stage builds, against the caps of
+    `gpk.budgets`."""
+    d = len(fock["h"])
+    if not d or any(len(row) != d for row in fock["h"]):
+        raise ConfigurationError(
+            f"{path}: [fock] h must be a nonempty square matrix, got rows of "
+            f"{[len(row) for row in fock['h']]} numbers")
     for key in ("u", "phi0"):
         if fock[key] is not None and len(fock[key]) != d:
             raise ConfigurationError(f"{path}: [fock] {key} needs d = {d} "
@@ -270,20 +275,16 @@ def _check_fock_scenario(path, fock: dict) -> None:
     if not 0 < np.linalg.norm(fock["phi0"]) < math.inf:
         raise ConfigurationError(
             f"{path}: [fock] phi0 must be a nonzero finite vector")
-    # the probe and a cancellation check with omega != 0 take dense unitaries
-    dim_cap = (budgets.DIM_BUDGET, "DIM_BUDGET")
-    dense_cap = (budgets.DENSE_EXPM_CAP, "DENSE_EXPM_CAP")
-    bases = [("d", budgets.FLUCTUATION_CUTOFF, dim_cap),
-             ("d", budgets.PROBE_CUTOFF, dense_cap)]
-    if omega is not None:
-        bases.append(("d or cancel_cutoff", fock["cancel_cutoff"],
-                      dense_cap if omega else dim_cap))
-    for keys, cutoff, (cap, name) in bases:
+    # the toy study's basis, and the probe basis, on which the probe and
+    # cancellation checks take dense unitaries
+    for cutoff, cap, name in (
+            (budgets.FLUCTUATION_CUTOFF, budgets.DIM_BUDGET, "DIM_BUDGET"),
+            (budgets.PROBE_CUTOFF, budgets.DENSE_EXPM_CAP, "DENSE_EXPM_CAP")):
         dim = budgets.basis_dimension(d, cutoff)
         if dim > cap:
             raise ConfigurationError(
-                f"{path}: [fock] {keys}: d = {d} modes at cutoff {cutoff} "
-                f"give a basis of dimension {dim}, above the cap {cap} ({name})")
+                f"{path}: [fock] h: d = {d} modes at cutoff {cutoff} give a "
+                f"basis of dimension {dim}, above the cap {cap} ({name})")
 
 
 def potential_from_config(cfg: ExperimentConfig) -> RadialPotential:
@@ -327,12 +328,6 @@ def potential_from_file(path) -> RadialPotential:
         raise ConfigurationError(
             f"potential table {path} needs rows of two numbers (radius, value)")
     return RadialPotential.from_table(table[:, 0], table[:, 1])
-
-
-def datum_from_config(cfg: ExperimentConfig, grid: GridSpec) -> WaveFunction:
-    if cfg.get("datum", "family") == "constant":
-        return constant_datum(grid)
-    return gaussian_datum(grid, sigma=cfg.get("datum", "sigma"))
 
 
 def grid_from_config(cfg: ExperimentConfig) -> GridSpec:
@@ -510,8 +505,8 @@ class _Inputs:
 
     @functools.cached_property
     def datum(self) -> WaveFunction:
-        """The [datum] field on the [grid]; evolve and nsweep start from it."""
-        return datum_from_config(self.cfg, self.grid)
+        """The [datum] Gaussian on the [grid]; evolve and nsweep start from it."""
+        return gaussian_datum(self.grid, sigma=self.cfg.get("datum", "sigma"))
 
     @functools.cached_property
     def interaction(self) -> NonlinearitySpec:
@@ -523,12 +518,10 @@ def _nonlinearity(inp: _Inputs) -> NonlinearitySpec:
     nl = inp.cfg.values["nonlinearity"]
     if nl["kind"] == "modified":
         return replace(inp.interaction, N=nl["n"])
-    a0, coupling = nl["a0"], nl["coupling"]
-    if a0 is None and coupling is None and inp.sol is not None:
-        a0 = inp.sol.a0
-    if a0 is None and coupling is None:
-        return NonlinearitySpec.free()
-    return NonlinearitySpec.gp(a0=a0, coupling=coupling)
+    a0 = nl["a0"]
+    if a0 is None:  # the solved a0; no interaction without a [potential]
+        a0 = 0.0 if inp.sol is None else inp.sol.a0
+    return NonlinearitySpec.gp(a0)
 
 
 def scattering_summary(payload: dict) -> dict:
@@ -722,6 +715,9 @@ def write_kernel_bounds_csv(path, phi, sol, N_list) -> None:
                 for rep in reports))
 
 
+CANCEL_N = 16  # the N of the fock stage's generator cancellation check
+
+
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
     # fock loads scipy.sparse and scipy.linalg, so only this stage imports it
     from .fock import (ToyScenario, apply_bogoliubov, apply_weyl, build_basis,
@@ -730,7 +726,7 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
                        toy_convergence_study, vacuum)
 
     f = cfg.values["fock"]
-    d, g, omega = f["d"], f["coupling"], f["omega"]
+    d, g, omega = len(f["h"]), f["coupling"], f["omega"]
     u = np.array(f["u"] or [1.0] * d)
     phi0 = np.array(f["phi0"]) / np.linalg.norm(f["phi0"])
     scenario = ToyScenario(h=np.array(f["h"]), u=u, coupling=g, phi0=phi0,
@@ -738,21 +734,20 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
                            N_list=tuple(f["n_values"]))
     rep = toy_convergence_study(scenario)
 
+    # the cancellation check, structural residuals and spectral constants,
+    # at toy scale on one probe basis
+    probe = build_basis(d, budgets.PROBE_CUTOFF)
     cancel = None
     if omega is not None:
-        basis = build_basis(d, f["cancel_cutoff"])
-        matched = generator_cancellation_check(basis, u, g, f["cancel_n"],
-                                               phi0, omega)
-        bare = generator_cancellation_check(basis, u, g, f["cancel_n"],
-                                            phi0, omega, kappa=0.0)
+        matched = generator_cancellation_check(probe, u, g, CANCEL_N, phi0,
+                                               omega)
+        bare = generator_cancellation_check(probe, u, g, CANCEL_N, phi0,
+                                            omega, kappa=0.0)
         cancel = {
             "matched_ratio": matched.ratio,
             "uncorrelated_ratio": bare.ratio,
             "kappa": matched.kappa,
         }
-
-    # structural residuals and spectral constants at toy scale
-    probe = build_basis(d, budgets.PROBE_CUTOFF)
     weyl_rep = check_weyl_relations(
         probe, 0.1 * phi0.astype(complex), 0.08 * phi0.astype(complex)
     )

@@ -192,16 +192,12 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunct
     return WaveFunction(values=vals, grid=grid)
 
 
-def constant_datum(grid: GridSpec) -> WaveFunction:
-    vals = np.full(grid.shape, grid.box_length ** (-grid.dim / 2.0), dtype=complex)
-    return WaveFunction(values=vals, grid=grid)
-
-
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Self-interaction of the field: contact ("gp") or convolution ("modified").
 
-    For "gp" the coupling is 8 pi a0 when built from a scattering length.
+    For "gp" the coupling is 8 pi a0 when built from a scattering length;
+    `gp(0.0)` is the free equation.
     For "modified" the frequency multiplier is (1 - 1/N) uhat(p/N); the table
     must satisfy uhat(0) = 8 pi a0 within quadrature tolerance when it comes
     from a 3D scattering solution.
@@ -221,16 +217,8 @@ class NonlinearitySpec:
                 raise ConfigurationError("modified kind needs N >= 1 and a uhat table")
 
     @staticmethod
-    def gp(a0: Optional[float] = None, coupling: Optional[float] = None):
-        if coupling is None:
-            if a0 is None:
-                raise ConfigurationError("gp kind needs a0 or an explicit coupling")
-            coupling = 8.0 * math.pi * a0
-        return NonlinearitySpec(kind="gp", coupling=coupling, a0=a0)
-
-    @staticmethod
-    def free():
-        return NonlinearitySpec(kind="gp", coupling=0.0, a0=0.0)
+    def gp(a0: float):
+        return NonlinearitySpec(kind="gp", coupling=8.0 * math.pi * a0, a0=a0)
 
     @staticmethod
     def modified(sol, N: int, grid: GridSpec):
@@ -298,7 +286,8 @@ class _Stepper:
         return rot
 
     def drift(self, values, phase):
-        spectrum = self.fft(values)
+        """The drift of `values`, in place: pass a copy of a field to keep."""
+        spectrum = self.fft(values, overwrite_x=True)
         spectrum *= phase
         return self.ifft(spectrum, overwrite_x=True)
 
@@ -450,11 +439,11 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
     if n_steps:
         # drift-kick-drift with merged interior drifts: the running state
         # between snapshots carries an extra half drift (unitary, so the norm
-        # monitor is unaffected), undone only for snapshot copies.  No substep
-        # writes to its input, so stepping never writes to the datum or a
-        # snapshot.
-        vals = np.broadcast_to(stepper.drift(values[None], stepper.half_drift),
-                               vals.shape)
+        # monitor is unaffected), undone only for snapshot copies.  A drift
+        # overwrites the kick's fresh output; the datum and the running
+        # state it un-drifts for a snapshot pass it copies.
+        vals = np.broadcast_to(
+            stepper.drift(values[None].copy(), stepper.half_drift), vals.shape)
     for step in range(1, n_steps + 1):
         vals = stepper.kick(vals, grid.dt)
         last_step = step == n_steps
@@ -473,7 +462,7 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
         if tracked and (last_step or step % stride == 0):
             times.append(step * grid.dt)
             kept.append(vals[0] if last_step else stepper.drift(
-                vals[:1], np.conj(stepper.half_drift))[0])
+                vals[:1].copy(), np.conj(stepper.half_drift))[0])
     if not tracked:
         return None, vals
     return Trajectory(np.array(times),
@@ -534,17 +523,26 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
     )
 
 
+def sweep_values(N_list) -> list:
+    """The N of a sweep as ints: at least 4 distinct, geometrically spaced
+    values, else a ConfigurationError."""
+    N_list = [int(N) for N in N_list]
+    if len(N_list) < 4:
+        raise ConfigurationError(f"need at least 4 values of N, got {N_list}")
+    ratios = [N_list[i + 1] / N_list[i] for i in range(len(N_list) - 1)]
+    if ratios[0] == 1 or any(abs(r - ratios[0]) > RATIO_SLACK * ratios[0]
+                             for r in ratios):
+        raise ConfigurationError("N values must be distinct and geometrically "
+                                 f"spaced (RATIO_SLACK), got {N_list}")
+    return N_list
+
+
 def sweep_nonlinearities(a0: Optional[float], uhat: RadialTransformTable,
                           N_list) -> list:
     """The members of an N sweep: the limiting GP (contact coupling 8 pi a0,
     or uhat(0) without a0), then the modified equation for each N of
-    `N_list`, at least 4 geometrically spaced values."""
-    N_list = [int(N) for N in N_list]
-    if len(N_list) < 4:
-        raise ConfigurationError("need at least 4 values of N")
-    ratios = [N_list[i + 1] / N_list[i] for i in range(len(N_list) - 1)]
-    if any(abs(r - ratios[0]) > RATIO_SLACK * ratios[0] for r in ratios):
-        raise ConfigurationError("N values must be geometrically spaced (RATIO_SLACK)")
+    `sweep_values(N_list)`."""
+    N_list = sweep_values(N_list)
     g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
     return [NonlinearitySpec(kind="gp", coupling=g, a0=a0)] + [
         NonlinearitySpec(kind="modified", coupling=uhat.at_zero, a0=a0, N=N,

@@ -20,19 +20,25 @@ class RateReport:
     r_squared: float
 
 
+def rate_points(x) -> np.ndarray:
+    """x as floats if it holds the 3 distinct values a rate fit needs."""
+    x = np.asarray(x, dtype=float)
+    if len(set(x.tolist())) < 3:  # np.unique imports numpy.ma: ms at start-up
+        raise ConfigurationError("rate fit needs at least 3 distinct points")
+    return x
+
+
 def fit_rate(x, y) -> RateReport:
     """Fit the scaling exponent of positive data y against x.
 
-    Data all below DEGENERATE_FLOOR are round-off: the report has a NaN slope
-    and r_squared 0.  Otherwise raises ConfigurationError with fewer than 3
-    points and DomainError if any y is non-positive.
+    Raises ConfigurationError unless `rate_points` takes x.  Data all below
+    DEGENERATE_FLOOR are round-off: the report has a NaN slope and r_squared
+    0.  Otherwise raises DomainError if any y is non-positive.
     """
-    x = np.asarray(x, dtype=float)
+    x = rate_points(x)
     y = np.asarray(y, dtype=float)
     if np.max(y) < DEGENERATE_FLOOR:
         return RateReport(x=x, y=y, slope=float("nan"), r_squared=0.0)
-    if x.size < 3:
-        raise ConfigurationError("rate fit needs at least 3 points")
     if np.any(y <= 0):
         raise DomainError("rate fit needs strictly positive values")
     lx, ly = np.log(x), np.log(y)

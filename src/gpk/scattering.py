@@ -133,7 +133,9 @@ class RadialPotential:
         name = str(params.pop("family", ""))
         family = potential_family(name)
         if family is None:
-            raise ConfigurationError(f"{where}: unknown potential family {name!r}")
+            raise ConfigurationError(
+                f"{where}: unknown potential family {name!r}; expected one of "
+                f"{', '.join(_FAMILIES)}")
         build, defaults = _FAMILIES[family]
         for key in params:
             if key not in defaults:
@@ -145,21 +147,18 @@ class RadialPotential:
 
 
 # The one table of potential families: constructor and parameters with their
-# defaults (None: required), and the other spellings of the family names.
+# defaults (None: required).
 _FAMILIES = {
     "square-well": (RadialPotential.square_well, {"height": 8.0, "radius": 1.0}),
     "gaussian": (RadialPotential.gaussian, {"amplitude": 1.0, "width": 1.0}),
     "zero": (RadialPotential.zero, {}),
     "table": (RadialPotential.from_table, {"r": None, "v": None}),
 }
-_SPELLINGS = {"square_well": "square-well", "square": "square-well",
-              "free": "zero"}
 
 
 def potential_family(name: str):
     """The family a name spells, or None."""
     name = name.strip().lower()
-    name = _SPELLINGS.get(name, name)
     return name if name in _FAMILIES else None
 
 

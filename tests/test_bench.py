@@ -39,7 +39,6 @@ dt = 1e-3
 t_final = 0.1
 
 [datum]
-family = gaussian
 sigma = 1.0
 
 [nonlinearity]
@@ -69,6 +68,10 @@ def test_fit_rate_synthetic():
     assert rep2.slope == pytest.approx(-0.5, abs=1e-12)
     with pytest.raises(ConfigurationError):
         fit_rate([4, 8], [1.0, 0.5])
+    # three points at two distinct x, or at one, fit no line
+    for x in ([4, 4, 8], [4, 4, 4]):
+        with pytest.raises(ConfigurationError, match="3 distinct points"):
+            fit_rate(x, [1.0, 0.5, 0.25])
     with pytest.raises(DomainError):
         fit_rate([4, 8, 16], [1.0, 0.0, 0.5])
 
@@ -418,7 +421,6 @@ def test_cli_kernels_subcommand(tmp_path, capsys):
 def test_cli_fock_subcommand(tmp_path, capsys):
     text = """
 [fock]
-d = 2
 h = 0.0 -1.0 ; -1.0 0.2
 u = 1.0 1.0
 coupling = 0.5
@@ -427,8 +429,6 @@ kappa0 = 0.2
 t_final = 0.3
 n_values = 3 6 12
 omega = 0.0025
-cancel_n = 16
-cancel_cutoff = 12
 
 [output]
 directory = {outdir}
@@ -452,7 +452,6 @@ dt = 1e-3
 t_final = 0.05
 
 [datum]
-family = gaussian
 sigma = 1.0
 
 [nonlinearity]
@@ -489,7 +488,6 @@ dt = 1e-3
 t_final = 0.02
 
 [datum]
-family = gaussian
 sigma = 0.1
 
 [nonlinearity]
@@ -682,7 +680,6 @@ def test_potential_table_file_takes_no_family_keys(tmp_path):
 def test_stage_keys_follow_real_dependencies(tmp_path):
     text = BASE_CONFIG + """
 [fock]
-d = 2
 h = 0.0 -1.0 ; -1.0 0.2
 u = 1.0 1.0
 coupling = 0.5
@@ -734,7 +731,6 @@ length = 16.0
 n_values = 2 4
 
 [fock]
-d = 2
 h = 0.0 -1.0 ; -1.0 0.2
 u = 1.0 1.0
 coupling = 0.5
@@ -925,13 +921,12 @@ def test_warm_rerun_never_parses_the_scattering_profile(tmp_path, monkeypatch):
 
 FOCK_CONFIG = """
 [fock]
-d = 2
 h = 0.0 -1.0 ; -1.0 0.2
 u = 1.0 1.0
 coupling = 0.5
 phi0 = 1.0 0.0
 t_final = 0.3
-n_values = 3 6
+n_values = 3 6 12
 
 [output]
 directory = {outdir}
@@ -940,10 +935,12 @@ directory = {outdir}
 
 @pytest.mark.parametrize("line, bad, what", [
     ("h = 0.0 -1.0 ; -1.0 0.2", "h = 0.0 -1.0 ; -1.0 x", "[fock] h = "),
+    ("h = 0.0 -1.0 ; -1.0 0.2", "h = 0.0 -1.0 ; -1.0",
+     "[fock] h must be a nonempty square matrix, got rows of [2, 1] numbers"),
     ("phi0 = 1.0 0.0", "phi0 = 1.0 0.0 0.0", "phi0 needs d = 2 numbers, got 3"),
     ("u = 1.0 1.0", "u = 1.0", "u needs d = 2 numbers, got 1"),
     ("phi0 = 1.0 0.0", "phi0 = 0.0 0.0", "phi0 must be a nonzero"),
-], ids=["h-token", "phi0-length", "u-length", "phi0-zero"])
+], ids=["h-token", "h-not-square", "phi0-length", "u-length", "phi0-zero"])
 def test_cli_bad_fock_input_exits_2(tmp_path, capsys, line, bad, what):
     assert line in FOCK_CONFIG
     cfg_path = write_config(tmp_path, FOCK_CONFIG.replace(line, bad),
@@ -959,7 +956,7 @@ def test_cli_bad_fock_input_exits_2(tmp_path, capsys, line, bad, what):
     (FOCK_CONFIG, "t_final = 0.3", "t_final = nan", "[fock] t_final = 'nan'"),
     (FOCK_CONFIG, "coupling = 0.5", "coupling = nan",
      "[fock] coupling = 'nan'"),
-    (FOCK_CONFIG, "n_values = 3 6", "n_values = 3 6 12\nomega = nan",
+    (FOCK_CONFIG, "n_values = 3 6 12", "n_values = 3 6 12\nomega = nan",
      "[fock] omega = 'nan'"),
 ], ids=["grid-dt", "grid-t_final", "nsweep-t_star", "fock-t_final",
         "fock-coupling", "fock-omega"])
@@ -972,18 +969,33 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, base, line, bad,
 
 
 @pytest.mark.parametrize("base, line, bad, what", [
-    (FOCK_CONFIG, "n_values = 3 6", "n_values = 0 6",
-     "[fock] n_values = [0, 6] must be >= 1"),
-    (FOCK_CONFIG, "n_values = 3 6", "n_values = 3 -4",
-     "[fock] n_values = [3, -4] must be >= 1"),
-    (FOCK_CONFIG, "n_values = 3 6", "n_values = 3 6\nomega = 0.0025\ncancel_n = 0",
-     "[fock] cancel_n = 0 must be >= 1"),
+    (FOCK_CONFIG, "n_values = 3 6 12", "n_values = 0 6 12",
+     "[fock] n_values = [0, 6, 12] must be >= 1"),
+    (FOCK_CONFIG, "n_values = 3 6 12", "n_values = 3 -4 12",
+     "[fock] n_values = [3, -4, 12] must be >= 1"),
+    (FOCK_CONFIG, "n_values = 3 6 12", "n_values = 4 8",
+     "[fock] n_values: rate fit needs at least 3 distinct points"),
+    (FOCK_CONFIG, "n_values = 3 6 12", "n_values = 4 4 4",
+     "[fock] n_values: rate fit needs at least 3 distinct points"),
     (BASE_CONFIG, "[output]", "[snapshots]\nstride = -3\n\n[output]",
      "[snapshots] stride = -3 must be >= 1"),
     (BASE_CONFIG, "n_values = 8 16 32 64", "n_values = 0 0 0 0",
      "[nsweep] n_values = [0, 0, 0, 0] must be >= 1"),
-], ids=["fock-N-zero", "fock-N-negative", "fock-cancel_n", "stride",
-        "nsweep-N-zero"])
+    (BASE_CONFIG, "n_values = 8 16 32 64", "n_values = 8 16",
+     "[nsweep] n_values: need at least 4 values of N, got [8, 16]"),
+    (BASE_CONFIG, "n_values = 8 16 32 64", "n_values = 8 16 24 40",
+     "[nsweep] n_values: N values must be distinct and geometrically spaced "
+     "(RATIO_SLACK), got [8, 16, 24, 40]"),
+    (BASE_CONFIG, "n_values = 8 16 32 64", "n_values = 8 8 8 8",
+     "[nsweep] n_values: N values must be distinct and geometrically spaced "
+     "(RATIO_SLACK), got [8, 8, 8, 8]"),
+    (BASE_CONFIG, "sigma = 1.0", "sigma = 0",
+     "[datum] sigma = '0' is not a positive finite number"),
+    (BASE_CONFIG, "[output]", "[kernels]\nn_values = 2\nsigma = -1\n\n[output]",
+     "[kernels] sigma = '-1' is not a positive finite number"),
+], ids=["fock-N-zero", "fock-N-negative", "fock-N-two", "fock-N-repeated",
+        "stride", "nsweep-N-zero", "nsweep-N-two", "nsweep-N-not-geometric",
+        "nsweep-N-repeated", "datum-sigma-zero", "kernels-sigma-negative"])
 def test_out_of_range_count_exits_2_before_any_stage(tmp_path, capsys, base,
                                                       line, bad, what):
     assert base.count(line) == 1
@@ -995,32 +1007,32 @@ def test_out_of_range_count_exits_2_before_any_stage(tmp_path, capsys, base,
 
 FOCK_D4_CONFIG = """
 [fock]
-d = 4
 h = 0.0 -1.0 0.0 0.0 ; -1.0 0.0 -1.0 0.0 ; 0.0 -1.0 0.0 -1.0 ; 0.0 0.0 -1.0 0.0
 u = 1.0 1.0 1.0 1.0
 coupling = 0.5
 phi0 = 1.0 0.0 0.0 0.0
 t_final = 0.3
-n_values = 3 6
+n_values = 3 6 12
 
 [output]
 directory = {outdir}
 """
 
 
+FOCK_D5_CONFIG = FOCK_D4_CONFIG.replace(
+    "h = 0.0 -1.0 0.0 0.0 ; -1.0 0.0 -1.0 0.0 ; 0.0 -1.0 0.0 -1.0 ; "
+    "0.0 0.0 -1.0 0.0",
+    "h = 1 0 0 0 0 ; 0 1 0 0 0 ; 0 0 1 0 0 ; 0 0 0 1 0 ; 0 0 0 0 1").replace(
+    "u = 1.0 1.0 1.0 1.0", "u = 1 1 1 1 1").replace(
+    "phi0 = 1.0 0.0 0.0 0.0", "phi0 = 1 0 0 0 0")
+
+
 @pytest.mark.parametrize("text, what", [
-    (FOCK_D4_CONFIG, "[fock] d: d = 4 modes at cutoff 12 give a basis of "
-                     "dimension 1820, above the cap 1500"),
-    (FOCK_CONFIG.replace("n_values = 3 6",
-                         "n_values = 3 6\nomega = 0.0025\ncancel_cutoff = 60"),
-     "[fock] d or cancel_cutoff: d = 2 modes at cutoff 60 give a basis of "
-     "dimension 1891, above the cap 1500"),
-    # the dimension is a closed form: a huge cutoff is refused at once
-    (FOCK_CONFIG.replace("n_values = 3 6", "n_values = 3 6\nomega = 0.0\n"
-                         "cancel_cutoff = 1000000000"),
-     "[fock] d or cancel_cutoff: d = 2 modes at cutoff 1000000000 give a "
-     "basis of dimension 500000001500000001, above the cap 20000"),
-], ids=["d", "cancel_cutoff", "cancel_cutoff-huge"])
+    (FOCK_D4_CONFIG, "[fock] h: d = 4 modes at cutoff 12 give a basis of "
+                     "dimension 1820, above the cap 1500 (DENSE_EXPM_CAP)"),
+    (FOCK_D5_CONFIG, "[fock] h: d = 5 modes at cutoff 16 give a basis of "
+                     "dimension 20349, above the cap 20000 (DIM_BUDGET)"),
+], ids=["d", "d5-toy-study"])
 def test_oversized_fock_basis_refused_before_the_toy_study(
         tmp_path, capsys, monkeypatch, text, what):
     def started(scenario):
@@ -1034,9 +1046,9 @@ def test_oversized_fock_basis_refused_before_the_toy_study(
 
 def test_cancellation_kernel_past_the_bogoliubov_budget_exits_3(tmp_path,
                                                                  capsys):
-    # omega = 0.1 at cancel_n = 16 asks for T(-1.6 phi phi^T)
+    # omega = 0.1 at CANCEL_N = 16 asks for T(-1.6 phi phi^T)
     cfg_path = write_config(tmp_path, FOCK_CONFIG.replace(
-        "n_values = 3 6", "n_values = 3 6 12\nomega = 0.1"), name="fock.ini")
+        "n_values = 3 6 12", "n_values = 3 6 12\nomega = 0.1"), name="fock.ini")
     assert cli_main(["fock", "--scenario", str(cfg_path)]) == 3
     assert "|K|_HS = 1.6 exceeds the 1.5 budget" in capsys.readouterr().err
 
@@ -1050,8 +1062,7 @@ def test_radial_step_wider_than_the_well_exits_2(tmp_path, capsys):
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
-FOCK_D2 = """d = 2
-h = 0.0 -1.0 ; -1.0 0.2
+FOCK_D2 = """h = 0.0 -1.0 ; -1.0 0.2
 u = 1.0 1.0
 coupling = 0.5
 phi0 = 1.0 0.0"""
@@ -1063,7 +1074,7 @@ phi0 = 1.0 0.0"""
     ("[kernels]", "[kernel]", "unknown section [kernel]; did you mean 'kernels'?"),
     ("omega = 0.0025", "omegaa = 0.0025",
      "unknown key 'omegaa' in [fock]; did you mean 'omega'?"),
-    ("gaussian\nsigma = 1.0", "gaussian\nsigmaa = 1.0",
+    ("[datum]\nsigma = 1.0", "[datum]\nsigmaa = 1.0",
      "unknown key 'sigmaa' in [datum]; did you mean 'sigma'?"),
     ("t_final = 0.25", "t_final = 0.25\nfft_worker = 1",
      "unknown key 'fft_worker' in [grid]; did you mean 'fft_workers'?"),
@@ -1073,10 +1084,26 @@ phi0 = 1.0 0.0"""
      "[snapshots] fields = 'yes please' is not yes or no"),
     ("t_final = 0.25", "t_final = 0.25\nfft_workers = -3",
      "[grid] fft_workers = -3 must be >= 1"),
-    ("kind = modified\nn = 8", "kind = gp\na0 = 0.5\ncoupling = 2.0",
-     "[nonlinearity] kind = gp takes a0 or coupling, not both"),
+    # constants and keys that follow from others, and a spelling that is no
+    # family name
+    ("h = 0.0 -1.0 ; -1.0 0.2", "d = 2\nh = 0.0 -1.0 ; -1.0 0.2",
+     "unknown key 'd' in [fock]; expected one of h, u, coupling, phi0, "
+     "kappa0, t_final, n_values, omega"),
+    ("omega = 0.0025", "omega = 0.0025\ncancel_n = 16",
+     "unknown key 'cancel_n' in [fock]; expected one of h, u, coupling, "
+     "phi0, kappa0, t_final, n_values, omega"),
+    ("omega = 0.0025", "omega = 0.0025\ncancel_cutoff = 12",
+     "unknown key 'cancel_cutoff' in [fock]; expected one of h, u, coupling, "
+     "phi0, kappa0, t_final, n_values, omega"),
+    ("[datum]\nsigma = 1.0", "[datum]\nfamily = gaussian\nsigma = 1.0",
+     "unknown key 'family' in [datum]; expected one of sigma"),
+    ("kind = modified\nn = 8", "kind = gp\ncoupling = 2.0",
+     "unknown key 'coupling' in [nonlinearity]; expected one of kind, a0, n"),
+    ("family = square-well", "family = square_well",
+     "unknown potential family 'square_well'; expected one of square-well, "
+     "gaussian, zero, table"),
     (FOCK_D2, FOCK_D4_CONFIG.partition("[fock]\n")[2].partition("\nt_final")[0],
-     "[fock] d: d = 4 modes at cutoff 12 give a basis of dimension 1820, "
+     "[fock] h: d = 4 modes at cutoff 12 give a basis of dimension 1820, "
      "above the cap 1500"),
     ("points = 4000", "pionts = 4000",
      "unknown key 'pionts' in [potential] for family 'square-well'; "
@@ -1098,7 +1125,9 @@ phi0 = 1.0 0.0"""
      "exp.ini [nsweep]: t_star = -0.25 and dt = 0.00025 have opposite signs"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
-        "fft_workers-negative", "gp-a0-and-coupling", "fock-d4",
+        "fft_workers-negative", "fock-d", "fock-cancel_n",
+        "fock-cancel_cutoff", "datum-family", "nonlinearity-coupling",
+        "potential-square_well", "fock-d4",
         "potential-pionts", "grid-points", "kernels-points", "dt-unstable",
         "dt-not-whole-steps", "t_star-not-whole-steps",
         "t_final-opposite-sign", "t_star-opposite-sign"])

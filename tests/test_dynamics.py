@@ -19,7 +19,6 @@ from gpk.dynamics import (
     _spectral_diagnostics,
     _unit_phase,
     compare_dynamics,
-    constant_datum,
     evolve,
     evolve_and_compare,
     gaussian_datum,
@@ -57,6 +56,12 @@ def free_gaussian_oracle(grid, t, sigma=1.0):
     return WaveFunction(values=grid._mesh(np.multiply, facs), grid=grid)
 
 
+def constant_datum(grid):
+    """The uniform field of unit L2 norm, L^(-d/2)."""
+    vals = np.full(grid.shape, grid.box_length ** (-grid.dim / 2.0), dtype=complex)
+    return WaveFunction(values=vals, grid=grid)
+
+
 def plane_wave_datum(grid, mode=1):
     wave = 2 * math.pi * mode / grid.box_length * grid.axes()[0]
     phase = np.zeros(grid.shape) + grid._open_axes(wave)[0]
@@ -75,13 +80,13 @@ def gp_rhs(psi, nl):
 def one_state_report(psi, nl=None):
     """`sobolev_report` of the trajectory that holds psi alone."""
     return sobolev_report(Trajectory(np.zeros(1), [psi]),
-                          nl or NonlinearitySpec.free())
+                          nl or NonlinearitySpec.gp(a0=0.0))
 
 
 def test_free_evolution_matches_gaussian_oracle_1d():
     grid = grid1d(n=512, dt=5e-4, T=0.4)
     psi0 = gaussian_datum(grid, sigma=1.0)
-    traj = evolve(psi0, NonlinearitySpec.free(), grid)
+    traj = evolve(psi0, NonlinearitySpec.gp(a0=0.0), grid)
     oracle = free_gaussian_oracle(grid, 0.4, sigma=1.0)
     assert l2_distance(traj.states[-1], oracle) < 1e-6
 
@@ -89,7 +94,7 @@ def test_free_evolution_matches_gaussian_oracle_1d():
 def test_free_evolution_matches_gaussian_oracle_3d():
     grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3, t_final=0.2)
     psi0 = gaussian_datum(grid, sigma=1.0)
-    traj = evolve(psi0, NonlinearitySpec.free(), grid)
+    traj = evolve(psi0, NonlinearitySpec.gp(a0=0.0), grid)
     oracle = free_gaussian_oracle(grid, 0.2, sigma=1.0)
     assert l2_distance(traj.states[-1], oracle) < 1e-6
 
@@ -457,7 +462,7 @@ def test_stability_budget_rejects_large_dt():
     grid = GridSpec(dim=1, box_length=8.0, points_per_axis=256, dt=0.5, t_final=1.0)
     psi0 = gaussian_datum(grid, sigma=1.0)
     with pytest.raises(ConfigurationError):
-        evolve(psi0, NonlinearitySpec.free(), grid)
+        evolve(psi0, NonlinearitySpec.gp(a0=0.0), grid)
 
 
 def test_nan_input_raises_blowup():
@@ -465,7 +470,7 @@ def test_nan_input_raises_blowup():
     vals = np.full(64, np.nan, dtype=complex)
     psi = WaveFunction(values=vals, grid=grid)
     with pytest.raises(NumericalBlowupError):
-        evolve(psi, NonlinearitySpec.free(), grid)
+        evolve(psi, NonlinearitySpec.gp(a0=0.0), grid)
 
 
 def random_unit_field(grid, seed):
@@ -620,6 +625,20 @@ def test_evolve_never_writes_to_datum_or_snapshots():
         assert np.max(np.abs(state.values - alone.values)) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_drift_transforms_the_kicks_output_in_place(dim):
+    grid = GridSpec(dim=dim, box_length=10.0, points_per_axis=16, dt=1e-3,
+                    t_final=0.0)
+    stepper = _Stepper(grid, [NonlinearitySpec.gp(a0=0.2)] * 2)
+    stack = np.stack([gaussian_datum(grid, sigma=s).values for s in (0.8, 1.2)])
+    kicked = stepper.kick(stack, grid.dt)
+    expected = sfft.ifftn(sfft.fftn(kicked, axes=range(1, dim + 1))
+                          * stepper.full_drift, axes=range(1, dim + 1))
+    drifted = stepper.drift(kicked, stepper.full_drift)
+    assert np.shares_memory(drifted, kicked)  # no new buffer per step
+    assert np.array_equal(drifted, expected)
+
+
 def test_density_multiplier_scales_with_the_coupling():
     grid = GridSpec(dim=3, box_length=8.0, points_per_axis=16, dt=1e-3,
                     t_final=0.0)
@@ -665,7 +684,7 @@ def test_grid_refuses_zero_fft_workers():
 def test_evolve_refuses_a_snapshot_stride_below_one(stride):
     grid = grid1d(n=64, T=0.01)
     with pytest.raises(ConfigurationError, match="stride"):
-        evolve(gaussian_datum(grid), NonlinearitySpec.free(), grid,
+        evolve(gaussian_datum(grid), NonlinearitySpec.gp(a0=0.0), grid,
                snapshot_stride=stride)
 
 
