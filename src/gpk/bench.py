@@ -172,6 +172,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
+    if not path.is_file():
+        raise ConfigurationError(f"config file {path} is not a regular file")
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
@@ -179,6 +181,8 @@ def load_config(path) -> ExperimentConfig:
                  for section in parser.sections()}
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    if not given:
+        raise ConfigurationError(f"config file {path} has no section")
     for section, items in given.items():
         if section not in SCHEMA:
             raise _unknown(path, f"section [{section}]", section, SCHEMA)

@@ -279,11 +279,12 @@ class _Stepper:
         return self.irfft(rho_hat, overwrite_x=True)
 
     def kick(self, values, dt):
+        """values times the exact nonlinear phase e^{-i dt V}, V the density
+        potential of values, in a fresh array: `_unit_phase` forms the phase
+        and the product in one cache-sized pass per chunk of the grid."""
         angle = self.potential(values)
         angle *= -dt
-        rot = _unit_phase(angle)
-        rot *= values
-        return rot
+        return _unit_phase(angle, values)
 
     def drift(self, values, phase):
         """The drift of `values`, in place: pass a copy of a field to keep."""

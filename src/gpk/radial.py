@@ -18,7 +18,8 @@ linspace), so the trigonometric kernels are factored by angle addition: with
 B = ceil(sqrt(n_p)) and i = bB + k, p_i = p_{bB} + (p_k - p_0), and
 sum_j c_j e^{i p_i r_j} for all i is one thin complex matrix product of
 c * e^{i p_{bB} r} with e^{i (p_k - p_0) r}.  That takes about
-2 sqrt(n_p) n_r sines and cosines instead of n_p n_r, and no p x r buffer.
+2 sqrt(n_p) n_r tangents (`_unit_phase`) instead of n_p n_r sines and
+cosines, and no p x r buffer.
 The two phase tables are built once per call and every row of a stack
 goes through them in turn.  cos and sin (dim 1) are the real and imaginary
 parts of the same sums, so a 1D stack of both orders shares one pass;
@@ -55,15 +56,13 @@ from .scattering import _simpson_weights, potential_pieces
 
 
 def _angular_kernel(z: np.ndarray, dim: int, ell: int) -> np.ndarray:
-    if dim == 1:
-        return np.cos(z) if ell == 0 else np.sin(z)
+    """The kernels without an addition formula, J0 and J1 (dim 2) and j1
+    (dim 3, ell = 1); the others go through `_phase_sums`."""
     if dim == 2:
         from scipy.special import j0, j1
 
         return j0(z) if ell == 0 else j1(z)
-    if dim == 3:
-        if ell == 0:
-            return np.sinc(z / math.pi)  # j0
+    if dim == 3 and ell == 1:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(z > 1e-8, np.sin(z) / z**2 - np.cos(z) / z, z / 3.0)
         return out  # j1
@@ -84,12 +83,58 @@ _PREFACTOR = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _INTERACTION_MOMENTA = 512
 
 
-def _unit_phase(angle: np.ndarray) -> np.ndarray:
-    """exp(1j * angle) as cos + 1j sin, written straight into one complex array."""
+# angles per pass of `_unit_phase`: the pass and its scratch, about 80 bytes
+# an angle, stay in a 1 MB L2 cache
+_PHASE_CHUNK = 8192
+
+
+def _unit_phase(angle: np.ndarray, factor=None) -> np.ndarray:
+    """exp(1j * angle), times `factor` (broadcast to the angles) if given,
+    from one tangent per angle: t = tan(angle / 2), r = 2 / (1 + t^2),
+    cos = 1 - t^2 r, sin = t r.
+
+    numpy runs tan in SIMD but cos and sin in scalar libm, so this takes
+    about half their time.  It agrees with them to round-off (6e-17 below
+    1e-4, 5e-16 on any angle) with no bias in cos^2 + sin^2; r - 1 for the
+    cosine would grow a run's norm by about 1e-16 a step.  At odd multiples
+    of pi, t is about 1e16 and t^2 r rounds to 2.  The angles go in chunks
+    of `_PHASE_CHUNK`, member by member when every member (row of the
+    leading axis) fills a chunk: the scratch and the product, `phase *
+    factor` out of place, stay in cache, a member is cut alike alone or in
+    a stack, and a factor broadcast over the members is not copied.
+    """
     out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
+    if angle.size <= _PHASE_CHUNK:
+        # no flattening or slicing, about 2 us of a 1D stack's 10 us kick
+        _phase_pass(angle, out, factor)
+        return out
+    rows = (angle.shape[0]
+            if angle.ndim > 1 and angle[0].size >= _PHASE_CHUNK else 1)
+    factors = ([None] * rows if factor is None else
+               np.broadcast_to(factor, angle.shape).reshape(rows, -1))
+    for row, row_out, row_factor in zip(angle.reshape(rows, -1),
+                                        out.reshape(rows, -1), factors):
+        for start in range(0, row.size, _PHASE_CHUNK):
+            chunk = slice(start, start + _PHASE_CHUNK)
+            _phase_pass(row[chunk], row_out[chunk],
+                        None if row_factor is None else row_factor[chunk])
     return out
+
+
+def _phase_pass(angle, out, factor):
+    """One chunk of `_unit_phase`, into `out`."""
+    t = np.multiply(angle, 0.5)
+    np.tan(t, out=t)
+    t2 = np.multiply(t, t)
+    r = np.add(t2, 1.0)
+    np.divide(2.0, r, out=r)
+    phase = out if factor is None else np.empty(out.shape, dtype=complex)
+    np.multiply(t, r, out=phase.imag)
+    np.multiply(t2, r, out=t2)
+    np.subtract(1.0, t2, out=phase.real)
+    if factor is not None:
+        # out of place, as `phase * factor` is
+        np.multiply(phase, factor, out=out)
 
 
 def _check_uniform(p: np.ndarray) -> None:

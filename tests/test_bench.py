@@ -385,6 +385,30 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "summary" in payload and "nsweep" in payload["summary"]
 
 
+
+@pytest.mark.parametrize("kind", ["directory", "empty-file",
+                                  "comments-only"])
+def test_cli_run_of_a_config_that_is_no_config_exits_2(
+        tmp_path, monkeypatch, capsys, kind):
+    # neither runs the default stages nor overwrites the report of a run
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "out" / "report.json"
+    report.parent.mkdir()
+    report.write_text('{"stages": ["earlier run"]}')
+    config = tmp_path / "c.ini"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_text("" if kind == "empty-file" else "# nothing\n")
+    assert cli_main(["run", str(config)]) == 2
+    reason = ("is not a regular file" if kind == "directory"
+              else "has no section")
+    assert capsys.readouterr().err == \
+        f"error: config file {config} {reason}\n"
+    assert report.read_text() == '{"stages": ["earlier run"]}'
+    assert sorted(p.name for p in report.parent.iterdir()) == ["report.json"]
+
+
 def test_cli_report_of_a_missing_or_unreadable_report_exits_2(tmp_path,
                                                               capsys):
     assert cli_main(["report", str(tmp_path)]) == 2

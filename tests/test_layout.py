@@ -13,7 +13,9 @@ Every dataclass field of gpk must be read, matched by name as an attribute,
 in `src/`, `tests/test_acceptance.py` or `perfbench/`; a call `x.name()`
 reads no field where a gpk class has a method `name`.  No comparison in
 `bench`, `dynamics`, `fock` or `scattering` may write the value of a
-`gpk.budgets` budget as a literal.
+`gpk.budgets` budget as a literal.  numpy's cos and sin appear only in the
+j1 kernel of `radial._angular_kernel`: every phase e^{i angle} goes through
+`radial._unit_phase`.
 
 Imports are per use: no module but `fock` imports scipy when it is itself
 imported, `bench` imports `fock` only in the stage that runs it and `cli`
@@ -170,6 +172,29 @@ def test_every_dataclass_field_is_read():
                  and id(node) not in method_calls}
     assert [f"{owner}.{name}" for owner, name in _dataclass_fields()
             if name not in read] == []
+
+
+
+def _trig_uses():
+    """(module.top-level definition, name) of each use of numpy's cos or
+    sin in gpk."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            where = f"{path.stem}.{stmt.name}" if _is_def(stmt) else path.stem
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in ("cos", "sin")
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("np", "numpy")):
+                    yield where, node.attr
+
+
+def test_every_phase_goes_through_unit_phase():
+    # e^{i angle} is formed in one place, `radial._unit_phase`, from one
+    # tangent an angle; cos and sin stay only in the j1 kernel,
+    # sin(z)/z^2 - cos(z)/z, which has no addition formula
+    assert sorted(_trig_uses()) == [("radial._angular_kernel", "cos"),
+                                    ("radial._angular_kernel", "sin")]
 
 
 def _written_numbers(node):

@@ -11,8 +11,8 @@ from gpk.dynamics import GridSpec, NonlinearitySpec
 from gpk.errors import DomainError
 from gpk.kernels import _profile_extension
 from gpk.radial import (
-    _PREFACTOR, RadialTransformTable, _angular_kernel, _measure, _phase_sums,
-    radial_hat,
+    _PHASE_CHUNK, _PREFACTOR, RadialTransformTable, _angular_kernel, _measure,
+    _phase_sums, _unit_phase, radial_hat,
 )
 from gpk.scattering import (
     RadialPotential, _simpson_weights, potential_pieces, solve_zero_energy,
@@ -25,9 +25,19 @@ def square_sol():
     return solve_zero_energy(V, 5.0, 4000)
 
 
+def kernel_matrix(z, dim, ell):
+    """The p x r kernel matrix of every order: the cos, sin and j0 kernels,
+    which `radial_hat` takes through `_phase_sums`, and `_angular_kernel`."""
+    if dim == 1:
+        return np.cos(z) if ell == 0 else np.sin(z)
+    if dim == 3 and ell == 0:
+        return np.sinc(z / math.pi)  # j0
+    return _angular_kernel(z, dim, ell)
+
+
 def outer_product_simpson(r, g, p, dim, ell=0):
     """The former radial_hat: Simpson over the full p x r integrand."""
-    kern = _angular_kernel(np.outer(p, r), dim, ell)
+    kern = kernel_matrix(np.outer(p, r), dim, ell)
     integrand = kern * (g * _measure(r, dim))[None, :]
     return _PREFACTOR[dim] * simpson(integrand, x=r, axis=1)
 
@@ -119,7 +129,7 @@ def test_radial_hat_round_off_at_most_the_kernel_matrix_one(
         scale = float(np.max(np.abs(exact)))
         matrix = _PREFACTOR[dim] * (
             (g * (_simpson_weights(sig) * _measure(sig, dim)))
-            @ _angular_kernel(np.outer(p, sig), dim, ell).T)
+            @ kernel_matrix(np.outer(p, sig), dim, ell).T)
         err_matrix = float(np.max(np.abs(matrix - exact))) / scale
         err = float(np.max(np.abs(radial_hat(sig, g, p, dim, ell) - exact))) / scale
         assert err <= err_matrix
@@ -252,3 +262,76 @@ def test_spline_table_refuses_momenta_beyond_its_range():
     assert table(np.array([-2.0, 2.0])).shape == (2,)
     with pytest.raises(DomainError, match="outside the tabulated range"):
         table(np.array([1.0, 2.001]))
+
+
+def phase_errors(angle):
+    """The largest error of `_unit_phase(angle)` in cos or sin against long
+    double, and the unitarity defects cos^2 + sin^2 - 1 (in long double)."""
+    got = _unit_phase(angle)
+    exact = angle.astype(np.longdouble)
+    cos, sin = got.real.astype(np.longdouble), got.imag.astype(np.longdouble)
+    err = max(np.max(np.abs(cos - np.cos(exact))),
+              np.max(np.abs(sin - np.sin(exact))))
+    return float(err), (cos**2 + sin**2 - 1).astype(float)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 5e-5])
+def test_unit_phase_of_kick_size_angles_rounds_as_cos_and_sin(scale):
+    # |dt V| of a split step is below about 5e-5 on the 64^3 grid of
+    # criterion 3: there 1 - t^2 r rounds like cos
+    angle = np.random.default_rng(21).uniform(-scale, scale, 1 << 18)
+    err, defect = phase_errors(angle)
+    assert err <= 6e-17
+    assert np.max(np.abs(defect)) <= 1.2e-16
+
+
+@pytest.mark.parametrize("low, high", [(-math.pi, math.pi), (290.0, 300.0),
+                                       (-300.0, -290.0)])
+def test_unit_phase_of_any_angle_is_accurate_and_unbiased(low, high):
+    # drift phases reach hundreds of radians; a biased cos^2 + sin^2 would
+    # move the norm of a run by the bias at every step
+    angle = np.random.default_rng(22).uniform(low, high, 1 << 18)
+    err, defect = phase_errors(angle)
+    assert err <= 5e-16
+    assert np.max(np.abs(defect)) <= 1e-15
+    assert abs(np.mean(defect)) <= 1e-17
+
+
+def test_unit_phase_at_odd_multiples_of_pi():
+    # tan(angle / 2) is about 1e16 there, not infinite: no RuntimeWarning
+    # (the test configuration makes one an error) and a phase of -1
+    angle = (2 * np.arange(-200, 200) + 1) * math.pi
+    err, defect = phase_errors(angle)
+    assert err <= 5e-16
+    assert np.max(np.abs(defect)) <= 1e-15
+
+
+@pytest.mark.parametrize("size", [_PHASE_CHUNK - 1, _PHASE_CHUNK,
+                                  _PHASE_CHUNK + 1])
+def test_unit_phase_is_the_same_bits_in_any_chunking(size):
+    rng = np.random.default_rng(size)
+    angle = rng.uniform(-4.0, 4.0, (3, size))
+    factor = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
+    stacked = _unit_phase(angle)
+    for row, a in zip(stacked, angle):
+        assert np.array_equal(row, _unit_phase(a))
+    assert np.array_equal(_unit_phase(angle, factor), stacked * factor)
+    for row, a, f in zip(stacked, angle, factor):
+        assert np.array_equal(_unit_phase(a, f), row * f)
+    # a factor broadcast over the leading axis, as the first step's datum is
+    datum = factor[0]
+    assert np.array_equal(_unit_phase(angle, np.broadcast_to(datum, angle.shape)),
+                          stacked * datum)
+
+
+def test_unit_phase_reads_a_factor_broadcast_over_the_members_in_place():
+    # the first kick of a stack multiplies one datum into every member
+    angle = np.zeros((4, 4 * _PHASE_CHUNK))
+    datum = np.ones(angle.shape[1], dtype=complex)
+    tracemalloc.start()
+    try:
+        _unit_phase(angle, np.broadcast_to(datum, angle.shape))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * angle.size * 16  # the product and chunk scratch

@@ -7,7 +7,10 @@ import pytest
 from gpk.budgets import ROUNDOFF_SLACK, W_BOUND_SLACK
 from gpk.errors import BudgetError, ConfigurationError, DomainError
 from gpk.scattering import (
+    _ENDPOINT_INSET,
     RadialPotential,
+    _align_points,
+    _rk4_sweep,
     equation_defect_residual,
     scaled_profile,
     scattering_length_integral,
@@ -25,6 +28,44 @@ A0_SQUARE_WELL = 1.0 - math.tanh(2.0) / 2.0  # V0 = 8, R = 1 -> kappa = 2
 def square_sol():
     V = RadialPotential.square_well(8.0, 1.0)
     return solve_zero_energy(V, r_max=5.0, n_points=4000)
+
+
+
+def numpy_scalar_rk4(g_lo, g_mid, g_hi, h):
+    """The RK4 recurrence of `_rk4_sweep` stepped on numpy scalars, as the
+    solver did before it moved to Python floats."""
+    n = g_lo.size
+    u = np.empty(n + 1)
+    up = np.empty(n + 1)
+    u[0], up[0] = 0.0, 1.0
+    uj, vj = 0.0, 1.0
+    for j in range(n):
+        ga, gm, gb = g_lo[j], g_mid[j], g_hi[j]
+        k1u, k1v = vj, ga * uj
+        k2u, k2v = vj + 0.5 * h * k1v, gm * (uj + 0.5 * h * k1u)
+        k3u, k3v = vj + 0.5 * h * k2v, gm * (uj + 0.5 * h * k2u)
+        k4u, k4v = vj + h * k3v, gb * (uj + h * k3u)
+        uj = uj + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        vj = vj + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        u[j + 1], up[j + 1] = uj, vj
+    return u, up
+
+
+@pytest.mark.parametrize("V", [RadialPotential.square_well(8.0, 1.0),
+                               RadialPotential.gaussian(4.0)],
+                         ids=["square-well", "gaussian"])
+def test_rk4_sweep_equals_the_numpy_scalar_loop_bit_for_bit(V):
+    # the one-sided stage samples of `solve_zero_energy` on its 4000 points
+    r_max = 5.0
+    n = _align_points(4000, r_max, V.breakpoints)
+    h = r_max / n
+    r = np.linspace(0.0, r_max, n + 1)
+    eps = _ENDPOINT_INSET * h
+    samples = (0.5 * V(r[:-1] + eps), 0.5 * V(r[:-1] + 0.5 * h),
+               0.5 * V(r[1:] - eps))
+    u, up = _rk4_sweep(*samples, h)
+    u_ref, up_ref = numpy_scalar_rk4(*samples, h)
+    assert np.array_equal(u, u_ref) and np.array_equal(up, up_ref)
 
 
 def test_free_case_is_trivial():
