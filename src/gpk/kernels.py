@@ -16,10 +16,12 @@ field's spectrum:
     |grad1 k|_2^2     = F1-part + cross(l=1) + F0 against |grad phi|^2
     sup_x |k(., x)|_2 = max_x rho(x) (F0 * rho)(x)
 
-with F0 = N^2 w(N s)^2, F1 = N^4 w'(N s)^2 and the l = 1 cross profile
-transformed exactly on the radial grid (core included), all three in one
-radial pass per N.  |grad1 (k kbar)|_2 is a sum over source rows of pair
-correlations of the smooth composite kernel.  The sum takes one row per
+with F0 = N^2 w(N s)^2 and F1 = N^4 w'(N s)^2 transformed exactly on the
+radial grid (core included), both in one radial pass per N.  The l = 1
+transform of the cross profile w'w = (w^2 / 2)' comes by parts from the
+F0 row plus a boundary term at the end of the radial grid.
+|grad1 (k kbar)|_2 is a sum over source rows of pair correlations of the
+smooth composite kernel.  The sum takes one row per
 orbit of the lattice symmetries (axis reflections and permutations) that the
 field's density, gradient density and current respect, weighted by the
 orbit size, and runs the rows in blocks through real FFTs.  `scipy.fft`
@@ -36,7 +38,7 @@ import numpy as np
 
 from .dynamics import GridSpec, WaveFunction
 from .errors import DomainError
-from .radial import radial_hat
+from .radial import _PREFACTOR, _order_one_kernel, radial_hat
 from .scattering import (
     ScatteringSolution,
     _simpson_weights,
@@ -199,18 +201,22 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     half_box = 0.5 * grid.box_length
     sigma_max = N * half_box
     # resolve the angular kernel oscillation at the largest momentum
-    step = max(min(0.05, 2 * math.pi * N / p_max / 12.0), 1e-3)
+    step = max(min(0.025, 2 * math.pi * N / p_max / 24.0), 5e-4)
     sig, wv, dwv = _profile_extension(sol, sigma_max, step)
 
     p_tab = np.linspace(0.0, p_max, _KERNEL_MOMENTA)
+    q = p_tab / N
     # F0 = N^2 w(Ns)^2   -> N^(2-d) * hat[w^2](p / N)
     # F1 = N^4 w'(Ns)^2  -> N^(4-d) * hat[w'^2](p / N)
-    # C = 2 N^3 (w' w)(Ns) uhat -> l=1 transform, N^(3-d) scaling
-    f0, f1, fc = radial_hat(sig, np.stack([wv**2, dwv**2, dwv * wv]),
-                            p_tab / N, d, ell=[0, 0, 1])
+    # C = 2 N^3 (w' w)(Ns) -> N^(3-d) * 2 l1[w' w](p / N), by parts from the
+    # hat[w^2] row as w' w = (w^2 / 2)': on [0, R], R = sig[-1],
+    # l1[w' w](q) = (Omega_d / 2) w(R)^2 R^(d-1) K1(q R) - (q / 2) hat[w^2](q)
+    f0, f1 = radial_hat(sig, np.stack([wv**2, dwv**2]), q, d)
+    R = sig[-1]
+    fc = N ** (3 - d) * (_PREFACTOR[d] * wv[-1] ** 2 * R ** (d - 1)
+                         * _order_one_kernel(q * R, d) - q * f0)
     f0 *= N ** (2 - d)
     f1 *= N ** (4 - d)
-    fc = 2.0 * N ** (3 - d) * fc
 
     rho, g1, j = _field_moments(phi)
     rho_hat = sfft.fftn(rho, workers=grid.fft_workers)
@@ -267,7 +273,7 @@ def _lattice_profile(grid: GridSpec, sol: ScatteringSolution, N: int, deriv: boo
     # cell average over the equal-volume ball at the origin
     d = grid.dim
     r_max, a0 = sol.r_grid[-1], sol.a0
-    omega = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}[d]
+    omega = _PREFACTOR[d]
     r_eq = (grid.cell * d / omega) ** (1.0 / d)
     s_eq = N * r_eq
     sgrid = np.linspace(0.0, min(s_eq, r_max), 513)

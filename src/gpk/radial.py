@@ -8,10 +8,10 @@ Conventions: hat(g)(p) = int g(|x|) e^{-i p.x} dx over R^dim, so
   dim 1:  2 int g(r) cos(p r) dr
   dim 2:  2 pi int g(r) J0(p r) r dr
   dim 3:  4 pi int g(r) j0(p r) r^2 dr
-The l = 1 (vector) transform of g(|x|) x/|x| is -i phat times `radial_hat`
-with `ell=1`, using sin, J1 and j1 respectively.  `ell` is 0 or 1 for all
-rows of a stack of profiles or one order per row, so one call transforms
-profiles of both orders.
+`radial_hat` takes only these l = 0 kernels.  The one l = 1 (vector)
+transform of gpk, of w'w in `kernels.kernel_hs_norms`, is taken by parts
+from the l = 0 transform of w^2 plus a boundary term in the l = 1 kernel
+K1 (sin, J1, j1), which `_order_one_kernel` evaluates at a few momenta.
 
 `radial_hat` takes uniformly spaced momenta (every caller samples a
 linspace), so the trigonometric kernels are factored by angle addition: with
@@ -21,15 +21,12 @@ c * e^{i p_{bB} r} with e^{i (p_k - p_0) r}.  That takes about
 2 sqrt(n_p) n_r tangents (`_unit_phase`) instead of n_p n_r sines and
 cosines, and no p x r buffer.
 The two phase tables are built once per call and every row of a stack
-goes through them in turn.  cos and sin (dim 1) are the real and imaginary
-parts of the same sums, so a 1D stack of both orders shares one pass;
-j0(pr) r^2 = r sin(pr) / p (dim 3, l = 0) is the imaginary part with one
-more factor r, divided by p.  The sum over r runs in blocks of radii
-whose sums are added pairwise, so it carries less round-off than one long
-dot product.  The Bessel kernels J0, J1 (dim 2) and j1 (dim 3, l = 1) have
-no addition formula and keep the full p x r kernel matrix, one product for
-all rows of an order: splitting j1 = sin/z^2 - cos/z into p-separable parts
-cancels at small pr and loses about two digits against the direct matrix.
+goes through them in turn.  cos (dim 1) is the real part of the sums;
+j0(pr) r^2 = r sin(pr) / p (dim 3) is the imaginary part with one more
+factor r, divided by p.  The sum over r runs in blocks of radii whose
+sums are added pairwise, so it carries less round-off than one long dot
+product.  The Bessel kernel J0 (dim 2) has no addition formula and is the
+one kernel that still uses the full p x r matrix, one product for all rows.
 
 The quadrature over r is Simpson's rule as weights, `_simpson_weights` of
 `gpk.scattering`, the one Simpson rule of the package.
@@ -39,8 +36,8 @@ spline that it builds and evaluates in numpy, with the same coefficients
 and the same values as `scipy.interpolate.CubicSpline` bit for bit, so a
 modified-GP run does not load `scipy.interpolate` and the optimize,
 spatial, linalg and sparse modules it pulls in.  The module imports scipy
-only in the dim-2 kernels of `radial_hat`, which load `scipy.special` for
-J0 and J1 when they first run.
+only in its dim-2 kernels, which load `scipy.special` for J0 and J1 when
+they first run.
 """
 
 from __future__ import annotations
@@ -53,28 +50,6 @@ import numpy as np
 from .budgets import ROUNDOFF_SLACK
 from .errors import DomainError
 from .scattering import _simpson_weights, potential_pieces
-
-
-def _angular_kernel(z: np.ndarray, dim: int, ell: int) -> np.ndarray:
-    """The kernels without an addition formula, J0 and J1 (dim 2) and j1
-    (dim 3, ell = 1); the others go through `_phase_sums`."""
-    if dim == 2:
-        from scipy.special import j0, j1
-
-        return j0(z) if ell == 0 else j1(z)
-    if dim == 3 and ell == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(z > 1e-8, np.sin(z) / z**2 - np.cos(z) / z, z / 3.0)
-        return out  # j1
-    raise DomainError(f"unsupported dimension {dim}")
-
-
-def _measure(r: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 1:
-        return np.ones_like(r)
-    if dim == 2:
-        return r
-    return r**2
 
 
 _PREFACTOR = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -181,54 +156,55 @@ def _phase_sums(r: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out.reshape(c.shape[:-1] + (p.size,))
 
 
-def radial_hat(
-    r: np.ndarray,
-    g: np.ndarray,
-    p: np.ndarray,
-    dim: int,
-    ell=0,
-) -> np.ndarray:
+def radial_hat(r: np.ndarray, g: np.ndarray, p: np.ndarray, dim: int) -> np.ndarray:
     """Transform of the sampled radial profile g at the uniformly spaced
     momenta p (a non-uniform p raises DomainError).
 
     One Simpson quadrature over all of r: a g that jumps is transformed
     piece by piece by the caller (see `tabulate_interaction_transform`).  A
-    stack of profiles (rows of g) gives one row of transforms each; `ell`
-    (0 or 1, else DomainError) is one order for every row or one per row.
-    The trigonometric kernels go through one `_phase_sums` for all their
-    rows; the Bessel kernels are one matrix product with the p x r kernel
-    matrix per order.
+    stack of profiles (rows of g) gives one row of transforms each.  The
+    trigonometric kernels go through one `_phase_sums` for all rows; the
+    dim-2 J0 kernel is one matrix product with the p x r kernel matrix.
     """
     r = np.asarray(r, dtype=float)
     g = np.asarray(g, dtype=float)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     _check_uniform(p)
-    ells = np.broadcast_to(ell, g.shape[:-1]).reshape(-1)
-    if not np.all((ells == 0) | (ells == 1)):
-        raise DomainError(f"radial transforms take ell 0 or 1, not {ell!r}")
-    rows = g.reshape(-1, r.size)
+    if dim not in _PREFACTOR:
+        raise DomainError(f"unsupported dimension {dim}")
     w = _simpson_weights(r)
     if dim == 1:
-        sums = _phase_sums(r, rows * w, p)
-        out = np.where(ells[:, None] == 0, sums.real, sums.imag)
+        out = _phase_sums(r, g * w, p).real
+    elif dim == 2:
+        from scipy.special import j0
+
+        out = (g * (w * r)) @ j0(np.outer(p, r)).T
     else:
-        out = np.empty((rows.shape[0], p.size))
-        weighted = rows * (w * _measure(r, dim))
-        for order in (0, 1):
-            take = ells == order
-            if not take.any():
-                continue
-            if dim == 3 and order == 0:
-                # j0(pr) r^2 = r sin(pr) / p; at p = 0 it is r^2
-                at_zero = p == 0
-                vals = (_phase_sums(r, rows[take] * (w * r), p).imag
-                        / np.where(at_zero, 1.0, p))
-                vals[:, at_zero] = weighted[take].sum(axis=-1, keepdims=True)
-            else:
-                kern = _angular_kernel(np.outer(p, r), dim, order)
-                vals = weighted[take] @ kern.T
-            out[take] = vals
-    return _PREFACTOR[dim] * out.reshape(g.shape[:-1] + p.shape)
+        # j0(pr) r^2 = r sin(pr) / p; at p = 0 it is r^2
+        at_zero = p == 0
+        out = _phase_sums(r, g * (w * r), p).imag / np.where(at_zero, 1.0, p)
+        out[..., at_zero] = np.sum(g * (w * r**2), axis=-1, keepdims=True)
+    return _PREFACTOR[dim] * out
+
+
+def _order_one_kernel(z: np.ndarray, dim: int) -> np.ndarray:
+    """The l = 1 kernel K1(z): sin (dim 1), J1 (dim 2), j1 (dim 3).
+
+    Its one use is the boundary term of the l = 1 transform by parts in
+    `kernels.kernel_hs_norms`, at a few hundred z = pR.  sin and cos come
+    from `_unit_phase`; j1(z) = sin z / z^2 - cos z / z is 0 at z = 0.
+    """
+    if dim not in _PREFACTOR:
+        raise DomainError(f"unsupported dimension {dim}")
+    if dim == 2:
+        from scipy.special import j1
+
+        return j1(z)
+    phase = _unit_phase(z)
+    if dim == 1:
+        return phase.imag
+    inv = np.where(z > 0, 1.0 / np.where(z > 0, z, 1.0), 0.0)
+    return (phase.imag * inv - phase.real) * inv
 
 
 def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from gpk.kernels import (
     kernel_bound_report,
     kernel_hs_norms,
 )
-from gpk.radial import radial_hat
+from gpk.radial import _PREFACTOR
 from gpk.scattering import (
     RadialPotential,
     _simpson_weights,
@@ -27,6 +27,7 @@ from gpk.scattering import (
     scaled_profile,
     solve_zero_energy,
 )
+from test_radial import kernel_matrix
 
 
 @pytest.fixture(scope="module")
@@ -551,20 +552,28 @@ def test_row_orbits_skip_rows_without_mass():
     assert np.all(rho.reshape(-1)[reps] >= 1e-300)
 
 
-# `kernel_hs_norms` as it was written with one `radial_hat` call per order:
-# the shared radial pass over the stacked profiles must reproduce it.
+# `kernel_hs_norms` with every radial transform, the l = 1 transform of w'w
+# included, summed against the p x r kernel matrix, as it was before the
+# l = 1 transform went by parts.  On a finer solve at a finer step it is the
+# reference of the accuracy test below.
 
-def reference_kernel_hs_norms(phi, sol, N):
+def matrix_kernel_hs_norms(phi, sol, N, step):
     grid = phi.grid
     d = grid.dim
     kabs = np.sqrt(grid.k_squared())
     p_max = float(np.max(kabs)) * 1.0000001 + 1e-12
-    step = max(min(0.05, 2 * math.pi * N / p_max / 12.0), 1e-3)
     sig, wv, dwv = _profile_extension(sol, N * 0.5 * grid.box_length, step)
     p_tab = np.linspace(0.0, p_max, 384)
-    f0 = N ** (2 - d) * radial_hat(sig, wv**2, p_tab / N, d)
-    f1 = N ** (4 - d) * radial_hat(sig, dwv**2, p_tab / N, d)
-    fc = 2.0 * N ** (3 - d) * radial_hat(sig, dwv * wv, p_tab / N, d, ell=1)
+    weighted = np.stack([wv**2, dwv**2, dwv * wv]) * (_simpson_weights(sig)
+                                                      * sig ** (d - 1))
+    f = np.empty((3, p_tab.size))
+    # 32 momenta at a time: the full matrix is 384 x 46 000 at 16^3, N = 32
+    for lo in range(0, p_tab.size, 32):
+        z = np.outer(p_tab[lo : lo + 32] / N, sig)
+        f[:2, lo : lo + 32] = weighted[:2] @ kernel_matrix(z, d, 0).T
+        f[2, lo : lo + 32] = weighted[2] @ kernel_matrix(z, d, 1).T
+    f0, f1, fc = _PREFACTOR[d] * f * np.array([[N ** (2 - d)], [N ** (4 - d)],
+                                               [2.0 * N ** (3 - d)]])
 
     rho, g1, j = _field_moments(phi)
     rho_hat, g1_hat = sfft.fftn(rho), sfft.fftn(g1)
@@ -580,20 +589,37 @@ def reference_kernel_hs_norms(phi, sol, N):
         term_c += float(np.real(np.sum(np.conj(sfft.fftn(j_c)) * mult
                                        * rho_hat))) * pref
     conv = sfft.ifftn(f0_lat * rho_hat).real
-    return (math.sqrt(l2_k_sq), math.sqrt(term_a + term_b + term_c),
-            math.sqrt(float(np.max(rho * conv))))
+    return np.array([math.sqrt(l2_k_sq), math.sqrt(term_a + term_b + term_c),
+                     math.sqrt(float(np.max(rho * conv)))])
 
 
-@pytest.mark.parametrize("dim,n,L,N_list", [(1, 128, 16.0, (2, 4)),
-                                             (3, 16, 12.0, (4, 32))])
-def test_kernel_hs_norms_match_separate_radial_transforms(
-        square_sol, dim, n, L, N_list):
+@pytest.fixture(scope="module")
+def fine_square_sol():
+    V = RadialPotential.square_well(8.0, 1.0)
+    return solve_zero_energy(V, 5.0, 16000)
+
+
+# criterion 5 (16^3), the reference pipeline's kernels stage (1D, 128
+# points) and two 2D grids
+@pytest.mark.parametrize("dim,n,L,N_list", [(3, 16, 12.0, (4, 8, 16, 32)),
+                                             (1, 128, 16.0, (2, 4)),
+                                             (2, 32, 12.0, (4, 8)),
+                                             (2, 16, 12.0, (4, 32))])
+def test_kernel_hs_norms_error_at_most_the_kernel_matrix_one(
+        square_sol, fine_square_sol, dim, n, L, N_list):
+    # the matrix route at its own step (the 0.05 cap, 12 samples a period,
+    # the 1e-3 floor) against the same route on a 4x finer solve at 1/8 of
+    # that step: the l = 1 transform by parts must be at least as close
     phi = moving_gaussian(kgrid(n=n, L=L, dim=dim))
+    p_max = float(np.max(np.sqrt(phi.grid.k_squared()))) * 1.0000001 + 1e-12
     for N in N_list:
-        got = kernel_hs_norms(phi, square_sol, N)
-        ref = reference_kernel_hs_norms(phi, square_sol, N)
-        for g, r in zip(got, ref):
-            assert abs(g - r) <= 1e-14 * r
+        step = max(min(0.05, 2 * math.pi * N / p_max / 12.0), 1e-3)
+        ref = matrix_kernel_hs_norms(phi, fine_square_sol, N, step / 8)
+        err_matrix = np.max(np.abs(
+            matrix_kernel_hs_norms(phi, square_sol, N, step) - ref) / ref)
+        err = np.max(np.abs(np.array(kernel_hs_norms(phi, square_sol, N))
+                            - ref) / ref)
+        assert err <= err_matrix
 
 
 @pytest.mark.parametrize("N", [0, -2])

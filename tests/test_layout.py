@@ -13,8 +13,8 @@ Every dataclass field of gpk must be read, matched by name as an attribute,
 in `src/`, `tests/test_acceptance.py` or `perfbench/`; a call `x.name()`
 reads no field where a gpk class has a method `name`.  No comparison in
 `bench`, `dynamics`, `fock` or `scattering` may write the value of a
-`gpk.budgets` budget as a literal.  numpy's cos and sin appear only in the
-j1 kernel of `radial._angular_kernel`: every phase e^{i angle} goes through
+`gpk.budgets` budget as a literal.  numpy's cos and sin appear nowhere in
+gpk: every phase e^{i angle}, and every sine and cosine, goes through
 `radial._unit_phase`.
 
 Imports are per use: no module but `fock` imports scipy when it is itself
@@ -191,10 +191,8 @@ def _trig_uses():
 
 def test_every_phase_goes_through_unit_phase():
     # e^{i angle} is formed in one place, `radial._unit_phase`, from one
-    # tangent an angle; cos and sin stay only in the j1 kernel,
-    # sin(z)/z^2 - cos(z)/z, which has no addition formula
-    assert sorted(_trig_uses()) == [("radial._angular_kernel", "cos"),
-                                    ("radial._angular_kernel", "sin")]
+    # tangent an angle; the j1 kernel takes its sin and cos from there too
+    assert list(_trig_uses()) == []
 
 
 def _written_numbers(node):
