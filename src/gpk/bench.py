@@ -352,6 +352,9 @@ def kernel_grid_from_config(cfg: ExperimentConfig) -> GridSpec:
 # artifact serialization
 # ---------------------------------------------------------------------------
 
+# the arrays of scattering.npz; r and w follow from f and the JSON's rmax
+PROFILE_ARRAYS = ("f", "dw_dr", "defect")
+
 
 def dump_solution_json(sol: ScatteringSolution, path) -> dict:
     """The scalars, the potential spec and the w certificate to the JSON file
@@ -366,21 +369,23 @@ def dump_solution_json(sol: ScatteringSolution, path) -> dict:
         "ode_residual": sol.ode_residual,
         "tail_fit_error": sol.tail_fit_error,
         "r_support": V.r_support,
+        "rmax": sol.r_max,
         "potential": V.spec,
         "w_c1_hat": cert.c1_hat,
         "w_c2_hat": cert.c2_hat,
         "w_within_unit": cert.w_within_unit,
     }
     _write_json(path, payload)
-    np.savez(Path(path).with_suffix(".npz"), r=sol.r_grid, f=sol.f, w=sol.w,
-             dw_dr=sol.dw_dr, defect=sol.defect)
+    np.savez(Path(path).with_suffix(".npz"),
+             **{name: getattr(sol, name) for name in PROFILE_ARRAYS})
     return payload
 
 
 def load_solution_json(path):
     """The solution of the JSON file `path` and the .npz beside it, V rebuilt
-    exactly from its spec.  A missing key or array, an unreadable .npz and a
-    NaN, inf or null value are ConfigurationErrors; solve such a file again."""
+    exactly from its spec.  A missing key or array, an unreadable .npz, a
+    NaN, inf or null value, arrays that are not one profile and an rmax that
+    is not positive are ConfigurationErrors; solve such a file again."""
     npz = Path(path).with_suffix(".npz")
     try:
         payload = _read_json(path)
@@ -396,9 +401,10 @@ def load_solution_json(path):
         raise ConfigurationError(f"{npz} is not a scattering profile "
                                  f"({exc}); solve it again") from None
     fields = {}
-    scalars = ("a0_tail", "a0_derivative", "ode_residual", "tail_fit_error")
-    profile = ("r", "f", "w", "dw_dr", "defect")
-    for source, found, keys in ((path, payload, scalars), (npz, arrays, profile)):
+    scalars = ("a0_tail", "a0_derivative", "ode_residual", "tail_fit_error",
+               "rmax")
+    for source, found, keys in ((path, payload, scalars),
+                                (npz, arrays, PROFILE_ARRAYS)):
         for key in keys:
             if key not in found:
                 raise ConfigurationError(f"{source}: no {key}; solve it again")
@@ -407,8 +413,16 @@ def load_solution_json(path):
             if not np.all(np.isfinite(fields[key])):
                 raise ConfigurationError(
                     f"{source}: {key} holds non-finite values; solve it again")
+    n, shapes = np.size(fields["f"]), [np.shape(fields[k]) for k in PROFILE_ARRAYS]
+    if n < 2 or shapes != [(n,), (n,), (n - 1,)]:
+        raise ConfigurationError(f"{npz}: f, dw_dr and defect have shapes "
+                                 f"{shapes}, not n, n and n - 1 samples for "
+                                 f"an n >= 2; solve it again")
+    if type(payload["rmax"]) not in (int, float) or payload["rmax"] <= 0:
+        raise ConfigurationError(f"{path}: rmax = {payload['rmax']!r} is not "
+                                 f"a positive number; solve it again")
     return ScatteringSolution(
-        r_grid=fields.pop("r"), a0=fields.pop("a0_tail"), **fields,
+        a0=fields.pop("a0_tail"), r_max=fields.pop("rmax"), **fields,
         potential=RadialPotential.from_spec(payload["potential"], str(path)))
 
 

@@ -53,6 +53,11 @@ def _cmd_scattering(args) -> int:
     V = _parse_potential_arg(args.potential)
     points = (SCHEMA["potential"]["points"].default if args.points is None
               else args.points)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out {out}: cannot create the directory "
+                                 f"{out.parent}: {exc.strerror}") from None
     sol = solve_zero_energy(V, args.rmax, points)
     write_scattering_csv(sol, out)
     payload = dump_solution_json(sol, out.with_suffix(".json"))
@@ -137,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="binary field dump")
     p.add_argument("--scattering", required=True, help="artifact X.json (+ X.npz)")
     p.add_argument("--N", required=True, help="comma separated N values")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="directory (made if missing) that receives "
+                        "kernel_bounds.csv")
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser("fock", help="toy Fock-space scenario")

@@ -272,7 +272,7 @@ def _lattice_profile(grid: GridSpec, sol: ScatteringSolution, N: int, deriv: boo
     vals = N * prof
     # cell average over the equal-volume ball at the origin
     d = grid.dim
-    r_max, a0 = sol.r_grid[-1], sol.a0
+    r_max, a0 = sol.r_max, sol.a0
     omega = _PREFACTOR[d]
     r_eq = (grid.cell * d / omega) ** (1.0 / d)
     s_eq = N * r_eq

@@ -14,6 +14,7 @@ the origin-cell average of the lattice profile in `gpk.kernels`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -190,24 +191,32 @@ def _mass_support(v, guess: float) -> float:
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Solved radial profiles and the extracted scattering length.
+    """Solved radial profile and the extracted scattering length.
 
-    `a0` is the canonical (tail-fit) value; `a0_derivative` is the boundary
-    extraction r - u/u' at r_max; `ode_residual` is the max per-step defect
-    of u'' = (V/2) u in integrated form (`defect` holds one value per step,
-    attributed to the step midpoint).
+    `f` and `dw_dr` sample the grid `r_grid` = linspace(0, r_max, f.size);
+    it and w = 1 - f are derived on first use.  `a0` is the canonical
+    (tail-fit) value; `a0_derivative` is the boundary extraction r - u/u' at
+    r_max; `ode_residual` is the max per-step defect of u'' = (V/2) u in
+    integrated form (`defect` holds one value per step, at its midpoint).
     """
 
-    r_grid: np.ndarray
     f: np.ndarray
-    w: np.ndarray
     dw_dr: np.ndarray
+    defect: np.ndarray
+    r_max: float
     a0: float
     a0_derivative: float
     ode_residual: float
     tail_fit_error: float
-    defect: np.ndarray
     potential: RadialPotential
+
+    @cached_property
+    def r_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.r_max, self.f.size)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return 1.0 - self.f
 
 
 @dataclass(frozen=True)
@@ -321,7 +330,6 @@ def solve_zero_energy(
     f = np.empty(n + 1)
     f[1:] = u[1:] / r[1:]
     f[0] = up[0]
-    w = 1.0 - f
 
     # w' = -f'; f' = (u' r - u)/r^2, with f'(0) = 0 for V smooth at 0
     dw = np.empty(n + 1)
@@ -338,23 +346,15 @@ def solve_zero_energy(
 
     tail_fit_error = float(np.max(np.abs(f[tail] - (1.0 - a0_fit / r[tail]))))
 
-    if not _within_unit(w, W_BOUND_SLACK):
+    sol = ScatteringSolution(
+        f=f, dw_dr=dw, defect=defect, r_max=float(r_max), a0=float(a0_fit),
+        a0_derivative=float(a0_deriv), ode_residual=ode_residual,
+        tail_fit_error=tail_fit_error, potential=V)
+    if not _within_unit(sol.w, W_BOUND_SLACK):
         raise InvariantViolation(
             f"correlation profile w left [0, 1] by more than W_BOUND_SLACK = "
             f"{W_BOUND_SLACK:g}")
-
-    return ScatteringSolution(
-        r_grid=r,
-        f=f,
-        w=w,
-        dw_dr=dw,
-        a0=float(a0_fit),
-        a0_derivative=float(a0_deriv),
-        ode_residual=ode_residual,
-        tail_fit_error=tail_fit_error,
-        defect=defect,
-        potential=V,
-    )
+    return sol
 
 
 def scattering_length_integral(sol: ScatteringSolution) -> float:
@@ -441,7 +441,7 @@ def scaled_profile(sol: ScatteringSolution, N: int, r, deriv: bool = False):
     if np.any(r < 0):
         raise DomainError("radius must be non-negative")
     s = N * r
-    inside = s <= sol.r_grid[-1]
+    inside = s <= sol.r_max
     out = np.empty_like(s)
     out[inside] = np.interp(s[inside], sol.r_grid, sol.dw_dr if deriv else sol.w)
     ss = s[~inside]

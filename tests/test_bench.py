@@ -115,11 +115,13 @@ def test_solution_json_round_trip(tmp_path):
     path = tmp_path / "scattering.json"
     dump_solution_json(sol, path)
     assert "profile" not in json.loads(path.read_text())
+    with np.load(path.with_suffix(".npz")) as data:
+        assert set(data.files) == {"f", "dw_dr", "defect"}
     sol2 = load_solution_json(path)
     V2 = sol2.potential
     assert sol2.a0 == sol.a0
     assert sol2.a0_derivative == sol.a0_derivative
-    # every array comes back from scattering.npz bit for bit
+    # every array comes back bit for bit, the derived r_grid and w included
     for name in ("r_grid", "f", "w", "dw_dr", "defect"):
         got, want = getattr(sol2, name), getattr(sol, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -140,10 +142,10 @@ def set_profile_value(npz, name, value, index=10):
 
 
 @pytest.mark.parametrize("key, bad", [
-    ("profile.r", math.nan), ("profile.f", math.inf), ("profile.w", -math.inf),
-    ("profile.dw_dr", None), ("profile.defect", math.nan),
-    ("a0_tail", math.nan), ("a0_derivative", None), ("ode_residual", math.inf),
-    ("tail_fit_error", math.nan),
+    ("profile.f", math.inf), ("profile.dw_dr", None),
+    ("profile.defect", math.nan), ("a0_tail", math.nan),
+    ("a0_derivative", None), ("ode_residual", math.inf),
+    ("tail_fit_error", math.nan), ("rmax", None),
 ])
 def test_solution_json_with_a_non_finite_number_is_refused(tmp_path, key, bad):
     # a profile.* key names an array of scattering.npz, the others a scalar
@@ -192,7 +194,7 @@ def scattering_artifact(tmp_path, capsys):
 
 @pytest.mark.parametrize("file, key", [
     ("json", "a0_tail"), ("json", "tail_fit_error"), ("json", "potential"),
-    ("npz", "w"), ("npz", "defect"),
+    ("json", "rmax"), ("npz", "f"), ("npz", "dw_dr"), ("npz", "defect"),
 ])
 def test_cli_kernels_scattering_artifact_missing_a_key_exits_2(
         tmp_path, capsys, file, key):
@@ -209,6 +211,58 @@ def test_cli_kernels_scattering_artifact_missing_a_key_exits_2(
     assert cli_main(args) == 2
     where = path.with_suffix(f".{file}")
     assert f"error: {where}: no {key}; solve it again" in capsys.readouterr().err
+    assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
+
+
+def test_cli_kernels_refuses_the_five_array_layout(tmp_path, capsys):
+    # an artifact written before rmax: no rmax, and r and w stored as arrays
+    path, args = scattering_artifact(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    del payload["rmax"]
+    path.write_text(json.dumps(payload))
+    sol = solve_zero_energy(RadialPotential.square_well(8.0, 1.0), 5.0, 2000)
+    np.savez(path.with_suffix(".npz"), r=sol.r_grid, f=sol.f, w=sol.w,
+             dw_dr=sol.dw_dr, defect=sol.defect)
+    assert cli_main(args) == 2
+    assert f"error: {path}: no rmax; solve it again" in capsys.readouterr().err
+
+
+# edits of scattering.npz after which its arrays are no longer one profile
+PROFILE_DAMAGE = {
+    "f-5-short": lambda a: a.update(f=a["f"][:-5]),
+    "dw_dr-1-short": lambda a: a.update(dw_dr=a["dw_dr"][1:]),
+    "defect-as-long-as-f": lambda a: a.update(defect=np.append(a["defect"], 0.0)),
+    "defect-2-short": lambda a: a.update(defect=a["defect"][:-1]),
+    "f-a-scalar": lambda a: a.update(f=a["f"][0]),
+    "one-sample": lambda a: a.update(f=a["f"][:1], dw_dr=a["dw_dr"][:1],
+                                     defect=a["defect"][:0]),
+}
+
+
+@pytest.mark.parametrize("damage", list(PROFILE_DAMAGE))
+def test_cli_kernels_arrays_that_are_not_one_profile_exit_2(
+        tmp_path, capsys, damage):
+    path, args = scattering_artifact(tmp_path, capsys)
+    npz = path.with_suffix(".npz")
+    with np.load(npz) as data:
+        arrays = dict(data)
+    PROFILE_DAMAGE[damage](arrays)
+    np.savez(npz, **arrays)
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {npz}: f, dw_dr and defect have shapes" in err
+    assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
+
+
+@pytest.mark.parametrize("rmax", [0.0, -5.0, [5.0], "5.0", True],
+                         ids=["zero", "negative", "a-list", "a-text", "true"])
+def test_cli_kernels_rmax_that_is_not_a_positive_number_exits_2(
+        tmp_path, capsys, rmax):
+    path, args = scattering_artifact(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "rmax": rmax}))
+    assert cli_main(args) == 2
+    assert f"error: {path}: rmax" in capsys.readouterr().err
     assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
 
 
@@ -374,6 +428,24 @@ def test_cli_scattering_out_that_collides_with_the_artifact_exits_2(
                      "--rmax", "5.0", "--points", "2000", "--out", str(out)]) == 2
     assert f"--out {out}: the CSV export would collide" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_scattering_makes_the_directory_of_out(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "s.csv"
+    assert cli_main(["scattering", "--potential", "square-well:height=8,radius=1",
+                     "--rmax", "5.0", "--points", "2000", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == [
+        "s.csv", "s.json", "s.npz"]
+
+
+def test_cli_scattering_out_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    out = tmp_path / "plain" / "s.csv"
+    assert cli_main(["scattering", "--potential", "square-well:height=8,radius=1",
+                     "--rmax", "5.0", "--points", "2000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --out {out}: cannot create the directory {out.parent}" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "plain"]
 
 
 def test_cli_run_and_report(tmp_path, capsys):

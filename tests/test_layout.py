@@ -437,3 +437,19 @@ def test_no_module_state_is_written():
                  for line, name in sorted(_module_state_writes(
                      ast.parse(path.read_text(), filename=str(path))))]
     assert not offenders, "\n".join(offenders)
+
+
+def test_readme_lists_the_arrays_of_scattering_npz(tmp_path):
+    import numpy as np
+
+    from gpk.bench import dump_solution_json
+    from gpk.scattering import RadialPotential, solve_zero_energy
+
+    listed = re.search(r"`scattering\.npz`, which holds\s+the arrays\s+(.*?);",
+                       (ROOT / "README.md").read_text(), re.DOTALL)
+    assert listed, "README.md does not list the arrays of scattering.npz"
+    sol = solve_zero_energy(RadialPotential.square_well(8.0, 1.0), 5.0, 1000)
+    dump_solution_json(sol, tmp_path / "scattering.json")
+    with np.load(tmp_path / "scattering.npz") as data:
+        written = data.files
+    assert re.findall(r"`(\w+)`", listed.group(1)) == written

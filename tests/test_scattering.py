@@ -124,10 +124,10 @@ def test_w_certificate_is_tighter_than_the_solver(square_sol):
     # the solver takes a w that leaves [0, 1] by up to W_BOUND_SLACK; the
     # certificate of scattering.json holds it to ROUNDOFF_SLACK, so it can fail
     sol = square_sol
-    low = replace(sol, w=sol.w - np.min(sol.w) - 10 * ROUNDOFF_SLACK)
+    low = replace(sol, f=sol.f + np.min(sol.w) + 10 * ROUNDOFF_SLACK)
     assert -W_BOUND_SLACK < np.min(low.w) < -ROUNDOFF_SLACK
     assert not verify_w_bounds(low).w_within_unit
-    nan = replace(sol, w=np.full_like(sol.w, np.nan))
+    nan = replace(sol, f=np.full_like(sol.f, np.nan))
     assert not verify_w_bounds(nan).w_within_unit
 
 
