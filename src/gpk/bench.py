@@ -21,6 +21,9 @@ import functools
 import hashlib
 import json
 import math
+import os
+import pickle
+import sys
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -384,8 +387,9 @@ def dump_solution_json(sol: ScatteringSolution, path) -> dict:
 def load_solution_json(path):
     """The solution of the JSON file `path` and the .npz beside it, V rebuilt
     exactly from its spec.  A missing key or array, an unreadable .npz, a
-    NaN, inf or null value, arrays that are not one profile and an rmax that
-    is not positive are ConfigurationErrors; solve such a file again."""
+    scalar that is not a JSON number (text or a bool), a NaN, inf or null
+    value, arrays that are not one profile and an rmax that is not positive
+    are ConfigurationErrors; solve such a file again."""
     npz = Path(path).with_suffix(".npz")
     try:
         payload = _read_json(path)
@@ -408,8 +412,13 @@ def load_solution_json(path):
         for key in keys:
             if key not in found:
                 raise ConfigurationError(f"{source}: no {key}; solve it again")
+            value = found[key]
+            if found is payload and value is not None and \
+                    type(value) not in (int, float):  # not bool, not text
+                raise ConfigurationError(f"{source}: {key} = {value!r} is not "
+                                         f"a number; solve it again")
             # a JSON null reads as NaN, which is refused
-            fields[key] = as_numbers(found[key], f"{source}: {key}")
+            fields[key] = as_numbers(value, f"{source}: {key}")
             if not np.all(np.isfinite(fields[key])):
                 raise ConfigurationError(
                     f"{source}: {key} holds non-finite values; solve it again")
@@ -418,7 +427,7 @@ def load_solution_json(path):
         raise ConfigurationError(f"{npz}: f, dw_dr and defect have shapes "
                                  f"{shapes}, not n, n and n - 1 samples for "
                                  f"an n >= 2; solve it again")
-    if type(payload["rmax"]) not in (int, float) or payload["rmax"] <= 0:
+    if payload["rmax"] <= 0:
         raise ConfigurationError(f"{path}: rmax = {payload['rmax']!r} is not "
                                  f"a positive number; solve it again")
     return ScatteringSolution(
@@ -658,6 +667,14 @@ STAGES = (
 )
 
 
+# Stages that read no stage and that no stage reads.  On Linux a miss of one
+# runs in a forked child beside the other stages (today: fock beside the
+# scattering -> evolve/nsweep -> kernels chain).
+_DETACHED = {s.name for s in STAGES if not s.needs
+             and all(s.name not in t.needs for t in STAGES)
+             } if sys.platform == "linux" else set()
+
+
 def _plan(cfg: ExperimentConfig, wanted) -> list:
     """The configured stages among `wanted` (all if None) and their upstream."""
     take = {s.name for s in STAGES} if wanted is None else set(wanted)
@@ -668,49 +685,165 @@ def _plan(cfg: ExperimentConfig, wanted) -> list:
             if s.name in take and all(cfg.has(sec) for sec in s.switch)]
 
 
+def make_directory(directory: Path, what: str) -> None:
+    """mkdir -p, a failure of which is a ConfigurationError naming `what`
+    (the option or key that named the directory) and the directory."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"{what}: cannot create the directory "
+                                 f"{directory}: {exc.strerror}") from None
+
+
+class _Child:
+    """A stage run by a forked child into temporary files beside its
+    outputs.  The child sends back None or its pickled error and leaves by
+    os._exit; `join` moves the files into place or raises that error, and
+    `kill` ends the child when the parent fails first.  Either way the
+    child is reaped and no temporary file is left."""
+
+    def __init__(self, stage: Stage, inputs: _Inputs, paths: list):
+        self.name, self.paths = stage.name, paths
+        self.temps = [p.with_name(f"{p.name}.part") for p in paths]
+        read_end, write_end = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read_end)
+            try:
+                try:
+                    stage.run(inputs, None, *self.temps)
+                    reply = pickle.dumps(None)
+                except BaseException as exc:
+                    reply = _pickled_error(stage.name, exc)
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(reply)
+            finally:
+                os._exit(0)  # never back into the parent's stack
+        os.close(write_end)
+        self.reply = os.fdopen(read_end, "rb")
+
+    def join(self) -> None:
+        with self.reply:
+            data = self.reply.read()
+        _, status = os.waitpid(self.pid, 0)
+        try:
+            error = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):  # no reply, or a cut one
+            error = RuntimeError(f"the {self.name} stage's child process "
+                                 f"ended without a reply: {_ending(status)}")
+        if error is not None:
+            self._remove_temps()
+            raise error
+        for temp, path in zip(self.temps, self.paths):
+            os.replace(temp, path)
+
+    def kill(self) -> None:
+        import signal
+
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.reply.close()
+        self._remove_temps()
+
+    def _remove_temps(self) -> None:
+        for temp in self.temps:
+            temp.unlink(missing_ok=True)
+
+
+def _pickled_error(stage: str, exc: BaseException) -> bytes:
+    """`exc` pickled, if it unpickles; else a RuntimeError that carries the
+    child's traceback."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        import traceback
+
+        text = "".join(traceback.format_exception(exc))
+        return pickle.dumps(RuntimeError(
+            f"the {stage} stage failed in its child process:\n{text}"))
+
+
+def _ending(status: int) -> str:
+    """How a process with wait status `status` ended."""
+    import signal
+
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"exit status {code}"
+    try:
+        return f"killed by {signal.Signals(-code).name}"
+    except ValueError:
+        return f"killed by signal {-code}"
+
+
 def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundle:
     """Run the configured stages among `stages` (all if None) and the
     upstream stages they need, with caching; report.json lists the stages
     this invocation ran, hit or miss, with their artifacts, summaries and
-    flags.
+    flags.  `outdir` (the --out of a subcommand) overrides [output]
+    directory.
 
     Before a stage runs, every stage whose upstream is done is keyed and
     found a hit or a miss; the evolve and nsweep misses among them are
     stepped from the [datum] by one `_step` call, and each receives its
-    result as the `stepped` argument of its `run`.  A hit steps nothing."""
+    result as the `stepped` argument of its `run`.  A hit steps nothing.
+
+    On Linux, a miss of a stage that reads no stage and that no stage reads
+    (fock), planned with other stages, runs in a forked child from when it
+    is keyed, beside the other stages.  The parent joins it at its place in
+    the stage order: it moves the child's files into place and writes the
+    `.hash`, or raises the child's error there.  So artifacts, report.json,
+    the order of errors and the exit codes are those of a run in one
+    process.  If the parent fails first, it kills and reaps the child and
+    removes its temporary files."""
+    what = "[output] directory" if outdir is None else "--out"
     outdir = Path(outdir or cfg.get("output", "directory"))
     plan = _plan(cfg, stages)
     outputs = {s.name: [outdir / name for name in s.outputs] for s in plan}
-    outdir.mkdir(parents=True, exist_ok=True)
+    make_directory(outdir, what)
     inputs = _Inputs(cfg, outdir)
-    keys, misses, stepped = {}, set(), {}
+    keys, misses, stepped, children = {}, set(), {}, {}
     digests, artifacts, summary, flags = {}, {}, {}, []
-    for stage in plan:
-        if stage.name not in keys:  # it and every stage ready with it
-            ready = [s for s in plan if s.name not in keys and all(
-                name in digests for name in s.needs if name in outputs)]
-            for s in ready:
-                keys[s.name] = _hash_text(
-                    s.name, _source_digest(),
-                    *(_section_key(cfg, section) for section in s.sections),
-                    *(digests[name] for name in s.needs if name in digests),
-                )
-                marker = outdir / f"{s.name}.hash"
-                if not (marker.exists()
-                        and marker.read_text().strip() == keys[s.name]
-                        and all(p.exists() for p in outputs[s.name])):
-                    misses.add(s.name)
-            stepped.update(_step(inputs, {s.name for s in ready} & misses))
-        paths = outputs[stage.name]
-        if stage.name in misses:
-            stage.run(inputs, stepped.pop(stage.name, None), *paths)
-            (outdir / f"{stage.name}.hash").write_text(keys[stage.name] + "\n")
-        digests[stage.name] = _hash_text(*map(_hash_file, paths))
-        artifacts[stage.name] = [str(p) for p in paths]
-        stage_summary, stage_flags = stage.summarize(*paths)
-        if stage_summary is not None:
-            summary[stage.name] = stage_summary
-        flags.extend(stage_flags)
+    try:
+        for stage in plan:
+            if stage.name not in keys:  # it and every stage ready with it
+                ready = [s for s in plan if s.name not in keys and all(
+                    name in digests for name in s.needs if name in outputs)]
+                for s in ready:
+                    keys[s.name] = _hash_text(
+                        s.name, _source_digest(),
+                        *(_section_key(cfg, sec) for sec in s.sections),
+                        *(digests[name] for name in s.needs
+                          if name in digests),
+                    )
+                    marker = outdir / f"{s.name}.hash"
+                    if not (marker.exists()
+                            and marker.read_text().strip() == keys[s.name]
+                            and all(p.exists() for p in outputs[s.name])):
+                        misses.add(s.name)
+                        if s.name in _DETACHED and len(plan) > 1:
+                            children[s.name] = _Child(s, inputs,
+                                                      outputs[s.name])
+                stepped.update(_step(inputs, {s.name for s in ready} & misses))
+            paths = outputs[stage.name]
+            if stage.name in children:
+                children.pop(stage.name).join()
+            elif stage.name in misses:
+                stage.run(inputs, stepped.pop(stage.name, None), *paths)
+            if stage.name in misses:
+                (outdir / f"{stage.name}.hash").write_text(
+                    keys[stage.name] + "\n")
+            digests[stage.name] = _hash_text(*map(_hash_file, paths))
+            artifacts[stage.name] = [str(p) for p in paths]
+            stage_summary, stage_flags = stage.summarize(*paths)
+            if stage_summary is not None:
+                summary[stage.name] = stage_summary
+            flags.extend(stage_flags)
+    finally:
+        for child in children.values():  # the parent failed first
+            child.kill()
 
     # report.json names each artifact relative to the output directory, so
     # it does not depend on where the directory is

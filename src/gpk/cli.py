@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -17,6 +18,11 @@ from .errors import ConfigurationError, GpkError
 
 # Each subcommand imports the layers it runs, so a process loads numpy and
 # scipy only when its subcommand computes: `gpk report` loads neither.
+
+# The thread counts that `main` sets to 1 where unset, before numpy loads:
+# gpk's matrices are small, and a BLAS thread pool slows them down.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _parse_potential_arg(spec: str):
@@ -42,7 +48,8 @@ def _existing(path: str, what: str) -> str:
 
 def _cmd_scattering(args) -> int:
     from .bench import (
-        SCHEMA, dump_solution_json, scattering_summary, write_scattering_csv,
+        SCHEMA, dump_solution_json, make_directory, scattering_summary,
+        write_scattering_csv,
     )
     from .scattering import solve_zero_energy
 
@@ -53,11 +60,7 @@ def _cmd_scattering(args) -> int:
     V = _parse_potential_arg(args.potential)
     points = (SCHEMA["potential"]["points"].default if args.points is None
               else args.points)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"--out {out}: cannot create the directory "
-                                 f"{out.parent}: {exc.strerror}") from None
+    make_directory(out.parent, f"--out {out}")
     sol = solve_zero_energy(V, args.rmax, points)
     write_scattering_csv(sol, out)
     payload = dump_solution_json(sol, out.with_suffix(".json"))
@@ -78,7 +81,8 @@ def _cmd_stages(args) -> int:
 
 def _cmd_kernels(args) -> int:
     from .bench import (
-        SCHEMA, load_solution_json, parse_value, write_kernel_bounds_csv,
+        SCHEMA, load_solution_json, make_directory, parse_value,
+        write_kernel_bounds_csv,
     )
     from .fieldio import read_field
 
@@ -89,7 +93,7 @@ def _cmd_kernels(args) -> int:
     # the reader and bound of [kernels] n_values
     n_list = parse_value("--N", SCHEMA["kernels"]["n_values"], args.N)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    make_directory(outdir, "--out")
     path = outdir / "kernel_bounds.csv"
     write_kernel_bounds_csv(path, phi, sol, n_list)
     print(str(path))
@@ -164,6 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # a caller that loaded numpy keeps its pool
+        for name in THREAD_VARIABLES:
+            os.environ.setdefault(name, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

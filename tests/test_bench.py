@@ -1,7 +1,12 @@
 import csv
 import json
 import math
+import os
+import pickle
+import signal
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,9 +21,16 @@ from gpk.bench import (
     run_pipeline,
     write_scattering_csv,
 )
-from gpk.cli import main as cli_main
+from gpk.cli import THREAD_VARIABLES, main as cli_main
 from gpk.dynamics import GridSpec, NonlinearitySpec, WaveFunction, gaussian_datum
-from gpk.errors import ConfigurationError, DomainError, NumericalBlowupError
+from gpk.errors import (
+    ConfigurationError,
+    DomainError,
+    GpkError,
+    InvariantViolation,
+    NumericalBlowupError,
+    TruncationBudgetError,
+)
 from gpk.fieldio import read_field, write_field
 from gpk.rates import fit_rate
 from gpk.scattering import RadialPotential, solve_zero_energy
@@ -269,7 +281,10 @@ def test_cli_kernels_rmax_that_is_not_a_positive_number_exits_2(
 @pytest.mark.parametrize("text, what", [
     ("5", "no potential"),
     ('{"a0_tail": "abc"}', "a0_tail = 'abc' is not a number"),
-], ids=["a-number", "a-text-scalar"])
+    ('{"a0_tail": "0.5"}', "a0_tail = '0.5' is not a number"),
+    ('{"ode_residual": true}', "ode_residual = True is not a number"),
+], ids=["a-number", "a-text-scalar", "a-numeric-text-scalar",
+        "a-bool-scalar"])
 def test_cli_kernels_scattering_json_of_the_wrong_type_exits_2(
         tmp_path, capsys, text, what):
     path, args = scattering_artifact(tmp_path, capsys)
@@ -1240,3 +1255,237 @@ def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
     if line.startswith("t_star"):  # the message names only the key written
         assert "t_final" not in err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# output directories, BLAS threads, errors through pickle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["run", "evolve", "kernels"])
+def test_an_output_directory_that_is_a_file_exits_2(tmp_path, capsys,
+                                                    command):
+    plain = tmp_path / "plain"
+    if command == "kernels":
+        _, args = scattering_artifact(tmp_path, capsys)
+        args[args.index("--out") + 1] = str(plain)
+    else:
+        cfg_path = write_config(tmp_path, BASE_CONFIG.replace(
+            "{outdir}", str(plain)))
+        args = (["run", str(cfg_path)] if command == "run" else
+                ["evolve", "--config", str(cfg_path), "--out", str(plain)])
+    plain.write_text("")
+    assert cli_main(args) == 2
+    assert f"cannot create the directory {plain}" in capsys.readouterr().err
+    assert plain.read_text() == ""
+
+
+def test_cli_sets_one_blas_thread_where_unset_before_numpy_loads(tmp_path):
+    (tmp_path / "report.json").write_text('{"stages": []}')
+    env = {name: value for name, value in os.environ.items()
+           if name not in THREAD_VARIABLES}
+    env.update(OMP_NUM_THREADS="3",
+               PYTHONPATH=str(Path(bench.__file__).parents[1]))
+    code = ("import json, os\nfrom gpk.cli import THREAD_VARIABLES, main\n"
+            f"assert main(['report', {str(tmp_path)!r}]) == 0\n"
+            "print(json.dumps([os.environ.get(n) for n in THREAD_VARIABLES]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    values = dict(zip(THREAD_VARIABLES,
+                      json.loads(out.stdout.strip().splitlines()[-1])))
+    assert values == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+                      "MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1"}
+
+
+def test_cli_leaves_the_threads_of_a_caller_with_numpy_loaded(
+        tmp_path, capsys, monkeypatch):
+    for name in THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    (tmp_path / "report.json").write_text('{"stages": []}')
+    assert cli_main(["report", str(tmp_path)]) == 0
+    assert [os.environ.get(name) for name in THREAD_VARIABLES] == [None] * 4
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_gpk_error_round_trips_through_pickle():
+    # the arguments an __init__ takes after the message
+    extra = {NumericalBlowupError: (0.5,)}
+    classes = [GpkError, *_subclasses(GpkError)]
+    assert NumericalBlowupError in classes and TruncationBudgetError in classes
+    for cls in classes:
+        error = cls("boom", *extra.get(cls, ()))
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert str(copy) == "boom" and copy.args == error.args
+        assert vars(copy) == vars(error)
+    assert pickle.loads(pickle.dumps(
+        NumericalBlowupError("boom", 0.5))).last_good_time == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the fock stage in a forked child
+# ---------------------------------------------------------------------------
+
+linux_only = pytest.mark.skipif(sys.platform != "linux",
+                                reason="the pipeline forks only on Linux")
+
+# the files of a reference run before the fock stage
+CHAIN_FILES = {"scattering.json", "scattering.npz", "scattering.hash",
+               "norms.csv", "evolve.hash", "rates.csv", "nsweep.hash",
+               "kernel_bounds.csv", "kernels.hash"}
+
+
+def reference_config(tmp_path):
+    cfg_path = tmp_path / "reference.ini"
+    cfg_path.write_text(REFERENCE.read_text().replace(
+        "directory = out", f"directory = {tmp_path / 'out'}"))
+    return cfg_path
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that `os.fork` makes in the test."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@linux_only
+def test_the_forked_fock_stage_writes_the_bytes_of_one_in_process(
+        tmp_path, capsys, forks):
+    cfg_path = reference_config(tmp_path)
+    assert cli_main(["run", str(cfg_path)]) == 0
+    assert len(forks) == 1
+    assert_no_child_left()
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    bench.run_fock_stage(load_config(cfg_path), direct / "fock_report.json",
+                         direct / "toy_convergence.csv")
+    for name in ("fock_report.json", "toy_convergence.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (direct / name).read_bytes()
+    assert {p.name for p in (tmp_path / "out").iterdir()} == CHAIN_FILES | {
+        "fock_report.json", "toy_convergence.csv", "fock.hash", "report.json"}
+
+
+@linux_only
+@pytest.mark.parametrize("where", ["toy-study", "after-the-json"])
+def test_an_error_in_the_forked_stage_exits_as_it_would_in_process(
+        tmp_path, capsys, monkeypatch, forks, where):
+    def over_budget(*args):
+        raise TruncationBudgetError("the cutoff cannot hold the state")
+
+    if where == "toy-study":
+        monkeypatch.setattr(fock, "toy_convergence_study", over_budget)
+    else:  # fock_report.json is written when the CSV fails
+        write_csv = bench._write_csv
+        monkeypatch.setattr(bench, "_write_csv", lambda path, *rows: (
+            over_budget if "toy_convergence" in Path(path).name
+            else write_csv)(path, *rows))
+    assert cli_main(["run", str(reference_config(tmp_path))]) == 3
+    assert "error: the cutoff cannot hold the state" in capsys.readouterr().err
+    assert len(forks) == 1
+    assert_no_child_left()
+    # the chain ran whole; fock left no hash, output or temporary file
+    assert {p.name for p in (tmp_path / "out").iterdir()} == CHAIN_FILES
+
+
+@linux_only
+def test_a_parent_failure_kills_and_reaps_the_child(tmp_path, capsys,
+                                                     monkeypatch, forks):
+    def drifting(*args, **kwargs):
+        raise InvariantViolation("norm drift")
+
+    monkeypatch.setattr(dynamics, "_propagate", drifting)
+    assert cli_main(["run", str(reference_config(tmp_path))]) == 4
+    assert "error: norm drift" in capsys.readouterr().err
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert {p.name for p in (tmp_path / "out").iterdir()} == {
+        "scattering.json", "scattering.npz", "scattering.hash"}
+
+
+@linux_only
+def test_a_child_killed_by_a_signal_is_an_error_not_a_hang(
+        tmp_path, monkeypatch, forks):
+    parent = os.getpid()
+
+    def killed(scenario):
+        assert os.getpid() != parent, "the fock stage ran in the parent"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def hung(signum, frame):
+        raise TimeoutError("the parent waits on a dead child")
+
+    monkeypatch.setattr(fock, "toy_convergence_study", killed)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        with pytest.raises(RuntimeError, match="the fock stage's child "
+                           "process ended without a reply: killed by SIGKILL"):
+            run_pipeline(load_config(reference_config(tmp_path)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert {p.name for p in (tmp_path / "out").iterdir()} == CHAIN_FILES
+
+
+@linux_only
+def test_an_error_that_does_not_pickle_arrives_with_its_traceback(
+        tmp_path, monkeypatch, forks):
+    def unpicklable(scenario):
+        error = TruncationBudgetError("the cutoff cannot hold the state")
+        error.hook = lambda: None
+        raise error
+
+    monkeypatch.setattr(fock, "toy_convergence_study", unpicklable)
+    with pytest.raises(RuntimeError) as err:
+        run_pipeline(load_config(reference_config(tmp_path)))
+    text = str(err.value)
+    assert text.startswith("the fock stage failed in its child process:\n")
+    assert "in unpicklable" in text
+    assert text.rstrip().endswith(
+        "TruncationBudgetError: the cutoff cannot hold the state")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_warm_rerun_forks_nothing(tmp_path, monkeypatch):
+    cfg = load_config(reference_config(tmp_path))
+    run_pipeline(cfg)
+    fresh = (tmp_path / "out" / "report.json").read_bytes()
+
+    def no_fork():
+        raise AssertionError("a warm rerun forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    run_pipeline(cfg)
+    assert (tmp_path / "out" / "report.json").read_bytes() == fresh
+
+
+def test_a_lone_fock_stage_runs_in_process(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("a lone stage forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg_path = write_config(tmp_path, FOCK_CONFIG, name="fock.ini")
+    assert cli_main(["fock", "--scenario", str(cfg_path)]) == 0

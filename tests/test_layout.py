@@ -357,6 +357,14 @@ def test_fresh_run_loads_no_interpolate_optimize_spatial_or_constants(
                               "scipy.spatial", "scipy.constants"})
 
 
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the pipeline forks only on Linux")
+def test_fresh_run_leaves_the_fock_scipy_modules_to_its_child(fresh_run):
+    # the fock stage runs in a forked child, which alone imports gpk.fock
+    _, loaded = fresh_run
+    assert loaded.isdisjoint({"scipy.sparse", "scipy.linalg"})
+
+
 def test_warm_run_loads_no_scipy(fresh_run):
     cwd, _ = fresh_run
     assert _scipy_modules(_cli("run", REFERENCE), cwd=cwd) == set()
