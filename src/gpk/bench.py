@@ -64,7 +64,11 @@ from .scattering import (
 
 
 def _tokens(text: str) -> list:
-    return text.replace(",", " ").split()
+    """The entries of a list, split at commas and spaces; ValueError for none."""
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ValueError("an empty list")
+    return tokens
 
 
 def _finite(text: str, above=-math.inf) -> float:
@@ -85,11 +89,12 @@ def _choice(*words):
 # A type is (reader, what the text must be); the reader raises ValueError or
 # KeyError on a text it cannot read.
 _INT = (int, "an integer")
-_INTS = (lambda text: [int(tok) for tok in _tokens(text)], "integers")
+_INTS = (lambda text: [int(tok) for tok in _tokens(text)],
+         "one or more integers")
 _FLOAT = (_finite, "a finite number")
 _WIDTH = (lambda text: _finite(text, above=0.0), "a positive finite number")
 _FLOATS = (lambda text: [_finite(tok) for tok in _tokens(text)],
-           "finite numbers")
+           "one or more finite numbers")
 _MATRIX = (lambda text: [_FLOATS[0](row) for row in text.split(";")
                          if row.strip()], "a matrix of finite numbers")
 _TEXT = (str, "text")
@@ -117,8 +122,7 @@ SCHEMA = {
                   "points": Key(_INT, 4000)},
     "grid": {"dim": Key(_INT, REQUIRED), "length": Key(_FLOAT, REQUIRED),
              "points": Key(_INT, REQUIRED), "dt": Key(_FLOAT, REQUIRED),
-             "t_final": Key(_FLOAT, REQUIRED),
-             "fft_workers": Key(_INT, 1, least=1)},
+             "t_final": Key(_FLOAT, REQUIRED)},
     "datum": {"sigma": Key(_WIDTH, 1.0)},
     "nonlinearity": {"kind": Key(_choice("gp", "modified"), "gp"),
                      "a0": Key(_FLOAT), "n": Key(_INT, least=1)},
@@ -267,14 +271,18 @@ def _check_rules(cfg: ExperimentConfig) -> None:
 
 
 def _check_fock_scenario(path, fock: dict) -> None:
-    """The shapes of [fock] h (d x d, for d modes), u and phi0 (d numbers),
-    and both bases the fock stage builds, against the caps of
-    `gpk.budgets`."""
+    """The shapes of [fock] h (d x d, for d modes, and symmetric as
+    `fock.hamiltonian` asks of a real h), u and phi0 (d numbers), and both
+    bases the fock stage builds, against the caps of `gpk.budgets`."""
     d = len(fock["h"])
     if not d or any(len(row) != d for row in fock["h"]):
         raise ConfigurationError(
             f"{path}: [fock] h must be a nonempty square matrix, got rows of "
             f"{[len(row) for row in fock['h']]} numbers")
+    if not np.allclose(fock["h"], np.transpose(fock["h"]),
+                       atol=budgets.ROUNDOFF_SLACK):
+        raise ConfigurationError(f"{path}: [fock] h is not symmetric to "
+                                 f"ROUNDOFF_SLACK = {budgets.ROUNDOFF_SLACK}")
     for key in ("u", "phi0"):
         if fock[key] is not None and len(fock[key]) != d:
             raise ConfigurationError(f"{path}: [fock] {key} needs d = {d} "
@@ -341,7 +349,7 @@ def grid_from_config(cfg: ExperimentConfig) -> GridSpec:
     grid = cfg.values["grid"]
     return GridSpec(dim=grid["dim"], box_length=grid["length"],
                     points_per_axis=grid["points"], dt=grid["dt"],
-                    t_final=grid["t_final"], fft_workers=grid["fft_workers"])
+                    t_final=grid["t_final"])
 
 
 def kernel_grid_from_config(cfg: ExperimentConfig) -> GridSpec:
@@ -590,6 +598,8 @@ def _step(inp: _Inputs, names) -> dict:
 
 
 def _run_evolve(inp: _Inputs, traj, norms_csv) -> None:
+    for stale in inp.outdir.glob("field_*.bin"):  # an earlier run's dumps
+        stale.unlink()
     rep = sobolev_report(traj, _nonlinearity(inp))
     columns = [traj.times, [s.l2_norm for s in traj.states], rep.energy,
                *(rep.h_norms[n] for n in (1, 2, 3, 4)), rep.tail_mass]

@@ -61,14 +61,16 @@ _SOBOLEV_ORDERS = (1, 2, 3, 4)  # the H^n norms a report tracks
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic box and time-step description."""
+    """Periodic box and time-step description; every FFT runs in one thread."""
 
     dim: int
     box_length: float
     points_per_axis: int
     dt: float
     t_final: float
-    fft_workers: int = 1
+    # Not a field: perfbench/ records it.  ROADMAP item 1 deletes it together
+    # with the getter alias of bench.ExperimentConfig.
+    fft_workers = 1
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -82,8 +84,6 @@ class GridSpec:
             raise ConfigurationError("box_length must be positive")
         if self.dt == 0:
             raise ConfigurationError("dt must be non-zero")
-        if self.fft_workers < 1:
-            raise ConfigurationError("fft_workers must be >= 1")
 
     @property
     def dx(self) -> float:
@@ -205,7 +205,6 @@ class NonlinearitySpec:
 
     kind: str
     coupling: float = 0.0
-    a0: Optional[float] = None
     N: Optional[int] = None
     uhat: Optional[RadialTransformTable] = None
 
@@ -218,24 +217,21 @@ class NonlinearitySpec:
 
     @staticmethod
     def gp(a0: float):
-        return NonlinearitySpec(kind="gp", coupling=8.0 * math.pi * a0, a0=a0)
+        return NonlinearitySpec(kind="gp", coupling=8.0 * math.pi * a0)
 
     @staticmethod
     def modified(sol, N: int, grid: GridSpec):
         """Tabulate uhat from a scattering solution for use on `grid`."""
         p_max = math.sqrt(float(np.max(grid.k_squared()))) + 1e-9
         table = tabulate_interaction_transform(sol, grid.dim, p_max)
-        a0 = sol.a0
         if grid.dim == 3:
-            expected = 8.0 * math.pi * a0
+            expected = 8.0 * math.pi * sol.a0
             gap = abs(table.at_zero - expected) / max(expected, DEGENERATE_FLOOR)
             if gap > TRANSFORM_TOL:
                 raise InvariantViolation(
                     f"uhat(0) = {table.at_zero:.8g} disagrees with 8 pi a0 = "
                     f"{expected:.8g} beyond TRANSFORM_TOL = {TRANSFORM_TOL:g}")
-        return NonlinearitySpec(
-            kind="modified", coupling=table.at_zero, a0=a0, N=N, uhat=table
-        )
+        return NonlinearitySpec(kind="modified", coupling=table.at_zero, N=N, uhat=table)
 
 
 @dataclass(frozen=True)
@@ -254,19 +250,15 @@ class _Stepper:
     def __init__(self, grid: GridSpec, nls):
         from scipy import fft as sfft
 
-        workers = {"workers": grid.fft_workers}
         if grid.dim == 1:
-            self.fft, self.ifft, self.rfft = (
-                functools.partial(f, **workers)
-                for f in (sfft.fft, sfft.ifft, sfft.rfft))
-            self.irfft = functools.partial(sfft.irfft, n=grid.points_per_axis,
-                                           **workers)
+            self.fft, self.ifft, self.rfft = sfft.fft, sfft.ifft, sfft.rfft
+            self.irfft = functools.partial(sfft.irfft, n=grid.points_per_axis)
         else:
-            axes = {"axes": tuple(range(1, grid.dim + 1)), **workers}
+            axes = tuple(range(1, grid.dim + 1))
             self.fft, self.ifft, self.rfft = (
-                functools.partial(f, **axes)
+                functools.partial(f, axes=axes)
                 for f in (sfft.fftn, sfft.ifftn, sfft.rfftn))
-            self.irfft = functools.partial(sfft.irfftn, s=grid.shape, **axes)
+            self.irfft = functools.partial(sfft.irfftn, s=grid.shape, axes=axes)
         k2 = grid.k_squared()
         self.full_drift = _unit_phase(-grid.dt * k2)
         self.half_drift = _unit_phase(-0.5 * grid.dt * k2)
@@ -306,18 +298,18 @@ def _density_multiplier(grid: GridSpec, nl: NonlinearitySpec) -> np.ndarray:
     return (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
 
 
-def _density_spectrum(values: np.ndarray, workers: int) -> np.ndarray:
+def _density_spectrum(values: np.ndarray) -> np.ndarray:
     """rfftn of the real density |phi|^2."""
     from scipy import fft as sfft
 
-    return sfft.rfftn(values.real**2 + values.imag**2, workers=workers)
+    return sfft.rfftn(values.real**2 + values.imag**2)
 
 
 def _power(psi: WaveFunction) -> np.ndarray:
     """|phi_hat|^2 on the full spectrum."""
     from scipy import fft as sfft
 
-    phi_hat = sfft.fftn(psi.values, workers=psi.grid.fft_workers)
+    phi_hat = sfft.fftn(psi.values)
     return phi_hat.real**2 + phi_hat.imag**2
 
 
@@ -473,7 +465,7 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
 def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
     """Conserved energy: kinetic term plus the nonlinearity-matched interaction."""
     _, kinetic, _ = _spectral_diagnostics(psi.grid, _power(psi))
-    rho_hat = _density_spectrum(psi.values, psi.grid.fft_workers)
+    rho_hat = _density_spectrum(psi.values)
     return _energy(psi.grid, _density_multiplier(psi.grid, nl), kinetic,
                    rho_hat)
 
@@ -514,7 +506,7 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
         for n in _SOBOLEV_ORDERS:
             h_norms[n].append(norms[n])
         tails.append(tail)
-        rho_hat = _density_spectrum(state.values, grid.fft_workers)
+        rho_hat = _density_spectrum(state.values)
         energies.append(_energy(grid, multiplier, kinetic, rho_hat))
     return SobolevReport(
         times=traj.times,
@@ -545,8 +537,8 @@ def sweep_nonlinearities(a0: Optional[float], uhat: RadialTransformTable,
     `sweep_values(N_list)`."""
     N_list = sweep_values(N_list)
     g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
-    return [NonlinearitySpec(kind="gp", coupling=g, a0=a0)] + [
-        NonlinearitySpec(kind="modified", coupling=uhat.at_zero, a0=a0, N=N,
+    return [NonlinearitySpec(kind="gp", coupling=g)] + [
+        NonlinearitySpec(kind="modified", coupling=uhat.at_zero, N=N,
                          uhat=uhat) for N in N_list]
 
 

@@ -381,7 +381,7 @@ def trace_distance_to_rank_one(gamma: ReducedDensity, phi: np.ndarray) -> float:
 # structural checks
 # ---------------------------------------------------------------------------
 
-def _sub_cutoff(basis: FockBasis, n_sub: Optional[int]) -> np.ndarray:
+def _sub_cutoff(basis: FockBasis, n_sub: Optional[int] = None) -> np.ndarray:
     """Mask of the states with total occupation <= n_sub (default n_max - 4)."""
     return basis.totals() <= (basis.n_max - 4 if n_sub is None else n_sub)
 
@@ -392,20 +392,19 @@ class WeylRelationReport:
     shift_residual: float
 
 
-def check_weyl_relations(
-    basis: FockBasis, f: np.ndarray, g: np.ndarray, n_sub: Optional[int] = None
-) -> WeylRelationReport:
+def check_weyl_relations(basis: FockBasis, f: np.ndarray,
+                         g: np.ndarray) -> WeylRelationReport:
     """Residuals of the Weyl product relation and the shift relation.
 
     Both W(f) W(g) = W(f+g) e^{-i Im<f, g>} and
     W(f)^dag a(g) W(f) = a(g) + <g, f> are compared in max norm on the
-    sub-cutoff block (default n <= n_max - 4).
+    sub-cutoff block n <= n_max - 4.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     _poisson_budget(basis, float(np.sum(np.abs(f) ** 2) + np.sum(np.abs(g) ** 2)),
                     "|f|^2 + |g|^2")
-    keep = _sub_cutoff(basis, n_sub)
+    keep = _sub_cutoff(basis)
 
     wf = weyl(basis, f)
     wg = weyl(basis, g)
@@ -423,11 +422,11 @@ def check_weyl_relations(
     )
 
 
-def bogoliubov_conjugation_residual(
-    basis: FockBasis, K: np.ndarray, f: np.ndarray, n_sub: Optional[int] = None
-) -> float:
-    """Max-norm defect of T^dag a(f) T = a(ch(K) f) + a^dag(sh(K) conj(f))."""
-    keep = _sub_cutoff(basis, n_sub)
+def bogoliubov_conjugation_residual(basis: FockBasis, K: np.ndarray,
+                                    f: np.ndarray) -> float:
+    """Max-norm defect of T^dag a(f) T = a(ch(K) f) + a^dag(sh(K) conj(f)) on
+    the sub-cutoff block n <= n_max - 4."""
+    keep = _sub_cutoff(basis)
     T = bogoliubov(basis, K)
     K = np.asarray(K, dtype=complex)
     p, r = ch_sh_series(K, tol=1e-16)  # ch(K) = 1 + p, sh(K) = K + r

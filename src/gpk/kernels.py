@@ -86,10 +86,9 @@ def _spectral_gradient(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     from scipy import fft as sfft
 
     axes = tuple(range(grid.dim))
-    spec = sfft.fftn(values, axes=axes, workers=grid.fft_workers)
+    spec = sfft.fftn(values, axes=axes)
     ks = grid._open_axes(grid.k_axes(), values.ndim - grid.dim)
-    return [sfft.ifftn(spec * (1j * k), axes=axes, workers=grid.fft_workers)
-            for k in ks]
+    return [sfft.ifftn(spec * (1j * k), axes=axes) for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +218,8 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     f1 *= N ** (4 - d)
 
     rho, g1, j = _field_moments(phi)
-    rho_hat = sfft.fftn(rho, workers=grid.fft_workers)
-    g1_hat = sfft.fftn(g1, workers=grid.fft_workers)
+    rho_hat = sfft.fftn(rho)
+    g1_hat = sfft.fftn(g1)
 
     # F_hat tabulated as the continuum transform already carries the cell of
     # the position-space convolution; one cell remains for the outer integral
@@ -236,12 +235,12 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     inv_kabs = np.where(kabs > 0, 1.0 / np.where(kabs > 0, kabs, 1.0), 0.0)
     term_c = 0.0
     for k, j_c in zip(grid._open_axes(grid.k_axes()), j):
-        j_hat = sfft.fftn(j_c, workers=grid.fft_workers)
+        j_hat = sfft.fftn(j_c)
         mult = -1j * k * inv_kabs * fc_lat
         term_c += float(np.real(np.sum(np.conj(j_hat) * mult * rho_hat))) * pref
     l2_grad1_sq = term_a + term_b + term_c
 
-    conv = sfft.ifftn(f0_lat * rho_hat, workers=grid.fft_workers).real
+    conv = sfft.ifftn(f0_lat * rho_hat).real
     sup_slice_sq = float(np.max(rho * conv))
 
     return (
@@ -350,14 +349,13 @@ def grad1_kkbar_hs_norm(
     cell = grid.cell
     shape = grid.shape
     axes = tuple(range(2, d + 2))  # grid axes behind (pair function, row)
-    workers = grid.fft_workers
 
     W = _lattice_profile(grid, sol, N, deriv=False)
     Wc = _lattice_profile(grid, sol, N, deriv=True)
     rho, g1, j = _field_moments(phi)
 
-    W_hat_c = np.conj(sfft.rfftn(W, workers=workers))
-    Wc_hat_c = [np.conj(sfft.rfftn(w, workers=workers)) for w in Wc]
+    W_hat_c = np.conj(sfft.rfftn(W))
+    Wc_hat_c = [np.conj(sfft.rfftn(w)) for w in Wc]
     reps, sizes = _row_orbits(grid, rho, g1, j)
 
     rho_flat = rho.reshape(-1)
@@ -379,14 +377,14 @@ def grad1_kkbar_hs_norm(
             np.multiply(rho, Wc[c][tuple(at)], out=parts[1 + c])
             parts[1 + c] += 2.0 * j[c] * Wz
         np.multiply(rho, Wz, out=parts[-1])
-        spec = sfft.rfftn(parts, axes=axes, workers=workers)
+        spec = sfft.rfftn(parts, axes=axes)
         # the x side and the y side, one inverse transform each
         sides = np.empty((2,) + spec.shape[1:], dtype=spec.dtype)
         np.multiply(spec[0], W_hat_c, out=sides[0])
         for c in range(d):
             sides[0] += spec[1 + c] * Wc_hat_c[c]
         np.multiply(spec[-1], W_hat_c, out=sides[1])
-        sides = sfft.irfftn(sides, s=shape, axes=axes, workers=workers)
+        sides = sfft.irfftn(sides, s=shape, axes=axes)
         row_sums = np.einsum("bx,bx,x->b", sides[0].reshape(rows.size, -1),
                              sides[1].reshape(rows.size, -1), rho_flat)
         total += float(np.sum(sizes[lo : lo + block] * rho_flat[rows]

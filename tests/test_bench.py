@@ -701,6 +701,20 @@ def test_deleting_one_dynamics_hash_keeps_every_artifact(tmp_path, monkeypatch):
     assert counts == [1, 5]
 
 
+@pytest.mark.parametrize("rerun", ["stride = 50\nfields = yes",
+                                   "stride = 10\nfields = no"],
+                         ids=["larger-stride", "fields-no"])
+def test_a_rerun_keeps_no_field_dump_of_an_earlier_run(tmp_path, rerun):
+    first = load_config(write_config(tmp_path, DYNAMICS_CONFIG))
+    outdir = run_pipeline(first, stages=("evolve",)).outdir
+    assert len(list(outdir.glob("field_*.bin"))) == 11
+    text = DYNAMICS_CONFIG.replace("stride = 10\nfields = yes", rerun)
+    second = load_config(write_config(tmp_path, text, name="second.ini"))
+    run_pipeline(second, stages=("evolve",))
+    fresh = run_pipeline(second, outdir=tmp_path / "fresh", stages=("evolve",))
+    assert artifact_bytes(outdir) == artifact_bytes(fresh.outdir)
+
+
 @pytest.mark.parametrize("t_star, counts, loops", [
     ("0.1", [6], [["evolve", *SWEEP_LABELS]]),
     ("0.05", [1, 5], [["evolve"], SWEEP_LABELS]),
@@ -947,7 +961,7 @@ def test_cli_kernels_missing_input_files_exit_2(tmp_path, capsys):
                      "--N", "2,x", "--out", str(tmp_path / "kout")]) == 2
 
 
-@pytest.mark.parametrize("N", ["-2", "0", "2,0"])
+@pytest.mark.parametrize("N", ["-2", "0", "2,0", pytest.param("", id="empty")])
 def test_cli_kernels_non_positive_N_exits_2(tmp_path, capsys, N):
     # --N takes the reader and bound of [kernels] n_values
     scatter_csv = tmp_path / "s.csv"
@@ -964,12 +978,13 @@ def test_cli_kernels_non_positive_N_exits_2(tmp_path, capsys, N):
                      "--scattering", str(scatter_csv.with_suffix(".json")),
                      "--N", N, "--out", str(tmp_path / "kout")])
     assert code == 2
-    shown = [int(tok) for tok in N.split(",")]
-    assert f"--N = {shown} must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
+    shown = [int(tok) for tok in N.split(",") if tok]
+    what = f"{shown} must be >= 1" if shown else "'' is not one or more integers"
+    assert f"--N = {what}" in capsys.readouterr().err
+    assert not (tmp_path / "kout").exists()
 
 
-@pytest.mark.parametrize("values", ["2 0", "-1"])
+@pytest.mark.parametrize("values", ["2 0", "-1", pytest.param("", id="empty")])
 def test_kernels_n_values_below_1_refused_before_any_stage(tmp_path, values):
     text = BASE_CONFIG + (
         "\n[kernels]\ndim = 1\npoints = 32\nlength = 16.0\n"
@@ -1188,13 +1203,16 @@ phi0 = 1.0 0.0"""
     ("[datum]\nsigma = 1.0", "[datum]\nsigmaa = 1.0",
      "unknown key 'sigmaa' in [datum]; did you mean 'sigma'?"),
     ("t_final = 0.25", "t_final = 0.25\nfft_worker = 1",
-     "unknown key 'fft_worker' in [grid]; did you mean 'fft_workers'?"),
+     "unknown key 'fft_worker' in [grid]; expected one of dim, length, "
+     "points, dt, t_final"),
     ("stride = 100", "stride = 100\nzzz = 1",
      "unknown key 'zzz' in [snapshots]; expected one of stride, fields"),
     ("fields = no", "fields = yes please",
      "[snapshots] fields = 'yes please' is not yes or no"),
+    # a key that changed nothing, now gone
     ("t_final = 0.25", "t_final = 0.25\nfft_workers = -3",
-     "[grid] fft_workers = -3 must be >= 1"),
+     "unknown key 'fft_workers' in [grid]; expected one of dim, length, "
+     "points, dt, t_final"),
     # constants and keys that follow from others, and a spelling that is no
     # family name
     ("h = 0.0 -1.0 ; -1.0 0.2", "d = 2\nh = 0.0 -1.0 ; -1.0 0.2",
@@ -1213,6 +1231,8 @@ phi0 = 1.0 0.0"""
     ("family = square-well", "family = square_well",
      "unknown potential family 'square_well'; expected one of square-well, "
      "gaussian, zero, table"),
+    ("h = 0.0 -1.0 ; -1.0 0.2", "h = 0.0 -1.0 ; -0.5 0.2",
+     "exp.ini: [fock] h is not symmetric to ROUNDOFF_SLACK = 1e-12"),
     (FOCK_D2, FOCK_D4_CONFIG.partition("[fock]\n")[2].partition("\nt_final")[0],
      "[fock] h: d = 4 modes at cutoff 12 give a basis of dimension 1820, "
      "above the cap 1500"),
@@ -1238,7 +1258,7 @@ phi0 = 1.0 0.0"""
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "fock-d", "fock-cancel_n",
         "fock-cancel_cutoff", "datum-family", "nonlinearity-coupling",
-        "potential-square_well", "fock-d4",
+        "potential-square_well", "fock-h-not-symmetric", "fock-d4",
         "potential-pionts", "grid-points", "kernels-points", "dt-unstable",
         "dt-not-whole-steps", "t_star-not-whole-steps",
         "t_final-opposite-sign", "t_star-opposite-sign"])

@@ -260,7 +260,7 @@ def test_modified_energy_gap_shrinks_like_1_over_N(square_sol):
         nl = NonlinearitySpec.modified(square_sol, N=N, grid=grid)
         if gp_lim is None:
             # the N -> infinity contact equation
-            limit = NonlinearitySpec(kind="gp", coupling=nl.uhat.at_zero, a0=nl.a0)
+            limit = NonlinearitySpec(kind="gp", coupling=nl.uhat.at_zero)
             gp_lim = gp_energy(psi, limit)
         gaps.append(abs(gp_energy(psi, nl) - gp_lim))
     from gpk.rates import fit_rate
@@ -303,11 +303,10 @@ def test_batched_compare_dynamics_matches_separate_evolves(square_sol):
         for a0 in (None, square_sol.a0):
             rep = compare_dynamics(psi0, a0, uhat, Ns, t_star=grid.t_final)
             g = 8.0 * math.pi * a0 if a0 is not None else uhat.at_zero
-            ref = evolve(psi0, NonlinearitySpec(kind="gp", coupling=g, a0=a0),
-                         grid)
+            ref = evolve(psi0, NonlinearitySpec(kind="gp", coupling=g), grid)
             for N, got in zip(Ns, rep.y):
                 nl = NonlinearitySpec(kind="modified", coupling=uhat.at_zero,
-                                      a0=a0, N=N, uhat=uhat)
+                                      N=N, uhat=uhat)
                 want = l2_distance(evolve(psi0, nl, grid).states[-1],
                                    ref.states[-1])
                 assert got == want, (grid.dim, a0, N)
@@ -669,15 +668,6 @@ def test_grid_refuses_non_finite_numbers(name, bad):
             "t_final": 0.01}
     with pytest.raises(ConfigurationError, match="must be finite"):
         GridSpec(**{**good, name: bad})
-
-
-def test_grid_refuses_zero_fft_workers():
-    # scipy.fft would raise a bare ValueError at the first transform below
-    # -1, and -1 or -2 would make the thread count depend on the host
-    for workers in (0, -1, -3):
-        with pytest.raises(ConfigurationError, match="fft_workers must be >= 1"):
-            GridSpec(dim=1, box_length=8.0, points_per_axis=16, dt=1e-3,
-                     t_final=0.01, fft_workers=workers)
 
 
 @pytest.mark.parametrize("stride", [0, -3])

@@ -15,7 +15,8 @@ reads no field where a gpk class has a method `name`.  No comparison in
 `bench`, `dynamics`, `fock` or `scattering` may write the value of a
 `gpk.budgets` budget as a literal.  numpy's cos and sin appear nowhere in
 gpk: every phase e^{i angle}, and every sine and cosine, goes through
-`radial._unit_phase`.
+`radial._unit_phase`.  Every name of gpk that `perfbench/` reads must
+exist: each of its workloads is built at toy size.
 
 Imports are per use: no module but `fock` imports scipy when it is itself
 imported, `bench` imports `fock` only in the stage that runs it and `cli`
@@ -26,6 +27,7 @@ import checks run each entry point in a fresh interpreter and read its
 """
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -173,6 +175,20 @@ def test_every_dataclass_field_is_read():
     assert [f"{owner}.{name}" for owner, name in _dataclass_fields()
             if name not in read] == []
 
+
+
+def test_the_gpk_names_perfbench_reads_exist(tmp_path, monkeypatch):
+    # perfbench/ changes only with the benchmark, so a name of gpk that it
+    # reads (GridSpec.fft_workers, ExperimentConfig.get_ints, ...) must
+    # stay; each workload builds at toy size and reports its parameters
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for @dataclass
+    spec.loader.exec_module(workloads)
+    for cls in (workloads.GP3D, workloads.Kernels3D, workloads.Pipeline):
+        params = cls(seed=7, workdir=tmp_path / cls.name, toy=True).params()
+        assert params["fft_workers"] == 1, cls.name
 
 
 def _trig_uses():
