@@ -9,8 +9,9 @@ bytes of a `file =` table) and the artifacts of the stages it needs, so an
 edit of the code or the config invalidates the stages that depend on it.
 Numerical work runs only on a cache miss.  Summaries are read back from each
 stage's own artifacts and downstream stages read the scattering.json + .npz
-pair back, so artifacts do not depend on cache state.  Outputs are
-regenerated whole (CSV with RFC-4180 quoting, JSON with sorted keys).
+pair back, so artifacts do not depend on cache state.  A miss deletes its
+marker, regenerates its outputs whole in place (CSV with RFC-4180 quoting,
+JSON with sorted keys) and only then writes the marker back.
 """
 
 from __future__ import annotations
@@ -597,7 +598,8 @@ def _step(inp: _Inputs, names) -> dict:
     return {"evolve": traj, "nsweep": rate}
 
 
-def _run_evolve(inp: _Inputs, traj, norms_csv) -> None:
+def _run_evolve(inp: _Inputs, traj, norms_csv) -> list:
+    """norms.csv and, with [snapshots] fields, the dumps it names."""
     for stale in inp.outdir.glob("field_*.bin"):  # an earlier run's dumps
         stale.unlink()
     rep = sobolev_report(traj, _nonlinearity(inp))
@@ -605,10 +607,12 @@ def _run_evolve(inp: _Inputs, traj, norms_csv) -> None:
                *(rep.h_norms[n] for n in (1, 2, 3, 4)), rep.tail_mass]
     _write_csv(norms_csv, _NORMS_COLUMNS,
                ([repr(float(x)) for x in row] for row in zip(*columns)))
-    if inp.cfg.get("snapshots", "fields"):
-        for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-            fieldio.write_field(inp.outdir / f"field_{idx:04d}.bin", state,
-                                float(t))
+    if not inp.cfg.get("snapshots", "fields"):
+        return []
+    names = [f"field_{idx:04d}.bin" for idx in range(len(traj.times))]
+    for name, t, state in zip(names, traj.times, traj.states):
+        fieldio.write_field(inp.outdir / name, state, float(t))
+    return names
 
 
 def _summarize_evolve(norms_csv):
@@ -655,7 +659,8 @@ class Stage:
     sections: tuple      # config sections hashed into its key
     needs: tuple         # upstream stages it reads; their artifacts key it
     outputs: tuple       # its files under the output directory
-    run: Callable        # run(inputs, stepped, *output paths), on a miss only
+    run: Callable        # run(inputs, stepped, *output paths) on a miss, in
+                         # place; None or the names of further files it wrote
     summarize: Callable  # (*output paths) -> (summary or None, flags)
 
 
@@ -706,23 +711,20 @@ def make_directory(directory: Path, what: str) -> None:
 
 
 class _Child:
-    """A stage run by a forked child into temporary files beside its
-    outputs.  The child sends back None or its pickled error and leaves by
-    os._exit; `join` moves the files into place or raises that error, and
-    `kill` ends the child when the parent fails first.  Either way the
-    child is reaped and no temporary file is left."""
+    """A stage run by a forked child straight into its outputs.  The child
+    sends back the pickled result of `run`, or its error, and leaves by
+    os._exit; `join` reaps it and returns that result or raises that error,
+    and `kill` ends and reaps the child when the parent fails first."""
 
     def __init__(self, stage: Stage, inputs: _Inputs, paths: list):
-        self.name, self.paths = stage.name, paths
-        self.temps = [p.with_name(f"{p.name}.part") for p in paths]
+        self.name = stage.name
         read_end, write_end = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
             os.close(read_end)
             try:
                 try:
-                    stage.run(inputs, None, *self.temps)
-                    reply = pickle.dumps(None)
+                    reply = pickle.dumps(stage.run(inputs, None, *paths))
                 except BaseException as exc:
                     reply = _pickled_error(stage.name, exc)
                 with os.fdopen(write_end, "wb") as pipe:
@@ -732,20 +734,18 @@ class _Child:
         os.close(write_end)
         self.reply = os.fdopen(read_end, "rb")
 
-    def join(self) -> None:
+    def join(self):
         with self.reply:
             data = self.reply.read()
         _, status = os.waitpid(self.pid, 0)
         try:
-            error = pickle.loads(data)
+            result = pickle.loads(data)
         except (EOFError, pickle.UnpicklingError):  # no reply, or a cut one
-            error = RuntimeError(f"the {self.name} stage's child process "
-                                 f"ended without a reply: {_ending(status)}")
-        if error is not None:
-            self._remove_temps()
-            raise error
-        for temp, path in zip(self.temps, self.paths):
-            os.replace(temp, path)
+            result = RuntimeError(f"the {self.name} stage's child process "
+                                  f"ended without a reply: {_ending(status)}")
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
     def kill(self) -> None:
         import signal
@@ -753,11 +753,6 @@ class _Child:
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
         self.reply.close()
-        self._remove_temps()
-
-    def _remove_temps(self) -> None:
-        for temp in self.temps:
-            temp.unlink(missing_ok=True)
 
 
 def _pickled_error(stage: str, exc: BaseException) -> bytes:
@@ -800,20 +795,24 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
     stepped from the [datum] by one `_step` call, and each receives its
     result as the `stepped` argument of its `run`.  A hit steps nothing.
 
+    A miss commits by one rule: its `<stage>.hash` is deleted when it is
+    keyed and written back once its outputs are in place, with the names
+    of any further files `run` wrote (evolve's dumps), which a hit needs
+    too.  A failed run kills and reaps any child, then removes the outputs
+    of every miss that did not commit: it leaves no marker, no output.
+
     On Linux, a miss of a stage that reads no stage and that no stage reads
     (fock), planned with other stages, runs in a forked child from when it
-    is keyed, beside the other stages.  The parent joins it at its place in
-    the stage order: it moves the child's files into place and writes the
-    `.hash`, or raises the child's error there.  So artifacts, report.json,
-    the order of errors and the exit codes are those of a run in one
-    process.  If the parent fails first, it kills and reaps the child and
-    removes its temporary files."""
+    is keyed.  The parent joins and commits it, or raises its error, at its
+    place in the stage order: artifacts, report.json, errors and exit codes
+    are those of a run in one process."""
     what = "[output] directory" if outdir is None else "--out"
     outdir = Path(outdir or cfg.get("output", "directory"))
     plan = _plan(cfg, stages)
     outputs = {s.name: [outdir / name for name in s.outputs] for s in plan}
     make_directory(outdir, what)
     inputs = _Inputs(cfg, outdir)
+    read = {name for s in plan for name in s.needs}  # digests key their readers
     keys, misses, stepped, children = {}, set(), {}, {}
     digests, artifacts, summary, flags = {}, {}, {}, []
     try:
@@ -821,39 +820,43 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
             if stage.name not in keys:  # it and every stage ready with it
                 ready = [s for s in plan if s.name not in keys and all(
                     name in digests for name in s.needs if name in outputs)]
+                files = set(os.listdir(outdir))
                 for s in ready:
                     keys[s.name] = _hash_text(
                         s.name, _source_digest(),
                         *(_section_key(cfg, sec) for sec in s.sections),
-                        *(digests[name] for name in s.needs
-                          if name in digests),
-                    )
+                        *(digests[name] for name in s.needs if name in digests))
                     marker = outdir / f"{s.name}.hash"
-                    if not (marker.exists()
-                            and marker.read_text().strip() == keys[s.name]
-                            and all(p.exists() for p in outputs[s.name])):
+                    listed = marker.read_text().split() if marker.name in files else []
+                    if listed[:1] != [keys[s.name]] or not files.issuperset(
+                            [*s.outputs, *listed[1:]]):
+                        marker.unlink(missing_ok=True)
                         misses.add(s.name)
                         if s.name in _DETACHED and len(plan) > 1:
                             children[s.name] = _Child(s, inputs,
                                                       outputs[s.name])
                 stepped.update(_step(inputs, {s.name for s in ready} & misses))
             paths = outputs[stage.name]
-            if stage.name in children:
-                children.pop(stage.name).join()
-            elif stage.name in misses:
-                stage.run(inputs, stepped.pop(stage.name, None), *paths)
             if stage.name in misses:
+                written = (children.pop(stage.name).join()
+                           if stage.name in children else
+                           stage.run(inputs, stepped.pop(stage.name, None), *paths))
                 (outdir / f"{stage.name}.hash").write_text(
-                    keys[stage.name] + "\n")
-            digests[stage.name] = _hash_text(*map(_hash_file, paths))
+                    "\n".join([keys[stage.name], *(written or ())]) + "\n")
+                misses.remove(stage.name)
+            if stage.name in read:
+                digests[stage.name] = _hash_text(*map(_hash_file, paths))
             artifacts[stage.name] = [str(p) for p in paths]
             stage_summary, stage_flags = stage.summarize(*paths)
             if stage_summary is not None:
                 summary[stage.name] = stage_summary
             flags.extend(stage_flags)
-    finally:
-        for child in children.values():  # the parent failed first
+    finally:  # on a failure: any child first, then every uncommitted miss
+        for child in children.values():
             child.kill()
+        for name in misses:
+            for path in outputs[name]:
+                path.unlink(missing_ok=True)
 
     # report.json names each artifact relative to the output directory, so
     # it does not depend on where the directory is

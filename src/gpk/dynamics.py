@@ -173,19 +173,17 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
     return math.sqrt(_mass(a.values - b.values) * a.grid.cell)
 
 
-def gaussian_datum(grid: GridSpec, sigma: float = 1.0, center=None) -> WaveFunction:
-    """Normalized periodized Gaussian of width sigma.
+def gaussian_datum(grid: GridSpec, sigma: float = 1.0) -> WaveFunction:
+    """Normalized periodized Gaussian of width sigma, centred at the origin.
 
     Summing the nearest box images keeps the torus field smooth at the box
     edge, so its spectrum decays like the free-space transform.
     """
     if not sigma > 0:
         raise DomainError(f"Gaussian width sigma = {sigma} must be positive")
-    if center is None:
-        center = [0.0] * grid.dim
     L = grid.box_length
-    facs = [sum(np.exp(-((x - c + m * L) ** 2) / (4 * sigma**2)) for m in (-1, 0, 1))
-            for x, c in zip(grid.axes(), center)]
+    facs = [sum(np.exp(-((x + m * L) ** 2) / (4 * sigma**2)) for m in (-1, 0, 1))
+            for x in grid.axes()]
     vals = grid._mesh(np.multiply, facs)
     vals = vals.astype(complex) * (2 * math.pi * sigma**2) ** (-grid.dim / 4.0)
     vals /= math.sqrt(_mass(vals) * grid.cell)

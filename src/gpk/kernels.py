@@ -269,18 +269,15 @@ def _lattice_profile(grid: GridSpec, sol: ScatteringSolution, N: int, deriv: boo
         return [N**2 * prof * u_c * inv for u_c in grid._open_axes(u)]
 
     vals = N * prof
-    # cell average over the equal-volume ball at the origin
-    d = grid.dim
-    r_max, a0 = sol.r_max, sol.a0
-    omega = _PREFACTOR[d]
-    r_eq = (grid.cell * d / omega) ** (1.0 / d)
-    s_eq = N * r_eq
-    sgrid = np.linspace(0.0, min(s_eq, r_max), 513)
-    integ = _simpson_weights(sgrid) @ (np.interp(sgrid, sol.r_grid, sol.w)
-                                       * sgrid ** (d - 1))
-    if s_eq > r_max:
-        ext = np.linspace(r_max, s_eq, 513)
-        integ += _simpson_weights(ext) @ ((a0 / ext) * ext ** (d - 1))
+    # cell average over the equal-volume ball at the origin, of w as
+    # `scaled_profile` gives it, on each side of the kink at r_max
+    d, omega = grid.dim, _PREFACTOR[grid.dim]
+    s_eq = N * (grid.cell * d / omega) ** (1.0 / d)
+    pieces = [np.linspace(0.0, min(s_eq, sol.r_max), 513)]
+    if s_eq > sol.r_max:
+        pieces.append(np.linspace(sol.r_max, s_eq, 513))
+    integ = sum(_simpson_weights(s) @ (scaled_profile(sol, 1, s) * s ** (d - 1))
+                for s in pieces)
     vals.reshape(-1)[0] = omega * N / (grid.cell * N**d) * integ
     return vals
 

@@ -662,6 +662,11 @@ def artifact_bytes(outdir):
             if p.suffix != ".hash"}
 
 
+def every_file(outdir):
+    """Every file of a run, `*.hash` markers included, by name."""
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
 def recording_members(monkeypatch):
     """Per `_propagate` call its member count, one per nonlinearity passed,
     and the labels of its members, each in a list."""
@@ -713,6 +718,16 @@ def test_a_rerun_keeps_no_field_dump_of_an_earlier_run(tmp_path, rerun):
     run_pipeline(second, stages=("evolve",))
     fresh = run_pipeline(second, outdir=tmp_path / "fresh", stages=("evolve",))
     assert artifact_bytes(outdir) == artifact_bytes(fresh.outdir)
+
+
+def test_a_deleted_field_dump_is_rebuilt(tmp_path):
+    # evolve.hash lists the dumps, so a missing one makes the stage a miss
+    cfg = load_config(write_config(tmp_path, DYNAMICS_CONFIG))
+    outdir = run_pipeline(cfg, stages=("evolve",)).outdir
+    (outdir / "field_0001.bin").unlink()
+    run_pipeline(cfg, stages=("evolve",))
+    fresh = run_pipeline(cfg, outdir=tmp_path / "fresh", stages=("evolve",))
+    assert every_file(outdir) == every_file(fresh.outdir)
 
 
 @pytest.mark.parametrize("t_star, counts, loops", [
@@ -1348,6 +1363,51 @@ def test_every_gpk_error_round_trips_through_pickle():
 
 
 # ---------------------------------------------------------------------------
+# the commit rule of a stage miss
+# ---------------------------------------------------------------------------
+
+
+def disk_full(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def failing_after_the_json(monkeypatch, stage):
+    """Make the write that follows `stage`'s JSON file fail."""
+    if stage == "scattering":
+        monkeypatch.setattr(np, "savez", disk_full)
+    else:
+        write_csv = bench._write_csv
+        monkeypatch.setattr(bench, "_write_csv", lambda path, *rows: (
+            disk_full if "toy_convergence" in Path(path).name
+            else write_csv)(path, *rows))
+
+
+@pytest.mark.parametrize("stage, text, edit", [
+    ("scattering",
+     BASE_CONFIG.partition("[grid]")[0] + "[output]\ndirectory = {outdir}\n",
+     ("height = 8.0", "height = 6.0")),
+    ("fock", FOCK_CONFIG, ("coupling = 0.5", "coupling = 0.4")),
+], ids=["scattering", "fock"])
+def test_a_failed_in_process_miss_leaves_no_stale_hit(tmp_path, monkeypatch,
+                                                      stage, text, edit):
+    # the edited config's miss fails with its JSON written: it leaves no
+    # marker and no output, so a rerun of the first config is a miss that
+    # writes the bytes of a fresh run, not a hit on files of two configs
+    cfg = load_config(write_config(tmp_path, text))
+    outdir = run_pipeline(cfg).outdir
+    edited = load_config(write_config(tmp_path, text.replace(*edit),
+                                      name="edited.ini"))
+    with monkeypatch.context() as full:
+        failing_after_the_json(full, stage)
+        with pytest.raises(OSError, match="No space left on device"):
+            run_pipeline(edited)
+    assert {p.name for p in outdir.iterdir()} == {"report.json"}
+    run_pipeline(cfg)
+    fresh = run_pipeline(cfg, outdir=tmp_path / "fresh")
+    assert every_file(outdir) == every_file(fresh.outdir)
+
+
+# ---------------------------------------------------------------------------
 # the fock stage in a forked child
 # ---------------------------------------------------------------------------
 
@@ -1406,9 +1466,12 @@ def test_the_forked_fock_stage_writes_the_bytes_of_one_in_process(
 
 
 @linux_only
-@pytest.mark.parametrize("where", ["toy-study", "after-the-json"])
+@pytest.mark.parametrize("command, where", [
+    ("run", "toy-study"), ("run", "after-the-json"),
+    ("fock --scenario", "toy-study"), ("fock --scenario", "after-the-json"),
+], ids=["toy-study", "after-the-json", "lone-toy-study", "lone-after-the-json"])
 def test_an_error_in_the_forked_stage_exits_as_it_would_in_process(
-        tmp_path, capsys, monkeypatch, forks, where):
+        tmp_path, capsys, monkeypatch, forks, command, where):
     def over_budget(*args):
         raise TruncationBudgetError("the cutoff cannot hold the state")
 
@@ -1419,12 +1482,14 @@ def test_an_error_in_the_forked_stage_exits_as_it_would_in_process(
         monkeypatch.setattr(bench, "_write_csv", lambda path, *rows: (
             over_budget if "toy_convergence" in Path(path).name
             else write_csv)(path, *rows))
-    assert cli_main(["run", str(reference_config(tmp_path))]) == 3
+    assert cli_main([*command.split(), str(reference_config(tmp_path))]) == 3
     assert "error: the cutoff cannot hold the state" in capsys.readouterr().err
-    assert len(forks) == 1
+    # gpk fock alone runs the stage in process
+    assert len(forks) == (command == "run")
     assert_no_child_left()
     # the chain ran whole; fock left no hash, output or temporary file
-    assert {p.name for p in (tmp_path / "out").iterdir()} == CHAIN_FILES
+    assert {p.name for p in (tmp_path / "out").iterdir()} == (
+        CHAIN_FILES if command == "run" else set())
 
 
 @linux_only

@@ -416,11 +416,17 @@ def reference_grad1_components(kernel):
     return out
 
 
-def moving_gaussian(grid):
-    """Off-centre Gaussian with a phase ramp: a field with a current."""
-    phi = gaussian_datum(grid, sigma=1.0, center=[0.5] * grid.dim)
+def moving_gaussian(grid, center=None):
+    """Periodized unit-width Gaussian about `center` (0.5 on every axis if
+    None) with a phase ramp: an off-centre field with a current."""
+    L = grid.box_length
+    center = [0.5] * grid.dim if center is None else center
+    facs = [sum(np.exp(-((x - c + m * L) ** 2) / 4) for m in (-1, 0, 1))
+            for x, c in zip(grid.axes(), center)]
     ramp = np.exp(0.7j * sum(grid._open_axes(grid.axes()[0])))
-    return WaveFunction(values=phi.values * ramp, grid=grid)
+    vals = grid._mesh(np.multiply, facs) * ramp
+    vals /= math.sqrt(np.sum(np.abs(vals) ** 2) * grid.cell)
+    return WaveFunction(values=vals, grid=grid)
 
 
 @pytest.mark.parametrize("dim,n,L", [(1, 64, 16.0), (2, 16, 12.0), (3, 16, 12.0)])
@@ -512,17 +518,11 @@ def axis_even_field(grid, widths=(0.8, 1.0, 1.25)):
     return WaveFunction(values=vals, grid=grid)
 
 
-def asymmetric_field(grid):
-    """Off-centre Gaussian at (0.5, 0.3, -0.2) with a phase ramp."""
-    phi = gaussian_datum(grid, sigma=1.0, center=[0.5, 0.3, -0.2])
-    ramp = np.exp(0.7j * sum(grid._open_axes(grid.axes()[0])))
-    return WaveFunction(values=phi.values * ramp, grid=grid)
-
-
 ORBIT_CASES = {
     "centred-3d": (lambda: gaussian_datum(kgrid(16, 12.0, 3), sigma=1.0), 165),
     "axis-even-3d": (lambda: axis_even_field(kgrid(16, 12.0, 3)), 729),
-    "asymmetric-3d": (lambda: asymmetric_field(kgrid(16, 12.0, 3)), 4096),
+    "asymmetric-3d": (lambda: moving_gaussian(kgrid(16, 12.0, 3),
+                                              center=(0.5, 0.3, -0.2)), 4096),
     "centred-1d": (lambda: gaussian_datum(kgrid(128, 16.0, 1), sigma=1.0), 65),
 }
 
