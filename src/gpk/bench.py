@@ -23,8 +23,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
-import sys
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -610,8 +608,13 @@ def _run_evolve(inp: _Inputs, traj, norms_csv) -> list:
     if not inp.cfg.get("snapshots", "fields"):
         return []
     names = [f"field_{idx:04d}.bin" for idx in range(len(traj.times))]
-    for name, t, state in zip(names, traj.times, traj.states):
-        fieldio.write_field(inp.outdir / name, state, float(t))
+    try:
+        for name, t, state in zip(names, traj.times, traj.states):
+            fieldio.write_field(inp.outdir / name, state, float(t))
+    except BaseException:  # the driver removes only the declared outputs
+        for name in names:
+            (inp.outdir / name).unlink(missing_ok=True)
+        raise
     return names
 
 
@@ -682,14 +685,6 @@ STAGES = (
 )
 
 
-# Stages that read no stage and that no stage reads.  On Linux a miss of one
-# runs in a forked child beside the other stages (today: fock beside the
-# scattering -> evolve/nsweep -> kernels chain).
-_DETACHED = {s.name for s in STAGES if not s.needs
-             and all(s.name not in t.needs for t in STAGES)
-             } if sys.platform == "linux" else set()
-
-
 def _plan(cfg: ExperimentConfig, wanted) -> list:
     """The configured stages among `wanted` (all if None) and their upstream."""
     take = {s.name for s in STAGES} if wanted is None else set(wanted)
@@ -710,79 +705,6 @@ def make_directory(directory: Path, what: str) -> None:
                                  f"{directory}: {exc.strerror}") from None
 
 
-class _Child:
-    """A stage run by a forked child straight into its outputs.  The child
-    sends back the pickled result of `run`, or its error, and leaves by
-    os._exit; `join` reaps it and returns that result or raises that error,
-    and `kill` ends and reaps the child when the parent fails first."""
-
-    def __init__(self, stage: Stage, inputs: _Inputs, paths: list):
-        self.name = stage.name
-        read_end, write_end = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(read_end)
-            try:
-                try:
-                    reply = pickle.dumps(stage.run(inputs, None, *paths))
-                except BaseException as exc:
-                    reply = _pickled_error(stage.name, exc)
-                with os.fdopen(write_end, "wb") as pipe:
-                    pipe.write(reply)
-            finally:
-                os._exit(0)  # never back into the parent's stack
-        os.close(write_end)
-        self.reply = os.fdopen(read_end, "rb")
-
-    def join(self):
-        with self.reply:
-            data = self.reply.read()
-        _, status = os.waitpid(self.pid, 0)
-        try:
-            result = pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):  # no reply, or a cut one
-            result = RuntimeError(f"the {self.name} stage's child process "
-                                  f"ended without a reply: {_ending(status)}")
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    def kill(self) -> None:
-        import signal
-
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.reply.close()
-
-
-def _pickled_error(stage: str, exc: BaseException) -> bytes:
-    """`exc` pickled, if it unpickles; else a RuntimeError that carries the
-    child's traceback."""
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-        return data
-    except Exception:
-        import traceback
-
-        text = "".join(traceback.format_exception(exc))
-        return pickle.dumps(RuntimeError(
-            f"the {stage} stage failed in its child process:\n{text}"))
-
-
-def _ending(status: int) -> str:
-    """How a process with wait status `status` ended."""
-    import signal
-
-    code = os.waitstatus_to_exitcode(status)
-    if code >= 0:
-        return f"exit status {code}"
-    try:
-        return f"killed by {signal.Signals(-code).name}"
-    except ValueError:
-        return f"killed by signal {-code}"
-
-
 def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundle:
     """Run the configured stages among `stages` (all if None) and the
     upstream stages they need, with caching; report.json lists the stages
@@ -798,14 +720,8 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
     A miss commits by one rule: its `<stage>.hash` is deleted when it is
     keyed and written back once its outputs are in place, with the names
     of any further files `run` wrote (evolve's dumps), which a hit needs
-    too.  A failed run kills and reaps any child, then removes the outputs
-    of every miss that did not commit: it leaves no marker, no output.
-
-    On Linux, a miss of a stage that reads no stage and that no stage reads
-    (fock), planned with other stages, runs in a forked child from when it
-    is keyed.  The parent joins and commits it, or raises its error, at its
-    place in the stage order: artifacts, report.json, errors and exit codes
-    are those of a run in one process."""
+    too.  A failed run removes the outputs of every miss that did not
+    commit: it leaves no marker, no output."""
     what = "[output] directory" if outdir is None else "--out"
     outdir = Path(outdir or cfg.get("output", "directory"))
     plan = _plan(cfg, stages)
@@ -813,7 +729,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
     make_directory(outdir, what)
     inputs = _Inputs(cfg, outdir)
     read = {name for s in plan for name in s.needs}  # digests key their readers
-    keys, misses, stepped, children = {}, set(), {}, {}
+    keys, misses, stepped = {}, set(), {}
     digests, artifacts, summary, flags = {}, {}, {}, []
     try:
         for stage in plan:
@@ -832,15 +748,10 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
                             [*s.outputs, *listed[1:]]):
                         marker.unlink(missing_ok=True)
                         misses.add(s.name)
-                        if s.name in _DETACHED and len(plan) > 1:
-                            children[s.name] = _Child(s, inputs,
-                                                      outputs[s.name])
                 stepped.update(_step(inputs, {s.name for s in ready} & misses))
             paths = outputs[stage.name]
             if stage.name in misses:
-                written = (children.pop(stage.name).join()
-                           if stage.name in children else
-                           stage.run(inputs, stepped.pop(stage.name, None), *paths))
+                written = stage.run(inputs, stepped.pop(stage.name, None), *paths)
                 (outdir / f"{stage.name}.hash").write_text(
                     "\n".join([keys[stage.name], *(written or ())]) + "\n")
                 misses.remove(stage.name)
@@ -851,9 +762,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
             if stage_summary is not None:
                 summary[stage.name] = stage_summary
             flags.extend(stage_flags)
-    finally:  # on a failure: any child first, then every uncommitted miss
-        for child in children.values():
-            child.kill()
+    finally:  # on a failure, every miss that did not commit
         for name in misses:
             for path in outputs[name]:
                 path.unlink(missing_ok=True)

@@ -29,8 +29,9 @@ final states only.  `evolve_and_compare` steps a trajectory and a sweep
 from the same datum in one call when they take the same number of steps;
 a member's result is bit-identical whether it steps alone or in a stack,
 so sharing changes no bit and pays the per-call overhead of a step once.
-`scipy.fft` is imported by the functions that transform, so importing
-this module loads numpy alone.
+Every transform comes from `_transforms`: numpy.fft on 1D grids, and
+`scipy.fft`, imported there, on 2D and 3D grids, so importing this module
+and stepping a 1D field load numpy alone.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class GridSpec:
     points_per_axis: int
     dt: float
     t_final: float
-    # Not a field: perfbench/ records it.  ROADMAP item 1 deletes it together
+    # Not a field: perfbench/ records it.  ROADMAP item 2 deletes it together
     # with the getter alias of bench.ExperimentConfig.
     fft_workers = 1
 
@@ -82,6 +83,10 @@ class GridSpec:
             raise ConfigurationError("box_length, dt and t_final must be finite")
         if self.box_length <= 0:
             raise ConfigurationError("box_length must be positive")
+        if self.cell == 0:
+            raise ConfigurationError(
+                f"box_length = {self.box_length:g} over {n} points per axis "
+                f"gives a cell that underflows to 0")
         if self.dt == 0:
             raise ConfigurationError("dt must be non-zero")
 
@@ -238,25 +243,42 @@ class Trajectory:
     states: list
 
 
+def _transforms(grid: GridSpec, first: int = 0):
+    """fft, ifft, rfft and irfft over the `dim` grid axes of an array that
+    start at axis `first`; irfft gives back the grid's points.  Each takes
+    scipy's `overwrite_x`, with which fft and ifft may reuse their input.
+
+    A 1D grid takes numpy.fft's 1D transforms: fft and ifft then write into
+    their input through `out=`, a call skips scipy's n-D axes handling
+    (about 10 us, most of a 256-point step) and no scipy module loads.  2D
+    and 3D grids take scipy.fft's n-D transforms, which numpy matches
+    neither bit for bit nor in speed at 64^3.
+    """
+    if grid.dim == 1:
+        n = grid.points_per_axis
+
+        def in_place(transform):
+            return lambda x, overwrite_x=False: transform(
+                x, axis=first, out=x if overwrite_x else None)
+
+        return (in_place(np.fft.fft), in_place(np.fft.ifft),
+                functools.partial(np.fft.rfft, axis=first),
+                lambda x, overwrite_x=False: np.fft.irfft(x, n, axis=first))
+    from scipy import fft as sfft
+
+    axes = tuple(range(first, first + grid.dim))
+    return (*(functools.partial(f, axes=axes)
+              for f in (sfft.fftn, sfft.ifftn, sfft.rfftn)),
+            functools.partial(sfft.irfftn, s=grid.shape, axes=axes))
+
+
 class _Stepper:
     """Strang-splitting machinery for one grid and a stack of nonlinearities,
     one per member of the leading axis: the dt tables, the stacked density
-    multipliers and the FFTs over the `dim` axes after the member axis.  On
-    1D grids these are the 1D transforms along the last axis, which skip the
-    n-D axes handling (about 10 us a call, most of a 256-point step)."""
+    multipliers and the FFTs over the `dim` axes after the member axis."""
 
     def __init__(self, grid: GridSpec, nls):
-        from scipy import fft as sfft
-
-        if grid.dim == 1:
-            self.fft, self.ifft, self.rfft = sfft.fft, sfft.ifft, sfft.rfft
-            self.irfft = functools.partial(sfft.irfft, n=grid.points_per_axis)
-        else:
-            axes = tuple(range(1, grid.dim + 1))
-            self.fft, self.ifft, self.rfft = (
-                functools.partial(f, axes=axes)
-                for f in (sfft.fftn, sfft.ifftn, sfft.rfftn))
-            self.irfft = functools.partial(sfft.irfftn, s=grid.shape, axes=axes)
+        self.fft, self.ifft, self.rfft, self.irfft = _transforms(grid, first=1)
         k2 = grid.k_squared()
         self.full_drift = _unit_phase(-grid.dt * k2)
         self.half_drift = _unit_phase(-0.5 * grid.dt * k2)
@@ -296,18 +318,14 @@ def _density_multiplier(grid: GridSpec, nl: NonlinearitySpec) -> np.ndarray:
     return (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
 
 
-def _density_spectrum(values: np.ndarray) -> np.ndarray:
+def _density_spectrum(psi: WaveFunction) -> np.ndarray:
     """rfftn of the real density |phi|^2."""
-    from scipy import fft as sfft
-
-    return sfft.rfftn(values.real**2 + values.imag**2)
+    return _transforms(psi.grid)[2](psi.values.real**2 + psi.values.imag**2)
 
 
 def _power(psi: WaveFunction) -> np.ndarray:
     """|phi_hat|^2 on the full spectrum."""
-    from scipy import fft as sfft
-
-    phi_hat = sfft.fftn(psi.values)
+    phi_hat = _transforms(psi.grid)[0](psi.values)
     return phi_hat.real**2 + phi_hat.imag**2
 
 
@@ -362,8 +380,9 @@ def _energy(grid, multiplier, kinetic, rho_hat) -> float:
 
 def time_steps(grid: GridSpec) -> int:
     """The number of Strang steps to grid.t_final.  Refuses a dt past the
-    stability budget, a t_final of the other sign than dt and a t_final that
-    is not a whole number of dt steps."""
+    stability budget, a t_final of the other sign than dt, a step count too
+    large for a float and a t_final that is not a whole number of dt
+    steps."""
     # k_max^2 is dim times the largest k_i^2 of one axis: no full-grid table
     k2_max = grid.dim * float(np.max(grid.k_axes()[0] ** 2))
     if abs(grid.dt) * k2_max > STABILITY_BUDGET:
@@ -374,6 +393,9 @@ def time_steps(grid: GridSpec) -> int:
     if n_steps_f < 0:
         raise ConfigurationError(f"t_final = {grid.t_final:g} and dt = "
                                  f"{grid.dt:g} have opposite signs")
+    if not math.isfinite(n_steps_f):
+        raise ConfigurationError(f"t_final = {grid.t_final:g} over dt = "
+                                 f"{grid.dt:g} is not a finite number of steps")
     n_steps = int(round(n_steps_f))
     if abs(n_steps_f - n_steps) > RATIO_SLACK:
         raise ConfigurationError(
@@ -463,7 +485,7 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
 def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
     """Conserved energy: kinetic term plus the nonlinearity-matched interaction."""
     _, kinetic, _ = _spectral_diagnostics(psi.grid, _power(psi))
-    rho_hat = _density_spectrum(psi.values)
+    rho_hat = _density_spectrum(psi)
     return _energy(psi.grid, _density_multiplier(psi.grid, nl), kinetic,
                    rho_hat)
 
@@ -504,7 +526,7 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
         for n in _SOBOLEV_ORDERS:
             h_norms[n].append(norms[n])
         tails.append(tail)
-        rho_hat = _density_spectrum(state.values)
+        rho_hat = _density_spectrum(state)
         energies.append(_energy(grid, multiplier, kinetic, rho_hat))
     return SobolevReport(
         times=traj.times,

@@ -5,19 +5,11 @@ numerical-budget problems (truncation, stability, blow-up) -> 3,
 invariant violations -> 4.
 """
 
-import copyreg
-
 
 class GpkError(Exception):
     """Base class for all gpk errors."""
 
     exit_code = 1
-
-    def __reduce__(self):
-        # rebuilt by __new__ with the message and given its attributes back,
-        # since an __init__ may take more than the message (a forked stage
-        # sends its error to the parent pickled)
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigurationError(GpkError):

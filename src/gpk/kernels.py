@@ -24,8 +24,8 @@ F0 row plus a boundary term at the end of the radial grid.
 smooth composite kernel.  The sum takes one row per
 orbit of the lattice symmetries (axis reflections and permutations) that the
 field's density, gradient density and current respect, weighted by the
-orbit size, and runs the rows in blocks through real FFTs.  `scipy.fft`
-is imported by the functions that transform, not with the module.
+orbit size, and runs the rows in blocks through real FFTs.  The FFTs
+come from `dynamics._transforms`, so a 1D grid loads no scipy.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GridSpec, WaveFunction
+from .dynamics import GridSpec, WaveFunction, _transforms
 from .errors import DomainError
 from .radial import _PREFACTOR, _order_one_kernel, radial_hat
 from .scattering import (
@@ -83,12 +83,10 @@ class TwoPointKernel:
 def _spectral_gradient(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     """[d_c values for each axis c]: spectral derivatives along the grid axes,
     the leading `dim` axes of `values`; any further axes are carried along."""
-    from scipy import fft as sfft
-
-    axes = tuple(range(grid.dim))
-    spec = sfft.fftn(values, axes=axes)
+    fft, ifft, _, _ = _transforms(grid)
+    spec = fft(values)
     ks = grid._open_axes(grid.k_axes(), values.ndim - grid.dim)
-    return [sfft.ifftn(spec * (1j * k), axes=axes) for k in ks]
+    return [ifft(spec * (1j * k)) for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +187,6 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     enters through its lattice spectrum.  Position-space integrals are
     truncated at the half-box radius, a wrap-around error common to all N.
     """
-    from scipy import fft as sfft
-
     if N < 1:
         raise DomainError("N must be >= 1")
     grid = phi.grid
@@ -218,8 +214,9 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     f1 *= N ** (4 - d)
 
     rho, g1, j = _field_moments(phi)
-    rho_hat = sfft.fftn(rho)
-    g1_hat = sfft.fftn(g1)
+    fft, ifft, _, _ = _transforms(grid)
+    rho_hat = fft(rho)
+    g1_hat = fft(g1)
 
     # F_hat tabulated as the continuum transform already carries the cell of
     # the position-space convolution; one cell remains for the outer integral
@@ -235,12 +232,12 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     inv_kabs = np.where(kabs > 0, 1.0 / np.where(kabs > 0, kabs, 1.0), 0.0)
     term_c = 0.0
     for k, j_c in zip(grid._open_axes(grid.k_axes()), j):
-        j_hat = sfft.fftn(j_c)
+        j_hat = fft(j_c)
         mult = -1j * k * inv_kabs * fc_lat
         term_c += float(np.real(np.sum(np.conj(j_hat) * mult * rho_hat))) * pref
     l2_grad1_sq = term_a + term_b + term_c
 
-    conv = sfft.ifftn(f0_lat * rho_hat).real
+    conv = ifft(f0_lat * rho_hat).real
     sup_slice_sq = float(np.max(rho * conv))
 
     return (
@@ -337,22 +334,21 @@ def grad1_kkbar_hs_norm(
     the rows go in blocks through real FFT correlations, with the x-side
     terms added in the half spectrum before its one inverse transform.
     """
-    from scipy import fft as sfft
-
     if N < 1:
         raise DomainError("N must be >= 1")
     grid = phi.grid
     d, n = grid.dim, grid.points_per_axis
     cell = grid.cell
-    shape = grid.shape
-    axes = tuple(range(2, d + 2))  # grid axes behind (pair function, row)
+    rfft = _transforms(grid)[2]
+    # over the grid axes behind (pair function, row)
+    _, _, rfft_rows, irfft_rows = _transforms(grid, first=2)
 
     W = _lattice_profile(grid, sol, N, deriv=False)
     Wc = _lattice_profile(grid, sol, N, deriv=True)
     rho, g1, j = _field_moments(phi)
 
-    W_hat_c = np.conj(sfft.rfftn(W))
-    Wc_hat_c = [np.conj(sfft.rfftn(w)) for w in Wc]
+    W_hat_c = np.conj(rfft(W))
+    Wc_hat_c = [np.conj(rfft(w)) for w in Wc]
     reps, sizes = _row_orbits(grid, rho, g1, j)
 
     rho_flat = rho.reshape(-1)
@@ -361,7 +357,7 @@ def grad1_kkbar_hs_norm(
     for lo in range(0, reps.size, block):
         rows = reps[lo : lo + block]
         # W(x - z) for every row z of the block, gathered per axis
-        z = np.unravel_index(rows, shape)
+        z = np.unravel_index(rows, grid.shape)
         at = [(np.arange(n) - zc[:, None]) % n for zc in z]
         at = [t.reshape([-1] + [n if a == c else 1 for a in range(d)])
               for c, t in enumerate(at)]
@@ -374,14 +370,14 @@ def grad1_kkbar_hs_norm(
             np.multiply(rho, Wc[c][tuple(at)], out=parts[1 + c])
             parts[1 + c] += 2.0 * j[c] * Wz
         np.multiply(rho, Wz, out=parts[-1])
-        spec = sfft.rfftn(parts, axes=axes)
+        spec = rfft_rows(parts)
         # the x side and the y side, one inverse transform each
         sides = np.empty((2,) + spec.shape[1:], dtype=spec.dtype)
         np.multiply(spec[0], W_hat_c, out=sides[0])
         for c in range(d):
             sides[0] += spec[1 + c] * Wc_hat_c[c]
         np.multiply(spec[-1], W_hat_c, out=sides[1])
-        sides = sfft.irfftn(sides, s=shape, axes=axes)
+        sides = irfft_rows(sides)
         row_sums = np.einsum("bx,bx,x->b", sides[0].reshape(rows.size, -1),
                              sides[1].reshape(rows.size, -1), rho_flat)
         total += float(np.sum(sizes[lo : lo + block] * rho_flat[rows]

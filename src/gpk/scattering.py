@@ -127,9 +127,14 @@ class RadialPotential:
     def from_spec(spec: dict, where: str = "potential spec") -> "RadialPotential":
         """The inverse of `spec`: V from a family name and its parameters, or
         from the r/v table.  Parameters may be numbers or number strings;
-        those left out take the family's defaults.  An unknown family, a
-        parameter the family does not take or a value that is not a number
-        raises ConfigurationError naming `where`."""
+        those left out take the family's defaults.  A spec that is not a
+        mapping, an unknown family, a parameter the family does not take or
+        a value that is not a number (a list, say, where the family takes
+        one number) raises ConfigurationError naming `where`."""
+        if not isinstance(spec, dict):
+            raise ConfigurationError(f"{where}: the potential spec {spec!r} is "
+                                     f"not a mapping of a family and its "
+                                     f"parameters")
         params = dict(spec)
         name = str(params.pop("family", ""))
         family = potential_family(name)
@@ -143,8 +148,14 @@ class RadialPotential:
                 raise ConfigurationError(
                     f"{where}: unknown parameter {key!r} for family {family!r} "
                     f"(expected {', '.join(defaults) or 'none'})")
-        return build(**{key: as_numbers(params.get(key, default), f"{where}: {key}")
-                        for key, default in defaults.items()})
+        values = {}
+        for key, default in defaults.items():
+            values[key] = as_numbers(params.get(key, default), f"{where}: {key}")
+            # a parameter with a default is one number; a table column is many
+            if default is not None and not isinstance(values[key], float):
+                raise ConfigurationError(
+                    f"{where}: {key} = {params[key]!r} is not a number")
+        return build(**values)
 
 
 # The one table of potential families: constructor and parameters with their

@@ -2,8 +2,6 @@ import csv
 import json
 import math
 import os
-import pickle
-import signal
 import struct
 import subprocess
 import sys
@@ -13,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpk import bench, dynamics, fock
+from gpk import bench, dynamics, fieldio, fock
 from gpk.bench import (
     load_config,
     load_solution_json,
@@ -26,7 +24,6 @@ from gpk.dynamics import GridSpec, NonlinearitySpec, WaveFunction, gaussian_datu
 from gpk.errors import (
     ConfigurationError,
     DomainError,
-    GpkError,
     InvariantViolation,
     NumericalBlowupError,
     TruncationBudgetError,
@@ -283,8 +280,14 @@ def test_cli_kernels_rmax_that_is_not_a_positive_number_exits_2(
     ('{"a0_tail": "abc"}', "a0_tail = 'abc' is not a number"),
     ('{"a0_tail": "0.5"}', "a0_tail = '0.5' is not a number"),
     ('{"ode_residual": true}', "ode_residual = True is not a number"),
+    ('{"potential": "square-well"}',
+     "the potential spec 'square-well' is not a mapping"),
+    ('{"potential": 3}', "the potential spec 3 is not a mapping"),
+    ('{"potential": {"family": "square-well", "height": [1, 2]}}',
+     "height = [1, 2] is not a number"),
 ], ids=["a-number", "a-text-scalar", "a-numeric-text-scalar",
-        "a-bool-scalar"])
+        "a-bool-scalar", "a-text-potential", "a-number-potential",
+        "a-list-height"])
 def test_cli_kernels_scattering_json_of_the_wrong_type_exits_2(
         tmp_path, capsys, text, what):
     path, args = scattering_artifact(tmp_path, capsys)
@@ -1269,6 +1272,19 @@ phi0 = 1.0 0.0"""
      "exp.ini [grid]: t_final = -0.1 and dt = 0.00025 have opposite signs"),
     ("t_star = 0.25", "t_star = -0.25",
      "exp.ini [nsweep]: t_star = -0.25 and dt = 0.00025 have opposite signs"),
+    # step counts past the largest float, and a cell below the smallest
+    ("t_final = 0.25", "t_final = 1e308",
+     "exp.ini [grid]: t_final = 1e+308 over dt = 0.00025 is not a finite "
+     "number of steps"),
+    ("t_star = 0.25", "t_star = 1e308",
+     "exp.ini [nsweep]: t_star = 1e+308 over dt = 0.00025 is not a finite "
+     "number of steps"),
+    ("dt = 2.5e-4", "dt = 5e-324",
+     "exp.ini [grid]: t_final = 0.25 over dt = 4.94066e-324 is not a finite "
+     "number of steps"),
+    ("[grid]\ndim = 1\nlength = 16.0", "[grid]\ndim = 1\nlength = 5e-324",
+     "exp.ini [grid]: box_length = 4.94066e-324 over 256 points per axis "
+     "gives a cell that underflows to 0"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "fock-d", "fock-cancel_n",
@@ -1276,7 +1292,8 @@ phi0 = 1.0 0.0"""
         "potential-square_well", "fock-h-not-symmetric", "fock-d4",
         "potential-pionts", "grid-points", "kernels-points", "dt-unstable",
         "dt-not-whole-steps", "t_star-not-whole-steps",
-        "t_final-opposite-sign", "t_star-opposite-sign"])
+        "t_final-opposite-sign", "t_star-opposite-sign", "t_final-1e308",
+        "t_star-1e308", "dt-subnormal", "length-subnormal"])
 def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
                                                what):
     text = REFERENCE.read_text().replace(
@@ -1293,7 +1310,7 @@ def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
 
 
 # ---------------------------------------------------------------------------
-# output directories, BLAS threads, errors through pickle
+# output directories and BLAS threads
 # ---------------------------------------------------------------------------
 
 
@@ -1341,27 +1358,6 @@ def test_cli_leaves_the_threads_of_a_caller_with_numpy_loaded(
     assert [os.environ.get(name) for name in THREAD_VARIABLES] == [None] * 4
 
 
-def _subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
-
-
-def test_every_gpk_error_round_trips_through_pickle():
-    # the arguments an __init__ takes after the message
-    extra = {NumericalBlowupError: (0.5,)}
-    classes = [GpkError, *_subclasses(GpkError)]
-    assert NumericalBlowupError in classes and TruncationBudgetError in classes
-    for cls in classes:
-        error = cls("boom", *extra.get(cls, ()))
-        copy = pickle.loads(pickle.dumps(error))
-        assert type(copy) is cls
-        assert str(copy) == "boom" and copy.args == error.args
-        assert vars(copy) == vars(error)
-    assert pickle.loads(pickle.dumps(
-        NumericalBlowupError("boom", 0.5))).last_good_time == 0.5
-
-
 # ---------------------------------------------------------------------------
 # the commit rule of a stage miss
 # ---------------------------------------------------------------------------
@@ -1407,12 +1403,30 @@ def test_a_failed_in_process_miss_leaves_no_stale_hit(tmp_path, monkeypatch,
     assert every_file(outdir) == every_file(fresh.outdir)
 
 
-# ---------------------------------------------------------------------------
-# the fock stage in a forked child
-# ---------------------------------------------------------------------------
+def test_a_failed_evolve_miss_leaves_no_field_dump(tmp_path, monkeypatch):
+    # the dumps are no declared output: the evolve stage removes those it
+    # wrote when a later one fails
+    cfg = load_config(write_config(tmp_path, BASE_CONFIG.replace(
+        "[output]", "[snapshots]\nstride = 25\nfields = yes\n\n[output]")))
+    written, write_field = [], fieldio.write_field
 
-linux_only = pytest.mark.skipif(sys.platform != "linux",
-                                reason="the pipeline forks only on Linux")
+    def second_fails(path, *args):
+        if written:
+            disk_full()
+        written.append(path)
+        write_field(path, *args)
+
+    monkeypatch.setattr(fieldio, "write_field", second_fails)
+    with pytest.raises(OSError, match="No space left on device"):
+        run_pipeline(cfg, stages=("evolve",))
+    assert [path.name for path in written] == ["field_0000.bin"]
+    assert {p.name for p in (tmp_path / "out").iterdir()} == {
+        "scattering.json", "scattering.npz", "scattering.hash"}
+
+
+# ---------------------------------------------------------------------------
+# the fock stage in a pipeline run
+# ---------------------------------------------------------------------------
 
 # the files of a reference run before the fock stage
 CHAIN_FILES = {"scattering.json", "scattering.npz", "scattering.hash",
@@ -1427,33 +1441,11 @@ def reference_config(tmp_path):
     return cfg_path
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children that `os.fork` makes in the test."""
-    pids, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@linux_only
 def test_the_forked_fock_stage_writes_the_bytes_of_one_in_process(
-        tmp_path, capsys, forks):
+        tmp_path, capsys):
+    # the fock stage of `gpk run` writes what run_fock_stage alone writes
     cfg_path = reference_config(tmp_path)
     assert cli_main(["run", str(cfg_path)]) == 0
-    assert len(forks) == 1
-    assert_no_child_left()
     direct = tmp_path / "direct"
     direct.mkdir()
     bench.run_fock_stage(load_config(cfg_path), direct / "fock_report.json",
@@ -1465,13 +1457,12 @@ def test_the_forked_fock_stage_writes_the_bytes_of_one_in_process(
         "fock_report.json", "toy_convergence.csv", "fock.hash", "report.json"}
 
 
-@linux_only
 @pytest.mark.parametrize("command, where", [
     ("run", "toy-study"), ("run", "after-the-json"),
     ("fock --scenario", "toy-study"), ("fock --scenario", "after-the-json"),
 ], ids=["toy-study", "after-the-json", "lone-toy-study", "lone-after-the-json"])
 def test_an_error_in_the_forked_stage_exits_as_it_would_in_process(
-        tmp_path, capsys, monkeypatch, forks, command, where):
+        tmp_path, capsys, monkeypatch, command, where):
     def over_budget(*args):
         raise TruncationBudgetError("the cutoff cannot hold the state")
 
@@ -1484,93 +1475,19 @@ def test_an_error_in_the_forked_stage_exits_as_it_would_in_process(
             else write_csv)(path, *rows))
     assert cli_main([*command.split(), str(reference_config(tmp_path))]) == 3
     assert "error: the cutoff cannot hold the state" in capsys.readouterr().err
-    # gpk fock alone runs the stage in process
-    assert len(forks) == (command == "run")
-    assert_no_child_left()
-    # the chain ran whole; fock left no hash, output or temporary file
+    # the chain ran whole; fock left no hash and no output
     assert {p.name for p in (tmp_path / "out").iterdir()} == (
         CHAIN_FILES if command == "run" else set())
 
 
-@linux_only
 def test_a_parent_failure_kills_and_reaps_the_child(tmp_path, capsys,
-                                                     monkeypatch, forks):
+                                                     monkeypatch):
+    # a failure in the chain ends the run before the fock stage
     def drifting(*args, **kwargs):
         raise InvariantViolation("norm drift")
 
     monkeypatch.setattr(dynamics, "_propagate", drifting)
     assert cli_main(["run", str(reference_config(tmp_path))]) == 4
     assert "error: norm drift" in capsys.readouterr().err
-    assert len(forks) == 1
-    assert_no_child_left()
     assert {p.name for p in (tmp_path / "out").iterdir()} == {
         "scattering.json", "scattering.npz", "scattering.hash"}
-
-
-@linux_only
-def test_a_child_killed_by_a_signal_is_an_error_not_a_hang(
-        tmp_path, monkeypatch, forks):
-    parent = os.getpid()
-
-    def killed(scenario):
-        assert os.getpid() != parent, "the fock stage ran in the parent"
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def hung(signum, frame):
-        raise TimeoutError("the parent waits on a dead child")
-
-    monkeypatch.setattr(fock, "toy_convergence_study", killed)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(120)
-    try:
-        with pytest.raises(RuntimeError, match="the fock stage's child "
-                           "process ended without a reply: killed by SIGKILL"):
-            run_pipeline(load_config(reference_config(tmp_path)))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(forks) == 1
-    assert_no_child_left()
-    assert {p.name for p in (tmp_path / "out").iterdir()} == CHAIN_FILES
-
-
-@linux_only
-def test_an_error_that_does_not_pickle_arrives_with_its_traceback(
-        tmp_path, monkeypatch, forks):
-    def unpicklable(scenario):
-        error = TruncationBudgetError("the cutoff cannot hold the state")
-        error.hook = lambda: None
-        raise error
-
-    monkeypatch.setattr(fock, "toy_convergence_study", unpicklable)
-    with pytest.raises(RuntimeError) as err:
-        run_pipeline(load_config(reference_config(tmp_path)))
-    text = str(err.value)
-    assert text.startswith("the fock stage failed in its child process:\n")
-    assert "in unpicklable" in text
-    assert text.rstrip().endswith(
-        "TruncationBudgetError: the cutoff cannot hold the state")
-    assert len(forks) == 1
-    assert_no_child_left()
-
-
-def test_a_warm_rerun_forks_nothing(tmp_path, monkeypatch):
-    cfg = load_config(reference_config(tmp_path))
-    run_pipeline(cfg)
-    fresh = (tmp_path / "out" / "report.json").read_bytes()
-
-    def no_fork():
-        raise AssertionError("a warm rerun forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    run_pipeline(cfg)
-    assert (tmp_path / "out" / "report.json").read_bytes() == fresh
-
-
-def test_a_lone_fock_stage_runs_in_process(tmp_path, capsys, monkeypatch):
-    def no_fork():
-        raise AssertionError("a lone stage forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    cfg_path = write_config(tmp_path, FOCK_CONFIG, name="fock.ini")
-    assert cli_main(["fock", "--scenario", str(cfg_path)]) == 0
