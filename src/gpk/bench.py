@@ -792,7 +792,7 @@ CANCEL_N = 16  # the N of the fock stage's generator cancellation check
 
 
 def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
-    # fock loads scipy.sparse and scipy.linalg, so only this stage imports it
+    # only this stage runs the Fock layer, so only it imports gpk.fock
     from .fock import (ToyScenario, apply_bogoliubov, apply_weyl, build_basis,
                        check_TNT_inequality, check_weyl_relations,
                        generator_cancellation_check, top_shell_share,

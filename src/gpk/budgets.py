@@ -1,8 +1,7 @@
 """The named budgets of gpk: every value a check compares with.
 
 Pure Python (no numpy, no scipy), so `gpk.bench` checks a config against
-the Fock caps before any stage runs without importing `gpk.fock` (which
-loads scipy).  Each check reads its budget here, by name, and its error
+the Fock caps before any stage runs without importing `gpk.fock`.  Each check reads its budget here, by name, and its error
 message names it.
 """
 
@@ -19,6 +18,7 @@ RATIO_SLACK = 1e-9        # rounding of a ratio that must be whole or shared
 # accuracy and stability
 ODE_DEFECT_BUDGET = 1e-8  # max per-step equation defect of the radial solver
 STABILITY_BUDGET = 4.0 * math.pi  # max phase |dt| k_max^2 of one split step
+STEP_BUDGET = 10_000_000  # max Strang steps of one evolution, t_final / dt
 TAIL_WARN = 1e-8          # spectral tail mass that flags aliased Sobolev values
 DEGENERATE_FLOOR = 1e-12  # distances or a0 below it are round-off: nothing to fit
 TRANSFORM_TOL = 1e-4      # relative gap of the tabulated 3D uhat(0) from 8 pi a0

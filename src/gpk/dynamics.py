@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .budgets import (DEGENERATE_FLOOR, NORM_TOL, RATIO_SLACK, STABILITY_BUDGET,
-                      TAIL_WARN, TRANSFORM_TOL)
+                      STEP_BUDGET, TAIL_WARN, TRANSFORM_TOL)
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -381,8 +381,8 @@ def _energy(grid, multiplier, kinetic, rho_hat) -> float:
 def time_steps(grid: GridSpec) -> int:
     """The number of Strang steps to grid.t_final.  Refuses a dt past the
     stability budget, a t_final of the other sign than dt, a step count too
-    large for a float and a t_final that is not a whole number of dt
-    steps."""
+    large for a float or past STEP_BUDGET and a t_final that is not a whole
+    number of dt steps."""
     # k_max^2 is dim times the largest k_i^2 of one axis: no full-grid table
     k2_max = grid.dim * float(np.max(grid.k_axes()[0] ** 2))
     if abs(grid.dt) * k2_max > STABILITY_BUDGET:
@@ -396,6 +396,11 @@ def time_steps(grid: GridSpec) -> int:
     if not math.isfinite(n_steps_f):
         raise ConfigurationError(f"t_final = {grid.t_final:g} over dt = "
                                  f"{grid.dt:g} is not a finite number of steps")
+    if n_steps_f > STEP_BUDGET:
+        raise ConfigurationError(
+            f"t_final = {grid.t_final:g} over dt = {grid.dt:g} asks for "
+            f"{n_steps_f:.3g} steps, past the step budget STEP_BUDGET = "
+            f"{STEP_BUDGET}")
     n_steps = int(round(n_steps_f))
     if abs(n_steps_f - n_steps) > RATIO_SLACK:
         raise ConfigurationError(

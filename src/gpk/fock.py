@@ -3,9 +3,10 @@
 States live in the direct sum of symmetric n-particle sectors with total
 occupation at most n_max.  A state is a complex numpy array over the
 occupation basis: a vector, or a block of states as its columns; operators
-are scipy CSR matrices over the same basis.  The module provides ladder
-operators, number-conserving Hamiltonians, Weyl and Bogoliubov unitaries
-(dense numpy arrays at small dimension, Krylov actions on states
+are `LadderSum`s, sums of ladder monomials over the same basis.  The module
+imports numpy alone.  It provides ladder operators, number-conserving
+Hamiltonians, Weyl and Bogoliubov unitaries (dense numpy arrays by Pade
+scaling and squaring at small dimension, truncated Taylor actions on states
 otherwise), reduced densities, the top-shell share, and the toy-scale
 convergence and cancellation experiments.  Both experiments take
 the pieces of the fluctuation generator L_N from one place,
@@ -24,9 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .budgets import (
     DENSE_EXPM_CAP, DIM_BUDGET, FLUCTUATION_CUTOFF, KERNEL_HS_BUDGET, LEAKAGE_TOL,
@@ -69,28 +67,20 @@ class FockBasis:
 
     @functools.cached_property
     def ladders(self) -> tuple:
-        """(annihilators, creators) of every mode, built once and read-only."""
+        """(annihilators, creators) of every mode, built once."""
         ops = [ladder(self, mode) for mode in range(self.d)]
-        _read_only(op for pair in ops for op in pair)
         return tuple(a for a, _ in ops), tuple(ad for _, ad in ops)
 
     @functools.cached_property
     def mode_products(self) -> tuple:
         """Per mode i, the products of its ladder operators that the pieces
         of L_N are made of: (n_i, a_i^dag^2, a_i^2, a_i^dag^2 a_i,
-        a_i^dag a_i^2), built once and read-only."""
+        a_i^dag a_i^2), built once."""
         products = []
         for a, ad in zip(*self.ladders):
             n, ad2 = ad @ a, ad @ ad
             products.append((n, ad2, a @ a, ad2 @ a, n @ a))
-        _read_only(m for mode in products for m in mode)
         return tuple(products)
-
-
-def _read_only(matrices) -> None:
-    for m in matrices:
-        for arr in (m.data, m.indices, m.indptr):
-            arr.setflags(write=False)
 
 
 def build_basis(d: int, n_max: int) -> FockBasis:
@@ -164,6 +154,41 @@ def _binomial(top: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class LadderSum:
+    """A sum of k ladder monomials over one basis, stacked and read-only.  A
+    monomial maps each basis state to at most one, so it is a source index
+    and a weight per row, (M x)[r] = weight[r] x[src[r]], 0 where none."""
+
+    src: np.ndarray     # (k, dim) int
+    weight: np.ndarray  # (k, dim)
+
+    def __post_init__(self):
+        self.src.setflags(write=False)
+        self.weight.setflags(write=False)
+
+    def __matmul__(self, other):
+        """The product with a sum, monomials composed pairwise, or the action
+        on a state or on a block of states as columns."""
+        if isinstance(other, LadderSum):
+            dim = self.src.shape[1]
+            return LadderSum(
+                src=other.src[:, self.src].reshape(-1, dim),
+                weight=(self.weight * other.weight[:, self.src]).reshape(-1, dim))
+        weight = self.weight if other.ndim == 1 else self.weight[:, :, None]
+        return (weight * other[self.src]).sum(axis=0)
+
+    def __sub__(self, other):
+        return LadderSum(src=np.concatenate([self.src, other.src]),
+                         weight=np.concatenate([self.weight, -other.weight]))
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((self.src.shape[1],) * 2, dtype=complex)
+        for src, weight in zip(self.src, self.weight):
+            dense[np.arange(len(src)), src] += weight
+        return dense
+
+
 def ladder(basis: FockBasis, mode: int):
     """(a, a_dagger) for one mode, with the standard sqrt(n) matrix elements."""
     if not 0 <= mode < basis.d:
@@ -172,25 +197,28 @@ def ladder(basis: FockBasis, mode: int):
     lowered = basis.occupations[cols]
     vals = np.sqrt(lowered[:, mode].astype(float))
     lowered[:, mode] -= 1
-    a = sp.csr_matrix(
-        (vals, (_rank(lowered), cols)), shape=(basis.dim, basis.dim),
-        dtype=complex,
-    )
-    return a, a.conj().T.tocsr()
+    rows = _rank(lowered)
+    src = np.zeros((2, basis.dim), dtype=np.int64)
+    weight = np.zeros((2, basis.dim))
+    src[0, rows], src[1, cols] = cols, rows
+    weight[0, rows] = weight[1, cols] = vals
+    return LadderSum(src[:1], weight[:1]), LadderSum(src[1:], weight[1:])
 
 
-def _sparse_sum(basis: FockBasis, terms) -> sp.csr_matrix:
-    """Sum of coefficient * matrix over the (coefficient, matrix) pairs."""
-    m = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for coeff, mat in terms:
-        m = m + coeff * mat
-    return m.tocsr()
+def _ladder_sum(basis: FockBasis, terms) -> LadderSum:
+    """Sum of coefficient * operator over the (coefficient, operator) pairs;
+    terms with coefficient 0 are left out."""
+    terms = [(c, op) for c, op in terms if c != 0]
+    empty = np.zeros((0, basis.dim))
+    return LadderSum(
+        src=np.concatenate([op.src for _, op in terms] + [empty.astype(np.int64)]),
+        weight=np.concatenate([c * op.weight for c, op in terms] + [empty]))
 
 
-def annihilator_of(basis: FockBasis, f: np.ndarray) -> sp.csr_matrix:
+def annihilator_of(basis: FockBasis, f: np.ndarray) -> LadderSum:
     """a(f) = sum conj(f_i) a_i (antilinear in f)."""
     ann, _ = basis.ladders
-    return _sparse_sum(basis, ((np.conj(fi), a) for fi, a in zip(f, ann)))
+    return _ladder_sum(basis, ((np.conj(fi), a) for fi, a in zip(f, ann)))
 
 
 def hamiltonian(
@@ -198,7 +226,7 @@ def hamiltonian(
     h: np.ndarray,
     u: Optional[np.ndarray] = None,
     coupling: float = 0.0,
-) -> sp.csr_matrix:
+) -> LadderSum:
     """Sum h_ij a_i^dag a_j + (coupling/2) sum u_i a_i^dag a_i^dag a_i a_i.
 
     h must be hermitian; u holds the d real on-site weights.
@@ -214,7 +242,7 @@ def hamiltonian(
         terms += [(0.5 * coupling * u[i],
                    cre[i] @ cre[i] @ ann[i] @ ann[i])
                   for i in np.flatnonzero(u)]
-    return _sparse_sum(basis, terms)
+    return _ladder_sum(basis, terms)
 
 
 def _onsite_weights(u, d: int) -> np.ndarray:
@@ -229,15 +257,78 @@ def _onsite_weights(u, d: int) -> np.ndarray:
 # Weyl and Bogoliubov unitaries
 # ---------------------------------------------------------------------------
 
-def _dense_expm(gen: sp.csr_matrix, what: str) -> np.ndarray:
+# theta_m of Higham (2005), Table 2.3: the largest 1-norm at which the
+# [m/m] Pade approximant of exp reaches double precision
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+
+
+def _expm_pade(a: np.ndarray) -> np.ndarray:
+    """exp(a) by Pade scaling and squaring (Higham 2005, Algorithm 2.3): the
+    lowest degree whose theta_m bounds the 1-norm of a, else degree 13 on
+    a / 2^s, squared s times."""
+    norm = float(np.linalg.norm(a, 1))
+    m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
+    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+    a = a * 2.0 ** -s
+    # b_j, the coefficients of the numerator p(x); the denominator is p(-x)
+    b = [math.factorial(2 * m - j) * math.factorial(m)
+         / (math.factorial(2 * m) * math.factorial(j) * math.factorial(m - j))
+         for j in range(m + 1)]
+    even = [np.eye(len(a), dtype=a.dtype), a @ a]  # a^0, a^2, a^4, ...
+    while len(even) <= m // 2:
+        even.append(even[-1] @ even[1])
+    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
+    v = sum(b[2 * k] * p for k, p in enumerate(even))
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+# theta_m of Al-Mohy and Higham (2011), Table 3.1, and for m <= 30 of Higham
+# and Al-Mohy (2010), Table A.3: the largest 1-norm at which m Taylor terms
+# of exp reach double precision
+_TAYLOR_THETA = dict(zip([*range(1, 31), 35, 40, 45, 50, 55], [
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
+    8.96e-2, 0.144, 0.214, 0.300, 0.400, 0.514, 0.641, 0.781, 0.931, 1.09,
+    1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
+    4.7, 6.0, 7.2, 8.5, 9.9]))
+
+
+def _expm_action(gen: LadderSum, psi: np.ndarray) -> np.ndarray:
+    """exp(gen) psi, psi a state or a block of states as columns, by the
+    truncated Taylor series of Al-Mohy and Higham (2011), Algorithm 3.2: s
+    steps of up to m terms, (m, s) of least m s with |gen|_1 / s <= theta_m,
+    a step ending once two terms in a row are below double precision.
+    |gen|_1 is exact, as no two monomials of a Weyl or Bogoliubov generator
+    share an entry; they are traceless, so no shift is taken out."""
+    norm = np.bincount(gen.src.ravel(), abs(gen.weight).ravel()).max(initial=0.0)
+    m, s = min(((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+    term = total = np.array(psi, dtype=complex)
+    for _ in range(s):
+        before = np.linalg.norm(term, np.inf)
+        for j in range(m):
+            term = (gen @ term) * (1.0 / (s * (j + 1)))
+            size = np.linalg.norm(term, np.inf)
+            total = total + term
+            if before + size <= 2.0 ** -53 * np.linalg.norm(total, np.inf):
+                break
+            before = size
+        term = total
+    return total
+
+
+def _dense_expm(gen: LadderSum, what: str) -> np.ndarray:
     """exp(gen) as a dense matrix; refused past DENSE_EXPM_CAP."""
-    if gen.shape[0] > DENSE_EXPM_CAP:
+    if gen.src.shape[1] > DENSE_EXPM_CAP:
         raise ConfigurationError(
             f"dense {what} capped at dimension {DENSE_EXPM_CAP} (DENSE_EXPM_CAP, "
-            f"got {gen.shape[0]}); apply_weyl and apply_bogoliubov act on "
+            f"got {gen.src.shape[1]}); apply_weyl and apply_bogoliubov act on "
             "vectors at any dimension"
         )
-    return expm(gen.toarray())
+    return _expm_pade(gen.toarray())
 
 
 def _poisson_budget(basis: FockBasis, mean: float, what: str) -> None:
@@ -248,12 +339,13 @@ def _poisson_budget(basis: FockBasis, mean: float, what: str) -> None:
             f"n_max = {POISSON_SHARE * basis.n_max:.3g}")
 
 
-def _weyl_generator(basis: FockBasis, f: np.ndarray) -> sp.csr_matrix:
+def _weyl_generator(basis: FockBasis, f: np.ndarray) -> LadderSum:
     """a^dag(f) - a(f), refused past the Poisson budget of |f|^2."""
     f = np.asarray(f, dtype=complex)
     _poisson_budget(basis, float(np.sum(np.abs(f) ** 2)), "|f|^2")
-    a_f = annihilator_of(basis, f)
-    return (a_f.conj().T - a_f).tocsr()
+    ann, cre = basis.ladders
+    return _ladder_sum(basis, [(fi, ad) for fi, ad in zip(f, cre)]
+                       + [(-np.conj(fi), a) for fi, a in zip(f, ann)])
 
 
 def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
@@ -262,14 +354,15 @@ def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
 
 
 def apply_weyl(basis: FockBasis, f: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """W(f) psi by Krylov action; exact unitary on the truncated space."""
-    return expm_multiply(_weyl_generator(basis, f), psi)
+    """W(f) psi by Taylor action; exact unitary on the truncated space."""
+    return _expm_action(_weyl_generator(basis, f), psi)
 
 
-def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> sp.csr_matrix:
+def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> LadderSum:
     """1/2 sum (K a^dag a^dag - conj(K) a a), refused past the budgets of a
     symmetric d x d kernel: |K|_HS <= KERNEL_HS_BUDGET and the Poisson budget
-    of d sinh(|K|_HS)^2."""
+    of d sinh(|K|_HS)^2.  a_i^dag a_j^dag and a_j^dag a_i^dag are one
+    monomial, taken once with the mean of K_ij and K_ji."""
     K = np.asarray(K, dtype=complex)
     if K.shape != (basis.d, basis.d):
         raise DomainError("kernel matrix must be d x d")
@@ -282,11 +375,12 @@ def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> sp.csr_matrix:
     _poisson_budget(basis, math.sinh(hs) ** 2 * basis.d,
                     "sinh-amplified occupation")
     ann, cre = basis.ladders
+    pair = 0.5 * (np.triu(K + K.T) - np.diag(np.diag(K)))
     terms = []
-    for i, j in zip(*np.nonzero(K)):
-        terms += [(0.5 * K[i, j], cre[i] @ cre[j]),
-                  (-0.5 * np.conj(K[i, j]), ann[i] @ ann[j])]
-    return _sparse_sum(basis, terms)
+    for i, j in zip(*np.nonzero(pair)):
+        terms += [(pair[i, j], cre[i] @ cre[j]),
+                  (-np.conj(pair[i, j]), ann[i] @ ann[j])]
+    return _ladder_sum(basis, terms)
 
 
 def bogoliubov(basis: FockBasis, K: np.ndarray) -> np.ndarray:
@@ -295,9 +389,9 @@ def bogoliubov(basis: FockBasis, K: np.ndarray) -> np.ndarray:
 
 
 def apply_bogoliubov(basis: FockBasis, K: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """T(K) psi by Krylov action; psi may be a block of states as columns,
+    """T(K) psi by Taylor action; psi may be a block of states as columns,
     acted on together."""
-    return expm_multiply(_bogoliubov_generator(basis, K), psi)
+    return _expm_action(_bogoliubov_generator(basis, K), psi)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +634,7 @@ class ConvergenceReport:
 def _fluctuation_generator(basis: FockBasis, h: np.ndarray, u: np.ndarray,
                            g: float, orbit: np.ndarray, N: np.ndarray):
     """-i L_N(t) of the fluctuation dynamics W*(sqrt(N) phi_t) e^{-iHt}
-    W(sqrt(N) phi_0), as stacked sparse operators and coefficients.
+    W(sqrt(N) phi_0), as stacked monomials and their coefficients.
 
     With phi_t solving the mean-field equation the linear terms cancel and,
     up to a scalar, L_N(t) is
@@ -548,8 +642,8 @@ def _fluctuation_generator(basis: FockBasis, h: np.ndarray, u: np.ndarray,
         + sum_i g u_i [2 |phi_i|^2 n_i + (phi_i^2 a_i^dag^2 + h.c.) / 2]
         + sum_i (g u_i / sqrt(N)) (phi_i a_i^dag^2 a_i + h.c.)
         + sum_i (g u_i / 2N) a_i^dag^2 a_i^2.
-    Returns the k operators stacked row-wise, (k dim, dim), and their
-    coefficients, (node, column, k, 1), at each orbit node for each N.
+    Returns their K monomials as one LadderSum, (K, dim), and the operator's
+    coefficient of each, (node, column, 1, K), at each orbit node for each N.
     """
     ops = [hamiltonian(basis, h),
            hamiltonian(basis, np.zeros_like(h), u, coupling=1.0)]
@@ -561,9 +655,10 @@ def _fluctuation_generator(basis: FockBasis, h: np.ndarray, u: np.ndarray,
         in_time += [2 * gu * np.abs(phi) ** 2, 0.5 * gu * phi ** 2,
                     0.5 * gu * np.conj(phi) ** 2, gu * phi, gu * np.conj(phi)]
         per_N += [np.ones_like(N)] * 3 + [1.0 / np.sqrt(N)] * 2
-    coefficients = -1j * (np.array(in_time).T[:, None, :, None]
-                          * np.array(per_N).T[None, :, :, None])
-    return sp.vstack(ops, format="csr"), coefficients
+    counts = [len(op.src) for op in ops]
+    coefficients = -1j * (np.repeat(in_time, counts, axis=0).T[:, None, None, :]
+                          * np.repeat(per_N, counts, axis=0).T[None, :, None, :])
+    return _ladder_sum(basis, ((1.0, op) for op in ops)), coefficients
 
 
 def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
@@ -614,24 +709,26 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     xi = vacuum(basis)
     if scenario.kappa0 != 0:
         xi = apply_bogoliubov(basis, kernel(orbit[0]), xi)
-    block = checked(np.repeat(xi[:, None], N.size, axis=1), "factor T(k_0)")
+    rows = checked(np.repeat(xi[None], N.size, axis=0).T, "factor T(k_0)").T
 
     ops, coefficients = _fluctuation_generator(
         basis, scenario.h, _onsite_weights(scenario.u, d), g, orbit, N)
-    shape = (coefficients.shape[2], basis.dim, N.size)
 
+    # states as rows: one gather of all monomials, weighted, then contracted
     def derivative(node: int, x: np.ndarray) -> np.ndarray:
-        terms = (ops @ x).reshape(shape).transpose(2, 1, 0)
-        return np.matmul(terms, coefficients[node])[:, :, 0].T
+        terms = np.take(x, ops.src, axis=1)
+        terms *= ops.weight
+        return np.matmul(coefficients[node], terms)[:, 0]
 
     for end in range(2, len(times), 2):
         dt = times[end] - times[end - 2]
-        k1 = derivative(end - 2, block)
-        k2 = derivative(end - 1, block + 0.5 * dt * k1)
-        k3 = derivative(end - 1, block + 0.5 * dt * k2)
-        k4 = derivative(end, block + dt * k3)
-        block = checked(block + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
-                        f"the step to t = {times[end]:.6g}")
+        k1 = derivative(end - 2, rows)
+        k2 = derivative(end - 1, rows + 0.5 * dt * k1)
+        k3 = derivative(end - 1, rows + 0.5 * dt * k2)
+        k4 = derivative(end, rows + dt * k3)
+        rows = rows + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        checked(rows.T, f"the step to t = {times[end]:.6g}")
+    block = rows.T
 
     distances = np.array([
         trace_distance_to_rank_one(gamma, phi_t)
@@ -686,13 +783,10 @@ def generator_cancellation_check(
         kappa = N * omega
 
     ann, cre = basis.ladders
-    l1 = _sparse_sum(basis, (
-        (math.sqrt(N) * g * omega * u[i] * phi[i] ** 3,
-         cre[i] + ann[i])
-        for i in range(basis.d)))
-    # a_i^dag^2 a_i and a_i^dag a_i^2 of all modes have disjoint sparsity,
-    # so their sum is exact term by term
-    l3 = _sparse_sum(basis, (
+    l1 = _ladder_sum(basis, (
+        (math.sqrt(N) * g * omega * u[i] * phi[i] ** 3, op)
+        for i in range(basis.d) for op in (cre[i], ann[i])))
+    l3 = _ladder_sum(basis, (
         (g / math.sqrt(N) * u[i] * phi[i], cubic)
         for i, products in enumerate(basis.mode_products)
         for cubic in products[3:]))

@@ -1309,6 +1309,27 @@ def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line, bad, what", [
+    ("dt = 2.5e-4", "dt = 1e-300",
+     "exp.ini [grid]: t_final = 0.25 over dt = 1e-300 asks for 2.5e+299 "
+     "steps, past the step budget STEP_BUDGET = 10000000"),
+    ("t_final = 0.25", "t_final = 1e6",
+     "exp.ini [grid]: t_final = 1e+06 over dt = 0.00025 asks for 4e+09 "
+     "steps, past the step budget STEP_BUDGET = 10000000"),
+], ids=["dt-1e-300", "t_final-1e6"])
+def test_step_count_past_the_budget_is_refused_when_the_config_loads(
+        tmp_path, line, bad, what):
+    # finite step counts that no run would finish; the CLI exits 2 on the
+    # ConfigurationError of load_config
+    text = REFERENCE.read_text()
+    assert text.count(line) == 1
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(text.replace(line, bad))
+    with pytest.raises(ConfigurationError) as info:
+        load_config(cfg_path)
+    assert what in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # output directories and BLAS threads
 # ---------------------------------------------------------------------------

@@ -18,12 +18,11 @@ gpk: every phase e^{i angle}, and every sine and cosine, goes through
 `radial._unit_phase`.  Every name of gpk that `perfbench/` reads must
 exist: each of its workloads is built at toy size.
 
-Imports are per use: no module but `fock` imports scipy when it is itself
-imported, `bench` imports `fock` only in the stage that runs it and `cli`
-imports the layers per subcommand, so each process loads the scipy modules
-of the work it does.  The
-import checks run each entry point in a fresh interpreter and read its
-`sys.modules`.
+Imports are per use: no module imports scipy when it is itself imported,
+`bench` imports `fock` only in the stage that runs it and `cli` imports the
+layers per subcommand, so each process loads the scipy modules of the work
+it does, and a 1D reference run none.  The import checks run each entry
+point in a fresh interpreter and read its `sys.modules`.
 """
 
 import ast
@@ -305,15 +304,14 @@ def _module_level_imports(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def test_only_fock_imports_scipy_at_module_level():
+def test_no_module_imports_scipy_at_module_level():
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for line, module in sorted(_module_level_imports(tree)):
             scipy = module == "scipy" or module.startswith("scipy.")
             fock = module in (".fock", "gpk.fock")
-            if (scipy and path.stem != "fock") or \
-                    (fock and path.stem in ("bench", "cli")):
+            if scipy or (fock and path.stem in ("bench", "cli")):
                 offenders.append(f"{path.name}:{line} imports {module}")
     assert not offenders, "\n".join(offenders)
 
@@ -336,6 +334,11 @@ def _cli(*argv):
 def test_importing_gpk_loads_no_scipy():
     assert _scipy_modules(
         "import gpk.cli, gpk.bench, gpk.dynamics, gpk.kernels") == set()
+
+
+def test_importing_fock_loads_no_scipy():
+    # the Fock operators and both exponentials are numpy
+    assert _scipy_modules("import gpk.fock") == set()
 
 
 def test_report_and_scattering_subcommands_load_no_scipy(tmp_path):
@@ -365,13 +368,11 @@ def fresh_run(tmp_path_factory):
     return cwd, _scipy_modules(_cli("run", REFERENCE), cwd=cwd)
 
 
-def test_fresh_run_loads_no_interpolate_optimize_spatial_or_constants(
-        fresh_run):
-    # every grid of the reference config is 1D, so its FFTs are numpy's
+def test_fresh_run_loads_no_scipy(fresh_run):
+    # every grid of the reference config is 1D, so its FFTs are numpy's,
+    # and the fock stage is numpy alone
     _, loaded = fresh_run
-    assert "scipy.fft" not in loaded
-    assert loaded.isdisjoint({"scipy.interpolate", "scipy.optimize",
-                              "scipy.spatial", "scipy.constants"})
+    assert loaded == set()
 
 
 def test_warm_run_loads_no_scipy(fresh_run):
