@@ -246,7 +246,7 @@ def _check_rules(cfg: ExperimentConfig) -> None:
     # the grids the stages build, from the same constructors, and the steps
     # taken on them (nsweep's grid ends at t_star, the kernels grid takes
     # none); the N lists, by the rules of the nsweep and fock rate fits,
-    # which name no time key
+    # which name no time key; the toy study's mean-field orbit steps
     for where, time_key, present, check in (
             ("[grid]", "t_final", cfg.has("grid"),
              lambda: time_steps(grid_from_config(cfg))),
@@ -258,7 +258,9 @@ def _check_rules(cfg: ExperimentConfig) -> None:
             ("[kernels]", "t_final", cfg.has("kernels"),
              lambda: kernel_grid_from_config(cfg)),
             ("[fock] n_values", None, cfg.has("fock"),
-             lambda: rate_points(cfg.get("fock", "n_values")))):
+             lambda: rate_points(cfg.get("fock", "n_values"))),
+            ("[fock]", "t_final", cfg.has("fock"),
+             lambda: budgets.orbit_steps(cfg.get("fock", "t_final")))):
         if present:
             try:
                 check()
@@ -821,11 +823,9 @@ def run_fock_stage(cfg: ExperimentConfig, fock_json, conv_csv) -> None:
             "uncorrelated_ratio": bare.ratio,
             "kappa": matched.kappa,
         }
-    weyl_rep = check_weyl_relations(
-        probe, 0.1 * phi0.astype(complex), 0.08 * phi0.astype(complex)
-    )
-    kprobe = np.full((d, d), 0.02) + 0.06 * np.eye(d)
-    tnt = check_TNT_inequality(probe, kprobe.astype(complex))
+    # real probes: their unitaries and the products of the checks are real
+    weyl_rep = check_weyl_relations(probe, 0.1 * phi0, 0.08 * phi0)
+    tnt = check_TNT_inequality(probe, np.full((d, d), 0.02) + 0.06 * np.eye(d))
     leak_state = apply_weyl(
         probe, math.sqrt(2.0) * phi0,
         apply_bogoliubov(probe, -0.2 * np.outer(phi0, phi0), vacuum(probe)),

@@ -1,13 +1,16 @@
 """The named budgets of gpk: every value a check compares with.
 
 Pure Python (no numpy, no scipy), so `gpk.bench` checks a config against
-the Fock caps before any stage runs without importing `gpk.fock`.  Each check reads its budget here, by name, and its error
-message names it.
+the Fock caps and the toy study's step count before any stage runs without
+importing `gpk.fock`.  Each check reads its budget here, by name, and its
+error message names it.
 """
 
 from __future__ import annotations
 
 import math
+
+from .errors import ConfigurationError
 
 # invariants
 NORM_TOL = 1e-10          # |norm - 1| of a field, a fluctuation state or an orbital
@@ -32,9 +35,22 @@ DENSE_EXPM_CAP = 1500     # the largest basis a dense Weyl or Bogoliubov unitary
 VACUUM_FLOOR = 1e-14      # expected particle number at or below it: the vacuum
 FLUCTUATION_CUTOFF = 16   # n_c of the toy study's basis, the same for every N
 PROBE_CUTOFF = 12         # n_c of the fock stage's Weyl, TNT and leakage probes
+ORBIT_DT = 1e-3           # RK4 step of the toy study's mean-field orbit
 
 
 def basis_dimension(d: int, n_max: int) -> int:
     """Number of occupations of d modes with total at most n_max: the shells
     C(n + d - 1, d - 1) summed over n <= n_max (hockey stick)."""
     return math.comb(n_max + d, d) if n_max >= 0 else 0
+
+
+def orbit_steps(t_final: float, dt: float = ORBIT_DT) -> int:
+    """RK4 steps of a mean-field orbit to t_final at a step of about dt, at
+    least one; refused past STEP_BUDGET, or if |t_final| / dt is not finite."""
+    steps = abs(t_final) / dt
+    if not steps <= STEP_BUDGET:
+        raise ConfigurationError(
+            f"t_final = {t_final:g} over the orbit step {dt:g} asks for "
+            f"{steps:.3g} steps, past the step budget STEP_BUDGET = "
+            f"{STEP_BUDGET}")
+    return max(1, int(round(steps)))

@@ -292,11 +292,10 @@ class _Stepper:
 
     def kick(self, values, dt):
         """values times the exact nonlinear phase e^{-i dt V}, V the density
-        potential of values, in a fresh array: `_unit_phase` forms the phase
-        and the product in one cache-sized pass per chunk of the grid."""
-        angle = self.potential(values)
-        angle *= -dt
-        return _unit_phase(angle, values)
+        potential of values, in a fresh array: `_unit_phase` scales V by -dt
+        in its half-angle step and forms the phase and the product in one
+        cache-sized pass per chunk of the grid."""
+        return _unit_phase(self.potential(values), values, -dt)
 
     def drift(self, values, phase):
         """The drift of `values`, in place: pass a copy of a field to keep."""

@@ -6,11 +6,11 @@ occupation basis: a vector, or a block of states as its columns; operators
 are `LadderSum`s, sums of ladder monomials over the same basis.  The module
 imports numpy alone.  It provides ladder operators, number-conserving
 Hamiltonians, Weyl and Bogoliubov unitaries (dense numpy arrays by Pade
-scaling and squaring at small dimension, truncated Taylor actions on states
-otherwise), reduced densities, the top-shell share, and the toy-scale
-convergence and cancellation experiments.  Both experiments take
-the pieces of the fluctuation generator L_N from one place,
-`FockBasis.mode_products`.
+scaling and squaring at small dimension, real for a real f or K, and
+truncated Taylor actions on states otherwise), reduced densities, the
+top-shell share, and the toy-scale convergence and cancellation
+experiments.  Both experiments take the pieces of the fluctuation
+generator L_N from one place, `FockBasis.mode_products`.
 
 Occupation vectors are enumerated graded-lexicographically: shells of total
 occupation n in increasing n, and inside a shell the first mode decreases
@@ -28,7 +28,8 @@ import numpy as np
 
 from .budgets import (
     DENSE_EXPM_CAP, DIM_BUDGET, FLUCTUATION_CUTOFF, KERNEL_HS_BUDGET, LEAKAGE_TOL,
-    NORM_TOL, POISSON_SHARE, ROUNDOFF_SLACK, VACUUM_FLOOR, basis_dimension,
+    NORM_TOL, ORBIT_DT, POISSON_SHARE, ROUNDOFF_SLACK, VACUUM_FLOOR,
+    basis_dimension, orbit_steps,
 )
 from .errors import (
     ConfigurationError,
@@ -116,9 +117,16 @@ def vacuum(basis: FockBasis) -> np.ndarray:
 def top_shell_share(basis: FockBasis, psi: np.ndarray):
     """Share of |psi|^2 in the top shell n_max: a float for a vector, one
     value per column of a block of states."""
-    weight = psi.real ** 2 + psi.imag ** 2
-    share = weight[basis.shell_slices[-1]].sum(axis=0) / weight.sum(axis=0)
+    share, _ = _top_share_and_norm(basis, psi)
     return float(share) if psi.ndim == 1 else share
+
+
+def _top_share_and_norm(basis: FockBasis, psi: np.ndarray):
+    """The top-shell share and the norm of a state, or of each column of a
+    block, from one pass of squared moduli."""
+    weight = psi.real ** 2 + psi.imag ** 2
+    total = weight.sum(axis=0)
+    return weight[basis.shell_slices[-1]].sum(axis=0) / total, np.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +191,8 @@ class LadderSum:
                          weight=np.concatenate([self.weight, -other.weight]))
 
     def toarray(self) -> np.ndarray:
-        dense = np.zeros((self.src.shape[1],) * 2, dtype=complex)
+        """The dense matrix, of the weights' dtype."""
+        dense = np.zeros((self.src.shape[1],) * 2, dtype=self.weight.dtype)
         for src, weight in zip(self.src, self.weight):
             dense[np.arange(len(src)), src] += weight
         return dense
@@ -215,10 +224,25 @@ def _ladder_sum(basis: FockBasis, terms) -> LadderSum:
         weight=np.concatenate([c * op.weight for c, op in terms] + [empty]))
 
 
+def _real_or_complex(x) -> np.ndarray:
+    """x as a float64 array, or a complex128 one if x is complex."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x.dtype, np.float64), copy=False)
+
+
+def _mode_vector(basis: FockBasis, f) -> np.ndarray:
+    """f as one float or complex entry per mode; DomainError otherwise."""
+    f = _real_or_complex(f)
+    if f.shape != (basis.d,):
+        raise DomainError(f"mode vector needs d = {basis.d} entries, got "
+                          f"shape {f.shape}")
+    return f
+
+
 def annihilator_of(basis: FockBasis, f: np.ndarray) -> LadderSum:
-    """a(f) = sum conj(f_i) a_i (antilinear in f)."""
+    """a(f) = sum conj(f_i) a_i (antilinear in f), f one entry per mode."""
     ann, _ = basis.ladders
-    return _ladder_sum(basis, ((np.conj(fi), a) for fi, a in zip(f, ann)))
+    return _ladder_sum(basis, zip(np.conj(_mode_vector(basis, f)), ann))
 
 
 def hamiltonian(
@@ -340,8 +364,9 @@ def _poisson_budget(basis: FockBasis, mean: float, what: str) -> None:
 
 
 def _weyl_generator(basis: FockBasis, f: np.ndarray) -> LadderSum:
-    """a^dag(f) - a(f), refused past the Poisson budget of |f|^2."""
-    f = np.asarray(f, dtype=complex)
+    """a^dag(f) - a(f), real for a real f, refused unless f has one entry
+    per mode and past the Poisson budget of |f|^2."""
+    f = _mode_vector(basis, f)
     _poisson_budget(basis, float(np.sum(np.abs(f) ** 2)), "|f|^2")
     ann, cre = basis.ladders
     return _ladder_sum(basis, [(fi, ad) for fi, ad in zip(f, cre)]
@@ -349,7 +374,8 @@ def _weyl_generator(basis: FockBasis, f: np.ndarray) -> LadderSum:
 
 
 def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
-    """W(f) = exp(a^dag(f) - a(f)) as a dense unitary matrix."""
+    """W(f) = exp(a^dag(f) - a(f)) as a dense unitary matrix, real
+    (orthogonal) for a real f."""
     return _dense_expm(_weyl_generator(basis, f), "Weyl operator")
 
 
@@ -359,11 +385,12 @@ def apply_weyl(basis: FockBasis, f: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> LadderSum:
-    """1/2 sum (K a^dag a^dag - conj(K) a a), refused past the budgets of a
-    symmetric d x d kernel: |K|_HS <= KERNEL_HS_BUDGET and the Poisson budget
-    of d sinh(|K|_HS)^2.  a_i^dag a_j^dag and a_j^dag a_i^dag are one
-    monomial, taken once with the mean of K_ij and K_ji."""
-    K = np.asarray(K, dtype=complex)
+    """1/2 sum (K a^dag a^dag - conj(K) a a), real for a real K, refused
+    past the budgets of a symmetric d x d kernel: |K|_HS <= KERNEL_HS_BUDGET
+    and the Poisson budget of d sinh(|K|_HS)^2.  a_i^dag a_j^dag and
+    a_j^dag a_i^dag are one monomial, taken once with the mean of K_ij and
+    K_ji."""
+    K = _real_or_complex(K)
     if K.shape != (basis.d, basis.d):
         raise DomainError("kernel matrix must be d x d")
     if not np.allclose(K, K.T, atol=ROUNDOFF_SLACK):
@@ -384,7 +411,8 @@ def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> LadderSum:
 
 
 def bogoliubov(basis: FockBasis, K: np.ndarray) -> np.ndarray:
-    """T(K) = exp(1/2 sum (K a^dag a^dag - conj(K) a a)) as a dense unitary."""
+    """T(K) = exp(1/2 sum (K a^dag a^dag - conj(K) a a)) as a dense unitary,
+    real (orthogonal) for a real K."""
     return _dense_expm(_bogoliubov_generator(basis, K), "Bogoliubov operator")
 
 
@@ -492,10 +520,10 @@ def check_weyl_relations(basis: FockBasis, f: np.ndarray,
 
     Both W(f) W(g) = W(f+g) e^{-i Im<f, g>} and
     W(f)^dag a(g) W(f) = a(g) + <g, f> are compared in max norm on the
-    sub-cutoff block n <= n_max - 4.
+    sub-cutoff block n <= n_max - 4.  For real f and g the unitaries and
+    their products are real.
     """
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
+    f, g = _mode_vector(basis, f), _mode_vector(basis, g)
     _poisson_budget(basis, float(np.sum(np.abs(f) ** 2) + np.sum(np.abs(g) ** 2)),
                     "|f|^2 + |g|^2")
     keep = _sub_cutoff(basis)
@@ -565,9 +593,6 @@ def check_TNT_inequality(
 # toy scenarios: convergence of reduced densities, generator cancellation
 # ---------------------------------------------------------------------------
 
-_ODE_DT = 1e-3  # RK4 step of the mean-field orbit
-
-
 @dataclass(frozen=True)
 class ToyScenario:
     """Mean-field-like interacting scenario over d modes.
@@ -590,33 +615,36 @@ def mean_field_trajectory(
     t_final: float, dt: float,
 ):
     """RK4 integration of the limiting one-body equation
-    i dphi_i = (h phi)_i + g u_i |phi_i|^2 phi_i.
+    i dphi_i = (h phi)_i + g u_i |phi_i|^2 phi_i, in orbit_steps(t_final,
+    dt) equal steps (refused past STEP_BUDGET).
 
     The toy orbits have a few modes, so the steps run on lists of Python
     complex numbers, one per mode: a numpy call costs more than its work."""
     h = np.asarray(h, dtype=complex)
     u = _onsite_weights(u, h.shape[0])
-    rows, weights = h.tolist(), u.tolist()
+    steps = orbit_steps(t_final, dt)
+    modes = list(zip(h.tolist(), u.tolist()))
 
     def rhs(phi):
-        return [-1j * (sum(a * b for a, b in zip(row, phi))
-                       + g * (w * (p.conjugate() * p) * p))
-                for row, w, p in zip(rows, weights, phi)]
+        out = []
+        for (row, w), p in zip(modes, phi):
+            s = 0
+            for a, b in zip(row, phi):
+                s += a * b
+            out.append(-1j * (s + g * (w * (p.conjugate() * p) * p)))
+        return out
 
-    def shifted(phi, step, k):
-        return [p + step * q for p, q in zip(phi, k)]
-
-    steps = max(1, int(round(abs(t_final) / dt)))
     dt = t_final / steps
+    half, sixth = 0.5 * dt, dt / 6.0
     phi = np.asarray(phi0, dtype=complex).tolist()
     out = [phi]
     for _ in range(steps):
         k1 = rhs(phi)
-        k2 = rhs(shifted(phi, 0.5 * dt, k1))
-        k3 = rhs(shifted(phi, 0.5 * dt, k2))
-        k4 = rhs(shifted(phi, dt, k3))
-        phi = shifted(phi, dt / 6.0, [a + 2 * b + 2 * c + e
-                                      for a, b, c, e in zip(k1, k2, k3, k4)])
+        k2 = rhs([p + half * q for p, q in zip(phi, k1)])
+        k3 = rhs([p + half * q for p, q in zip(phi, k2)])
+        k4 = rhs([p + dt * q for p, q in zip(phi, k3)])
+        phi = [p + sixth * (a + 2 * b + 2 * c + e)
+               for p, a, b, c, e in zip(phi, k1, k2, k3, k4)]
         out.append(phi)
     times = np.linspace(0.0, t_final, steps + 1)
     return times, np.array(out)
@@ -679,10 +707,10 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     g = scenario.coupling
     N = np.asarray(scenario.N_list, dtype=float)
     # the RK4 steps pair the orbit's nodes: take an even number of them
-    pairs = max(1, math.ceil(round(abs(scenario.t_final) / _ODE_DT) / 2))
+    pairs = math.ceil(orbit_steps(scenario.t_final) / 2)
     times, orbit = mean_field_trajectory(
         scenario.h, scenario.u, g, scenario.phi0, scenario.t_final,
-        abs(scenario.t_final) / (2 * pairs) if scenario.t_final else _ODE_DT,
+        abs(scenario.t_final) / (2 * pairs) if scenario.t_final else ORBIT_DT,
     )
     orbit = orbit / np.linalg.norm(orbit, axis=1, keepdims=True)
     phi_t = orbit[-1]
@@ -690,9 +718,9 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
 
     def checked(block: np.ndarray, where: str) -> np.ndarray:
         """Top-shell share and norm of every column after `where`."""
-        for n, leak, norm in zip(scenario.N_list,
-                                 top_shell_share(basis, block).tolist(),
-                                 np.linalg.norm(block, axis=0).tolist()):
+        shares, norms = _top_share_and_norm(basis, block)
+        for n, leak, norm in zip(scenario.N_list, shares.tolist(),
+                                 norms.tolist()):
             if leak > LEAKAGE_TOL:
                 raise TruncationBudgetError(
                     f"truncation leakage {leak:.3e} above LEAKAGE_TOL after "
@@ -714,10 +742,16 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     ops, coefficients = _fluctuation_generator(
         basis, scenario.h, _onsite_weights(scenario.u, d), g, orbit, N)
 
-    # states as rows: one gather of all monomials, weighted, then contracted
+    # states as rows, (N, dim).  Every monomial of every row is gathered in
+    # one flat take: row n's sources offset by n * dim, an (N, K, dim) index
+    # built once, as are the weights broadcast to it, so each derivative
+    # takes no axis gather and no broadcast multiply; then one contraction
+    flat = ops.src + basis.dim * np.arange(N.size)[:, None, None]
+    weight = np.ascontiguousarray(np.broadcast_to(ops.weight, flat.shape))
+
     def derivative(node: int, x: np.ndarray) -> np.ndarray:
-        terms = np.take(x, ops.src, axis=1)
-        terms *= ops.weight
+        terms = x.reshape(-1).take(flat)
+        terms *= weight
         return np.matmul(coefficients[node], terms)[:, 0]
 
     for end in range(2, len(times), 2):

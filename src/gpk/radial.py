@@ -63,10 +63,12 @@ _INTERACTION_MOMENTA = 512
 _PHASE_CHUNK = 8192
 
 
-def _unit_phase(angle: np.ndarray, factor=None) -> np.ndarray:
-    """exp(1j * angle), times `factor` (broadcast to the angles) if given,
-    from one tangent per angle: t = tan(angle / 2), r = 2 / (1 + t^2),
-    cos = 1 - t^2 r, sin = t r.
+def _unit_phase(angle: np.ndarray, factor=None, scale: float = 1.0) -> np.ndarray:
+    """exp(1j * scale * angle), times `factor` (broadcast to the angles) if
+    given, from one tangent per angle: t = tan(angle * (scale / 2)),
+    r = 2 / (1 + t^2), cos = 1 - t^2 r, sin = t r.  The scale rides on the
+    half-angle product, so scaling the angles costs no pass of its own; as
+    halving is exact, the phase has the bits of `_unit_phase(angle * scale)`.
 
     numpy runs tan in SIMD but cos and sin in scalar libm, so this takes
     about half their time.  It agrees with them to round-off (6e-17 below
@@ -79,9 +81,10 @@ def _unit_phase(angle: np.ndarray, factor=None) -> np.ndarray:
     a stack, and a factor broadcast over the members is not copied.
     """
     out = np.empty(angle.shape, dtype=complex)
+    half = 0.5 * scale
     if angle.size <= _PHASE_CHUNK:
         # no flattening or slicing, about 2 us of a 1D stack's 10 us kick
-        _phase_pass(angle, out, factor)
+        _phase_pass(angle, out, factor, half)
         return out
     rows = (angle.shape[0]
             if angle.ndim > 1 and angle[0].size >= _PHASE_CHUNK else 1)
@@ -92,13 +95,13 @@ def _unit_phase(angle: np.ndarray, factor=None) -> np.ndarray:
         for start in range(0, row.size, _PHASE_CHUNK):
             chunk = slice(start, start + _PHASE_CHUNK)
             _phase_pass(row[chunk], row_out[chunk],
-                        None if row_factor is None else row_factor[chunk])
+                        None if row_factor is None else row_factor[chunk], half)
     return out
 
 
-def _phase_pass(angle, out, factor):
-    """One chunk of `_unit_phase`, into `out`."""
-    t = np.multiply(angle, 0.5)
+def _phase_pass(angle, out, factor, half):
+    """One chunk of `_unit_phase`, into `out`; `half` is half the scale."""
+    t = np.multiply(angle, half)
     np.tan(t, out=t)
     t2 = np.multiply(t, t)
     r = np.add(t2, 1.0)

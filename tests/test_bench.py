@@ -1285,6 +1285,10 @@ phi0 = 1.0 0.0"""
     ("[grid]\ndim = 1\nlength = 16.0", "[grid]\ndim = 1\nlength = 5e-324",
      "exp.ini [grid]: box_length = 4.94066e-324 over 256 points per axis "
      "gives a cell that underflows to 0"),
+    # the toy study's mean-field orbit steps past the largest float
+    ("t_final = 0.4", "t_final = 1e308",
+     "exp.ini [fock]: t_final = 1e+308 over the orbit step 0.001 asks for "
+     "inf steps, past the step budget STEP_BUDGET = 10000000"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "fock-d", "fock-cancel_n",
@@ -1293,7 +1297,8 @@ phi0 = 1.0 0.0"""
         "potential-pionts", "grid-points", "kernels-points", "dt-unstable",
         "dt-not-whole-steps", "t_star-not-whole-steps",
         "t_final-opposite-sign", "t_star-opposite-sign", "t_final-1e308",
-        "t_star-1e308", "dt-subnormal", "length-subnormal"])
+        "t_star-1e308", "dt-subnormal", "length-subnormal",
+        "fock-t_final-1e308"])
 def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
                                                what):
     text = REFERENCE.read_text().replace(
@@ -1316,7 +1321,10 @@ def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
     ("t_final = 0.25", "t_final = 1e6",
      "exp.ini [grid]: t_final = 1e+06 over dt = 0.00025 asks for 4e+09 "
      "steps, past the step budget STEP_BUDGET = 10000000"),
-], ids=["dt-1e-300", "t_final-1e6"])
+    ("t_final = 0.4", "t_final = 1e6",
+     "exp.ini [fock]: t_final = 1e+06 over the orbit step 0.001 asks for "
+     "1e+09 steps, past the step budget STEP_BUDGET = 10000000"),
+], ids=["dt-1e-300", "t_final-1e6", "fock-t_final-1e6"])
 def test_step_count_past_the_budget_is_refused_when_the_config_loads(
         tmp_path, line, bad, what):
     # finite step counts that no run would finish; the CLI exits 2 on the

@@ -356,6 +356,33 @@ def test_weyl_budget_error():
         weyl(b, np.array([2.0]))
 
 
+@pytest.mark.parametrize("f", [[0.1, 0.2, 0.9], [0.1]], ids=["3", "1"])
+def test_weyl_vectors_need_one_entry_per_mode(f):
+    # an f of another length than d is refused, not cut to d or read as
+    # acting on its first modes
+    b = build_basis(2, 8)
+    for call in (lambda: annihilator_of(b, f), lambda: weyl(b, f),
+                 lambda: apply_weyl(b, f, vacuum(b)),
+                 lambda: check_weyl_relations(b, f, np.zeros(2)),
+                 lambda: check_weyl_relations(b, np.zeros(2), f)):
+        with pytest.raises(DomainError, match="d = 2 entries"):
+            call()
+
+
+def test_real_f_and_k_give_real_orthogonal_unitaries():
+    b = build_basis(2, 12)
+    f = np.array([0.3, -0.2])
+    K = np.array([[0.1, 0.05], [0.05, -0.08]])
+    for dense, x in ((weyl, f), (bogoliubov, K)):
+        real, cplx = dense(b, x), dense(b, x.astype(complex))
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.max(np.abs(real - cplx)) <= 1e-15
+        assert np.max(np.abs(real.T @ real - np.eye(b.dim))) <= 1e-14
+    # a dense operator takes the dtype of its weights
+    assert annihilator_of(b, f).toarray().dtype == np.float64
+    assert annihilator_of(b, f + 0.1j).toarray().dtype == np.complex128
+
+
 def test_apply_weyl_matches_dense():
     b = build_basis(2, 10)
     f = np.array([0.4, -0.3 + 0.5j])
@@ -564,6 +591,23 @@ def test_mean_field_trajectory_norm_preserved():
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
+def test_mean_field_orbit_past_the_step_budget_is_refused():
+    # 1e308 over the orbit step is an infinite step count, and 1e6 is 1e9
+    # steps; both are refused before any step is taken
+    from gpk.budgets import orbit_steps
+
+    h, u = np.array([[0.0, -1.0], [-1.0, 0.2]]), np.array([1.0, 1.0])
+    phi0 = np.array([1.0, 0.0])
+    with pytest.raises(ConfigurationError, match="inf steps, past the step "
+                       "budget STEP_BUDGET = 10000000"):
+        mean_field_trajectory(h, u, 0.5, phi0, 1e308, 1e-3)
+    with pytest.raises(ConfigurationError, match="STEP_BUDGET"):
+        toy_convergence_study(reference_scenario(t_final=1e308))
+    with pytest.raises(ConfigurationError, match="1e\\+09 steps"):
+        orbit_steps(1e6)
+    assert orbit_steps(10_000.0) == 10_000_000 and orbit_steps(0.0) == 1
+
+
 def test_toy_study_zero_interaction_degenerate():
     scenario = ToyScenario(
         h=np.array([[0.0, -1.0], [-1.0, 0.0]]),
@@ -706,6 +750,18 @@ def test_toy_study_matches_the_lab_frame(coupling):
     assert np.max(np.abs(rep.number_expectations / numbers - 1.0)) <= 1e-5
 
 
+def test_toy_study_of_the_reference_scenario_keeps_its_values():
+    # the trace distances and number expectations of the reference run's
+    # fock stage: a faster derivative or orbit keeps them to round-off
+    rep = toy_convergence_study(reference_scenario())
+    assert np.allclose(rep.trace_distances, [
+        0.004505845992793023, 0.002311267946280106, 0.0011704144221909804],
+        rtol=1e-12, atol=0.0)
+    assert np.allclose(rep.number_expectations, [
+        0.018240543280927467, 0.017318332904447363, 0.016896733575472993],
+        rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("N_list", [(4, 8, 16), (4, 8, 16, 32, 64)],
                          ids=["3-N", "5-N"])
 def test_toy_study_acts_twice_on_the_fluctuation_basis(monkeypatch, N_list):
@@ -775,13 +831,15 @@ def test_toy_study_leakage_of_one_column_names_its_step_and_N(monkeypatch):
     import gpk.fock as fock
 
     scenario = reference_scenario(kappa0=0.0)
+    share_and_norm = fock._top_share_and_norm
     seen = []
 
     def recording(basis, psi):
-        seen.append(top_shell_share(basis, psi))
-        return seen[-1]
+        share, norm = share_and_norm(basis, psi)
+        seen.append(share)
+        return share, norm
 
-    monkeypatch.setattr(fock, "top_shell_share", recording)
+    monkeypatch.setattr(fock, "_top_share_and_norm", recording)
     toy_convergence_study(scenario)
     shares = seen[3]  # after T(k_0) and the steps to t = 0.002, 0.004, 0.006
     second, first = np.sort(shares)[-2:]

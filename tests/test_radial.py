@@ -350,6 +350,21 @@ def test_unit_phase_is_the_same_bits_in_any_chunking(size):
                           stacked * datum)
 
 
+@pytest.mark.parametrize("shape", [(1000,), (3, _PHASE_CHUNK + 5)],
+                         ids=["1D", "chunked-stack"])
+def test_unit_phase_scale_is_the_scaled_angle_to_the_bit(shape):
+    # the kick passes -dt as the scale instead of scaling the potential: the
+    # half-angle product by scale / 2 rounds as the product by scale does
+    rng = np.random.default_rng(len(shape))
+    angle = rng.uniform(-30.0, 30.0, shape)
+    factor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for scale in (-2.5e-4, 0.37, -1.0):
+        assert np.array_equal(_unit_phase(angle, factor, scale),
+                              _unit_phase(angle * scale, factor))
+        assert np.array_equal(_unit_phase(angle, None, scale),
+                              _unit_phase(angle * scale))
+
+
 def test_unit_phase_reads_a_factor_broadcast_over_the_members_in_place():
     # the first kick of a stack multiplies one datum into every member
     angle = np.zeros((4, 4 * _PHASE_CHUNK))
