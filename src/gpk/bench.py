@@ -292,7 +292,7 @@ def _check_fock_scenario(path, fock: dict) -> None:
         raise ConfigurationError(
             f"{path}: [fock] phi0 must be a nonzero finite vector")
     # the toy study's basis, and the probe basis, on which the probe and
-    # cancellation checks take dense unitaries
+    # cancellation checks build dense blocks of identity columns
     for cutoff, cap, name in (
             (budgets.FLUCTUATION_CUTOFF, budgets.DIM_BUDGET, "DIM_BUDGET"),
             (budgets.PROBE_CUTOFF, budgets.DENSE_EXPM_CAP, "DENSE_EXPM_CAP")):

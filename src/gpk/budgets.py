@@ -31,7 +31,7 @@ KERNEL_HS_BUDGET = 1.5    # max |K|_HS of a Bogoliubov kernel
 POISSON_SHARE = 1 / 4     # max mean occupation of a Weyl or Bogoliubov factor / n_max
 LEAKAGE_TOL = 1e-6        # max top-shell share of a toy-study state
 DIM_BUDGET = 20000        # the largest basis any Fock operation builds
-DENSE_EXPM_CAP = 1500     # the largest basis a dense Weyl or Bogoliubov unitary takes
+DENSE_EXPM_CAP = 1500     # the largest basis of a probe check's dense block
 VACUUM_FLOOR = 1e-14      # expected particle number at or below it: the vacuum
 FLUCTUATION_CUTOFF = 16   # n_c of the toy study's basis, the same for every N
 PROBE_CUTOFF = 12         # n_c of the fock stage's Weyl, TNT and leakage probes

@@ -1,16 +1,16 @@
 """Truncated bosonic Fock space over d discrete modes.
 
 States live in the direct sum of symmetric n-particle sectors with total
-occupation at most n_max.  A state is a complex numpy array over the
-occupation basis: a vector, or a block of states as its columns; operators
-are `LadderSum`s, sums of ladder monomials over the same basis.  The module
-imports numpy alone.  It provides ladder operators, number-conserving
-Hamiltonians, Weyl and Bogoliubov unitaries (dense numpy arrays by Pade
-scaling and squaring at small dimension, real for a real f or K, and
-truncated Taylor actions on states otherwise), reduced densities, the
+occupation at most n_max.  A state is a numpy array over the occupation
+basis, complex unless every factor is real: a vector, or a block of states
+as its columns; operators are `LadderSum`s, sums of ladder monomials over
+the same basis.  The module imports numpy alone.  It provides ladder
+operators, number-conserving Hamiltonians, Weyl and Bogoliubov unitaries
+(truncated Taylor actions on states, the one matrix exponential here), the
+probe checks that act with them on a few columns, reduced densities, the
 top-shell share, and the toy-scale convergence and cancellation
-experiments.  Both experiments take the pieces of the fluctuation
-generator L_N from one place, `FockBasis.mode_products`.
+experiments.  Both experiments take the pieces of the fluctuation generator
+L_N from one place, `FockBasis.mode_products`.
 
 Occupation vectors are enumerated graded-lexicographically: shells of total
 occupation n in increasing n, and inside a shell the first mode decreases
@@ -19,6 +19,7 @@ from n to 0, recursively (d = 2, n <= 2: 00, 10, 01, 20, 11, 02).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     InvariantViolation,
+    NumericalBlowupError,
     TruncationBudgetError,
 )
 from .kernels import ch_sh_series
@@ -183,8 +185,12 @@ class LadderSum:
             return LadderSum(
                 src=other.src[:, self.src].reshape(-1, dim),
                 weight=(self.weight * other.weight[:, self.src]).reshape(-1, dim))
+        # gathered, then scaled in place: no second temporary.  weight goes
+        # first, as a complex product's rounding depends on operand order
         weight = self.weight if other.ndim == 1 else self.weight[:, :, None]
-        return (weight * other[self.src]).sum(axis=0)
+        terms = other.take(self.src, axis=0).astype(
+            np.result_type(other, weight), copy=False)
+        return np.multiply(weight, terms, out=terms).sum(axis=0)
 
     def __sub__(self, other):
         return LadderSum(src=np.concatenate([self.src, other.src]),
@@ -281,35 +287,6 @@ def _onsite_weights(u, d: int) -> np.ndarray:
 # Weyl and Bogoliubov unitaries
 # ---------------------------------------------------------------------------
 
-# theta_m of Higham (2005), Table 2.3: the largest 1-norm at which the
-# [m/m] Pade approximant of exp reaches double precision
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
-
-
-def _expm_pade(a: np.ndarray) -> np.ndarray:
-    """exp(a) by Pade scaling and squaring (Higham 2005, Algorithm 2.3): the
-    lowest degree whose theta_m bounds the 1-norm of a, else degree 13 on
-    a / 2^s, squared s times."""
-    norm = float(np.linalg.norm(a, 1))
-    m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
-    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
-    a = a * 2.0 ** -s
-    # b_j, the coefficients of the numerator p(x); the denominator is p(-x)
-    b = [math.factorial(2 * m - j) * math.factorial(m)
-         / (math.factorial(2 * m) * math.factorial(j) * math.factorial(m - j))
-         for j in range(m + 1)]
-    even = [np.eye(len(a), dtype=a.dtype), a @ a]  # a^0, a^2, a^4, ...
-    while len(even) <= m // 2:
-        even.append(even[-1] @ even[1])
-    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
-    v = sum(b[2 * k] * p for k, p in enumerate(even))
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
 # theta_m of Al-Mohy and Higham (2011), Table 3.1, and for m <= 30 of Higham
 # and Al-Mohy (2010), Table A.3: the largest 1-norm at which m Taylor terms
 # of exp reach double precision
@@ -326,11 +303,12 @@ def _expm_action(gen: LadderSum, psi: np.ndarray) -> np.ndarray:
     steps of up to m terms, (m, s) of least m s with |gen|_1 / s <= theta_m,
     a step ending once two terms in a row are below double precision.
     |gen|_1 is exact, as no two monomials of a Weyl or Bogoliubov generator
-    share an entry; they are traceless, so no shift is taken out."""
+    share an entry; they are traceless, so no shift is taken out.  Real gen
+    and psi give a real result."""
     norm = np.bincount(gen.src.ravel(), abs(gen.weight).ravel()).max(initial=0.0)
     m, s = min(((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()),
                key=lambda ms: ms[0] * ms[1])
-    term = total = np.array(psi, dtype=complex)
+    term = total = np.array(psi, dtype=np.result_type(psi, gen.weight, 1.0))
     for _ in range(s):
         before = np.linalg.norm(term, np.inf)
         for j in range(m):
@@ -342,17 +320,6 @@ def _expm_action(gen: LadderSum, psi: np.ndarray) -> np.ndarray:
             before = size
         term = total
     return total
-
-
-def _dense_expm(gen: LadderSum, what: str) -> np.ndarray:
-    """exp(gen) as a dense matrix; refused past DENSE_EXPM_CAP."""
-    if gen.src.shape[1] > DENSE_EXPM_CAP:
-        raise ConfigurationError(
-            f"dense {what} capped at dimension {DENSE_EXPM_CAP} (DENSE_EXPM_CAP, "
-            f"got {gen.src.shape[1]}); apply_weyl and apply_bogoliubov act on "
-            "vectors at any dimension"
-        )
-    return _expm_pade(gen.toarray())
 
 
 def _poisson_budget(basis: FockBasis, mean: float, what: str) -> None:
@@ -373,14 +340,10 @@ def _weyl_generator(basis: FockBasis, f: np.ndarray) -> LadderSum:
                        + [(-np.conj(fi), a) for fi, a in zip(f, ann)])
 
 
-def weyl(basis: FockBasis, f: np.ndarray) -> np.ndarray:
-    """W(f) = exp(a^dag(f) - a(f)) as a dense unitary matrix, real
-    (orthogonal) for a real f."""
-    return _dense_expm(_weyl_generator(basis, f), "Weyl operator")
-
-
 def apply_weyl(basis: FockBasis, f: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """W(f) psi by Taylor action; exact unitary on the truncated space."""
+    """W(f) psi by Taylor action, psi a state or a block of states as
+    columns.  The generator is anti-hermitian on the truncated space too, so
+    W(f) is unitary there and W(f)^dag = W(-f)."""
     return _expm_action(_weyl_generator(basis, f), psi)
 
 
@@ -410,15 +373,9 @@ def _bogoliubov_generator(basis: FockBasis, K: np.ndarray) -> LadderSum:
     return _ladder_sum(basis, terms)
 
 
-def bogoliubov(basis: FockBasis, K: np.ndarray) -> np.ndarray:
-    """T(K) = exp(1/2 sum (K a^dag a^dag - conj(K) a a)) as a dense unitary,
-    real (orthogonal) for a real K."""
-    return _dense_expm(_bogoliubov_generator(basis, K), "Bogoliubov operator")
-
-
 def apply_bogoliubov(basis: FockBasis, K: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """T(K) psi by Taylor action; psi may be a block of states as columns,
-    acted on together."""
+    """T(K) psi by Taylor action, psi a state or a block of states as
+    columns; T(K)^dag = T(-K), as for W(f)."""
     return _expm_action(_bogoliubov_generator(basis, K), psi)
 
 
@@ -503,9 +460,16 @@ def trace_distance_to_rank_one(gamma: ReducedDensity, phi: np.ndarray) -> float:
 # structural checks
 # ---------------------------------------------------------------------------
 
-def _sub_cutoff(basis: FockBasis, n_sub: Optional[int] = None) -> np.ndarray:
-    """Mask of the states with total occupation <= n_sub (default n_max - 4)."""
-    return basis.totals() <= (basis.n_max - 4 if n_sub is None else n_sub)
+def _sub_cutoff(basis: FockBasis, n_sub: Optional[int] = None):
+    """The states of total occupation <= n_sub (default n_max - 4): their
+    mask, and their columns of the identity, the block a probe check acts on.
+    Refused past DENSE_EXPM_CAP before the block is built."""
+    if basis.dim > DENSE_EXPM_CAP:
+        raise ConfigurationError(
+            f"probe checks capped at dimension {DENSE_EXPM_CAP} (DENSE_EXPM_CAP, got "
+            f"{basis.dim}); apply_weyl and apply_bogoliubov act at any dimension")
+    keep = basis.totals() <= (basis.n_max - 4 if n_sub is None else n_sub)
+    return keep, np.eye(basis.dim)[:, keep]
 
 
 @dataclass(frozen=True)
@@ -520,44 +484,40 @@ def check_weyl_relations(basis: FockBasis, f: np.ndarray,
 
     Both W(f) W(g) = W(f+g) e^{-i Im<f, g>} and
     W(f)^dag a(g) W(f) = a(g) + <g, f> are compared in max norm on the
-    sub-cutoff block n <= n_max - 4.  For real f and g the unitaries and
-    their products are real.
+    sub-cutoff block n <= n_max - 4, acting on its columns E alone.  For
+    real f and g the Weyl actions are real.
     """
     f, g = _mode_vector(basis, f), _mode_vector(basis, g)
     _poisson_budget(basis, float(np.sum(np.abs(f) ** 2) + np.sum(np.abs(g) ** 2)),
                     "|f|^2 + |g|^2")
-    keep = _sub_cutoff(basis)
+    keep, E = _sub_cutoff(basis)
 
-    wf = weyl(basis, f)
-    wg = weyl(basis, g)
-    wfg = weyl(basis, f + g)
     phase = np.exp(-1j * np.imag(np.vdot(f, g)))
-    prod_res = wf @ wg - wfg * phase
-    product_residual = float(np.max(np.abs(prod_res[np.ix_(keep, keep)])))
+    prod_res = (apply_weyl(basis, f, apply_weyl(basis, g, E))
+                - apply_weyl(basis, f + g, E) * phase)
+    product_residual = float(np.max(np.abs(prod_res[keep])))
 
-    ag = annihilator_of(basis, g).toarray()
-    shift = np.vdot(g, f)
-    lhs = wf.conj().T @ ag @ wf - ag - shift * np.eye(basis.dim)
-    shift_residual = float(np.max(np.abs(lhs[np.ix_(keep, keep)])))
-    return WeylRelationReport(
-        product_residual=product_residual, shift_residual=shift_residual
-    )
+    ag = annihilator_of(basis, g)
+    lhs = (apply_weyl(basis, -f, ag @ apply_weyl(basis, f, E)) - ag @ E
+           - np.vdot(g, f) * E)
+    shift_residual = float(np.max(np.abs(lhs[keep])))
+    return WeylRelationReport(product_residual, shift_residual)
 
 
 def bogoliubov_conjugation_residual(basis: FockBasis, K: np.ndarray,
                                     f: np.ndarray) -> float:
     """Max-norm defect of T^dag a(f) T = a(ch(K) f) + a^dag(sh(K) conj(f)) on
-    the sub-cutoff block n <= n_max - 4."""
-    keep = _sub_cutoff(basis)
-    T = bogoliubov(basis, K)
+    the sub-cutoff block n <= n_max - 4, acting on its columns E alone."""
+    keep, E = _sub_cutoff(basis)
+    TE = apply_bogoliubov(basis, K, E)
+    af = annihilator_of(basis, f)
     K = np.asarray(K, dtype=complex)
     p, r = ch_sh_series(K, tol=1e-16)  # ch(K) = 1 + p, sh(K) = K + r
-    f = np.asarray(f, dtype=complex)
-    af = annihilator_of(basis, f).toarray()
-    target = annihilator_of(basis, f + p @ f).toarray()
-    target += annihilator_of(basis, (K + r) @ np.conj(f)).toarray().conj().T
-    lhs = T.conj().T @ af @ T - target
-    return float(np.max(np.abs(lhs[np.ix_(keep, keep)])))
+    ann, cre = basis.ladders
+    target = _ladder_sum(basis, [*zip(np.conj(f + p @ f), ann),
+                                 *zip((K + r) @ np.conj(f), cre)])
+    lhs = apply_bogoliubov(basis, -K, af @ TE) - target @ E
+    return float(np.max(np.abs(lhs[keep])))
 
 
 @dataclass(frozen=True)
@@ -575,12 +535,11 @@ def check_TNT_inequality(
     the untruncated constant 1 from below; the heuristic exp(2 |K|_HS) gives
     the expected growth scale in |K|.
     """
-    keep = _sub_cutoff(basis, n_sub)
-    T = bogoliubov(basis, K)
-    nmat = np.diag(basis.totals().astype(float))
-    tnt = T.conj().T @ nmat @ T
-    tnt = tnt[np.ix_(keep, keep)]
-    weights = 1.0 / np.sqrt(basis.totals()[keep] + 1.0)
+    keep, E = _sub_cutoff(basis, n_sub)
+    TE = apply_bogoliubov(basis, K, E)
+    totals = basis.totals()
+    tnt = TE.conj().T @ (totals[:, None] * TE)
+    weights = 1.0 / np.sqrt(totals[keep] + 1.0)
     pencil = weights[:, None] * tnt * weights[None, :]
     pencil = 0.5 * (pencil + pencil.conj().T)
     return TntReport(
@@ -616,7 +575,8 @@ def mean_field_trajectory(
 ):
     """RK4 integration of the limiting one-body equation
     i dphi_i = (h phi)_i + g u_i |phi_i|^2 phi_i, in orbit_steps(t_final,
-    dt) equal steps (refused past STEP_BUDGET).
+    dt) equal steps (refused past STEP_BUDGET).  An orbit that leaves the
+    floats raises NumericalBlowupError with its last finite time.
 
     The toy orbits have a few modes, so the steps run on lists of Python
     complex numbers, one per mode: a numpy call costs more than its work."""
@@ -638,13 +598,18 @@ def mean_field_trajectory(
     half, sixth = 0.5 * dt, dt / 6.0
     phi = np.asarray(phi0, dtype=complex).tolist()
     out = [phi]
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         k1 = rhs(phi)
         k2 = rhs([p + half * q for p, q in zip(phi, k1)])
         k3 = rhs([p + half * q for p, q in zip(phi, k2)])
         k4 = rhs([p + dt * q for p, q in zip(phi, k3)])
         phi = [p + sixth * (a + 2 * b + 2 * c + e)
                for p, a, b, c, e in zip(phi, k1, k2, k3, k4)]
+        if not all(map(cmath.isfinite, phi)):
+            last = (step - 1) * dt
+            raise NumericalBlowupError(
+                f"mean-field orbit blew up at g = {g:g}: not finite at t = "
+                f"{step * dt:.6g}, last finite at t = {last:.6g}", last)
         out.append(phi)
     times = np.linspace(0.0, t_final, steps + 1)
     return times, np.array(out)
@@ -721,11 +686,12 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
         shares, norms = _top_share_and_norm(basis, block)
         for n, leak, norm in zip(scenario.N_list, shares.tolist(),
                                  norms.tolist()):
-            if leak > LEAKAGE_TOL:
+            # written so that a NaN fails them
+            if not leak <= LEAKAGE_TOL:
                 raise TruncationBudgetError(
                     f"truncation leakage {leak:.3e} above LEAKAGE_TOL after "
                     f"{where} at N = {n}")
-            if abs(norm - 1.0) > NORM_TOL:
+            if not abs(norm - 1.0) <= NORM_TOL:
                 raise InvariantViolation(
                     f"fluctuation norm drifted to {norm!r} after {where} "
                     f"at N = {n}")
@@ -734,9 +700,8 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
     def kernel(phi):
         return -scenario.kappa0 * np.outer(phi, phi)
 
-    xi = vacuum(basis)
-    if scenario.kappa0 != 0:
-        xi = apply_bogoliubov(basis, kernel(orbit[0]), xi)
+    # kappa0 = 0 is the empty generator, whose action is a copy
+    xi = apply_bogoliubov(basis, kernel(orbit[0]), vacuum(basis))
     rows = checked(np.repeat(xi[None], N.size, axis=0).T, "factor T(k_0)").T
 
     ops, coefficients = _fluctuation_generator(
@@ -769,9 +734,8 @@ def toy_convergence_study(scenario: ToyScenario) -> ConvergenceReport:
         for gamma in _displaced_densities(
             basis, block, np.sqrt(N)[:, None] * phi_t)
     ])
-    if scenario.kappa0 != 0:
-        block = checked(apply_bogoliubov(basis, -kernel(phi_t), block),
-                        "factor T*(k_t)")
+    block = checked(apply_bogoliubov(basis, -kernel(phi_t), block),
+                    "factor T*(k_t)")
     numbers = np.array([number_expectation(basis, col) for col in block.T])
     return ConvergenceReport(
         N_list=tuple(scenario.N_list),
@@ -825,17 +789,12 @@ def generator_cancellation_check(
         for i, products in enumerate(basis.mode_products)
         for cubic in products[3:]))
 
-    if kappa != 0:
-        T = bogoliubov(basis, -kappa * np.outer(phi, phi))
-        Td = T.conj().T
-        m1 = Td @ l1.toarray() @ T
-        m3 = Td @ l3.toarray() @ T
-    else:
-        m1 = l1.toarray()
-        m3 = l3.toarray()
-
-    one_shell = basis.shell_slices[1]
-    lin1, lin3 = m1[one_shell, 0], m3[one_shell, 0]
+    # the vacuum column alone; kappa = 0 is the empty generator, a copy
+    _, vac = _sub_cutoff(basis, 0)
+    K = -kappa * np.outer(phi, phi)
+    TE = apply_bogoliubov(basis, K, vac)
+    m = apply_bogoliubov(basis, -K, np.hstack([l1 @ TE, l3 @ TE]))
+    lin1, lin3 = m[basis.shell_slices[1]].T
     combined = float(np.linalg.norm(lin1 + lin3))
     denom = max(float(np.linalg.norm(lin1)), float(np.linalg.norm(lin3)))
     return CancellationReport(ratio=combined / denom if denom > 0 else 0.0,

@@ -1197,6 +1197,16 @@ def test_cancellation_kernel_past_the_bogoliubov_budget_exits_3(tmp_path,
     assert "|K|_HS = 1.6 exceeds the 1.5 budget" in capsys.readouterr().err
 
 
+def test_fock_scenario_whose_orbit_blows_up_exits_3(tmp_path, capsys):
+    # at coupling 1e4 the mean-field orbit leaves the floats in its second
+    # step; it is refused there, not carried as NaN into the toy study
+    cfg_path = write_config(tmp_path, FOCK_CONFIG.replace(
+        "coupling = 0.5", "coupling = 1e4"), name="fock.ini")
+    assert cli_main(["fock", "--scenario", str(cfg_path)]) == 3
+    assert ("mean-field orbit blew up at g = 10000: not finite at t = 0.002, "
+            "last finite at t = 0.001") in capsys.readouterr().err
+
+
 def test_radial_step_wider_than_the_well_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, BASE_CONFIG.replace(
         "rmax = 5.0", "rmax = 5e4").replace("points = 2000", "points = 4000"))
@@ -1520,3 +1530,49 @@ def test_a_parent_failure_kills_and_reaps_the_child(tmp_path, capsys,
     assert "error: norm drift" in capsys.readouterr().err
     assert {p.name for p in (tmp_path / "out").iterdir()} == {
         "scattering.json", "scattering.npz", "scattering.hash"}
+
+
+# fock_report.json of configs/reference.ini as the probe checks gave it when
+# they took dense Pade unitaries, before they acted with Taylor actions
+REFERENCE_FOCK_REPORT = {
+    "N_list": [4, 8, 16],
+    "leakages": {"probe_state_top_shell": 1.0177449503938464e-07,
+                 "tolerance": 1e-06},
+    "number_expectations": [0.018240543280927467, 0.017318332904447363,
+                            0.016896733575472993],
+    "residuals": {"weyl_product": 3.3306690738754696e-16,
+                  "weyl_shift": 2.3191707790304328e-09},
+    "spectral_constants": {"tnt_heuristic": 1.262682057578829,
+                           "tnt_smallest_c": 1.015456344423771},
+    "summary": {
+        "cancellation": {"kappa": 0.04, "matched_ratio": 0.07897566771790347,
+                         "uncorrelated_ratio": 1.0},
+        "number_expectation_ratio": 1.0795307388526931,
+        "r_squared": 0.999969668951675,
+        "slope": -0.9723892759617181,
+    },
+    "trace_distances": [0.004505845992793023, 0.002311267946280106,
+                        0.0011704144221909804],
+}
+
+
+def test_fock_stage_of_the_reference_config_keeps_its_values(tmp_path):
+    # every number of the report to 1e-12 relative; a round-off-sized one,
+    # as the Weyl product residual, to an absolute 1e-15
+    def numbers(x, path=""):
+        if isinstance(x, dict):
+            return {k: v for key in x for k, v in numbers(x[key],
+                                                          f"{path}.{key}").items()}
+        if isinstance(x, list):
+            return {k: v for i, item in enumerate(x)
+                    for k, v in numbers(item, f"{path}[{i}]").items()}
+        return {path: x}
+
+    fock_json = tmp_path / "fock_report.json"
+    bench.run_fock_stage(bench.load_config(REFERENCE), fock_json,
+                         tmp_path / "toy_convergence.csv")
+    got, want = (numbers(json.loads(fock_json.read_text())),
+                 numbers(REFERENCE_FOCK_REPORT))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key

@@ -9,6 +9,8 @@ from scipy.sparse.linalg import expm_multiply
 from gpk.errors import (
     ConfigurationError,
     DomainError,
+    InvariantViolation,
+    NumericalBlowupError,
     TruncationBudgetError,
 )
 from gpk.fock import (
@@ -18,7 +20,6 @@ from gpk.fock import (
     annihilator_of,
     apply_bogoliubov,
     apply_weyl,
-    bogoliubov,
     bogoliubov_conjugation_residual,
     build_basis,
     basis_dimension,
@@ -34,7 +35,6 @@ from gpk.fock import (
     toy_convergence_study,
     trace_distance_to_rank_one,
     vacuum,
-    weyl,
 )
 from gpk.kernels import ch_sh_series
 
@@ -317,7 +317,7 @@ def test_bose_hubbard_ground_energy_oracle():
 
 def test_weyl_identity_and_components():
     b = build_basis(2, 12)
-    W = weyl(b, np.zeros(2))
+    W = apply_weyl(b, np.zeros(2), np.eye(b.dim))
     assert np.max(np.abs(W.conj().T @ W - np.eye(b.dim))) < 1e-12
     assert np.allclose(W, np.eye(b.dim))
 
@@ -353,7 +353,7 @@ def test_coherent_occupation_is_poisson():
 def test_weyl_budget_error():
     b = build_basis(1, 8)
     with pytest.raises(TruncationBudgetError):
-        weyl(b, np.array([2.0]))
+        apply_weyl(b, np.array([2.0]), vacuum(b))
 
 
 @pytest.mark.parametrize("f", [[0.1, 0.2, 0.9], [0.1]], ids=["3", "1"])
@@ -361,7 +361,7 @@ def test_weyl_vectors_need_one_entry_per_mode(f):
     # an f of another length than d is refused, not cut to d or read as
     # acting on its first modes
     b = build_basis(2, 8)
-    for call in (lambda: annihilator_of(b, f), lambda: weyl(b, f),
+    for call in (lambda: annihilator_of(b, f),
                  lambda: apply_weyl(b, f, vacuum(b)),
                  lambda: check_weyl_relations(b, f, np.zeros(2)),
                  lambda: check_weyl_relations(b, np.zeros(2), f)):
@@ -373,30 +373,37 @@ def test_real_f_and_k_give_real_orthogonal_unitaries():
     b = build_basis(2, 12)
     f = np.array([0.3, -0.2])
     K = np.array([[0.1, 0.05], [0.05, -0.08]])
-    for dense, x in ((weyl, f), (bogoliubov, K)):
-        real, cplx = dense(b, x), dense(b, x.astype(complex))
+    eye = np.eye(b.dim)
+    for apply, x in ((apply_weyl, f), (apply_bogoliubov, K)):
+        # the unitary as the action on the identity block
+        real, cplx = apply(b, x, eye), apply(b, x.astype(complex), eye)
         assert real.dtype == np.float64 and cplx.dtype == np.complex128
         assert np.max(np.abs(real - cplx)) <= 1e-15
-        assert np.max(np.abs(real.T @ real - np.eye(b.dim))) <= 1e-14
+        assert np.max(np.abs(real.T @ real - eye)) <= 1e-14
+        # a complex state takes the complex result
+        assert apply(b, x, eye.astype(complex)).dtype == np.complex128
     # a dense operator takes the dtype of its weights
     assert annihilator_of(b, f).toarray().dtype == np.float64
     assert annihilator_of(b, f + 0.1j).toarray().dtype == np.complex128
 
 
 def test_apply_weyl_matches_dense():
+    import gpk.fock as fock
+
     b = build_basis(2, 10)
     f = np.array([0.4, -0.3 + 0.5j])
     rng = np.random.default_rng(5)
     psi = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     psi /= np.linalg.norm(psi)
-    dense = weyl(b, f) @ psi
+    dense = expm(fock._weyl_generator(b, f).toarray()) @ psi
     krylov = apply_weyl(b, f, psi)
     assert np.max(np.abs(dense - krylov)) < 1e-9
 
 
 def test_bogoliubov_identity_and_squeezed_number():
     b = build_basis(1, 40)
-    assert np.allclose(bogoliubov(b, np.zeros((1, 1))), np.eye(b.dim))
+    assert np.allclose(apply_bogoliubov(b, np.zeros((1, 1)), np.eye(b.dim)),
+                       np.eye(b.dim))
     for r in (0.1, 0.5):
         K = np.array([[r]])
         sq = apply_bogoliubov(b, K, vacuum(b))
@@ -405,12 +412,14 @@ def test_bogoliubov_identity_and_squeezed_number():
 
 
 def test_apply_bogoliubov_matches_dense():
+    import gpk.fock as fock
+
     b = build_basis(2, 10)
     K = np.array([[0.2, 0.1], [0.1, -0.15]])
     rng = np.random.default_rng(8)
     psi = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     psi /= np.linalg.norm(psi)
-    dense = bogoliubov(b, K) @ psi
+    dense = expm(fock._bogoliubov_generator(b, K).toarray()) @ psi
     krylov = apply_bogoliubov(b, K, psi)
     assert np.max(np.abs(dense - krylov)) < 1e-9
 
@@ -418,9 +427,10 @@ def test_apply_bogoliubov_matches_dense():
 def test_bogoliubov_budget():
     b = build_basis(1, 20)
     with pytest.raises(TruncationBudgetError):
-        bogoliubov(b, np.array([[2.0]]))
+        apply_bogoliubov(b, np.array([[2.0]]), vacuum(b))
     with pytest.raises(DomainError):
-        bogoliubov(build_basis(2, 8), np.array([[0.0, 0.3], [0.1, 0.0]]))
+        b2 = build_basis(2, 8)
+        apply_bogoliubov(b2, np.array([[0.0, 0.3], [0.1, 0.0]]), vacuum(b2))
 
 
 def test_bogoliubov_conjugation():
@@ -821,6 +831,37 @@ def test_top_shell_share_of_a_block_is_the_share_of_each_column():
     assert top_shell_share(b, vacuum(b)) == 0.0
 
 
+def test_toy_study_of_a_blown_up_orbit_names_its_last_finite_time():
+    # at g = 1e4 the reference orbit leaves the floats in its second step
+    with pytest.raises(NumericalBlowupError,
+                       match=r"mean-field orbit blew up at g = 10000: not "
+                             r"finite at t = 0\.002, last finite at t = 0\.001$"
+                       ) as err:
+        toy_convergence_study(reference_scenario(coupling=1e4))
+    assert err.value.last_good_time == pytest.approx(0.001, rel=1e-12)
+
+
+@pytest.mark.parametrize("poisoned, error, what", [
+    (0, TruncationBudgetError, "truncation leakage nan above LEAKAGE_TOL"),
+    (1, InvariantViolation, "fluctuation norm drifted to nan"),
+], ids=["share", "norm"])
+def test_toy_study_refuses_a_nan_share_or_norm(monkeypatch, poisoned, error,
+                                               what):
+    # NaN fails every comparison, so a check that raises on `>` lets it by
+    import gpk.fock as fock
+
+    share_and_norm = fock._top_share_and_norm
+
+    def with_nan(basis, psi):
+        out = list(share_and_norm(basis, psi))
+        out[poisoned] = np.full_like(out[poisoned], np.nan)
+        return tuple(out)
+
+    monkeypatch.setattr(fock, "_top_share_and_norm", with_nan)
+    with pytest.raises(error, match=rf"{what} after factor T\(k_0\) at N = 4$"):
+        toy_convergence_study(reference_scenario())
+
+
 def test_toy_study_leakage_of_one_column_names_its_step_and_N(monkeypatch):
     # with LEAKAGE_TOL between the columns' shares after the step to
     # t = 0.006, only the column with the largest share passes it, and the
@@ -853,13 +894,23 @@ def test_toy_study_leakage_of_one_column_names_its_step_and_N(monkeypatch):
 
 
 @pytest.mark.parametrize("dense", [
-    lambda b: weyl(b, np.array([0.1, 0.0])),
-    lambda b: bogoliubov(b, np.array([[0.1, 0.0], [0.0, 0.1]])),
+    lambda b: check_weyl_relations(b, np.array([0.1, 0.0]),
+                                   np.array([0.0, 0.1])),
+    lambda b: bogoliubov_conjugation_residual(
+        b, np.array([[0.1, 0.0], [0.0, 0.1]]), np.array([1.0, 0.0])),
     lambda b: check_TNT_inequality(b, np.array([[0.1, 0.0], [0.0, 0.1]])),
     lambda b: generator_cancellation_check(
         b, [1.0, 1.0], 1.0, 16, np.array([1.0, 0.0]), 0.0025),
 ], ids=["weyl", "bogoliubov", "tnt", "cancellation"])
-def test_dense_exponentials_refuse_dimensions_past_the_cap(dense):
+def test_dense_exponentials_refuse_dimensions_past_the_cap(dense, monkeypatch):
+    # each probe check is refused before it builds a block or acts on one
+    import gpk.fock as fock
+
+    def no_block(*args):
+        raise AssertionError("a block was built past the cap")
+
+    monkeypatch.setattr(np, "eye", no_block)
+    monkeypatch.setattr(fock, "_expm_action", no_block)
     b = build_basis(2, 60)
     assert b.dim == 1891
     with pytest.raises(ConfigurationError, match="capped at dimension 1500"):
@@ -888,21 +939,6 @@ EXPM_BASES = [(2, 12), (2, 16), (3, 12)]
 
 
 @pytest.mark.parametrize("d, n_max", EXPM_BASES)
-def test_pade_exponential_matches_scipy(d, n_max):
-    import gpk.fock as fock
-
-    b, weyl_gen, bogoliubov_gen = _near_budget_generators(d, n_max)
-    for gen in (weyl_gen, bogoliubov_gen):
-        dense = gen.toarray()
-        U = fock._expm_pade(dense)
-        assert np.max(np.abs(U - expm(dense))) <= 1e-13
-        assert np.max(np.abs(U.conj().T @ U - np.eye(b.dim))) <= 1e-13
-    # near the Poisson budget the Weyl generator is past theta_13: the
-    # scaled degree-13 approximant is squared
-    assert np.linalg.norm(weyl_gen.toarray(), 1) > fock._PADE_THETA[13]
-
-
-@pytest.mark.parametrize("d, n_max", EXPM_BASES)
 def test_taylor_action_matches_scipy(d, n_max):
     import gpk.fock as fock
 
@@ -917,6 +953,10 @@ def test_taylor_action_matches_scipy(d, n_max):
             assert out.shape == psi.shape
             assert np.max(np.abs(out - expm_multiply(ref, psi))) <= 1e-13
             assert np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)) <= 1e-13
+        # on the identity block the action is the unitary itself
+        U = fock._expm_action(gen, np.eye(b.dim))
+        assert np.max(np.abs(U - expm(gen.toarray()))) <= 1e-13
+        assert np.max(np.abs(U.conj().T @ U - np.eye(b.dim))) <= 1e-13
     # near the Poisson budget the Weyl generator's 1-norm is past theta_55,
     # so the action takes more than one step
     assert np.linalg.norm(weyl_gen.toarray(), 1) > fock._TAYLOR_THETA[55]
