@@ -16,7 +16,10 @@ spectrum is truncated by the 2/3 rule before the potential is formed, which
 keeps every substep unitary and keeps the energy functional variationally
 paired with the right-hand side.  The density |phi|^2 is real, so the
 potential uses rfftn/irfftn with a half-spectrum multiplier.  Nothing is
-cached between calls.  `sobolev_report` takes one fftn of phi and one rfftn
+cached between calls, and within one a run holds a single drift table, the
+full step's: the half-step table is built when read (first and last step,
+each snapshot's un-drift), and the kick and the drift overwrite the running
+state.  `sobolev_report` takes one fftn of phi and one rfftn
 of |phi|^2 per snapshot and reads the Sobolev norms, the kinetic term and
 the spectral tail from per-axis moments of |phi_hat|^2 (a contraction one
 grid axis at a time, no full-grid table; the energy adds the density
@@ -52,7 +55,8 @@ from .errors import (
     NumericalBlowupError,
 )
 from .radial import (
-    RadialTransformTable, _unit_phase, tabulate_interaction_transform,
+    _PHASE_CHUNK, RadialTransformTable, _unit_phase,
+    tabulate_interaction_transform,
 )
 from .rates import RateReport, fit_rate
 
@@ -252,7 +256,12 @@ def _transforms(grid: GridSpec, first: int = 0):
     their input through `out=`, a call skips scipy's n-D axes handling
     (about 10 us, most of a 256-point step) and no scipy module loads.  2D
     and 3D grids take scipy.fft's n-D transforms, which numpy matches
-    neither bit for bit nor in speed at 64^3.
+    neither bit for bit nor in speed at 64^3.  Their irfft runs the two
+    passes of scipy's irfftn itself, the inverse fft over the leading grid
+    axes (in place with `overwrite_x`) and the 1D irfft over the last, then
+    scales by 1 / (number of points): scipy's irfftn puts the first pass
+    into a scratch copy of its input whatever `overwrite_x` says, and as
+    the scale is a power of two this has its bits.
     """
     if grid.dim == 1:
         n = grid.points_per_axis
@@ -267,35 +276,70 @@ def _transforms(grid: GridSpec, first: int = 0):
     from scipy import fft as sfft
 
     axes = tuple(range(first, first + grid.dim))
+    scale = 1.0 / math.prod(grid.shape)
+
+    def irfft(x, overwrite_x=False):
+        leading = sfft.ifftn(x, axes=axes[:-1], norm="forward",
+                             overwrite_x=overwrite_x)
+        out = sfft.irfft(leading, grid.points_per_axis, axis=axes[-1],
+                         norm="forward")
+        out *= scale
+        return out
+
     return (*(functools.partial(f, axes=axes)
-              for f in (sfft.fftn, sfft.ifftn, sfft.rfftn)),
-            functools.partial(sfft.irfftn, s=grid.shape, axes=axes))
+              for f in (sfft.fftn, sfft.ifftn, sfft.rfftn)), irfft)
 
 
 class _Stepper:
     """Strang-splitting machinery for one grid and a stack of nonlinearities,
-    one per member of the leading axis: the dt tables, the stacked density
-    multipliers and the FFTs over the `dim` axes after the member axis."""
+    one per member of the leading axis: the full-step drift table, the
+    stacked density multipliers and the FFTs over the `dim` axes after the
+    member axis.  The half-step table is built each time it is read."""
 
     def __init__(self, grid: GridSpec, nls):
+        self.grid = grid
         self.fft, self.ifft, self.rfft, self.irfft = _transforms(grid, first=1)
-        k2 = grid.k_squared()
-        self.full_drift = _unit_phase(-grid.dt * k2)
-        self.half_drift = _unit_phase(-0.5 * grid.dt * k2)
+        self.full_drift = self._drift_table(1.0)
         self.density_multiplier = np.stack(
             [_density_multiplier(grid, nl) for nl in nls])
 
+    @property
+    def half_drift(self):
+        """A fresh half-step drift table: a run reads it at its first and
+        last steps and at each snapshot, so none is kept in between."""
+        return self._drift_table(0.5)
+
+    def _drift_table(self, share):
+        """e^{-i share dt k^2}, built `_PHASE_CHUNK` angles of k^2 at a time
+        (whole slabs of the first grid axis), so no full-grid k^2 or scaled
+        angle is built.  Each slab's k^2 is summed in `k_squared`'s order,
+        the scale rides on `_unit_phase`'s half-angle product and halving is
+        exact, so this has the bits of `_unit_phase(-share * dt * k^2)`."""
+        grid, n = self.grid, self.grid.points_per_axis
+        table = np.empty(grid.shape, dtype=complex)
+        first, *others = grid._open_axes(grid.k_axes()[0] ** 2)
+        step = max(1, _PHASE_CHUNK // (table.size // n))
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            _unit_phase(functools.reduce(np.add, others, first[rows]), None,
+                        -share * grid.dt, out=table[rows])
+        return table
+
     def potential(self, values):
-        rho_hat = self.rfft(values.real**2 + values.imag**2)
+        rho_hat = self.rfft(_abs2(values))
         rho_hat *= self.density_multiplier
         return self.irfft(rho_hat, overwrite_x=True)
 
     def kick(self, values, dt):
         """values times the exact nonlinear phase e^{-i dt V}, V the density
-        potential of values, in a fresh array: `_unit_phase` scales V by -dt
-        in its half-angle step and forms the phase and the product in one
-        cache-sized pass per chunk of the grid."""
-        return _unit_phase(self.potential(values), values, -dt)
+        potential of values, in place when values is writable and contiguous
+        (else in a fresh array, as for the first kick of a multi-member
+        stack, a read-only broadcast of the drifted datum): `_unit_phase`
+        scales V by -dt in its half-angle step and forms the phase and the
+        product in one cache-sized pass per chunk of the grid."""
+        in_place = values.flags.writeable and values.flags.c_contiguous
+        return _unit_phase(self.potential(values), values, -dt,
+                           out=values if in_place else None)
 
     def drift(self, values, phase):
         """The drift of `values`, in place: pass a copy of a field to keep."""
@@ -317,15 +361,21 @@ def _density_multiplier(grid: GridSpec, nl: NonlinearitySpec) -> np.ndarray:
     return (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
 
 
+def _abs2(values: np.ndarray) -> np.ndarray:
+    """|v|^2 of a complex array, real**2 + imag**2 with one temporary."""
+    out = np.square(values.real)
+    out += np.square(values.imag)
+    return out
+
+
 def _density_spectrum(psi: WaveFunction) -> np.ndarray:
     """rfftn of the real density |phi|^2."""
-    return _transforms(psi.grid)[2](psi.values.real**2 + psi.values.imag**2)
+    return _transforms(psi.grid)[2](_abs2(psi.values))
 
 
 def _power(psi: WaveFunction) -> np.ndarray:
     """|phi_hat|^2 on the full spectrum."""
-    phi_hat = _transforms(psi.grid)[0](psi.values)
-    return phi_hat.real**2 + phi_hat.imag**2
+    return _abs2(_transforms(psi.grid)[0](psi.values))
 
 
 def _spectral_diagnostics(grid: GridSpec, power: np.ndarray):
@@ -369,7 +419,7 @@ def _spectral_diagnostics(grid: GridSpec, power: np.ndarray):
 def _energy(grid, multiplier, kinetic, rho_hat) -> float:
     """GP energy from the k^2 sum of |phi_hat|^2 and the density spectrum,
     with `multiplier` the nonlinearity's `_density_multiplier`."""
-    dens = multiplier * (rho_hat.real**2 + rho_hat.imag**2)
+    dens = multiplier * _abs2(rho_hat)
     # the half spectrum holds one mode of each +-k pair on the last axis,
     # except on its zero and Nyquist planes, which pair with themselves
     full = 2.0 * float(np.sum(dens)) - float(np.sum(dens[..., 0])) \
@@ -456,11 +506,13 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
     if n_steps:
         # drift-kick-drift with merged interior drifts: the running state
         # between snapshots carries an extra half drift (unitary, so the norm
-        # monitor is unaffected), undone only for snapshot copies.  A drift
-        # overwrites the kick's fresh output; the datum and the running
-        # state it un-drifts for a snapshot pass it copies.
-        vals = np.broadcast_to(
-            stepper.drift(values[None].copy(), stepper.half_drift), vals.shape)
+        # monitor is unaffected), undone only for snapshot copies.  The kick
+        # and the drift overwrite the running state, except that the first
+        # kick of a stack reads a read-only broadcast of the drifted datum;
+        # the datum and the running state it un-drifts for a snapshot pass
+        # them copies.
+        drifted = stepper.drift(values[None].copy(), stepper.half_drift)
+        vals = drifted if len(nls) == 1 else np.broadcast_to(drifted, vals.shape)
     for step in range(1, n_steps + 1):
         vals = stepper.kick(vals, grid.dt)
         last_step = step == n_steps
@@ -478,8 +530,12 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
                     f"beyond NORM_TOL = {NORM_TOL:g}"))
         if tracked and (last_step or step % stride == 0):
             times.append(step * grid.dt)
-            kept.append(vals[0] if last_step else stepper.drift(
-                vals[:1].copy(), np.conj(stepper.half_drift))[0])
+            if last_step:
+                kept.append(vals[0])
+            else:
+                undrift = stepper.half_drift
+                np.conjugate(undrift, out=undrift)
+                kept.append(stepper.drift(vals[:1].copy(), undrift)[0])
     if not tracked:
         return None, vals
     return Trajectory(np.array(times),
@@ -530,8 +586,9 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
         for n in _SOBOLEV_ORDERS:
             h_norms[n].append(norms[n])
         tails.append(tail)
-        rho_hat = _density_spectrum(state)
-        energies.append(_energy(grid, multiplier, kinetic, rho_hat))
+        # no name holds the density spectrum into the next snapshot's fftn
+        energies.append(_energy(grid, multiplier, kinetic,
+                                _density_spectrum(state)))
     return SobolevReport(
         times=traj.times,
         h_norms={n: np.array(v) for n, v in h_norms.items()},

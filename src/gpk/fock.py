@@ -323,11 +323,11 @@ def _expm_action(gen: LadderSum, psi: np.ndarray) -> np.ndarray:
 
 
 def _poisson_budget(basis: FockBasis, mean: float, what: str) -> None:
-    """Refuse a mean occupation past POISSON_SHARE * n_max."""
-    if mean > POISSON_SHARE * basis.n_max:
+    """Refuse a mean occupation past POISSON_SHARE * n_max, or a NaN one."""
+    if not mean <= POISSON_SHARE * basis.n_max:
         raise TruncationBudgetError(
-            f"{what} = {mean:.3g} exceeds the Poisson budget POISSON_SHARE * "
-            f"n_max = {POISSON_SHARE * basis.n_max:.3g}")
+            f"{what} = {mean:.3g} is not within the Poisson budget "
+            f"POISSON_SHARE * n_max = {POISSON_SHARE * basis.n_max:.3g}")
 
 
 def _weyl_generator(basis: FockBasis, f: np.ndarray) -> LadderSum:

@@ -20,10 +20,10 @@ sum_j c_j e^{i p_i r_j} for all i is one thin complex matrix product of
 c * e^{i p_{bB} r} with e^{i (p_k - p_0) r}.  That takes about
 2 sqrt(n_p) n_r tangents (`_unit_phase`) instead of n_p n_r sines and
 cosines, and no p x r buffer.
-The two phase tables are built once per call and every row of a stack
-goes through them in turn.  cos (dim 1) is the real part of the sums;
-j0(pr) r^2 = r sin(pr) / p (dim 3) is the imaginary part with one more
-factor r, divided by p.  The sum over r runs in blocks of radii whose
+The two phase tables are built a few radius blocks at a time, and every
+row of a stack goes through each piece in turn, so neither is held whole.
+cos (dim 1) is the real part of the sums; j0(pr) r^2 = r sin(pr) / p
+(dim 3) is the imaginary part with one more factor r, divided by p.  The sum over r runs in blocks of radii whose
 sums are added pairwise, so it carries less round-off than one long dot
 product.  The Bessel kernel J0 (dim 2) has no addition formula and is the
 one kernel that still uses the full p x r matrix, one product for all rows.
@@ -63,12 +63,15 @@ _INTERACTION_MOMENTA = 512
 _PHASE_CHUNK = 8192
 
 
-def _unit_phase(angle: np.ndarray, factor=None, scale: float = 1.0) -> np.ndarray:
+def _unit_phase(angle: np.ndarray, factor=None, scale: float = 1.0,
+                out=None) -> np.ndarray:
     """exp(1j * scale * angle), times `factor` (broadcast to the angles) if
-    given, from one tangent per angle: t = tan(angle * (scale / 2)),
-    r = 2 / (1 + t^2), cos = 1 - t^2 r, sin = t r.  The scale rides on the
-    half-angle product, so scaling the angles costs no pass of its own; as
-    halving is exact, the phase has the bits of `_unit_phase(angle * scale)`.
+    given, into `out` if given (a C-contiguous complex array of the angles'
+    shape, which may be `factor` itself), from one tangent per angle:
+    t = tan(angle * (scale / 2)), r = 2 / (1 + t^2), cos = 1 - t^2 r,
+    sin = t r.  The scale rides on the half-angle product, so scaling the
+    angles costs no pass of its own; as halving is exact, the phase has the
+    bits of `_unit_phase(angle * scale)`.
 
     numpy runs tan in SIMD but cos and sin in scalar libm, so this takes
     about half their time.  It agrees with them to round-off (6e-17 below
@@ -80,7 +83,8 @@ def _unit_phase(angle: np.ndarray, factor=None, scale: float = 1.0) -> np.ndarra
     factor` out of place, stay in cache, a member is cut alike alone or in
     a stack, and a factor broadcast over the members is not copied.
     """
-    out = np.empty(angle.shape, dtype=complex)
+    if out is None:
+        out = np.empty(angle.shape, dtype=complex)
     half = 0.5 * scale
     if angle.size <= _PHASE_CHUNK:
         # no flattening or slicing, about 2 us of a 1D stack's 10 us kick
@@ -132,30 +136,36 @@ def _phase_sums(r: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
     """sum_j c_j exp(i p_i r_j) for every p_i of the uniform grid p, one row
     per row of c: with B = ceil(sqrt(n_p)) and i = bB + k, entry (b, k) of
     (c * e^{i p_{bB} r}) @ e^{i (p_k - p_0) r}^T.  The two phase tables are
-    built once; the rows of c go through them one at a time, so no
-    rows x B x n_r product is formed and a row's result does not depend on
-    the other rows."""
+    built for `_PHASE_CHUNK` angles of radius blocks at a time, and every
+    row's block sums for those blocks are formed from them, so neither
+    table is held whole and no rows x B x n_r product is formed; a row's
+    result does not depend on the other rows."""
     stride = math.isqrt(p.size - 1) + 1
     starts = p[::stride]
+    momenta = np.concatenate([starts, p[:stride] - p[0]])
     n_blocks = -(-r.size // _BLOCK)
     padded = np.zeros(n_blocks * _BLOCK)
     padded[: r.size] = r
-    phases = _unit_phase(np.outer(np.concatenate([starts, p[:stride] - p[0]]),
-                                  padded))
-    # (block of radii, b, radius) and (block of radii, radius, k)
-    bases = phases[: starts.size].reshape(-1, n_blocks, _BLOCK).transpose(1, 0, 2)
-    offsets = phases[starts.size :].reshape(-1, n_blocks, _BLOCK).transpose(1, 2, 0)
     rows = c.reshape(-1, r.size)
-    out = np.empty((rows.shape[0], p.size), dtype=complex)
-    weights = np.zeros(padded.shape)  # the padding radii carry zero weight
-    terms = np.empty((n_blocks, starts.size, _BLOCK), dtype=complex)
+    weights = np.zeros((rows.shape[0], padded.size))  # zero on the padding
+    weights[:, : r.size] = rows
     # the block index last, so that numpy adds the block sums pairwise
-    block_sums = np.empty((starts.size, stride, n_blocks), dtype=complex)
-    for row, c_row in zip(out, rows):
-        weights[: r.size] = c_row
-        np.multiply(bases, weights.reshape(n_blocks, 1, _BLOCK), out=terms)
-        np.matmul(terms, offsets, out=block_sums.transpose(2, 0, 1))
-        row[:] = block_sums.sum(axis=-1).reshape(-1)[: p.size]
+    block_sums = np.empty((rows.shape[0], starts.size, stride, n_blocks),
+                          dtype=complex)
+    per_chunk = max(1, _PHASE_CHUNK // (momenta.size * _BLOCK))
+    for first in range(0, n_blocks, per_chunk):
+        blocks = slice(first, min(first + per_chunk, n_blocks))
+        radii = slice(blocks.start * _BLOCK, blocks.stop * _BLOCK)
+        phases = _unit_phase(np.outer(momenta, padded[radii]))
+        # (block of radii, b, radius) and (block of radii, radius, k)
+        bases = phases[: starts.size].reshape(
+            starts.size, -1, _BLOCK).transpose(1, 0, 2)
+        offsets = phases[starts.size :].reshape(
+            stride, -1, _BLOCK).transpose(1, 2, 0)
+        for sums, w in zip(block_sums, weights):
+            terms = bases * w[radii].reshape(-1, 1, _BLOCK)
+            np.matmul(terms, offsets, out=sums[..., blocks].transpose(2, 0, 1))
+    out = block_sums.sum(axis=-1).reshape(rows.shape[0], -1)[:, : p.size]
     return out.reshape(c.shape[:-1] + (p.size,))
 
 

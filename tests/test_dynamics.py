@@ -409,6 +409,70 @@ def test_comparing_five_members_holds_under_four_stacks(square_sol):
     assert peak < 4 * stack
 
 
+def test_a_one_member_evolve_holds_one_drift_table_and_kicks_in_place():
+    # resident: the full-step table, the running state, the datum's copy in
+    # the trajectory and the density multiplier; the half-step table is
+    # built from slabs of k^2 when read, and each kick overwrites the
+    # running state (6.40 fields before, 4.78 after)
+    grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.005)
+    psi0 = gaussian_datum(grid, sigma=1.5)
+    nl = NonlinearitySpec.gp(a0=0.1)
+    evolve(psi0, nl, grid, snapshot_stride=10**6)
+    tracemalloc.start()
+    try:
+        evolve(psi0, nl, grid, snapshot_stride=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.25 * psi0.values.nbytes
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32), (3, 32)])
+def test_stepper_drift_tables_have_the_bits_of_the_scaled_angles(dim, n):
+    # built slab by slab (four passes at 32^3) from the per-axis k^2
+    grid = GridSpec(dim=dim, box_length=9.0, points_per_axis=n, dt=-3e-3,
+                    t_final=0.0)
+    stepper = _Stepper(grid, [NonlinearitySpec.gp(a0=0.1)])
+    k2 = grid.k_squared()
+    assert np.array_equal(stepper.full_drift, _unit_phase(-grid.dt * k2))
+    half = stepper.half_drift
+    assert np.array_equal(half, _unit_phase(-0.5 * grid.dt * k2))
+    assert stepper.half_drift is not half  # built on each read, not kept
+
+
+def test_a_kick_overwrites_a_writable_stack_and_copies_a_broadcast():
+    grid = GridSpec(dim=2, box_length=9.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.0)
+    stepper = _Stepper(grid, [NonlinearitySpec.gp(a0=0.2)] * 3)
+    datum = gaussian_datum(grid, sigma=0.9).values
+    broadcast = np.broadcast_to(datum, (3, *grid.shape))
+    fresh = stepper.kick(broadcast, grid.dt)
+    assert fresh.flags.writeable and not np.shares_memory(fresh, datum)
+    stack = np.repeat(datum[None], 3, axis=0)
+    kicked = stepper.kick(stack, grid.dt)
+    assert kicked is stack
+    assert np.array_equal(kicked, fresh)
+
+
+@pytest.mark.parametrize("dim,first,lead", [(2, 0, ()), (3, 0, ()),
+                                             (3, 1, (1,)), (2, 1, (3,)),
+                                             (3, 2, (2, 3))])
+def test_the_nd_irfft_has_the_bits_of_scipys_irfftn(dim, first, lead):
+    # two passes of its own, the leading axes in place, then a power-of-two
+    # scale: scipy's irfftn runs the same passes through a scratch copy
+    grid = GridSpec(dim=dim, box_length=9.0, points_per_axis=16, dt=1e-3,
+                    t_final=0.0)
+    axes = tuple(range(first, first + dim))
+    rng = np.random.default_rng(dim + first)
+    spectrum = sfft.rfftn(rng.standard_normal(lead + grid.shape), axes=axes)
+    spectrum *= rng.uniform(0.5, 2.0, spectrum.shape)
+    expected = sfft.irfftn(spectrum, s=grid.shape, axes=axes)
+    irfft = dynamics._transforms(grid, first)[3]
+    assert np.array_equal(irfft(spectrum), expected)
+    assert np.array_equal(irfft(spectrum.copy(), overwrite_x=True), expected)
+
+
 def test_1d_stepper_transforms_equal_the_nd_transforms(square_sol):
     # the 1D stepper runs fft/rfft along the last axis; the n-D transforms
     # over the grid axis of the (member, x) stack must give the same bits

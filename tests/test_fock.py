@@ -356,6 +356,15 @@ def test_weyl_budget_error():
         apply_weyl(b, np.array([2.0]), vacuum(b))
 
 
+@pytest.mark.parametrize("f", [[np.nan, 0.0], [0.0, complex(0.0, np.nan)],
+                               [np.inf, 0.0]], ids=["nan", "nan-imag", "inf"])
+def test_a_non_finite_weyl_vector_is_refused_by_the_poisson_budget(f):
+    # a NaN passed `mean > budget` and died later as a bare ValueError
+    b = build_basis(2, 8)
+    with pytest.raises(TruncationBudgetError, match="Poisson budget"):
+        apply_weyl(b, f, vacuum(b))
+
+
 @pytest.mark.parametrize("f", [[0.1, 0.2, 0.9], [0.1]], ids=["3", "1"])
 def test_weyl_vectors_need_one_entry_per_mode(f):
     # an f of another length than d is refused, not cut to d or read as

@@ -196,6 +196,25 @@ def test_radial_hat_builds_no_momentum_by_radius_matrix(square_sol):
     assert peak < 0.5 * p.size * sig.size * 8
 
 
+def test_phase_sums_hold_no_whole_phase_table(square_sol):
+    # the kernel grid's two rows, w^2 and w'^2: the phase tables are built a
+    # few radius blocks at a time, so the peak (the two rows' block sums
+    # and one piece of the tables) stays below one whole table of
+    # 2 ceil(sqrt(n_p)) x n_r phases, which alone was 3.3 MB of a 6.1 MB peak
+    sig, w, dw, p = kernel_grid(square_sol, 1, 128, 16.0, 4)
+    rows = np.stack([w**2, dw**2])
+    stride = math.isqrt(p.size - 1) + 1
+    whole_table = 2 * stride * sig.size * 16
+    radial_hat(sig, rows, p, 3)
+    tracemalloc.start()
+    try:
+        radial_hat(sig, rows, p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_table
+
+
 def test_kernel_norms_hold_no_momentum_by_radius_matrix(square_sol):
     # criterion 5's largest N: the j1 kernel matrix at the former step,
     # 384 x 7741 float64, was 24 MB
