@@ -660,8 +660,8 @@ class Stage:
     """One pipeline stage, declared as data."""
 
     name: str
-    switch: tuple        # config sections that must all be present to run it
-    sections: tuple      # config sections hashed into its key
+    sections: tuple      # config sections hashed into its key; it runs
+                         # when the first is present
     needs: tuple         # upstream stages it reads; their artifacts key it
     outputs: tuple       # its files under the output directory
     run: Callable        # run(inputs, stepped, *output paths) on a miss, in
@@ -670,17 +670,16 @@ class Stage:
 
 
 STAGES = (
-    Stage("scattering", ("potential",), ("potential",), (),
+    Stage("scattering", ("potential",), (),
           ("scattering.json", "scattering.npz"),
           _run_scattering, _summarize_scattering),
-    Stage("evolve", ("grid", "datum"),
-          ("grid", "datum", "nonlinearity", "snapshots"), ("scattering",),
-          ("norms.csv",), _run_evolve, _summarize_evolve),
-    Stage("nsweep", ("nsweep",), ("grid", "datum", "nsweep"), ("scattering",),
+    Stage("evolve", ("grid", "datum", "nonlinearity", "snapshots"),
+          ("scattering",), ("norms.csv",), _run_evolve, _summarize_evolve),
+    Stage("nsweep", ("nsweep", "grid", "datum"), ("scattering",),
           ("rates.csv",), _run_nsweep, _summarize_nsweep),
-    Stage("kernels", ("kernels",), ("kernels",), ("scattering",),
+    Stage("kernels", ("kernels",), ("scattering",),
           ("kernel_bounds.csv",), _run_kernels, lambda path: (None, [])),
-    Stage("fock", ("fock",), ("fock",), (),
+    Stage("fock", ("fock",), (),
           ("fock_report.json", "toy_convergence.csv"),
           lambda inp, _, *paths: run_fock_stage(inp.cfg, *paths),
           lambda fock_json, conv_csv: (_read_json(fock_json)["summary"], [])),
@@ -693,8 +692,7 @@ def _plan(cfg: ExperimentConfig, wanted) -> list:
     for stage in reversed(STAGES):
         if stage.name in take:
             take.update(stage.needs)
-    return [s for s in STAGES
-            if s.name in take and all(cfg.has(sec) for sec in s.switch)]
+    return [s for s in STAGES if s.name in take and cfg.has(s.sections[0])]
 
 
 def make_directory(directory: Path, what: str) -> None:

@@ -119,6 +119,12 @@ class GridSpec:
     def k_squared(self) -> np.ndarray:
         return self._mesh(np.add, self.k_axes()[0] ** 2)
 
+    @property
+    def k_max_squared(self) -> float:
+        """max(k_squared()), as dim times the largest k_i^2 of one axis: no
+        full-grid table (for dim <= 3 both round to the same double)."""
+        return self.dim * float(np.max(self.k_axes()[0] ** 2))
+
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask on per-axis frequency indices."""
         n = self.points_per_axis
@@ -229,7 +235,7 @@ class NonlinearitySpec:
     @staticmethod
     def modified(sol, N: int, grid: GridSpec):
         """Tabulate uhat from a scattering solution for use on `grid`."""
-        p_max = math.sqrt(float(np.max(grid.k_squared()))) + 1e-9
+        p_max = math.sqrt(grid.k_max_squared) + 1e-9
         table = tabulate_interaction_transform(sol, grid.dim, p_max)
         if grid.dim == 3:
             expected = 8.0 * math.pi * sol.a0
@@ -368,16 +374,6 @@ def _abs2(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _density_spectrum(psi: WaveFunction) -> np.ndarray:
-    """rfftn of the real density |phi|^2."""
-    return _transforms(psi.grid)[2](_abs2(psi.values))
-
-
-def _power(psi: WaveFunction) -> np.ndarray:
-    """|phi_hat|^2 on the full spectrum."""
-    return _abs2(_transforms(psi.grid)[0](psi.values))
-
-
 def _spectral_diagnostics(grid: GridSpec, power: np.ndarray):
     """From the spectrum power = |phi_hat|^2: the H^n norm of phi for each n
     of `_SOBOLEV_ORDERS` (the multiplier is sum_{|alpha| <= n} k^(2 alpha)),
@@ -432,8 +428,7 @@ def time_steps(grid: GridSpec) -> int:
     stability budget, a t_final of the other sign than dt, a step count too
     large for a float or past STEP_BUDGET and a t_final that is not a whole
     number of dt steps."""
-    # k_max^2 is dim times the largest k_i^2 of one axis: no full-grid table
-    k2_max = grid.dim * float(np.max(grid.k_axes()[0] ** 2))
+    k2_max = grid.k_max_squared
     if abs(grid.dt) * k2_max > STABILITY_BUDGET:
         raise ConfigurationError(
             f"|dt| * k_max^2 = {abs(grid.dt) * k2_max:.3g} exceeds "
@@ -543,11 +538,9 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
 
 
 def gp_energy(psi: WaveFunction, nl: NonlinearitySpec) -> float:
-    """Conserved energy: kinetic term plus the nonlinearity-matched interaction."""
-    _, kinetic, _ = _spectral_diagnostics(psi.grid, _power(psi))
-    rho_hat = _density_spectrum(psi)
-    return _energy(psi.grid, _density_multiplier(psi.grid, nl), kinetic,
-                   rho_hat)
+    """Conserved energy: kinetic term plus the nonlinearity-matched
+    interaction, as `sobolev_report` computes it for one snapshot."""
+    return float(sobolev_report(Trajectory(np.zeros(1), [psi]), nl).energy[0])
 
 
 def tail_warnings(times, tail_mass) -> list:
@@ -574,21 +567,23 @@ def sobolev_report(traj: Trajectory, nl: NonlinearitySpec) -> SobolevReport:
 
     Each snapshot costs one fftn of phi and one rfftn of |phi|^2; the tail
     mass, the Sobolev norms and the energy all come from those two spectra,
-    the first through `_spectral_diagnostics`.  The density multiplier is
-    built once per report; the snapshots share one grid.
+    the first through `_spectral_diagnostics`.  The density multiplier and
+    the transforms are built once per report; the snapshots share one grid.
     """
     h_norms = {n: [] for n in _SOBOLEV_ORDERS}
     energies, tails = [], []
     grid = traj.states[0].grid
     multiplier = _density_multiplier(grid, nl)
+    fft, _, rfft, _ = _transforms(grid)
     for state in traj.states:
-        norms, kinetic, tail = _spectral_diagnostics(grid, _power(state))
+        norms, kinetic, tail = _spectral_diagnostics(
+            grid, _abs2(fft(state.values)))
         for n in _SOBOLEV_ORDERS:
             h_norms[n].append(norms[n])
         tails.append(tail)
         # no name holds the density spectrum into the next snapshot's fftn
         energies.append(_energy(grid, multiplier, kinetic,
-                                _density_spectrum(state)))
+                                rfft(_abs2(state.values))))
     return SobolevReport(
         times=traj.times,
         h_norms={n: np.array(v) for n, v in h_norms.items()},

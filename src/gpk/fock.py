@@ -59,6 +59,9 @@ def _compositions(n: int, d: int):
 
 @dataclass(frozen=True)
 class FockBasis:
+    """Occupations of d modes up to total n_max, graded-lexicographically;
+    `index`, `ladders` and `mode_products` are built on first use."""
+
     d: int
     n_max: int
     occupations: np.ndarray           # (dim, d) int
@@ -67,6 +70,11 @@ class FockBasis:
 
     def totals(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """Occupation tuple -> flat basis index, built once."""
+        return {occ: i for i, occ in enumerate(map(tuple, self.occupations.tolist()))}
 
     @functools.cached_property
     def ladders(self) -> tuple:
@@ -135,35 +143,6 @@ def _top_share_and_norm(basis: FockBasis, psi: np.ndarray):
 # ladder operators and standard observables
 # ---------------------------------------------------------------------------
 
-def _rank(occupations: np.ndarray) -> np.ndarray:
-    """Flat basis index of each occupation row, without a lookup.
-
-    The shells below total n hold C(n - 1 + d, d) states.  Inside a shell,
-    the states before `occ` are counted mode by mode: with `left` particles
-    still to place on modes i..d-1, those with more than occ_i on mode i
-    number C(left - occ_i + d - 2 - i, d - 1 - i) (a hockey-stick sum).
-    """
-    d = occupations.shape[1]
-    left = occupations.sum(axis=1)
-    index = _binomial(left - 1 + d, d)
-    for i in range(d - 1):
-        index += _binomial(left - occupations[:, i] + d - 2 - i, d - 1 - i)
-        left = left - occupations[:, i]
-    return index
-
-
-def _binomial(top: np.ndarray, k: int) -> np.ndarray:
-    """C(top, k) elementwise for integer arrays top >= k - 1, exactly.
-
-    After step j the running value is C(top - k + j, j), an integer no
-    larger than the result, so floor division is exact.
-    """
-    out = np.ones_like(top)
-    for j in range(1, k + 1):
-        out = out * (top - k + j) // j
-    return out
-
-
 @dataclass(frozen=True)
 class LadderSum:
     """A sum of k ladder monomials over one basis, stacked and read-only.  A
@@ -205,14 +184,15 @@ class LadderSum:
 
 
 def ladder(basis: FockBasis, mode: int):
-    """(a, a_dagger) for one mode, with the standard sqrt(n) matrix elements."""
+    """(a, a_dagger) for one mode, with the standard sqrt(n) matrix elements;
+    the row of each lowered occupation is looked up in `basis.index`."""
     if not 0 <= mode < basis.d:
         raise DomainError(f"mode {mode} outside 0..{basis.d - 1}")
     cols = np.flatnonzero(basis.occupations[:, mode])
     lowered = basis.occupations[cols]
     vals = np.sqrt(lowered[:, mode].astype(float))
     lowered[:, mode] -= 1
-    rows = _rank(lowered)
+    rows = [basis.index[occ] for occ in map(tuple, lowered.tolist())]
     src = np.zeros((2, basis.dim), dtype=np.int64)
     weight = np.zeros((2, basis.dim))
     src[0, rows], src[1, cols] = cols, rows

@@ -192,7 +192,7 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     grid = phi.grid
     d = grid.dim
     kabs = np.sqrt(grid.k_squared())
-    p_max = float(np.max(kabs)) * 1.0000001 + 1e-12
+    p_max = math.sqrt(grid.k_max_squared) * 1.0000001 + 1e-12
     half_box = 0.5 * grid.box_length
     sigma_max = N * half_box
     # resolve the angular kernel oscillation at the largest momentum

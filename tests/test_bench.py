@@ -1215,6 +1215,22 @@ def test_radial_step_wider_than_the_well_exits_2(tmp_path, capsys):
     assert "rmax / points = 12.5 exceeds r_support = 1.0" in err
 
 
+def test_a_config_without_datum_evolves_the_default_datum(tmp_path):
+    # a stage runs when its first section is present: [grid] for evolve,
+    # whose [datum] may be left at its defaults, as nsweep's already is
+    text = BASE_CONFIG.replace("[datum]\nsigma = 1.0\n", "")
+    assert "[datum]" not in text
+    run_pipeline(load_config(write_config(tmp_path, text, "bare.ini")))
+    outdir = tmp_path / "out"
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["stages"] == ["scattering", "evolve", "nsweep"]
+    assert (outdir / "norms.csv").exists()
+    # the default datum is the one an explicit [datum] sigma = 1.0 gives
+    written = (outdir / "norms.csv").read_bytes()
+    run_pipeline(load_config(write_config(tmp_path)))
+    assert (outdir / "norms.csv").read_bytes() == written
+
+
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
 FOCK_D2 = """h = 0.0 -1.0 ; -1.0 0.2
 u = 1.0 1.0
@@ -1480,7 +1496,7 @@ def reference_config(tmp_path):
     return cfg_path
 
 
-def test_the_forked_fock_stage_writes_the_bytes_of_one_in_process(
+def test_the_fock_stage_of_a_run_writes_the_bytes_of_run_fock_stage(
         tmp_path, capsys):
     # the fock stage of `gpk run` writes what run_fock_stage alone writes
     cfg_path = reference_config(tmp_path)
@@ -1500,7 +1516,7 @@ def test_the_forked_fock_stage_writes_the_bytes_of_one_in_process(
     ("run", "toy-study"), ("run", "after-the-json"),
     ("fock --scenario", "toy-study"), ("fock --scenario", "after-the-json"),
 ], ids=["toy-study", "after-the-json", "lone-toy-study", "lone-after-the-json"])
-def test_an_error_in_the_forked_stage_exits_as_it_would_in_process(
+def test_an_error_in_the_fock_stage_exits_3_and_leaves_no_fock_output(
         tmp_path, capsys, monkeypatch, command, where):
     def over_budget(*args):
         raise TruncationBudgetError("the cutoff cannot hold the state")
@@ -1519,8 +1535,8 @@ def test_an_error_in_the_forked_stage_exits_as_it_would_in_process(
         CHAIN_FILES if command == "run" else set())
 
 
-def test_a_parent_failure_kills_and_reaps_the_child(tmp_path, capsys,
-                                                     monkeypatch):
+def test_a_failure_before_the_fock_stage_ends_the_run(tmp_path, capsys,
+                                                        monkeypatch):
     # a failure in the chain ends the run before the fock stage
     def drifting(*args, **kwargs):
         raise InvariantViolation("norm drift")

@@ -521,6 +521,15 @@ def test_nan_member_of_the_n_sweep_raises_blowup_naming_it():
     assert info.value.last_good_time == 0.0
 
 
+@pytest.mark.parametrize("dim, n", [(d, n) for d in (1, 2, 3)
+                                    for n in (16, 64, 256) if d < 3 or n <= 64])
+def test_k_max_squared_has_the_bits_of_the_full_grid_max(dim, n):
+    for L in (0.37, 1.0, 7.3, 12.0, 16.0, 1e3):
+        grid = GridSpec(dim=dim, box_length=L, points_per_axis=n, dt=1e-3,
+                        t_final=1e-3)
+        assert grid.k_max_squared == float(np.max(grid.k_squared()))
+
+
 def test_stability_budget_rejects_large_dt():
     grid = GridSpec(dim=1, box_length=8.0, points_per_axis=256, dt=0.5, t_final=1.0)
     psi0 = gaussian_datum(grid, sigma=1.0)

@@ -149,7 +149,8 @@ def loop_built_annihilator(basis, mode):
                          shape=(basis.dim, basis.dim), dtype=complex)
 
 
-@pytest.mark.parametrize("d, n_max", [(1, 12), (2, 9), (3, 6)])
+# (70, 1): a wide basis, whose mixed-radix occupation keys overflow int64
+@pytest.mark.parametrize("d, n_max", [(1, 12), (2, 9), (3, 6), (70, 1)])
 def test_cached_ladders_equal_loop_built_ones(d, n_max):
     b = build_basis(d, n_max)
     ann, cre = b.ladders
