@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -89,7 +90,9 @@ def _cmd_kernels(args) -> int:
     scattering = _existing(args.scattering, "--scattering")
     phi_path = _existing(args.phi, "--phi")
     sol = load_solution_json(scattering)
-    phi, _ = read_field(phi_path)
+    phi, _ = read_field(phi_path)  # the bits as written, NaN too
+    if not 0 < phi.l2_norm < math.inf:  # a NaN norm fails too
+        raise ConfigurationError(f"{phi_path}: field is not finite or has zero norm")
     # the reader and bound of [kernels] n_values
     n_list = parse_value("--N", SCHEMA["kernels"]["n_values"], args.N)
     outdir = Path(args.out)

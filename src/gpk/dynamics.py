@@ -17,16 +17,16 @@ keeps every substep unitary and keeps the energy functional variationally
 paired with the right-hand side.  The density |phi|^2 is real, so the
 potential uses rfftn/irfftn with a half-spectrum multiplier.  Nothing is
 cached between calls, and within one a run holds a single drift table, the
-full step's: the half-step table is built when read (first and last step,
-each snapshot's un-drift), and the kick and the drift overwrite the running
-state.  `sobolev_report` takes one fftn of phi and one rfftn
-of |phi|^2 per snapshot and reads the Sobolev norms, the kinetic term and
-the spectral tail from per-axis moments of |phi_hat|^2 (a contraction one
-grid axis at a time, no full-grid table; the energy adds the density
-term).  One step loop, `_propagate`, takes one datum and a list of
-nonlinearities: it checks and drifts the datum once, broadcasts it into a
-stack of fields (leading member axis, one nonlinearity each), and keeps
-the snapshots of the leading member only when asked.  `evolve` is its
+full step's: the signed half-step tables are built at the first and last
+steps and at each snapshot's un-drift, and the kick and the drift
+overwrite the running stack.  `sobolev_report` takes one fftn of phi and
+one rfftn of |phi|^2 per snapshot and reads the Sobolev norms, the kinetic
+term and the spectral tail from per-axis moments of |phi_hat|^2 (a
+contraction one grid axis at a time, no full-grid table; the energy adds
+the density term).  One step loop, `_propagate`, takes one datum and a
+list of nonlinearities: it checks the datum once, copies it into a stack
+of fields (leading member axis, one nonlinearity each), and keeps the
+snapshots of the leading member only when asked.  `evolve` is its
 one-member case with snapshots, and `compare_dynamics` an N sweep with its
 final states only.  `evolve_and_compare` steps a trajectory and a sweep
 from the same datum in one call when they take the same number of steps;
@@ -194,15 +194,21 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0) -> WaveFunction:
     Summing the nearest box images keeps the torus field smooth at the box
     edge, so its spectrum decays like the free-space transform.
     """
-    if not sigma > 0:
-        raise DomainError(f"Gaussian width sigma = {sigma} must be positive")
+    if not (sigma > 0 and 0 < sigma * sigma < math.inf):  # as sigma**2 below
+        raise DomainError(f"Gaussian width sigma = {sigma} must be positive "
+                          "with a finite, non-zero square")
     L = grid.box_length
     facs = [sum(np.exp(-((x + m * L) ** 2) / (4 * sigma**2)) for m in (-1, 0, 1))
             for x in grid.axes()]
     vals = grid._mesh(np.multiply, facs)
     vals = vals.astype(complex) * (2 * math.pi * sigma**2) ** (-grid.dim / 4.0)
-    vals /= math.sqrt(_mass(vals) * grid.cell)
-    return WaveFunction(values=vals, grid=grid)
+    with np.errstate(divide="ignore", invalid="ignore"):  # refused below
+        vals /= math.sqrt(_mass(vals) * grid.cell)
+    psi = WaveFunction(values=vals, grid=grid)
+    if not abs(psi.l2_norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
+        raise DomainError(f"Gaussian width sigma = {sigma} gives no finite "
+                          "unit-norm field on this grid (NORM_TOL)")
+    return psi
 
 
 @dataclass(frozen=True)
@@ -300,7 +306,7 @@ class _Stepper:
     """Strang-splitting machinery for one grid and a stack of nonlinearities,
     one per member of the leading axis: the full-step drift table, the
     stacked density multipliers and the FFTs over the `dim` axes after the
-    member axis.  The half-step table is built each time it is read."""
+    member axis.  Any other table is built by `_drift_table` when needed."""
 
     def __init__(self, grid: GridSpec, nls):
         self.grid = grid
@@ -308,12 +314,6 @@ class _Stepper:
         self.full_drift = self._drift_table(1.0)
         self.density_multiplier = np.stack(
             [_density_multiplier(grid, nl) for nl in nls])
-
-    @property
-    def half_drift(self):
-        """A fresh half-step drift table: a run reads it at its first and
-        last steps and at each snapshot, so none is kept in between."""
-        return self._drift_table(0.5)
 
     def _drift_table(self, share):
         """e^{-i share dt k^2}, built `_PHASE_CHUNK` angles of k^2 at a time
@@ -338,14 +338,10 @@ class _Stepper:
 
     def kick(self, values, dt):
         """values times the exact nonlinear phase e^{-i dt V}, V the density
-        potential of values, in place when values is writable and contiguous
-        (else in a fresh array, as for the first kick of a multi-member
-        stack, a read-only broadcast of the drifted datum): `_unit_phase`
-        scales V by -dt in its half-angle step and forms the phase and the
-        product in one cache-sized pass per chunk of the grid."""
-        in_place = values.flags.writeable and values.flags.c_contiguous
-        return _unit_phase(self.potential(values), values, -dt,
-                           out=values if in_place else None)
+        potential of values, in place: `_unit_phase` scales V by -dt in its
+        half-angle step and forms the phase and the product in one
+        cache-sized pass per chunk of the grid."""
+        return _unit_phase(self.potential(values), values, -dt, out=values)
 
     def drift(self, values, phase):
         """The drift of `values`, in place: pass a copy of a field to keep."""
@@ -471,13 +467,13 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
     """Strang steps of psi0 to grid.t_final under each of `nls`, member i of a
     stack (leading axis) under nls[i] and named by labels[i] in an error.
     Returns the leading member's Trajectory (None unless `tracked`) and the
-    final stack (after zero steps, a read-only broadcast of psi0).  The
+    final stack (after zero steps, a copy of psi0 per member).  The
     trajectory holds a copy of psi0, a snapshot every `stride` steps
     (default: 16 per run) and the final state, a view of the final stack.
 
-    The datum is checked once (on the grid, finite, unit norm), drifted once
-    and broadcast into the stack by the first kick; every member is checked
-    after every step by the norm monitor.
+    The datum is checked once (on the grid, finite, unit norm) and copied
+    into the stack; every member is checked after every step by the norm
+    monitor.
     """
 
     def named(i, message):
@@ -497,23 +493,18 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
     stride = stride or max(1, n_steps // 16)
     stepper = _Stepper(grid, nls)
     times, kept = [0.0], [values.copy()] if tracked else []
-    vals = np.broadcast_to(values, (len(nls), *grid.shape))  # read-only
+    vals = np.repeat(values[None], len(nls), axis=0)
     if n_steps:
         # drift-kick-drift with merged interior drifts: the running state
         # between snapshots carries an extra half drift (unitary, so the norm
         # monitor is unaffected), undone only for snapshot copies.  The kick
-        # and the drift overwrite the running state, except that the first
-        # kick of a stack reads a read-only broadcast of the drifted datum;
-        # the datum and the running state it un-drifts for a snapshot pass
-        # them copies.
-        drifted = stepper.drift(values[None].copy(), stepper.half_drift)
-        vals = drifted if len(nls) == 1 else np.broadcast_to(drifted, vals.shape)
+        # and the drift overwrite the running stack.
+        vals = stepper.drift(vals, stepper._drift_table(0.5))
     for step in range(1, n_steps + 1):
         vals = stepper.kick(vals, grid.dt)
         last_step = step == n_steps
-        vals = stepper.drift(
-            vals, stepper.half_drift if last_step else stepper.full_drift
-        )
+        vals = stepper.drift(vals, stepper._drift_table(0.5) if last_step
+                             else stepper.full_drift)
         norms = np.sqrt(_member_masses(vals) * cell).tolist()
         for i, norm in enumerate(norms):
             if not math.isfinite(norm):
@@ -528,9 +519,8 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
             if last_step:
                 kept.append(vals[0])
             else:
-                undrift = stepper.half_drift
-                np.conjugate(undrift, out=undrift)
-                kept.append(stepper.drift(vals[:1].copy(), undrift)[0])
+                kept.append(stepper.drift(vals[:1].copy(),
+                                          stepper._drift_table(-0.5))[0])
     if not tracked:
         return None, vals
     return Trajectory(np.array(times),

@@ -77,11 +77,10 @@ def _unit_phase(angle: np.ndarray, factor=None, scale: float = 1.0,
     about half their time.  It agrees with them to round-off (6e-17 below
     1e-4, 5e-16 on any angle) with no bias in cos^2 + sin^2; r - 1 for the
     cosine would grow a run's norm by about 1e-16 a step.  At odd multiples
-    of pi, t is about 1e16 and t^2 r rounds to 2.  The angles go in chunks
-    of `_PHASE_CHUNK`, member by member when every member (row of the
-    leading axis) fills a chunk: the scratch and the product, `phase *
-    factor` out of place, stay in cache, a member is cut alike alone or in
-    a stack, and a factor broadcast over the members is not copied.
+    of pi, t is about 1e16 and t^2 r rounds to 2.  Past `_PHASE_CHUNK`
+    angles, the flat angles go in chunks of that size, so the scratch and
+    the product, `phase * factor` out of place, stay in cache; `out` must
+    then be C-contiguous, or its flat view would be a copy.
     """
     if out is None:
         out = np.empty(angle.shape, dtype=complex)
@@ -90,16 +89,15 @@ def _unit_phase(angle: np.ndarray, factor=None, scale: float = 1.0,
         # no flattening or slicing, about 2 us of a 1D stack's 10 us kick
         _phase_pass(angle, out, factor, half)
         return out
-    rows = (angle.shape[0]
-            if angle.ndim > 1 and angle[0].size >= _PHASE_CHUNK else 1)
-    factors = ([None] * rows if factor is None else
-               np.broadcast_to(factor, angle.shape).reshape(rows, -1))
-    for row, row_out, row_factor in zip(angle.reshape(rows, -1),
-                                        out.reshape(rows, -1), factors):
-        for start in range(0, row.size, _PHASE_CHUNK):
-            chunk = slice(start, start + _PHASE_CHUNK)
-            _phase_pass(row[chunk], row_out[chunk],
-                        None if row_factor is None else row_factor[chunk], half)
+    if not out.flags.c_contiguous:
+        raise DomainError("past one chunk, out must be C-contiguous")
+    flat, angle = out.reshape(-1), angle.reshape(-1)
+    if factor is not None:
+        factor = np.broadcast_to(factor, out.shape).reshape(-1)
+    for start in range(0, angle.size, _PHASE_CHUNK):
+        chunk = slice(start, start + _PHASE_CHUNK)
+        _phase_pass(angle[chunk], flat[chunk],
+                    None if factor is None else factor[chunk], half)
     return out
 
 

@@ -263,6 +263,34 @@ def test_cli_kernels_arrays_that_are_not_one_profile_exit_2(
     assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
 
 
+@pytest.mark.parametrize("value, where", [(np.nan, 5), (0.0, slice(None))],
+                         ids=["one-nan", "all-zero"])
+def test_cli_kernels_field_that_is_not_finite_or_has_zero_norm_exits_2(
+        tmp_path, capsys, value, where):
+    _, args = scattering_artifact(tmp_path, capsys)
+    phi_path = tmp_path / "phi.bin"
+    psi, _ = read_field(phi_path)
+    values = psi.values.copy()
+    values[where] = value
+    write_field(phi_path, WaveFunction(values=values, grid=psi.grid))
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {phi_path}: field is not finite or has zero norm" in err
+    assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("sigma = 1.0", "sigma = 1e-300"),
+    ("[output]", "[kernels]\nn_values = 2\nsigma = 1e308\n\n[output]"),
+], ids=["datum-underflow", "kernels-overflow"])
+def test_a_gaussian_width_whose_square_leaves_the_floats_exits_2(
+        tmp_path, capsys, line, bad):
+    cfg_path = write_config(tmp_path, BASE_CONFIG.replace(line, bad))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Gaussian width sigma = 1e" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("rmax", [0.0, -5.0, [5.0], "5.0", True],
                          ids=["zero", "negative", "a-list", "a-text", "true"])
 def test_cli_kernels_rmax_that_is_not_a_positive_number_exits_2(

@@ -145,6 +145,14 @@ def test_energy_conservation_and_dt_refinement():
     assert coarse / fine >= 3.9  # second-order splitting: asymptotic factor 4
 
 
+def test_a_gaussian_whose_normalisation_underflows_is_refused():
+    # sigma**2 is finite, but every sample squared underflows to 0
+    grid = GridSpec(dim=3, box_length=16.0, points_per_axis=16, dt=1e-3,
+                    t_final=0.0)
+    with pytest.raises(DomainError, match="unit-norm"):
+        gaussian_datum(grid, sigma=1e150)
+
+
 def test_time_reversal_returns_datum():
     grid = grid1d(n=256, dt=1e-3, T=0.5)
     psi0 = gaussian_datum(grid, sigma=1.0)
@@ -392,8 +400,8 @@ def test_a_sweep_keeps_only_its_datum_and_final_stacks(square_sol, monkeypatch):
 
 
 def test_comparing_five_members_holds_under_four_stacks(square_sol):
-    # one datum per run: it is drifted once and broadcast into the running
-    # stack, with no stack of datum copies and no first snapshot of a sweep
+    # the running stack holds the one copy of the datum per member, which
+    # the kick and the drift overwrite, and a sweep keeps no first snapshot
     grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3,
                     t_final=0.005)
     psi0 = gaussian_datum(grid, sigma=1.5)
@@ -411,9 +419,9 @@ def test_comparing_five_members_holds_under_four_stacks(square_sol):
 
 def test_a_one_member_evolve_holds_one_drift_table_and_kicks_in_place():
     # resident: the full-step table, the running state, the datum's copy in
-    # the trajectory and the density multiplier; the half-step table is
-    # built from slabs of k^2 when read, and each kick overwrites the
-    # running state (6.40 fields before, 4.78 after)
+    # the trajectory and the density multiplier; the half-step tables are
+    # built from slabs of k^2 at the first and last steps, and each kick
+    # overwrites the running state (6.40 fields before, 4.78 after)
     grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3,
                     t_final=0.005)
     psi0 = gaussian_datum(grid, sigma=1.5)
@@ -436,23 +444,31 @@ def test_stepper_drift_tables_have_the_bits_of_the_scaled_angles(dim, n):
     stepper = _Stepper(grid, [NonlinearitySpec.gp(a0=0.1)])
     k2 = grid.k_squared()
     assert np.array_equal(stepper.full_drift, _unit_phase(-grid.dt * k2))
-    half = stepper.half_drift
+    half = stepper._drift_table(0.5)
     assert np.array_equal(half, _unit_phase(-0.5 * grid.dt * k2))
-    assert stepper.half_drift is not half  # built on each read, not kept
+    # a snapshot's un-drift: tan is odd, so the -0.5 table is the conjugate
+    assert np.array_equal(stepper._drift_table(-0.5), np.conj(half))
 
 
-def test_a_kick_overwrites_a_writable_stack_and_copies_a_broadcast():
+def test_a_kick_overwrites_a_writable_stack():
     grid = GridSpec(dim=2, box_length=9.0, points_per_axis=32, dt=1e-3,
                     t_final=0.0)
     stepper = _Stepper(grid, [NonlinearitySpec.gp(a0=0.2)] * 3)
     datum = gaussian_datum(grid, sigma=0.9).values
-    broadcast = np.broadcast_to(datum, (3, *grid.shape))
-    fresh = stepper.kick(broadcast, grid.dt)
-    assert fresh.flags.writeable and not np.shares_memory(fresh, datum)
     stack = np.repeat(datum[None], 3, axis=0)
+    fresh = _unit_phase(stepper.potential(stack), stack, -grid.dt)
     kicked = stepper.kick(stack, grid.dt)
     assert kicked is stack
     assert np.array_equal(kicked, fresh)
+
+
+def test_a_run_of_zero_steps_returns_a_writable_copy_of_the_datum():
+    grid = grid1d(n=64, dt=1e-3, T=0.0)
+    psi0 = gaussian_datum(grid, sigma=1.0)
+    _, final = dynamics._propagate(psi0, [NonlinearitySpec.gp(0.1)] * 2,
+                                   ["", ""], grid, tracked=False)
+    assert final.flags.writeable and not np.shares_memory(final, psi0.values)
+    assert np.array_equal(final, np.stack([psi0.values] * 2))
 
 
 @pytest.mark.parametrize("dim,first,lead", [(2, 0, ()), (3, 0, ()),
@@ -493,7 +509,7 @@ def test_1d_stepper_transforms_equal_the_nd_transforms(square_sol):
     kicked = _unit_phase(angle) * values
     assert np.array_equal(stepper.kick(values, grid.dt), kicked)
 
-    for phase in (stepper.half_drift, stepper.full_drift):
+    for phase in (stepper._drift_table(0.5), stepper.full_drift):
         drifted = sfft.ifftn(sfft.fftn(values, axes=axes) * phase, axes=axes)
         assert np.array_equal(stepper.drift(values, phase), drifted)
 
