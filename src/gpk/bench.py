@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -267,6 +268,14 @@ def _check_rules(cfg: ExperimentConfig) -> None:
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{path} {where}: " + str(exc).replace(
                     "t_final", time_key or "t_final")) from None
+    if cfg.has("kernels"):  # `kernel_hs_norms` tabulates w out to this radius
+        k = cfg.values["kernels"]
+        n_max = max(k["n_values"])
+        if not (n_max <= sys.float_info.max
+                and n_max * (0.5 * k["length"]) < math.inf):
+            raise ConfigurationError(
+                f"{path}: [kernels] length = {k['length']:g} gives a kernel "
+                f"radius N * length / 2 past the float range at N = {n_max}")
     if cfg.has("fock"):
         _check_fock_scenario(path, cfg.values["fock"])
 

@@ -26,7 +26,8 @@ contraction one grid axis at a time, no full-grid table; the energy adds
 the density term).  One step loop, `_propagate`, takes one datum and a
 list of nonlinearities: it checks the datum once, copies it into a stack
 of fields (leading member axis, one nonlinearity each), and keeps the
-snapshots of the leading member only when asked.  `evolve` is its
+snapshots of the leading member only when asked, the first of them the
+datum's own array rather than a copy.  `evolve` is its
 one-member case with snapshots, and `compare_dynamics` an N sweep with its
 final states only.  `evolve_and_compare` steps a trajectory and a sweep
 from the same datum in one call when they take the same number of steps;
@@ -116,8 +117,8 @@ class GridSpec:
         k = 2.0 * math.pi * np.fft.fftfreq(n, d=self.dx)
         return [k] * self.dim
 
-    def k_squared(self) -> np.ndarray:
-        return self._mesh(np.add, self.k_axes()[0] ** 2)
+    def k_squared(self, half: bool = False) -> np.ndarray:
+        return self._mesh(np.add, self.k_axes()[0] ** 2, half)
 
     @property
     def k_max_squared(self) -> float:
@@ -125,16 +126,21 @@ class GridSpec:
         full-grid table (for dim <= 3 both round to the same double)."""
         return self.dim * float(np.max(self.k_axes()[0] ** 2))
 
-    def dealias_mask(self) -> np.ndarray:
+    def dealias_mask(self, half: bool = False) -> np.ndarray:
         """2/3-rule mask on per-axis frequency indices."""
         n = self.points_per_axis
         keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3.0
-        return self._mesh(np.logical_and, keep)
+        return self._mesh(np.logical_and, keep, half)
 
-    def _mesh(self, op, per_axis) -> np.ndarray:
+    def _mesh(self, op, per_axis, half: bool = False) -> np.ndarray:
         """Full-grid table op(t_1[i_1], ..., t_d[i_d]) of per-axis tables, one
-        for every axis or a list of `dim` (see `_open_axes`)."""
-        return functools.reduce(op, self._open_axes(per_axis))
+        for every axis or a list of `dim` (see `_open_axes`).  With `half`, the
+        table on the rfftn half spectrum: the last axis keeps its first
+        n // 2 + 1 modes, with the bits of the full table's slice."""
+        tables = self._open_axes(per_axis)
+        if half:
+            tables[-1] = tables[-1][..., : self.points_per_axis // 2 + 1]
+        return functools.reduce(op, tables)
 
     def _open_axes(self, per_axis, trailing: int = 0) -> list[np.ndarray]:
         """Per-axis tables laid along each grid axis in turn, broadcastable to
@@ -198,10 +204,16 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0) -> WaveFunction:
         raise DomainError(f"Gaussian width sigma = {sigma} must be positive "
                           "with a finite, non-zero square")
     L = grid.box_length
+    reach = 1.5 * L  # the farthest box image below: x + m L with x = -L / 2
+    if not reach * reach / (4 * sigma**2) < math.inf:  # a NaN fails too
+        raise DomainError(f"Gaussian width sigma = {sigma} on box_length = "
+                          f"{L:g} puts its exponent (1.5 L)^2 / (4 sigma^2) "
+                          "past the float range")
     facs = [sum(np.exp(-((x + m * L) ** 2) / (4 * sigma**2)) for m in (-1, 0, 1))
             for x in grid.axes()]
     vals = grid._mesh(np.multiply, facs)
-    vals = vals.astype(complex) * (2 * math.pi * sigma**2) ** (-grid.dim / 4.0)
+    vals *= (2 * math.pi * sigma**2) ** (-grid.dim / 4.0)
+    vals = vals.astype(complex)  # the one complex field
     with np.errstate(divide="ignore", invalid="ignore"):  # refused below
         vals /= math.sqrt(_mass(vals) * grid.cell)
     psi = WaveFunction(values=vals, grid=grid)
@@ -353,13 +365,13 @@ class _Stepper:
 def _density_multiplier(grid: GridSpec, nl: NonlinearitySpec) -> np.ndarray:
     """Dealiased density multiplier on the rfftn half spectrum (last axis halved).
 
-    It depends on |k_i| only, so the half spectrum carries all of it.
+    It depends on |k_i| only, so the half spectrum carries all of it, and
+    its tables are built on the half spectrum alone.
     """
-    half = (..., slice(0, grid.points_per_axis // 2 + 1))
-    mask = grid.dealias_mask()[half]
+    mask = grid.dealias_mask(half=True)
     if nl.kind == "gp":
         return nl.coupling * mask
-    kabs = np.sqrt(grid.k_squared()[half])
+    kabs = np.sqrt(grid.k_squared(half=True))
     return (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
 
 
@@ -467,9 +479,11 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
     """Strang steps of psi0 to grid.t_final under each of `nls`, member i of a
     stack (leading axis) under nls[i] and named by labels[i] in an error.
     Returns the leading member's Trajectory (None unless `tracked`) and the
-    final stack (after zero steps, a copy of psi0 per member).  The
-    trajectory holds a copy of psi0, a snapshot every `stride` steps
-    (default: 16 per run) and the final state, a view of the final stack.
+    final stack (after zero steps, a writable copy of psi0 per member).  The
+    trajectory holds psi0's own values (gpk never writes into a
+    WaveFunction's values, so they need no copy), a snapshot every `stride`
+    steps (default: 16 per run) and the final state, a view of the final
+    stack.
 
     The datum is checked once (on the grid, finite, unit norm) and copied
     into the stack; every member is checked after every step by the norm
@@ -492,7 +506,7 @@ def _propagate(psi0: WaveFunction, nls, labels, grid: GridSpec, stride=None,
         raise ConfigurationError(f"snapshot stride {stride} must be >= 1")
     stride = stride or max(1, n_steps // 16)
     stepper = _Stepper(grid, nls)
-    times, kept = [0.0], [values.copy()] if tracked else []
+    times, kept = [0.0], [values] if tracked else []
     vals = np.repeat(values[None], len(nls), axis=0)
     if n_steps:
         # drift-kick-drift with merged interior drifts: the running state

@@ -282,7 +282,11 @@ def test_cli_kernels_field_that_is_not_finite_or_has_zero_norm_exits_2(
 @pytest.mark.parametrize("line, bad", [
     ("sigma = 1.0", "sigma = 1e-300"),
     ("[output]", "[kernels]\nn_values = 2\nsigma = 1e308\n\n[output]"),
-], ids=["datum-underflow", "kernels-overflow"])
+    # the square is finite, but (1.5 L)^2 / (4 sigma^2) is not
+    ("sigma = 1.0", "sigma = 1e-160"),
+    ("[output]", "[kernels]\nn_values = 2\nsigma = 1e-160\n\n[output]"),
+], ids=["datum-underflow", "kernels-overflow", "datum-exponent-overflow",
+        "kernels-exponent-overflow"])
 def test_a_gaussian_width_whose_square_leaves_the_floats_exits_2(
         tmp_path, capsys, line, bad):
     cfg_path = write_config(tmp_path, BASE_CONFIG.replace(line, bad))
@@ -1343,6 +1347,13 @@ phi0 = 1.0 0.0"""
     ("t_final = 0.4", "t_final = 1e308",
      "exp.ini [fock]: t_final = 1e+308 over the orbit step 0.001 asks for "
      "inf steps, past the step budget STEP_BUDGET = 10000000"),
+    # the kernel radius N * length / 2 past the largest float
+    ("points = 128\nlength = 16.0", "points = 128\nlength = 1e308",
+     "exp.ini: [kernels] length = 1e+308 gives a kernel radius N * length / 2 "
+     "past the float range at N = 4"),
+    ("n_values = 2 4", f"n_values = 2 {10**400}",
+     "exp.ini: [kernels] length = 16 gives a kernel radius N * length / 2 "
+     "past the float range at N = 1000"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "fock-d", "fock-cancel_n",
@@ -1352,7 +1363,8 @@ phi0 = 1.0 0.0"""
         "dt-not-whole-steps", "t_star-not-whole-steps",
         "t_final-opposite-sign", "t_star-opposite-sign", "t_final-1e308",
         "t_star-1e308", "dt-subnormal", "length-subnormal",
-        "fock-t_final-1e308"])
+        "fock-t_final-1e308", "kernels-length-1e308",
+        "kernels-N-past-the-floats"])
 def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
                                                what):
     text = REFERENCE.read_text().replace(

@@ -418,10 +418,11 @@ def test_comparing_five_members_holds_under_four_stacks(square_sol):
 
 
 def test_a_one_member_evolve_holds_one_drift_table_and_kicks_in_place():
-    # resident: the full-step table, the running state, the datum's copy in
-    # the trajectory and the density multiplier; the half-step tables are
-    # built from slabs of k^2 at the first and last steps, and each kick
-    # overwrites the running state (6.40 fields before, 4.78 after)
+    # resident: the full-step table, the running state and the density
+    # multiplier; the trajectory holds the datum itself, not a copy (4.78
+    # fields with the copy, 3.78 without); the half-step tables are built
+    # from slabs of k^2 at the first and last steps, and each kick
+    # overwrites the running state (6.40 fields before it did)
     grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3,
                     t_final=0.005)
     psi0 = gaussian_datum(grid, sigma=1.5)
@@ -433,7 +434,31 @@ def test_a_one_member_evolve_holds_one_drift_table_and_kicks_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.25 * psi0.values.nbytes
+    assert peak < 4.25 * psi0.values.nbytes
+
+
+def test_a_forward_then_back_chain_copies_neither_datum():
+    # the gp3d unit's shape at 32^3: a forward evolve with a mid snapshot,
+    # its report, then a backward evolve from the final state; neither
+    # trajectory copies its datum (7.79 fields with both copies, 5.79
+    # without)
+    grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3,
+                    t_final=0.004)
+    back_grid = replace(grid, dt=-1e-3, t_final=-0.004)
+    psi0 = gaussian_datum(grid, sigma=1.5)
+    nl = NonlinearitySpec.gp(a0=0.1)
+    evolve(psi0, nl, grid, snapshot_stride=2)
+    tracemalloc.start()
+    try:
+        fwd = evolve(psi0, nl, grid, snapshot_stride=2)
+        sobolev_report(fwd, nl)
+        back = evolve(WaveFunction(values=fwd.states[-1].values, grid=back_grid),
+                      nl, back_grid, snapshot_stride=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.states[0].values is fwd.states[-1].values
+    assert peak < 6.25 * psi0.values.nbytes
 
 
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 32), (3, 32)])
@@ -702,7 +727,10 @@ def test_evolve_never_writes_to_datum_or_snapshots():
     psi0.values.setflags(write=False)  # an in-place write would raise
     traj = evolve(psi0, nl, grid, snapshot_stride=10)
     assert np.array_equal(psi0.values, original)
-    arrays = [psi0.values] + [s.values for s in traj.states]
+    # the trajectory holds the datum itself, which nothing writes into; no
+    # later snapshot shares memory with it or with another
+    assert traj.states[0].values is psi0.values
+    arrays = [psi0.values] + [s.values for s in traj.states[1:]]
     for a, b in itertools.combinations(arrays, 2):
         assert not np.shares_memory(a, b)
     # each snapshot still holds the state at its time, as a run that stops
@@ -733,6 +761,28 @@ def test_density_multiplier_scales_with_the_coupling():
     one = _density_multiplier(grid, NonlinearitySpec.gp(a0=0.1))
     other = _density_multiplier(grid, NonlinearitySpec.gp(a0=0.2))
     assert np.allclose(other, 2 * one)
+
+
+@pytest.mark.parametrize("kind", ["gp", "modified"])
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32), (3, 32)])
+def test_density_multiplier_has_the_bits_of_the_sliced_full_grid(
+        square_sol, kind, dim, n):
+    # built on the half spectrum alone, it equals the full-grid tables cut
+    # to the rfftn half spectrum byte for byte
+    grid = GridSpec(dim=dim, box_length=9.0, points_per_axis=n, dt=1e-3,
+                    t_final=0.0)
+    half = (..., slice(0, n // 2 + 1))
+    mask = grid.dealias_mask()[half]
+    if kind == "gp":
+        nl = NonlinearitySpec.gp(a0=0.1)
+        expected = nl.coupling * mask
+    else:
+        nl = NonlinearitySpec.modified(square_sol, N=4, grid=grid)
+        kabs = np.sqrt(grid.k_squared()[half])
+        expected = (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
+    got = _density_multiplier(grid, nl)
+    assert got.shape == grid.shape[:-1] + (n // 2 + 1,)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_mass_reduction_matches_sum_of_squares():
