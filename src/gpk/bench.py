@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -45,7 +44,7 @@ from .dynamics import (
     time_steps,
 )
 from .errors import ConfigurationError
-from .kernels import kernel_bound_report
+from .kernels import kernel_bound_report, kernel_profile_reach
 from .rates import rate_points
 from .scattering import (
     RadialPotential,
@@ -246,8 +245,9 @@ def _check_rules(cfg: ExperimentConfig) -> None:
         potential_from_config(cfg)
     # the grids the stages build, from the same constructors, and the steps
     # taken on them (nsweep's grid ends at t_star, the kernels grid takes
-    # none); the N lists, by the rules of the nsweep and fock rate fits,
-    # which name no time key; the toy study's mean-field orbit steps
+    # none); the kernels profile table at every N; the N lists, by the rules
+    # of the nsweep and fock rate fits, which name no time key; the toy
+    # study's mean-field orbit steps
     for where, time_key, present, check in (
             ("[grid]", "t_final", cfg.has("grid"),
              lambda: time_steps(grid_from_config(cfg))),
@@ -258,6 +258,9 @@ def _check_rules(cfg: ExperimentConfig) -> None:
              lambda: sweep_values(cfg.get("nsweep", "n_values"))),
             ("[kernels]", "t_final", cfg.has("kernels"),
              lambda: kernel_grid_from_config(cfg)),
+            ("[kernels] length", None, cfg.has("kernels"),
+             lambda: [kernel_profile_reach(kernel_grid_from_config(cfg), N)
+                      for N in cfg.get("kernels", "n_values")]),
             ("[fock] n_values", None, cfg.has("fock"),
              lambda: rate_points(cfg.get("fock", "n_values"))),
             ("[fock]", "t_final", cfg.has("fock"),
@@ -268,14 +271,6 @@ def _check_rules(cfg: ExperimentConfig) -> None:
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{path} {where}: " + str(exc).replace(
                     "t_final", time_key or "t_final")) from None
-    if cfg.has("kernels"):  # `kernel_hs_norms` tabulates w out to this radius
-        k = cfg.values["kernels"]
-        n_max = max(k["n_values"])
-        if not (n_max <= sys.float_info.max
-                and n_max * (0.5 * k["length"]) < math.inf):
-            raise ConfigurationError(
-                f"{path}: [kernels] length = {k['length']:g} gives a kernel "
-                f"radius N * length / 2 past the float range at N = {n_max}")
     if cfg.has("fock"):
         _check_fock_scenario(path, cfg.values["fock"])
 

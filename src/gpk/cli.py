@@ -86,6 +86,7 @@ def _cmd_kernels(args) -> int:
         write_kernel_bounds_csv,
     )
     from .fieldio import read_field
+    from .kernels import kernel_profile_reach
 
     scattering = _existing(args.scattering, "--scattering")
     phi_path = _existing(args.phi, "--phi")
@@ -95,6 +96,8 @@ def _cmd_kernels(args) -> int:
         raise ConfigurationError(f"{phi_path}: field is not finite or has zero norm")
     # the reader and bound of [kernels] n_values
     n_list = parse_value("--N", SCHEMA["kernels"]["n_values"], args.N)
+    for N in n_list:  # before --out is made
+        kernel_profile_reach(phi.grid, N)
     outdir = Path(args.out)
     make_directory(outdir, "--out")
     path = outdir / "kernel_bounds.csv"

@@ -88,10 +88,15 @@ class GridSpec:
             raise ConfigurationError("box_length, dt and t_final must be finite")
         if self.box_length <= 0:
             raise ConfigurationError("box_length must be positive")
-        if self.cell == 0:
+        try:
+            cell = self.cell
+        except OverflowError:  # float ** int raises past the largest float
+            cell = math.inf
+        if not 0 < cell < math.inf:
+            fault = "underflows to 0" if cell == 0 else "is past the float range"
             raise ConfigurationError(
                 f"box_length = {self.box_length:g} over {n} points per axis "
-                f"gives a cell that underflows to 0")
+                f"gives a cell that {fault}")
         if self.dt == 0:
             raise ConfigurationError("dt must be non-zero")
 
@@ -117,8 +122,8 @@ class GridSpec:
         k = 2.0 * math.pi * np.fft.fftfreq(n, d=self.dx)
         return [k] * self.dim
 
-    def k_squared(self, half: bool = False) -> np.ndarray:
-        return self._mesh(np.add, self.k_axes()[0] ** 2, half)
+    def k_squared(self) -> np.ndarray:
+        return self._mesh(np.add, self.k_axes()[0] ** 2)
 
     @property
     def k_max_squared(self) -> float:
@@ -126,21 +131,18 @@ class GridSpec:
         full-grid table (for dim <= 3 both round to the same double)."""
         return self.dim * float(np.max(self.k_axes()[0] ** 2))
 
-    def dealias_mask(self, half: bool = False) -> np.ndarray:
-        """2/3-rule mask on per-axis frequency indices."""
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask on per-axis frequency indices, on the rfftn half
+        spectrum: the last axis keeps its first n // 2 + 1 modes."""
         n = self.points_per_axis
         keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3.0
-        return self._mesh(np.logical_and, keep, half)
+        return self._mesh(np.logical_and,
+                          [keep] * (self.dim - 1) + [keep[: n // 2 + 1]])
 
-    def _mesh(self, op, per_axis, half: bool = False) -> np.ndarray:
+    def _mesh(self, op, per_axis) -> np.ndarray:
         """Full-grid table op(t_1[i_1], ..., t_d[i_d]) of per-axis tables, one
-        for every axis or a list of `dim` (see `_open_axes`).  With `half`, the
-        table on the rfftn half spectrum: the last axis keeps its first
-        n // 2 + 1 modes, with the bits of the full table's slice."""
-        tables = self._open_axes(per_axis)
-        if half:
-            tables[-1] = tables[-1][..., : self.points_per_axis // 2 + 1]
-        return functools.reduce(op, tables)
+        for every axis or a list of `dim` (see `_open_axes`)."""
+        return functools.reduce(op, self._open_axes(per_axis))
 
     def _open_axes(self, per_axis, trailing: int = 0) -> list[np.ndarray]:
         """Per-axis tables laid along each grid axis in turn, broadcastable to
@@ -368,10 +370,11 @@ def _density_multiplier(grid: GridSpec, nl: NonlinearitySpec) -> np.ndarray:
     It depends on |k_i| only, so the half spectrum carries all of it, and
     its tables are built on the half spectrum alone.
     """
-    mask = grid.dealias_mask(half=True)
+    mask = grid.dealias_mask()
     if nl.kind == "gp":
         return nl.coupling * mask
-    kabs = np.sqrt(grid.k_squared(half=True))
+    n, k2 = grid.points_per_axis, grid.k_axes()[0] ** 2
+    kabs = np.sqrt(grid._mesh(np.add, [k2] * (grid.dim - 1) + [k2[: n // 2 + 1]]))
     return (1.0 - 1.0 / nl.N) * nl.uhat(kabs / nl.N) * mask
 
 

@@ -45,7 +45,10 @@ def read_field(path):
         raise ConfigurationError(
             f"{path}: field dump holds {len(body)} bytes of values, "
             f"expected {expected}")
-    grid = GridSpec(dim=dim, box_length=L, points_per_axis=n, dt=_READ_DT,
-                    t_final=0.0)
+    try:
+        grid = GridSpec(dim=dim, box_length=L, points_per_axis=n, dt=_READ_DT,
+                        t_final=0.0)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     values = np.frombuffer(body, dtype=_VALUES).reshape((n,) * dim).copy()
     return WaveFunction(values=values, grid=grid), t

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import GridSpec, WaveFunction, _transforms
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .radial import _PREFACTOR, _order_one_kernel, radial_hat
 from .scattering import (
     ScatteringSolution,
@@ -168,6 +169,23 @@ def _profile_extension(sol: ScatteringSolution, sigma_max: float, step: float):
     return sig, scaled_profile(sol, 1, sig), scaled_profile(sol, 1, sig, deriv=True)
 
 
+def kernel_profile_reach(grid: GridSpec, N: int) -> tuple[float, float, float]:
+    """(p_max, sigma_max, step) of the profile table of `kernel_hs_norms` at
+    N: out to N times the half box, in steps that resolve the angular kernel
+    oscillation at the largest momentum p_max.  A radius or a count of steps
+    past the float range is refused."""
+    p_max = math.sqrt(grid.k_max_squared) * 1.0000001 + 1e-12
+    if N <= sys.float_info.max:  # a larger int does not convert to a float
+        sigma_max = N * (0.5 * grid.box_length)
+        step = max(min(0.025, 2 * math.pi * N / p_max / 24.0), 5e-4)
+        if sigma_max / step < math.inf:
+            return p_max, sigma_max, step
+    raise ConfigurationError(
+        f"N = {N} on a box of length {grid.box_length:g} puts the kernel "
+        "profile's radius N * length / 2, or its count of radial steps, "
+        "past the float range")
+
+
 def _field_moments(phi: WaveFunction):
     """(rho, sum_c |d_c phi|^2, [j_c]) with j_c = Re(conj(phi) d_c phi).
 
@@ -192,11 +210,7 @@ def kernel_hs_norms(phi: WaveFunction, sol: ScatteringSolution, N: int):
     grid = phi.grid
     d = grid.dim
     kabs = np.sqrt(grid.k_squared())
-    p_max = math.sqrt(grid.k_max_squared) * 1.0000001 + 1e-12
-    half_box = 0.5 * grid.box_length
-    sigma_max = N * half_box
-    # resolve the angular kernel oscillation at the largest momentum
-    step = max(min(0.025, 2 * math.pi * N / p_max / 24.0), 5e-4)
+    p_max, sigma_max, step = kernel_profile_reach(grid, N)
     sig, wv, dwv = _profile_extension(sol, sigma_max, step)
 
     p_tab = np.linspace(0.0, p_max, _KERNEL_MOMENTA)

@@ -1011,6 +1011,33 @@ def test_cli_kernels_missing_input_files_exit_2(tmp_path, capsys):
                      "--N", "2,x", "--out", str(tmp_path / "kout")]) == 2
 
 
+@pytest.mark.parametrize("dim, length, N, what", [
+    (1, 16.0, f"2,{10**400}", "N = 1000"),
+    (1, 1e307, "2", "N = 2 on a box of length 1e+307 puts the kernel "
+     "profile's radius N * length / 2, or its count of radial steps, past "
+     "the float range"),
+    (3, 1e308, "2", "phi.bin: box_length = 1e+308 over 16 points per axis "
+     "gives a cell that is past the float range"),
+], ids=["N-past-the-floats", "radial-steps-past-the-floats",
+        "3d-cell-past-the-floats"])
+def test_cli_kernels_profile_or_cell_past_the_floats_exits_2(
+        tmp_path, capsys, dim, length, N, what):
+    # the dump's header carries the box length; --N the kernel's N
+    _, args = scattering_artifact(tmp_path, capsys)
+    grid = GridSpec(dim=dim, box_length=16.0, points_per_axis=16, dt=1e-3,
+                    t_final=0.0)
+    phi = tmp_path / "phi.bin"
+    write_field(phi, WaveFunction(values=np.full(grid.shape, 0.25 + 0j),
+                                  grid=grid))
+    raw = bytearray(phi.read_bytes())
+    raw[16:24] = struct.pack("<d", length)  # the header's box length
+    phi.write_bytes(raw)
+    args[args.index("--N") + 1] = N
+    assert cli_main(args) == 2
+    assert what in capsys.readouterr().err
+    assert not (tmp_path / "kout").exists()
+
+
 @pytest.mark.parametrize("N", ["-2", "0", "2,0", pytest.param("", id="empty")])
 def test_cli_kernels_non_positive_N_exits_2(tmp_path, capsys, N):
     # --N takes the reader and bound of [kernels] n_values
@@ -1347,13 +1374,20 @@ phi0 = 1.0 0.0"""
     ("t_final = 0.4", "t_final = 1e308",
      "exp.ini [fock]: t_final = 1e+308 over the orbit step 0.001 asks for "
      "inf steps, past the step budget STEP_BUDGET = 10000000"),
-    # the kernel radius N * length / 2 past the largest float
+    # the kernels profile table's radius N * length / 2, or its count of
+    # radial steps, past the largest float; a 3D kernels cell past it
     ("points = 128\nlength = 16.0", "points = 128\nlength = 1e308",
-     "exp.ini: [kernels] length = 1e+308 gives a kernel radius N * length / 2 "
-     "past the float range at N = 4"),
+     "exp.ini [kernels] length: N = 2 on a box of length 1e+308 puts the "
+     "kernel profile's radius N * length / 2, or its count of radial steps, "
+     "past the float range"),
+    ("points = 128\nlength = 16.0", "points = 128\nlength = 1e307",
+     "exp.ini [kernels] length: N = 2 on a box of length 1e+307 puts"),
     ("n_values = 2 4", f"n_values = 2 {10**400}",
-     "exp.ini: [kernels] length = 16 gives a kernel radius N * length / 2 "
-     "past the float range at N = 1000"),
+     "exp.ini [kernels] length: N = 1000"),
+    ("dim = 1\npoints = 128\nlength = 16.0",
+     "dim = 3\npoints = 128\nlength = 1e110",
+     "exp.ini [kernels]: box_length = 1e+110 over 128 points per axis gives "
+     "a cell that is past the float range"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "fock-d", "fock-cancel_n",
@@ -1364,7 +1398,8 @@ phi0 = 1.0 0.0"""
         "t_final-opposite-sign", "t_star-opposite-sign", "t_final-1e308",
         "t_star-1e308", "dt-subnormal", "length-subnormal",
         "fock-t_final-1e308", "kernels-length-1e308",
-        "kernels-N-past-the-floats"])
+        "kernels-radial-steps-past-the-floats", "kernels-N-past-the-floats",
+        "kernels-3d-cell-past-the-floats"])
 def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
                                                what):
     text = REFERENCE.read_text().replace(

@@ -419,10 +419,9 @@ def test_comparing_five_members_holds_under_four_stacks(square_sol):
 
 def test_a_one_member_evolve_holds_one_drift_table_and_kicks_in_place():
     # resident: the full-step table, the running state and the density
-    # multiplier; the trajectory holds the datum itself, not a copy (4.78
-    # fields with the copy, 3.78 without); the half-step tables are built
-    # from slabs of k^2 at the first and last steps, and each kick
-    # overwrites the running state (6.40 fields before it did)
+    # multiplier; the trajectory holds the datum itself, not a copy; the
+    # half-step tables are built from slabs of k^2 at the first and last
+    # steps, and each kick overwrites the running state
     grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3,
                     t_final=0.005)
     psi0 = gaussian_datum(grid, sigma=1.5)
@@ -440,8 +439,8 @@ def test_a_one_member_evolve_holds_one_drift_table_and_kicks_in_place():
 def test_a_forward_then_back_chain_copies_neither_datum():
     # the gp3d unit's shape at 32^3: a forward evolve with a mid snapshot,
     # its report, then a backward evolve from the final state; neither
-    # trajectory copies its datum (7.79 fields with both copies, 5.79
-    # without)
+    # trajectory copies its datum, so the forward final state is the
+    # backward datum
     grid = GridSpec(dim=3, box_length=16.0, points_per_axis=32, dt=1e-3,
                     t_final=0.004)
     back_grid = replace(grid, dt=-1e-3, t_final=-0.004)
@@ -593,14 +592,20 @@ def random_unit_field(grid, seed):
     return WaveFunction(values=vals, grid=grid)
 
 
+def full_dealias_mask(grid):
+    """The 2/3-rule mask on the full grid."""
+    n = grid.points_per_axis
+    return grid._mesh(np.logical_and, np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3.0)
+
+
 def complex_fft_reference(psi, nl):
     """Density potential and energy from full complex FFTs of |phi|^2."""
     grid = psi.grid
     k2 = grid.k_squared()
     if nl.kind == "gp":
-        mult = nl.coupling * grid.dealias_mask()
+        mult = nl.coupling * full_dealias_mask(grid)
     else:
-        mult = (1 - 1 / nl.N) * nl.uhat(np.sqrt(k2) / nl.N) * grid.dealias_mask()
+        mult = (1 - 1 / nl.N) * nl.uhat(np.sqrt(k2) / nl.N) * full_dealias_mask(grid)
     rho_hat = sfft.fftn(np.abs(psi.values) ** 2)
     potential = sfft.ifftn(mult * rho_hat).real
     M = psi.values.size
@@ -772,7 +777,7 @@ def test_density_multiplier_has_the_bits_of_the_sliced_full_grid(
     grid = GridSpec(dim=dim, box_length=9.0, points_per_axis=n, dt=1e-3,
                     t_final=0.0)
     half = (..., slice(0, n // 2 + 1))
-    mask = grid.dealias_mask()[half]
+    mask = full_dealias_mask(grid)[half]
     if kind == "gp":
         nl = NonlinearitySpec.gp(a0=0.1)
         expected = nl.coupling * mask
