@@ -35,6 +35,7 @@ from .dynamics import (
     GridSpec,
     NonlinearitySpec,
     WaveFunction,
+    check_gaussian_width,
     evolve_and_compare,
     gaussian_datum,
     sobolev_report,
@@ -43,7 +44,7 @@ from .dynamics import (
     tail_warnings,
     time_steps,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .kernels import kernel_bound_report, kernel_profile_reach
 from .rates import rate_points
 from .scattering import (
@@ -245,9 +246,10 @@ def _check_rules(cfg: ExperimentConfig) -> None:
         potential_from_config(cfg)
     # the grids the stages build, from the same constructors, and the steps
     # taken on them (nsweep's grid ends at t_star, the kernels grid takes
-    # none); the kernels profile table at every N; the N lists, by the rules
-    # of the nsweep and fock rate fits, which name no time key; the toy
-    # study's mean-field orbit steps
+    # none); the kernels profile table at every N; the Gaussian widths the
+    # evolve and kernels data sample on their grids; the N lists, by the
+    # rules of the nsweep and fock rate fits, which name no time key; the
+    # toy study's mean-field orbit steps
     for where, time_key, present, check in (
             ("[grid]", "t_final", cfg.has("grid"),
              lambda: time_steps(grid_from_config(cfg))),
@@ -261,6 +263,12 @@ def _check_rules(cfg: ExperimentConfig) -> None:
             ("[kernels] length", None, cfg.has("kernels"),
              lambda: [kernel_profile_reach(kernel_grid_from_config(cfg), N)
                       for N in cfg.get("kernels", "n_values")]),
+            ("[datum]", None, cfg.has("grid"),
+             lambda: check_gaussian_width(grid_from_config(cfg),
+                                          cfg.get("datum", "sigma"))),
+            ("[kernels]", None, cfg.has("kernels"),
+             lambda: check_gaussian_width(kernel_grid_from_config(cfg),
+                                          cfg.get("kernels", "sigma"))),
             ("[fock] n_values", None, cfg.has("fock"),
              lambda: rate_points(cfg.get("fock", "n_values"))),
             ("[fock]", "t_final", cfg.has("fock"),
@@ -268,7 +276,7 @@ def _check_rules(cfg: ExperimentConfig) -> None:
         if present:
             try:
                 check()
-            except ConfigurationError as exc:
+            except (ConfigurationError, DomainError) as exc:
                 raise ConfigurationError(f"{path} {where}: " + str(exc).replace(
                     "t_final", time_key or "t_final")) from None
     if cfg.has("fock"):
@@ -453,10 +461,10 @@ def _read_json(path) -> dict:
         return json.load(fh)
 
 
-def _write_json(path, payload, indent=None) -> None:
+def _write_json(path, payload) -> None:
     # json.dump to a file always takes the pure-Python encoder
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=indent))
+        fh.write(json.dumps(payload, sort_keys=True))
 
 
 def _read_csv(path) -> list:
@@ -713,8 +721,8 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
     """Run the configured stages among `stages` (all if None) and the
     upstream stages they need, with caching; report.json lists the stages
     this invocation ran, hit or miss, with their artifacts, summaries and
-    flags.  `outdir` (the --out of a subcommand) overrides [output]
-    directory.
+    flags, and is rewritten only when its bytes change.  `outdir` (the --out
+    of a subcommand) overrides [output] directory.
 
     Before a stage runs, every stage whose upstream is done is keyed and
     found a hit or a miss; the evolve and nsweep misses among them are
@@ -772,11 +780,19 @@ def run_pipeline(cfg: ExperimentConfig, outdir=None, stages=None) -> ReportBundl
                 path.unlink(missing_ok=True)
 
     # report.json names each artifact relative to the output directory, so
-    # it does not depend on where the directory is
+    # it does not depend on where the directory is; it is written only when
+    # its bytes change, so a rerun whose stages all hit writes no file
     report = outdir / "report.json"
-    _write_json(report, {"stages": [s.name for s in plan],
-                         "artifacts": {s.name: list(s.outputs) for s in plan},
-                         "summary": summary, "flags": flags}, indent=1)
+    data = json.dumps({"stages": [s.name for s in plan],
+                       "artifacts": {s.name: list(s.outputs) for s in plan},
+                       "summary": summary, "flags": flags},
+                      sort_keys=True, indent=1).encode()
+    try:
+        stale = report.read_bytes() != data
+    except OSError:  # missing, a directory, unreadable: write it
+        stale = True
+    if stale:
+        report.write_bytes(data)
     artifacts["report"] = [str(report)]
     return ReportBundle(outdir=outdir, artifacts=artifacts, summary=summary,
                         flags=flags)

@@ -25,6 +25,7 @@ STEP_BUDGET = 10_000_000  # max Strang steps of one evolution, t_final / dt
 TAIL_WARN = 1e-8          # spectral tail mass that flags aliased Sobolev values
 DEGENERATE_FLOOR = 1e-12  # distances or a0 below it are round-off: nothing to fit
 TRANSFORM_TOL = 1e-4      # relative gap of the tabulated 3D uhat(0) from 8 pi a0
+PROFILE_STEP_BUDGET = 2**20  # max radial steps of a kernel profile table
 
 # Fock truncation
 KERNEL_HS_BUDGET = 1.5    # max |K|_HS of a Bogoliubov kernel

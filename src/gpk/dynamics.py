@@ -196,12 +196,11 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
     return math.sqrt(_mass(a.values - b.values) * a.grid.cell)
 
 
-def gaussian_datum(grid: GridSpec, sigma: float = 1.0) -> WaveFunction:
-    """Normalized periodized Gaussian of width sigma, centred at the origin.
-
-    Summing the nearest box images keeps the torus field smooth at the box
-    edge, so its spectrum decays like the free-space transform.
-    """
+def check_gaussian_width(grid: GridSpec, sigma: float) -> None:
+    """The widths `gaussian_datum` samples on `grid`: a DomainError for a
+    width whose square or farthest exponent leaves the floats, or whose
+    nearest neighbour's factor exp(-dx^2 / (4 sigma^2)) underflows to 0, so
+    that the datum is one grid point."""
     if not (sigma > 0 and 0 < sigma * sigma < math.inf):  # as sigma**2 below
         raise DomainError(f"Gaussian width sigma = {sigma} must be positive "
                           "with a finite, non-zero square")
@@ -211,6 +210,22 @@ def gaussian_datum(grid: GridSpec, sigma: float = 1.0) -> WaveFunction:
         raise DomainError(f"Gaussian width sigma = {sigma} on box_length = "
                           f"{L:g} puts its exponent (1.5 L)^2 / (4 sigma^2) "
                           "past the float range")
+    dx = grid.dx
+    if not math.exp(-dx * dx / (4 * sigma**2)) > 0:
+        raise DomainError(f"Gaussian width sigma = {sigma} on dx = "
+                          f"{dx:g} underflows its nearest neighbour's "
+                          "factor exp(-dx^2 / (4 sigma^2)) to 0: the datum "
+                          "is one grid point")
+
+
+def gaussian_datum(grid: GridSpec, sigma: float = 1.0) -> WaveFunction:
+    """Normalized periodized Gaussian of width sigma, centred at the origin.
+
+    Summing the nearest box images keeps the torus field smooth at the box
+    edge, so its spectrum decays like the free-space transform.
+    """
+    check_gaussian_width(grid, sigma)
+    L = grid.box_length
     facs = [sum(np.exp(-((x + m * L) ** 2) / (4 * sigma**2)) for m in (-1, 0, 1))
             for x in grid.axes()]
     vals = grid._mesh(np.multiply, facs)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import PROFILE_STEP_BUDGET
 from .dynamics import GridSpec, WaveFunction, _transforms
 from .errors import ConfigurationError, DomainError
 from .radial import _PREFACTOR, _order_one_kernel, radial_hat
@@ -173,13 +174,19 @@ def kernel_profile_reach(grid: GridSpec, N: int) -> tuple[float, float, float]:
     """(p_max, sigma_max, step) of the profile table of `kernel_hs_norms` at
     N: out to N times the half box, in steps that resolve the angular kernel
     oscillation at the largest momentum p_max.  A radius or a count of steps
-    past the float range is refused."""
+    past the float range, or a count past PROFILE_STEP_BUDGET, is refused."""
     p_max = math.sqrt(grid.k_max_squared) * 1.0000001 + 1e-12
     if N <= sys.float_info.max:  # a larger int does not convert to a float
         sigma_max = N * (0.5 * grid.box_length)
         step = max(min(0.025, 2 * math.pi * N / p_max / 24.0), 5e-4)
-        if sigma_max / step < math.inf:
+        steps = sigma_max / step
+        if steps <= PROFILE_STEP_BUDGET:
             return p_max, sigma_max, step
+        if steps < math.inf:
+            raise ConfigurationError(
+                f"N = {N} on a box of length {grid.box_length:g} asks for a "
+                f"kernel profile of {steps:.3g} radial steps, past the budget "
+                f"PROFILE_STEP_BUDGET = {PROFILE_STEP_BUDGET}")
     raise ConfigurationError(
         f"N = {N} on a box of length {grid.box_length:g} puts the kernel "
         "profile's radius N * length / 2, or its count of radial steps, "

@@ -180,8 +180,12 @@ def family_parameters(family: str) -> list:
 
 
 def as_numbers(value, what: str):
-    """A float, or an array for a table column, from numbers or strings."""
+    """A float, or an array for a table column, from real numbers or
+    strings; complex values are refused, not cast to their real part."""
     try:
+        if np.iscomplexobj(value):
+            raise ConfigurationError(f"{what} holds complex values, not real "
+                                     "numbers")
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{what} = {value!r} is not a number") from None

@@ -263,6 +263,24 @@ def test_cli_kernels_arrays_that_are_not_one_profile_exit_2(
     assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["f", "dw_dr", "defect"])
+@pytest.mark.parametrize("imag", [1e-3, 0.0], ids=["complex", "zero-imag"])
+def test_cli_kernels_complex_profile_array_exits_2(tmp_path, capsys, key,
+                                                   imag):
+    # a cast to float would drop the imaginary part with a ComplexWarning
+    path, args = scattering_artifact(tmp_path, capsys)
+    npz = path.with_suffix(".npz")
+    with np.load(npz) as data:
+        arrays = dict(data)
+    arrays[key] = arrays[key] + imag * 1j
+    np.savez(npz, **arrays)
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {npz}: {key} holds complex values" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "kout" / "kernel_bounds.csv").exists()
+
+
 @pytest.mark.parametrize("value, where", [(np.nan, 5), (0.0, slice(None))],
                          ids=["one-nan", "all-zero"])
 def test_cli_kernels_field_that_is_not_finite_or_has_zero_norm_exits_2(
@@ -656,6 +674,51 @@ directory = {outdir}
     assert warm.flags == fresh.flags
     report = json.loads((fresh.outdir / "report.json").read_text())
     assert report["flags"] == fresh.flags
+
+
+def test_a_warm_rerun_writes_no_file(tmp_path, capsys):
+    # every stage a hit, and report.json holds the bytes it would be given:
+    # no file of the directory is written, so none gets a new mtime
+    cfg_path = reference_config(tmp_path)
+    assert cli_main(["run", str(cfg_path)]) == 0
+    outdir = tmp_path / "out"
+    for path in outdir.iterdir():  # a rewrite would stamp the present
+        os.utime(path, ns=(10**18, 10**18))
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+              for p in sorted(outdir.iterdir())}
+    assert "report.json" in before
+    assert cli_main(["run", str(cfg_path)]) == 0
+    after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+             for p in sorted(outdir.iterdir())}
+    assert after == before
+    capsys.readouterr()
+
+
+def test_evolve_then_run_writes_the_report_of_a_fresh_run(tmp_path, capsys):
+    # the evolve subcommand's report lists three stages; the run's five
+    shared, fresh = reference_config(tmp_path), reference_config(
+        tmp_path, "fresh.ini", "fresh")
+    assert cli_main(["evolve", "--config", str(shared)]) == 0
+    assert cli_main(["run", str(shared)]) == 0
+    assert cli_main(["run", str(fresh)]) == 0
+    report = (tmp_path / "out" / "report.json").read_bytes()
+    assert report == (tmp_path / "fresh" / "report.json").read_bytes()
+    assert json.loads(report)["stages"] == [s.name for s in bench.STAGES]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: b"\xff\xfe" + data[2:],
+    lambda data: data[: len(data) // 2],
+    lambda data: b"",
+], ids=["invalid-utf8", "truncated-json", "empty"])
+def test_a_warm_rerun_replaces_a_damaged_report(tmp_path, damage):
+    cfg = load_config(write_config(tmp_path))
+    report = run_pipeline(cfg).outdir / "report.json"
+    written = report.read_bytes()
+    report.write_bytes(damage(written))
+    run_pipeline(cfg)
+    assert report.read_bytes() == written
 
 
 def test_report_json_does_not_depend_on_the_output_directory(tmp_path, capsys):
@@ -1388,6 +1451,18 @@ phi0 = 1.0 0.0"""
      "dim = 3\npoints = 128\nlength = 1e110",
      "exp.ini [kernels]: box_length = 1e+110 over 128 points per axis gives "
      "a cell that is past the float range"),
+    # Gaussian widths the grid cannot sample: 1e-100 underflows the nearest
+    # neighbour's exp(-dx^2 / (4 sigma^2)) to 0, a one-point datum
+    ("[datum]\nsigma = 1.0", "[datum]\nsigma = 1e-100",
+     "exp.ini [datum]: Gaussian width sigma = 1e-100 on dx = 0.0625 "
+     "underflows its nearest neighbour's factor"),
+    ("[datum]\nsigma = 1.0", "[datum]\nsigma = 1e308",
+     "exp.ini [datum]: Gaussian width sigma = 1e+308 must be positive"),
+    ("length = 16.0\nsigma = 1.0", "length = 16.0\nsigma = 1e-100",
+     "exp.ini [kernels]: Gaussian width sigma = 1e-100 on dx = 0.125 "
+     "underflows its nearest neighbour's factor"),
+    ("length = 16.0\nsigma = 1.0", "length = 16.0\nsigma = 1e308",
+     "exp.ini [kernels]: Gaussian width sigma = 1e+308 must be positive"),
 ], ids=["kernels-pionts", "kernel-section", "fock-omegaa", "datum-sigmaa",
         "grid-fft_worker", "no-close-key", "fields-yes-please",
         "fft_workers-negative", "fock-d", "fock-cancel_n",
@@ -1399,7 +1474,9 @@ phi0 = 1.0 0.0"""
         "t_star-1e308", "dt-subnormal", "length-subnormal",
         "fock-t_final-1e308", "kernels-length-1e308",
         "kernels-radial-steps-past-the-floats", "kernels-N-past-the-floats",
-        "kernels-3d-cell-past-the-floats"])
+        "kernels-3d-cell-past-the-floats", "datum-sigma-one-point",
+        "datum-sigma-square-overflow", "kernels-sigma-one-point",
+        "kernels-sigma-square-overflow"])
 def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
                                                what):
     text = REFERENCE.read_text().replace(
@@ -1425,7 +1502,16 @@ def test_config_error_exits_2_before_any_stage(tmp_path, capsys, line, bad,
     ("t_final = 0.4", "t_final = 1e6",
      "exp.ini [fock]: t_final = 1e+06 over the orbit step 0.001 asks for "
      "1e+09 steps, past the step budget STEP_BUDGET = 10000000"),
-], ids=["dt-1e-300", "t_final-1e6", "fock-t_final-1e6"])
+    # a kernel profile table finite in size but past its budget
+    ("points = 128\nlength = 16.0", "points = 128\nlength = 1e9",
+     "exp.ini [kernels] length: N = 2 on a box of length 1e+09 asks for a "
+     "kernel profile of 4e+10 radial steps, past the budget "
+     "PROFILE_STEP_BUDGET = 1048576"),
+    ("n_values = 2 4", "n_values = 2 100000",
+     "exp.ini [kernels] length: N = 100000 on a box of length 16 asks for a "
+     "kernel profile of 3.2e+07 radial steps"),
+], ids=["dt-1e-300", "t_final-1e6", "fock-t_final-1e6", "kernels-length-1e9",
+        "kernels-N-1e5"])
 def test_step_count_past_the_budget_is_refused_when_the_config_loads(
         tmp_path, line, bad, what):
     # finite step counts that no run would finish; the CLI exits 2 on the
@@ -1564,10 +1650,11 @@ CHAIN_FILES = {"scattering.json", "scattering.npz", "scattering.hash",
                "kernel_bounds.csv", "kernels.hash"}
 
 
-def reference_config(tmp_path):
-    cfg_path = tmp_path / "reference.ini"
+def reference_config(tmp_path, name="reference.ini", outdir="out"):
+    """configs/reference.ini, written to `name`, writing into `outdir`."""
+    cfg_path = tmp_path / name
     cfg_path.write_text(REFERENCE.read_text().replace(
-        "directory = out", f"directory = {tmp_path / 'out'}"))
+        "directory = out", f"directory = {tmp_path / outdir}"))
     return cfg_path
 
 

@@ -153,6 +153,17 @@ def test_a_gaussian_whose_normalisation_underflows_is_refused():
         gaussian_datum(grid, sigma=1e150)
 
 
+def test_a_gaussian_narrower_than_the_grid_resolves_is_refused():
+    # dx / 60 puts exp(-dx^2 / (4 sigma^2)) = exp(-900) below the smallest
+    # float, so the datum would be one grid point; dx / 50 (exp(-625)) keeps
+    # its neighbours
+    grid = grid1d(n=256, dt=1e-3, T=0.0)
+    with pytest.raises(DomainError, match="nearest neighbour"):
+        gaussian_datum(grid, sigma=grid.dx / 60)
+    psi = gaussian_datum(grid, sigma=grid.dx / 50)
+    assert np.count_nonzero(psi.values) == 3
+
+
 def test_time_reversal_returns_datum():
     grid = grid1d(n=256, dt=1e-3, T=0.5)
     psi0 = gaussian_datum(grid, sigma=1.0)
